@@ -1,8 +1,8 @@
-// End-to-end scenario runner: builds a (scaled) Curie cluster, replays a
-// workload profile with a powercap policy, and returns the summary plus the
-// recorded time series. Every bench and integration test goes through this
-// single entry point, so runs are directly comparable (identical wiring,
-// identical seeds).
+// End-to-end scenario runner: replays a workload profile or trace on a
+// (scaled) Curie cluster with a powercap policy, through core::Replay
+// (core/replay.h), and returns the summary plus the recorded time series.
+// Every bench and integration test goes through this single entry point,
+// so runs are directly comparable (identical wiring, identical seeds).
 #pragma once
 
 #include <cstdint>

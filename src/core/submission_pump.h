@@ -14,12 +14,12 @@
 // a timestamp the pump submits in (submit time, source order), the
 // preloaded order. See docs/ARCHITECTURE.md, "Streaming replay".
 //
-// Lived in core/experiment.cc until the live service (src/serve/) needed
-// the same engine under an *open-ended* horizon: run_scenario constructs
-// one with the final horizon up front; ps-serve constructs one bounded at
-// the current ingestion watermark and extend_horizon()s it forward as
-// clients commit more of the stream, so the pump never pulls a chunk the
-// ingest layer cannot yet guarantee complete.
+// core::Replay (core/replay.h) owns the pump: it constructs it bounded at
+// -1 and raises the bound through extend_horizon — once, to the final
+// horizon, under run_scenario; slice by slice under ps-serve, as clients
+// commit more of the stream, so the pump never pulls a chunk the ingest
+// layer cannot yet guarantee complete. Either way the replay is the same
+// (chunk boundaries never change it).
 #pragma once
 
 #include <vector>

@@ -94,33 +94,22 @@ DriverReport run_distributed(const std::vector<core::ScenarioConfig>& cells,
 
   // Registry-homed fault-tolerance counters (obs/registry.h): sites
   // increment the process-wide counters, the report's fields are this
-  // run's deltas against the bases captured here.
+  // run's deltas against the baseline captured here.
   obs::Registry& registry = obs::Registry::global();
+  const obs::CounterBaseline baseline;
   obs::Counter& c_resubmitted = registry.counter("dist.resubmitted_shards");
   obs::Counter& c_reclaimed = registry.counter("dist.reclaimed_leases");
   obs::Counter& c_fenced = registry.counter("dist.fenced_publishes");
   obs::Counter& c_corrupt = registry.counter("dist.corrupt_documents");
   obs::Counter& c_resumed = registry.counter("dist.resumed_cells");
   obs::Counter& c_spawned = registry.counter("dist.workers_spawned");
-  const std::uint64_t base_resubmitted = c_resubmitted.value();
-  const std::uint64_t base_reclaimed = c_reclaimed.value();
-  const std::uint64_t base_fenced = c_fenced.value();
-  const std::uint64_t base_corrupt = c_corrupt.value();
-  const std::uint64_t base_resumed = c_resumed.value();
-  const std::uint64_t base_spawned = c_spawned.value();
   auto finalize_report_counters = [&] {
-    report.resubmitted_shards =
-        static_cast<std::size_t>(c_resubmitted.value() - base_resubmitted);
-    report.reclaimed_leases =
-        static_cast<std::size_t>(c_reclaimed.value() - base_reclaimed);
-    report.fenced_publishes =
-        static_cast<std::size_t>(c_fenced.value() - base_fenced);
-    report.corrupt_documents =
-        static_cast<std::size_t>(c_corrupt.value() - base_corrupt);
-    report.resumed_cells =
-        static_cast<std::size_t>(c_resumed.value() - base_resumed);
-    report.workers_spawned =
-        static_cast<std::size_t>(c_spawned.value() - base_spawned);
+    report.resubmitted_shards = baseline.delta("dist.resubmitted_shards");
+    report.reclaimed_leases = baseline.delta("dist.reclaimed_leases");
+    report.fenced_publishes = baseline.delta("dist.fenced_publishes");
+    report.corrupt_documents = baseline.delta("dist.corrupt_documents");
+    report.resumed_cells = baseline.delta("dist.resumed_cells");
+    report.workers_spawned = baseline.delta("dist.workers_spawned");
   };
   if (options.workers == 0) fail("workers must be >= 1");
   if (options.max_attempts == 0) fail("max_attempts must be >= 1");

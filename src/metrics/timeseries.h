@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "rjms/controller.h"
@@ -34,7 +35,10 @@ class Recorder final : public rjms::ControllerObserver {
   /// Takes a sample now; same-timestamp samples collapse to the latest.
   void sample(sim::Time now);
 
-  const std::vector<Sample>& samples() const noexcept { return samples_; }
+  const std::vector<Sample>& samples() const& noexcept { return samples_; }
+  /// Moves the series out of a recorder that is done recording (the end of
+  /// a replay), instead of copying it sample by sample.
+  std::vector<Sample> samples() && noexcept { return std::move(samples_); }
 
   // --- series extraction (for charts) --------------------------------------
   std::vector<std::int64_t> times() const;

@@ -105,6 +105,18 @@ Histogram& Registry::histogram(std::string_view name, double relative_error,
   return *inserted->second;
 }
 
+CounterBaseline::CounterBaseline(Registry& registry) : registry_(registry) {
+  for (const Snapshot::CounterValue& c : registry.snapshot().counters) {
+    base_.emplace(c.name, c.value);
+  }
+}
+
+std::uint64_t CounterBaseline::delta(std::string_view name) const {
+  auto base = base_.find(name);
+  return registry_.counter(name).value() -
+         (base == base_.end() ? 0 : base->second);
+}
+
 Snapshot Registry::snapshot(std::int64_t sim_time_ms) const {
   Snapshot snap;
   snap.wall_ns = clock_ns(CLOCK_REALTIME);

@@ -18,8 +18,8 @@
 // registry therefore never perturbs a fenced kernel (the <2 % CI fence on
 // BM_ServeIngest / BM_AdmissionBurstSubmit), while every number still has
 // exactly one exported home. Report structs (ServeReport, DriverReport)
-// are *windowed snapshot views*: their fields are computed as deltas of
-// registry counters captured at run start.
+// are *windowed snapshot views*: their fields are deltas against one
+// CounterBaseline captured at run start.
 //
 // Snapshots are consistent by construction: snapshot() holds the
 // registration mutex, so the metric *set* cannot change mid-walk, and each
@@ -195,6 +195,25 @@ class Registry {
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
+};
+
+/// A run's window onto the registry's counters: construction captures one
+/// baseline of every registered counter, delta(name) reads how far that
+/// counter moved since. Report structs (ServeReport, DriverReport) derive
+/// every counter field this way. Under set_enabled(false) nothing
+/// increments and every delta reads 0 — so control flow must never branch
+/// on a delta, only report it.
+class CounterBaseline {
+ public:
+  explicit CounterBaseline(Registry& registry = Registry::global());
+
+  /// Increments of `name` since construction; 0 for a name never
+  /// incremented (a counter registered later started from 0).
+  std::uint64_t delta(std::string_view name) const;
+
+ private:
+  Registry& registry_;
+  std::map<std::string, std::uint64_t, std::less<>> base_;
 };
 
 /// The telemetry wire format: `telemetry v1` header, stamps, one line per

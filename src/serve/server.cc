@@ -14,18 +14,12 @@
 
 #include <unistd.h>
 
-#include "cluster/curie.h"
 #include "core/fingerprint.h"
-#include "core/obs_publish.h"
-#include "core/powercap_manager.h"
-#include "core/submission_pump.h"
+#include "core/replay.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
 #include "dist/fault.h"
 #include "dist/serde.h"
-#include "metrics/summary.h"
-#include "metrics/timeseries.h"
-#include "rjms/controller.h"
 #include "serve/fair.h"
 #include "serve/journal.h"
 #include "serve/protocol.h"
@@ -516,11 +510,12 @@ ServeReport run_server(const ServeOptions& options) {
 
   // Registry-homed run counters (obs/registry.h): each site increments the
   // process-wide counter; the report's fields are the run's *deltas*
-  // against the values captured here ("report structs are snapshot
+  // against the baseline captured here ("report structs are snapshot
   // views"). Control flow — checkpoint gating, recovery cross-checks —
   // never reads the registry, so the measurement kill switch can zero the
   // report without perturbing a replay.
   obs::Registry& registry = obs::Registry::global();
+  const obs::CounterBaseline baseline;
   obs::Counter& c_docs = registry.counter("serve.docs");
   obs::Counter& c_admitted = registry.counter("serve.jobs_admitted");
   obs::Counter& c_checkpoints = registry.counter("serve.checkpoints");
@@ -530,25 +525,24 @@ ServeReport run_server(const ServeOptions& options) {
   obs::Counter& c_recovered_jobs = registry.counter("serve.recovered_jobs");
   obs::Counter& c_q_docs = registry.counter("serve.quarantine.docs");
   obs::Counter& c_q_jobs = registry.counter("serve.quarantine.jobs");
-  obs::Counter& c_q_poisoned =
-      registry.counter("serve.quarantine.poisoned_tenants");
   obs::Counter& c_quota_deferrals =
       registry.counter("serve.quota.window_deferrals");
-  obs::Counter& c_inflight_holds =
-      registry.counter("serve.quota.inflight_holds");
-  obs::Counter& c_slow_holds = registry.counter("serve.slow_start.holds");
-  const std::uint64_t base_docs = c_docs.value();
-  const std::uint64_t base_checkpoints = c_checkpoints.value();
-  const std::uint64_t base_ckpt_skipped = c_ckpt_skipped.value();
-  const std::uint64_t base_pruned = c_pruned.value();
-  const std::uint64_t base_recovered_docs = c_recovered_docs.value();
-  const std::uint64_t base_recovered_jobs = c_recovered_jobs.value();
-  const std::uint64_t base_q_docs = c_q_docs.value();
-  const std::uint64_t base_q_jobs = c_q_jobs.value();
-  const std::uint64_t base_q_poisoned = c_q_poisoned.value();
-  const std::uint64_t base_quota_deferrals = c_quota_deferrals.value();
-  const std::uint64_t base_inflight_holds = c_inflight_holds.value();
-  const std::uint64_t base_slow_holds = c_slow_holds.value();
+  auto finalize_report_counters = [&] {
+    report.docs = baseline.delta("serve.docs");
+    report.backpressure_stalls = baseline.delta("serve.backpressure_stalls");
+    report.checkpoints = baseline.delta("serve.checkpoints");
+    report.checkpoints_skipped = baseline.delta("serve.checkpoints_skipped");
+    report.journal_pruned = baseline.delta("serve.journal_pruned");
+    report.recovered_docs = baseline.delta("serve.recovered_docs");
+    report.recovered_jobs = baseline.delta("serve.recovered_jobs");
+    report.quarantined_docs = baseline.delta("serve.quarantine.docs");
+    report.quarantined_jobs = baseline.delta("serve.quarantine.jobs");
+    report.poisoned_tenants =
+        baseline.delta("serve.quarantine.poisoned_tenants");
+    report.quota_deferrals = baseline.delta("serve.quota.window_deferrals");
+    report.inflight_holds = baseline.delta("serve.quota.inflight_holds");
+    report.slow_start_holds = baseline.delta("serve.slow_start.holds");
+  };
 
   // A spool that already holds claimed or checkpointed admission state is
   // a crashed run. Refusing to start without --recover is the whole point:
@@ -689,22 +683,6 @@ ServeReport run_server(const ServeOptions& options) {
   shared.slow_start.store(
       options.slow_start_docs > 0 && options.recover && dirty,
       std::memory_order_relaxed);
-  const std::uint64_t base_stalls = shared.stalls.value();
-  auto finalize_report_counters = [&] {
-    report.docs = c_docs.value() - base_docs;
-    report.backpressure_stalls = shared.stalls.value() - base_stalls;
-    report.checkpoints = c_checkpoints.value() - base_checkpoints;
-    report.checkpoints_skipped = c_ckpt_skipped.value() - base_ckpt_skipped;
-    report.journal_pruned = c_pruned.value() - base_pruned;
-    report.recovered_docs = c_recovered_docs.value() - base_recovered_docs;
-    report.recovered_jobs = c_recovered_jobs.value() - base_recovered_jobs;
-    report.quarantined_docs = c_q_docs.value() - base_q_docs;
-    report.quarantined_jobs = c_q_jobs.value() - base_q_jobs;
-    report.poisoned_tenants = c_q_poisoned.value() - base_q_poisoned;
-    report.quota_deferrals = c_quota_deferrals.value() - base_quota_deferrals;
-    report.inflight_holds = c_inflight_holds.value() - base_inflight_holds;
-    report.slow_start_holds = c_slow_holds.value() - base_slow_holds;
-  };
   std::thread ingest([&] {
     try {
       ingest_loop(options, shared);
@@ -1116,17 +1094,6 @@ ServeReport run_server(const ServeOptions& options) {
     recovered_subs.shrink_to_fit();
   }
 
-  // --- scenario setup: mirrors core::run_scenario exactly --------------------
-  const core::ScenarioConfig& config = options.scenario;
-  PS_CHECK_MSG(config.racks >= 1, "serve: racks >= 1");
-  cluster::Cluster cl = cluster::curie::make_scaled_cluster(config.racks);
-  sim::Simulator simulator;  // default band: kSetup, until the replay starts
-  rjms::Controller controller(simulator, cl, config.controller);
-  core::PowercapManager manager(controller, config.powercap);
-  metrics::Recorder recorder(controller);
-  const double width_scale = static_cast<double>(config.racks) /
-                             static_cast<double>(cluster::curie::kRacks);
-
   // The hellos bound the horizon the way a trace's last_submit_hint does:
   // greatest declared submit time plus one drain hour.
   sim::Time last_submit = 0;
@@ -1143,68 +1110,13 @@ ServeReport run_server(const ServeOptions& options) {
   report.horizon = horizon;
   report.clients = hellos;
 
-  // Cap reservations, identical wiring (and order) to run_scenario.
-  core::ScenarioResult& result = report.result;
-  result.max_cluster_watts = cl.power_model().max_cluster_watts();
-  result.total_cores = cl.topology().total_cores();
-  if (!config.cap_windows.empty() && config.powercap.policy != core::Policy::None) {
-    struct Announced {
-      sim::Time announce = 0;
-      core::ScenarioResult::Window window;
-    };
-    std::vector<core::PlanWindow> advance;
-    std::vector<Announced> announced;
-    for (const core::CapWindow& window : config.cap_windows) {
-      sim::Time start = window.start >= 0 ? window.start
-                                          : (horizon - window.duration) / 2;
-      sim::Time end =
-          window.duration > 0 ? start + window.duration : sim::kTimeMax;
-      double watts = manager.lambda_to_watts(window.lambda);
-      if (window.announce >= 0) {
-        if (window.announce > horizon) continue;
-        announced.push_back({window.announce, {start, end, watts}});
-      } else {
-        result.windows.push_back({start, end, watts});
-        advance.push_back({start, end, watts});
-      }
-    }
-    manager.add_powercap_schedule(advance);
-    std::stable_sort(announced.begin(), announced.end(),
-                     [](const Announced& a, const Announced& b) {
-                       return a.announce < b.announce;
-                     });
-    for (const Announced& entry : announced) {
-      result.windows.push_back(entry.window);
-      const core::ScenarioResult::Window& w = entry.window;
-      simulator.schedule_at(entry.announce, [&manager, w] {
-        manager.add_powercap(w.start, w.end, w.watts);
-      });
-    }
-  } else if (config.cap_lambda < 1.0 &&
-             config.powercap.policy != core::Policy::None) {
-    sim::Time start = config.cap_start >= 0
-                          ? config.cap_start
-                          : (horizon - config.cap_duration) / 2;
-    sim::Time end = start + config.cap_duration;
-    double watts = manager.lambda_to_watts(config.cap_lambda);
-    manager.add_powercap(start, end, watts);
-    result.windows.push_back({start, end, watts});
-  }
-  if (!result.windows.empty()) {
-    result.cap_watts = result.windows.front().watts;
-    result.cap_start = result.windows.front().start;
-    result.cap_end = result.windows.front().end;
-  }
-
-  // The pump starts bounded at "nothing committed yet" (-1): prime() is a
-  // no-op and every pull happens through extend_horizon as watermarks
-  // arrive — the pump can never read past what ingestion has guaranteed.
-  sim::Duration chunk = config.submit_chunk > 0 ? config.submit_chunk
-                                                : core::kDefaultStreamChunk;
-  core::SubmissionPump pump(simulator, controller, source, /*horizon=*/-1,
-                            chunk, width_scale);
-  pump.prime();
-  simulator.set_default_band(sim::EventBand::kNormal);
+  // The pump starts bounded at "nothing committed yet" (-1): every pull
+  // happens through advance_to as watermarks arrive — the pump can never
+  // read past what ingestion has guaranteed.
+  core::Replay replay(options.scenario, source, horizon,
+                      core::kDefaultStreamChunk);
+  sim::Simulator& simulator = replay.simulator();
+  core::SubmissionPump& pump = replay.pump();
 
   // --- serve loop ------------------------------------------------------------
   const std::int64_t clock_epoch_ns = monotonic_ns();
@@ -1229,8 +1141,7 @@ ServeReport run_server(const ServeOptions& options) {
       committed = target;
       source.commit_watermark(std::min(target, horizon));
     }
-    pump.extend_horizon(std::min(std::max<sim::Time>(target, 0), horizon));
-    if (target > simulator.now()) simulator.run_until(std::min(target, horizon));
+    replay.advance_to(std::min(std::max<sim::Time>(target, 0), horizon));
     harvest_latency();
     shared.sim_time.store(simulator.now(), std::memory_order_relaxed);
     shared.admitted.store(pump.submitted(), std::memory_order_relaxed);
@@ -1562,23 +1473,8 @@ ServeReport run_server(const ServeOptions& options) {
     shared.admitted.store(pump.submitted(), std::memory_order_relaxed);
     joiner.join();
   }
-  const sim::Time finish = simulator.now();
-
-  recorder.sample(finish);
-  double drift = cl.watts() - cl.audit_watts();
-  PS_CHECK_MSG(drift < 1e-6 && drift > -1e-6,
-               "incremental power accounting drifted");
-
-  result.plans = manager.release_plans();
-  if (!result.plans.empty()) {
-    result.has_plan = true;
-    result.plan = result.plans.front();
-  }
-  result.summary = metrics::summarize(recorder, controller, 0, finish);
-  result.stats = controller.stats();
-  result.samples = recorder.samples();
-
-  report.fingerprint = core::fingerprint(result);
+  report.result = replay.finish(simulator.now());
+  report.fingerprint = core::fingerprint(report.result);
   report.admitted = pump.submitted();
   report.clamped = clamped_at_ckpt + source.clamped();
   report.peak_queue = shared.queue.peak();
@@ -1602,7 +1498,6 @@ ServeReport run_server(const ServeOptions& options) {
   // (when enabled) then carries everything, latency histogram included.
   sync_admitted();
   registry.histogram("serve.latency_ms").merge(report.latency);
-  core::publish_replay_metrics(simulator, pump, manager);
   finalize_report_counters();
   if (options.telemetry_seconds > 0) telemetry_publish();
   return report;

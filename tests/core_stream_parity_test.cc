@@ -4,16 +4,20 @@
 // submission pump plus the O(chunk) JobSource path may not move a single
 // scheduling decision. Chunk-boundary edge cases (a job exactly at the
 // refill horizon, empty chunk windows, locally unsorted chunks) are fenced
-// with a purpose-built source.
+// with a purpose-built source. Driving core::Replay in uneven slices, the
+// way ps-serve does, is fenced against the one-shot run_scenario.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <vector>
 
 #include "core/experiment.h"
+#include "core/replay.h"
 #include "fig8_golden.h"
 #include "scenario_fingerprint.h"
 #include "util/check.h"
@@ -224,6 +228,114 @@ TEST(StreamParity, StreamedConfigRunsRepeatedly) {
   std::uint64_t first = fingerprint(run_scenario(config));
   std::uint64_t second = fingerprint(run_scenario(config));
   EXPECT_EQ(first, second);
+}
+
+// --- driving mode: Replay advanced in slices -------------------------------
+
+// core::Replay has two drivers: run_scenario advances it once to the
+// horizon, ps-serve in watermark-shaped slices. Sliced driving must be
+// indistinguishable from the one-shot run — same digest, windows and plans.
+
+workload::GeneratorParams sliced_params() {
+  workload::GeneratorParams params;
+  params.name = "sliced";
+  params.span = sim::hours(6);
+  params.job_count = 500;
+  params.backlog_fraction = 0.1;
+  params.w_huge = 0.0;
+  return params;
+}
+
+ScenarioConfig sliced_config(Policy policy) {
+  ScenarioConfig config;
+  config.job_source =
+      std::make_shared<workload::ChunkedSyntheticSource>(sliced_params(), 11);
+  config.racks = 4;
+  config.powercap.policy = policy;
+  // Advance windows (one centred: start < 0), announce-typed windows out of
+  // announce order, and one announcement past the 7 h horizon (dropped).
+  config.cap_windows = {
+      {0.60, sim::hours(1), sim::minutes(40), -1},
+      {0.50, -1, sim::minutes(50), -1},
+      {0.70, sim::hours(5), sim::minutes(30), sim::hours(4) + sim::minutes(17)},
+      {0.45, sim::hours(2) + sim::minutes(10), sim::minutes(20), sim::hours(2)},
+      {0.40, sim::hours(8), sim::hours(1), sim::hours(9)},
+  };
+  return config;
+}
+
+enum class Slices { kHourly, kWatermarks };
+
+ScenarioResult drive_in_slices(const ScenarioConfig& config, Slices slices) {
+  workload::JobSource& source = *config.job_source;
+  source.rewind();
+  const sim::Time horizon = source.last_submit_hint() + sim::hours(1);
+  Replay replay(config, source, horizon, kDefaultStreamChunk);
+  // Watermark-shaped gaps: repeats, millisecond nudges, odd seconds,
+  // minutes and multi-hour jumps, starting at 0 like a fresh stream.
+  const sim::Duration watermark_gaps[] = {
+      0, 1, sim::seconds(1) - 3, 0, sim::minutes(7), 1,
+      sim::minutes(53) + 11, sim::hours(2), 0, sim::seconds(29)};
+  std::size_t step = 0;
+  for (sim::Time t = 0; t < horizon;) {
+    const sim::Duration gap =
+        slices == Slices::kHourly
+            ? sim::hours(1)
+            : watermark_gaps[step++ % std::size(watermark_gaps)];
+    t = std::min(t + gap, horizon);
+    replay.advance_to(t);
+  }
+  EXPECT_TRUE(replay.pump().fully_drained());
+  return replay.finish(horizon);
+}
+
+void expect_same_plans(const std::vector<OfflinePlan>& a,
+                       const std::vector<OfflinePlan>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].split.mechanism, b[i].split.mechanism) << "plan " << i;
+    EXPECT_EQ(a[i].split.n_off, b[i].split.n_off) << "plan " << i;
+    EXPECT_EQ(a[i].split.n_dvfs, b[i].split.n_dvfs) << "plan " << i;
+    EXPECT_EQ(a[i].split.work, b[i].split.work) << "plan " << i;
+    EXPECT_EQ(a[i].selection.nodes, b[i].selection.nodes) << "plan " << i;
+    EXPECT_EQ(a[i].cap_watts, b[i].cap_watts) << "plan " << i;
+    EXPECT_EQ(a[i].node_budget_watts, b[i].node_budget_watts) << "plan " << i;
+    EXPECT_EQ(a[i].required_saving_watts, b[i].required_saving_watts)
+        << "plan " << i;
+    EXPECT_EQ(a[i].reservation_id, b[i].reservation_id) << "plan " << i;
+  }
+}
+
+void expect_sliced_matches_one_shot(const ScenarioConfig& config) {
+  const ScenarioResult reference = run_scenario(config);
+  for (Slices slices : {Slices::kHourly, Slices::kWatermarks}) {
+    SCOPED_TRACE(slices == Slices::kHourly ? "hourly" : "watermarks");
+    const ScenarioResult sliced = drive_in_slices(config, slices);
+    EXPECT_EQ(fingerprint(sliced), fingerprint(reference));
+    ASSERT_EQ(sliced.windows.size(), reference.windows.size());
+    for (std::size_t i = 0; i < sliced.windows.size(); ++i) {
+      EXPECT_EQ(sliced.windows[i].start, reference.windows[i].start);
+      EXPECT_EQ(sliced.windows[i].end, reference.windows[i].end);
+      EXPECT_EQ(sliced.windows[i].watts, reference.windows[i].watts);
+    }
+    expect_same_plans(sliced.plans, reference.plans);
+  }
+}
+
+TEST(StreamParity, SlicedReplayMatchesRunScenarioOnMultiWindowSchedule) {
+  const ScenarioConfig config = sliced_config(Policy::Mix);
+  const ScenarioResult reference = run_scenario(config);
+  // The past-horizon announcement is dropped; every window has its plan.
+  ASSERT_EQ(reference.windows.size(), 4u);
+  EXPECT_EQ(reference.plans.size(), 4u);
+  EXPECT_GT(reference.stats.started, 0u);
+  expect_sliced_matches_one_shot(config);
+}
+
+TEST(StreamParity, SlicedReplayMatchesRunScenarioWithoutPolicy) {
+  const ScenarioConfig config = sliced_config(Policy::None);
+  EXPECT_TRUE(run_scenario(config).windows.empty());
+  expect_sliced_matches_one_shot(config);
 }
 
 }  // namespace

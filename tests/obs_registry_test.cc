@@ -1,7 +1,8 @@
 // The metrics registry fence (src/obs/registry.h): exact counts under a
 // hammering thread pool, snapshot monotonicity while writers race, the
 // naming contract (same name + kind = same object, cross-kind = throws),
-// the sealed wire format round trip, and the measurement kill switch.
+// the sealed wire format round trip, the measurement kill switch, and the
+// CounterBaseline deltas report structs are built from.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -144,6 +145,48 @@ TEST(ObsRegistry, KillSwitchZeroesIncrements) {
   registry.set_enabled(true);
   counter.inc(2);
   EXPECT_EQ(counter.value(), 2u);
+}
+
+TEST(ObsRegistry, CounterBaselineDeltasAreExactUnderRacingWriters) {
+  Registry registry;
+  registry.counter("run.docs").inc(1'000);  // before the run: excluded
+  std::atomic<bool> stop{false};
+  // Other code keeps incrementing (and registering) counters throughout.
+  std::thread noise([&] {
+    Counter& other = registry.counter("other.busy");
+    for (std::uint64_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+      other.inc();
+      if (i % 1'000 == 0) {
+        registry.counter("other.late." + std::to_string(i / 1'000 % 8));
+      }
+    }
+  });
+  const CounterBaseline baseline(registry);
+  constexpr std::size_t kTasks = 32;
+  constexpr std::uint64_t kIncsPerTask = 5'000;
+  util::ThreadPool pool(4);
+  util::parallel_for(pool, kTasks, [&](std::size_t) {
+    Counter& docs = registry.counter("run.docs");
+    Counter& fresh = registry.counter("run.registered_late");
+    for (std::uint64_t i = 0; i < kIncsPerTask; ++i) {
+      docs.inc();
+      fresh.inc(2);
+    }
+  });
+  EXPECT_EQ(baseline.delta("run.docs"), kTasks * kIncsPerTask);
+  EXPECT_EQ(baseline.delta("run.registered_late"), 2 * kTasks * kIncsPerTask);
+  EXPECT_EQ(baseline.delta("never.registered"), 0u);
+  stop.store(true);
+  noise.join();
+
+  // Kill switch on: nothing increments, so every delta reads 0.
+  registry.set_enabled(false);
+  const CounterBaseline disabled(registry);
+  registry.counter("run.docs").inc(7);
+  registry.counter("run.off_only").inc(7);
+  EXPECT_EQ(disabled.delta("run.docs"), 0u);
+  EXPECT_EQ(disabled.delta("run.off_only"), 0u);
+  EXPECT_EQ(disabled.delta("other.busy"), 0u);
 }
 
 TEST(ObsRegistry, PrometheusExpositionManglesNames) {
