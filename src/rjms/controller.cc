@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 #include "util/check.h"
 #include "util/log.h"
@@ -44,8 +43,9 @@ JobId Controller::submit(const workload::JobRequest& request) {
     return id;
   }
 
-  jobs_.emplace(id, std::move(job));
-  pending_.push_back(id);
+  Job& stored = jobs_.emplace(id, std::move(job)).first->second;
+  UserFactor* user_factor = config_.fairshare_enabled ? &fs_memo_[request.user] : nullptr;
+  pending_.push_back({0.0, request.submit_time, id, &stored, user_factor});
   if (shadow_valid_) {
     stage_quick_attempt(id);
   } else {
@@ -91,7 +91,7 @@ void Controller::quick_attempt(JobId id) {
   if (!plan) return;
   if (est_end > shadow_time_) shadow_extra_nodes_ -= required;
   start_job(job, std::move(*plan));
-  std::erase(pending_, id);
+  std::erase_if(pending_, [id](const PendingEntry& entry) { return entry.id == id; });
 }
 
 void Controller::request_schedule() {
@@ -103,30 +103,41 @@ void Controller::request_schedule() {
   });
 }
 
+bool Controller::runs_before(const PendingEntry& a, const PendingEntry& b) noexcept {
+  if (a.priority != b.priority) return a.priority > b.priority;
+  if (a.submit_time != b.submit_time) return a.submit_time < b.submit_time;
+  return a.id < b.id;
+}
+
 void Controller::recompute_priorities() {
   sim::Time now = simulator_.now();
-  // Fairshare factors once per user per pass (total_usage is O(users)).
-  std::unordered_map<std::int32_t, double> fs_factor;
-  if (config_.fairshare_enabled) {
-    for (JobId id : pending_) {
-      std::int32_t user = jobs_.at(id).request.user;
-      if (fs_factor.count(user) == 0) fs_factor[user] = fairshare_.factor(user, now);
-    }
-  }
-  for (JobId id : pending_) {
-    Job& job = jobs_.at(id);
+  // The fair-share total is O(users): take it once per pass, then price
+  // each user once (memoized) and each entry with PriorityCalculator.
+  ++priced_passes_;
+  double total = config_.fairshare_enabled ? fairshare_.total_usage(now) : 0.0;
+  for (PendingEntry& entry : pending_) {
     double fs = 1.0;
-    if (config_.fairshare_enabled) fs = fs_factor[job.request.user];
-    // Inline the multifactor formula with the precomputed fs factor.
-    sim::Duration wait = std::max<sim::Duration>(now - job.request.submit_time, 0);
-    const PriorityWeights& w = priority_.weights();
-    double age_factor =
-        std::min(1.0, static_cast<double>(wait) / static_cast<double>(w.age_saturation));
-    double size_factor =
-        std::min(1.0, static_cast<double>(job.request.requested_cores) /
-                          static_cast<double>(cluster_.topology().total_cores()));
-    job.priority = w.age * age_factor + w.size * size_factor + w.fair_share * fs;
+    if (UserFactor* memo = entry.user_factor) {
+      if (memo->pass != priced_passes_) {
+        *memo = {priced_passes_, fairshare_.factor(entry.job->request.user, now, total)};
+      }
+      fs = memo->factor;
+    }
+    entry.priority = priority_.compute(*entry.job, now, fs);
   }
+}
+
+std::size_t Controller::sort_pending_prefix(std::size_t sorted) {
+  std::size_t grow = std::max(sorted, config_.backfill_depth + 1);
+  std::size_t end = std::min(pending_.size(), sorted + grow);
+  auto first = pending_.begin() + static_cast<std::ptrdiff_t>(sorted);
+  if (end == pending_.size()) {
+    std::sort(first, pending_.end(), runs_before);
+  } else {
+    std::partial_sort(first, pending_.begin() + static_cast<std::ptrdiff_t>(end),
+                      pending_.end(), runs_before);
+  }
+  return end;
 }
 
 void Controller::compute_shadow(const Job& head) {
@@ -387,15 +398,6 @@ void Controller::full_pass() {
   pass_epoch_ = epoch_;
 
   recompute_priorities();
-  std::sort(pending_.begin(), pending_.end(), [this](JobId a, JobId b) {
-    const Job& ja = jobs_.at(a);
-    const Job& jb = jobs_.at(b);
-    if (ja.priority != jb.priority) return ja.priority > jb.priority;
-    if (ja.request.submit_time != jb.request.submit_time) {
-      return ja.request.submit_time < jb.request.submit_time;
-    }
-    return a < b;
-  });
 
   sim::Time now = simulator_.now();
   double stretch = governor_ != nullptr ? governor_->max_walltime_stretch() : 1.0;
@@ -403,16 +405,23 @@ void Controller::full_pass() {
 
   shadow_valid_ = false;
   bool head_blocked = false;
+  bool started = false;
   std::size_t scanned_after_head = 0;
-  std::vector<JobId> started;
+  // Only the visited prefix is ordered: the starts, the blocked head and at
+  // most backfill_depth more. Entries already sorted are the smallest of
+  // the queue in runs_before order, so each extension equals a full sort's
+  // prefix and every start decision matches it.
+  std::size_t sorted = 0;
 
-  for (JobId id : pending_) {
-    Job& job = jobs_.at(id);
+  for (std::size_t i = 0; i < pending_.size(); ++i) {
+    if (head_blocked && ++scanned_after_head > config_.backfill_depth) break;
+    if (i == sorted) sorted = sort_pending_prefix(sorted);
+    Job& job = *pending_[i].job;
     if (!head_blocked) {
       auto plan = plan_start(job);
       if (plan) {
         start_job(job, std::move(*plan));
-        started.push_back(id);
+        started = true;
         continue;
       }
       compute_shadow(job);
@@ -420,7 +429,6 @@ void Controller::full_pass() {
       continue;  // head stays pending; everything below is backfill
     }
 
-    if (++scanned_after_head > config_.backfill_depth) break;
     std::int32_t required = job.required_nodes(cores_per_node);
     auto est_walltime = static_cast<sim::Duration>(
         static_cast<double>(job.request.requested_walltime) * stretch);
@@ -431,13 +439,14 @@ void Controller::full_pass() {
     if (!plan) continue;
     if (est_end > shadow_time_) shadow_extra_nodes_ -= required;
     start_job(job, std::move(*plan));
-    started.push_back(id);
+    started = true;
     ++stats_.backfill_starts;
   }
 
-  if (!started.empty()) {
-    std::unordered_set<JobId> done(started.begin(), started.end());
-    std::erase_if(pending_, [&done](JobId id) { return done.count(id) != 0; });
+  if (started) {
+    std::erase_if(pending_, [](const PendingEntry& entry) {
+      return entry.job->state != JobState::Pending;
+    });
     // Starting jobs bumped the epoch; this pass already accounted for it.
     pass_epoch_ = epoch_;
   }

@@ -191,8 +191,27 @@ class Controller {
     PowerGovernor::Admission admission;
   };
 
+  /// A user's fair-share factor as of the pass numbered `pass`.
+  struct UserFactor {
+    std::uint64_t pass = 0;
+    double factor = 1.0;
+  };
+  /// One pending job as a scheduling pass orders it. `job` points into
+  /// jobs_ and `user_factor` into fs_memo_ (null without fair share); both
+  /// maps are node-based and never erase, so the pointers stay valid.
+  /// `priority` is refreshed by every pass.
+  struct PendingEntry {
+    double priority;
+    sim::Time submit_time;
+    JobId id;
+    Job* job;
+    UserFactor* user_factor;
+  };
+  /// Pass order: higher priority first, then earlier submission, then
+  /// lower id — a strict total order, so any prefix is unique.
+  static bool runs_before(const PendingEntry& a, const PendingEntry& b) noexcept;
+
   void notify_state_change();
-  void schedule_pass_event();
   void full_pass();
   /// Single-job attempt (submit path) honouring the cached EASY shadow.
   void quick_attempt(JobId id);
@@ -205,7 +224,11 @@ class Controller {
   /// Shared end-of-life bookkeeping for finish_job and kill_job: end-event
   /// cleanup, node release, fairshare charge, stats, observers.
   void teardown_running_job(JobId id, bool cancel_end_event, JobState final_state);
+  /// Re-prices every pending entry at the current time in one sweep.
   void recompute_priorities();
+  /// Grows the sorted prefix of pending_ past `sorted` entries (geometric,
+  /// starting at the head plus backfill_depth) and returns its new length.
+  std::size_t sort_pending_prefix(std::size_t sorted);
   /// Shadow-time estimate for the head job (EASY): earliest time enough
   /// nodes are expected free, using walltime-based end estimates.
   void compute_shadow(const Job& head);
@@ -229,7 +252,9 @@ class Controller {
 
   std::unordered_map<JobId, Job> jobs_;
   std::vector<JobId> submission_order_;
-  std::vector<JobId> pending_;  ///< sorted by priority each full pass
+  /// Pending jobs; a full pass re-prices all of them and sorts only the
+  /// prefix it visits (runs_before order). Unordered past that prefix.
+  std::vector<PendingEntry> pending_;
   std::set<std::pair<sim::Time, JobId>> running_by_end_;
   std::unordered_map<JobId, sim::EventId> end_events_;
 
@@ -256,6 +281,11 @@ class Controller {
   sim::Time sel_fail_now_ = -1;
   sim::Time sel_fail_horizon_ = -1;
   std::int32_t sel_fail_width_ = 0;
+
+  // Per-user fair-share factors, memoized in storage that outlives the
+  // pass: a slot is current when its `pass` equals priced_passes_.
+  std::unordered_map<std::int32_t, UserFactor> fs_memo_;
+  std::uint64_t priced_passes_ = 0;
 
   bool pass_scheduled_ = false;
   std::uint64_t epoch_ = 0;            ///< bumps on any resource change

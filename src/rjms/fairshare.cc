@@ -32,7 +32,10 @@ double FairShare::total_usage(sim::Time now) const {
 }
 
 double FairShare::factor(std::int32_t user, sim::Time now) const {
-  double total = total_usage(now);
+  return factor(user, now, total_usage(now));
+}
+
+double FairShare::factor(std::int32_t user, sim::Time now, double total) const {
   if (total <= 0.0) return 1.0;
   auto it = usage_.find(user);
   double mine = it == usage_.end() ? 0.0 : decay_to(it->second.usage, it->second.as_of, now);

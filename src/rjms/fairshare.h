@@ -25,6 +25,11 @@ class FairShare {
   /// Fair-share factor in (0, 1] for `user` at time `now`.
   double factor(std::int32_t user, sim::Time now) const;
 
+  /// Same factor, given `total` = total_usage(now). A scheduling pass
+  /// prices many users at one instant: computing the O(users) total once
+  /// and passing it here makes the pass O(users) instead of O(users^2).
+  double factor(std::int32_t user, sim::Time now, double total) const;
+
   /// Decayed total usage across users at `now` (core-seconds).
   double total_usage(sim::Time now) const;
 

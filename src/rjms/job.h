@@ -37,9 +37,6 @@ struct Job {
   sim::Duration scaled_runtime = 0;
   sim::Duration scaled_walltime = 0;
 
-  /// Cached priority from the last prioritization pass (higher runs first).
-  double priority = 0.0;
-
   JobId id() const noexcept { return request.id; }
 
   /// Whole-node allocation: nodes = ceil(requested_cores / cores_per_node).

@@ -14,6 +14,11 @@ PriorityCalculator::PriorityCalculator(PriorityWeights weights, std::int64_t tot
 
 double PriorityCalculator::compute(const Job& job, sim::Time now,
                                    const FairShare* fairshare) const {
+  return compute(job, now,
+                 fairshare != nullptr ? fairshare->factor(job.request.user, now) : 1.0);
+}
+
+double PriorityCalculator::compute(const Job& job, sim::Time now, double fs_factor) const {
   sim::Duration wait = std::max<sim::Duration>(now - job.request.submit_time, 0);
   double age_factor = std::min(
       1.0, static_cast<double>(wait) / static_cast<double>(weights_.age_saturation));
@@ -22,8 +27,6 @@ double PriorityCalculator::compute(const Job& job, sim::Time now,
   double size_factor =
       std::min(1.0, static_cast<double>(job.request.requested_cores) /
                         static_cast<double>(total_cores_));
-  double fs_factor =
-      fairshare != nullptr ? fairshare->factor(job.request.user, now) : 1.0;
   return weights_.age * age_factor + weights_.size * size_factor +
          weights_.fair_share * fs_factor;
 }

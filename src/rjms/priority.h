@@ -30,6 +30,10 @@ class PriorityCalculator {
   /// Priority of a pending job at `now`. `fairshare` may be null (factor 1).
   double compute(const Job& job, sim::Time now, const FairShare* fairshare) const;
 
+  /// Same formula with a precomputed fair-share factor (a scheduling pass
+  /// prices every pending job of a user with one factor).
+  double compute(const Job& job, sim::Time now, double fs_factor) const;
+
   const PriorityWeights& weights() const noexcept { return weights_; }
 
  private:

@@ -71,5 +71,23 @@ TEST(FairShare, FactorBounded) {
   EXPECT_LE(f, 1.0);
 }
 
+TEST(FairShare, FactorWithPrecomputedTotalIsBitEqual) {
+  // A scheduling pass takes total_usage once and prices every user with
+  // it; the result must be the very same double as the self-contained
+  // factor, after charges at different times have decayed unevenly.
+  FairShare fs(sim::hours(2));
+  fs.charge(1, 3.5e5, 0);
+  fs.charge(2, 1.2e4, sim::minutes(17));
+  fs.charge(3, 7.7e6, sim::hours(1));
+  fs.charge(1, 9.1e3, sim::hours(3));
+  fs.charge(4, 0.0, sim::hours(4));
+  for (sim::Time t : {sim::hours(4), sim::hours(5) + 13, sim::hours(30), sim::hours(400)}) {
+    double total = fs.total_usage(t);
+    for (std::int32_t user : {1, 2, 3, 4, 99}) {
+      EXPECT_EQ(fs.factor(user, t, total), fs.factor(user, t)) << "user " << user << " t " << t;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ps::rjms

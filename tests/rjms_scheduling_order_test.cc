@@ -3,6 +3,10 @@
 // jobs in isolation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <tuple>
+
 #include "cluster/curie.h"
 #include "rjms/controller.h"
 
@@ -118,6 +122,102 @@ TEST_F(OrderTest, FairShareDisabledFallsBackToFcfs) {
   // Equal priorities: id tie-break makes job 1 start first.
   EXPECT_LT(controller.job(1).start_time, controller.job(2).start_time);
 }
+
+// Deep-queue ordering. A pass sorts only the prefix of the queue it
+// visits and grows that prefix while jobs keep starting, so the start
+// order must equal a full sort of the queue by PriorityCalculator::compute
+// at every pass, whatever the backfill depth. Every job fits one node of a
+// wide-node machine, so with no node free nothing can backfill past the
+// head and the starts of a pass are exactly the queue's top entries.
+class DeepQueueOrderTest : public ::testing::TestWithParam<std::size_t> {
+ protected:
+  static constexpr std::int32_t kNodes = 320;
+  static constexpr std::int32_t kCoresPerNode = 1024;
+
+  static cluster::Cluster wide_node_cluster() {
+    cluster::PowerModelSpec spec{
+        .node_down_watts = cluster::curie::kDownWatts,
+        .node_idle_watts = cluster::curie::kIdleWatts,
+        .frequencies = cluster::curie::frequency_table(),
+    };
+    return cluster::Cluster(
+        cluster::PowerModel(cluster::Topology(1, 1, kNodes, kCoresPerNode), spec));
+  }
+
+  struct StartLog : ControllerObserver {
+    std::vector<JobId> order;
+    void on_job_start(const Job& job) override { order.push_back(job.id()); }
+  };
+};
+
+TEST_P(DeepQueueOrderTest, StartsFollowFullPriorityOrder) {
+  sim::Simulator sim;
+  cluster::Cluster cl = wide_node_cluster();
+  ControllerConfig config = weights(1000.0, 500.0, 2000.0);
+  config.priority.age_saturation = sim::hours(3);  // later steps saturate age
+  config.backfill_depth = GetParam();
+  Controller controller(sim, cl, config);
+  StartLog log;
+  controller.add_observer(&log);
+
+  // Blockers fill the machine at t=0, one per release step; step k frees
+  // its nodes at k hours and charges its user's fair share.
+  const std::vector<std::int32_t> freed = {3, 40, 17, 90, 60, 110};
+  ASSERT_EQ(std::accumulate(freed.begin(), freed.end(), 0), kNodes);
+  for (std::size_t k = 0; k < freed.size(); ++k) {
+    sim::Duration runtime = sim::hours(static_cast<std::int64_t>(k) + 1);
+    controller.submit(make_request(static_cast<std::int64_t>(k) + 1,
+                                   std::int64_t{freed[k]} * kCoresPerNode, runtime,
+                                   runtime, 0, static_cast<std::int32_t>(k % 4)));
+  }
+  sim.run_until(0);
+  ASSERT_EQ(controller.running_count(), freed.size());
+
+  // 320 one-node jobs with distinct ages (one second apart) and distinct
+  // sizes (a permutation of 1..331 cores), spread over five users.
+  std::vector<workload::JobRequest> queue;
+  for (std::int64_t i = 0; i < kNodes; ++i) {
+    workload::JobRequest request =
+        make_request(1000 + i, 1 + (i * 37) % 331, sim::hours(1000), sim::hours(1000),
+                     sim::seconds(1 + i), static_cast<std::int32_t>(i % 5));
+    queue.push_back(request);
+    sim.schedule_at(request.submit_time,
+                    [&controller, request] { controller.submit(request); });
+  }
+  sim.run_until(sim::hours(1) - 1);
+  ASSERT_EQ(controller.pending_count(), queue.size());
+  ASSERT_EQ(log.order.size(), freed.size());
+
+  PriorityCalculator calc(config.priority, cl.topology().total_cores());
+  std::vector<JobId> expected;
+  for (std::size_t k = 0; k < freed.size(); ++k) {
+    sim::Time step = sim::hours(static_cast<std::int64_t>(k) + 1);
+    sim.run_until(step);
+    // The blocker's charge is in; the pass at `step` priced with this
+    // fair-share state. Order the still-queued requests the same way.
+    std::vector<std::tuple<double, sim::Time, JobId>> ranked;
+    for (const auto& request : queue) {
+      if (std::find(expected.begin(), expected.end(), request.id) != expected.end()) continue;
+      Job job;
+      job.request = request;
+      ranked.emplace_back(-calc.compute(job, step, &controller.fairshare()),
+                          request.submit_time, request.id);
+    }
+    std::sort(ranked.begin(), ranked.end());
+    for (std::int32_t n = 0; n < freed[k]; ++n) expected.push_back(std::get<2>(ranked[n]));
+  }
+
+  std::vector<JobId> started(log.order.begin() + static_cast<std::ptrdiff_t>(freed.size()),
+                             log.order.end());
+  EXPECT_EQ(controller.pending_count(), 0u);
+  EXPECT_EQ(started, expected);
+}
+
+// Depths below, at and above the default; the largest covers the whole
+// queue, the smallest makes a 110-job step regrow the prefix four times.
+INSTANTIATE_TEST_SUITE_P(BackfillDepths, DeepQueueOrderTest,
+                         ::testing::Values(std::size_t{8}, std::size_t{50},
+                                           std::size_t{400}));
 
 }  // namespace
 }  // namespace ps::rjms
