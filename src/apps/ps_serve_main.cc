@@ -188,8 +188,6 @@ int main(int argc, char** argv) {
         trace_out = need_value(args, i);
       } else if (args[i] == "--log-json") {
         log::set_format(log::Format::Json);
-      } else if (args[i] == "--test-drain-delay-ms") {
-        options.test_drain_delay_ms = need_i64(args, i);  // tests only
       } else {
         throw std::runtime_error("unknown option " + args[i]);
       }

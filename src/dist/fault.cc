@@ -24,6 +24,8 @@ constexpr const char* kSiteTokens[kFaultSiteCount] = {
     // hostile-client sites (see fault.h)
     "corrupt_submission", "flood_burst", "stall_client", "dup_publish",
     "lie_watermark",
+    // serve-tier site appended last (see fault.h)
+    "stall_drain",
 };
 
 }  // namespace

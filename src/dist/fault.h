@@ -83,9 +83,13 @@ enum class FaultSite {
   DupPublish,           // the same document published twice (lost-ack retry)
   LieWatermark,         // watermark inflated far past the truth (a lying
                         // client trying to drag the sim clock forward)
+  // Serve-tier site appended after the client sites so their draws keep
+  // their values: shard_id is the serve-loop iteration, attempt the daemon
+  // generation.
+  StallDrain,           // serve loop naps (CPU-starved or swapped daemon)
 };
 
-inline constexpr std::size_t kFaultSiteCount = 15;
+inline constexpr std::size_t kFaultSiteCount = 16;
 
 const char* to_string(FaultSite site);
 

@@ -2,12 +2,13 @@
 // replay engine (docs/ARCHITECTURE.md, "Live service").
 //
 // Two clocks, strictly separated:
-//   * The **simulation clock** is the deterministic event clock of
-//     core/run_scenario — same cluster, same controller, same powercap
-//     manager, same SubmissionPump. The serve loop only ever advances it
-//     to watermarks the ingest layer has committed, so a live replay fires
-//     exactly the event sequence the offline replay of the same jobs
-//     would (the determinism fence of tests/serve_determinism_test.cc).
+//   * The **simulation clock** is the deterministic event clock of a
+//     core::Replay — the same wiring run_scenario drives: same cluster,
+//     same controller, same powercap manager, same SubmissionPump. The
+//     serve loop only ever advances it to watermarks the ingest layer has
+//     committed, so a live replay fires exactly the event sequence the
+//     offline replay of the same jobs would (the determinism fence of
+//     tests/serve_determinism_test.cc).
 //   * The **wall clock** drives everything else: inbox polling, status
 //     publication, stats ticks, latency measurement, and — in wall-clock
 //     mode — the pace at which the simulation clock is allowed to chase
@@ -37,6 +38,7 @@
 
 #include "core/experiment.h"
 #include "dist/fault.h"
+#include "obs/registry.h"
 #include "serve/fair.h"
 #include "util/stats.h"
 
@@ -136,11 +138,6 @@ struct ServeOptions {
   /// claiming new documents, finish simulating everything already
   /// admitted, emit the final report.
   const std::atomic<bool>* stop = nullptr;
-
-  /// Test hook: sleep this long in every serve-loop iteration, throttling
-  /// the drain so the backpressure tests can fill a small queue
-  /// deterministically. 0 in production.
-  std::int64_t test_drain_delay_ms = 0;
 };
 
 struct ServeReport {
@@ -153,8 +150,6 @@ struct ServeReport {
   std::uint64_t admitted = 0;       ///< jobs handed to the controller
   std::uint64_t clamped = 0;  ///< late jobs re-timed (wall mode; cumulative
                               ///< across generations via the checkpoint)
-  std::uint64_t docs = 0;           ///< submission documents ingested
-  std::uint64_t backpressure_stalls = 0;  ///< full-queue push retries
   std::size_t peak_queue = 0;
 
   /// Admission latency: client publish (CLOCK_MONOTONIC) to the serve
@@ -165,21 +160,13 @@ struct ServeReport {
   double jobs_per_sec = 0.0;       ///< admitted / wall seconds
   bool interrupted = false;        ///< stopped via the shutdown flag
 
-  // Durability counters (serve/journal.h).
-  std::uint64_t generation = 0;          ///< daemon epoch (0 = first start)
-  std::uint64_t recovered_docs = 0;      ///< docs replayed from segments+journal
-  std::uint64_t recovered_jobs = 0;      ///< jobs those docs carried
-  std::uint64_t checkpoints = 0;         ///< checkpoints written this run
-  std::uint64_t checkpoints_skipped = 0; ///< corrupt ckpts skipped at recovery
-  std::uint64_t journal_pruned = 0;      ///< journal files compacted away
+  std::uint64_t generation = 0;    ///< daemon epoch (0 = first start)
 
-  // Overload / hostile-client counters (serve/fair.h, serve/quarantine.h).
-  std::uint64_t quarantined_docs = 0;    ///< poison documents quarantined
-  std::uint64_t quarantined_jobs = 0;    ///< jobs rejected with them
-  std::uint64_t poisoned_tenants = 0;    ///< tenants abandoned over threshold
-  std::uint64_t quota_deferrals = 0;     ///< window-quota admission deferrals
-  std::uint64_t inflight_holds = 0;      ///< ingest claims held by in-flight quota
-  std::uint64_t slow_start_holds = 0;    ///< ingest claims held by slow start
+  /// The run's window onto the registry's `serve.*` counters (documents,
+  /// backpressure stalls, recovery, checkpoints, quarantine, quotas),
+  /// captured when the run starts. format_report prints each as its delta;
+  /// read it before another run in this process counts into them.
+  obs::CounterBaseline counters;
 };
 
 /// Runs the daemon to completion: waits for hellos, replays the published

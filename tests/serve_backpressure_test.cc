@@ -43,12 +43,12 @@ std::uint64_t field_u64(const std::map<std::string, std::string>& report,
 }
 
 TEST(ServeBackpressure, ThrottlesWithoutDroppingOrPerturbingTheReplay) {
-  // A one-document queue, a tiny inbox high-water and an artificially slow
-  // serve loop against a firehose publisher: the queue WILL fill and the
-  // inbox WILL back up. The protocol must respond with retriable back-offs
-  // on both sides — and the replay must still be byte-identical to the
-  // offline golden, because backpressure only ever delays admission, it
-  // never reorders or drops.
+  // A one-document queue, a tiny inbox high-water and a serve loop slowed
+  // by the stall_drain fault site against a firehose publisher: the queue
+  // WILL fill and the inbox WILL back up. The protocol must respond with
+  // retriable back-offs on both sides — and the replay must still be
+  // byte-identical to the offline golden, because backpressure only ever
+  // delays admission, it never reorders or drops.
   std::string dir = util::make_temp_dir("serve_bp");
   std::string spool = dir + "/spool";
 
@@ -56,7 +56,7 @@ TEST(ServeBackpressure, ThrottlesWithoutDroppingOrPerturbingTheReplay) {
       {PS_SERVE_BIN, "--spool", spool, "--expect-clients", "1", "--racks",
        "2", "--policy", "mix", "--lambda", "0.5", "--stats-ms", "0",
        "--queue-docs", "1", "--inbox-high-water", "2",
-       "--test-drain-delay-ms", "15"},
+       "--faults", "seed=1,rate=1,max_attempt=0,sites=stall_drain"},
       dir + "/serve.out", dir + "/serve.err");
   util::Subprocess load = util::Subprocess::spawn(
       {PS_LOAD_BIN, "--spool", spool, "--swf", mini_trace(), "--client",

@@ -7,15 +7,24 @@
 // work is lost.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
+#include <exception>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "core/policy.h"
+#include "dist/fault.h"
+#include "obs/registry.h"
 #include "serve/fair.h"
+#include "serve/load_gen.h"
 #include "serve/protocol.h"
 #include "serve/quarantine.h"
+#include "serve/server.h"
 #include "util/spool.h"
 #include "util/strings.h"
 #include "util/subprocess.h"
@@ -63,6 +72,42 @@ std::vector<QuarantineReason> load_reasons(const std::string& spool) {
     reasons.push_back(parse_quarantine_reason(util::read_file(dir + "/" + name)));
   }
   return reasons;
+}
+
+/// Publishes a hand-rolled client's hello (no load generator behind it).
+void publish_hello(const std::string& spool, const std::string& client,
+                   std::uint64_t jobs, sim::Time last_submit) {
+  util::ensure_dir(spool);
+  util::ensure_dir(inbox_dir(spool));
+  Hello hello;
+  hello.client = client;
+  hello.jobs = jobs;
+  hello.last_submit = last_submit;
+  util::write_file_atomic(inbox_dir(spool) + "/" + hello_file_name(client),
+                          serialize_hello(hello), /*durable=*/false);
+}
+
+/// Publishes one job-less submission document of a hand-rolled client.
+void publish_empty_submission(const std::string& spool,
+                              const std::string& client, std::uint64_t seq,
+                              bool eof) {
+  Submission doc;
+  doc.client = client;
+  doc.seq = seq;
+  doc.watermark = 0;
+  doc.eof = eof;
+  util::write_file_atomic(
+      inbox_dir(spool) + "/" + submission_file_name(client, seq),
+      serialize_submission(doc), /*durable=*/false);
+}
+
+/// Waits (bounded) until a sealed reason record appears in quarantine/.
+bool wait_for_reason(const std::string& spool, std::int64_t patience_ms) {
+  for (std::int64_t waited = 0; waited < patience_ms; waited += 5) {
+    if (!load_reasons(spool).empty()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return false;
 }
 
 // --- FairAdmitter unit fences ------------------------------------------------
@@ -354,6 +399,144 @@ TEST(ServeFairness, WatermarkLiarStrandsOnlyItsOwnLateJobs) {
         << reason.reason << " must tombstone its seq or recovery deadlocks";
   }
   util::remove_tree(run.dir);
+}
+
+TEST(ServeFairness, ExtraClientHelloIsQuarantinedAndItsTenantAbandoned) {
+  // The honest client's whole stream sits in the inbox before the daemon
+  // starts, next to a hello from a client --expect-clients does not cover.
+  // Hellos claim in name order, so "solo" is the expected client and "zz"
+  // the extra one: its hello quarantines as unexpected_client, its tenant
+  // is abandoned, and the honest replay still reaches the golden.
+  std::string dir = util::make_temp_dir("serve_extra");
+  std::string spool = dir + "/spool";
+  util::Subprocess load = util::Subprocess::spawn(
+      {PS_LOAD_BIN, "--spool", spool, "--swf", mini_trace(), "--client",
+       "solo", "--batch-jobs", "64"},
+      dir + "/load.out", dir + "/load.err");
+  ASSERT_EQ(load.wait(), 0) << util::read_file(dir + "/load.err");
+  publish_hello(spool, "zz", 0, -1);
+
+  util::Subprocess server = util::Subprocess::spawn(
+      {PS_SERVE_BIN, "--spool", spool, "--expect-clients", "1", "--racks",
+       "2", "--policy", "mix", "--lambda", "0.5", "--stats-ms", "0",
+       "--faults", ""},
+      dir + "/serve.out", dir + "/serve.err");
+  int server_exit = -1;
+  ASSERT_TRUE(server.wait_for(120'000, &server_exit)) << "ps-serve hung";
+  EXPECT_EQ(server_exit, 0) << util::read_file(dir + "/serve.err");
+
+  std::map<std::string, std::string> report =
+      parse_report(util::read_file(dir + "/serve.out"));
+  EXPECT_EQ(report.at("fingerprint"), kGoldenFingerprint);
+  EXPECT_EQ(field_u64(report, "admitted"), kMiniTraceJobs);
+  EXPECT_EQ(field_u64(report, "clients"), 1u);
+  EXPECT_EQ(field_u64(report, "quarantined_docs"), 1u);
+  EXPECT_EQ(field_u64(report, "poisoned_tenants"), 1u);
+  std::vector<QuarantineReason> reasons = load_reasons(spool);
+  ASSERT_EQ(reasons.size(), 1u);
+  EXPECT_EQ(reasons[0].reason, "unexpected_client");
+  EXPECT_EQ(reasons[0].client, "zz");
+  EXPECT_EQ(reasons[0].kind, "hello");
+  EXPECT_FALSE(reasons[0].consumed);
+  EXPECT_EQ(reasons[0].generation, 0u);
+  util::remove_tree(dir);
+}
+
+TEST(ServeFairness, SubmissionAfterEofIsQuarantined) {
+  // "late" declares no jobs, closes its stream with seq 0, then publishes
+  // seq 1 anyway. All three documents are in the inbox before the daemon
+  // starts, so they apply during the hello phase (the daemon still waits
+  // for its second client), where a helloed client's documents apply in
+  // claim order: seq 1 meets a closed stream and quarantines as
+  // doc_after_eof. Only then does the honest client start publishing.
+  std::string dir = util::make_temp_dir("serve_after_eof");
+  std::string spool = dir + "/spool";
+  publish_hello(spool, "late", 0, -1);
+  publish_empty_submission(spool, "late", 0, /*eof=*/true);
+  publish_empty_submission(spool, "late", 1, /*eof=*/true);
+  util::Subprocess server = util::Subprocess::spawn(
+      {PS_SERVE_BIN, "--spool", spool, "--expect-clients", "2", "--racks",
+       "2", "--policy", "mix", "--lambda", "0.5", "--stats-ms", "0",
+       "--faults", ""},
+      dir + "/serve.out", dir + "/serve.err");
+  EXPECT_TRUE(wait_for_reason(spool, 30'000))
+      << "the post-eof document was never quarantined";
+
+  util::Subprocess load = util::Subprocess::spawn(
+      {PS_LOAD_BIN, "--spool", spool, "--swf", mini_trace(), "--client",
+       "solo", "--batch-jobs", "64"},
+      dir + "/load.out", dir + "/load.err");
+  EXPECT_EQ(load.wait(), 0) << util::read_file(dir + "/load.err");
+  int server_exit = -1;
+  ASSERT_TRUE(server.wait_for(120'000, &server_exit)) << "ps-serve hung";
+  EXPECT_EQ(server_exit, 0) << util::read_file(dir + "/serve.err");
+
+  std::map<std::string, std::string> report =
+      parse_report(util::read_file(dir + "/serve.out"));
+  EXPECT_EQ(report.at("fingerprint"), kGoldenFingerprint);
+  EXPECT_EQ(field_u64(report, "admitted"), kMiniTraceJobs);
+  EXPECT_EQ(field_u64(report, "jobs_declared"), kMiniTraceJobs);
+  EXPECT_EQ(field_u64(report, "quarantined_docs"), 1u);
+  EXPECT_EQ(field_u64(report, "poisoned_tenants"), 0u);
+  std::vector<QuarantineReason> reasons = load_reasons(spool);
+  ASSERT_EQ(reasons.size(), 1u);
+  EXPECT_EQ(reasons[0].reason, "doc_after_eof");
+  EXPECT_EQ(reasons[0].client, "late");
+  EXPECT_EQ(reasons[0].seq, 1);
+  EXPECT_FALSE(reasons[0].consumed);
+  EXPECT_EQ(reasons[0].generation, 0u);
+  util::remove_tree(dir);
+}
+
+TEST(ServeFairness, LossFenceHoldsWithTheRegistryDisabled) {
+  // The loss fence (admitted == declared unless work was quarantined) must
+  // decide from the spool, never from registry counters: with the obs kill
+  // switch thrown every counter delta reads 0, and a run that rightly
+  // quarantined the watermark liar's stranded payloads must still finish.
+  struct RegistryOff {
+    RegistryOff() { obs::Registry::global().set_enabled(false); }
+    ~RegistryOff() { obs::Registry::global().set_enabled(true); }
+  } registry_off;
+  std::string dir = util::make_temp_dir("serve_obs_off");
+  std::string spool = dir + "/spool";
+
+  ServeOptions options;
+  options.spool = spool;
+  options.scenario.racks = 2;
+  options.scenario.powercap.policy = core::Policy::Mix;
+  options.scenario.cap_lambda = 0.5;
+  options.stats_interval_ms = 0;
+  std::optional<ServeReport> report;
+  std::string failure;
+  std::thread server([&] {
+    try {
+      report.emplace(run_server(options));
+    } catch (const std::exception& e) {
+      failure = e.what();
+    }
+  });
+
+  LoadOptions load;
+  load.spool = spool;
+  load.swf = mini_trace();
+  load.client = "solo";
+  load.faults = dist::FaultPlan::parse(
+      "seed=9,rate=1,max_attempt=0,sites=lie_watermark+stall_client");
+  EXPECT_NO_THROW(run_load_client(load));
+  server.join();
+
+  EXPECT_EQ(failure, "");
+  ASSERT_TRUE(report.has_value());
+  EXPECT_FALSE(report->interrupted);
+  std::uint64_t stranded = 0;
+  std::vector<QuarantineReason> reasons = load_reasons(spool);
+  for (const QuarantineReason& reason : reasons) {
+    EXPECT_TRUE(reason.consumed) << reason.reason;
+    stranded += reason.jobs;
+  }
+  EXPECT_GT(stranded, 0u) << "the lie never stranded anything";
+  EXPECT_EQ(report->admitted + stranded, kMiniTraceJobs);
+  util::remove_tree(dir);
 }
 
 }  // namespace

@@ -11,6 +11,9 @@
 #include <string>
 #include <vector>
 
+#include "serve/journal.h"
+#include "serve/protocol.h"
+#include "serve/quarantine.h"
 #include "util/spool.h"
 #include "util/strings.h"
 #include "util/subprocess.h"
@@ -342,6 +345,114 @@ TEST(ServeRecovery, RecoverOnFreshSpoolIsAFreshStart) {
   EXPECT_EQ(report.at("generation"), "0");
   EXPECT_EQ(report.at("recovered_docs"), "0");
   util::remove_tree(dir);
+}
+
+/// What a planted journal entry recovers into.
+struct GhostRecovery {
+  std::map<std::string, std::string> report;
+  std::vector<QuarantineReason> reasons;
+  bool seq0_left_in_journal = true;
+};
+
+/// Crashes a one-client run mid-ingest, then plants a second, job-less
+/// client "ghost" straight into the dirty spool's journal: its hello, a
+/// seq-0 entry holding `seq0_bytes`, and a well-formed seq-1 eof document.
+/// With `tombstone`, a consumed reason record for ghost seq 0 is planted
+/// too, without moving the entry — a previous generation killed between
+/// the two steps of a quarantine. Then recovers with both clients.
+GhostRecovery recover_with_ghost(const std::string& seq0_bytes,
+                                 bool tombstone) {
+  GhostRecovery out;
+  std::string dir = util::make_temp_dir("serve_ghost");
+  std::string spool = dir + "/spool";
+  EXPECT_EQ(crash_run(dir, spool, 1, 64,
+                      "seed=1,rate=1,max_attempt=0,sites=die_after_claim,"
+                      "shards=5",
+                      -1),
+            137);
+  const std::string journal = journal_dir(spool);
+  Hello hello;
+  hello.client = "ghost";
+  hello.jobs = 0;
+  hello.last_submit = -1;
+  util::write_file_atomic(journal + "/" + hello_file_name("ghost"),
+                          serialize_hello(hello), /*durable=*/false);
+  const std::string seq0 = submission_file_name("ghost", 0);
+  util::write_file_atomic(journal + "/" + seq0, seq0_bytes, /*durable=*/false);
+  Submission eof;
+  eof.client = "ghost";
+  eof.seq = 1;
+  eof.watermark = 0;
+  eof.eof = true;
+  util::write_file_atomic(journal + "/" + submission_file_name("ghost", 1),
+                          serialize_submission(eof), /*durable=*/false);
+  if (tombstone) {
+    QuarantineReason reason;
+    reason.client = "ghost";
+    reason.seq = 0;
+    reason.reason = "late_jobs";
+    reason.detail = "planted tombstone";
+    reason.consumed = true;
+    util::ensure_dir(quarantine_dir(spool));
+    quarantine_document(spool, dir + "/never-written", seq0, 0, reason);
+  }
+
+  int exit_code = recover_run(dir, spool, 2, "", -1, 1, &out.report);
+  EXPECT_EQ(exit_code, 0) << util::read_file(dir + "/recover1.err");
+  for (const std::string& name :
+       util::list_files(quarantine_dir(spool), ".reason")) {
+    out.reasons.push_back(parse_quarantine_reason(
+        util::read_file(quarantine_dir(spool) + "/" + name)));
+  }
+  out.seq0_left_in_journal = util::path_exists(journal + "/" + seq0);
+  util::remove_tree(dir);
+  return out;
+}
+
+void expect_ghost_recovered(const GhostRecovery& run) {
+  ASSERT_TRUE(run.report.count("fingerprint"));
+  EXPECT_EQ(run.report.at("fingerprint"), kGoldenFingerprint);
+  EXPECT_EQ(run.report.at("jobs_declared"), kMiniTraceJobs);
+  EXPECT_EQ(run.report.at("admitted"), kMiniTraceJobs);
+  EXPECT_EQ(run.report.at("clients"), "2");
+  EXPECT_EQ(run.report.at("generation"), "1");
+  EXPECT_EQ(run.report.at("quarantined_docs"), "1");
+  EXPECT_FALSE(run.seq0_left_in_journal);
+}
+
+TEST(ServeRecovery, TombstoneSweepFinishesAnInterruptedQuarantine) {
+  Submission seq0;
+  seq0.client = "ghost";
+  seq0.seq = 0;
+  seq0.watermark = 0;
+  GhostRecovery run =
+      recover_with_ghost(serialize_submission(seq0), /*tombstone=*/true);
+  expect_ghost_recovered(run);
+  ASSERT_EQ(run.reasons.size(), 2u);
+  int swept = 0;
+  for (const QuarantineReason& reason : run.reasons) {
+    if (reason.reason != "tombstone_sweep") continue;
+    ++swept;
+    EXPECT_EQ(reason.client, "ghost");
+    EXPECT_EQ(reason.seq, 0);
+    EXPECT_FALSE(reason.consumed);
+    EXPECT_EQ(reason.generation, 1u);
+  }
+  EXPECT_EQ(swept, 1);
+}
+
+TEST(ServeRecovery, RottedJournalEntryBecomesAConsumedTombstone) {
+  // A journal entry that no longer parses is disk damage: it quarantines
+  // with a consumed tombstone, and the ghost's stream replays around it.
+  GhostRecovery run =
+      recover_with_ghost("rotted journal entry\n", /*tombstone=*/false);
+  expect_ghost_recovered(run);
+  ASSERT_EQ(run.reasons.size(), 1u);
+  EXPECT_EQ(run.reasons[0].reason, "parse_failure");
+  EXPECT_EQ(run.reasons[0].client, "ghost");
+  EXPECT_EQ(run.reasons[0].seq, 0);
+  EXPECT_TRUE(run.reasons[0].consumed);
+  EXPECT_EQ(run.reasons[0].generation, 1u);
 }
 
 }  // namespace
