@@ -33,10 +33,10 @@
 //     (dist/protocol.h); a file that fails its checksum or parse is a
 //     retriable worker fault: the shard is resubmitted and the file
 //     counted in `corrupt_documents`, not a driver crash.
-//   * **killed driver** — `resume = true` re-validates and re-fingerprints
-//     every published result already in the spool and recomputes only the
-//     missing shards (the grid is pinned by a checksummed grid.meta, so a
-//     spool can never resume a different grid).
+//   * **killed driver** — `resume = true` re-validates every published
+//     result in the spool and recomputes only missing or invalid shards,
+//     a sealed-but-inconsistent file included (fatal on the live path).
+//     A checksummed grid.meta pins the spool to its grid.
 //
 // Each failure consumes one of the shard's `max_attempts`; exhaustion
 // either throws (default) or, with `quarantine = true`, completes the rest

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <stop_token>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -23,56 +24,53 @@ namespace {
 class HeartbeatPump {
  public:
   HeartbeatPump(std::string path, std::int64_t interval_ms, bool stalled)
-      : path_(std::move(path)), interval_ms_(interval_ms), stalled_(stalled) {
+      : path_(std::move(path)) {
     beat(1);  // liveness is visible from the moment the claim is held
-    thread_ = std::thread([this] { run(); });
+    thread_ = std::jthread([this, interval_ms, stalled](std::stop_token stop) {
+      std::mutex mutex;
+      std::condition_variable_any wake;
+      std::unique_lock<std::mutex> lock(mutex);
+      for (std::uint64_t seq = 2;;) {
+        wake.wait_for(lock, stop, std::chrono::milliseconds(interval_ms),
+                      [] { return false; });
+        if (stop.stop_requested()) return;
+        // stall_heartbeat fault: the thread lives but renewals stop — the
+        // emulated NFS stall the driver must detect via the lease.
+        if (!stalled) beat(seq++);
+      }
+    });
   }
 
   HeartbeatPump(const HeartbeatPump&) = delete;
   HeartbeatPump& operator=(const HeartbeatPump&) = delete;
-  ~HeartbeatPump() { stop(); }
 
+  /// Stops renewals and joins; the destructor does the same.
   void stop() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (stopped_) return;
-      stopped_ = true;
-    }
-    cv_.notify_all();
-    thread_.join();
+    thread_.request_stop();
+    if (thread_.joinable()) thread_.join();
   }
 
  private:
-  void run() {
-    std::uint64_t seq = 2;
-    std::unique_lock<std::mutex> lock(mutex_);
-    for (;;) {
-      if (cv_.wait_for(lock, std::chrono::milliseconds(interval_ms_),
-                       [this] { return stopped_; })) {
-        return;
-      }
-      // stall_heartbeat fault: the thread lives but renewals stop — the
-      // emulated NFS stall the driver must detect via the lease.
-      if (!stalled_) beat(seq++);
-    }
-  }
-
   void beat(std::uint64_t seq) {
     util::write_file_atomic(path_, serialize_heartbeat(seq, ::getpid()),
                             /*durable=*/false);
   }
 
   std::string path_;
-  std::int64_t interval_ms_;
-  bool stalled_;
-  std::thread thread_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool stopped_ = false;
+  std::jthread thread_;
 };
 
 [[noreturn]] void emulate_sigkill() {
   ::_exit(137);  // the exit code a real SIGKILL would produce
+}
+
+/// Runs one cell and fingerprints its result before it is serialized.
+CellRecord run_cell(const IndexedCell& cell) {
+  CellRecord record;
+  record.index = cell.index;
+  record.result = core::run_scenario(cell.config);
+  record.fingerprint = core::fingerprint(record.result);
+  return record;
 }
 
 }  // namespace
@@ -81,13 +79,7 @@ ShardResults run_shard(const Shard& shard) {
   ShardResults results;
   results.id = shard.id;
   results.records.reserve(shard.cells.size());
-  for (const IndexedCell& cell : shard.cells) {
-    CellRecord record;
-    record.index = cell.index;
-    record.result = core::run_scenario(cell.config);
-    record.fingerprint = core::fingerprint(record.result);
-    results.records.push_back(std::move(record));
-  }
+  for (const IndexedCell& cell : shard.cells) results.records.push_back(run_cell(cell));
   return results;
 }
 
@@ -125,8 +117,7 @@ int run_worker_spool(const WorkerOptions& options) {
           faults.fires(FaultSite::StallHeartbeat, id, attempt));
 
       Shard shard = parse_shard(util::read_file(claim_path));
-      ShardResults results = run_shard(shard);
-      std::string document = serialize_shard_results(results);
+      std::string document = serialize_shard_results(run_shard(shard));
       // The fencing token from the claim we won is baked into the result
       // name: if the driver reclaimed this shard while we ran, our token
       // is stale and the driver discards this file instead of merging it.
@@ -145,12 +136,8 @@ int run_worker_spool(const WorkerOptions& options) {
       }
       if (faults.fires(FaultSite::CorruptResult, id, attempt)) {
         // Bitrot after sealing: the checksum no longer matches the body.
+        // The worker itself is healthy; the document is the casualty.
         document[document.size() / 2] ^= 0x20;
-        util::write_file_atomic(published, document);
-        heartbeat.stop();
-        util::remove_file(claimed_dir + "/" + heartbeat_file_name(id, attempt));
-        util::remove_file(claim_path);
-        break;  // worker itself is healthy; the document is the casualty
       }
 
       util::write_file_atomic(published, document);
@@ -176,12 +163,7 @@ int run_worker_stream(std::istream& in, std::ostream& out) {
     cell.index = r.field_u64("index");
     cell.config = parse_scenario_config(r);
     r.end_block("cell");
-
-    CellRecord record;
-    record.index = cell.index;
-    record.result = core::run_scenario(cell.config);
-    record.fingerprint = core::fingerprint(record.result);
-    serialize_cell_record(w, record);
+    serialize_cell_record(w, run_cell(cell));
   }
   out << w.str();
   out.flush();

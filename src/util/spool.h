@@ -11,7 +11,7 @@
 //   * readdir never shows a half-written file published via
 //     write-temp-then-rename.
 // Everything above that (shard layout, record formats, resubmission) lives
-// in dist::Driver / dist::worker_main.
+// in dist::run_distributed and dist::run_worker_spool.
 #pragma once
 
 #include <optional>

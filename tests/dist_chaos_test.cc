@@ -238,6 +238,104 @@ TEST(DistChaos, PreSeededGarbageInSpoolIsHandledByClass) {
   util::remove_tree(spool);
 }
 
+/// Shard `id` of `grid` cut into `shard_count` contiguous, even shards —
+/// the driver's own partition when the cell count divides evenly.
+Shard even_shard(const std::vector<core::ScenarioConfig>& grid,
+                 std::size_t shard_count, std::uint64_t id) {
+  Shard shard;
+  shard.id = id;
+  const std::size_t per = grid.size() / shard_count;
+  for (std::size_t i = id * per; i < (id + 1) * per; ++i) {
+    shard.cells.push_back({i, grid[i]});
+  }
+  return shard;
+}
+
+/// A results document that passes its checksum and parse but lies: the
+/// first record's fingerprint is off by one bit.
+std::string sealed_but_lying_results(const Shard& shard) {
+  ShardResults results = run_shard(shard);
+  results.records.front().fingerprint ^= 1;
+  return serialize_shard_results(results);
+}
+
+/// Runs `drive` and returns the message it throws ("" if it returns).
+template <typename Fn>
+std::string thrown_message(Fn&& drive) {
+  try {
+    drive();
+  } catch (const std::runtime_error& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(DistChaos, SealedButLyingPublishIsFatalOnTheLivePath) {
+  // A current-token results file with a valid checksum whose record does
+  // not re-fingerprint is a deterministic fault (serde infidelity or
+  // version skew): retrying cannot fix it, so the live drive throws.
+  std::vector<core::ScenarioConfig> grid = small_grid(4);
+  std::string spool = util::make_temp_dir("ps-chaos-lying-");
+  util::ensure_dir(spool_results_dir(spool));
+  util::write_file_atomic(
+      spool_results_dir(spool) + "/" + results_file_name(0, 1),
+      sealed_but_lying_results(even_shard(grid, 2, 0)));
+
+  DriverOptions options = chaos_options();
+  options.workers = 2;
+  options.shards = 2;
+  options.spool_dir = spool;
+  std::string message = thrown_message([&] { run_distributed(grid, options); });
+  EXPECT_NE(message.find("fingerprint mismatch"), std::string::npos) << message;
+  util::remove_tree(spool);
+}
+
+TEST(DistChaos, SealedButLyingPublishIsRecomputedOnResume) {
+  // The same lie found by a resume is a corpse of the dead run, not a
+  // live fault: it is counted as a corrupt document and recomputed.
+  std::vector<core::ScenarioConfig> grid = small_grid(4);
+  std::vector<core::ScenarioResult> in_process = core::run_sweep(grid, 1);
+  std::string spool = util::make_temp_dir("ps-chaos-lying-resume-");
+
+  DriverOptions options = chaos_options();
+  options.workers = 2;
+  options.shards = 2;
+  options.spool_dir = spool;
+  (void)run_distributed(grid, options);
+
+  util::write_file_atomic(
+      spool_results_dir(spool) + "/" + results_file_name(1, 1),
+      sealed_but_lying_results(even_shard(grid, 2, 1)));
+  options.resume = true;
+  DriverReport repaired = run_distributed(grid, options);
+  EXPECT_EQ(repaired.resumed_cells, 2u);  // only shard 0 adopted
+  EXPECT_GE(repaired.corrupt_documents, 1u);
+  ASSERT_EQ(repaired.results.size(), grid.size());
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    EXPECT_EQ(core::fingerprint(repaired.results[i]),
+              core::fingerprint(in_process[i]))
+        << "cell " << i;
+  }
+  util::remove_tree(spool);
+}
+
+TEST(DistChaos, GoldenManifestDivergenceIsFatal) {
+  std::vector<core::ScenarioConfig> grid = small_grid(4);
+  std::string spool = util::make_temp_dir("ps-chaos-golden-");
+  DriverOptions options = chaos_options();
+  options.workers = 2;
+  options.shards = 2;
+  options.spool_dir = spool;  // a failed drive keeps its spool
+  for (const core::ScenarioResult& result : core::run_sweep(grid, 1)) {
+    options.golden.push_back(core::fingerprint(result));
+  }
+  options.golden[2] ^= 1;
+  std::string message = thrown_message([&] { run_distributed(grid, options); });
+  EXPECT_NE(message.find("diverged from the golden manifest"), std::string::npos)
+      << message;
+  util::remove_tree(spool);
+}
+
 TEST(DistChaos, QuarantineCompletesTheRestOfTheGrid) {
   // A shard that fails deterministically on every attempt: with
   // quarantine on, the driver records its cells and finishes everything
