@@ -6,10 +6,14 @@
 
 #include <cmath>
 #include <string>
+#include <vector>
 
 #include "dist/protocol.h"
 #include "dist/serde.h"
 #include "scenario_fingerprint.h"
+#include "serve/journal.h"
+#include "serve/protocol.h"
+#include "serve/quarantine.h"
 
 namespace ps::dist {
 namespace {
@@ -161,6 +165,514 @@ void expect_config_equal(const core::ScenarioConfig& a, const core::ScenarioConf
   EXPECT_EQ(a.controller.boot_delay, b.controller.boot_delay);
   EXPECT_EQ(a.horizon, b.horizon);
   EXPECT_EQ(a.submit_chunk, b.submit_chunk);
+}
+
+// --- wire-byte pins ----------------------------------------------------------
+//
+// One fixed value per record type, every field away from its default, and
+// the exact bytes it must serialize to. A refactor of the serde may move
+// code freely but must never move one of these bytes (kSerdeVersion pins
+// the format, not the implementation).
+
+core::OfflinePlan pinned_plan(std::int32_t first_node) {
+  core::OfflinePlan plan;
+  plan.split.mechanism = core::model::Mechanism::Both;
+  plan.split.n_off = 12.5;
+  plan.split.n_dvfs = 3.25;
+  plan.split.work = 0.875;
+  plan.selection.nodes = {first_node, first_node + 1, first_node + 2,
+                          first_node + 7};
+  plan.selection.whole_racks = 1;
+  plan.selection.whole_chassis = 2;
+  plan.selection.singles = 3;
+  plan.selection.saving_vs_busy_watts = 34360.5;
+  plan.selection.saving_vs_idle_watts = 12670.25;
+  plan.cap_watts = 900000.0;
+  plan.node_budget_watts = 850000.0;
+  plan.required_saving_watts = 41000.0;
+  plan.reservation_id = 17 + first_node;
+  return plan;
+}
+
+core::ScenarioResult pinned_result() {
+  core::ScenarioResult result;
+  metrics::RunSummary& s = result.summary;
+  s.from = 60'000;
+  s.to = 7'200'000;
+  s.energy_joules = 1.5e9;
+  s.work_core_seconds = 2.25e7;
+  s.effective_work_core_seconds = 2.0e7;
+  s.max_possible_work = 3.0e7;
+  s.launched_jobs = 101;
+  s.completed_jobs = 97;
+  s.killed_jobs = 2;
+  s.submitted_jobs = 120;
+  s.mean_wait_seconds = 311.5;
+  s.utilization = 0.75;
+  s.mean_watts = 612345.5;
+  s.max_watts = 998877.25;
+  s.cap_violation_seconds = 4.5;
+  rjms::Controller::Stats& st = result.stats;
+  st.submitted = 120;
+  st.started = 101;
+  st.completed = 97;
+  st.killed = 2;
+  st.rejected = 1;
+  st.full_passes = 333;
+  st.backfill_starts = 44;
+  st.quick_attempts = 555;
+  st.submit_batches = 66;
+  st.selector_fast_fails = 7;
+  st.admission_fast_fails = 8;
+  result.samples = {{0, 400000.5, 10, 2, 1, {3, 0, 5}},
+                    {60'000, -0.0, 0, 0, 4, {}}};
+  result.cap_watts = 900000.0;
+  result.cap_start = 1'800'000;
+  result.cap_end = 5'400'000;
+  result.has_plan = true;
+  result.plan = pinned_plan(0);
+  result.windows = {{1'800'000, 5'400'000, 900000.0},
+                    {6'000'000, sim::kTimeMax, 700000.5}};
+  result.plans = {pinned_plan(0), pinned_plan(40)};
+  result.max_cluster_watts = 1234567.75;
+  result.total_cores = 80640;
+  return result;
+}
+
+serve::Submission pinned_submission(const std::string& client,
+                                    std::uint64_t seq) {
+  serve::Submission doc;
+  doc.client = client;
+  doc.seq = seq;
+  doc.watermark = 90'000 + static_cast<sim::Time>(seq);
+  doc.eof = true;
+  doc.publish_ns = 123'456'789;
+  doc.jobs = {{41, 60'000, 3, 512, sim::hours(2), sim::minutes(90), "linpack"},
+              {42, 61'000, 0, 16, sim::minutes(10), sim::minutes(2), ""}};
+  return doc;
+}
+
+const char kScenarioResultPin[] = R"(begin scenario_result v2
+begin run_summary v2
+from 60000
+to 7200000
+energy_joules 41d65a0bc0000000
+work_core_seconds 4175752a00000000
+effective_work_core_seconds 417312d000000000
+max_possible_work 417c9c3800000000
+launched_jobs 101
+completed_jobs 97
+killed_jobs 2
+submitted_jobs 120
+mean_wait_seconds 4073780000000000
+utilization 3fe8000000000000
+mean_watts 4122aff300000000
+max_watts 412e7bba80000000
+cap_violation_seconds 4012000000000000
+end run_summary
+begin controller_stats v2
+submitted 120
+started 101
+completed 97
+killed 2
+rejected 1
+full_passes 333
+backfill_starts 44
+quick_attempts 555
+submit_batches 66
+selector_fast_fails 7
+admission_fast_fails 8
+end controller_stats
+samples 2
+sample 0 41186a0200000000 10 2 1 3 3 0 5
+sample 60000 8000000000000000 0 0 4 0
+cap_watts 412b774000000000
+cap_start 1800000
+cap_end 5400000
+has_plan 1
+begin offline_plan v2
+mechanism both
+n_off 4029000000000000
+n_dvfs 400a000000000000
+work 3fec000000000000
+begin selection v2
+nodes 4 0+3 7+1
+whole_racks 1
+whole_chassis 2
+singles 3
+saving_vs_busy_watts 40e0c71000000000
+saving_vs_idle_watts 40c8bf2000000000
+end selection
+cap_watts 412b774000000000
+node_budget_watts 4129f0a000000000
+required_saving_watts 40e4050000000000
+reservation_id 17
+end offline_plan
+windows 2
+window 1800000 5400000 412b774000000000
+window 6000000 9223372036854775807 41255cc100000000
+plans 2
+begin offline_plan v2
+mechanism both
+n_off 4029000000000000
+n_dvfs 400a000000000000
+work 3fec000000000000
+begin selection v2
+nodes 4 0+3 7+1
+whole_racks 1
+whole_chassis 2
+singles 3
+saving_vs_busy_watts 40e0c71000000000
+saving_vs_idle_watts 40c8bf2000000000
+end selection
+cap_watts 412b774000000000
+node_budget_watts 4129f0a000000000
+required_saving_watts 40e4050000000000
+reservation_id 17
+end offline_plan
+begin offline_plan v2
+mechanism both
+n_off 4029000000000000
+n_dvfs 400a000000000000
+work 3fec000000000000
+begin selection v2
+nodes 4 40+3 47+1
+whole_racks 1
+whole_chassis 2
+singles 3
+saving_vs_busy_watts 40e0c71000000000
+saving_vs_idle_watts 40c8bf2000000000
+end selection
+cap_watts 412b774000000000
+node_budget_watts 4129f0a000000000
+required_saving_watts 40e4050000000000
+reservation_id 57
+end offline_plan
+max_cluster_watts 4132d687c0000000
+total_cores 80640
+end scenario_result
+)";
+
+const char kShardResultsHeadPin[] = R"(begin shard_results v2
+id 5
+cells 1
+begin cell_record v2
+index 12
+fingerprint 0123456789abcdef
+)";
+
+const char kShardResultsTailPin[] = R"(end cell_record
+end shard_results
+checksum 70ce3318c627c0a0
+)";
+
+struct PinCase {
+  const char* name;
+  std::string actual;
+  std::string expected;
+};
+
+std::vector<PinCase> pin_cases() {
+  Shard shard;
+  shard.id = 5;
+  core::ScenarioConfig plain;
+  plain.seed = 9;
+  shard.cells = {{12, exhaustive_config()}, {40, plain}};
+
+  ShardResults results;
+  results.id = 5;
+  results.records = {{12, 0x0123456789abcdefull, pinned_result()}};
+
+  serve::Hello hello;
+  hello.client = "alpha";
+  hello.jobs = 133;
+  hello.last_submit = 7'200'000;
+  hello.tenant = "team-a";
+  hello.weight = 3;
+
+  serve::Status status;
+  status.accepting = false;
+  status.seq = 77;
+  status.sim_time = 3'600'000;
+  status.admitted = 250;
+  status.slow_start = true;
+  status.tenants = {{"team-a", 3, 2, 7, true, false},
+                    {"team-b", 1, 0, 0, false, true}};
+
+  serve::Checkpoint ckpt;
+  ckpt.seq = 6;
+  ckpt.committed = 123'456;
+  ckpt.admitted = 240;
+  ckpt.docs = 12;
+  ckpt.clamped = 3;
+  ckpt.scenario_checksum = 0xdeadbeefcafef00dull;
+  ckpt.clients = {{"alpha", 200, 999'000, 6, 120'000, true, 120, 0x1234},
+                  {"beta", 100, 888'000, 2, -5, false, 30, 0xfedcba9876543210ull}};
+  ckpt.sketch = "qsketch1 stand-in with spaces";
+
+  serve::Segment segment;
+  segment.seq = 6;
+  segment.docs = {pinned_submission("alpha", 0), pinned_submission("beta", 3)};
+
+  serve::QuarantineReason reason;
+  reason.client = "beta";
+  reason.seq = 9;
+  reason.kind = "hello";
+  reason.reason = "parse_failure";
+  reason.detail = "serde: line 3:\nbad field";  // flattened to one line
+  reason.consumed = true;
+  reason.generation = 2;
+  reason.jobs = 17;
+  reason.wall_ns = 555'000'111;
+
+  return {
+      {"scenario_result", serialize(pinned_result()),
+       kScenarioResultPin},
+      {"shard", serialize_shard(shard),
+       R"(begin shard v2
+id 5
+cells 2
+begin cell v2
+index 12
+begin scenario_config v2
+profile bigjob
+has_custom_workload 1
+begin generator_params v2
+name serde round trip
+span 25200000
+job_count 1234
+backlog_fraction 3fd8000000000000
+w_tiny 3fe0000000000000
+w_medium 3fd0000000000000
+w_large 3fc999999999999a
+w_huge 3fa999999999999a
+overestimate_median 40c387c000000000
+overestimate_sigma 3fe8000000000000
+max_walltime 360000000
+user_count 17
+heterogeneous_apps 1
+end generator_params
+has_trace_jobs 1
+jobs 3
+job 1 0 3 512 7200000 5400000 linpack
+job 2 30000 0 16 600000 120000 -
+job 3 3600000 7 80640 86400000 72000000 stream
+seed 16045690984503098046
+racks 3
+begin powercap_config v2
+policy auto
+default_degmin 3ff8000000000000
+use_app_degmin 0
+mix_min_ghz 400199999999999a
+rho exact
+selection scattered
+admission projection
+offline_enabled 0
+strict_reservation_blocking 1
+kill_on_overcap 1
+audit_admission_cache 1
+audit_offline_planner 1
+dynamic_dvfs 1
+end powercap_config
+cap_lambda 3fdccccccccccccd
+cap_start 1800000
+cap_duration 7200000
+cap_windows 3
+window 3fd999999999999a 3600000 7200000 -1
+window 3fe3333333333333 14400000 0 10800000
+window 3fe0000000000000 -1 2700000 300000
+begin controller_config v2
+priority_age 405ec00000000000
+priority_size 4046c00000000000
+priority_fair_share 4085300000000000
+priority_age_saturation 10800000
+backfill_depth 99
+selector spread
+fairshare_enabled 0
+fairshare_half_life 39600000
+shutdown_delay 20000
+boot_delay 90000
+end controller_config
+horizon 32400000
+submit_chunk 2700000
+end scenario_config
+end cell
+begin cell v2
+index 40
+begin scenario_config v2
+profile medianjob
+has_custom_workload 0
+has_trace_jobs 0
+seed 9
+racks 56
+begin powercap_config v2
+policy shut
+default_degmin 3ffa147ae147ae14
+use_app_degmin 1
+mix_min_ghz 4000000000000000
+rho published
+selection bonus_grouped
+admission paper_live
+offline_enabled 1
+strict_reservation_blocking 0
+kill_on_overcap 0
+audit_admission_cache 0
+audit_offline_planner 0
+dynamic_dvfs 0
+end powercap_config
+cap_lambda 3ff0000000000000
+cap_start -1
+cap_duration 3600000
+cap_windows 0
+begin controller_config v2
+priority_age 408f400000000000
+priority_size 407f400000000000
+priority_fair_share 409f400000000000
+priority_age_saturation 86400000
+backfill_depth 50
+selector packing
+fairshare_enabled 1
+fairshare_half_life 604800000
+shutdown_delay 0
+boot_delay 0
+end controller_config
+horizon 0
+submit_chunk 0
+end scenario_config
+end cell
+end shard
+checksum 4ad91f99ea099085
+)"},
+      {"shard_results", serialize_shard_results(results),
+       std::string(kShardResultsHeadPin) + kScenarioResultPin + kShardResultsTailPin},
+      {"grid_meta", serialize_grid_meta({27, 4, 0xfeedface12345678ull}),
+       R"(begin grid_meta v2
+cells 27
+shards 4
+grid_checksum feedface12345678
+end grid_meta
+checksum b66a6d84f0ebef4b
+)"},
+      {"heartbeat", serialize_heartbeat(42, 4711),
+       R"(hb 42 4711
+)"},
+      {"hello", serve::serialize_hello(hello),
+       R"(begin serve_hello v2
+client alpha
+jobs 133
+last_submit 7200000
+tenant team-a
+weight 3
+end serve_hello
+checksum 217a7c02ebcb7859
+)"},
+      {"submission", serve::serialize_submission(pinned_submission("alpha", 8)),
+       R"(begin serve_submission v2
+client alpha
+seq 8
+watermark 90008
+eof 1
+publish_ns 123456789
+jobs 2
+job 41 60000 3 512 7200000 5400000 linpack
+job 42 61000 0 16 600000 120000 -
+end serve_submission
+checksum 59716943246fe05b
+)"},
+      {"status", serve::serialize_status(status),
+       R"(begin serve_status v2
+accepting 0
+seq 77
+sim_time 3600000
+admitted 250
+slow_start 1
+tenant_count 2
+tenant team-a 3 2 7 1 0
+tenant team-b 1 0 0 0 1
+end serve_status
+checksum 54f2cb46026480a2
+)"},
+      {"checkpoint", serve::serialize_checkpoint(ckpt),
+       R"(begin serve_checkpoint v2
+seq 6
+committed 123456
+admitted 240
+docs 12
+clamped 3
+scenario_checksum deadbeefcafef00d
+clients 2
+begin ckpt_client v2
+name alpha
+hello_jobs 200
+hello_last_submit 999000
+next_seq 6
+watermark 120000
+eof 1
+admitted_jobs 120
+history_fp 0000000000001234
+end ckpt_client
+begin ckpt_client v2
+name beta
+hello_jobs 100
+hello_last_submit 888000
+next_seq 2
+watermark -5
+eof 0
+admitted_jobs 30
+history_fp fedcba9876543210
+end ckpt_client
+sketch qsketch1 stand-in with spaces
+end serve_checkpoint
+checksum 4dc31347816beeac
+)"},
+      {"segment", serve::serialize_segment(segment),
+       R"(begin serve_segment v2
+seq 6
+docs 2
+begin serve_submission v2
+client alpha
+seq 0
+watermark 90000
+eof 1
+publish_ns 123456789
+jobs 2
+job 41 60000 3 512 7200000 5400000 linpack
+job 42 61000 0 16 600000 120000 -
+end serve_submission
+begin serve_submission v2
+client beta
+seq 3
+watermark 90003
+eof 1
+publish_ns 123456789
+jobs 2
+job 41 60000 3 512 7200000 5400000 linpack
+job 42 61000 0 16 600000 120000 -
+end serve_submission
+end serve_segment
+checksum c6e2e8f566acf917
+)"},
+      {"quarantine_reason", serve::serialize_quarantine_reason(reason),
+       R"(begin quarantine_reason v2
+client beta
+seq 9
+kind hello
+reason parse_failure
+detail serde: line 3: bad field
+consumed 1
+generation 2
+jobs 17
+wall_ns 555000111
+end quarantine_reason
+checksum f2a5468abae98b79
+)"},
+  };
+}
+
+TEST(DistSerde, EveryRecordTypeKeepsItsWireBytes) {
+  for (const PinCase& pin : pin_cases()) {
+    EXPECT_EQ(pin.actual, pin.expected) << pin.name << " moved on the wire";
+  }
 }
 
 TEST(DistSerde, ScenarioConfigRoundTripsEveryField) {
