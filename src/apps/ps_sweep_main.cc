@@ -117,18 +117,18 @@ int drive_main(const std::vector<std::string>& args) {
       dist::parse_cell_grid(util::read_file(cells_path));
   dist::DriverReport report = dist::run_distributed(cells, options);
 
-  dist::Writer w;
-  w.begin_block("sweep_results");
-  w.field_u64("cells", report.results.size());
+  std::vector<dist::CellRecord> records;
+  records.reserve(report.results.size());
   for (std::size_t i = 0; i < report.results.size(); ++i) {
-    dist::CellRecord record;
-    record.index = i;
-    record.fingerprint = report.fingerprints[i];
-    record.result = std::move(report.results[i]);
-    dist::serialize_cell_record(w, record);
+    records.push_back({i, report.fingerprints[i], std::move(report.results[i])});
   }
-  w.end_block("sweep_results");
-  std::fputs(w.str().c_str(), stdout);
+  dist::Writer w;
+  w.block("sweep_results", [&] {
+    w.list("cells", records, [&](const dist::CellRecord& record) {
+      dist::cell_record(w, record);
+    });
+  });
+  std::fputs(w.take().c_str(), stdout);
 
   if (!manifest_out.empty()) {
     util::write_file_atomic(manifest_out,

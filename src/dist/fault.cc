@@ -70,9 +70,9 @@ FaultPlan FaultPlan::parse(std::string_view spec) {
     std::string_view key = kv.substr(0, eq);
     std::string value(kv.substr(eq + 1));
     if (key == "seed") {
-      auto parsed = strings::parse_i64(value);
-      if (!parsed || *parsed < 0) bad_spec(spec, "malformed seed");
-      plan.seed = static_cast<std::uint64_t>(*parsed);
+      auto parsed = strings::parse_u64(value);
+      if (!parsed) bad_spec(spec, "malformed seed");
+      plan.seed = *parsed;
     } else if (key == "rate") {
       auto parsed = strings::parse_f64(value);
       if (!parsed || *parsed < 0.0 || *parsed > 1.0) {
@@ -80,9 +80,9 @@ FaultPlan FaultPlan::parse(std::string_view spec) {
       }
       plan.rate = *parsed;
     } else if (key == "max_attempt") {
-      auto parsed = strings::parse_i64(value);
-      if (!parsed || *parsed < 0) bad_spec(spec, "malformed max_attempt");
-      plan.max_attempt = static_cast<std::uint64_t>(*parsed);
+      auto parsed = strings::parse_u64(value);
+      if (!parsed) bad_spec(spec, "malformed max_attempt");
+      plan.max_attempt = *parsed;
     } else if (key == "sites") {
       any_site_key = true;
       for (const std::string& token : strings::split(value, '+')) {
@@ -102,9 +102,9 @@ FaultPlan FaultPlan::parse(std::string_view spec) {
       }
     } else if (key == "shards") {
       for (const std::string& token : strings::split(value, '+')) {
-        auto parsed = strings::parse_i64(token);
-        if (!parsed || *parsed < 0) bad_spec(spec, "malformed shard id");
-        plan.shards.push_back(static_cast<std::uint64_t>(*parsed));
+        auto parsed = strings::parse_u64(token);
+        if (!parsed) bad_spec(spec, "malformed shard id");
+        plan.shards.push_back(*parsed);
       }
     } else {
       bad_spec(spec, "unknown key '" + std::string(key) + "'");

@@ -1,191 +1,134 @@
 #include "dist/protocol.h"
 
-#include <charconv>
 #include <cinttypes>
 
-#include "core/fingerprint.h"
-#include "util/seal.h"
 #include "util/strings.h"
 
 namespace ps::dist {
 
+template <class Io, class T>
+void indexed_cell(Io& io, T& cell) {
+  io.block("cell", [&] {
+    io.u64("index", cell.index);
+    scenario_config(io, cell.config);
+  });
+}
+
+template <class Io, class T>
+void cell_record(Io& io, T& record) {
+  io.block("cell_record", [&] {
+    io.u64("index", record.index);
+    io.hex64("fingerprint", record.fingerprint);
+    scenario_result(io, record.result);
+  });
+}
+
+template void indexed_cell(Writer&, const IndexedCell&);
+template void indexed_cell(Reader&, IndexedCell&);
+template void cell_record(Writer&, const CellRecord&);
+template void cell_record(Reader&, CellRecord&);
+
 namespace {
 
-/// Strict decimal u64 from a name fragment (no sign, no garbage).
-std::optional<std::uint64_t> u64_fragment(std::string_view text) {
-  std::uint64_t value = 0;
-  const char* begin = text.data();
-  const char* end = begin + text.size();
-  auto [ptr, ec] = std::from_chars(begin, end, value, 10);
-  if (ec != std::errc() || ptr != end || text.empty()) return std::nullopt;
-  return value;
+using CellGrid = std::vector<core::ScenarioConfig>;
+using Manifest = std::vector<std::uint64_t>;
+
+template <class Io, class T>
+void cell_grid(Io& io, T& cells) {
+  io.block("cell_grid", [&] {
+    io.list("cells", cells, [&](auto& cell) { scenario_config(io, cell); });
+  });
+}
+
+template <class Io, class T>
+void shard(Io& io, T& s) {
+  io.block("shard", [&] {
+    io.u64("id", s.id);
+    io.list("cells", s.cells, [&](auto& cell) { indexed_cell(io, cell); });
+  });
+}
+
+template <class Io, class T>
+void shard_results(Io& io, T& results) {
+  io.block("shard_results", [&] {
+    io.u64("id", results.id);
+    io.list("cells", results.records,
+            [&](auto& record) { cell_record(io, record); });
+  });
+}
+
+template <class Io, class T>
+void manifest(Io& io, T& fingerprints) {
+  io.block("manifest", [&] {
+    std::uint64_t next = 0;
+    io.list("cells", fingerprints, [&](auto& fingerprint) {
+      io.row("fp", [&] {
+        std::uint64_t index = next;
+        io.u64("index", index);
+        if (index != next++) io.fail("manifest rows must be index-ordered");
+        io.hex64("digest", fingerprint);
+      });
+    });
+  });
+}
+
+template <class Io, class T>
+void grid_meta(Io& io, T& meta) {
+  io.block("grid_meta", [&] {
+    io.u64("cells", meta.cells);
+    io.u64("shards", meta.shards);
+    io.hex64("grid_checksum", meta.grid_checksum);
+  });
+}
+
+template <class Io, class T>
+void heartbeat(Io& io, T& hb) {
+  io.row("hb", [&] {
+    io.u64("seq", hb.seq);
+    io.i64("pid", hb.pid);
+  });
 }
 
 }  // namespace
 
-std::string seal_document(std::string body) {
-  return util::seal_document(std::move(body));
+std::string serialize_cell_grid(const CellGrid& cells) {
+  return encode(cells, cell_grid<Writer, const CellGrid>);
 }
 
-std::string_view open_document(std::string_view text) {
-  // The sealing implementation lives in util/seal (shared with the serve
-  // journal); dist callers expect serde failures as SerdeError.
-  try {
-    return util::open_document(text);
-  } catch (const util::SealError& e) {
-    throw SerdeError(e.what());
-  }
+CellGrid parse_cell_grid(std::string_view text) {
+  return decode(text, cell_grid<Reader, CellGrid>);
 }
 
-std::string serialize_cell_grid(const std::vector<core::ScenarioConfig>& cells) {
-  Writer w;
-  w.begin_block("cell_grid");
-  w.field_u64("cells", cells.size());
-  for (const core::ScenarioConfig& cell : cells) serialize_scenario_config(w, cell);
-  w.end_block("cell_grid");
-  return seal_document(w.take());
-}
-
-std::vector<core::ScenarioConfig> parse_cell_grid(std::string_view text) {
-  Reader r(open_document(text));
-  r.begin_block("cell_grid");
-  std::uint64_t count = r.field_u64("cells");
-  std::vector<core::ScenarioConfig> cells;
-  cells.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) cells.push_back(parse_scenario_config(r));
-  r.end_block("cell_grid");
-  if (!r.at_end()) r.fail("trailing content after cell_grid");
-  return cells;
-}
-
-std::string serialize_shard(const Shard& shard) {
-  Writer w;
-  w.begin_block("shard");
-  w.field_u64("id", shard.id);
-  w.field_u64("cells", shard.cells.size());
-  for (const IndexedCell& cell : shard.cells) {
-    w.begin_block("cell");
-    w.field_u64("index", cell.index);
-    serialize_scenario_config(w, cell.config);
-    w.end_block("cell");
-  }
-  w.end_block("shard");
-  return seal_document(w.take());
+std::string serialize_shard(const Shard& s) {
+  return encode(s, shard<Writer, const Shard>);
 }
 
 Shard parse_shard(std::string_view text) {
-  Reader r(open_document(text));
-  Shard shard;
-  r.begin_block("shard");
-  shard.id = r.field_u64("id");
-  std::uint64_t count = r.field_u64("cells");
-  shard.cells.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    IndexedCell cell;
-    r.begin_block("cell");
-    cell.index = r.field_u64("index");
-    cell.config = parse_scenario_config(r);
-    r.end_block("cell");
-    shard.cells.push_back(std::move(cell));
-  }
-  r.end_block("shard");
-  if (!r.at_end()) r.fail("trailing content after shard");
-  return shard;
-}
-
-void serialize_cell_record(Writer& w, const CellRecord& record) {
-  w.begin_block("cell_record");
-  w.field_u64("index", record.index);
-  w.field("fingerprint", hex64_token(record.fingerprint));
-  serialize_scenario_result(w, record.result);
-  w.end_block("cell_record");
-}
-
-CellRecord parse_cell_record(Reader& r) {
-  CellRecord record;
-  r.begin_block("cell_record");
-  record.index = r.field_u64("index");
-  record.fingerprint = hex64_from_token(r.field_string("fingerprint"), r);
-  record.result = parse_scenario_result(r);
-  r.end_block("cell_record");
-  return record;
+  return decode(text, shard<Reader, Shard>);
 }
 
 std::string serialize_shard_results(const ShardResults& results) {
-  Writer w;
-  w.begin_block("shard_results");
-  w.field_u64("id", results.id);
-  w.field_u64("cells", results.records.size());
-  for (const CellRecord& record : results.records) serialize_cell_record(w, record);
-  w.end_block("shard_results");
-  return seal_document(w.take());
+  return encode(results, shard_results<Writer, const ShardResults>);
 }
 
 ShardResults parse_shard_results(std::string_view text) {
-  Reader r(open_document(text));
-  ShardResults results;
-  r.begin_block("shard_results");
-  results.id = r.field_u64("id");
-  std::uint64_t count = r.field_u64("cells");
-  results.records.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    results.records.push_back(parse_cell_record(r));
-  }
-  r.end_block("shard_results");
-  if (!r.at_end()) r.fail("trailing content after shard_results");
-  return results;
+  return decode(text, shard_results<Reader, ShardResults>);
 }
 
-std::string serialize_manifest(const std::vector<std::uint64_t>& fingerprints) {
-  Writer w;
-  w.begin_block("manifest");
-  w.field_u64("cells", fingerprints.size());
-  for (std::size_t i = 0; i < fingerprints.size(); ++i) {
-    w.line(strings::format("fp %zu %s", i, hex64_token(fingerprints[i]).c_str()));
-  }
-  w.end_block("manifest");
-  return seal_document(w.take());
+std::string serialize_manifest(const Manifest& fingerprints) {
+  return encode(fingerprints, manifest<Writer, const Manifest>);
 }
 
-std::vector<std::uint64_t> parse_manifest(std::string_view text) {
-  Reader r(open_document(text));
-  r.begin_block("manifest");
-  std::uint64_t count = r.field_u64("cells");
-  std::vector<std::uint64_t> fingerprints(count, 0);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::vector<std::string> tokens = r.field_tokens("fp");
-    if (tokens.size() != 2) r.fail("manifest row wants 'fp <index> <digest>'");
-    auto index = strings::parse_i64(tokens[0]);
-    if (!index || *index < 0 || static_cast<std::uint64_t>(*index) != i) {
-      r.fail("manifest rows must be index-ordered");
-    }
-    fingerprints[i] = hex64_from_token(tokens[1], r);
-  }
-  r.end_block("manifest");
-  if (!r.at_end()) r.fail("trailing content after manifest");
-  return fingerprints;
+Manifest parse_manifest(std::string_view text) {
+  return decode(text, manifest<Reader, Manifest>);
 }
 
 std::string serialize_grid_meta(const GridMeta& meta) {
-  Writer w;
-  w.begin_block("grid_meta");
-  w.field_u64("cells", meta.cells);
-  w.field_u64("shards", meta.shards);
-  w.field("grid_checksum", hex64_token(meta.grid_checksum));
-  w.end_block("grid_meta");
-  return seal_document(w.take());
+  return encode(meta, grid_meta<Writer, const GridMeta>);
 }
 
 GridMeta parse_grid_meta(std::string_view text) {
-  Reader r(open_document(text));
-  GridMeta meta;
-  r.begin_block("grid_meta");
-  meta.cells = r.field_u64("cells");
-  meta.shards = r.field_u64("shards");
-  meta.grid_checksum = hex64_from_token(r.field_string("grid_checksum"), r);
-  r.end_block("grid_meta");
-  if (!r.at_end()) r.fail("trailing content after grid_meta");
-  return meta;
+  return decode(text, grid_meta<Reader, GridMeta>);
 }
 
 std::string spool_cells_dir(const std::string& spool) { return spool + "/cells"; }
@@ -219,13 +162,13 @@ std::optional<SpoolName> parse_spool_name(std::string_view name) {
   std::string_view rest = name.substr(kPrefix.size());
   std::size_t dot = rest.find('.');
   if (dot == std::string_view::npos) return std::nullopt;
-  auto id = u64_fragment(rest.substr(0, dot));
+  auto id = strings::parse_u64(rest.substr(0, dot));
   if (!id) return std::nullopt;
   rest = rest.substr(dot + 1);
   if (rest.empty() || rest[0] != 't') return std::nullopt;
   std::size_t token_end = rest.find('.');
   if (token_end == std::string_view::npos) return std::nullopt;
-  auto token = u64_fragment(rest.substr(1, token_end - 1));
+  auto token = strings::parse_u64(rest.substr(1, token_end - 1));
   if (!token) return std::nullopt;
   return SpoolName{*id, *token};
 }
@@ -233,7 +176,7 @@ std::optional<SpoolName> parse_spool_name(std::string_view name) {
 std::optional<std::int64_t> parse_claim_pid(std::string_view name) {
   std::size_t dot = name.rfind('.');
   if (dot == std::string_view::npos) return std::nullopt;
-  auto pid = u64_fragment(name.substr(dot + 1));
+  auto pid = strings::parse_u64(name.substr(dot + 1));
   if (!pid || *pid == 0 || *pid > static_cast<std::uint64_t>(INT64_MAX)) {
     return std::nullopt;
   }
@@ -241,17 +184,16 @@ std::optional<std::int64_t> parse_claim_pid(std::string_view name) {
 }
 
 std::string serialize_heartbeat(std::uint64_t seq, std::int64_t pid) {
-  return strings::format("hb %" PRIu64 " %lld\n", seq,
-                         static_cast<long long>(pid));
+  return encode(Heartbeat{seq, pid}, heartbeat<Writer, const Heartbeat>,
+                /*sealed=*/false);
 }
 
 std::optional<Heartbeat> parse_heartbeat(std::string_view text) {
-  std::vector<std::string> tokens = strings::split_ws(text);
-  if (tokens.size() != 3 || tokens[0] != "hb") return std::nullopt;
-  auto seq = u64_fragment(tokens[1]);
-  auto pid = strings::parse_i64(tokens[2]);
-  if (!seq || !pid) return std::nullopt;
-  return Heartbeat{*seq, *pid};
+  try {
+    return decode(text, heartbeat<Reader, Heartbeat>, /*sealed=*/false);
+  } catch (const SerdeError&) {
+    return std::nullopt;
+  }
 }
 
 }  // namespace ps::dist

@@ -83,25 +83,13 @@ struct GridMeta {
 std::string serialize_grid_meta(const GridMeta& meta);
 GridMeta parse_grid_meta(std::string_view text);
 
-/// Block-level record codec, shared by the shard-results document and the
-/// worker's stdin/stdout streaming mode.
-void serialize_cell_record(Writer& w, const CellRecord& record);
-CellRecord parse_cell_record(Reader& r);
-
-// --- document sealing --------------------------------------------------------
-// Thin wrappers over util::seal_document / util::open_document (the shared
-// sealing implementation, also used by the serve journal/checkpoints) that
-// surface failures as SerdeError for dist callers.
-
-/// Appends the trailing `checksum <hex64>` line (FNV-1a over every byte of
-/// `body`). Every spool document is sealed before it is written.
-std::string seal_document(std::string body);
-
-/// Verifies and strips the trailing checksum line, returning the body.
-/// Throws SerdeError when the line is missing (torn/truncated file) or the
-/// digest does not match (bit-flip) — the caller maps that to a retriable
-/// worker fault.
-std::string_view open_document(std::string_view text);
+/// Field walks of the two per-cell blocks, shared by the shard documents,
+/// the worker's stdin/stdout streaming mode and `ps-sweep drive`'s output
+/// (serde.h explains the walk idiom).
+template <class Io, class T>
+void indexed_cell(Io& io, T& cell);
+template <class Io, class T>
+void cell_record(Io& io, T& record);
 
 // --- spool layout ------------------------------------------------------------
 //
@@ -143,12 +131,12 @@ std::optional<std::int64_t> parse_claim_pid(std::string_view name);
 // monotonic per claim; the driver watches for *change*, not absolute time,
 // so worker and driver clocks never need to agree.
 
-std::string serialize_heartbeat(std::uint64_t seq, std::int64_t pid);
-
 struct Heartbeat {
   std::uint64_t seq = 0;
   std::int64_t pid = 0;
 };
+
+std::string serialize_heartbeat(std::uint64_t seq, std::int64_t pid);
 /// Lenient parse: nullopt on any malformation (a garbled heartbeat simply
 /// counts as "not renewed", which is the conservative reading).
 std::optional<Heartbeat> parse_heartbeat(std::string_view text);

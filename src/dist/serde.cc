@@ -1,11 +1,9 @@
 #include "dist/serde.h"
 
 #include <bit>
-#include <charconv>
 #include <cinttypes>
-#include <cstdio>
-#include <vector>
 
+#include "util/seal.h"
 #include "util/strings.h"
 
 namespace ps::dist {
@@ -14,16 +12,8 @@ namespace {
 
 // --- enum <-> token tables ---------------------------------------------------
 //
-// Enums travel as lowercase tokens, not integers, so a renumbered enum in a
-// skewed binary is a parse error rather than a silently different policy.
-// Tables are local to the serde so the wire format is fixed here, in one
-// place, independent of any to_string used for human-facing reports.
-
-template <typename Enum>
-struct EnumEntry {
-  Enum value;
-  const char* token;
-};
+// Local to the serde so the wire format is fixed here, in one place,
+// independent of any to_string used for human-facing reports.
 
 constexpr EnumEntry<workload::Profile> kProfiles[] = {
     {workload::Profile::MedianJob, "medianjob"},
@@ -68,52 +58,22 @@ constexpr EnumEntry<core::model::Mechanism> kMechanisms[] = {
     {core::model::Mechanism::Infeasible, "infeasible"},
 };
 
-template <typename Enum, std::size_t N>
-const char* enum_token(const EnumEntry<Enum> (&table)[N], Enum value) {
-  for (const EnumEntry<Enum>& entry : table) {
-    if (entry.value == value) return entry.token;
-  }
-  throw SerdeError("serde: enum value outside the wire table");
+/// A selection names at most this many nodes (over 3,000 Curie machines).
+/// Its run-length row is compressive by design, so the bound on what a
+/// hostile row can make the parser allocate is this constant, not the
+/// document's size.
+constexpr std::uint64_t kMaxSelectionNodes = std::uint64_t{1} << 24;
+
+/// `v<kSerdeVersion>`, the last token of every `begin` line.
+const std::string& version_token() {
+  static const std::string token = "v" + std::to_string(kSerdeVersion);
+  return token;
 }
 
-template <typename Enum, std::size_t N>
-Enum enum_value(const EnumEntry<Enum> (&table)[N], std::string_view token,
-                const Reader& reader) {
-  for (const EnumEntry<Enum>& entry : table) {
-    if (entry.token == token) return entry.value;
-  }
-  reader.fail("unknown enum token '" + std::string(token) + "'");
-}
-
-// --- scalar token codecs -----------------------------------------------------
-
-std::string f64_token(double value) {
-  // IEEE-754 bit pattern: the only text encoding that round-trips every
-  // double (including -0.0, denormals, NaN payloads) bit-exactly.
-  return hex64_token(std::bit_cast<std::uint64_t>(value));
-}
-
-double f64_from_token(std::string_view token, const Reader& reader) {
-  return std::bit_cast<double>(hex64_from_token(token, reader));
-}
-
-std::int64_t i64_from_token(std::string_view token, const Reader& reader) {
-  auto parsed = strings::parse_i64(token);
-  if (!parsed) reader.fail("malformed integer '" + std::string(token) + "'");
-  return *parsed;
-}
-
-std::uint64_t u64_from_token(std::string_view token, const Reader& reader) {
-  // Full uint64 range (seeds are arbitrary 64-bit values): strict decimal
-  // parse, no sign, no trailing garbage.
-  std::uint64_t value = 0;
-  const char* begin = token.data();
-  const char* end = begin + token.size();
-  auto [ptr, ec] = std::from_chars(begin, end, value, 10);
-  if (ec != std::errc() || ptr != end || token.empty()) {
-    reader.fail("malformed unsigned integer '" + std::string(token) + "'");
-  }
-  return value;
+bool consume(std::string_view& text, std::string_view prefix) {
+  if (text.substr(0, prefix.size()) != prefix) return false;
+  text.remove_prefix(prefix.size());
+  return true;
 }
 
 }  // namespace
@@ -122,61 +82,55 @@ std::string hex64_token(std::uint64_t value) {
   return strings::format("%016" PRIx64, value);
 }
 
-std::uint64_t hex64_from_token(std::string_view token, const Reader& reader) {
-  if (token.size() != 16) reader.fail("malformed hex64 (want 16 hex digits)");
-  std::uint64_t bits = 0;
-  for (char c : token) {
-    int digit;
-    if (c >= '0' && c <= '9') digit = c - '0';
-    else if (c >= 'a' && c <= 'f') digit = c - 'a' + 10;
-    else reader.fail("malformed hex64 (want 16 lowercase hex digits)");
-    bits = bits << 4 | static_cast<std::uint64_t>(digit);
-  }
-  return bits;
-}
-
 // --- Writer ------------------------------------------------------------------
 
-void Writer::begin_block(std::string_view type) {
+void Writer::open_block(std::string_view type) {
   out_ += "begin ";
   out_ += type;
-  out_ += strings::format(" v%d\n", kSerdeVersion);
+  out_ += ' ';
+  out_ += version_token();
+  out_ += '\n';
 }
 
-void Writer::end_block(std::string_view type) {
+void Writer::close_block(std::string_view type) {
   out_ += "end ";
   out_ += type;
   out_ += '\n';
 }
 
-void Writer::field(std::string_view key, std::string_view token) {
-  out_ += key;
+void Writer::put(std::string_view key, std::string_view token) {
+  if (!in_row_) out_ += key;
   out_ += ' ';
   out_ += token;
-  out_ += '\n';
+  if (!in_row_) out_ += '\n';
 }
 
-void Writer::field_u64(std::string_view key, std::uint64_t value) {
-  field(key, strings::format("%" PRIu64, value));
+void Writer::f64(std::string_view key, double value) {
+  // IEEE-754 bit pattern: the only text encoding that round-trips every
+  // double (including -0.0, denormals, NaN payloads) bit-exactly.
+  hex64(key, std::bit_cast<std::uint64_t>(value));
 }
 
-void Writer::field_i64(std::string_view key, std::int64_t value) {
-  field(key, strings::format("%" PRId64, value));
+void Writer::boolean(std::string_view key, bool value) {
+  put(key, value ? "1" : "0");
 }
 
-void Writer::field_f64(std::string_view key, double value) {
-  field(key, f64_token(value));
-}
-
-void Writer::field_bool(std::string_view key, bool value) {
-  field(key, value ? "1" : "0");
-}
-
-void Writer::field_string(std::string_view key, std::string_view value) {
+void Writer::text(std::string_view key, std::string_view value) {
   if (value.find('\n') != std::string_view::npos) {
-    throw SerdeError("serde: string field contains a newline");
+    fail("string field contains a newline");
   }
-  field(key, value);
+  if (in_row_ && (value.empty() || value.find(' ') != std::string_view::npos)) {
+    fail("row token is empty or contains a space");
+  }
+  put(key, value);
+}
+
+void Writer::hex64(std::string_view key, std::uint64_t value) {
+  char digits[16];
+  for (int i = 15; i >= 0; --i, value >>= 4) {
+    digits[i] = "0123456789abcdef"[value & 0xf];
+  }
+  put(key, std::string_view(digits, sizeof digits));
 }
 
 void Writer::line(std::string_view text) {
@@ -184,25 +138,19 @@ void Writer::line(std::string_view text) {
   out_ += '\n';
 }
 
+void Writer::fail(const std::string& message) const {
+  throw SerdeError("serde: " + message);
+}
+
 // --- Reader ------------------------------------------------------------------
 
-Reader::Reader(std::string_view text) : text_(text) {}
-
-std::string_view Reader::peek_line() {
-  if (has_peek_) return peeked_;
+std::string_view Reader::next_line() {
   if (pos_ >= text_.size()) fail("unexpected end of document");
   std::size_t eol = text_.find('\n', pos_);
   if (eol == std::string_view::npos) eol = text_.size();
-  peeked_ = text_.substr(pos_, eol - pos_);
+  std::string_view line = text_.substr(pos_, eol - pos_);
   pos_ = eol < text_.size() ? eol + 1 : eol;
   ++line_number_;
-  has_peek_ = true;
-  return peeked_;
-}
-
-std::string_view Reader::next_line() {
-  std::string_view line = peek_line();
-  has_peek_ = false;
   return line;
 }
 
@@ -221,67 +169,96 @@ std::string_view Reader::take_field(std::string_view key) {
   return line.size() > key.size() ? line.substr(key.size() + 1) : std::string_view{};
 }
 
-void Reader::begin_block(std::string_view type) {
-  std::vector<std::string> tokens = strings::split_ws(next_line());
-  if (tokens.size() != 3 || tokens[0] != "begin" || tokens[1] != type) {
-    fail("expected 'begin " + std::string(type) + " v" +
-         std::to_string(kSerdeVersion) + "'");
-  }
-  if (tokens[2] != "v" + std::to_string(kSerdeVersion)) {
-    fail("version skew: block '" + std::string(type) + "' is " + tokens[2] +
-         ", this binary speaks v" + std::to_string(kSerdeVersion));
+std::string_view Reader::take(std::string_view key) {
+  if (!in_row_) return take_field(key);
+  while (!row_.empty() && row_.front() == ' ') row_.remove_prefix(1);
+  if (row_.empty()) fail("row is missing field '" + std::string(key) + "'");
+  std::size_t end = std::min(row_.find(' '), row_.size());
+  std::string_view token = row_.substr(0, end);
+  row_.remove_prefix(end);
+  return token;
+}
+
+void Reader::end_row(std::string_view key) {
+  if (row_.find_first_not_of(' ') != std::string_view::npos) {
+    fail("row '" + std::string(key) + "' has trailing tokens");
   }
 }
 
-void Reader::end_block(std::string_view type) {
-  std::vector<std::string> tokens = strings::split_ws(next_line());
-  if (tokens.size() != 2 || tokens[0] != "end" || tokens[1] != type) {
+void Reader::open_block(std::string_view type) {
+  std::string_view rest = next_line();
+  if (!consume(rest, "begin ") || !consume(rest, type) || !consume(rest, " ")) {
+    fail("expected 'begin " + std::string(type) + " " + version_token() + "'");
+  }
+  if (rest != version_token()) {
+    fail("version skew: block '" + std::string(type) + "' is " +
+         std::string(rest) + ", this binary speaks " + version_token());
+  }
+}
+
+void Reader::close_block(std::string_view type) {
+  std::string_view rest = next_line();
+  if (!consume(rest, "end ") || rest != type) {
     fail("expected 'end " + std::string(type) +
          "' (unknown or out-of-order field?)");
   }
 }
 
-bool Reader::peek_block(std::string_view type) {
-  if (pos_ >= text_.size() && !has_peek_) return false;
-  std::vector<std::string> tokens = strings::split_ws(peek_line());
-  return tokens.size() == 3 && tokens[0] == "begin" && tokens[1] == type;
+std::uint64_t Reader::take_u64(std::string_view key) {
+  std::string_view token = take(key);
+  std::optional<std::uint64_t> value = strings::parse_u64(token);
+  if (!value) fail("malformed unsigned integer '" + std::string(token) + "'");
+  return *value;
 }
 
-bool Reader::peek_end(std::string_view type) {
-  if (pos_ >= text_.size() && !has_peek_) return false;
-  std::vector<std::string> tokens = strings::split_ws(peek_line());
-  return tokens.size() == 2 && tokens[0] == "end" && tokens[1] == type;
+std::int64_t Reader::take_i64(std::string_view key) {
+  std::string_view token = take(key);
+  std::optional<std::int64_t> value = strings::parse_i64(token);
+  if (!value) fail("malformed integer '" + std::string(token) + "'");
+  return *value;
 }
 
-std::uint64_t Reader::field_u64(std::string_view key) {
-  return u64_from_token(take_field(key), *this);
+std::uint64_t Reader::take_count(std::string_view key) {
+  std::uint64_t count = take_u64(key);
+  if (count > remaining()) {
+    fail(strings::format("'%.*s' count %" PRIu64
+                         " exceeds the %zu bytes left in the document",
+                         static_cast<int>(key.size()), key.data(), count,
+                         remaining()));
+  }
+  return count;
 }
 
-std::int64_t Reader::field_i64(std::string_view key) {
-  return i64_from_token(take_field(key), *this);
+void Reader::out_of_range(std::string_view key) const {
+  fail("value of '" + std::string(key) + "' is out of range for its type");
 }
 
-double Reader::field_f64(std::string_view key) {
-  return f64_from_token(take_field(key), *this);
+void Reader::f64(std::string_view key, double& value) {
+  std::uint64_t bits = 0;
+  hex64(key, bits);
+  value = std::bit_cast<double>(bits);
 }
 
-bool Reader::field_bool(std::string_view key) {
-  std::string_view token = take_field(key);
-  if (token == "1") return true;
-  if (token == "0") return false;
-  fail("malformed bool (want 0 or 1)");
+void Reader::boolean(std::string_view key, bool& value) {
+  std::string_view token = take(key);
+  if (token != "0" && token != "1") fail("malformed bool (want 0 or 1)");
+  value = token == "1";
 }
 
-std::string Reader::field_string(std::string_view key) {
-  return std::string(take_field(key));
+void Reader::text(std::string_view key, std::string& value) {
+  value.assign(take(key));
 }
 
-std::vector<std::string> Reader::field_tokens(std::string_view key) {
-  return strings::split_ws(take_field(key));
+void Reader::hex64(std::string_view key, std::uint64_t& value) {
+  std::string_view token = take(key);
+  if (token.size() != 16 || token.find_first_not_of("0123456789abcdef") !=
+                                std::string_view::npos) {
+    fail("malformed hex64 (want 16 lowercase hex digits)");
+  }
+  value = *strings::parse_u64(token, 16);
 }
 
 bool Reader::at_end() {
-  if (has_peek_) return false;
   // Skip a trailing run of blank lines (files often end with one newline).
   while (pos_ < text_.size()) {
     std::size_t eol = text_.find('\n', pos_);
@@ -293,126 +270,40 @@ bool Reader::at_end() {
   return true;
 }
 
-// --- block serializers -------------------------------------------------------
-
-namespace {
-
-void serialize_generator_params(Writer& w, const workload::GeneratorParams& p) {
-  w.begin_block("generator_params");
-  w.field_string("name", p.name);
-  w.field_i64("span", p.span);
-  w.field_u64("job_count", p.job_count);
-  w.field_f64("backlog_fraction", p.backlog_fraction);
-  w.field_f64("w_tiny", p.w_tiny);
-  w.field_f64("w_medium", p.w_medium);
-  w.field_f64("w_large", p.w_large);
-  w.field_f64("w_huge", p.w_huge);
-  w.field_f64("overestimate_median", p.overestimate_median);
-  w.field_f64("overestimate_sigma", p.overestimate_sigma);
-  w.field_i64("max_walltime", p.max_walltime);
-  w.field_i64("user_count", p.user_count);
-  w.field_bool("heterogeneous_apps", p.heterogeneous_apps);
-  w.end_block("generator_params");
+void Reader::expect_end() {
+  if (!at_end()) fail("trailing content after the document");
 }
 
-workload::GeneratorParams parse_generator_params(Reader& r) {
-  workload::GeneratorParams p;
-  r.begin_block("generator_params");
-  p.name = r.field_string("name");
-  p.span = r.field_i64("span");
-  p.job_count = static_cast<std::size_t>(r.field_u64("job_count"));
-  p.backlog_fraction = r.field_f64("backlog_fraction");
-  p.w_tiny = r.field_f64("w_tiny");
-  p.w_medium = r.field_f64("w_medium");
-  p.w_large = r.field_f64("w_large");
-  p.w_huge = r.field_f64("w_huge");
-  p.overestimate_median = r.field_f64("overestimate_median");
-  p.overestimate_sigma = r.field_f64("overestimate_sigma");
-  p.max_walltime = r.field_i64("max_walltime");
-  p.user_count = static_cast<std::int32_t>(r.field_i64("user_count"));
-  p.heterogeneous_apps = r.field_bool("heterogeneous_apps");
-  r.end_block("generator_params");
-  return p;
+void require(bool valid, const char* what) {
+  if (!valid) throw SerdeError(std::string("serde: ") + what);
 }
 
-void serialize_powercap_config(Writer& w, const core::PowercapConfig& p) {
-  w.begin_block("powercap_config");
-  w.field("policy", enum_token(kPolicies, p.policy));
-  w.field_f64("default_degmin", p.default_degmin);
-  w.field_bool("use_app_degmin", p.use_app_degmin);
-  w.field_f64("mix_min_ghz", p.mix_min_ghz);
-  w.field("rho", enum_token(kRhoConventions, p.rho));
-  w.field("selection", enum_token(kOfflineSelections, p.selection));
-  w.field("admission", enum_token(kAdmissionModes, p.admission));
-  w.field_bool("offline_enabled", p.offline_enabled);
-  w.field_bool("strict_reservation_blocking", p.strict_reservation_blocking);
-  w.field_bool("kill_on_overcap", p.kill_on_overcap);
-  w.field_bool("audit_admission_cache", p.audit_admission_cache);
-  w.field_bool("audit_offline_planner", p.audit_offline_planner);
-  w.field_bool("dynamic_dvfs", p.dynamic_dvfs);
-  w.end_block("powercap_config");
+// --- documents ---------------------------------------------------------------
+
+std::string seal_document(std::string body) {
+  return util::seal_document(std::move(body));
 }
 
-core::PowercapConfig parse_powercap_config(Reader& r) {
-  core::PowercapConfig p;
-  r.begin_block("powercap_config");
-  p.policy = enum_value(kPolicies, r.field_string("policy"), r);
-  p.default_degmin = r.field_f64("default_degmin");
-  p.use_app_degmin = r.field_bool("use_app_degmin");
-  p.mix_min_ghz = r.field_f64("mix_min_ghz");
-  p.rho = enum_value(kRhoConventions, r.field_string("rho"), r);
-  p.selection = enum_value(kOfflineSelections, r.field_string("selection"), r);
-  p.admission = enum_value(kAdmissionModes, r.field_string("admission"), r);
-  p.offline_enabled = r.field_bool("offline_enabled");
-  p.strict_reservation_blocking = r.field_bool("strict_reservation_blocking");
-  p.kill_on_overcap = r.field_bool("kill_on_overcap");
-  p.audit_admission_cache = r.field_bool("audit_admission_cache");
-  p.audit_offline_planner = r.field_bool("audit_offline_planner");
-  p.dynamic_dvfs = r.field_bool("dynamic_dvfs");
-  r.end_block("powercap_config");
-  return p;
+std::string_view open_document(std::string_view text) {
+  // The sealing implementation lives in util/seal (shared with the serve
+  // journal); serde callers expect every failure as SerdeError.
+  try {
+    return util::open_document(text);
+  } catch (const util::SealError& e) {
+    throw SerdeError(e.what());
+  }
 }
 
-void serialize_controller_config(Writer& w, const rjms::ControllerConfig& c) {
-  w.begin_block("controller_config");
-  w.field_f64("priority_age", c.priority.age);
-  w.field_f64("priority_size", c.priority.size);
-  w.field_f64("priority_fair_share", c.priority.fair_share);
-  w.field_i64("priority_age_saturation", c.priority.age_saturation);
-  w.field_u64("backfill_depth", c.backfill_depth);
-  w.field("selector", enum_token(kSelectorKinds, c.selector));
-  w.field_bool("fairshare_enabled", c.fairshare_enabled);
-  w.field_i64("fairshare_half_life", c.fairshare_half_life);
-  w.field_i64("shutdown_delay", c.shutdown_delay);
-  w.field_i64("boot_delay", c.boot_delay);
-  w.end_block("controller_config");
-}
+// --- job rows ----------------------------------------------------------------
+//
+// One row per job in every trace cell and submission: the hottest row on
+// the wire, so it keeps a single-format writer.
 
-rjms::ControllerConfig parse_controller_config(Reader& r) {
-  rjms::ControllerConfig c;
-  r.begin_block("controller_config");
-  c.priority.age = r.field_f64("priority_age");
-  c.priority.size = r.field_f64("priority_size");
-  c.priority.fair_share = r.field_f64("priority_fair_share");
-  c.priority.age_saturation = r.field_i64("priority_age_saturation");
-  c.backfill_depth = static_cast<std::size_t>(r.field_u64("backfill_depth"));
-  c.selector = enum_value(kSelectorKinds, r.field_string("selector"), r);
-  c.fairshare_enabled = r.field_bool("fairshare_enabled");
-  c.fairshare_half_life = r.field_i64("fairshare_half_life");
-  c.shutdown_delay = r.field_i64("shutdown_delay");
-  c.boot_delay = r.field_i64("boot_delay");
-  r.end_block("controller_config");
-  return c;
-}
-
-}  // namespace
-
-void serialize_job_list(Writer& w, const std::vector<workload::JobRequest>& jobs) {
-  w.field_u64("jobs", jobs.size());
-  for (const workload::JobRequest& job : jobs) {
+void job_list(Writer& w, const std::vector<workload::JobRequest>& jobs) {
+  w.list("jobs", jobs, [&](const workload::JobRequest& job) {
     // The app name rides as a bare token; "-" marks the empty default.
     if (job.app.find_first_of(" \t\n") != std::string::npos || job.app == "-") {
-      throw SerdeError("serde: job app name not token-safe: '" + job.app + "'");
+      w.fail("job app name not token-safe: '" + job.app + "'");
     }
     w.line(strings::format(
         "job %" PRId64 " %" PRId64 " %" PRId32 " %" PRId64 " %" PRId64
@@ -420,343 +311,275 @@ void serialize_job_list(Writer& w, const std::vector<workload::JobRequest>& jobs
         job.id, job.submit_time, job.user, job.requested_cores,
         job.requested_walltime, job.base_runtime,
         job.app.empty() ? "-" : job.app.c_str()));
-  }
+  });
 }
 
-std::vector<workload::JobRequest> parse_job_list(Reader& r) {
-  std::uint64_t count = r.field_u64("jobs");
-  std::vector<workload::JobRequest> jobs;
-  jobs.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::vector<std::string> t = r.field_tokens("job");
-    if (t.size() != 7) r.fail("job row wants 7 tokens");
-    workload::JobRequest job;
-    job.id = i64_from_token(t[0], r);
-    job.submit_time = i64_from_token(t[1], r);
-    job.user = static_cast<std::int32_t>(i64_from_token(t[2], r));
-    job.requested_cores = i64_from_token(t[3], r);
-    job.requested_walltime = i64_from_token(t[4], r);
-    job.base_runtime = i64_from_token(t[5], r);
-    if (t[6] != "-") job.app = t[6];
-    jobs.push_back(std::move(job));
-  }
-  return jobs;
+void job_list(Reader& r, std::vector<workload::JobRequest>& jobs) {
+  r.list("jobs", jobs, [&](workload::JobRequest& job) {
+    r.row("job", [&] {
+      r.i64("id", job.id);
+      r.i64("submit_time", job.submit_time);
+      r.i64("user", job.user);
+      r.i64("requested_cores", job.requested_cores);
+      r.i64("requested_walltime", job.requested_walltime);
+      r.i64("base_runtime", job.base_runtime);
+      r.text("app", job.app);
+    });
+    if (job.app == "-") job.app.clear();
+  });
 }
+
+// --- selection run-length row ------------------------------------------------
+//
+// Node ids as ascending run-length spans `start+len`: grouped selections
+// are top contiguous blocks by construction, so this is typically one token
+// for thousands of nodes.
 
 namespace {
 
-void serialize_selection(Writer& w, const core::Selection& s) {
-  w.begin_block("selection");
-  // Node ids as ascending run-length spans `start+len` — grouped selections
-  // are top contiguous blocks by construction, so this is typically one
-  // token for thousands of nodes.
-  std::string runs = strings::format("nodes %zu", s.nodes.size());
+void node_runs(Writer& w, const std::vector<cluster::NodeId>& nodes) {
+  std::string runs = strings::format("nodes %zu", nodes.size());
   std::size_t i = 0;
-  while (i < s.nodes.size()) {
+  while (i < nodes.size()) {
     std::size_t j = i + 1;
-    while (j < s.nodes.size() && s.nodes[j] == s.nodes[j - 1] + 1) ++j;
-    runs += strings::format(" %" PRId32 "+%zu", s.nodes[i], j - i);
+    while (j < nodes.size() && nodes[j] == nodes[j - 1] + 1) ++j;
+    runs += strings::format(" %" PRId32 "+%zu", nodes[i], j - i);
     i = j;
   }
   w.line(runs);
-  w.field_i64("whole_racks", s.whole_racks);
-  w.field_i64("whole_chassis", s.whole_chassis);
-  w.field_i64("singles", s.singles);
-  w.field_f64("saving_vs_busy_watts", s.saving_vs_busy_watts);
-  w.field_f64("saving_vs_idle_watts", s.saving_vs_idle_watts);
-  w.end_block("selection");
 }
 
-core::Selection parse_selection(Reader& r) {
-  core::Selection s;
-  r.begin_block("selection");
-  std::vector<std::string> tokens = r.field_tokens("nodes");
-  if (tokens.empty()) r.fail("nodes row wants a count");
-  std::uint64_t count = u64_from_token(tokens[0], r);
-  s.nodes.reserve(count);
+void node_runs(Reader& r, std::vector<cluster::NodeId>& nodes) {
+  std::vector<std::string> tokens = strings::split_ws(r.payload("nodes"));
+  std::optional<std::uint64_t> count =
+      tokens.empty() ? std::nullopt : strings::parse_u64(tokens[0]);
+  if (!count || *count > kMaxSelectionNodes) {
+    r.fail("nodes row wants a count of at most 2^24");
+  }
+  nodes.clear();
+  nodes.reserve(*count);
   for (std::size_t t = 1; t < tokens.size(); ++t) {
-    std::size_t plus = tokens[t].find('+');
-    if (plus == std::string::npos) r.fail("node run wants start+len");
-    auto start = i64_from_token(std::string_view(tokens[t]).substr(0, plus), r);
-    auto len = u64_from_token(std::string_view(tokens[t]).substr(plus + 1), r);
-    for (std::uint64_t k = 0; k < len; ++k) {
-      s.nodes.push_back(static_cast<cluster::NodeId>(start + static_cast<std::int64_t>(k)));
+    std::string_view run = tokens[t];
+    std::size_t plus = run.find('+');
+    std::optional<std::int64_t> start = strings::parse_i64(run.substr(0, plus));
+    std::optional<std::uint64_t> len = plus == std::string_view::npos
+                                           ? std::nullopt
+                                           : strings::parse_u64(run.substr(plus + 1));
+    constexpr std::int64_t kIdLimit =
+        std::int64_t{std::numeric_limits<cluster::NodeId>::max()} + 1;
+    if (!start || !len || *start < 0 || *start >= kIdLimit ||
+        *len > *count - nodes.size() ||
+        *start + static_cast<std::int64_t>(*len) > kIdLimit) {
+      r.fail("node run '" + tokens[t] + "' is malformed or out of range");
+    }
+    for (std::uint64_t k = 0; k < *len; ++k) {
+      nodes.push_back(static_cast<cluster::NodeId>(*start + static_cast<std::int64_t>(k)));
     }
   }
-  if (s.nodes.size() != count) r.fail("node run lengths disagree with count");
-  s.whole_racks = static_cast<std::int32_t>(r.field_i64("whole_racks"));
-  s.whole_chassis = static_cast<std::int32_t>(r.field_i64("whole_chassis"));
-  s.singles = static_cast<std::int32_t>(r.field_i64("singles"));
-  s.saving_vs_busy_watts = r.field_f64("saving_vs_busy_watts");
-  s.saving_vs_idle_watts = r.field_f64("saving_vs_idle_watts");
-  r.end_block("selection");
-  return s;
+  if (nodes.size() != *count) r.fail("node run lengths disagree with count");
 }
 
-void serialize_plan(Writer& w, const core::OfflinePlan& p) {
-  w.begin_block("offline_plan");
-  w.field("mechanism", enum_token(kMechanisms, p.split.mechanism));
-  w.field_f64("n_off", p.split.n_off);
-  w.field_f64("n_dvfs", p.split.n_dvfs);
-  w.field_f64("work", p.split.work);
-  serialize_selection(w, p.selection);
-  w.field_f64("cap_watts", p.cap_watts);
-  w.field_f64("node_budget_watts", p.node_budget_watts);
-  w.field_f64("required_saving_watts", p.required_saving_watts);
-  w.field_i64("reservation_id", p.reservation_id);
-  w.end_block("offline_plan");
+// --- record walks ------------------------------------------------------------
+
+template <class Io, class T>
+void generator_params(Io& io, T& p) {
+  io.block("generator_params", [&] {
+    io.text("name", p.name);
+    io.i64("span", p.span);
+    io.u64("job_count", p.job_count);
+    io.f64("backlog_fraction", p.backlog_fraction);
+    io.f64("w_tiny", p.w_tiny);
+    io.f64("w_medium", p.w_medium);
+    io.f64("w_large", p.w_large);
+    io.f64("w_huge", p.w_huge);
+    io.f64("overestimate_median", p.overestimate_median);
+    io.f64("overestimate_sigma", p.overestimate_sigma);
+    io.i64("max_walltime", p.max_walltime);
+    io.i64("user_count", p.user_count);
+    io.boolean("heterogeneous_apps", p.heterogeneous_apps);
+  });
 }
 
-core::OfflinePlan parse_plan(Reader& r) {
-  core::OfflinePlan p;
-  r.begin_block("offline_plan");
-  p.split.mechanism = enum_value(kMechanisms, r.field_string("mechanism"), r);
-  p.split.n_off = r.field_f64("n_off");
-  p.split.n_dvfs = r.field_f64("n_dvfs");
-  p.split.work = r.field_f64("work");
-  p.selection = parse_selection(r);
-  p.cap_watts = r.field_f64("cap_watts");
-  p.node_budget_watts = r.field_f64("node_budget_watts");
-  p.required_saving_watts = r.field_f64("required_saving_watts");
-  p.reservation_id = r.field_i64("reservation_id");
-  r.end_block("offline_plan");
-  return p;
+template <class Io, class T>
+void powercap_config(Io& io, T& p) {
+  io.block("powercap_config", [&] {
+    io.enumeration("policy", p.policy, kPolicies);
+    io.f64("default_degmin", p.default_degmin);
+    io.boolean("use_app_degmin", p.use_app_degmin);
+    io.f64("mix_min_ghz", p.mix_min_ghz);
+    io.enumeration("rho", p.rho, kRhoConventions);
+    io.enumeration("selection", p.selection, kOfflineSelections);
+    io.enumeration("admission", p.admission, kAdmissionModes);
+    io.boolean("offline_enabled", p.offline_enabled);
+    io.boolean("strict_reservation_blocking", p.strict_reservation_blocking);
+    io.boolean("kill_on_overcap", p.kill_on_overcap);
+    io.boolean("audit_admission_cache", p.audit_admission_cache);
+    io.boolean("audit_offline_planner", p.audit_offline_planner);
+    io.boolean("dynamic_dvfs", p.dynamic_dvfs);
+  });
+}
+
+template <class Io, class T>
+void controller_config(Io& io, T& c) {
+  io.block("controller_config", [&] {
+    io.f64("priority_age", c.priority.age);
+    io.f64("priority_size", c.priority.size);
+    io.f64("priority_fair_share", c.priority.fair_share);
+    io.i64("priority_age_saturation", c.priority.age_saturation);
+    io.u64("backfill_depth", c.backfill_depth);
+    io.enumeration("selector", c.selector, kSelectorKinds);
+    io.boolean("fairshare_enabled", c.fairshare_enabled);
+    io.i64("fairshare_half_life", c.fairshare_half_life);
+    io.i64("shutdown_delay", c.shutdown_delay);
+    io.i64("boot_delay", c.boot_delay);
+  });
+}
+
+template <class Io, class T>
+void offline_plan(Io& io, T& p) {
+  io.block("offline_plan", [&] {
+    io.enumeration("mechanism", p.split.mechanism, kMechanisms);
+    io.f64("n_off", p.split.n_off);
+    io.f64("n_dvfs", p.split.n_dvfs);
+    io.f64("work", p.split.work);
+    io.block("selection", [&] {
+      node_runs(io, p.selection.nodes);
+      io.i64("whole_racks", p.selection.whole_racks);
+      io.i64("whole_chassis", p.selection.whole_chassis);
+      io.i64("singles", p.selection.singles);
+      io.f64("saving_vs_busy_watts", p.selection.saving_vs_busy_watts);
+      io.f64("saving_vs_idle_watts", p.selection.saving_vs_idle_watts);
+    });
+    io.f64("cap_watts", p.cap_watts);
+    io.f64("node_budget_watts", p.node_budget_watts);
+    io.f64("required_saving_watts", p.required_saving_watts);
+    io.i64("reservation_id", p.reservation_id);
+  });
 }
 
 }  // namespace
 
-void serialize_scenario_config(Writer& w, const core::ScenarioConfig& config) {
+template <class Io, class T>
+void scenario_config(Io& io, T& config) {
   if (config.job_source) {
     // A live stream has no value representation; distributed cells ship
     // trace_jobs or a generator profile. Refusing beats silently sending a
     // config that would replay a *different* (absent) workload remotely.
-    throw SerdeError("serde: scenario_config with a live job_source is not serializable");
+    io.fail("scenario_config with a live job_source is not serializable");
   }
-  w.begin_block("scenario_config");
-  w.field("profile", enum_token(kProfiles, config.profile));
-  w.field_bool("has_custom_workload", config.custom_workload.has_value());
-  if (config.custom_workload) serialize_generator_params(w, *config.custom_workload);
-  w.field_bool("has_trace_jobs", config.trace_jobs.has_value());
-  if (config.trace_jobs) serialize_job_list(w, *config.trace_jobs);
-  w.field_u64("seed", config.seed);
-  w.field_i64("racks", config.racks);
-  serialize_powercap_config(w, config.powercap);
-  w.field_f64("cap_lambda", config.cap_lambda);
-  w.field_i64("cap_start", config.cap_start);
-  w.field_i64("cap_duration", config.cap_duration);
-  w.field_u64("cap_windows", config.cap_windows.size());
-  for (const core::CapWindow& window : config.cap_windows) {
-    w.line(strings::format("window %s %" PRId64 " %" PRId64 " %" PRId64,
-                           f64_token(window.lambda).c_str(), window.start,
-                           window.duration, window.announce));
-  }
-  serialize_controller_config(w, config.controller);
-  w.field_i64("horizon", config.horizon);
-  w.field_i64("submit_chunk", config.submit_chunk);
-  w.end_block("scenario_config");
+  io.block("scenario_config", [&] {
+    io.enumeration("profile", config.profile, kProfiles);
+    io.optional("has_custom_workload", config.custom_workload,
+                [&](auto& params) { generator_params(io, params); });
+    io.optional("has_trace_jobs", config.trace_jobs,
+                [&](auto& jobs) { job_list(io, jobs); });
+    io.u64("seed", config.seed);
+    io.i64("racks", config.racks);
+    powercap_config(io, config.powercap);
+    io.f64("cap_lambda", config.cap_lambda);
+    io.i64("cap_start", config.cap_start);
+    io.i64("cap_duration", config.cap_duration);
+    io.list("cap_windows", config.cap_windows, [&](auto& window) {
+      io.row("window", [&] {
+        io.f64("lambda", window.lambda);
+        io.i64("start", window.start);
+        io.i64("duration", window.duration);
+        io.i64("announce", window.announce);
+      });
+    });
+    controller_config(io, config.controller);
+    io.i64("horizon", config.horizon);
+    io.i64("submit_chunk", config.submit_chunk);
+  });
 }
 
-core::ScenarioConfig parse_scenario_config(Reader& r) {
-  core::ScenarioConfig config;
-  r.begin_block("scenario_config");
-  config.profile = enum_value(kProfiles, r.field_string("profile"), r);
-  if (r.field_bool("has_custom_workload")) {
-    config.custom_workload = parse_generator_params(r);
-  }
-  if (r.field_bool("has_trace_jobs")) config.trace_jobs = parse_job_list(r);
-  config.seed = r.field_u64("seed");
-  config.racks = static_cast<std::int32_t>(r.field_i64("racks"));
-  config.powercap = parse_powercap_config(r);
-  config.cap_lambda = r.field_f64("cap_lambda");
-  config.cap_start = r.field_i64("cap_start");
-  config.cap_duration = r.field_i64("cap_duration");
-  std::uint64_t windows = r.field_u64("cap_windows");
-  config.cap_windows.reserve(windows);
-  for (std::uint64_t i = 0; i < windows; ++i) {
-    std::vector<std::string> t = r.field_tokens("window");
-    if (t.size() != 4) r.fail("cap window row wants 4 tokens");
-    core::CapWindow window;
-    window.lambda = f64_from_token(t[0], r);
-    window.start = i64_from_token(t[1], r);
-    window.duration = i64_from_token(t[2], r);
-    window.announce = i64_from_token(t[3], r);
-    config.cap_windows.push_back(window);
-  }
-  config.controller = parse_controller_config(r);
-  config.horizon = r.field_i64("horizon");
-  config.submit_chunk = r.field_i64("submit_chunk");
-  r.end_block("scenario_config");
-  return config;
+template <class Io, class T>
+void scenario_result(Io& io, T& result) {
+  io.block("scenario_result", [&] {
+    auto& s = result.summary;
+    io.block("run_summary", [&] {
+      io.i64("from", s.from);
+      io.i64("to", s.to);
+      io.f64("energy_joules", s.energy_joules);
+      io.f64("work_core_seconds", s.work_core_seconds);
+      io.f64("effective_work_core_seconds", s.effective_work_core_seconds);
+      io.f64("max_possible_work", s.max_possible_work);
+      io.u64("launched_jobs", s.launched_jobs);
+      io.u64("completed_jobs", s.completed_jobs);
+      io.u64("killed_jobs", s.killed_jobs);
+      io.u64("submitted_jobs", s.submitted_jobs);
+      io.f64("mean_wait_seconds", s.mean_wait_seconds);
+      io.f64("utilization", s.utilization);
+      io.f64("mean_watts", s.mean_watts);
+      io.f64("max_watts", s.max_watts);
+      io.f64("cap_violation_seconds", s.cap_violation_seconds);
+    });
+    auto& st = result.stats;
+    io.block("controller_stats", [&] {
+      io.u64("submitted", st.submitted);
+      io.u64("started", st.started);
+      io.u64("completed", st.completed);
+      io.u64("killed", st.killed);
+      io.u64("rejected", st.rejected);
+      io.u64("full_passes", st.full_passes);
+      io.u64("backfill_starts", st.backfill_starts);
+      io.u64("quick_attempts", st.quick_attempts);
+      io.u64("submit_batches", st.submit_batches);
+      io.u64("selector_fast_fails", st.selector_fast_fails);
+      io.u64("admission_fast_fails", st.admission_fast_fails);
+    });
+    io.list("samples", result.samples, [&](auto& sample) {
+      io.row("sample", [&] {
+        io.i64("t", sample.t);
+        io.f64("watts", sample.watts);
+        io.i64("idle_nodes", sample.idle_nodes);
+        io.i64("off_nodes", sample.off_nodes);
+        io.i64("transitioning_nodes", sample.transitioning_nodes);
+        io.list("busy_by_freq", sample.busy_by_freq,
+                [&](auto& busy) { io.i64("busy", busy); });
+      });
+    });
+    io.f64("cap_watts", result.cap_watts);
+    io.i64("cap_start", result.cap_start);
+    io.i64("cap_end", result.cap_end);
+    io.boolean("has_plan", result.has_plan);
+    offline_plan(io, result.plan);
+    io.list("windows", result.windows, [&](auto& window) {
+      io.row("window", [&] {
+        io.i64("start", window.start);
+        io.i64("end", window.end);
+        io.f64("watts", window.watts);
+      });
+    });
+    io.list("plans", result.plans, [&](auto& plan) { offline_plan(io, plan); });
+    io.f64("max_cluster_watts", result.max_cluster_watts);
+    io.i64("total_cores", result.total_cores);
+  });
 }
 
-void serialize_scenario_result(Writer& w, const core::ScenarioResult& result) {
-  w.begin_block("scenario_result");
-  const metrics::RunSummary& s = result.summary;
-  w.begin_block("run_summary");
-  w.field_i64("from", s.from);
-  w.field_i64("to", s.to);
-  w.field_f64("energy_joules", s.energy_joules);
-  w.field_f64("work_core_seconds", s.work_core_seconds);
-  w.field_f64("effective_work_core_seconds", s.effective_work_core_seconds);
-  w.field_f64("max_possible_work", s.max_possible_work);
-  w.field_u64("launched_jobs", s.launched_jobs);
-  w.field_u64("completed_jobs", s.completed_jobs);
-  w.field_u64("killed_jobs", s.killed_jobs);
-  w.field_u64("submitted_jobs", s.submitted_jobs);
-  w.field_f64("mean_wait_seconds", s.mean_wait_seconds);
-  w.field_f64("utilization", s.utilization);
-  w.field_f64("mean_watts", s.mean_watts);
-  w.field_f64("max_watts", s.max_watts);
-  w.field_f64("cap_violation_seconds", s.cap_violation_seconds);
-  w.end_block("run_summary");
-  const rjms::Controller::Stats& st = result.stats;
-  w.begin_block("controller_stats");
-  w.field_u64("submitted", st.submitted);
-  w.field_u64("started", st.started);
-  w.field_u64("completed", st.completed);
-  w.field_u64("killed", st.killed);
-  w.field_u64("rejected", st.rejected);
-  w.field_u64("full_passes", st.full_passes);
-  w.field_u64("backfill_starts", st.backfill_starts);
-  w.field_u64("quick_attempts", st.quick_attempts);
-  w.field_u64("submit_batches", st.submit_batches);
-  w.field_u64("selector_fast_fails", st.selector_fast_fails);
-  w.field_u64("admission_fast_fails", st.admission_fast_fails);
-  w.end_block("controller_stats");
-  w.field_u64("samples", result.samples.size());
-  for (const metrics::Sample& sample : result.samples) {
-    std::string row = strings::format(
-        "sample %" PRId64 " %s %" PRId32 " %" PRId32 " %" PRId32 " %zu",
-        sample.t, f64_token(sample.watts).c_str(), sample.idle_nodes,
-        sample.off_nodes, sample.transitioning_nodes, sample.busy_by_freq.size());
-    for (std::int32_t busy : sample.busy_by_freq) {
-      row += strings::format(" %" PRId32, busy);
-    }
-    w.line(row);
-  }
-  w.field_f64("cap_watts", result.cap_watts);
-  w.field_i64("cap_start", result.cap_start);
-  w.field_i64("cap_end", result.cap_end);
-  w.field_bool("has_plan", result.has_plan);
-  serialize_plan(w, result.plan);
-  w.field_u64("windows", result.windows.size());
-  for (const core::ScenarioResult::Window& window : result.windows) {
-    w.line(strings::format("window %" PRId64 " %" PRId64 " %s", window.start,
-                           window.end, f64_token(window.watts).c_str()));
-  }
-  w.field_u64("plans", result.plans.size());
-  for (const core::OfflinePlan& plan : result.plans) serialize_plan(w, plan);
-  w.field_f64("max_cluster_watts", result.max_cluster_watts);
-  w.field_i64("total_cores", result.total_cores);
-  w.end_block("scenario_result");
-}
-
-core::ScenarioResult parse_scenario_result(Reader& r) {
-  core::ScenarioResult result;
-  r.begin_block("scenario_result");
-  metrics::RunSummary& s = result.summary;
-  r.begin_block("run_summary");
-  s.from = r.field_i64("from");
-  s.to = r.field_i64("to");
-  s.energy_joules = r.field_f64("energy_joules");
-  s.work_core_seconds = r.field_f64("work_core_seconds");
-  s.effective_work_core_seconds = r.field_f64("effective_work_core_seconds");
-  s.max_possible_work = r.field_f64("max_possible_work");
-  s.launched_jobs = r.field_u64("launched_jobs");
-  s.completed_jobs = r.field_u64("completed_jobs");
-  s.killed_jobs = r.field_u64("killed_jobs");
-  s.submitted_jobs = r.field_u64("submitted_jobs");
-  s.mean_wait_seconds = r.field_f64("mean_wait_seconds");
-  s.utilization = r.field_f64("utilization");
-  s.mean_watts = r.field_f64("mean_watts");
-  s.max_watts = r.field_f64("max_watts");
-  s.cap_violation_seconds = r.field_f64("cap_violation_seconds");
-  r.end_block("run_summary");
-  rjms::Controller::Stats& st = result.stats;
-  r.begin_block("controller_stats");
-  st.submitted = r.field_u64("submitted");
-  st.started = r.field_u64("started");
-  st.completed = r.field_u64("completed");
-  st.killed = r.field_u64("killed");
-  st.rejected = r.field_u64("rejected");
-  st.full_passes = r.field_u64("full_passes");
-  st.backfill_starts = r.field_u64("backfill_starts");
-  st.quick_attempts = r.field_u64("quick_attempts");
-  st.submit_batches = r.field_u64("submit_batches");
-  st.selector_fast_fails = r.field_u64("selector_fast_fails");
-  st.admission_fast_fails = r.field_u64("admission_fast_fails");
-  r.end_block("controller_stats");
-  std::uint64_t samples = r.field_u64("samples");
-  result.samples.reserve(samples);
-  for (std::uint64_t i = 0; i < samples; ++i) {
-    std::vector<std::string> t = r.field_tokens("sample");
-    if (t.size() < 6) r.fail("sample row wants >= 6 tokens");
-    metrics::Sample sample;
-    sample.t = i64_from_token(t[0], r);
-    sample.watts = f64_from_token(t[1], r);
-    sample.idle_nodes = static_cast<std::int32_t>(i64_from_token(t[2], r));
-    sample.off_nodes = static_cast<std::int32_t>(i64_from_token(t[3], r));
-    sample.transitioning_nodes = static_cast<std::int32_t>(i64_from_token(t[4], r));
-    std::uint64_t freqs = u64_from_token(t[5], r);
-    if (t.size() != 6 + freqs) r.fail("sample busy_by_freq length mismatch");
-    sample.busy_by_freq.reserve(freqs);
-    for (std::uint64_t f = 0; f < freqs; ++f) {
-      sample.busy_by_freq.push_back(
-          static_cast<std::int32_t>(i64_from_token(t[6 + f], r)));
-    }
-    result.samples.push_back(std::move(sample));
-  }
-  result.cap_watts = r.field_f64("cap_watts");
-  result.cap_start = r.field_i64("cap_start");
-  result.cap_end = r.field_i64("cap_end");
-  result.has_plan = r.field_bool("has_plan");
-  result.plan = parse_plan(r);
-  std::uint64_t windows = r.field_u64("windows");
-  result.windows.reserve(windows);
-  for (std::uint64_t i = 0; i < windows; ++i) {
-    std::vector<std::string> t = r.field_tokens("window");
-    if (t.size() != 3) r.fail("result window row wants 3 tokens");
-    core::ScenarioResult::Window window;
-    window.start = i64_from_token(t[0], r);
-    window.end = i64_from_token(t[1], r);
-    window.watts = f64_from_token(t[2], r);
-    result.windows.push_back(window);
-  }
-  std::uint64_t plans = r.field_u64("plans");
-  result.plans.reserve(plans);
-  for (std::uint64_t i = 0; i < plans; ++i) result.plans.push_back(parse_plan(r));
-  result.max_cluster_watts = r.field_f64("max_cluster_watts");
-  result.total_cores = r.field_i64("total_cores");
-  r.end_block("scenario_result");
-  return result;
-}
-
-// --- whole-document wrappers -------------------------------------------------
+template void scenario_config(Writer&, const core::ScenarioConfig&);
+template void scenario_config(Reader&, core::ScenarioConfig&);
+template void scenario_result(Writer&, const core::ScenarioResult&);
+template void scenario_result(Reader&, core::ScenarioResult&);
 
 std::string serialize(const core::ScenarioConfig& config) {
-  Writer w;
-  serialize_scenario_config(w, config);
-  return w.take();
+  return encode(config, scenario_config<Writer, const core::ScenarioConfig>,
+                /*sealed=*/false);
 }
 
 std::string serialize(const core::ScenarioResult& result) {
-  Writer w;
-  serialize_scenario_result(w, result);
-  return w.take();
+  return encode(result, scenario_result<Writer, const core::ScenarioResult>,
+                /*sealed=*/false);
 }
 
 core::ScenarioConfig parse_scenario_config(std::string_view text) {
-  Reader r(text);
-  core::ScenarioConfig config = parse_scenario_config(r);
-  if (!r.at_end()) r.fail("trailing content after scenario_config");
-  return config;
+  return decode(text, scenario_config<Reader, core::ScenarioConfig>,
+                /*sealed=*/false);
 }
 
 core::ScenarioResult parse_scenario_result(std::string_view text) {
-  Reader r(text);
-  core::ScenarioResult result = parse_scenario_result(r);
-  if (!r.at_end()) r.fail("trailing content after scenario_result");
-  return result;
+  return decode(text, scenario_result<Reader, core::ScenarioResult>,
+                /*sealed=*/false);
 }
 
 }  // namespace ps::dist

@@ -1,42 +1,57 @@
-// Versioned, deterministic text serialization of scenario cells — the wire
-// format of the distributed sweep subsystem (see docs/ARCHITECTURE.md,
-// "The dist layer").
+// Versioned, deterministic text serialization — the wire format of every
+// record that crosses a process boundary: the distributed sweep's cells and
+// results (dist/protocol.h) and the live service's hellos, submissions,
+// status, checkpoints, segments and quarantine reasons (serve/).
+//
+// Each record's format is written down exactly once, as a *field walk*:
+//
+//   template <class Io, class T>
+//   void grid_meta(Io& io, T& meta) {
+//     io.block("grid_meta", [&] {
+//       io.u64("cells", meta.cells);
+//       io.hex64("grid_checksum", meta.grid_checksum);
+//     });
+//   }
+//
+// Run with a Writer, `T` is deduced as `const GridMeta` and the walk emits
+// the fields; run with a Reader, `T` is `GridMeta` and the same walk parses
+// them back. Adding, removing or reordering a field means editing that one
+// function and bumping kSerdeVersion. Safety checks that are not format
+// (name validation, ordering invariants) stay in the serialize_*/parse_*
+// entry points, around the walk.
 //
 // Design constraints, in order:
 //   * **Bit-exact round-trips.** A parsed ScenarioResult must be
 //     bit-identical to the one the worker computed, or the index-ordered
 //     merge loses its byte-identity guarantee. Doubles are therefore
 //     written as their IEEE-754 bit pattern in hex, never as decimal.
-//   * **Deterministic output.** serialize() of equal values produces equal
-//     bytes: every field is emitted, in a fixed order, with no timestamps,
-//     hostnames or map-order dependence. Spool files can be diffed and
-//     golden-fingerprinted.
+//   * **Deterministic output.** Every field is emitted, in a fixed order,
+//     with no timestamps, hostnames or map-order dependence.
 //   * **Loud failure on skew.** Every block carries a format version
-//     (`begin <type> v<N>`), and the parser demands the exact field
-//     sequence the serializer emits — an unknown, missing, reordered or
+//     (`begin <type> v<N>`), and the Reader demands the exact field
+//     sequence the Writer emits — an unknown, missing, reordered or
 //     duplicated field is a SerdeError with a line number, never a silent
-//     default. A driver and worker built from different revisions cannot
-//     exchange half-understood cells.
+//     default.
+//   * **Hostile input is a SerdeError.** A list count larger than the bytes
+//     left in the document, or an integer outside its field's own type, is
+//     rejected before anything is allocated for it, so a parse allocates at
+//     most in proportion to the document's size.
 //
-// The grammar is line-oriented:
-//
-//   begin scenario_config v1
-//   profile medianjob
-//   custom_workload 1
-//   begin generator_params v1
-//   ...
-//   end generator_params
-//   ...
-//   end scenario_config
-//
-// Scalars are space-separated tokens; strings occupy the rest of the line
-// (leading/trailing whitespace significant — they are emitted verbatim).
+// The grammar is line-oriented: `begin <type> v<N>` ... `end <type>`
+// around a block, `key <token>` per scalar, `key <rest of line>` per text
+// field (whitespace significant), and `key <token> <token>...` per row —
+// one small record packed onto one line, e.g. `window <f64> <start> ...`.
 #pragma once
 
+#include <algorithm>
+#include <charconv>
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/experiment.h"
@@ -44,7 +59,8 @@
 namespace ps::dist {
 
 /// Parse/format failure: carries the 1-based line number and what was
-/// expected vs found. Thrown on any version or field skew.
+/// expected vs found. Thrown on any version or field skew and on any
+/// hostile count or out-of-range value.
 class SerdeError : public std::runtime_error {
  public:
   explicit SerdeError(const std::string& what) : std::runtime_error(what) {}
@@ -55,99 +71,256 @@ class SerdeError : public std::runtime_error {
 /// v2: scenario_config grew submit_chunk (streamed-submission chunk).
 inline constexpr int kSerdeVersion = 2;
 
-// --- whole-document helpers -------------------------------------------------
-
-class Reader;
+/// Enums travel as lowercase tokens, not integers, so a renumbered enum in
+/// a skewed binary is a parse error rather than a silently different value.
+template <typename Enum>
+struct EnumEntry {
+  Enum value;
+  const char* token;
+};
 
 /// 16-lowercase-hex-digit encoding of a uint64 — the wire form of both
-/// IEEE-754 double bit patterns and fingerprints (one strict codec, so the
-/// two can never drift apart).
+/// IEEE-754 double bit patterns and fingerprints.
 std::string hex64_token(std::uint64_t value);
-std::uint64_t hex64_from_token(std::string_view token, const Reader& reader);
 
-std::string serialize(const core::ScenarioConfig& config);
-std::string serialize(const core::ScenarioResult& result);
-
-core::ScenarioConfig parse_scenario_config(std::string_view text);
-core::ScenarioResult parse_scenario_result(std::string_view text);
-
-// --- streaming writer/reader (for composite documents: shards, records) -----
-
-/// Appends lines to an output string. Purely mechanical; the field order
-/// discipline lives in the serialize_* functions.
+/// The encoding half of every field walk: appends lines to a string.
 class Writer {
  public:
-  void begin_block(std::string_view type);
-  void end_block(std::string_view type);
-  /// `key <token> <token>...` — tokens must not contain whitespace.
-  void field(std::string_view key, std::string_view token);
-  void field_u64(std::string_view key, std::uint64_t value);
-  void field_i64(std::string_view key, std::int64_t value);
+  /// `begin <type> v<N>`, the fields `body` writes, `end <type>`.
+  template <class Body>
+  void block(std::string_view type, Body&& body) {
+    open_block(type);
+    body();
+    close_block(type);
+  }
+  /// `key <token> <token>...`: the fields `body` writes become bare tokens
+  /// on this one line (their keys name them in the walk only).
+  template <class Body>
+  void row(std::string_view key, Body&& body) {
+    out_ += key;
+    in_row_ = true;
+    body();
+    in_row_ = false;
+    out_ += '\n';
+  }
+
+  template <class Int>
+  void u64(std::string_view key, Int value) {
+    static_assert(std::is_unsigned_v<Int> && !std::is_same_v<Int, bool>);
+    put_decimal(key, value);
+  }
+  template <class Int>
+  void i64(std::string_view key, Int value) {
+    static_assert(std::is_signed_v<Int> && std::is_integral_v<Int>);
+    put_decimal(key, value);
+  }
   /// IEEE-754 bit pattern in hex (bit-exact round-trip).
-  void field_f64(std::string_view key, double value);
-  void field_bool(std::string_view key, bool value);
-  /// `key <rest of line>` — value may contain spaces (strings).
-  void field_string(std::string_view key, std::string_view value);
-  /// Raw line (used for per-row list payloads assembled by the caller).
+  void f64(std::string_view key, double value);
+  void boolean(std::string_view key, bool value);
+  /// Rest of the line (may contain spaces, never a newline); a bare token
+  /// inside a row.
+  void text(std::string_view key, std::string_view value);
+  void hex64(std::string_view key, std::uint64_t value);
+  template <class Enum, std::size_t N>
+  void enumeration(std::string_view key, Enum value,
+                   const EnumEntry<Enum> (&table)[N]) {
+    for (const EnumEntry<Enum>& entry : table) {
+      if (entry.value == value) return put(key, entry.token);
+    }
+    fail("enum value outside the wire table");
+  }
+  /// `key 0|1`, then `item(*value)` when present.
+  template <class T, class Item>
+  void optional(std::string_view key, const std::optional<T>& value,
+                Item&& item) {
+    boolean(key, value.has_value());
+    if (value) item(*value);
+  }
+  /// `key <count>`, then `item(element)` for each element.
+  template <class Vec, class Item>
+  void list(std::string_view key, const Vec& items, Item&& item) {
+    u64(key, items.size());
+    for (const auto& element : items) item(element);
+  }
+
+  /// Raw line: only for the per-job rows and the selection run-length row,
+  /// which keep their own token codecs (serde.cc).
   void line(std::string_view text);
 
-  const std::string& str() const noexcept { return out_; }
+  [[noreturn]] void fail(const std::string& message) const;
   std::string take() noexcept { return std::move(out_); }
 
  private:
+  void open_block(std::string_view type);
+  void close_block(std::string_view type);
+  void put(std::string_view key, std::string_view token);
+  template <class Int>
+  void put_decimal(std::string_view key, Int value) {
+    char digits[24];
+    char* end = std::to_chars(digits, digits + sizeof digits, value).ptr;
+    put(key, std::string_view(digits, static_cast<std::size_t>(end - digits)));
+  }
+
   std::string out_;
+  bool in_row_ = false;
 };
 
-/// Strict sequential reader over a serialized document. Every accessor
-/// names the field it expects; mismatches throw SerdeError with the line
-/// number. at_end() must be true when a top-level parse finishes.
+/// The decoding half of every field walk: a strict sequential reader over
+/// one document. Every accessor names the field it expects; mismatches
+/// throw SerdeError with the line number.
 class Reader {
  public:
-  explicit Reader(std::string_view text);
+  explicit Reader(std::string_view text) : text_(text) {}
 
-  void begin_block(std::string_view type);  ///< checks type and version
-  void end_block(std::string_view type);
-  /// True iff the next line is `begin <type> v*` (lookahead; consumes nothing).
-  bool peek_block(std::string_view type);
-  /// True iff the next line is `end <type>` (lookahead; consumes nothing).
-  bool peek_end(std::string_view type);
+  template <class Body>
+  void block(std::string_view type, Body&& body) {
+    open_block(type);
+    body();
+    close_block(type);
+  }
+  template <class Body>
+  void row(std::string_view key, Body&& body) {
+    row_ = take(key);
+    in_row_ = true;
+    body();
+    in_row_ = false;
+    end_row(key);
+  }
 
-  std::uint64_t field_u64(std::string_view key);
-  std::int64_t field_i64(std::string_view key);
-  double field_f64(std::string_view key);
-  bool field_bool(std::string_view key);
-  std::string field_string(std::string_view key);
-  /// Whole payload of `key ...` as raw tokens (for per-row list payloads).
-  std::vector<std::string> field_tokens(std::string_view key);
+  template <class Int>
+  void u64(std::string_view key, Int& value) {
+    static_assert(std::is_unsigned_v<Int> && !std::is_same_v<Int, bool>);
+    std::uint64_t wide = take_u64(key);
+    if (!std::in_range<Int>(wide)) out_of_range(key);
+    value = static_cast<Int>(wide);
+  }
+  template <class Int>
+  void i64(std::string_view key, Int& value) {
+    static_assert(std::is_signed_v<Int> && std::is_integral_v<Int>);
+    std::int64_t wide = take_i64(key);
+    if (!std::in_range<Int>(wide)) out_of_range(key);
+    value = static_cast<Int>(wide);
+  }
+  void f64(std::string_view key, double& value);
+  void boolean(std::string_view key, bool& value);
+  void text(std::string_view key, std::string& value);
+  void hex64(std::string_view key, std::uint64_t& value);
+  template <class Enum, std::size_t N>
+  void enumeration(std::string_view key, Enum& value,
+                   const EnumEntry<Enum> (&table)[N]) {
+    std::string_view token = take(key);
+    for (const EnumEntry<Enum>& entry : table) {
+      if (entry.token == token) {
+        value = entry.value;
+        return;
+      }
+    }
+    fail("unknown enum token '" + std::string(token) + "'");
+  }
+  template <class T, class Item>
+  void optional(std::string_view key, std::optional<T>& value, Item&& item) {
+    bool present = false;
+    boolean(key, present);
+    value.reset();
+    if (present) item(value.emplace());
+  }
+  template <class Vec, class Item>
+  void list(std::string_view key, Vec& items, Item&& item) {
+    std::uint64_t count = take_count(key);
+    items.clear();
+    // Reserve at most the bytes the document has left plus one page; a
+    // longer list grows only as its items actually parse.
+    items.reserve(std::min<std::uint64_t>(
+        count, (remaining() + 4096) / sizeof(typename Vec::value_type)));
+    for (std::uint64_t i = 0; i < count; ++i) item(items.emplace_back());
+  }
 
+  /// Unparsed payload of `key ...` (the selection run-length row).
+  std::string_view payload(std::string_view key) { return take_field(key); }
+
+  /// True once only blank lines remain.
   bool at_end();
+  /// Throws unless at_end(): a document is one record and nothing after.
+  void expect_end();
 
   [[noreturn]] void fail(const std::string& message) const;
 
  private:
-  std::string_view next_line();      ///< consumes; throws at EOF
-  std::string_view peek_line();      ///< lookahead without consuming
+  void open_block(std::string_view type);
+  void close_block(std::string_view type);
+  void end_row(std::string_view key);
+  std::string_view next_line();                       ///< throws at EOF
   std::string_view take_field(std::string_view key);  ///< payload after key
+  std::string_view take(std::string_view key);  ///< field payload or row token
+  std::uint64_t take_u64(std::string_view key);
+  std::int64_t take_i64(std::string_view key);
+  /// A list count, rejected when larger than the bytes left (every item
+  /// takes at least one line).
+  std::uint64_t take_count(std::string_view key);
+  /// Unread bytes of the current row, or of the document outside a row.
+  std::size_t remaining() const noexcept {
+    return in_row_ ? row_.size() : text_.size() - pos_;
+  }
+  [[noreturn]] void out_of_range(std::string_view key) const;
 
   std::string_view text_;
   std::size_t pos_ = 0;
   std::size_t line_number_ = 0;
-  bool has_peek_ = false;
-  std::string_view peeked_;
+  bool in_row_ = false;
+  std::string_view row_;  ///< unread tokens of the current row
 };
 
-// --- block-level serializers (composable into shard/record documents) --------
+// --- documents ---------------------------------------------------------------
 
-void serialize_scenario_config(Writer& w, const core::ScenarioConfig& config);
-void serialize_scenario_result(Writer& w, const core::ScenarioResult& result);
-core::ScenarioConfig parse_scenario_config(Reader& r);
-core::ScenarioResult parse_scenario_result(Reader& r);
+/// Appends the trailing `checksum <hex64>` line (FNV-1a over every byte of
+/// `body`, util/seal.h). Every spool document is sealed before it is
+/// written.
+std::string seal_document(std::string body);
+
+/// Verifies and strips the trailing checksum line, returning the body.
+/// Throws SerdeError when the line is missing (torn/truncated file) or the
+/// digest does not match (bit-flip).
+std::string_view open_document(std::string_view text);
+
+/// Throws SerdeError unless `valid`: the safety checks an entry point runs
+/// around a walk (names, ordering) fail like the walk itself.
+void require(bool valid, const char* what);
+
+/// One document is one walk over one value, sealed unless told otherwise.
+template <class T>
+std::string encode(const T& value, void (*walk)(Writer&, const T&),
+                   bool sealed = true) {
+  Writer w;
+  walk(w, value);
+  return sealed ? seal_document(w.take()) : w.take();
+}
+
+template <class T>
+T decode(std::string_view text, void (*walk)(Reader&, T&), bool sealed = true) {
+  Reader r(sealed ? open_document(text) : text);
+  T value{};
+  walk(r, value);
+  r.expect_end();
+  return value;
+}
+
+// --- scenario walks (composed into the shard and record documents) -----------
+
+template <class Io, class T>
+void scenario_config(Io& io, T& config);
+template <class Io, class T>
+void scenario_result(Io& io, T& result);
+
+std::string serialize(const core::ScenarioConfig& config);
+std::string serialize(const core::ScenarioResult& result);
+core::ScenarioConfig parse_scenario_config(std::string_view text);
+core::ScenarioResult parse_scenario_result(std::string_view text);
 
 /// Job-record rows (`jobs <n>` then one `job ...` row per request) — the
 /// payload of ScenarioConfig::trace_jobs, reused verbatim by the live
 /// service's submission documents (serve/protocol.h): one wire format for
 /// job records everywhere.
-void serialize_job_list(Writer& w, const std::vector<workload::JobRequest>& jobs);
-std::vector<workload::JobRequest> parse_job_list(Reader& r);
+void job_list(Writer& w, const std::vector<workload::JobRequest>& jobs);
+void job_list(Reader& r, std::vector<workload::JobRequest>& jobs);
 
 }  // namespace ps::dist

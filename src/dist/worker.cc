@@ -159,13 +159,11 @@ int run_worker_stream(std::istream& in, std::ostream& out) {
   Writer w;
   while (!r.at_end()) {
     IndexedCell cell;
-    r.begin_block("cell");
-    cell.index = r.field_u64("index");
-    cell.config = parse_scenario_config(r);
-    r.end_block("cell");
-    serialize_cell_record(w, run_cell(cell));
+    indexed_cell(r, cell);
+    const CellRecord record = run_cell(cell);
+    cell_record(w, record);
   }
-  out << w.str();
+  out << w.take();
   out.flush();
   return out.good() ? 0 : 1;
 }

@@ -2,8 +2,8 @@
 
 #include <exception>
 
-#include "dist/protocol.h"
 #include "dist/serde.h"
+#include "util/check.h"
 #include "util/seal.h"
 #include "util/spool.h"
 #include "util/strings.h"
@@ -15,33 +15,42 @@ namespace {
 using dist::Reader;
 using dist::Writer;
 
-void serialize_checkpoint_client(Writer& w, const CheckpointClient& client) {
-  w.begin_block("ckpt_client");
-  w.field("name", client.name);
-  w.field_u64("hello_jobs", client.hello_jobs);
-  w.field_i64("hello_last_submit", client.hello_last_submit);
-  w.field_u64("next_seq", client.next_seq);
-  w.field_i64("watermark", client.watermark);
-  w.field_bool("eof", client.eof);
-  w.field_u64("admitted_jobs", client.admitted_jobs);
-  w.field("history_fp", dist::hex64_token(client.history_fp));
-  w.end_block("ckpt_client");
+template <class Io, class T>
+void ckpt_client(Io& io, T& client) {
+  io.block("ckpt_client", [&] {
+    io.text("name", client.name);
+    io.u64("hello_jobs", client.hello_jobs);
+    io.i64("hello_last_submit", client.hello_last_submit);
+    io.u64("next_seq", client.next_seq);
+    io.i64("watermark", client.watermark);
+    io.boolean("eof", client.eof);
+    io.u64("admitted_jobs", client.admitted_jobs);
+    io.hex64("history_fp", client.history_fp);
+  });
 }
 
-CheckpointClient parse_checkpoint_client(Reader& r) {
-  CheckpointClient client;
-  r.begin_block("ckpt_client");
-  client.name = r.field_string("name");
-  client.hello_jobs = r.field_u64("hello_jobs");
-  client.hello_last_submit = r.field_i64("hello_last_submit");
-  client.next_seq = r.field_u64("next_seq");
-  client.watermark = r.field_i64("watermark");
-  client.eof = r.field_bool("eof");
-  client.admitted_jobs = r.field_u64("admitted_jobs");
-  client.history_fp = dist::hex64_from_token(r.field_string("history_fp"), r);
-  r.end_block("ckpt_client");
-  if (!valid_client_name(client.name)) r.fail("invalid checkpoint client name");
-  return client;
+template <class Io, class T>
+void serve_checkpoint(Io& io, T& ckpt) {
+  io.block("serve_checkpoint", [&] {
+    io.u64("seq", ckpt.seq);
+    io.i64("committed", ckpt.committed);
+    io.u64("admitted", ckpt.admitted);
+    io.u64("docs", ckpt.docs);
+    io.u64("clamped", ckpt.clamped);
+    io.hex64("scenario_checksum", ckpt.scenario_checksum);
+    io.list("clients", ckpt.clients,
+            [&](auto& client) { ckpt_client(io, client); });
+    io.text("sketch", ckpt.sketch);
+  });
+}
+
+template <class Io, class T>
+void serve_segment(Io& io, T& segment) {
+  io.block("serve_segment", [&] {
+    io.u64("seq", segment.seq);
+    io.list("docs", segment.docs,
+            [&](auto& doc) { serve_submission(io, doc); });
+  });
 }
 
 }  // namespace
@@ -73,9 +82,7 @@ std::optional<std::uint64_t> parse_checkpoint_name(std::string_view name) {
   if (name.substr(name.size() - kSuffix.size()) != kSuffix) return std::nullopt;
   std::string_view digits =
       name.substr(kPrefix.size(), name.size() - kPrefix.size() - kSuffix.size());
-  auto seq = strings::parse_i64(digits);
-  if (!seq || *seq < 0) return std::nullopt;
-  return static_cast<std::uint64_t>(*seq);
+  return strings::parse_u64(digits);
 }
 
 std::uint64_t read_epoch(const std::string& spool) {
@@ -86,9 +93,7 @@ std::uint64_t read_epoch(const std::string& spool) {
     std::string_view line = strings::trim(text);
     constexpr std::string_view kKey = "epoch ";
     if (line.substr(0, kKey.size()) != kKey) return 0;
-    auto value = strings::parse_i64(line.substr(kKey.size()));
-    if (!value || *value < 0) return 0;
-    return static_cast<std::uint64_t>(*value);
+    return strings::parse_u64(line.substr(kKey.size())).value_or(0);
   } catch (const std::exception&) {
     return 0;  // torn epoch file: treat as generation 0, never refuse to start
   }
@@ -123,78 +128,39 @@ std::uint64_t chain_submission(std::uint64_t fp, const Submission& doc) {
 }
 
 std::string serialize_checkpoint(const Checkpoint& ckpt) {
-  Writer w;
-  w.begin_block("serve_checkpoint");
-  w.field_u64("seq", ckpt.seq);
-  w.field_i64("committed", ckpt.committed);
-  w.field_u64("admitted", ckpt.admitted);
-  w.field_u64("docs", ckpt.docs);
-  w.field_u64("clamped", ckpt.clamped);
-  w.field("scenario_checksum", dist::hex64_token(ckpt.scenario_checksum));
-  w.field_u64("clients", ckpt.clients.size());
-  for (const CheckpointClient& client : ckpt.clients) {
-    serialize_checkpoint_client(w, client);
-  }
-  w.field_string("sketch", ckpt.sketch);
-  w.end_block("serve_checkpoint");
-  return dist::seal_document(w.take());
+  return dist::encode(ckpt, serve_checkpoint<Writer, const Checkpoint>);
 }
 
 Checkpoint parse_checkpoint(std::string_view text) {
-  Reader r(dist::open_document(text));
-  Checkpoint ckpt;
-  r.begin_block("serve_checkpoint");
-  ckpt.seq = r.field_u64("seq");
-  ckpt.committed = r.field_i64("committed");
-  ckpt.admitted = r.field_u64("admitted");
-  ckpt.docs = r.field_u64("docs");
-  ckpt.clamped = r.field_u64("clamped");
-  ckpt.scenario_checksum =
-      dist::hex64_from_token(r.field_string("scenario_checksum"), r);
-  std::uint64_t count = r.field_u64("clients");
-  ckpt.clients.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    CheckpointClient client = parse_checkpoint_client(r);
-    if (i > 0 && !(ckpt.clients.back().name < client.name)) {
-      r.fail("checkpoint clients not strictly ascending by name");
-    }
-    ckpt.clients.push_back(std::move(client));
+  Checkpoint ckpt = dist::decode(text, serve_checkpoint<Reader, Checkpoint>);
+  for (std::size_t i = 0; i < ckpt.clients.size(); ++i) {
+    dist::require(valid_client_name(ckpt.clients[i].name),
+                  "invalid checkpoint client name");
+    dist::require(i == 0 || ckpt.clients[i - 1].name < ckpt.clients[i].name,
+                  "checkpoint clients not strictly ascending by name");
   }
-  ckpt.sketch = r.field_string("sketch");
-  r.end_block("serve_checkpoint");
-  if (!r.at_end()) r.fail("trailing data after serve_checkpoint");
   return ckpt;
 }
 
 std::string serialize_segment(const Segment& segment) {
-  Writer w;
-  w.begin_block("serve_segment");
-  w.field_u64("seq", segment.seq);
-  w.field_u64("docs", segment.docs.size());
-  for (const Submission& doc : segment.docs) serialize_submission_block(w, doc);
-  w.end_block("serve_segment");
-  return dist::seal_document(w.take());
+  for (const Submission& doc : segment.docs) {
+    PS_CHECK_MSG(valid_client_name(doc.client),
+                 "serve: segment document with an invalid client name");
+  }
+  return dist::encode(segment, serve_segment<Writer, const Segment>);
 }
 
 Segment parse_segment(std::string_view text) {
-  Reader r(dist::open_document(text));
-  Segment segment;
-  r.begin_block("serve_segment");
-  segment.seq = r.field_u64("seq");
-  std::uint64_t count = r.field_u64("docs");
-  segment.docs.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    Submission doc = parse_submission_block(r);
-    if (i > 0) {
-      const Submission& prev = segment.docs.back();
-      bool ascending = prev.client < doc.client ||
-                       (prev.client == doc.client && prev.seq < doc.seq);
-      if (!ascending) r.fail("segment docs not in (client, seq) order");
-    }
-    segment.docs.push_back(std::move(doc));
+  Segment segment = dist::decode(text, serve_segment<Reader, Segment>);
+  for (std::size_t i = 0; i < segment.docs.size(); ++i) {
+    const Submission& doc = segment.docs[i];
+    dist::require(valid_client_name(doc.client), "invalid client name");
+    if (i == 0) continue;
+    const Submission& prev = segment.docs[i - 1];
+    dist::require(prev.client < doc.client ||
+                      (prev.client == doc.client && prev.seq < doc.seq),
+                  "segment docs not in (client, seq) order");
   }
-  r.end_block("serve_segment");
-  if (!r.at_end()) r.fail("trailing data after serve_segment");
   return segment;
 }
 

@@ -2,7 +2,6 @@
 
 #include <ctime>
 
-#include "dist/protocol.h"
 #include "dist/serde.h"
 #include "util/check.h"
 #include "util/strings.h"
@@ -19,6 +18,38 @@ void check_client_name(std::string_view name) {
                "serve: client name must be a non-empty [A-Za-z0-9._-] token");
 }
 
+template <class Io, class T>
+void serve_hello(Io& io, T& hello) {
+  io.block("serve_hello", [&] {
+    io.text("client", hello.client);
+    io.u64("jobs", hello.jobs);
+    io.i64("last_submit", hello.last_submit);
+    io.text("tenant", hello.tenant);
+    io.u64("weight", hello.weight);
+  });
+}
+
+template <class Io, class T>
+void serve_status(Io& io, T& status) {
+  io.block("serve_status", [&] {
+    io.boolean("accepting", status.accepting);
+    io.u64("seq", status.seq);
+    io.i64("sim_time", status.sim_time);
+    io.u64("admitted", status.admitted);
+    io.boolean("slow_start", status.slow_start);
+    io.list("tenant_count", status.tenants, [&](auto& t) {
+      io.row("tenant", [&] {
+        io.text("tenant", t.tenant);
+        io.u64("weight", t.weight);
+        io.u64("inflight_docs", t.inflight_docs);
+        io.i64("window_jobs_left", t.window_jobs_left);
+        io.boolean("over_quota", t.over_quota);
+        io.boolean("poisoned", t.poisoned);
+      });
+    });
+  });
+}
+
 }  // namespace
 
 bool valid_client_name(std::string_view name) {
@@ -31,140 +62,66 @@ bool valid_client_name(std::string_view name) {
   return true;
 }
 
+template <class Io, class T>
+void serve_submission(Io& io, T& submission) {
+  io.block("serve_submission", [&] {
+    io.text("client", submission.client);
+    io.u64("seq", submission.seq);
+    io.i64("watermark", submission.watermark);
+    io.boolean("eof", submission.eof);
+    io.i64("publish_ns", submission.publish_ns);
+    dist::job_list(io, submission.jobs);
+  });
+}
+
+template void serve_submission(Writer&, const Submission&);
+template void serve_submission(Reader&, Submission&);
+
 std::string serialize_hello(const Hello& hello) {
-  check_client_name(hello.client);
   // An empty tenant field serializes as the client name: the default
   // "every client its own tenant" is baked into the bytes, so two
   // revisions can never disagree about which tenant a hello billed.
-  const std::string& tenant =
-      hello.tenant.empty() ? hello.client : hello.tenant;
-  check_client_name(tenant);
-  PS_CHECK_MSG(hello.weight >= 1 && hello.weight <= kMaxTenantWeight,
+  Hello wire = hello;
+  if (wire.tenant.empty()) wire.tenant = wire.client;
+  check_client_name(wire.client);
+  check_client_name(wire.tenant);
+  PS_CHECK_MSG(wire.weight >= 1 && wire.weight <= kMaxTenantWeight,
                "serve: tenant weight must lie in [1, 1000]");
-  Writer w;
-  w.begin_block("serve_hello");
-  w.field("client", hello.client);
-  w.field_u64("jobs", hello.jobs);
-  w.field_i64("last_submit", hello.last_submit);
-  w.field("tenant", tenant);
-  w.field_u64("weight", hello.weight);
-  w.end_block("serve_hello");
-  return dist::seal_document(w.take());
+  return dist::encode(wire, serve_hello<Writer, const Hello>);
 }
 
 Hello parse_hello(std::string_view text) {
-  Reader r(dist::open_document(text));
-  Hello hello;
-  r.begin_block("serve_hello");
-  hello.client = r.field_string("client");
-  hello.jobs = r.field_u64("jobs");
-  hello.last_submit = r.field_i64("last_submit");
-  hello.tenant = r.field_string("tenant");
-  hello.weight = r.field_u64("weight");
-  r.end_block("serve_hello");
-  if (!r.at_end()) r.fail("trailing data after serve_hello");
-  if (!valid_client_name(hello.client)) r.fail("invalid client name");
-  if (!valid_client_name(hello.tenant)) r.fail("invalid tenant name");
-  if (hello.weight < 1 || hello.weight > kMaxTenantWeight) {
-    r.fail("tenant weight out of [1, 1000]");
-  }
+  Hello hello = dist::decode(text, serve_hello<Reader, Hello>);
+  dist::require(valid_client_name(hello.client), "invalid client name");
+  dist::require(valid_client_name(hello.tenant), "invalid tenant name");
+  dist::require(hello.weight >= 1 && hello.weight <= kMaxTenantWeight,
+                "tenant weight out of [1, 1000]");
   return hello;
 }
 
-void serialize_submission_block(Writer& w, const Submission& submission) {
-  check_client_name(submission.client);
-  w.begin_block("serve_submission");
-  w.field("client", submission.client);
-  w.field_u64("seq", submission.seq);
-  w.field_i64("watermark", submission.watermark);
-  w.field_bool("eof", submission.eof);
-  w.field_i64("publish_ns", submission.publish_ns);
-  dist::serialize_job_list(w, submission.jobs);
-  w.end_block("serve_submission");
-}
-
-Submission parse_submission_block(Reader& r) {
-  Submission submission;
-  r.begin_block("serve_submission");
-  submission.client = r.field_string("client");
-  submission.seq = r.field_u64("seq");
-  submission.watermark = r.field_i64("watermark");
-  submission.eof = r.field_bool("eof");
-  submission.publish_ns = r.field_i64("publish_ns");
-  submission.jobs = dist::parse_job_list(r);
-  r.end_block("serve_submission");
-  if (!valid_client_name(submission.client)) r.fail("invalid client name");
-  return submission;
-}
-
 std::string serialize_submission(const Submission& submission) {
-  Writer w;
-  serialize_submission_block(w, submission);
-  return dist::seal_document(w.take());
+  check_client_name(submission.client);
+  return dist::encode(submission,
+                             serve_submission<Writer, const Submission>);
 }
 
 Submission parse_submission(std::string_view text) {
-  Reader r(dist::open_document(text));
-  Submission submission = parse_submission_block(r);
-  if (!r.at_end()) r.fail("trailing data after serve_submission");
+  Submission submission =
+      dist::decode(text, serve_submission<Reader, Submission>);
+  dist::require(valid_client_name(submission.client), "invalid client name");
   return submission;
 }
 
 std::string serialize_status(const Status& status) {
-  Writer w;
-  w.begin_block("serve_status");
-  w.field_bool("accepting", status.accepting);
-  w.field_u64("seq", status.seq);
-  w.field_i64("sim_time", status.sim_time);
-  w.field_u64("admitted", status.admitted);
-  w.field_bool("slow_start", status.slow_start);
-  w.field_u64("tenant_count", status.tenants.size());
-  for (const TenantStatus& t : status.tenants) {
-    check_client_name(t.tenant);
-    w.field("tenant",
-            strings::format("%s %llu %llu %lld %d %d", t.tenant.c_str(),
-                            static_cast<unsigned long long>(t.weight),
-                            static_cast<unsigned long long>(t.inflight_docs),
-                            static_cast<long long>(t.window_jobs_left),
-                            t.over_quota ? 1 : 0, t.poisoned ? 1 : 0));
-  }
-  w.end_block("serve_status");
-  return dist::seal_document(w.take());
+  for (const TenantStatus& t : status.tenants) check_client_name(t.tenant);
+  return dist::encode(status, serve_status<Writer, const Status>);
 }
 
 Status parse_status(std::string_view text) {
-  Reader r(dist::open_document(text));
-  Status status;
-  r.begin_block("serve_status");
-  status.accepting = r.field_bool("accepting");
-  status.seq = r.field_u64("seq");
-  status.sim_time = r.field_i64("sim_time");
-  status.admitted = r.field_u64("admitted");
-  status.slow_start = r.field_bool("slow_start");
-  const std::uint64_t count = r.field_u64("tenant_count");
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::vector<std::string> tokens = r.field_tokens("tenant");
-    if (tokens.size() != 6) r.fail("tenant row wants 6 tokens");
-    TenantStatus t;
-    t.tenant = tokens[0];
-    if (!valid_client_name(t.tenant)) r.fail("invalid tenant name");
-    auto weight = strings::parse_i64(tokens[1]);
-    auto inflight = strings::parse_i64(tokens[2]);
-    auto left = strings::parse_i64(tokens[3]);
-    auto over = strings::parse_i64(tokens[4]);
-    auto poisoned = strings::parse_i64(tokens[5]);
-    if (!weight || !inflight || !left || !over || !poisoned) {
-      r.fail("malformed tenant row");
-    }
-    t.weight = static_cast<std::uint64_t>(*weight);
-    t.inflight_docs = static_cast<std::uint64_t>(*inflight);
-    t.window_jobs_left = *left;
-    t.over_quota = *over != 0;
-    t.poisoned = *poisoned != 0;
-    status.tenants.push_back(std::move(t));
+  Status status = dist::decode(text, serve_status<Reader, Status>);
+  for (const TenantStatus& t : status.tenants) {
+    dist::require(valid_client_name(t.tenant), "invalid tenant name");
   }
-  r.end_block("serve_status");
-  if (!r.at_end()) r.fail("trailing data after serve_status");
   return status;
 }
 
@@ -199,10 +156,10 @@ std::optional<InboxName> parse_inbox_name(std::string_view name) {
     if (dash == std::string_view::npos || dash == 0) return std::nullopt;
     std::string_view seq_text = stem.substr(dash + 1);
     if (seq_text.size() != 8) return std::nullopt;
-    auto seq = strings::parse_i64(seq_text);
-    if (!seq || *seq < 0) return std::nullopt;
+    auto seq = strings::parse_u64(seq_text);
+    if (!seq) return std::nullopt;
     decoded.client = std::string(stem.substr(0, dash));
-    decoded.seq = static_cast<std::uint64_t>(*seq);
+    decoded.seq = *seq;
     if (!valid_client_name(decoded.client)) return std::nullopt;
     return decoded;
   }

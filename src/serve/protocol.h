@@ -44,11 +44,6 @@
 #include "sim/time.h"
 #include "workload/job_request.h"
 
-namespace ps::dist {
-class Writer;
-class Reader;
-}  // namespace ps::dist
-
 namespace ps::serve {
 
 struct Hello {
@@ -102,11 +97,12 @@ Hello parse_hello(std::string_view text);
 std::string serialize_submission(const Submission& submission);
 Submission parse_submission(std::string_view text);
 
-/// Block-level submission codec — the same bytes as the standalone wire
-/// document above, embeddable inside a larger document (the journal
-/// segment documents a checkpoint compacts retired submissions into).
-void serialize_submission_block(dist::Writer& w, const Submission& submission);
-Submission parse_submission_block(dist::Reader& r);
+/// Field walk of the submission block (dist/serde.h) — the same bytes as
+/// the standalone wire document above, embeddable inside a larger document
+/// (the journal segment documents a checkpoint compacts retired
+/// submissions into).
+template <class Io, class T>
+void serve_submission(Io& io, T& submission);
 
 std::string serialize_status(const Status& status);
 Status parse_status(std::string_view text);

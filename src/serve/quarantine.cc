@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "dist/protocol.h"
 #include "dist/serde.h"
 #include "util/check.h"
 #include "util/spool.h"
@@ -14,45 +13,41 @@ std::string quarantine_dir(const std::string& spool) {
   return spool + "/quarantine";
 }
 
+namespace {
+
+template <class Io, class T>
+void quarantine_reason(Io& io, T& reason) {
+  io.block("quarantine_reason", [&] {
+    io.text("client", reason.client);
+    io.i64("seq", reason.seq);
+    io.text("kind", reason.kind);
+    io.text("reason", reason.reason);
+    io.text("detail", reason.detail);
+    io.boolean("consumed", reason.consumed);
+    io.u64("generation", reason.generation);
+    io.u64("jobs", reason.jobs);
+    io.i64("wall_ns", reason.wall_ns);
+  });
+}
+
+}  // namespace
+
 std::string serialize_quarantine_reason(const QuarantineReason& reason) {
   // The detail is free text from exception messages: flatten newlines and
   // never write an empty rest-of-line (both would break the serde framing
   // of the record that documents someone *else's* framing violation).
-  std::string detail = reason.detail.empty() ? "-" : reason.detail;
-  for (char& c : detail) {
+  QuarantineReason wire = reason;
+  if (wire.detail.empty()) wire.detail.push_back('-');
+  for (char& c : wire.detail) {
     if (c == '\n' || c == '\r') c = ' ';
   }
-  dist::Writer w;
-  w.begin_block("quarantine_reason");
-  w.field("client", reason.client);
-  w.field_i64("seq", reason.seq);
-  w.field("kind", reason.kind);
-  w.field("reason", reason.reason);
-  w.field_string("detail", detail);
-  w.field_bool("consumed", reason.consumed);
-  w.field_u64("generation", reason.generation);
-  w.field_u64("jobs", reason.jobs);
-  w.field_i64("wall_ns", reason.wall_ns);
-  w.end_block("quarantine_reason");
-  return dist::seal_document(w.take());
+  return dist::encode(
+      wire, quarantine_reason<dist::Writer, const QuarantineReason>);
 }
 
 QuarantineReason parse_quarantine_reason(std::string_view text) {
-  dist::Reader r(dist::open_document(text));
-  QuarantineReason reason;
-  r.begin_block("quarantine_reason");
-  reason.client = r.field_string("client");
-  reason.seq = r.field_i64("seq");
-  reason.kind = r.field_string("kind");
-  reason.reason = r.field_string("reason");
-  reason.detail = r.field_string("detail");
-  reason.consumed = r.field_bool("consumed");
-  reason.generation = r.field_u64("generation");
-  reason.jobs = r.field_u64("jobs");
-  reason.wall_ns = r.field_i64("wall_ns");
-  r.end_block("quarantine_reason");
-  if (!r.at_end()) r.fail("trailing data after quarantine_reason");
-  return reason;
+  return dist::decode(text,
+                             quarantine_reason<dist::Reader, QuarantineReason>);
 }
 
 std::string quarantine_file_name(std::uint64_t generation,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <charconv>
 #include <cinttypes>
 #include <cmath>
 #include <stdexcept>
@@ -120,14 +119,9 @@ std::string_view next_token(std::string_view& text) {
 }
 
 std::uint64_t parse_u64(std::string_view token, int base) {
-  std::uint64_t value = 0;
-  const char* begin = token.data();
-  const char* end = begin + token.size();
-  auto [ptr, ec] = std::from_chars(begin, end, value, base);
-  if (ec != std::errc() || ptr != end || token.empty()) {
-    sketch_fail("bad integer token '" + std::string(token) + "'");
-  }
-  return value;
+  std::optional<std::uint64_t> value = strings::parse_u64(token, base);
+  if (!value) sketch_fail("bad integer token '" + std::string(token) + "'");
+  return *value;
 }
 
 double parse_double_hex(std::string_view token) {

@@ -70,6 +70,15 @@ std::optional<std::int64_t> parse_i64(std::string_view text) noexcept {
   return value;
 }
 
+std::optional<std::uint64_t> parse_u64(std::string_view text, int base) noexcept {
+  std::uint64_t value = 0;
+  const char* first = text.data();
+  const char* last = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(first, last, value, base);
+  if (ec != std::errc{} || ptr != last || text.empty()) return std::nullopt;
+  return value;
+}
+
 std::optional<double> parse_f64(std::string_view text) noexcept {
   text = trim(text);
   if (text.empty()) return std::nullopt;

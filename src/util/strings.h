@@ -31,6 +31,10 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep);
 
 /// Strict full-string parses; nullopt on any trailing garbage.
 std::optional<std::int64_t> parse_i64(std::string_view text) noexcept;
+/// Unsigned, in `base`, over the whole of `text`: no sign, no whitespace,
+/// nullopt on overflow.
+std::optional<std::uint64_t> parse_u64(std::string_view text,
+                                       int base = 10) noexcept;
 std::optional<double> parse_f64(std::string_view text) noexcept;
 std::optional<bool> parse_bool(std::string_view text) noexcept;
 

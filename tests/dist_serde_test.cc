@@ -924,5 +924,101 @@ TEST(DistSerde, HeartbeatRoundTripsAndToleratesGarbage) {
   EXPECT_FALSE(parse_heartbeat("nope 42 999").has_value());
 }
 
+// --- hostile input -----------------------------------------------------------
+
+/// `doc` with the first line that starts with `prefix` replaced by
+/// `replacement`, resealed when `doc` was sealed — a well-formed seal
+/// around hostile content, the case the checksum cannot catch.
+std::string with_line(const std::string& doc, const std::string& prefix,
+                      const std::string& replacement, bool sealed = true) {
+  std::string body(sealed ? open_document(doc) : std::string_view(doc));
+  std::size_t pos = body.rfind("\n" + prefix) + 1;
+  EXPECT_NE(pos, 0u) << "no line starts with '" << prefix << "'";
+  std::size_t eol = body.find('\n', pos);
+  body.replace(pos, eol - pos, replacement);
+  return sealed ? seal_document(body) : body;
+}
+
+TEST(DistSerde, HostileCountsAreSerdeErrorsBeforeAnyAllocation) {
+  // A sealed manifest of a few dozen bytes claiming 10^8 cells: the count
+  // is rejected against the bytes left in the document, before anything is
+  // reserved for it.
+  for (const char* count : {"100000000", "100000000000000"}) {
+    EXPECT_THROW(parse_manifest(seal_document(std::string("begin manifest v2\ncells ") +
+                                              count + "\nend manifest\n")),
+                 SerdeError)
+        << count;
+  }
+  serve::Submission doc = pinned_submission("alpha", 1);
+  EXPECT_THROW(serve::parse_submission(with_line(
+                   serve::serialize_submission(doc), "jobs ",
+                   "jobs 1000000000000000")),
+               SerdeError);
+  ShardResults results;
+  results.records = {{0, 1, pinned_result()}};
+  std::string sealed_results = serialize_shard_results(results);
+  for (const char* hostile :
+       {"cells 18446744073709551615", "samples 99999999999"}) {
+    std::string key = std::string(hostile).substr(0, std::string(hostile).find(' ') + 1);
+    EXPECT_THROW(parse_shard_results(with_line(sealed_results, key, hostile)),
+                 SerdeError)
+        << hostile;
+  }
+  // Counts inside a row are bounded by the row's own bytes.
+  EXPECT_THROW(parse_shard_results(with_line(
+                   sealed_results, "sample 60000",
+                   "sample 60000 8000000000000000 0 0 4 4000000000")),
+               SerdeError);
+  // The selection's run-length row decodes to far more nodes than bytes by
+  // design; its count is capped, and runs may not overshoot the count.
+  for (const char* hostile : {"nodes 4000000000 0+4000000000",
+                              "nodes 2 0+1000000000000", "nodes 2 0+1 -5+1",
+                              "nodes 2 2147483647+2"}) {
+    EXPECT_THROW(parse_scenario_result(
+                     with_line(serialize(pinned_result()), "nodes ", hostile,
+                               /*sealed=*/false)),
+                 SerdeError)
+        << hostile;
+  }
+}
+
+TEST(DistSerde, OutOfRangeIntegersAreSerdeErrors) {
+  // Each value must fit the field's own type: no silent int32 narrowing,
+  // no negative value wrapping into an unsigned field.
+  const std::string config = serialize(exhaustive_config());
+  for (const char* hostile : {"racks 3000000000", "user_count -2147483649",
+                              "seed -1", "job_count 18446744073709551616"}) {
+    std::string prefix = std::string(hostile).substr(0, 5);
+    EXPECT_THROW(parse_scenario_config(
+                     with_line(config, prefix, hostile, /*sealed=*/false)),
+                 SerdeError)
+        << hostile;
+  }
+  EXPECT_THROW(parse_scenario_config(with_line(
+                   config, "job 1 ", "job 1 0 4294967296 512 7200000 5400000 x",
+                   /*sealed=*/false)),
+               SerdeError);
+  const std::string result = serialize(pinned_result());
+  for (const char* hostile : {"whole_racks 2147483648",
+                              "sample 0 411869c040000000 4294967306 2 1 3 3 0 5",
+                              "sample 0 411869c040000000 10 2 1 3 3 0 -2147483649"}) {
+    std::string prefix = std::string(hostile).substr(0, 8);
+    EXPECT_THROW(parse_scenario_result(
+                     with_line(result, prefix, hostile, /*sealed=*/false)),
+                 SerdeError)
+        << hostile;
+  }
+
+  serve::Status status;
+  status.tenants = {{"team-a", 3, 2, 7, true, false}};
+  const std::string sealed_status = serve::serialize_status(status);
+  for (const char* hostile : {"tenant team-a -5 2 7 1 0", "tenant team-a 3 2 7 2 0",
+                              "tenant team-a 3 2 7 1", "tenant team-a 3 2 7 1 0 9"}) {
+    EXPECT_THROW(serve::parse_status(with_line(sealed_status, "tenant ", hostile)),
+                 SerdeError)
+        << hostile;
+  }
+}
+
 }  // namespace
 }  // namespace ps::dist

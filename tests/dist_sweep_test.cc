@@ -161,12 +161,10 @@ TEST(DistSweep, StreamWorkerEmitsRecordsForCellStream) {
   std::vector<core::ScenarioConfig> grid = small_grid(2);
   Writer w;
   for (std::size_t i = 0; i < grid.size(); ++i) {
-    w.begin_block("cell");
-    w.field_u64("index", 40 + i);
-    serialize_scenario_config(w, grid[i]);
-    w.end_block("cell");
+    const IndexedCell cell{40 + i, grid[i]};
+    indexed_cell(w, cell);
   }
-  std::istringstream in(w.str());
+  std::istringstream in(w.take());
   std::ostringstream out;
   ASSERT_EQ(run_worker_stream(in, out), 0);
 
@@ -174,7 +172,8 @@ TEST(DistSweep, StreamWorkerEmitsRecordsForCellStream) {
   Reader r(out_text);
   std::vector<core::ScenarioResult> in_process = core::run_sweep(grid, 1);
   for (std::size_t i = 0; i < grid.size(); ++i) {
-    CellRecord record = parse_cell_record(r);
+    CellRecord record;
+    cell_record(r, record);
     EXPECT_EQ(record.index, 40 + i);
     EXPECT_EQ(record.fingerprint, core::fingerprint(in_process[i]));
   }

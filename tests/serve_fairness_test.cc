@@ -269,11 +269,22 @@ TEST(ServeFairness, QuotasAndWeightsPreserveTheDetGolden) {
   // Three tenants (one per client, weights forwarded fleet-wide), a tight
   // jobs-per-window quota and a small DRR quantum: admission is heavily
   // reshaped, the deterministic fingerprint must not move at all.
+  // The quota must trip on every run, not only when the processes race.
+  // Documents applied before the last hello are admitted unthrottled, so
+  // each client first stalls 250 ms after its hello (stall_client at seq 0)
+  // and its whole stream lands after the live loop starts; the loop's
+  // first 16 iterations nap (stall_drain), so that stream piles up and more
+  // than 24 jobs of one tenant meet in a single admission window.
+  std::string stall_opening = "seed=1,rate=1,max_attempt=0,sites=stall_drain,shards=0";
+  for (int iteration = 1; iteration < 16; ++iteration) {
+    stall_opening += strings::format("+%d", iteration);
+  }
   RunResult run = run_quota_fence(
       3, 17,
       {"--quantum-jobs", "16", "--admit-window-ms", "25",
-       "--tenant-window-jobs", "24"},
-      {"--weight", "3"});
+       "--tenant-window-jobs", "24", "--faults", stall_opening},
+      {"--weight", "3", "--faults",
+       "seed=1,rate=1,max_attempt=2,sites=stall_client,shards=0"});
   ASSERT_TRUE(run.report.count("fingerprint"));
   EXPECT_EQ(run.report.at("fingerprint"), kGoldenFingerprint);
   EXPECT_EQ(field_u64(run.report, "admitted"), kMiniTraceJobs);

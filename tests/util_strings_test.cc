@@ -46,6 +46,21 @@ TEST(ParseI64, StrictFullString) {
   EXPECT_FALSE(parse_i64("1.5").has_value());
 }
 
+TEST(ParseU64, StrictUnsignedFullString) {
+  EXPECT_EQ(parse_u64("42"), 42u);
+  EXPECT_EQ(parse_u64("18446744073709551615"), UINT64_MAX);  // full range
+  EXPECT_EQ(parse_u64("00000007"), 7u);  // zero-padded spool sequences
+  EXPECT_EQ(parse_u64("ff", 16), 255u);
+  EXPECT_FALSE(parse_u64("18446744073709551616").has_value());  // overflow
+  EXPECT_FALSE(parse_u64("-1").has_value());
+  EXPECT_FALSE(parse_u64("+1").has_value());
+  EXPECT_FALSE(parse_u64(" 1").has_value());
+  EXPECT_FALSE(parse_u64("1 ").has_value());
+  EXPECT_FALSE(parse_u64("12x").has_value());
+  EXPECT_FALSE(parse_u64("").has_value());
+  EXPECT_FALSE(parse_u64("fg", 16).has_value());
+}
+
 TEST(ParseF64, StrictFullString) {
   EXPECT_DOUBLE_EQ(parse_f64("3.25").value(), 3.25);
   EXPECT_DOUBLE_EQ(parse_f64("-1e3").value(), -1000.0);
