@@ -137,6 +137,7 @@ struct Heartbeat {
 };
 
 std::string serialize_heartbeat(std::uint64_t seq, std::int64_t pid);
+
 /// Lenient parse: nullopt on any malformation (a garbled heartbeat simply
 /// counts as "not renewed", which is the conservative reading).
 std::optional<Heartbeat> parse_heartbeat(std::string_view text);

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cinttypes>
+#include <limits>
 
 #include "util/seal.h"
 #include "util/strings.h"

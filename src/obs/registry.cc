@@ -37,12 +37,12 @@ double parse_double_token(const std::string& token, const char* what) {
 }
 
 std::uint64_t parse_u64_token(const std::string& token, const char* what) {
-  auto value = strings::parse_i64(token);
-  if (!value || *value < 0) {
+  auto value = strings::parse_u64(token);
+  if (!value) {
     throw std::runtime_error(std::string("telemetry: bad ") + what +
                              " token: " + token);
   }
-  return static_cast<std::uint64_t>(*value);
+  return *value;
 }
 
 std::int64_t parse_i64_token(const std::string& token, const char* what) {
