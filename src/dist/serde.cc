@@ -127,11 +127,7 @@ void Writer::text(std::string_view key, std::string_view value) {
 }
 
 void Writer::hex64(std::string_view key, std::uint64_t value) {
-  char digits[16];
-  for (int i = 15; i >= 0; --i, value >>= 4) {
-    digits[i] = "0123456789abcdef"[value & 0xf];
-  }
-  put(key, std::string_view(digits, sizeof digits));
+  put(key, hex64_token(value));
 }
 
 void Writer::line(std::string_view text) {
