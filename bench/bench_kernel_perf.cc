@@ -257,8 +257,10 @@ cluster::Cluster make_512_node_cluster() {
 }
 
 struct AdmissionBenchRig {
-  AdmissionBenchRig(std::size_t backfill_depth)
-      : cl(make_512_node_cluster()), controller(sim, cl, config_for(backfill_depth)),
+  explicit AdmissionBenchRig(std::size_t backfill_depth)
+      : AdmissionBenchRig(config_for(backfill_depth)) {}
+  explicit AdmissionBenchRig(const rjms::ControllerConfig& config)
+      : cl(make_512_node_cluster()), controller(sim, cl, config),
         governor(controller, powercap_config()) {
     controller.set_governor(&governor);
     controller.add_observer(&governor);
@@ -339,6 +341,35 @@ void BM_AdmissionDeepPendingPass(benchmark::State& state) {
                           static_cast<std::int64_t>(pending));
 }
 BENCHMARK(BM_AdmissionDeepPendingPass)->Arg(256)->Arg(1024)->Arg(4096);
+
+// The same forced pass over the queue shape of the Fig-8 replays: default
+// priority weights, fair share on, the default backfill depth, and N jobs
+// of 200 users with distinct submit times and sizes (the gated kernel
+// above has 16 users whose jobs each share one (submit, cores) class). A
+// pass prices each user's band head and the ~50 jobs it visits. Ungated.
+void BM_AdmissionDeepPendingPassFig8Shape(benchmark::State& state) {
+  const auto pending = static_cast<std::int64_t>(state.range(0));
+  AdmissionBenchRig rig{rjms::ControllerConfig{}};
+  const sim::Time opened = sim::minutes(10);
+  rig.sim.run_until(opened);
+  for (std::int64_t i = 0; i < pending; ++i) {
+    workload::JobRequest req = rig.request(i + 1, 1 + (i * 37) % 256,
+                                           sim::hours(2) + sim::minutes(i % 8));
+    req.submit_time = opened * i / pending;
+    req.user = static_cast<std::int32_t>(i % 200);
+    rig.controller.submit(req);
+  }
+  rig.sim.run_until(rig.sim.now());
+  for (auto _ : state) {
+    rjms::ReservationId id = rig.controller.add_maintenance_reservation(
+        sim::hours(24), sim::hours(25), {0});
+    rig.sim.run_until(rig.sim.now());
+    rig.controller.reservations().remove(id);
+    benchmark::DoNotOptimize(rig.controller.pending_count());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * pending);
+}
+BENCHMARK(BM_AdmissionDeepPendingPassFig8Shape)->Arg(1024)->Arg(4096);
 
 // Submit-burst cost with a cached EASY shadow: each iteration submits a
 // same-millisecond burst of one job class; every attempt fails governor

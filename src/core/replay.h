@@ -48,6 +48,7 @@ class Replay {
   ScenarioResult finish(sim::Time end);
 
   sim::Simulator& simulator() noexcept { return simulator_; }
+  rjms::Controller& controller() noexcept { return controller_; }
   SubmissionPump& pump() noexcept { return pump_; }
 
  private:

@@ -14,8 +14,8 @@ Controller::Controller(sim::Simulator& simulator, cluster::Cluster& cluster,
       cluster_(cluster),
       config_(config),
       selector_(make_selector(config.selector)),
-      priority_(config.priority, cluster.topology().total_cores()),
-      fairshare_(config.fairshare_half_life) {}
+      fairshare_(config.fairshare_half_life),
+      pending_(PriorityCalculator(config.priority, cluster.topology().total_cores())) {}
 
 void Controller::add_observer(ControllerObserver* observer) {
   PS_CHECK_MSG(observer != nullptr, "null observer");
@@ -44,8 +44,7 @@ JobId Controller::submit(const workload::JobRequest& request) {
   }
 
   Job& stored = jobs_.emplace(id, std::move(job)).first->second;
-  UserFactor* user_factor = config_.fairshare_enabled ? &fs_memo_[request.user] : nullptr;
-  pending_.push_back({0.0, request.submit_time, id, &stored, user_factor});
+  pending_.insert(stored, simulator_.now());
   if (shadow_valid_) {
     stage_quick_attempt(id);
   } else {
@@ -90,8 +89,8 @@ void Controller::quick_attempt(JobId id) {
   auto plan = plan_start(job);
   if (!plan) return;
   if (est_end > shadow_time_) shadow_extra_nodes_ -= required;
+  pending_.erase(job);
   start_job(job, std::move(*plan));
-  std::erase_if(pending_, [id](const PendingEntry& entry) { return entry.id == id; });
 }
 
 void Controller::request_schedule() {
@@ -101,43 +100,6 @@ void Controller::request_schedule() {
     pass_scheduled_ = false;
     full_pass();
   });
-}
-
-bool Controller::runs_before(const PendingEntry& a, const PendingEntry& b) noexcept {
-  if (a.priority != b.priority) return a.priority > b.priority;
-  if (a.submit_time != b.submit_time) return a.submit_time < b.submit_time;
-  return a.id < b.id;
-}
-
-void Controller::recompute_priorities() {
-  sim::Time now = simulator_.now();
-  // The fair-share total is O(users): take it once per pass, then price
-  // each user once (memoized) and each entry with PriorityCalculator.
-  ++priced_passes_;
-  double total = config_.fairshare_enabled ? fairshare_.total_usage(now) : 0.0;
-  for (PendingEntry& entry : pending_) {
-    double fs = 1.0;
-    if (UserFactor* memo = entry.user_factor) {
-      if (memo->pass != priced_passes_) {
-        *memo = {priced_passes_, fairshare_.factor(entry.job->request.user, now, total)};
-      }
-      fs = memo->factor;
-    }
-    entry.priority = priority_.compute(*entry.job, now, fs);
-  }
-}
-
-std::size_t Controller::sort_pending_prefix(std::size_t sorted) {
-  std::size_t grow = std::max(sorted, config_.backfill_depth + 1);
-  std::size_t end = std::min(pending_.size(), sorted + grow);
-  auto first = pending_.begin() + static_cast<std::ptrdiff_t>(sorted);
-  if (end == pending_.size()) {
-    std::sort(first, pending_.end(), runs_before);
-  } else {
-    std::partial_sort(first, pending_.begin() + static_cast<std::ptrdiff_t>(end),
-                      pending_.end(), runs_before);
-  }
-  return end;
 }
 
 void Controller::compute_shadow(const Job& head) {
@@ -397,8 +359,6 @@ void Controller::full_pass() {
   if (pass_epoch_ == epoch_) return;  // nothing changed since last pass
   pass_epoch_ = epoch_;
 
-  recompute_priorities();
-
   sim::Time now = simulator_.now();
   double stretch = governor_ != nullptr ? governor_->max_walltime_stretch() : 1.0;
   std::int32_t cores_per_node = cluster_.topology().cores_per_node();
@@ -407,19 +367,21 @@ void Controller::full_pass() {
   bool head_blocked = false;
   bool started = false;
   std::size_t scanned_after_head = 0;
-  // Only the visited prefix is ordered: the starts, the blocked head and at
-  // most backfill_depth more. Entries already sorted are the smallest of
-  // the queue in runs_before order, so each extension equals a full sort's
-  // prefix and every start decision matches it.
-  std::size_t sorted = 0;
+  // The walk visits the starts, the blocked head and at most
+  // backfill_depth more; the band merge prices only those and the band
+  // heads, in the order of a full sort of the queue.
+  pending_.advance(now);
+  pending_.begin_pass(now, config_.fairshare_enabled ? &fairshare_ : nullptr);
 
-  for (std::size_t i = 0; i < pending_.size(); ++i) {
+  for (;;) {
     if (head_blocked && ++scanned_after_head > config_.backfill_depth) break;
-    if (i == sorted) sorted = sort_pending_prefix(sorted);
-    Job& job = *pending_[i].job;
+    Job* next = pending_.next();
+    if (next == nullptr) break;
+    Job& job = *next;
     if (!head_blocked) {
       auto plan = plan_start(job);
       if (plan) {
+        pending_.take();
         start_job(job, std::move(*plan));
         started = true;
         continue;
@@ -438,18 +400,44 @@ void Controller::full_pass() {
     auto plan = plan_start(job);
     if (!plan) continue;
     if (est_end > shadow_time_) shadow_extra_nodes_ -= required;
+    pending_.take();
     start_job(job, std::move(*plan));
     started = true;
     ++stats_.backfill_starts;
   }
+  pending_.end_pass();
 
-  if (started) {
-    std::erase_if(pending_, [](const PendingEntry& entry) {
-      return entry.job->state != JobState::Pending;
-    });
-    // Starting jobs bumped the epoch; this pass already accounted for it.
-    pass_epoch_ = epoch_;
+  // Starting jobs bumped the epoch; this pass already accounted for it.
+  if (started) pass_epoch_ = epoch_;
+  for (ControllerObserver* obs : observers_) obs->on_pass(now);
+}
+
+std::size_t Controller::audit_pass_order() const {
+  sim::Time now = simulator_.now();
+  const FairShare* fairshare = config_.fairshare_enabled ? &fairshare_ : nullptr;
+  // Mid-pass (from an observer) the copy drops the jobs the pass started.
+  PendingBands merge = pending_;
+  merge.end_pass();
+  merge.advance(now);
+
+  double total = fairshare != nullptr ? fairshare->total_usage(now) : 0.0;
+  std::vector<PendingBands::Priced> reference;
+  reference.reserve(merge.size());
+  merge.for_each([&](const Job& job) {
+    double fs = fairshare != nullptr ? fairshare->factor(job.request.user, now, total) : 1.0;
+    reference.push_back(
+        {merge.priority().compute(job, now, fs), job.request.submit_time, job.id()});
+  });
+  std::sort(reference.begin(), reference.end(), PendingBands::runs_before);
+
+  merge.begin_pass(now, fairshare);
+  for (const PendingBands::Priced& expected : reference) {
+    const Job* job = merge.next();
+    PS_CHECK_MSG(job != nullptr && job->id() == expected.id,
+                 "pass order differs from a full sort of the pending queue");
   }
+  PS_CHECK_MSG(merge.next() == nullptr, "pass order visits a job twice");
+  return reference.size();
 }
 
 ReservationId Controller::add_powercap_reservation(sim::Time start, sim::Time end,

@@ -33,6 +33,7 @@
 #include "rjms/fairshare.h"
 #include "rjms/job.h"
 #include "rjms/node_selector.h"
+#include "rjms/pending_bands.h"
 #include "rjms/power_governor.h"
 #include "rjms/priority.h"
 #include "rjms/reservation.h"
@@ -70,6 +71,8 @@ class ControllerObserver {
     (void)old_est_end;
   }
   virtual void on_state_change(sim::Time now) { (void)now; }
+  /// A full scheduling pass walked the queue at `now` and finished.
+  virtual void on_pass(sim::Time now) { (void)now; }
 };
 
 class Controller {
@@ -162,6 +165,13 @@ class Controller {
   const ControllerConfig& config() const noexcept { return config_; }
   const FairShare& fairshare() const noexcept { return fairshare_; }
 
+  /// Consistency audit of the pass order (the pending-queue analogue of
+  /// Cluster::audit_watts): re-prices every pending job at now with
+  /// PriorityCalculator::compute, fully sorts the queue and checks that the
+  /// band merge a pass would run now yields the same order. Throws
+  /// CheckError on a mismatch; returns the number of jobs compared.
+  std::size_t audit_pass_order() const;
+
   /// Resource-state generation counter: bumps on any event that can change
   /// an admission or selection outcome (job start/end/rescale, node power
   /// transition, reservation registration). Together with the reservation
@@ -191,26 +201,6 @@ class Controller {
     PowerGovernor::Admission admission;
   };
 
-  /// A user's fair-share factor as of the pass numbered `pass`.
-  struct UserFactor {
-    std::uint64_t pass = 0;
-    double factor = 1.0;
-  };
-  /// One pending job as a scheduling pass orders it. `job` points into
-  /// jobs_ and `user_factor` into fs_memo_ (null without fair share); both
-  /// maps are node-based and never erase, so the pointers stay valid.
-  /// `priority` is refreshed by every pass.
-  struct PendingEntry {
-    double priority;
-    sim::Time submit_time;
-    JobId id;
-    Job* job;
-    UserFactor* user_factor;
-  };
-  /// Pass order: higher priority first, then earlier submission, then
-  /// lower id — a strict total order, so any prefix is unique.
-  static bool runs_before(const PendingEntry& a, const PendingEntry& b) noexcept;
-
   void notify_state_change();
   void full_pass();
   /// Single-job attempt (submit path) honouring the cached EASY shadow.
@@ -224,11 +214,6 @@ class Controller {
   /// Shared end-of-life bookkeeping for finish_job and kill_job: end-event
   /// cleanup, node release, fairshare charge, stats, observers.
   void teardown_running_job(JobId id, bool cancel_end_event, JobState final_state);
-  /// Re-prices every pending entry at the current time in one sweep.
-  void recompute_priorities();
-  /// Grows the sorted prefix of pending_ past `sorted` entries (geometric,
-  /// starting at the head plus backfill_depth) and returns its new length.
-  std::size_t sort_pending_prefix(std::size_t sorted);
   /// Shadow-time estimate for the head job (EASY): earliest time enough
   /// nodes are expected free, using walltime-based end estimates.
   void compute_shadow(const Job& head);
@@ -245,16 +230,17 @@ class Controller {
   ControllerConfig config_;
   PowerGovernor* governor_ = nullptr;
   std::unique_ptr<NodeSelector> selector_;
-  PriorityCalculator priority_;
   FairShare fairshare_;
   ReservationBook reservations_;
   std::vector<ControllerObserver*> observers_;
 
   std::unordered_map<JobId, Job> jobs_;
   std::vector<JobId> submission_order_;
-  /// Pending jobs; a full pass re-prices all of them and sorts only the
-  /// prefix it visits (runs_before order). Unordered past that prefix.
-  std::vector<PendingEntry> pending_;
+  /// Pending jobs in per-user priority bands (rjms/pending_bands.h). Its
+  /// entries point into jobs_, which is node-based and never erases. A
+  /// full pass walks them in pass order and prices only the band heads and
+  /// the jobs it visits.
+  PendingBands pending_;
   std::set<std::pair<sim::Time, JobId>> running_by_end_;
   std::unordered_map<JobId, sim::EventId> end_events_;
 
@@ -281,11 +267,6 @@ class Controller {
   sim::Time sel_fail_now_ = -1;
   sim::Time sel_fail_horizon_ = -1;
   std::int32_t sel_fail_width_ = 0;
-
-  // Per-user fair-share factors, memoized in storage that outlives the
-  // pass: a slot is current when its `pass` equals priced_passes_.
-  std::unordered_map<std::int32_t, UserFactor> fs_memo_;
-  std::uint64_t priced_passes_ = 0;
 
   bool pass_scheduled_ = false;
   std::uint64_t epoch_ = 0;            ///< bumps on any resource change

@@ -21,12 +21,15 @@ void FairShare::charge(std::int32_t user, double core_seconds, sim::Time now) {
   Entry& entry = usage_[user];
   entry.usage = decay_to(entry.usage, entry.as_of, now) + core_seconds;
   entry.as_of = now;
+  entry.decayed_at = sim::kTimeMax;
 }
 
 double FairShare::total_usage(sim::Time now) const {
   double total = 0.0;
   for (const auto& [user, entry] : usage_) {
-    total += decay_to(entry.usage, entry.as_of, now);
+    entry.decayed = decay_to(entry.usage, entry.as_of, now);
+    entry.decayed_at = now;
+    total += entry.decayed;
   }
   return total;
 }
@@ -38,7 +41,11 @@ double FairShare::factor(std::int32_t user, sim::Time now) const {
 double FairShare::factor(std::int32_t user, sim::Time now, double total) const {
   if (total <= 0.0) return 1.0;
   auto it = usage_.find(user);
-  double mine = it == usage_.end() ? 0.0 : decay_to(it->second.usage, it->second.as_of, now);
+  double mine = 0.0;
+  if (it != usage_.end()) {
+    const Entry& entry = it->second;
+    mine = entry.decayed_at == now ? entry.decayed : decay_to(entry.usage, entry.as_of, now);
+  }
   double usage_fraction = mine / total;
   // Equal shares: with k known users each share is 1/k. Unknown users have
   // zero usage, so counting only seen users is conservative.

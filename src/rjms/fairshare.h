@@ -30,7 +30,9 @@ class FairShare {
   /// and passing it here makes the pass O(users) instead of O(users^2).
   double factor(std::int32_t user, sim::Time now, double total) const;
 
-  /// Decayed total usage across users at `now` (core-seconds).
+  /// Decayed total usage across users at `now` (core-seconds). Keeps each
+  /// user's decayed usage at `now`, which factor(user, now, total) reuses
+  /// instead of decaying it again (the same double either way).
   double total_usage(sim::Time now) const;
 
   std::size_t user_count() const noexcept { return usage_.size(); }
@@ -42,6 +44,9 @@ class FairShare {
   struct Entry {
     double usage = 0.0;       // core-seconds, decayed as of `as_of`
     sim::Time as_of = 0;
+    // decay_to(usage, as_of, decayed_at), memoized by total_usage.
+    mutable double decayed = 0.0;
+    mutable sim::Time decayed_at = sim::kTimeMax;
   };
   std::unordered_map<std::int32_t, Entry> usage_;
 };

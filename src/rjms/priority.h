@@ -35,6 +35,7 @@ class PriorityCalculator {
   double compute(const Job& job, sim::Time now, double fs_factor) const;
 
   const PriorityWeights& weights() const noexcept { return weights_; }
+  std::int64_t total_cores() const noexcept { return total_cores_; }
 
  private:
   PriorityWeights weights_;

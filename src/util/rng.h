@@ -14,6 +14,25 @@
 
 namespace ps::util {
 
+/// Discrete choice over fixed weights, built once and drawn many times:
+/// Rng::weighted_index returns an index < weights.size() with probability
+/// proportional to weights[i]. A draw is one canonical double and a binary
+/// search of the cumulative table, which libstdc++'s discrete_distribution
+/// keeps no state around — so a prebuilt table draws exactly what a fresh
+/// distribution per draw would, without rebuilding and renormalising it.
+class WeightedIndex {
+ public:
+  explicit WeightedIndex(const std::vector<double>& weights) {
+    PS_CHECK_MSG(!weights.empty(), "weighted_index needs at least one weight");
+    table_ = std::discrete_distribution<std::size_t>(weights.begin(), weights.end());
+  }
+
+ private:
+  friend class Rng;
+  // Drawing is logically const (see above); the std interface is not.
+  mutable std::discrete_distribution<std::size_t> table_;
+};
+
 /// Thin deterministic wrapper over std::mt19937_64 with the distributions
 /// the workload generator needs. Distribution objects are created per call:
 /// stateless use keeps streams reproducible regardless of call interleaving.
@@ -51,12 +70,8 @@ class Rng {
     return std::exponential_distribution<double>(1.0 / mean)(engine_);
   }
 
-  /// Discrete choice: returns an index < weights.size() with probability
-  /// proportional to weights[i].
-  std::size_t weighted_index(const std::vector<double>& weights) {
-    PS_CHECK_MSG(!weights.empty(), "weighted_index needs at least one weight");
-    return std::discrete_distribution<std::size_t>(weights.begin(), weights.end())(engine_);
-  }
+  /// Discrete choice from a prebuilt table (see WeightedIndex).
+  std::size_t weighted_index(const WeightedIndex& table) { return table.table_(engine_); }
 
   /// Direct access for std::shuffle and custom distributions.
   std::mt19937_64& engine() noexcept { return engine_; }

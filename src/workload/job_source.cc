@@ -216,7 +216,11 @@ void SwfStreamSource::rewind() {
 ChunkedSyntheticSource::ChunkedSyntheticSource(GeneratorParams params,
                                                std::uint64_t seed,
                                                sim::Duration gen_window)
-    : params_(std::move(params)), seed_(seed), gen_window_(gen_window) {
+    : params_(std::move(params)),
+      seed_(seed),
+      gen_window_(gen_window),
+      classes_({params_.w_tiny, params_.w_medium, params_.w_large, params_.w_huge}),
+      users_(mixture::zipf_user_weights(params_.user_count)) {
   PS_CHECK_MSG(params_.job_count > 0, "chunked generator: job_count must be > 0");
   PS_CHECK_MSG(params_.span > 0, "chunked generator: span must be > 0");
   PS_CHECK_MSG(gen_window_ > 0, "chunked generator: gen_window must be > 0");
@@ -225,8 +229,6 @@ ChunkedSyntheticSource::ChunkedSyntheticSource(GeneratorParams params,
   backlog_ = static_cast<std::int64_t>(params_.backlog_fraction *
                                        static_cast<double>(params_.job_count));
   arrivals_ = static_cast<std::int64_t>(params_.job_count) - backlog_;
-  class_weights_ = {params_.w_tiny, params_.w_medium, params_.w_large, params_.w_huge};
-  user_weights_ = mixture::zipf_user_weights(params_.user_count);
   mu_ = std::log(params_.overestimate_median);
 }
 
@@ -254,9 +256,9 @@ void ChunkedSyntheticSource::generate_window(std::int64_t k,
                           ? 0
                           : static_cast<sim::Time>(rng.uniform(
                                 static_cast<double>(w0), static_cast<double>(w1)));
-    auto klass = static_cast<mixture::SizeClass>(rng.weighted_index(class_weights_));
+    auto klass = static_cast<mixture::SizeClass>(rng.weighted_index(classes_));
     mixture::Drawn drawn = mixture::draw_job(rng, klass);
-    job.user = static_cast<std::int32_t>(rng.weighted_index(user_weights_));
+    job.user = static_cast<std::int32_t>(rng.weighted_index(users_));
     job.requested_cores = drawn.cores;
     job.base_runtime = drawn.runtime;
     double ratio = rng.lognormal(mu_, params_.overestimate_sigma);

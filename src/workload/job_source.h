@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "sim/time.h"
+#include "util/rng.h"
 #include "workload/job_request.h"
 #include "workload/swf.h"
 #include "workload/synthetic.h"
@@ -180,8 +181,8 @@ class ChunkedSyntheticSource final : public JobSource {
   sim::Duration gen_window_;
   std::int64_t backlog_ = 0;
   std::int64_t arrivals_ = 0;
-  std::vector<double> class_weights_;
-  std::vector<double> user_weights_;
+  util::WeightedIndex classes_;
+  util::WeightedIndex users_;
   double mu_ = 0.0;
 
   std::int64_t next_window_ = 0;

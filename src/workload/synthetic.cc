@@ -80,9 +80,9 @@ std::vector<JobRequest> generate(const GeneratorParams& params, std::uint64_t se
                "generator: backlog_fraction in [0,1]");
   util::Rng rng(seed);
 
-  const std::vector<double> weights{params.w_tiny, params.w_medium, params.w_large,
-                                    params.w_huge};
-  std::vector<double> user_weights = mixture::zipf_user_weights(params.user_count);
+  const util::WeightedIndex classes(
+      {params.w_tiny, params.w_medium, params.w_large, params.w_huge});
+  const util::WeightedIndex users(mixture::zipf_user_weights(params.user_count));
 
   auto backlog =
       static_cast<std::size_t>(params.backlog_fraction * static_cast<double>(params.job_count));
@@ -91,7 +91,7 @@ std::vector<JobRequest> generate(const GeneratorParams& params, std::uint64_t se
 
   double mu = std::log(params.overestimate_median);
   for (std::size_t i = 0; i < params.job_count; ++i) {
-    auto klass = static_cast<SizeClass>(rng.weighted_index(weights));
+    auto klass = static_cast<SizeClass>(rng.weighted_index(classes));
     Drawn drawn = draw_job(rng, klass);
 
     JobRequest job;
@@ -99,7 +99,7 @@ std::vector<JobRequest> generate(const GeneratorParams& params, std::uint64_t se
                           ? 0
                           : static_cast<sim::Time>(rng.uniform(
                                 0.0, static_cast<double>(params.span)));
-    job.user = static_cast<std::int32_t>(rng.weighted_index(user_weights));
+    job.user = static_cast<std::int32_t>(rng.weighted_index(users));
     job.requested_cores = drawn.cores;
     job.base_runtime = drawn.runtime;
     double ratio = rng.lognormal(mu, params.overestimate_sigma);

@@ -1,7 +1,8 @@
 // Parameterized property sweep: for every (policy, lambda) combination the
 // core invariants must hold — caps never violated by enforcing policies,
 // bounded utilization, consistent job accounting, deterministic replay.
-// (run_scenario additionally audits incremental-vs-recomputed power.)
+// (the replay additionally audits incremental-vs-recomputed power, and an
+// observer audits every scheduling pass's order against a full sort.)
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +12,8 @@
 #include <utility>
 
 #include "core/experiment.h"
+#include "core/replay.h"
+#include "workload/job_source.h"
 
 namespace ps::core {
 namespace {
@@ -32,6 +35,19 @@ std::string case_name(const ::testing::TestParamInfo<Case>& info) {
   if (info.param.dynamic_dvfs) name += "_dyn";
   return name;
 }
+
+// Checks after every scheduling pass that the band merge walked the
+// pending queue in the order of a full sort.
+struct PassOrderAudit : rjms::ControllerObserver {
+  explicit PassOrderAudit(const rjms::Controller& controller) : controller(controller) {}
+  void on_pass(sim::Time) override {
+    ++passes;
+    jobs += controller.audit_pass_order();
+  }
+  const rjms::Controller& controller;
+  std::size_t passes = 0;
+  std::size_t jobs = 0;
+};
 
 class PolicySweep : public ::testing::TestWithParam<Case> {
  protected:
@@ -61,8 +77,22 @@ class PolicySweep : public ::testing::TestWithParam<Case> {
                                static_cast<int>(c.admission),
                                static_cast<int>(c.dynamic_dvfs));
     auto it = cache.find(key);
-    if (it == cache.end()) it = cache.emplace(key, run_scenario(config_for(c))).first;
+    if (it == cache.end()) it = cache.emplace(key, run_audited(config_for(c))).first;
     return it->second;
+  }
+
+  // run_scenario's wiring for a generated workload, plus the pass audit.
+  static ScenarioResult run_audited(const ScenarioConfig& config) {
+    const workload::GeneratorParams& params = *config.custom_workload;
+    workload::VectorJobSource source(workload::generate(params, config.seed));
+    Replay replay(config, source, params.span, 0);
+    PassOrderAudit audit(replay.controller());
+    replay.controller().add_observer(&audit);
+    replay.advance_to(params.span);
+    ScenarioResult result = replay.finish(params.span);
+    EXPECT_GT(audit.passes, 0u);
+    EXPECT_GT(audit.jobs, audit.passes);
+    return result;
   }
 };
 

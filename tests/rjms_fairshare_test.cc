@@ -89,5 +89,28 @@ TEST(FairShare, FactorWithPrecomputedTotalIsBitEqual) {
   }
 }
 
+TEST(FairShare, FactorReusesTheTotalsDecayBitIdentically) {
+  // total_usage keeps each user's decayed usage for the factors priced
+  // after it at the same instant; they must equal a fresh decay, and a
+  // charge must drop the kept value.
+  FairShare fs(sim::hours(2));
+  fs.charge(1, 3.5e5, 0);
+  fs.charge(2, 1.2e4, sim::minutes(17));
+  fs.charge(3, 7.7e6, sim::hours(1));
+  for (sim::Time t : {sim::hours(1), sim::hours(5) + 13, sim::hours(30)}) {
+    FairShare fresh = fs;  // kept values, if any, are for an earlier instant
+    double total = fs.total_usage(t);
+    for (std::int32_t user : {1, 2, 3, 99}) {
+      EXPECT_EQ(fs.factor(user, t, total), fresh.factor(user, t, total))
+          << "user " << user << " t " << t;
+    }
+  }
+  sim::Time t = sim::hours(31);
+  double total = fs.total_usage(t);
+  double before = fs.factor(2, t, total);
+  fs.charge(2, 5e5, t);
+  EXPECT_LT(fs.factor(2, t, total), before);
+}
+
 }  // namespace
 }  // namespace ps::rjms

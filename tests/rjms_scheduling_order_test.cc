@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
 #include <tuple>
 
 #include "cluster/curie.h"
@@ -123,101 +124,277 @@ TEST_F(OrderTest, FairShareDisabledFallsBackToFcfs) {
   EXPECT_LT(controller.job(1).start_time, controller.job(2).start_time);
 }
 
-// Deep-queue ordering. A pass sorts only the prefix of the queue it
-// visits and grows that prefix while jobs keep starting, so the start
-// order must equal a full sort of the queue by PriorityCalculator::compute
-// at every pass, whatever the backfill depth. Every job fits one node of a
-// wide-node machine, so with no node free nothing can backfill past the
-// head and the starts of a pass are exactly the queue's top entries.
-class DeepQueueOrderTest : public ::testing::TestWithParam<std::size_t> {
- protected:
-  static constexpr std::int32_t kNodes = 320;
-  static constexpr std::int32_t kCoresPerNode = 1024;
-
-  static cluster::Cluster wide_node_cluster() {
-    cluster::PowerModelSpec spec{
-        .node_down_watts = cluster::curie::kDownWatts,
-        .node_idle_watts = cluster::curie::kIdleWatts,
-        .frequencies = cluster::curie::frequency_table(),
-    };
-    return cluster::Cluster(
-        cluster::PowerModel(cluster::Topology(1, 1, kNodes, kCoresPerNode), spec));
-  }
-
-  struct StartLog : ControllerObserver {
-    std::vector<JobId> order;
-    void on_job_start(const Job& job) override { order.push_back(job.id()); }
-  };
+// Deep-queue ordering. A pass merges per-user priority bands and prices
+// only the band heads and the jobs it visits, so the start order must
+// equal a full sort of the queue by PriorityCalculator::compute at every
+// pass, whatever the backfill depth. Each case fills a wide-node machine
+// with blockers, one per release step; step k frees its nodes at (k+1)
+// steps and charges its user's fair share. Every queued job fits one node,
+// so with no node free nothing can backfill past the head and the starts
+// of a pass are exactly the queue's top entries. An observer also audits
+// the whole merge against a full sort after every pass and at every start.
+struct QueuedJob {
+  workload::JobRequest request;
+  sim::Time submit_at;  ///< when the controller sees it (may precede submit_time)
 };
 
-TEST_P(DeepQueueOrderTest, StartsFollowFullPriorityOrder) {
+struct QueueCase {
+  std::int32_t nodes;
+  std::int32_t cores_per_node;
+  ControllerConfig config;
+  std::vector<std::int32_t> freed;  ///< nodes each blocker frees, in step order
+  sim::Duration step;
+  std::vector<QueuedJob> queue;
+};
+
+struct OrderRun {
+  std::vector<JobId> started;
+  std::vector<JobId> expected;
+  std::size_t passes_audited = 0;
+  std::size_t jobs_audited = 0;
+  std::size_t pending_after = 0;
+};
+
+cluster::Cluster wide_node_cluster(std::int32_t nodes, std::int32_t cores_per_node) {
+  cluster::PowerModelSpec spec{
+      .node_down_watts = cluster::curie::kDownWatts,
+      .node_idle_watts = cluster::curie::kIdleWatts,
+      .frequencies = cluster::curie::frequency_table(),
+  };
+  return cluster::Cluster(
+      cluster::PowerModel(cluster::Topology(1, 1, nodes, cores_per_node), spec));
+}
+
+struct AuditLog : ControllerObserver {
+  explicit AuditLog(const Controller& controller) : controller(controller) {}
+  void on_job_start(const Job& job) override {
+    order.push_back(job.id());
+    jobs_audited += controller.audit_pass_order();
+  }
+  void on_pass(sim::Time) override {
+    ++passes;
+    jobs_audited += controller.audit_pass_order();
+  }
+  const Controller& controller;
+  std::vector<JobId> order;
+  std::size_t passes = 0;
+  std::size_t jobs_audited = 0;
+};
+
+OrderRun run_case(const QueueCase& c, std::size_t backfill_depth) {
   sim::Simulator sim;
-  cluster::Cluster cl = wide_node_cluster();
-  ControllerConfig config = weights(1000.0, 500.0, 2000.0);
-  config.priority.age_saturation = sim::hours(3);  // later steps saturate age
-  config.backfill_depth = GetParam();
+  cluster::Cluster cl = wide_node_cluster(c.nodes, c.cores_per_node);
+  ControllerConfig config = c.config;
+  config.backfill_depth = backfill_depth;
   Controller controller(sim, cl, config);
-  StartLog log;
+  AuditLog log(controller);
   controller.add_observer(&log);
 
-  // Blockers fill the machine at t=0, one per release step; step k frees
-  // its nodes at k hours and charges its user's fair share.
-  const std::vector<std::int32_t> freed = {3, 40, 17, 90, 60, 110};
-  ASSERT_EQ(std::accumulate(freed.begin(), freed.end(), 0), kNodes);
-  for (std::size_t k = 0; k < freed.size(); ++k) {
-    sim::Duration runtime = sim::hours(static_cast<std::int64_t>(k) + 1);
+  EXPECT_EQ(std::accumulate(c.freed.begin(), c.freed.end(), 0), c.nodes);
+  for (std::size_t k = 0; k < c.freed.size(); ++k) {
+    sim::Duration runtime = c.step * static_cast<std::int64_t>(k + 1);
     controller.submit(make_request(static_cast<std::int64_t>(k) + 1,
-                                   std::int64_t{freed[k]} * kCoresPerNode, runtime,
+                                   std::int64_t{c.freed[k]} * c.cores_per_node, runtime,
                                    runtime, 0, static_cast<std::int32_t>(k % 4)));
   }
   sim.run_until(0);
-  ASSERT_EQ(controller.running_count(), freed.size());
-
-  // 320 one-node jobs with distinct ages (one second apart) and distinct
-  // sizes (a permutation of 1..331 cores), spread over five users.
-  std::vector<workload::JobRequest> queue;
-  for (std::int64_t i = 0; i < kNodes; ++i) {
-    workload::JobRequest request =
-        make_request(1000 + i, 1 + (i * 37) % 331, sim::hours(1000), sim::hours(1000),
-                     sim::seconds(1 + i), static_cast<std::int32_t>(i % 5));
-    queue.push_back(request);
-    sim.schedule_at(request.submit_time,
-                    [&controller, request] { controller.submit(request); });
+  EXPECT_EQ(controller.running_count(), c.freed.size());
+  for (const QueuedJob& job : c.queue) {
+    EXPECT_LT(job.submit_at, c.step) << "queue jobs arrive before the first release";
+    workload::JobRequest request = job.request;
+    sim.schedule_at(job.submit_at, [&controller, request] { controller.submit(request); });
   }
-  sim.run_until(sim::hours(1) - 1);
-  ASSERT_EQ(controller.pending_count(), queue.size());
-  ASSERT_EQ(log.order.size(), freed.size());
 
+  OrderRun run;
+  const FairShare* fairshare = config.fairshare_enabled ? &controller.fairshare() : nullptr;
   PriorityCalculator calc(config.priority, cl.topology().total_cores());
-  std::vector<JobId> expected;
-  for (std::size_t k = 0; k < freed.size(); ++k) {
-    sim::Time step = sim::hours(static_cast<std::int64_t>(k) + 1);
-    sim.run_until(step);
-    // The blocker's charge is in; the pass at `step` priced with this
+  for (std::size_t k = 0; k < c.freed.size(); ++k) {
+    sim::Time release = c.step * static_cast<std::int64_t>(k + 1);
+    sim.run_until(release);
+    // The blocker's charge is in; the pass at `release` priced with this
     // fair-share state. Order the still-queued requests the same way.
     std::vector<std::tuple<double, sim::Time, JobId>> ranked;
-    for (const auto& request : queue) {
-      if (std::find(expected.begin(), expected.end(), request.id) != expected.end()) continue;
-      Job job;
-      job.request = request;
-      ranked.emplace_back(-calc.compute(job, step, &controller.fairshare()),
-                          request.submit_time, request.id);
+    for (const QueuedJob& job : c.queue) {
+      const workload::JobRequest& request = job.request;
+      if (std::find(run.expected.begin(), run.expected.end(), request.id) !=
+          run.expected.end()) {
+        continue;
+      }
+      Job priced;
+      priced.request = request;
+      ranked.emplace_back(-calc.compute(priced, release, fairshare), request.submit_time,
+                          request.id);
     }
     std::sort(ranked.begin(), ranked.end());
-    for (std::int32_t n = 0; n < freed[k]; ++n) expected.push_back(std::get<2>(ranked[n]));
+    std::size_t starts = std::min<std::size_t>(static_cast<std::size_t>(c.freed[k]),
+                                               ranked.size());
+    for (std::size_t n = 0; n < starts; ++n) run.expected.push_back(std::get<2>(ranked[n]));
   }
 
-  std::vector<JobId> started(log.order.begin() + static_cast<std::ptrdiff_t>(freed.size()),
-                             log.order.end());
-  EXPECT_EQ(controller.pending_count(), 0u);
-  EXPECT_EQ(started, expected);
+  run.started.assign(log.order.begin() + static_cast<std::ptrdiff_t>(c.freed.size()),
+                     log.order.end());
+  run.passes_audited = log.passes;
+  run.jobs_audited = log.jobs_audited;
+  run.pending_after = controller.pending_count();
+  return run;
+}
+
+workload::JobRequest queued(std::int64_t id, std::int64_t cores, sim::Time submit,
+                            std::int32_t user) {
+  return make_request(id, cores, sim::hours(1000), sim::hours(1000), submit, user);
+}
+
+// The original deep queue: 320 one-node jobs with distinct ages (one second
+// apart) and distinct sizes (a permutation of 1..331 cores) over five
+// users; a 3 h saturation makes the later steps saturate.
+QueueCase deep_queue() {
+  QueueCase c{320, 1024, weights(1000.0, 500.0, 2000.0), {3, 40, 17, 90, 60, 110},
+              sim::hours(1), {}};
+  c.config.priority.age_saturation = sim::hours(3);
+  for (std::int64_t i = 0; i < 320; ++i) {
+    sim::Time submit = sim::seconds(1 + i);
+    c.queue.push_back({queued(1000 + i, 1 + (i * 37) % 331, submit,
+                              static_cast<std::int32_t>(i % 5)),
+                       submit});
+  }
+  return c;
+}
+
+// Exact-cancellation chains: within one user, (s, c), (s + a, c + b) and
+// (s + 2a, c + 2b) have equal priority in exact arithmetic, so their
+// computed doubles fall in either order. At 80,640 cores and the default
+// weights and 24 h saturation that is a = 15 s against b = 28 cores; on a
+// 1,440-core rack it is 30 s against 1 core.
+QueueCase cancellation_chains(std::int32_t nodes, std::int32_t cores_per_node,
+                              sim::Duration a, std::int64_t b) {
+  QueueCase c{nodes, cores_per_node, ControllerConfig{}, {}, sim::hours(1), {}};
+  std::int32_t first = nodes / 16;
+  c.freed = {first, first, 2 * first, 4 * first, nodes - 8 * first};
+  std::int64_t widest = cores_per_node - 2 * b;
+  std::int64_t id = 1000;
+  for (std::int64_t i = 0; i < 60; ++i) {
+    sim::Time s = sim::seconds(1) + i * 7919;
+    std::int64_t cores = 1 + (i * 53) % widest;
+    auto user = static_cast<std::int32_t>(i % 4);
+    for (std::int64_t m = 0; m < 3; ++m) {
+      sim::Time submit = s + m * a;
+      c.queue.push_back({queued(id++, cores + m * b, submit, user), submit});
+    }
+  }
+  return c;
+}
+
+QueueCase cancellation_full_curie() {
+  return cancellation_chains(320, 252, sim::seconds(15), 28);  // 80,640 cores
+}
+
+QueueCase cancellation_one_rack() {
+  return cancellation_chains(90, 16, sim::seconds(30), 1);  // 1,440 cores
+}
+
+// Same-(submit_time, cores) bursts: each user submits runs of identical
+// jobs, and each run ties a second run 15 s later and 28 cores wider.
+QueueCase same_class_bursts() {
+  QueueCase c{320, 252, ControllerConfig{}, {16, 32, 64, 208}, sim::hours(1), {}};
+  std::int64_t id = 1000;
+  for (std::int64_t burst = 0; burst < 12; ++burst) {
+    auto user = static_cast<std::int32_t>(burst % 3);
+    sim::Time s = sim::seconds(1) + burst * 61'000;
+    std::int64_t cores = 8 + (burst * 29) % 180;
+    for (std::int64_t n = 0; n < 9; ++n) {
+      c.queue.push_back({queued(id++, cores, s, user), s});
+      c.queue.push_back({queued(id++, cores + 28, s + sim::seconds(15), user),
+                         s + sim::seconds(15)});
+    }
+  }
+  return c;
+}
+
+// Saturation crossings: with a 90 min saturation and a release every
+// 40 min, jobs cross into the saturated band between passes, and those
+// submitted at 10 and 30 min reach wait == saturation exactly at a pass.
+QueueCase saturation_crossing() {
+  QueueCase c{320, 1024, weights(1000.0, 500.0, 2000.0), {10, 30, 50, 70, 160},
+              sim::minutes(40), {}};
+  c.config.priority.age_saturation = sim::minutes(90);
+  for (std::int64_t i = 0; i < 240; ++i) {
+    sim::Time submit = i % 8 == 0 ? sim::minutes(10 + 20 * (i % 16 == 0 ? 0 : 1))
+                                  : sim::seconds(1) + i * 9'973;
+    c.queue.push_back({queued(1000 + i, 1 + (i * 41) % 1000, submit,
+                              static_cast<std::int32_t>(i % 6)),
+                       submit});
+  }
+  return c;
+}
+
+// Fair-share shifts: a dominant fair-share weight, and blockers that
+// charge users 0-3 with very different usage at every release, so each
+// pass re-ranks whole users.
+QueueCase fairshare_shift() {
+  QueueCase c{320, 1024, weights(100.0, 50.0, 5000.0), {40, 8, 100, 12, 160},
+              sim::hours(1), {}};
+  for (std::int64_t i = 0; i < 300; ++i) {
+    sim::Time submit = sim::seconds(1) + i * 3'001;
+    c.queue.push_back({queued(1000 + i, 1 + (i * 97) % 1024, submit,
+                              static_cast<std::int32_t>(i % 5)),
+                       submit});
+  }
+  return c;
+}
+
+// Early submissions: jobs the controller sees before their own
+// submit_time wait 0 (the age clamps), cross into the young band at their
+// submit time — some between passes, some exactly at one — and saturate
+// 2 h later.
+QueueCase early_submission() {
+  QueueCase c{320, 1024, weights(1000.0, 500.0, 2000.0), {20, 40, 60, 80, 120},
+              sim::hours(1), {}};
+  c.config.priority.age_saturation = sim::hours(2);
+  for (std::int64_t i = 0; i < 260; ++i) {
+    sim::Time seen = sim::seconds(1) + i * 11'003;
+    sim::Time submit = i % 3 == 0 ? seen : seen + sim::minutes(20) * (i % 7);
+    if (i % 13 == 0) submit = sim::hours(2);  // crosses exactly at a release
+    c.queue.push_back({queued(1000 + i, 1 + (i * 59) % 1000, submit,
+                              static_cast<std::int32_t>(i % 4)),
+                       seen});
+  }
+  return c;
+}
+
+using NamedCase = std::tuple<const char*, QueueCase (*)()>;
+
+class DeepQueueOrderTest
+    : public ::testing::TestWithParam<std::tuple<NamedCase, std::size_t>> {};
+
+TEST_P(DeepQueueOrderTest, StartsFollowFullPriorityOrder) {
+  QueueCase c = std::get<1>(std::get<0>(GetParam()))();
+  OrderRun run = run_case(c, std::get<1>(GetParam()));
+  std::size_t released = static_cast<std::size_t>(
+      std::accumulate(c.freed.begin(), c.freed.end(), 0));
+  EXPECT_EQ(run.started.size(), std::min(released, c.queue.size()));
+  EXPECT_EQ(run.pending_after, c.queue.size() - run.started.size());
+  EXPECT_EQ(run.started, run.expected);
+  EXPECT_GE(run.passes_audited, c.freed.size());
+  EXPECT_GT(run.jobs_audited, c.queue.size());
 }
 
 // Depths below, at and above the default; the largest covers the whole
-// queue, the smallest makes a 110-job step regrow the prefix four times.
-INSTANTIATE_TEST_SUITE_P(BackfillDepths, DeepQueueOrderTest,
-                         ::testing::Values(std::size_t{8}, std::size_t{50},
-                                           std::size_t{400}));
+// queue, the smallest stops each walk a few jobs past the head.
+INSTANTIATE_TEST_SUITE_P(
+    Cases, DeepQueueOrderTest,
+    ::testing::Combine(
+        ::testing::Values(NamedCase("DeepQueue", &deep_queue),
+                          NamedCase("CancellationFullCurie", &cancellation_full_curie),
+                          NamedCase("CancellationOneRack", &cancellation_one_rack),
+                          NamedCase("SameClassBursts", &same_class_bursts),
+                          NamedCase("SaturationCrossing", &saturation_crossing),
+                          NamedCase("FairShareShift", &fairshare_shift),
+                          NamedCase("EarlySubmission", &early_submission)),
+        ::testing::Values(std::size_t{8}, std::size_t{50}, std::size_t{400})),
+    [](const auto& info) {
+      return std::string(std::get<0>(std::get<0>(info.param))) + "_depth" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 }  // namespace
 }  // namespace ps::rjms

@@ -76,18 +76,34 @@ TEST(Rng, ExponentialMeanApproximatesRequest) {
 
 TEST(Rng, WeightedIndexRespectsWeights) {
   Rng rng(19);
-  std::vector<double> weights{0.0, 1.0, 3.0};
+  WeightedIndex weights({0.0, 1.0, 3.0});
   std::vector<int> hits(3, 0);
   for (int i = 0; i < 12000; ++i) ++hits[rng.weighted_index(weights)];
   EXPECT_EQ(hits[0], 0);
   EXPECT_NEAR(static_cast<double>(hits[2]) / hits[1], 3.0, 0.3);
 }
 
+// The prebuilt table must draw exactly the stream a fresh
+// std::discrete_distribution per draw gives, also when other draws
+// interleave: every synthetic workload golden depends on these draws.
+TEST(Rng, WeightedIndexDrawsMatchAFreshDistribution) {
+  const std::vector<double> weights{0.5, 2.0, 0.0, 7.25, 1.0};
+  WeightedIndex table(weights);
+  Rng prebuilt(29);
+  Rng fresh(29);
+  for (int i = 0; i < 5000; ++i) {
+    std::size_t expected = std::discrete_distribution<std::size_t>(
+        weights.begin(), weights.end())(fresh.engine());
+    ASSERT_EQ(prebuilt.weighted_index(table), expected) << "draw " << i;
+    ASSERT_EQ(prebuilt.uniform(0.0, 1.0), fresh.uniform(0.0, 1.0));
+  }
+}
+
 TEST(Rng, InvalidArgumentsThrow) {
   Rng rng(23);
   EXPECT_THROW((void)rng.uniform_int(5, 3), CheckError);
   EXPECT_THROW((void)rng.exponential_mean(0.0), CheckError);
-  EXPECT_THROW((void)rng.weighted_index({}), CheckError);
+  EXPECT_THROW(WeightedIndex({}), CheckError);
 }
 
 TEST(Rng, ForkProducesIndependentStream) {
