@@ -27,6 +27,7 @@
 #include "core/fingerprint.h"
 #include "core/offline.h"
 #include "core/online.h"
+#include "core/powercap_manager.h"
 #include "core/sweep.h"
 #include "dist/protocol.h"
 #include "obs/registry.h"
@@ -423,6 +424,45 @@ void BM_ReservationOverlapQuery(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_ReservationOverlapQuery)->Arg(8)->Arg(256)->Arg(4096);
+
+// Algorithm 2 pricing alone, in the regime of the 112-day streamed replay:
+// 112 daily cap windows (08:00-20:00 at 60 % of the 512-node machine's
+// peak) plus the switch-off plans the offline phase made for them, and
+// jobs whose multi-day walltimes overlap several future windows. Each
+// iteration advances the clock one millisecond, so the verdict cache
+// clears and the admission is priced afresh. Ungated.
+void BM_AdmitAcrossDailyWindows(benchmark::State& state) {
+  sim::Simulator sim;
+  cluster::Cluster cl = make_512_node_cluster();
+  rjms::Controller controller(sim, cl, AdmissionBenchRig::config_for(50));
+  core::PowercapConfig pc;
+  pc.policy = core::Policy::Mix;
+  core::PowercapManager manager(controller, pc);
+  std::vector<core::PlanWindow> windows;
+  double cap = 0.6 * cl.power_model().max_cluster_watts();
+  for (int day = 0; day < 112; ++day) {
+    sim::Time start = sim::hours(24 * day + 8);
+    windows.push_back(core::PlanWindow{start, start + sim::hours(12), cap});
+  }
+  manager.add_powercap_schedule(windows);
+  sim.run_until(sim::hours(1));  // all setup passes and boundaries settled
+
+  const std::int32_t widths[] = {16, 64, 256, 512};
+  std::vector<cluster::NodeId> nodes;
+  rjms::Job job;
+  job.request.requested_walltime = sim::hours(72);
+  job.request.base_runtime = sim::hours(48);
+  std::int64_t admitted = 0;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    nodes.resize(static_cast<std::size_t>(widths[i++ % 4]));
+    sim.run_until(sim.now() + 1);
+    admitted += manager.governor().admit(job, nodes).has_value() ? 1 : 0;
+    benchmark::DoNotOptimize(admitted);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_AdmitAcrossDailyWindows);
 
 // --- sweep & multi-window kernels ------------------------------------------
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 
 #include "apps/calibrated_apps.h"
 #include "util/check.h"
@@ -75,17 +76,28 @@ OnlineGovernor::CapCache& OnlineGovernor::cache_for(const rjms::Reservation& cap
   return future_caps_.emplace(cap.id, cache).first->second;
 }
 
+template <typename Fn>
+void OnlineGovernor::for_each_future_cap(Fn&& fn) {
+  sim::Time now = controller_.simulator().now();
+  for (auto it = future_caps_.begin(); it != future_caps_.end();) {
+    const rjms::Reservation* cap = controller_.reservations().find(it->first);
+    if (cap == nullptr || cap->start <= now) {
+      it = future_caps_.erase(it);  // started or removed: never projected again
+      continue;
+    }
+    fn(*cap, it->second);
+    ++it;
+  }
+}
+
 void OnlineGovernor::on_job_start(const rjms::Job& job) {
   double delta = static_cast<double>(job.nodes.size()) * busy_delta(job.freq);
   running_busy_delta_ += delta;
   job_delta_[job.id()] = delta;
   sim::Time est_end = job.start_time + job.scaled_walltime;
-  sim::Time now = controller_.simulator().now();
-  for (auto& [rid, cache] : future_caps_) {
-    const rjms::Reservation* cap = controller_.reservations().find(rid);
-    if (cap == nullptr || cap->start <= now) continue;  // stale entry
-    if (est_end > cap->start) cache.persisting_delta += delta;
-  }
+  for_each_future_cap([&](const rjms::Reservation& cap, CapCache& cache) {
+    if (est_end > cap.start) cache.persisting_delta += delta;
+  });
 }
 
 void OnlineGovernor::on_job_rescaled(const rjms::Job& job, cluster::FreqIndex old_freq,
@@ -98,13 +110,10 @@ void OnlineGovernor::on_job_rescaled(const rjms::Job& job, cluster::FreqIndex ol
   it->second = new_delta;
 
   sim::Time new_est_end = job.start_time + job.scaled_walltime;
-  sim::Time now = controller_.simulator().now();
-  for (auto& [rid, cache] : future_caps_) {
-    const rjms::Reservation* cap = controller_.reservations().find(rid);
-    if (cap == nullptr || cap->start <= now) continue;
-    if (old_est_end > cap->start) cache.persisting_delta -= old_delta;
-    if (new_est_end > cap->start) cache.persisting_delta += new_delta;
-  }
+  for_each_future_cap([&](const rjms::Reservation& cap, CapCache& cache) {
+    if (old_est_end > cap.start) cache.persisting_delta -= old_delta;
+    if (new_est_end > cap.start) cache.persisting_delta += new_delta;
+  });
   (void)old_freq;
 }
 
@@ -115,15 +124,28 @@ void OnlineGovernor::on_job_end(const rjms::Job& job) {
   running_busy_delta_ -= delta;
   job_delta_.erase(it);
   sim::Time est_end = job.start_time + job.scaled_walltime;
-  sim::Time now = controller_.simulator().now();
-  for (auto& [rid, cache] : future_caps_) {
-    const rjms::Reservation* cap = controller_.reservations().find(rid);
-    if (cap == nullptr || cap->start <= now) continue;
-    if (est_end > cap->start) cache.persisting_delta -= delta;
-  }
+  for_each_future_cap([&](const rjms::Reservation& cap, CapCache& cache) {
+    if (est_end > cap.start) cache.persisting_delta -= delta;
+  });
 }
 
 std::optional<cluster::FreqIndex> OnlineGovernor::optimal_window_freq(
+    const rjms::Reservation& cap) const {
+  std::uint64_t version = controller_.reservations().version();
+  if (f_star_version_ != version) {
+    f_star_table_.clear();
+    f_star_version_ = version;
+  }
+  auto it = std::lower_bound(
+      f_star_table_.begin(), f_star_table_.end(), cap.id,
+      [](const WindowFreq& entry, rjms::ReservationId id) { return entry.id < id; });
+  if (it == f_star_table_.end() || it->id != cap.id) {
+    it = f_star_table_.insert(it, WindowFreq{cap.id, price_window_freq(cap)});
+  }
+  return it->f_star;
+}
+
+std::optional<cluster::FreqIndex> OnlineGovernor::price_window_freq(
     const rjms::Reservation& cap) const {
   const cluster::PowerModel& pm = controller_.cluster().power_model();
   const cluster::Topology& topo = controller_.cluster().topology();
@@ -191,45 +213,71 @@ std::size_t OnlineGovernor::VerdictKeyHash::operator()(
 
 std::optional<cluster::FreqIndex> OnlineGovernor::compute_admission_freq(
     double node_count, sim::Duration walltime, double degmin, sim::Time now) const {
-  const rjms::ReservationBook& book = controller_.reservations();
-  double cap_now = book.cap_at(now);
+  // The job's stretched span at every allowed level.
+  spans_.clear();
+  sim::Duration longest = 0;
+  for (cluster::FreqIndex f = min_freq_; f <= max_freq_; ++f) {
+    auto eff_walltime = static_cast<sim::Duration>(
+        std::llround(static_cast<double>(walltime) * degradation_.factor(f, degmin)));
+    spans_.push_back(eff_walltime);
+    longest = std::max(longest, eff_walltime);
+  }
+
+  // One query: windows active at `now` give cap_at(now); later ones are
+  // the future windows some level's span may overlap, kept in id order.
+  double cap_now = std::numeric_limits<double>::infinity();
+  windows_.clear();
+  controller_.reservations().for_each_overlapping(
+      rjms::ReservationKind::Powercap, now, std::max(now + 1, now + longest),
+      [&](const rjms::Reservation& cap) {
+        if (cap.start <= now) {
+          cap_now = std::min(cap_now, cap.watts);
+        } else {
+          windows_.push_back(FutureWindow{&cap, false, 0.0, std::nullopt});
+        }
+      });
 
   // Highest frequency first (Algorithm 2 walks downward on failure).
+  double live_watts = controller_.cluster().watts();
   for (cluster::FreqIndex f = max_freq_ + 1; f-- > min_freq_;) {
-    double factor = degradation_.factor(f, degmin);
-    auto eff_walltime = static_cast<sim::Duration>(
-        std::llround(static_cast<double>(walltime) * factor));
-    sim::Time span_end = now + eff_walltime;
+    sim::Time span_end = now + spans_[f - min_freq_];
     double delta = node_count * busy_delta(f);
 
     // Instantaneous check against the live measurement.
-    if (controller_.cluster().watts() + delta > cap_now + kWattsEpsilon) continue;
-
-    // Future windows the (stretched) job span overlaps.
-    bool fits = true;
-    book.for_each_overlapping(
-        rjms::ReservationKind::Powercap, now, span_end, [&](const rjms::Reservation& cap) {
-          if (!fits || cap.start <= now) return;  // covered by the instantaneous check
-          if (config_.admission == AdmissionMode::Projection) {
-            double projected = projected_watts_at(cap) + delta;
-            if (projected > cap.watts + kWattsEpsilon) fits = false;
-            return;
-          }
-          // PaperLive / PaperLiveStrict: the job is clamped to the window's
-          // global optimal frequency.
-          std::optional<cluster::FreqIndex> f_star = optimal_window_freq(cap);
-          if (f_star.has_value()) {
-            if (f > *f_star) fits = false;
-          } else if (config_.admission == AdmissionMode::PaperLiveStrict) {
-            fits = false;  // "the job remains pending"
-          } else if (f > min_freq_) {
-            fits = false;  // best effort: only the lowest frequency may pass
-          }
-        });
-    if (!fits) continue;
-    return f;
+    if (live_watts + delta > cap_now + kWattsEpsilon) continue;
+    if (fits_future_windows(f, span_end, delta)) return f;
   }
   return std::nullopt;
+}
+
+bool OnlineGovernor::fits_future_windows(cluster::FreqIndex f, sim::Time span_end,
+                                         double delta) const {
+  for (FutureWindow& window : windows_) {
+    const rjms::Reservation& cap = *window.cap;
+    if (cap.start >= span_end) continue;  // beyond this level's span
+    if (!window.priced) {
+      if (config_.admission == AdmissionMode::Projection) {
+        window.projected_watts = projected_watts_at(cap);
+      } else {
+        window.f_star = optimal_window_freq(cap);
+      }
+      window.priced = true;
+    }
+    if (config_.admission == AdmissionMode::Projection) {
+      if (window.projected_watts + delta > cap.watts + kWattsEpsilon) return false;
+      continue;
+    }
+    // PaperLive / PaperLiveStrict: the job is clamped to the window's
+    // global optimal frequency.
+    if (window.f_star.has_value()) {
+      if (f > *window.f_star) return false;
+    } else if (config_.admission == AdmissionMode::PaperLiveStrict) {
+      return false;  // "the job remains pending"
+    } else if (f > min_freq_) {
+      return false;  // best effort: only the lowest frequency may pass
+    }
+  }
+  return true;
 }
 
 void OnlineGovernor::refresh_cache_generation(sim::Time now) const {

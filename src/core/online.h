@@ -9,8 +9,18 @@
 // If even the policy's lowest frequency does not fit, the job stays
 // pending ("Impossible to schedule the job now").
 //
-// Power-projection bookkeeping is incremental (observer callbacks), so an
-// admission test costs O(#overlapping windows), not O(#running jobs).
+// Pricing. One admission makes one powercap interval query, over `now` to
+// the end of the longest span any allowed frequency stretches the job to.
+// Windows already active give the instantaneous cap; later windows land in
+// a reused buffer, and each frequency level checks only those its own span
+// reaches, in id order, stopping at the first failure. A window's global
+// optimal frequency f* (PaperLive modes) depends only on the window and the
+// switch-off reservations, so it is priced once per (window id,
+// ReservationBook::version()) in a table PowercapManager's window-start
+// rescale reads too. Projection's window projection reads live watts and is
+// priced at most once per window per admission; its persistence sums are
+// kept incrementally (observer callbacks), so it costs O(#reservations),
+// not O(#running jobs).
 //
 // Admission verdicts are additionally cached per job class: a verdict
 // depends only on (requested walltime, allocation width, degmin) plus the
@@ -34,9 +44,11 @@
 // audit_admission_cache brute-force fence as ordinary hits.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <unordered_map>
+#include <vector>
 
 #include "core/policy.h"
 #include "core/walltime.h"
@@ -71,7 +83,9 @@ class OnlineGovernor final : public rjms::PowerGovernor, public rjms::Controller
   /// policy-allowed frequency at which every node not planned for shutdown
   /// could compute while the whole cluster stays within `cap.watts`.
   /// nullopt when even the policy's lowest frequency does not fit. Used by
-  /// the PaperLive modes; exposed for tests.
+  /// the PaperLive modes and the dynamic-DVFS window start. `cap` must be a
+  /// powercap reservation of the controller's book: the answer is memoized
+  /// per (cap.id, book version).
   std::optional<cluster::FreqIndex> optimal_window_freq(
       const rjms::Reservation& cap) const;
 
@@ -105,6 +119,12 @@ class OnlineGovernor final : public rjms::PowerGovernor, public rjms::Controller
   };
   CapCache& cache_for(const rjms::Reservation& cap) const;
   double busy_delta(cluster::FreqIndex f) const;
+  /// Calls `fn(cap, cache)` for every tracked window that has not started;
+  /// erases the entries of started or removed windows on the way.
+  template <typename Fn>
+  void for_each_future_cap(Fn&& fn);
+  /// optimal_window_freq without the memo table.
+  std::optional<cluster::FreqIndex> price_window_freq(const rjms::Reservation& cap) const;
 
   rjms::Controller& controller_;
   PowercapConfig config_;
@@ -117,9 +137,32 @@ class OnlineGovernor final : public rjms::PowerGovernor, public rjms::Controller
   double running_busy_delta_ = 0.0;
   /// Per-job delta for exact removal on job end.
   std::unordered_map<rjms::JobId, double> job_delta_;
-  /// Future-cap persistence sums, keyed by reservation id; entries for
-  /// windows that already started are pruned lazily.
+  /// Future-cap persistence sums, keyed by reservation id. Created on a
+  /// window's first projection; the job start/end/rescale callbacks erase
+  /// it once the window has started or its reservation is gone.
   mutable std::map<rjms::ReservationId, CapCache> future_caps_;
+
+  /// f* table: optimal_window_freq per window id (ascending), valid for one
+  /// ReservationBook::version(); cleared, not freed, when the book moves.
+  struct WindowFreq {
+    rjms::ReservationId id = 0;
+    std::optional<cluster::FreqIndex> f_star;
+  };
+  mutable std::vector<WindowFreq> f_star_table_;
+  mutable std::uint64_t f_star_version_ = ~0ull;
+
+  /// compute_admission_freq scratch, reused across admissions: the job's
+  /// stretched span per allowed level (index f - min_freq_), and the
+  /// future windows the longest span overlaps, in id order, each priced
+  /// on its first check.
+  struct FutureWindow {
+    const rjms::Reservation* cap = nullptr;
+    bool priced = false;
+    double projected_watts = 0.0;                ///< Projection
+    std::optional<cluster::FreqIndex> f_star;    ///< PaperLive modes
+  };
+  mutable std::vector<sim::Duration> spans_;
+  mutable std::vector<FutureWindow> windows_;
 
   // --- epoch-keyed admission cache -----------------------------------------
 
@@ -142,6 +185,10 @@ class OnlineGovernor final : public rjms::PowerGovernor, public rjms::Controller
                                                            sim::Duration walltime,
                                                            double degmin,
                                                            sim::Time now) const;
+  /// Level `f`'s future-window checks: every window in windows_ starting
+  /// before `span_end`, in id order, priced on first use; false at the
+  /// first window the job (adding `delta` watts) does not fit.
+  bool fits_future_windows(cluster::FreqIndex f, sim::Time span_end, double delta) const;
 
   /// Brings the cache generation up to `now`: no-op when nothing moved,
   /// carry when only time advanced quiescently (see the class comment),

@@ -164,8 +164,8 @@ class ReservationBook {
   };
 
   /// Reentrant scratch acquisition for query result buffers, depth-indexed
-  /// so nested for_each_overlapping calls (admission pricing re-enters via
-  /// optimal_window_freq) never clobber an outer query.
+  /// so a callback that issues its own for_each_overlapping query never
+  /// clobbers the outer one.
   class ScratchLease {
    public:
     explicit ScratchLease(const ReservationBook& book) : book_(book) {

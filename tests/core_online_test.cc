@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <numeric>
+
 #include "cluster/curie.h"
 #include "core/powercap_manager.h"
+#include "util/rng.h"
 
 namespace ps::core {
 namespace {
@@ -300,6 +304,282 @@ TEST_F(OnlineTest, PolicyFrequencyRanges) {
   idle.policy = Policy::Idle;
   OnlineGovernor idle_governor(controller_, idle);
   EXPECT_EQ(idle_governor.min_allowed_freq(), cl_.frequencies().max_index());
+}
+
+
+// --- Algorithm 2 against a brute-force reference ----------------------------
+
+constexpr double kEps = 1e-6;
+
+// Algorithm 2 re-derived level by level: one cap_at(now) query, then per
+// frequency one interval query over the stretched span, pricing every
+// overlapped future window afresh (f* from a governor with an empty table,
+// the Projection figure from the live governor's bookkeeping).
+std::optional<cluster::FreqIndex> reference_admission_freq(
+    const OnlineGovernor& governor, rjms::Controller& controller,
+    const PowercapConfig& config, double node_count, sim::Duration walltime,
+    double degmin) {
+  const rjms::ReservationBook& book = controller.reservations();
+  const cluster::PowerModel& pm = controller.cluster().power_model();
+  const sim::Time now = controller.simulator().now();
+  const double cap_now = book.cap_at(now);
+  const OnlineGovernor fresh(controller, config);
+  for (cluster::FreqIndex f = governor.max_allowed_freq() + 1;
+       f-- > governor.min_allowed_freq();) {
+    auto eff_walltime = static_cast<sim::Duration>(std::llround(
+        static_cast<double>(walltime) * governor.degradation().factor(f, degmin)));
+    sim::Time span_end = now + eff_walltime;
+    double delta = node_count * (pm.frequencies().watts(f) - pm.idle_watts());
+    if (controller.cluster().watts() + delta > cap_now + kEps) continue;
+    bool fits = true;
+    book.for_each_overlapping(
+        rjms::ReservationKind::Powercap, now, span_end, [&](const rjms::Reservation& cap) {
+          if (!fits || cap.start <= now) return;
+          if (config.admission == AdmissionMode::Projection) {
+            if (governor.projected_watts_at(cap) + delta > cap.watts + kEps) fits = false;
+            return;
+          }
+          std::optional<cluster::FreqIndex> f_star = fresh.optimal_window_freq(cap);
+          if (f_star.has_value()) {
+            if (f > *f_star) fits = false;
+          } else if (config.admission == AdmissionMode::PaperLiveStrict) {
+            fits = false;
+          } else if (f > governor.min_allowed_freq()) {
+            fits = false;
+          }
+        });
+    if (fits) return f;
+  }
+  return std::nullopt;
+}
+
+std::optional<cluster::FreqIndex> admitted_freq(OnlineGovernor& governor,
+                                                const rjms::Job& job,
+                                                std::int32_t width) {
+  std::vector<cluster::NodeId> nodes(static_cast<std::size_t>(width));
+  std::iota(nodes.begin(), nodes.end(), 0);
+  auto admission = governor.admit(job, nodes);
+  if (!admission.has_value()) return std::nullopt;
+  return admission->freq;
+}
+
+rjms::Job probe_job(std::int64_t id, sim::Duration walltime, std::string app = "") {
+  rjms::Job job;
+  job.request = make_request(id, 16, walltime / 2, walltime, std::move(app));
+  return job;
+}
+
+struct VerdictTally {
+  int rejected = 0;
+  int at_max = 0;
+  int lowered = 0;
+};
+
+// One seeded random book on a 1-rack machine, probed at now = 3 000 s.
+// The book always holds the edges the single-query walk must get right:
+// two overlapping active caps (one open-ended), a window starting exactly
+// at now, an open-ended future window, a window that ended exactly at now
+// and switch-off plans over the future windows. Probes include zero
+// walltime and spans ending exactly at a window start.
+void check_random_book(Policy policy, AdmissionMode mode, std::uint64_t seed,
+                       VerdictTally& tally) {
+  SCOPED_TRACE(testing::Message() << "policy " << static_cast<int>(policy) << " mode "
+                                  << static_cast<int>(mode) << " seed " << seed);
+  util::Rng rng(seed);
+  sim::Simulator sim;
+  cluster::Cluster cl = cluster::curie::make_scaled_cluster(1);
+  rjms::Controller controller(sim, cl, fcfs_config());
+  PowercapConfig config;
+  config.policy = policy;
+  config.admission = mode;
+  config.default_degmin = rng.uniform(1.0, 2.3);
+  config.audit_admission_cache = true;
+  OnlineGovernor governor(controller, config);
+  controller.set_governor(&governor);
+  controller.add_observer(&governor);
+
+  const sim::Time now = sim::seconds(3000);
+  auto random_watts = [&] { return rng.uniform(14000.0, 38000.0); };
+  auto add_switch_off = [&](sim::Time start, sim::Time end) {
+    std::vector<cluster::NodeId> nodes;
+    for (cluster::NodeId n = 0; n < cl.topology().total_nodes(); ++n) {
+      if (rng.chance(0.2)) nodes.push_back(n);
+    }
+    if (nodes.empty()) nodes.push_back(0);
+    auto n = static_cast<double>(nodes.size());
+    double saving = n * (cluster::curie::kIdleWatts - cluster::curie::kDownWatts) +
+                    rng.uniform(0.0, 500.0);
+    controller.add_switch_off_reservation(start, end, std::move(nodes), saving,
+                                          /*permissive=*/true);
+  };
+  controller.add_powercap_reservation(sim::seconds(500), now, random_watts());
+  controller.add_powercap_reservation(now - sim::seconds(rng.uniform_int(1, 2000)),
+                                      now + sim::seconds(rng.uniform_int(1, 4000)),
+                                      rng.uniform(22000.0, 40000.0));
+  controller.add_powercap_reservation(now - sim::seconds(rng.uniform_int(1, 2000)),
+                                      sim::kTimeMax, rng.uniform(22000.0, 40000.0));
+  controller.add_powercap_reservation(now, now + sim::seconds(rng.uniform_int(1, 3000)),
+                                      random_watts());
+  std::vector<sim::Time> future_starts;
+  for (int w = 0; w < 5; ++w) {
+    sim::Time start = now + sim::seconds(rng.uniform_int(1, 20000));
+    sim::Time end = w == 0 ? sim::kTimeMax : start + sim::seconds(rng.uniform_int(1, 6000));
+    controller.add_powercap_reservation(start, end, random_watts());
+    future_starts.push_back(start);
+    if (rng.chance(0.7)) add_switch_off(start - sim::seconds(rng.uniform_int(0, 600)), end);
+  }
+
+  // Jobs that start before `now` put live watts and persisting surplus
+  // into the projection.
+  for (std::int64_t id = 1; id <= 12; ++id) {
+    sim::Duration runtime = sim::seconds(rng.uniform_int(100, 9000));
+    controller.submit(make_request(id, 16 * rng.uniform_int(1, 20), runtime,
+                                   runtime + sim::seconds(rng.uniform_int(0, 9000))));
+  }
+  sim.run_until(now);
+
+  const std::vector<std::string> apps = {"", "linpack", "stream", "gromacs", "imb"};
+  std::int64_t next_id = 1000;
+  auto probe = [&](sim::Duration walltime) {
+    rjms::Job job = probe_job(next_id++, walltime,
+                              apps[static_cast<std::size_t>(rng.uniform_int(0, 4))]);
+    auto width = static_cast<std::int32_t>(rng.uniform_int(1, 90));
+    std::optional<cluster::FreqIndex> expected = reference_admission_freq(
+        governor, controller, config, width, walltime, governor.degmin_for(job));
+    std::optional<cluster::FreqIndex> got = admitted_freq(governor, job, width);
+    EXPECT_EQ(got, expected) << "walltime " << walltime << " width " << width;
+    if (!got.has_value()) {
+      ++tally.rejected;
+    } else if (*got == governor.max_allowed_freq()) {
+      ++tally.at_max;
+    } else {
+      ++tally.lowered;
+    }
+  };
+  auto probe_all = [&] {
+    probe(0);
+    for (sim::Time start : future_starts) probe(start - now);  // span ends at start
+    for (int i = 0; i < 24; ++i) probe(sim::seconds(rng.uniform_int(1, 25000)));
+  };
+  probe_all();
+  // Move the book at the same instant: new switch-off plans and a new
+  // window reprice f* and the overlapped-window set.
+  add_switch_off(future_starts[1], future_starts[1] + sim::seconds(3000));
+  sim::Time late = now + sim::seconds(rng.uniform_int(1, 15000));
+  controller.add_powercap_reservation(late, late + sim::seconds(2000), random_watts());
+  future_starts.push_back(late);
+  probe_all();
+}
+
+TEST(OnlineReferenceTest, AdmissionMatchesBruteForceOnRandomBooks) {
+  VerdictTally tally;
+  for (Policy policy : {Policy::Mix, Policy::Dvfs, Policy::Shut}) {
+    for (AdmissionMode mode : {AdmissionMode::Projection, AdmissionMode::PaperLive,
+                               AdmissionMode::PaperLiveStrict}) {
+      for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        check_random_book(policy, mode, seed, tally);
+      }
+    }
+  }
+  // The books must exercise every outcome, or the comparison proves little.
+  EXPECT_GT(tally.rejected, 0);
+  EXPECT_GT(tally.at_max, 0);
+  EXPECT_GT(tally.lowered, 0);
+}
+
+// --- f* table staleness -------------------------------------------------------
+
+TEST_F(OnlineTest, WindowFreqFollowsSwitchOffPlansAddedAndRemoved) {
+  PowercapConfig config = dvfs_config();
+  OnlineGovernor governor(controller_, config);
+  // f* = 1.2 GHz with every node computing (FutureWindowLowersFrequencyAhead).
+  rjms::ReservationId cap_id = controller_.add_powercap_reservation(
+      sim::seconds(1000), sim::seconds(2000), 20000.0);
+  rjms::Job job = probe_job(1, sim::seconds(1500));
+  std::optional<cluster::FreqIndex> before = admitted_freq(governor, job, 60);
+  ASSERT_TRUE(before.has_value());
+  EXPECT_DOUBLE_EQ(cl_.frequencies().ghz(*before), 1.2);
+
+  // Planning 30 nodes off for the window leaves the 20 kW budget to 60.
+  std::vector<cluster::NodeId> off(30);
+  std::iota(off.begin(), off.end(), 60);
+  rjms::ReservationId so_id = controller_.add_switch_off_reservation(
+      sim::seconds(900), sim::seconds(2100), off,
+      30.0 * (cluster::curie::kIdleWatts - cluster::curie::kDownWatts));
+  const rjms::Reservation& cap = *controller_.reservations().find(cap_id);
+  std::optional<cluster::FreqIndex> raised = OnlineGovernor(controller_, config)
+                                                 .optimal_window_freq(cap);
+  ASSERT_TRUE(raised.has_value());
+  ASSERT_GT(*raised, *before);
+  EXPECT_EQ(governor.optimal_window_freq(cap), raised);
+  EXPECT_EQ(admitted_freq(governor, job, 60), raised);
+
+  ASSERT_TRUE(controller_.reservations().remove(so_id));
+  EXPECT_EQ(governor.optimal_window_freq(cap), before);
+  EXPECT_EQ(admitted_freq(governor, job, 60), before);
+}
+
+TEST_F(OnlineTest, AdmissionFollowsCapWindowAnnouncedBetweenAdmissions) {
+  OnlineGovernor governor(controller_, dvfs_config());
+  rjms::Job job = probe_job(1, sim::seconds(1500));
+  EXPECT_EQ(admitted_freq(governor, job, 90), cl_.frequencies().max_index());
+
+  controller_.add_powercap_reservation(sim::seconds(1000), sim::seconds(2000), 20000.0);
+  std::optional<cluster::FreqIndex> clamped = admitted_freq(governor, job, 90);
+  ASSERT_TRUE(clamped.has_value());
+  EXPECT_DOUBLE_EQ(cl_.frequencies().ghz(*clamped), 1.2);
+
+  // A window past the job's longest stretched span changes nothing.
+  controller_.add_powercap_reservation(sim::hours(10), sim::hours(11), 15000.0);
+  EXPECT_EQ(admitted_freq(governor, job, 90), clamped);
+}
+
+// --- Projection bookkeeping across passed windows -----------------------------
+
+TEST_F(OnlineTest, ProjectionAfterPassedWindowsMatchesFreshFoldIn) {
+  PowercapConfig config = dvfs_config();
+  config.admission = AdmissionMode::Projection;
+  config.dynamic_dvfs = true;  // window starts and ends rescale running jobs
+  PowercapManager manager(controller_, config);
+  for (int w = 0; w < 4; ++w) {
+    manager.add_powercap(sim::seconds(1000 + 2000 * w), sim::seconds(2000 + 2000 * w),
+                         30000.0);
+  }
+  // A long job projected against every window from t = 0, then waves of
+  // jobs starting and ending (some early) while the windows pass.
+  controller_.submit(make_request(1, 160, sim::seconds(7500), sim::seconds(8000)));
+  std::int64_t id = 2;
+  for (sim::Time wave : {sim::seconds(0), sim::seconds(2500), sim::seconds(4800)}) {
+    sim_.run_until(wave);
+    for (int j = 0; j < 12; ++j, ++id) {
+      sim::Duration runtime = sim::seconds(300 + 97 * id % 2500);
+      controller_.submit(make_request(id, 16 * (1 + id % 9), runtime,
+                                      runtime + sim::seconds(37 * id % 2500)));
+    }
+  }
+  sim_.run_until(sim::seconds(6500));  // the first three windows have passed
+  ASSERT_GT(controller_.running_count(), 1u);
+
+  const rjms::Reservation* last = nullptr;
+  for (const rjms::Reservation& r : controller_.reservations().all()) {
+    if (r.kind == rjms::ReservationKind::Powercap) last = &r;
+  }
+  ASSERT_NE(last, nullptr);
+  ASSERT_GT(last->start, sim_.now());
+  ASSERT_GT(controller_.running_by_end().rbegin()->first, last->start);  // persists
+
+  // A fresh governor folds the running jobs in from scratch; it saw no job
+  // start, so its idle baseline still holds their busy surplus.
+  const cluster::PowerModel& pm = cl_.power_model();
+  double running_surplus = 0.0;
+  for (const auto& [est_end, id] : controller_.running_by_end()) {
+    const rjms::Job& job = controller_.job(id);
+    running_surplus += static_cast<double>(job.nodes.size()) *
+                       (pm.frequencies().watts(job.freq) - pm.idle_watts());
+  }
+  OnlineGovernor fresh(controller_, config);
+  EXPECT_NEAR(manager.governor().projected_watts_at(*last),
+              fresh.projected_watts_at(*last) - running_surplus, 1e-6);
 }
 
 }  // namespace
