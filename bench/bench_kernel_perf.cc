@@ -504,13 +504,10 @@ BENCHMARK(BM_SweepFig8Grid)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 // Multi-window offline planning at full Curie scale: a 24 h day of 12
 // windows cycling 3 cap depths (selections of thousands of nodes each).
-// The incremental kernel prices the schedule with one planner — 3 distinct
-// caps planned, 9 reused from the plan cache, selections materialized from
-// the container frontier without a node-id scan + sort. The reference
-// kernel prices every window through the from-scratch path (the
-// pre-multi-window cost model). Reservation registration is identical in
-// both worlds and excluded, so the kernels isolate exactly the planning
-// work plan_windows() made incremental.
+// One planner prices the schedule — 3 distinct caps planned, 9 reused from
+// the plan cache, each selection materialized as a top-of-id-space block.
+// Reservation registration is excluded, so the kernel isolates the
+// planning work.
 void multi_window_day(std::vector<core::PlanWindow>& windows, double max_watts) {
   const double lambdas[] = {0.5, 0.4, 0.6};
   for (int w = 0; w < 12; ++w) {
@@ -528,7 +525,7 @@ void BM_OfflineMultiWindow(benchmark::State& state) {
   std::vector<core::PlanWindow> windows;
   multi_window_day(windows, cl.power_model().max_cluster_watts());
   for (auto _ : state) {
-    core::OfflinePlanner planner(controller, config);  // caches cold per schedule
+    core::OfflinePlanner planner(controller, config);  // plan cache cold per schedule
     std::size_t nodes = 0;
     for (const core::PlanWindow& window : windows) {
       nodes += planner.compute_plan(window.cap_watts).selection.nodes.size();
@@ -539,27 +536,6 @@ void BM_OfflineMultiWindow(benchmark::State& state) {
                           static_cast<std::int64_t>(windows.size()));
 }
 BENCHMARK(BM_OfflineMultiWindow);
-
-void BM_OfflineMultiWindowReference(benchmark::State& state) {
-  cluster::Cluster cl = cluster::curie::make_cluster();
-  sim::Simulator sim;
-  rjms::Controller controller(sim, cl, {});
-  core::PowercapConfig config;
-  config.policy = core::Policy::Mix;
-  std::vector<core::PlanWindow> windows;
-  multi_window_day(windows, cl.power_model().max_cluster_watts());
-  for (auto _ : state) {
-    core::OfflinePlanner planner(controller, config);
-    std::size_t nodes = 0;
-    for (const core::PlanWindow& window : windows) {
-      nodes += planner.compute_plan_reference(window.cap_watts).selection.nodes.size();
-    }
-    benchmark::DoNotOptimize(nodes);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(windows.size()));
-}
-BENCHMARK(BM_OfflineMultiWindowReference);
 
 // --- distributed sweep serde/spool kernel -----------------------------------
 

@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "apps/cli_flags.h"
 #include "serve/load_gen.h"
 #include "util/strings.h"
 #include "util/subprocess.h"
@@ -34,6 +35,9 @@
 namespace {
 
 using namespace ps;
+using cli::need_count;
+using cli::need_f64;
+using cli::need_value;
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
@@ -45,22 +49,6 @@ int usage(const char* argv0) {
                "       %s --spool DIR --swf FILE --clients N [...]\n",
                argv0, argv0);
   return 2;
-}
-
-std::string need_value(const std::vector<std::string>& args, std::size_t& i) {
-  if (i + 1 >= args.size()) {
-    throw std::runtime_error("missing value after " + args[i]);
-  }
-  return args[++i];
-}
-
-std::int64_t need_i64(const std::vector<std::string>& args, std::size_t& i) {
-  const std::string flag = args[i];
-  auto value = strings::parse_i64(need_value(args, i));
-  if (!value || *value < 0) {
-    throw std::runtime_error(flag + " wants a non-negative integer");
-  }
-  return *value;
 }
 
 int run_fleet(const char* self, const serve::LoadOptions& base, int clients,
@@ -101,29 +89,28 @@ int main(int argc, char** argv) {
       if (args[i] == "--spool") { options.spool = need_value(args, i); tune = false; }
       else if (args[i] == "--swf") { options.swf = need_value(args, i); tune = false; }
       else if (args[i] == "--client") { options.client = need_value(args, i); tune = false; }
-      else if (args[i] == "--clients") { clients = static_cast<int>(need_i64(args, i)); tune = false; }
-      else if (args[i] == "--client-index") { options.client_index = static_cast<int>(need_i64(args, i)); tune = false; }
-      else if (args[i] == "--client-count") { options.client_count = static_cast<int>(need_i64(args, i)); tune = false; }
-      else if (args[i] == "--batch-jobs") options.batch_jobs = static_cast<int>(need_i64(args, i));
+      else if (args[i] == "--clients") { clients = need_count<int>(args, i); tune = false; }
+      else if (args[i] == "--client-index") { options.client_index = need_count<int>(args, i); tune = false; }
+      else if (args[i] == "--client-count") { options.client_count = need_count<int>(args, i); tune = false; }
+      else if (args[i] == "--batch-jobs") options.batch_jobs = need_count<int>(args, i);
       else if (args[i] == "--accel") {
-        auto value = strings::parse_f64(need_value(args, i));
-        if (!value || *value < 0) throw std::runtime_error("--accel wants a number >= 0");
-        options.accel = *value;
+        options.accel = need_f64(args, i);
+        if (options.accel < 0) throw std::runtime_error("--accel wants a number >= 0");
       } else if (args[i] == "--keep-zero-runtime") options.skip_zero_runtime = false;
-      else if (args[i] == "--max-jobs") options.max_jobs = need_i64(args, i);
+      else if (args[i] == "--max-jobs") options.max_jobs = need_count(args, i);
       else if (args[i] == "--inbox-high-water") {
-        options.inbox_high_water = static_cast<std::size_t>(need_i64(args, i));
+        options.inbox_high_water = need_count<std::size_t>(args, i);
       } else if (args[i] == "--gate-patience-ms") {
-        options.gate_patience_ms = need_i64(args, i);
+        options.gate_patience_ms = need_count(args, i);
       } else if (args[i] == "--tenant") {
         options.tenant = need_value(args, i);
       } else if (args[i] == "--weight") {
-        options.weight = static_cast<std::uint64_t>(need_i64(args, i));
+        options.weight = need_count<std::uint64_t>(args, i);
         if (options.weight == 0) throw std::runtime_error("--weight wants >= 1");
       } else if (args[i] == "--faults") {
         options.faults = dist::FaultPlan::parse(need_value(args, i));
       } else if (args[i] == "--flood-docs") {
-        options.flood_docs = static_cast<int>(need_i64(args, i));
+        options.flood_docs = need_count<int>(args, i);
       } else throw std::runtime_error("unknown option " + args[i]);
       if (tune) tuning.insert(tuning.end(), args.begin() + flag, args.begin() + i + 1);
     }

@@ -55,6 +55,7 @@
 #include <string>
 #include <vector>
 
+#include "apps/cli_flags.h"
 #include "core/policy.h"
 #include "dist/fault.h"
 #include "obs/trace.h"
@@ -65,6 +66,10 @@
 namespace {
 
 using namespace ps;
+using cli::need_count;
+using cli::need_f64;
+using cli::need_i64;
+using cli::need_value;
 
 std::atomic<bool> g_stop{false};
 
@@ -88,27 +93,6 @@ int usage(const char* argv0) {
                "[--slow-start-docs N]\n",
                argv0);
   return 2;
-}
-
-std::string need_value(const std::vector<std::string>& args, std::size_t& i) {
-  if (i + 1 >= args.size()) {
-    throw std::runtime_error("missing value after " + args[i]);
-  }
-  return args[++i];
-}
-
-std::int64_t need_i64(const std::vector<std::string>& args, std::size_t& i) {
-  const std::string flag = args[i];
-  auto value = strings::parse_i64(need_value(args, i));
-  if (!value) throw std::runtime_error(flag + " wants an integer");
-  return *value;
-}
-
-double need_f64(const std::vector<std::string>& args, std::size_t& i) {
-  const std::string flag = args[i];
-  auto value = strings::parse_f64(need_value(args, i));
-  if (!value) throw std::runtime_error(flag + " wants a number");
-  return *value;
 }
 
 core::Policy parse_policy(const std::string& name) {
@@ -135,7 +119,7 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < args.size(); ++i) {
       if (args[i] == "--spool") options.spool = need_value(args, i);
       else if (args[i] == "--expect-clients") {
-        options.expect_clients = static_cast<int>(need_i64(args, i));
+        options.expect_clients = need_count<int>(args, i);
       } else if (args[i] == "--mode") {
         std::string mode = need_value(args, i);
         if (mode == "det") options.mode = serve::Mode::kDeterministic;
@@ -143,7 +127,7 @@ int main(int argc, char** argv) {
         else throw std::runtime_error("--mode wants det or wall");
       } else if (args[i] == "--accel") options.accel = need_f64(args, i);
       else if (args[i] == "--racks") {
-        options.scenario.racks = static_cast<std::int32_t>(need_i64(args, i));
+        options.scenario.racks = need_count<std::int32_t>(args, i);
       } else if (args[i] == "--policy") {
         options.scenario.powercap.policy = parse_policy(need_value(args, i));
       } else if (args[i] == "--lambda") {
@@ -151,39 +135,39 @@ int main(int argc, char** argv) {
       } else if (args[i] == "--cap-start") {
         options.scenario.cap_start = need_i64(args, i);
       } else if (args[i] == "--cap-minutes") {
-        options.scenario.cap_duration = sim::minutes(need_i64(args, i));
+        options.scenario.cap_duration = sim::minutes(need_count(args, i));
       } else if (args[i] == "--queue-docs") {
-        options.queue_capacity = static_cast<std::size_t>(need_i64(args, i));
+        options.queue_capacity = need_count<std::size_t>(args, i);
       } else if (args[i] == "--inbox-high-water") {
-        options.inbox_high_water = static_cast<std::size_t>(need_i64(args, i));
+        options.inbox_high_water = need_count<std::size_t>(args, i);
       } else if (args[i] == "--stats-ms") {
-        options.stats_interval_ms = need_i64(args, i);
+        options.stats_interval_ms = need_count(args, i);
       } else if (args[i] == "--hello-timeout-ms") {
-        options.hello_timeout_ms = need_i64(args, i);
+        options.hello_timeout_ms = need_count(args, i);
       } else if (args[i] == "--recover") {
         options.recover = true;
       } else if (args[i] == "--checkpoint-jobs") {
-        options.checkpoint_jobs = need_i64(args, i);
+        options.checkpoint_jobs = need_count(args, i);
       } else if (args[i] == "--checkpoint-seconds") {
-        options.checkpoint_seconds = need_i64(args, i);
+        options.checkpoint_seconds = need_count(args, i);
       } else if (args[i] == "--journal-fsync") {
         options.journal_fsync = true;
       } else if (args[i] == "--faults") {
         options.faults = dist::FaultPlan::parse(need_value(args, i));
       } else if (args[i] == "--telemetry-seconds") {
-        options.telemetry_seconds = need_i64(args, i);
+        options.telemetry_seconds = need_count(args, i);
       } else if (args[i] == "--quantum-jobs") {
-        options.quotas.quantum_jobs = static_cast<std::uint64_t>(need_i64(args, i));
+        options.quotas.quantum_jobs = need_count<std::uint64_t>(args, i);
       } else if (args[i] == "--admit-window-ms") {
-        options.quotas.window_ms = need_i64(args, i);
+        options.quotas.window_ms = need_count(args, i);
       } else if (args[i] == "--tenant-window-jobs") {
-        options.quotas.window_jobs = static_cast<std::uint64_t>(need_i64(args, i));
+        options.quotas.window_jobs = need_count<std::uint64_t>(args, i);
       } else if (args[i] == "--tenant-inflight-docs") {
-        options.tenant_inflight_docs = static_cast<std::uint64_t>(need_i64(args, i));
+        options.tenant_inflight_docs = need_count<std::uint64_t>(args, i);
       } else if (args[i] == "--poison-threshold") {
-        options.poison_threshold = static_cast<std::uint64_t>(need_i64(args, i));
+        options.poison_threshold = need_count<std::uint64_t>(args, i);
       } else if (args[i] == "--slow-start-docs") {
-        options.slow_start_docs = static_cast<std::uint64_t>(need_i64(args, i));
+        options.slow_start_docs = need_count<std::uint64_t>(args, i);
       } else if (args[i] == "--trace-out") {
         trace_out = need_value(args, i);
       } else if (args[i] == "--log-json") {

@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "apps/cli_flags.h"
 #include "dist/driver.h"
 #include "dist/fault.h"
 #include "dist/protocol.h"
@@ -35,6 +36,8 @@
 namespace {
 
 using namespace ps;
+using cli::need_count;
+using cli::need_value;
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
@@ -48,22 +51,6 @@ int usage(const char* argv0) {
   return 2;
 }
 
-std::string need_value(const std::vector<std::string>& args, std::size_t& i) {
-  if (i + 1 >= args.size()) {
-    throw std::runtime_error("missing value after " + args[i]);
-  }
-  return args[++i];
-}
-
-std::int64_t need_i64(const std::vector<std::string>& args, std::size_t& i) {
-  const std::string flag = args[i];
-  auto value = strings::parse_i64(need_value(args, i));
-  if (!value || *value < 0) {
-    throw std::runtime_error(flag + " wants a non-negative integer");
-  }
-  return *value;
-}
-
 int worker_main(const std::vector<std::string>& args) {
   dist::WorkerOptions options;
   options.faults = dist::FaultPlan::from_env();
@@ -72,7 +59,7 @@ int worker_main(const std::vector<std::string>& args) {
     if (args[i] == "--spool") options.spool_dir = need_value(args, i);
     else if (args[i] == "--stdin") from_stdin = true;
     else if (args[i] == "--heartbeat-ms") {
-      options.heartbeat_interval_ms = need_i64(args, i);
+      options.heartbeat_interval_ms = need_count(args, i);
     } else if (args[i] == "--faults") {
       options.faults = dist::FaultPlan::parse(need_value(args, i));
     } else throw std::runtime_error("unknown worker option " + args[i]);
@@ -91,20 +78,20 @@ int drive_main(const std::vector<std::string>& args) {
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--cells") cells_path = need_value(args, i);
     else if (args[i] == "--workers") {
-      options.workers = static_cast<std::size_t>(need_i64(args, i));
+      options.workers = need_count<std::size_t>(args, i);
     } else if (args[i] == "--shards") {
-      options.shards = static_cast<std::size_t>(need_i64(args, i));
+      options.shards = need_count<std::size_t>(args, i);
     } else if (args[i] == "--spool") options.spool_dir = need_value(args, i);
     else if (args[i] == "--golden") {
       options.golden = dist::parse_manifest(util::read_file(need_value(args, i)));
     } else if (args[i] == "--manifest-out") manifest_out = need_value(args, i);
     else if (args[i] == "--keep-spool") options.keep_spool = true;
     else if (args[i] == "--max-attempts") {
-      options.max_attempts = static_cast<std::size_t>(need_i64(args, i));
-    } else if (args[i] == "--lease-ms") options.lease_timeout_ms = need_i64(args, i);
+      options.max_attempts = need_count<std::size_t>(args, i);
+    } else if (args[i] == "--lease-ms") options.lease_timeout_ms = need_count(args, i);
     else if (args[i] == "--heartbeat-ms") {
-      options.heartbeat_interval_ms = need_i64(args, i);
-    } else if (args[i] == "--poll-ms") options.poll_interval_ms = need_i64(args, i);
+      options.heartbeat_interval_ms = need_count(args, i);
+    } else if (args[i] == "--poll-ms") options.poll_interval_ms = need_count(args, i);
     else if (args[i] == "--quarantine") options.quarantine = true;
     else if (args[i] == "--resume") options.resume = true;
     else if (args[i] == "--verbose") log::set_level(log::Level::Info);

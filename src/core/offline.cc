@@ -60,8 +60,9 @@ OfflinePlanner::GroupCounts OfflinePlanner::counts_for_saving(double need_watts)
   double chassis_threshold =
       static_cast<double>(topo.nodes_per_chassis() - 1) * node_saving;
 
-  // Sequential subtraction, never k*accum: the reference selector walks the
-  // frontier the same way, and the two must round identically.
+  // Sequential subtraction, never k*accum: the committed goldens were
+  // priced this way, and the container-walk oracle in
+  // tests/offline_oracle.h mirrors it.
   GroupCounts counts;
   double remaining = need_watts;
   cluster::RackId next_rack = topo.racks() - 1;
@@ -95,75 +96,18 @@ std::vector<cluster::NodeId> OfflinePlanner::top_block(std::int32_t count) const
 }
 
 Selection OfflinePlanner::select_for_saving(double need_watts) const {
-  std::uint64_t key = std::bit_cast<std::uint64_t>(need_watts + 0.0);
-  auto it = saving_cache_.find(key);
-  if (it != saving_cache_.end()) {
-    ++stats_.selection_cache_hits;
-    return it->second;
-  }
   const cluster::Topology& topo = controller_.cluster().topology();
   GroupCounts counts = counts_for_saving(need_watts);
   // The rack→chassis→singles frontier always takes the top of the node-id
   // space, racks first, then the chassis directly below, then the top
-  // singles of the next chassis — one contiguous block. Materialize it
-  // directly (ascending, no sort) instead of re-walking container lists.
+  // singles of the next chassis — one contiguous block.
   std::int32_t total =
       counts.racks * topo.chassis_per_rack() * topo.nodes_per_chassis() +
       counts.chassis * topo.nodes_per_chassis() + counts.singles;
-  Selection sel =
-      finalize(top_block(total), counts.racks, counts.chassis, counts.singles);
-  saving_cache_.emplace(key, sel);
-  return sel;
-}
-
-Selection OfflinePlanner::select_for_saving_reference(double need_watts) const {
-  const cluster::Topology& topo = controller_.cluster().topology();
-  GroupCounts target = counts_for_saving(need_watts);
-
-  // The original from-scratch path: walk the container lists, collect node
-  // ids, sort. Kept verbatim as the audit half of the fence.
-  std::vector<cluster::NodeId> nodes;
-  std::int32_t racks_taken = 0;
-  std::int32_t chassis_taken = 0;
-
-  cluster::RackId next_rack = topo.racks() - 1;
-  while (racks_taken < target.racks) {
-    auto rack_nodes = topo.nodes_of_rack(next_rack);
-    nodes.insert(nodes.end(), rack_nodes.begin(), rack_nodes.end());
-    --next_rack;
-    ++racks_taken;
-  }
-  cluster::ChassisId next_chassis = (next_rack + 1) * topo.chassis_per_rack() - 1;
-  while (chassis_taken < target.chassis) {
-    auto chassis_nodes = topo.nodes_of_chassis(next_chassis);
-    nodes.insert(nodes.end(), chassis_nodes.begin(), chassis_nodes.end());
-    --next_chassis;
-    ++chassis_taken;
-  }
-  if (target.singles > 0) {
-    cluster::NodeId first = topo.first_node_of_chassis(next_chassis);
-    for (std::int32_t i = 0; i < target.singles; ++i) {
-      nodes.push_back(first + topo.nodes_per_chassis() - 1 - i);
-    }
-  }
-  std::sort(nodes.begin(), nodes.end());
-  return finalize(std::move(nodes), target.racks, target.chassis, target.singles);
+  return finalize(top_block(total), counts.racks, counts.chassis, counts.singles);
 }
 
 Selection OfflinePlanner::select_count(std::int32_t count) const {
-  const cluster::Topology& topo = controller_.cluster().topology();
-  count = std::clamp(count, 0, topo.total_nodes());
-  auto it = count_cache_.find(count);
-  if (it != count_cache_.end()) {
-    ++stats_.selection_cache_hits;
-    return it->second;
-  }
-  Selection sel = select_count_reference(count);
-  count_cache_.emplace(count, sel);
-  return sel;
-}
-
-Selection OfflinePlanner::select_count_reference(std::int32_t count) const {
   const cluster::Topology& topo = controller_.cluster().topology();
   count = std::clamp(count, 0, topo.total_nodes());
   // Contiguous block from the top of the id space; whole racks/chassis
@@ -247,7 +191,7 @@ model::ClusterParams OfflinePlanner::params_with_floor(double floor_ghz) const {
   return params;
 }
 
-OfflinePlan OfflinePlanner::compute_plan_impl(double cap_watts, bool reference) const {
+OfflinePlan OfflinePlanner::compute_plan_impl(double cap_watts) const {
   const cluster::PowerModel& pm = controller_.cluster().power_model();
   OfflinePlan plan;
   plan.cap_watts = cap_watts;
@@ -304,8 +248,7 @@ OfflinePlan OfflinePlanner::compute_plan_impl(double cap_watts, bool reference) 
     // Saving-driven: grouping reduces the node count below the model's
     // scattered-equivalent Noff.
     if (config_.selection == OfflineSelection::BonusGrouped) {
-      plan.selection = reference ? select_for_saving_reference(plan.required_saving_watts)
-                                 : select_for_saving(plan.required_saving_watts);
+      plan.selection = select_for_saving(plan.required_saving_watts);
     } else {
       plan.selection = select_scattered_for_saving(plan.required_saving_watts);
     }
@@ -314,16 +257,12 @@ OfflinePlan OfflinePlanner::compute_plan_impl(double cap_watts, bool reference) 
     // the harvested bonus for that count.
     auto count = static_cast<std::int32_t>(std::ceil(plan.split.n_off));
     if (config_.selection == OfflineSelection::BonusGrouped) {
-      plan.selection = reference ? select_count_reference(count) : select_count(count);
+      plan.selection = select_count(count);
     } else {
       plan.selection = select_scattered_count(count);
     }
   }
   return plan;
-}
-
-OfflinePlan OfflinePlanner::compute_plan_reference(double cap_watts) const {
-  return compute_plan_impl(cap_watts, /*reference=*/true);
 }
 
 const OfflinePlan& OfflinePlanner::compute_plan(double cap_watts) {
@@ -333,31 +272,7 @@ const OfflinePlan& OfflinePlanner::compute_plan(double cap_watts) {
     ++stats_.plan_cache_hits;
     return it->second;
   }
-  return plan_cache_.emplace(key, compute_plan_impl(cap_watts, /*reference=*/false))
-      .first->second;
-}
-
-void OfflinePlanner::audit_plan(const OfflinePlan& plan, double cap_watts) const {
-  ++stats_.audits;
-  OfflinePlan fresh = compute_plan_reference(cap_watts);
-  PS_CHECK_MSG(plan.split.mechanism == fresh.split.mechanism &&
-                   plan.split.n_off == fresh.split.n_off &&
-                   plan.split.n_dvfs == fresh.split.n_dvfs &&
-                   plan.split.work == fresh.split.work,
-               "offline planner audit: split diverged from reference");
-  PS_CHECK_MSG(plan.cap_watts == fresh.cap_watts &&
-                   plan.node_budget_watts == fresh.node_budget_watts &&
-                   plan.required_saving_watts == fresh.required_saving_watts,
-               "offline planner audit: budgets diverged from reference");
-  PS_CHECK_MSG(plan.selection.nodes == fresh.selection.nodes &&
-                   plan.selection.whole_racks == fresh.selection.whole_racks &&
-                   plan.selection.whole_chassis == fresh.selection.whole_chassis &&
-                   plan.selection.singles == fresh.selection.singles &&
-                   plan.selection.saving_vs_busy_watts ==
-                       fresh.selection.saving_vs_busy_watts &&
-                   plan.selection.saving_vs_idle_watts ==
-                       fresh.selection.saving_vs_idle_watts,
-               "offline planner audit: selection diverged from reference");
+  return plan_cache_.emplace(key, compute_plan_impl(cap_watts)).first->second;
 }
 
 void OfflinePlanner::register_plan_reservation(OfflinePlan& plan, sim::Time start,
@@ -386,7 +301,6 @@ std::vector<OfflinePlan> OfflinePlanner::plan_windows(
     // One copy out of the cache per window — it becomes the caller-owned
     // plan carrying this window's reservation id.
     OfflinePlan plan = compute_plan(window.cap_watts);
-    if (config_.audit_offline_planner) audit_plan(plan, window.cap_watts);
     register_plan_reservation(plan, window.start, window.end);
     ++stats_.windows_planned;
     plans.push_back(std::move(plan));

@@ -6,19 +6,15 @@
 // racks and chassis so the infrastructure "power bonus" is harvested: a
 // full chassis saves 6 692 W (vs 18x344 = 6 192 W scattered), a full rack
 // 34 360 W. The paper's example: a 6 600 W reduction needs 20 scattered
-// nodes but only one 18-node chassis.
+// nodes but only one 18-node chassis. A grouped selection is always the
+// top contiguous block of the node-id space (racks, then chassis, then
+// singles), so it is materialized as an id range, never by a container
+// walk and sort.
 //
 // Multi-window schedules (the paper's §VII 24 h day holds several cap
-// windows) are planned incrementally by plan_windows(): a plan's content
-// depends only on the cap watts (never on the window's placement in time),
-// so the planner memoizes whole plans per distinct cap and grouped
-// selections per distinct saving need. Grouped selections are materialized
-// from the container frontier — racks, then chassis, then singles, always
-// the top contiguous block of the node-id space — without the per-window
-// node-id re-scan and sort of the from-scratch path. The from-scratch path
-// survives as *_reference and, under PowercapConfig::audit_offline_planner,
-// re-plans every window and checks bit-identity (the planner analogue of
-// Cluster::audit_watts / audit_admission_cache).
+// windows) are planned by plan_windows(): a plan's content depends only on
+// the cap watts (never on the window's placement in time), so the planner
+// memoizes whole plans per distinct cap.
 #pragma once
 
 #include <cstdint>
@@ -75,40 +71,27 @@ class OfflinePlanner {
   OfflinePlan plan_window(sim::Time start, sim::Time end, double cap_watts);
 
   /// Plans a whole multi-window schedule, registering one switch-off
-  /// reservation per shutdown-bearing window. Incremental: windows sharing
-  /// a cap reuse the memoized plan (split + selection) outright; new caps
-  /// only pay for what their saving need adds over the cached selection
-  /// frontier. Bit-identical to calling plan_window per window.
+  /// reservation per shutdown-bearing window. Windows sharing a cap reuse
+  /// the memoized plan (split + selection) outright. Bit-identical to
+  /// calling plan_window per window.
   std::vector<OfflinePlan> plan_windows(const std::vector<PlanWindow>& windows);
 
   /// Plan content for one cap — split, selection, budgets — without
   /// placing a reservation (a plan never depends on the window's position
-  /// in time, only its watts). Memoized per distinct cap; this is the
-  /// incremental half of the planning pipeline. The reference points into
-  /// the cache: valid until the planner is destroyed, cache hits are
-  /// copy-free (the node vector can hold thousands of ids).
+  /// in time, only its watts). Memoized per distinct cap. The reference
+  /// points into the cache: valid until the planner is destroyed, cache
+  /// hits are copy-free (the node vector can hold thousands of ids).
   const OfflinePlan& compute_plan(double cap_watts);
-
-  /// From-scratch counterpart: no caches, no frontier, no reservation
-  /// registration. The brute-force half of the audit fence; exposed for
-  /// tests and benches comparing incremental vs reference planning.
-  OfflinePlan compute_plan_reference(double cap_watts) const;
 
   // --- selection primitives (exposed for tests and ablation benches) ------
 
   /// Grouped selection achieving at least `need_watts` of busy-referenced
   /// saving with as few nodes as possible (racks, then chassis, then
-  /// contiguous singles, from the top of the node-id space). Memoized per
-  /// distinct need; materialized without a node-id scan + sort.
+  /// contiguous singles, from the top of the node-id space).
   Selection select_for_saving(double need_watts) const;
 
   /// Grouped selection of exactly `count` nodes (whole racks/chassis first).
   Selection select_count(std::int32_t count) const;
-
-  /// From-scratch counterparts of the two selectors above (the original
-  /// node-id-space walk + sort). Used by the audit mode and tests.
-  Selection select_for_saving_reference(double need_watts) const;
-  Selection select_count_reference(std::int32_t count) const;
 
   /// Scattered selections (no grouping — ablation): one node per chassis,
   /// round-robin, so no bonus is ever harvested.
@@ -119,20 +102,16 @@ class OfflinePlanner {
   /// floor, matching the MIX variant of §VI-B.
   model::ClusterParams params_with_floor(double floor_ghz) const;
 
-  /// Incrementality observability (tests, benches).
+  /// Plan-cache observability (tests, benches).
   struct Stats {
     std::uint64_t windows_planned = 0;
-    std::uint64_t plan_cache_hits = 0;       ///< whole plan reused
-    std::uint64_t selection_cache_hits = 0;  ///< grouped selection reused
-    std::uint64_t audits = 0;                ///< reference re-plans checked
+    std::uint64_t plan_cache_hits = 0;  ///< whole plan reused
   };
   const Stats& stats() const noexcept { return stats_; }
 
  private:
-  /// Grouping decision shared by the fast and reference grouped selectors:
-  /// how many whole racks, whole chassis and singles a saving need takes.
-  /// The arithmetic (sequential subtraction) is kept identical between the
-  /// two paths so their float rounding can never diverge.
+  /// Grouping decision of select_for_saving: how many whole racks, whole
+  /// chassis and singles a saving need takes.
   struct GroupCounts {
     std::int32_t racks = 0;
     std::int32_t chassis = 0;
@@ -148,26 +127,19 @@ class OfflinePlanner {
   /// such a block by construction of the rack→chassis→singles frontier).
   std::vector<cluster::NodeId> top_block(std::int32_t count) const;
 
-  /// Shared Algorithm-1 pipeline; `reference` routes the node selection
-  /// through the from-scratch selectors.
-  OfflinePlan compute_plan_impl(double cap_watts, bool reference) const;
+  /// Algorithm 1 for one cap, uncached.
+  OfflinePlan compute_plan_impl(double cap_watts) const;
   /// Registers the switch-off reservation for one placed window.
   void register_plan_reservation(OfflinePlan& plan, sim::Time start, sim::Time end);
-  /// audit_offline_planner fence: PS_CHECKs `plan` against a fresh
-  /// reference plan for the same cap.
-  void audit_plan(const OfflinePlan& plan, double cap_watts) const;
 
   rjms::Controller& controller_;
   PowercapConfig config_;
 
-  // Memoized planning state. Plans never depend on window placement, and
-  // selection is independent of live cluster state by design (the paper
-  // plans against worst-case draw, audited by audit_plan), so entries stay
-  // valid for the planner's lifetime.
+  // Plans never depend on window placement, and selection is independent
+  // of live cluster state by design (the paper plans against worst-case
+  // draw), so entries stay valid for the planner's lifetime.
   std::unordered_map<std::uint64_t, OfflinePlan> plan_cache_;  ///< key: cap bits
-  mutable std::unordered_map<std::uint64_t, Selection> saving_cache_;
-  mutable std::unordered_map<std::int32_t, Selection> count_cache_;
-  mutable Stats stats_;
+  Stats stats_;
 };
 
 }  // namespace ps::core

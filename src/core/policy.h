@@ -97,12 +97,6 @@ struct PowercapConfig {
   /// debugging only.
   bool audit_admission_cache = false;
 
-  /// Audit mode for the incremental offline planner: every planned window
-  /// is re-planned from scratch (no plan/selection caches, reference
-  /// node-id-space selection walk) and checked bit-identical. Throws
-  /// CheckError on divergence. Tests and debugging only.
-  bool audit_offline_planner = false;
-
   /// Extension (the paper's §VIII future work): dynamically re-scale the
   /// frequency of *running* jobs at cap-window boundaries — down to the
   /// window's optimal frequency when it opens ("faster power decrease when

@@ -411,7 +411,6 @@ void powercap_config(Io& io, T& p) {
     io.boolean("strict_reservation_blocking", p.strict_reservation_blocking);
     io.boolean("kill_on_overcap", p.kill_on_overcap);
     io.boolean("audit_admission_cache", p.audit_admission_cache);
-    io.boolean("audit_offline_planner", p.audit_offline_planner);
     io.boolean("dynamic_dvfs", p.dynamic_dvfs);
   });
 }

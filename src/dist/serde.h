@@ -69,7 +69,9 @@ class SerdeError : public std::runtime_error {
 /// Format version stamped on every block this revision emits. Bump when a
 /// field is added, removed or reordered; parsers reject any other version.
 /// v2: scenario_config grew submit_chunk (streamed-submission chunk).
-inline constexpr int kSerdeVersion = 2;
+/// v3: powercap_config dropped the offline-planner audit flag (the planner
+///     has one selection path, checked by tests instead of a runtime knob).
+inline constexpr int kSerdeVersion = 3;
 
 /// Enums travel as lowercase tokens, not integers, so a renumbered enum in
 /// a skewed binary is a parse error rather than a silently different value.

@@ -135,21 +135,25 @@ std::vector<std::int64_t> spool_retry_delays_ms(const SpoolOptions& options) {
 bool claim_file(const std::string& from, const std::string& to,
                 const SpoolOptions& options) {
   // Transient errnos (seen on NFS and similar networked filesystems under
-  // contention) get a bounded backoff per `options` instead of aborting
-  // the worker; ENOENT stays the normal lost-race return at any point.
-  std::int64_t backoff_ms = options.claim_backoff_initial_ms;
-  for (int attempt = 0;; ++attempt) {
+  // contention) sleep through spool_retry_delays_ms(options) instead of
+  // aborting the worker; ENOENT stays the normal lost-race return at any
+  // point. The schedule is built on the first transient error only, so an
+  // uncontended claim allocates nothing.
+  std::vector<std::int64_t> delays_ms;
+  for (std::size_t attempt = 0;; ++attempt) {
     if (std::rename(from.c_str(), to.c_str()) == 0) break;
     if (errno == ENOENT) {
       claim_races_counter().inc();
       return false;  // lost the race — somebody claimed it
     }
-    bool transient = errno == EBUSY || errno == ESTALE || errno == EAGAIN;
-    if (!transient || attempt >= options.claim_retries) fail("claim", from);
-    ::usleep(static_cast<useconds_t>(
-                 std::min(backoff_ms, options.claim_backoff_max_ms)) *
-             1000);
-    backoff_ms *= 2;
+    const int error = errno;
+    if (error != EBUSY && error != ESTALE && error != EAGAIN) fail("claim", from);
+    if (attempt == 0) delays_ms = spool_retry_delays_ms(options);
+    if (attempt >= delays_ms.size()) {
+      errno = error;
+      fail("claim", from);
+    }
+    ::usleep(static_cast<useconds_t>(delays_ms[attempt]) * 1000);
   }
   if (options.durable) fsync_parent_dir(to);
   claims_counter().inc();

@@ -64,8 +64,9 @@ struct SpoolOptions {
 
 /// The claim backoff schedule `options` produces: one sleep per retry,
 /// doubling from claim_backoff_initial_ms and capped at
-/// claim_backoff_max_ms. Pure (exposed so tests can pin the bounds without
-/// synthesizing EBUSY on a real filesystem).
+/// claim_backoff_max_ms. claim_file sleeps through exactly this schedule;
+/// it is exposed so tests can pin it without synthesizing EBUSY on a real
+/// filesystem.
 std::vector<std::int64_t> spool_retry_delays_ms(const SpoolOptions& options);
 
 /// Atomically claims `from` by renaming it to `to`. Returns false when the

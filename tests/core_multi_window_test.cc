@@ -1,8 +1,9 @@
-// Multi-window offline planning: the incremental planner (plan/selection
-// memoization, frontier-materialized grouped selections) must be
-// bit-identical to from-scratch per-window reference planning, while doing
-// measurably less work on repeated caps; multi-window scenarios must wire
-// every window through reservations, hooks and result reporting.
+// Multi-window offline planning: plans served from the per-cap plan cache
+// must be bit-identical to fresh per-window planning, and every grouped
+// selection must match the container-walk oracle (tests/offline_oracle.h)
+// on both the full Curie machine and the 2-rack machine the workloads use;
+// multi-window scenarios must wire every window through reservations,
+// hooks and result reporting.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,29 +13,20 @@
 #include "core/experiment.h"
 #include "core/offline.h"
 #include "core/powercap_manager.h"
+#include "offline_oracle.h"
 #include "scenario_fingerprint.h"
 #include "sim/simulator.h"
 
 namespace ps::core {
 namespace {
 
+using testing::expect_plans_identical;
+using testing::expect_plans_match_oracle;
+using testing::expect_selection_matches_oracle;
+using testing::expect_selections_identical;
 using testing::fingerprint;
-
-void expect_plans_identical(const OfflinePlan& a, const OfflinePlan& b) {
-  EXPECT_EQ(a.split.mechanism, b.split.mechanism);
-  EXPECT_EQ(a.split.n_off, b.split.n_off);
-  EXPECT_EQ(a.split.n_dvfs, b.split.n_dvfs);
-  EXPECT_EQ(a.split.work, b.split.work);
-  EXPECT_EQ(a.cap_watts, b.cap_watts);
-  EXPECT_EQ(a.node_budget_watts, b.node_budget_watts);
-  EXPECT_EQ(a.required_saving_watts, b.required_saving_watts);
-  EXPECT_EQ(a.selection.nodes, b.selection.nodes);
-  EXPECT_EQ(a.selection.whole_racks, b.selection.whole_racks);
-  EXPECT_EQ(a.selection.whole_chassis, b.selection.whole_chassis);
-  EXPECT_EQ(a.selection.singles, b.selection.singles);
-  EXPECT_EQ(a.selection.saving_vs_busy_watts, b.selection.saving_vs_busy_watts);
-  EXPECT_EQ(a.selection.saving_vs_idle_watts, b.selection.saving_vs_idle_watts);
-}
+using testing::oracle_select_count;
+using testing::oracle_select_for_saving;
 
 class MultiWindowTest : public ::testing::Test {
  protected:
@@ -46,7 +38,7 @@ class MultiWindowTest : public ::testing::Test {
   rjms::Controller controller_;
 };
 
-TEST_F(MultiWindowTest, IncrementalMatchesReferenceOnTwelveWindowDay) {
+TEST_F(MultiWindowTest, PlanCacheMatchesFreshPlanningOnTwelveWindowDay) {
   PowercapConfig config;
   config.policy = Policy::Mix;
   OfflinePlanner planner(controller_, config);
@@ -63,10 +55,12 @@ TEST_F(MultiWindowTest, IncrementalMatchesReferenceOnTwelveWindowDay) {
   std::vector<OfflinePlan> plans = planner.plan_windows(windows);
   ASSERT_EQ(plans.size(), windows.size());
 
-  // Every plan bit-identical to an independent from-scratch reference.
+  // Every plan bit-identical to a cache-cold planner's, its selection to
+  // the container walk.
   for (std::size_t w = 0; w < windows.size(); ++w) {
-    OfflinePlan reference = planner.compute_plan_reference(windows[w].cap_watts);
-    expect_plans_identical(plans[w], reference);
+    OfflinePlanner fresh(controller_, config);
+    expect_plans_identical(plans[w], fresh.compute_plan(windows[w].cap_watts));
+    expect_selection_matches_oracle(cl_, plans[w]);
     EXPECT_NE(plans[w].reservation_id, 0) << "window " << w;
   }
   // And genuinely incremental: 3 distinct caps priced once, 9 reused.
@@ -108,61 +102,56 @@ TEST_F(MultiWindowTest, PlanWindowsMatchesPerWindowPlanning) {
     OfflinePlan plan =
         per_window.plan_window(windows[w].start, windows[w].end, windows[w].cap_watts);
     expect_plans_identical(joint_plans[w], plan);
+    expect_selection_matches_oracle(cl_, plan);
   }
 }
 
-TEST_F(MultiWindowTest, AuditModePassesAndCounts) {
-  PowercapConfig config;
-  config.policy = Policy::Mix;
-  config.audit_offline_planner = true;
-  OfflinePlanner planner(controller_, config);
-  double max_watts = cl_.power_model().max_cluster_watts();
-  std::vector<PlanWindow> windows;
-  for (int w = 0; w < 6; ++w) {
-    windows.push_back({sim::hours(w), sim::hours(w) + sim::minutes(30),
-                       (w % 2 == 0 ? 0.45 : 0.65) * max_watts});
+/// Every saving need from 0 to `step` past the machine's maximum grouped
+/// saving (all racks off), in `step` increments, against the oracle.
+void expect_saving_selections_match_oracle(const cluster::Cluster& cl,
+                                           const OfflinePlanner& planner, double step) {
+  double max_saving = cl.topology().racks() * cl.power_model().rack_accumulated_saving();
+  for (double need = 0.0; need < max_saving + 2 * step; need += step) {
+    SCOPED_TRACE(::testing::Message() << "need " << need);
+    expect_selections_identical(planner.select_for_saving(need),
+                                oracle_select_for_saving(cl, need));
   }
-  planner.plan_windows(windows);  // PS_CHECK-throws on any divergence
-  EXPECT_EQ(planner.stats().audits, 6u);
 }
 
-TEST_F(MultiWindowTest, FastSelectorsMatchReferenceAcrossNeeds) {
+TEST_F(MultiWindowTest, SelectorsMatchContainerWalkOnCurie) {
   PowercapConfig config;
   config.policy = Policy::Shut;
   OfflinePlanner planner(controller_, config);
-  for (double need = 0.0; need < 1.8e6; need += 23'456.0) {
-    Selection fast = planner.select_for_saving(need);
-    Selection reference = planner.select_for_saving_reference(need);
-    EXPECT_EQ(fast.nodes, reference.nodes) << "need " << need;
-    EXPECT_EQ(fast.whole_racks, reference.whole_racks) << "need " << need;
-    EXPECT_EQ(fast.whole_chassis, reference.whole_chassis) << "need " << need;
-    EXPECT_EQ(fast.singles, reference.singles) << "need " << need;
-    EXPECT_EQ(fast.saving_vs_busy_watts, reference.saving_vs_busy_watts)
-        << "need " << need;
-    EXPECT_EQ(fast.saving_vs_idle_watts, reference.saving_vs_idle_watts)
-        << "need " << need;
-  }
-  for (std::int32_t count : {0, 1, 17, 18, 19, 89, 90, 91, 512, 5040}) {
-    Selection fast = planner.select_count(count);
-    Selection reference = planner.select_count_reference(count);
-    EXPECT_EQ(fast.nodes, reference.nodes) << "count " << count;
-    EXPECT_EQ(fast.saving_vs_busy_watts, reference.saving_vs_busy_watts)
-        << "count " << count;
+  expect_saving_selections_match_oracle(cl_, planner, 23'456.0);
+  for (std::int32_t count : {-1, 0, 1, 17, 18, 19, 89, 90, 91, 512, 5039, 5040, 5041}) {
+    SCOPED_TRACE(::testing::Message() << "count " << count);
+    expect_selections_identical(planner.select_count(count),
+                                oracle_select_count(cl_, count));
   }
 }
 
-TEST_F(MultiWindowTest, RepeatedNeedsHitTheSelectionCache) {
+TEST(MultiWindowSelection, SelectorsMatchContainerWalkOnTwoRacks) {
+  sim::Simulator sim;
+  cluster::Cluster cl = cluster::curie::make_scaled_cluster(2);
+  rjms::Controller controller(sim, cl, {});
   PowercapConfig config;
   config.policy = Policy::Shut;
-  OfflinePlanner planner(controller_, config);
-  planner.select_for_saving(40'000.0);
-  EXPECT_EQ(planner.stats().selection_cache_hits, 0u);
-  planner.select_for_saving(40'000.0);
-  planner.select_for_saving(40'000.0);
-  EXPECT_EQ(planner.stats().selection_cache_hits, 2u);
+  OfflinePlanner planner(controller, config);
+  // Finer than one node's saving, so every singles count is visited.
+  expect_saving_selections_match_oracle(cl, planner, 97.0);
+  // Every count, one past each end included.
+  for (std::int32_t count = -1; count <= cl.topology().total_nodes() + 1; ++count) {
+    SCOPED_TRACE(::testing::Message() << "count " << count);
+    expect_selections_identical(planner.select_count(count),
+                                oracle_select_count(cl, count));
+  }
+  // A need past the maximum switches the whole machine off, no more.
+  Selection all = planner.select_for_saving(1e9);
+  EXPECT_EQ(all.whole_racks, 2);
+  EXPECT_EQ(static_cast<std::int32_t>(all.nodes.size()), cl.topology().total_nodes());
 }
 
-TEST(MultiWindowScenario, EndToEndWithAuditsOn) {
+TEST(MultiWindowScenario, EndToEndPlansMatchOracle) {
   workload::GeneratorParams params = workload::params_for(workload::Profile::MedianJob);
   params.name = "multiwindow";
   params.span = sim::hours(4);
@@ -173,7 +162,6 @@ TEST(MultiWindowScenario, EndToEndWithAuditsOn) {
   config.racks = 2;
   config.seed = 20150525;
   config.powercap.policy = Policy::Mix;
-  config.powercap.audit_offline_planner = true;
   config.powercap.audit_admission_cache = true;
   for (int w = 0; w < 8; ++w) {
     config.cap_windows.push_back(
@@ -186,6 +174,7 @@ TEST(MultiWindowScenario, EndToEndWithAuditsOn) {
   EXPECT_TRUE(result.has_plan);
   EXPECT_EQ(result.cap_watts, result.windows.front().watts);
   for (const auto& window : result.windows) EXPECT_GT(window.watts, 0.0);
+  expect_plans_match_oracle(config, result);
 
   // Determinism across repeats, like the Fig-8 fence.
   ScenarioResult second = run_scenario(config);

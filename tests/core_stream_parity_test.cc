@@ -19,6 +19,7 @@
 #include "core/experiment.h"
 #include "core/replay.h"
 #include "fig8_golden.h"
+#include "offline_oracle.h"
 #include "scenario_fingerprint.h"
 #include "util/check.h"
 #include "workload/job_source.h"
@@ -27,6 +28,7 @@
 namespace ps::core {
 namespace {
 
+using testing::expect_plans_match_oracle;
 using testing::fig8_golden_config;
 using testing::fingerprint;
 using testing::kFig8GoldenCases;
@@ -84,9 +86,9 @@ TEST(StreamParity, MiniTraceStreamedMultiWindowWithAuditsOn) {
       {0.70, sim::minutes(70), sim::minutes(20), -1},
   };
   config.powercap.audit_admission_cache = true;
-  config.powercap.audit_offline_planner = true;
   ScenarioResult result = run_scenario(config);
   ASSERT_EQ(result.windows.size(), 3u);
+  expect_plans_match_oracle(config, result);
   std::uint64_t digest = fingerprint(result);
   const std::uint64_t kGolden = 0x747f6e4816903836ull;
   EXPECT_EQ(digest, kGolden) << "computed 0x" << std::hex << digest;
@@ -101,8 +103,8 @@ TEST(StreamParity, MiniTraceStreamedDailyWindowsGolden) {
   config.cap_windows =
       make_daily_cap_windows(0, 3, sim::hours(11), sim::hours(13), 0.4);
   config.powercap.audit_admission_cache = true;
-  config.powercap.audit_offline_planner = true;
   ScenarioResult result = run_scenario(config);
+  expect_plans_match_oracle(config, result);
   std::uint64_t digest = fingerprint(result);
   const std::uint64_t kGolden = 0xbf88f6f84048c8ccull;
   EXPECT_EQ(digest, kGolden) << "computed 0x" << std::hex << digest;

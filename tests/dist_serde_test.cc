@@ -64,7 +64,6 @@ core::ScenarioConfig exhaustive_config() {
   config.powercap.strict_reservation_blocking = true;
   config.powercap.kill_on_overcap = true;
   config.powercap.audit_admission_cache = true;
-  config.powercap.audit_offline_planner = true;
   config.powercap.dynamic_dvfs = true;
 
   config.cap_lambda = 0.45;
@@ -143,7 +142,6 @@ void expect_config_equal(const core::ScenarioConfig& a, const core::ScenarioConf
             b.powercap.strict_reservation_blocking);
   EXPECT_EQ(a.powercap.kill_on_overcap, b.powercap.kill_on_overcap);
   EXPECT_EQ(a.powercap.audit_admission_cache, b.powercap.audit_admission_cache);
-  EXPECT_EQ(a.powercap.audit_offline_planner, b.powercap.audit_offline_planner);
   EXPECT_EQ(a.powercap.dynamic_dvfs, b.powercap.dynamic_dvfs);
   EXPECT_EQ(a.cap_lambda, b.cap_lambda);
   EXPECT_EQ(a.cap_start, b.cap_start);
@@ -254,8 +252,8 @@ serve::Submission pinned_submission(const std::string& client,
   return doc;
 }
 
-const char kScenarioResultPin[] = R"(begin scenario_result v2
-begin run_summary v2
+const char kScenarioResultPin[] = R"(begin scenario_result v3
+begin run_summary v3
 from 60000
 to 7200000
 energy_joules 41d65a0bc0000000
@@ -272,7 +270,7 @@ mean_watts 4122aff300000000
 max_watts 412e7bba80000000
 cap_violation_seconds 4012000000000000
 end run_summary
-begin controller_stats v2
+begin controller_stats v3
 submitted 120
 started 101
 completed 97
@@ -292,12 +290,12 @@ cap_watts 412b774000000000
 cap_start 1800000
 cap_end 5400000
 has_plan 1
-begin offline_plan v2
+begin offline_plan v3
 mechanism both
 n_off 4029000000000000
 n_dvfs 400a000000000000
 work 3fec000000000000
-begin selection v2
+begin selection v3
 nodes 4 0+3 7+1
 whole_racks 1
 whole_chassis 2
@@ -314,12 +312,12 @@ windows 2
 window 1800000 5400000 412b774000000000
 window 6000000 9223372036854775807 41255cc100000000
 plans 2
-begin offline_plan v2
+begin offline_plan v3
 mechanism both
 n_off 4029000000000000
 n_dvfs 400a000000000000
 work 3fec000000000000
-begin selection v2
+begin selection v3
 nodes 4 0+3 7+1
 whole_racks 1
 whole_chassis 2
@@ -332,12 +330,12 @@ node_budget_watts 4129f0a000000000
 required_saving_watts 40e4050000000000
 reservation_id 17
 end offline_plan
-begin offline_plan v2
+begin offline_plan v3
 mechanism both
 n_off 4029000000000000
 n_dvfs 400a000000000000
 work 3fec000000000000
-begin selection v2
+begin selection v3
 nodes 4 40+3 47+1
 whole_racks 1
 whole_chassis 2
@@ -355,17 +353,17 @@ total_cores 80640
 end scenario_result
 )";
 
-const char kShardResultsHeadPin[] = R"(begin shard_results v2
+const char kShardResultsHeadPin[] = R"(begin shard_results v3
 id 5
 cells 1
-begin cell_record v2
+begin cell_record v3
 index 12
 fingerprint 0123456789abcdef
 )";
 
 const char kShardResultsTailPin[] = R"(end cell_record
 end shard_results
-checksum 70ce3318c627c0a0
+checksum 2f716deeafe82b15
 )";
 
 struct PinCase {
@@ -431,15 +429,15 @@ std::vector<PinCase> pin_cases() {
       {"scenario_result", serialize(pinned_result()),
        kScenarioResultPin},
       {"shard", serialize_shard(shard),
-       R"(begin shard v2
+       R"(begin shard v3
 id 5
 cells 2
-begin cell v2
+begin cell v3
 index 12
-begin scenario_config v2
+begin scenario_config v3
 profile bigjob
 has_custom_workload 1
-begin generator_params v2
+begin generator_params v3
 name serde round trip
 span 25200000
 job_count 1234
@@ -461,7 +459,7 @@ job 2 30000 0 16 600000 120000 -
 job 3 3600000 7 80640 86400000 72000000 stream
 seed 16045690984503098046
 racks 3
-begin powercap_config v2
+begin powercap_config v3
 policy auto
 default_degmin 3ff8000000000000
 use_app_degmin 0
@@ -473,7 +471,6 @@ offline_enabled 0
 strict_reservation_blocking 1
 kill_on_overcap 1
 audit_admission_cache 1
-audit_offline_planner 1
 dynamic_dvfs 1
 end powercap_config
 cap_lambda 3fdccccccccccccd
@@ -483,7 +480,7 @@ cap_windows 3
 window 3fd999999999999a 3600000 7200000 -1
 window 3fe3333333333333 14400000 0 10800000
 window 3fe0000000000000 -1 2700000 300000
-begin controller_config v2
+begin controller_config v3
 priority_age 405ec00000000000
 priority_size 4046c00000000000
 priority_fair_share 4085300000000000
@@ -499,15 +496,15 @@ horizon 32400000
 submit_chunk 2700000
 end scenario_config
 end cell
-begin cell v2
+begin cell v3
 index 40
-begin scenario_config v2
+begin scenario_config v3
 profile medianjob
 has_custom_workload 0
 has_trace_jobs 0
 seed 9
 racks 56
-begin powercap_config v2
+begin powercap_config v3
 policy shut
 default_degmin 3ffa147ae147ae14
 use_app_degmin 1
@@ -519,14 +516,13 @@ offline_enabled 1
 strict_reservation_blocking 0
 kill_on_overcap 0
 audit_admission_cache 0
-audit_offline_planner 0
 dynamic_dvfs 0
 end powercap_config
 cap_lambda 3ff0000000000000
 cap_start -1
 cap_duration 3600000
 cap_windows 0
-begin controller_config v2
+begin controller_config v3
 priority_age 408f400000000000
 priority_size 407f400000000000
 priority_fair_share 409f400000000000
@@ -543,33 +539,33 @@ submit_chunk 0
 end scenario_config
 end cell
 end shard
-checksum 4ad91f99ea099085
+checksum 1f224399a47ddb6c
 )"},
       {"shard_results", serialize_shard_results(results),
        std::string(kShardResultsHeadPin) + kScenarioResultPin + kShardResultsTailPin},
       {"grid_meta", serialize_grid_meta({27, 4, 0xfeedface12345678ull}),
-       R"(begin grid_meta v2
+       R"(begin grid_meta v3
 cells 27
 shards 4
 grid_checksum feedface12345678
 end grid_meta
-checksum b66a6d84f0ebef4b
+checksum b247fc08cff33738
 )"},
       {"heartbeat", serialize_heartbeat(42, 4711),
        R"(hb 42 4711
 )"},
       {"hello", serve::serialize_hello(hello),
-       R"(begin serve_hello v2
+       R"(begin serve_hello v3
 client alpha
 jobs 133
 last_submit 7200000
 tenant team-a
 weight 3
 end serve_hello
-checksum 217a7c02ebcb7859
+checksum 61d01683aedaf782
 )"},
       {"submission", serve::serialize_submission(pinned_submission("alpha", 8)),
-       R"(begin serve_submission v2
+       R"(begin serve_submission v3
 client alpha
 seq 8
 watermark 90008
@@ -579,10 +575,10 @@ jobs 2
 job 41 60000 3 512 7200000 5400000 linpack
 job 42 61000 0 16 600000 120000 -
 end serve_submission
-checksum 59716943246fe05b
+checksum 7a99e0b6c233aae0
 )"},
       {"status", serve::serialize_status(status),
-       R"(begin serve_status v2
+       R"(begin serve_status v3
 accepting 0
 seq 77
 sim_time 3600000
@@ -592,10 +588,10 @@ tenant_count 2
 tenant team-a 3 2 7 1 0
 tenant team-b 1 0 0 0 1
 end serve_status
-checksum 54f2cb46026480a2
+checksum c612febffddc98bf
 )"},
       {"checkpoint", serve::serialize_checkpoint(ckpt),
-       R"(begin serve_checkpoint v2
+       R"(begin serve_checkpoint v3
 seq 6
 committed 123456
 admitted 240
@@ -603,7 +599,7 @@ docs 12
 clamped 3
 scenario_checksum deadbeefcafef00d
 clients 2
-begin ckpt_client v2
+begin ckpt_client v3
 name alpha
 hello_jobs 200
 hello_last_submit 999000
@@ -613,7 +609,7 @@ eof 1
 admitted_jobs 120
 history_fp 0000000000001234
 end ckpt_client
-begin ckpt_client v2
+begin ckpt_client v3
 name beta
 hello_jobs 100
 hello_last_submit 888000
@@ -625,13 +621,13 @@ history_fp fedcba9876543210
 end ckpt_client
 sketch qsketch1 stand-in with spaces
 end serve_checkpoint
-checksum 4dc31347816beeac
+checksum 7cae5c13ea80c94f
 )"},
       {"segment", serve::serialize_segment(segment),
-       R"(begin serve_segment v2
+       R"(begin serve_segment v3
 seq 6
 docs 2
-begin serve_submission v2
+begin serve_submission v3
 client alpha
 seq 0
 watermark 90000
@@ -641,7 +637,7 @@ jobs 2
 job 41 60000 3 512 7200000 5400000 linpack
 job 42 61000 0 16 600000 120000 -
 end serve_submission
-begin serve_submission v2
+begin serve_submission v3
 client beta
 seq 3
 watermark 90003
@@ -652,10 +648,10 @@ job 41 60000 3 512 7200000 5400000 linpack
 job 42 61000 0 16 600000 120000 -
 end serve_submission
 end serve_segment
-checksum c6e2e8f566acf917
+checksum b257daab845955cc
 )"},
       {"quarantine_reason", serve::serialize_quarantine_reason(reason),
-       R"(begin quarantine_reason v2
+       R"(begin quarantine_reason v3
 client beta
 seq 9
 kind hello
@@ -666,7 +662,7 @@ generation 2
 jobs 17
 wall_ns 555000111
 end quarantine_reason
-checksum f2a5468abae98b79
+checksum 20dc8522a9fb307c
 )"},
   };
 }
@@ -982,11 +978,17 @@ TEST(DistSerde, HostileCountsAreSerdeErrorsBeforeAnyAllocation) {
   // A sealed manifest of a few dozen bytes claiming 10^8 cells: the count
   // is rejected against the bytes left in the document, before anything is
   // reserved for it.
+  const std::string head =
+      "begin manifest v" + std::to_string(kSerdeVersion) + "\ncells ";
   for (const char* count : {"100000000", "100000000000000"}) {
-    EXPECT_THROW(parse_manifest(seal_document(std::string("begin manifest v2\ncells ") +
-                                              count + "\nend manifest\n")),
-                 SerdeError)
-        << count;
+    try {
+      parse_manifest(seal_document(head + count + "\nend manifest\n"));
+      ADD_FAILURE() << count << " accepted";
+    } catch (const SerdeError& error) {
+      // The count guard, not a version or checksum mismatch.
+      EXPECT_NE(std::string(error.what()).find("exceeds the"), std::string::npos)
+          << count << ": " << error.what();
+    }
   }
   serve::Submission doc = pinned_submission("alpha", 1);
   EXPECT_THROW(serve::parse_submission(with_line(

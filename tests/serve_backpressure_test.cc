@@ -1,7 +1,8 @@
 // Live-service failure-mode fences: backpressure must throttle without
 // dropping or deadlocking (and without perturbing the deterministic
 // replay), SIGTERM must drain gracefully and still emit the final report,
-// and a missing client must fail loudly rather than hang the daemon.
+// a missing client must fail loudly rather than hang the daemon, and a
+// negative count flag must be refused at startup.
 #include <gtest/gtest.h>
 
 #include <csignal>
@@ -132,6 +133,26 @@ TEST(ServeBackpressure, MissingClientFailsLoudlyInsteadOfHanging) {
   EXPECT_NE(util::read_file(dir + "/serve.err").find("timed out"),
             std::string::npos);
   util::remove_tree(dir);
+}
+
+TEST(ServeBackpressure, NegativeCountFlagsFailAtStartup) {
+  // A negative count would wrap in its size_t/uint64_t option; the daemon
+  // must refuse it before it starts waiting for hellos.
+  for (const char* flag : {"--queue-docs", "--racks"}) {
+    std::string dir = util::make_temp_dir("serve_flags");
+    util::Subprocess server = util::Subprocess::spawn(
+        {PS_SERVE_BIN, "--spool", dir + "/spool", "--expect-clients", "1",
+         "--hello-timeout-ms", "300", "--stats-ms", "0", flag, "-1"},
+        dir + "/serve.out", dir + "/serve.err");
+    int server_exit = -1;
+    ASSERT_TRUE(server.wait_for(30'000, &server_exit)) << flag;
+    EXPECT_EQ(server_exit, 1) << flag;
+    std::string err = util::read_file(dir + "/serve.err");
+    EXPECT_NE(err.find(std::string(flag) + " wants a non-negative integer"),
+              std::string::npos)
+        << err;
+    util::remove_tree(dir);
+  }
 }
 
 }  // namespace

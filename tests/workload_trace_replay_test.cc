@@ -1,8 +1,8 @@
 // SWF trace replay fenced like Fig-8: the checked-in CEA-Curie mini-slice
 // (data/curie_mini.swf) runs through run_scenario and must reproduce the
 // committed golden fingerprints — single cap window and a multi-window
-// schedule, the latter with both audit modes on so the incremental planner
-// and admission cache are brute-force-checked along the way.
+// schedule, the latter with the admission-cache audit on and every offline
+// plan checked against the container-walk oracle (tests/offline_oracle.h).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,12 +12,14 @@
 #include <vector>
 
 #include "core/experiment.h"
+#include "offline_oracle.h"
 #include "scenario_fingerprint.h"
 #include "workload/swf.h"
 
 namespace ps::core {
 namespace {
 
+using testing::expect_plans_match_oracle;
 using testing::fingerprint;
 
 std::vector<workload::JobRequest> load_mini_trace() {
@@ -71,14 +73,13 @@ TEST(TraceReplay, MultiWindowGoldenFingerprintWithAuditsOn) {
       {0.50, sim::minutes(40), sim::minutes(20), -1},
       {0.70, sim::minutes(70), sim::minutes(20), -1},
   };
-  // Both brute-force fences on: every cache hit re-verdicted, every window
-  // re-planned from scratch and compared.
+  // Every admission-cache hit re-verdicted; every plan checked below.
   config.powercap.audit_admission_cache = true;
-  config.powercap.audit_offline_planner = true;
   ScenarioResult result = run_scenario(config);
   EXPECT_GT(result.stats.started, 0u);
   ASSERT_EQ(result.windows.size(), 3u);
   EXPECT_EQ(result.plans.size(), 3u);
+  expect_plans_match_oracle(config, result);
   std::uint64_t digest = fingerprint(result);
   const std::uint64_t kGolden = 0x747f6e4816903836ull;
   EXPECT_EQ(digest, kGolden) << "computed 0x" << std::hex << digest;
@@ -111,7 +112,8 @@ TEST(TraceReplay, DailyCapWindowsExpandCalendarPattern) {
 
 TEST(TraceReplay, MultiDayDailyWindowsGoldenFingerprint) {
   // The calendar generator end-to-end on the checked-in mini-trace: a
-  // 3-day replay under "every day 11:00-13:00 at 40%", audit fences on.
+  // 3-day replay under "every day 11:00-13:00 at 40%", admission audit on
+  // and every plan checked against the oracle.
   // The repeated cap depth means the planner prices one plan and serves
   // two from the plan cache; the digest pins the whole multi-day replay.
   ScenarioConfig config = trace_config();
@@ -120,11 +122,11 @@ TEST(TraceReplay, MultiDayDailyWindowsGoldenFingerprint) {
   config.cap_windows =
       make_daily_cap_windows(0, 3, sim::hours(11), sim::hours(13), 0.4);
   config.powercap.audit_admission_cache = true;
-  config.powercap.audit_offline_planner = true;
   ScenarioResult result = run_scenario(config);
   EXPECT_GT(result.stats.started, 0u);
   ASSERT_EQ(result.windows.size(), 3u);
   EXPECT_EQ(result.plans.size(), 3u);
+  expect_plans_match_oracle(config, result);
   EXPECT_EQ(result.windows[0].start, sim::hours(11));
   EXPECT_EQ(result.windows[2].start, sim::hours(59));
   std::uint64_t digest = fingerprint(result);
