@@ -81,13 +81,6 @@ NodeState Cluster::state(NodeId node) const {
   return nodes_[static_cast<std::size_t>(node)].state;
 }
 
-FreqIndex Cluster::busy_freq(NodeId node) const {
-  PS_CHECK_MSG(topology().valid_node(node), "node id out of range");
-  const NodeSlot& slot = nodes_[static_cast<std::size_t>(node)];
-  PS_CHECK_MSG(slot.state == NodeState::Busy, "busy_freq of non-busy node");
-  return slot.freq;
-}
-
 void Cluster::set_state(NodeId node, NodeState new_state, FreqIndex freq) {
   PS_CHECK_MSG(topology().valid_node(node), "node id out of range");
   if (new_state == NodeState::Busy) {
@@ -216,44 +209,8 @@ double Cluster::audit_watts() const {
   return static_cast<double>(total) / 1000.0;
 }
 
-double Cluster::node_watts(NodeId node) const {
-  PS_CHECK_MSG(topology().valid_node(node), "node id out of range");
-  ChassisId c = topology().chassis_of_node(node);
-  if (chassis_nodes_on_[static_cast<std::size_t>(c)] == 0) return 0.0;
-  const NodeSlot& slot = nodes_[static_cast<std::size_t>(node)];
-  return static_cast<double>(node_mw(slot.state, slot.freq)) / 1000.0;
-}
-
 std::int32_t Cluster::count(NodeState state) const {
   return state_count_[state_index(state)];
-}
-
-std::int32_t Cluster::nodes_on(ChassisId chassis) const {
-  PS_CHECK(chassis >= 0 && chassis < topology().total_chassis());
-  return chassis_nodes_on_[static_cast<std::size_t>(chassis)];
-}
-
-bool Cluster::chassis_fully_off(ChassisId chassis) const { return nodes_on(chassis) == 0; }
-
-bool Cluster::rack_fully_off(RackId rack) const {
-  PS_CHECK(rack >= 0 && rack < topology().racks());
-  return rack_chassis_on_[static_cast<std::size_t>(rack)] == 0;
-}
-
-std::int32_t Cluster::fully_off_chassis_count() const {
-  std::int32_t n = 0;
-  for (auto on : chassis_nodes_on_) {
-    if (on == 0) ++n;
-  }
-  return n;
-}
-
-std::int32_t Cluster::fully_off_rack_count() const {
-  std::int32_t n = 0;
-  for (auto on : rack_chassis_on_) {
-    if (on == 0) ++n;
-  }
-  return n;
 }
 
 }  // namespace ps::cluster

@@ -28,9 +28,6 @@ class Cluster {
 
   NodeState state(NodeId node) const;
 
-  /// DVFS level of a Busy node; PS_CHECK fails for non-busy nodes.
-  FreqIndex busy_freq(NodeId node) const;
-
   /// Transitions a node to `state` (freq meaningful only for Busy).
   /// Any state->state transition is permitted: transition legality is the
   /// controller's policy concern, power accounting is ours.
@@ -42,10 +39,6 @@ class Cluster {
   /// Full O(N) recomputation used to validate the incremental bookkeeping.
   double audit_watts() const;
 
-  /// Current draw of one node, including nothing of the shared infra.
-  /// A node inside a fully-off chassis reports 0 (its BMC is unpowered).
-  double node_watts(NodeId node) const;
-
   // --- aggregates (metrics & scheduler queries) ---------------------------
 
   std::int32_t count(NodeState state) const;
@@ -53,7 +46,6 @@ class Cluster {
   const std::vector<std::int32_t>& busy_count_by_freq() const noexcept {
     return busy_by_freq_;
   }
-  std::int32_t nodes_on(ChassisId chassis) const;  ///< nodes not Off
 
   // --- incremental idle-node index (selector hot path) --------------------
 
@@ -70,10 +62,6 @@ class Cluster {
   /// against node states (the audit_watts() of the idle index). Returns
   /// false on any disagreement.
   bool audit_idle_index() const;
-  bool chassis_fully_off(ChassisId chassis) const;
-  bool rack_fully_off(RackId rack) const;
-  std::int32_t fully_off_chassis_count() const;
-  std::int32_t fully_off_rack_count() const;
 
   /// Nodes in any powered state (not Off).
   std::int32_t powered_nodes() const { return total_nodes_ - count(NodeState::Off); }
@@ -101,7 +89,7 @@ class Cluster {
   // allocation-free.
   std::vector<std::vector<ChassisId>> chassis_by_idle_;
   std::vector<std::int64_t> chassis_node_mw_;    // sum of node mw (incl. BMC of Off nodes)
-  std::vector<std::int32_t> rack_chassis_on_;    // chassis with nodes_on > 0
+  std::vector<std::int32_t> rack_chassis_on_;    // chassis with a node not Off
   std::vector<std::int64_t> rack_chassis_mw_;    // sum of gated chassis contributions
   std::int64_t total_mw_ = 0;
 

@@ -2,8 +2,6 @@
 
 namespace ps::cluster::curie {
 
-Topology topology() { return scaled_topology(kRacks); }
-
 Topology scaled_topology(std::int32_t racks) {
   return Topology(racks, kChassisPerRack, kNodesPerChassis, kCoresPerNode);
 }

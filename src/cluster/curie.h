@@ -40,9 +40,6 @@ inline constexpr double kRackInfraWatts = 900.0;
 //   rack power bonus        = 900 + 5*500   = 3 400 W
 //   rack accumulated        = 5*6692 + 900  = 34 360 W
 
-/// Full-scale Curie topology (5 040 nodes).
-Topology topology();
-
 /// Scaled-down topology with the same shape (racks x 5 x 18); handy for
 /// fast tests. `racks` >= 1.
 Topology scaled_topology(std::int32_t racks);

@@ -1,7 +1,6 @@
 #include "cluster/frequency.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/check.h"
 #include "util/strings.h"
@@ -28,13 +27,6 @@ const FrequencyLevel& FrequencyTable::level(FreqIndex i) const {
   return levels_[i];
 }
 
-std::optional<FreqIndex> FrequencyTable::index_of(double ghz) const noexcept {
-  for (std::size_t i = 0; i < levels_.size(); ++i) {
-    if (std::abs(levels_[i].ghz - ghz) < 1e-9) return i;
-  }
-  return std::nullopt;
-}
-
 std::optional<FreqIndex> FrequencyTable::lowest_at_or_above(double ghz) const noexcept {
   for (std::size_t i = 0; i < levels_.size(); ++i) {
     if (levels_[i].ghz >= ghz - 1e-9) return i;
@@ -44,14 +36,6 @@ std::optional<FreqIndex> FrequencyTable::lowest_at_or_above(double ghz) const no
 
 std::string FrequencyTable::name(FreqIndex i) const {
   return strings::format("%.1f GHz", level(i).ghz);
-}
-
-double FrequencyTable::span_fraction(FreqIndex i) const {
-  const FrequencyLevel& lvl = level(i);
-  double lo = levels_.front().ghz;
-  double hi = levels_.back().ghz;
-  if (hi - lo < 1e-12) return 1.0;
-  return (lvl.ghz - lo) / (hi - lo);
 }
 
 }  // namespace ps::cluster

@@ -34,9 +34,6 @@ class FrequencyTable {
   FreqIndex min_index() const noexcept { return 0; }
   FreqIndex max_index() const noexcept { return levels_.size() - 1; }
 
-  /// Exact lookup by GHz (within 1e-9); nullopt when absent.
-  std::optional<FreqIndex> index_of(double ghz) const noexcept;
-
   /// Lowest index whose frequency is >= ghz; nullopt if all are below.
   std::optional<FreqIndex> lowest_at_or_above(double ghz) const noexcept;
 
@@ -46,12 +43,6 @@ class FrequencyTable {
 
   /// "2.4 GHz" display string.
   std::string name(FreqIndex i) const;
-
-  /// Fraction of the frequency span covered up to level i:
-  /// 0 at min(), 1 at max(). Used for linear interpolation of the
-  /// performance-degradation factor (paper §V: intermediate walltimes are
-  /// linearly interpolated between the extremes).
-  double span_fraction(FreqIndex i) const;
 
  private:
   std::vector<FrequencyLevel> levels_;

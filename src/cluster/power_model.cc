@@ -5,17 +5,6 @@
 
 namespace ps::cluster {
 
-const char* to_string(NodeState state) noexcept {
-  switch (state) {
-    case NodeState::Off: return "off";
-    case NodeState::Booting: return "booting";
-    case NodeState::Idle: return "idle";
-    case NodeState::Busy: return "busy";
-    case NodeState::ShuttingDown: return "shutting-down";
-  }
-  return "?";
-}
-
 PowerModel::PowerModel(Topology topology, PowerModelSpec spec)
     : topology_(topology), spec_(std::move(spec)) {
   PS_CHECK_MSG(spec_.node_down_watts >= 0.0, "DownWatts must be >= 0");

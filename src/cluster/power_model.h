@@ -23,8 +23,6 @@ enum class NodeState : std::uint8_t {
   ShuttingDown,  ///< powering off (transition)
 };
 
-const char* to_string(NodeState state) noexcept;
-
 struct PowerModelSpec {
   double node_down_watts = 0.0;      ///< BMC draw when node is off
   double node_idle_watts = 0.0;      ///< powered, no load

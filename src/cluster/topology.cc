@@ -21,10 +21,6 @@ ChassisId Topology::chassis_of_node(NodeId node) const {
   return node / nodes_per_chassis_;
 }
 
-RackId Topology::rack_of_node(NodeId node) const {
-  return rack_of_chassis(chassis_of_node(node));
-}
-
 RackId Topology::rack_of_chassis(ChassisId chassis) const {
   PS_CHECK_MSG(chassis >= 0 && chassis < total_chassis(), "topology: chassis out of range");
   return chassis / chassis_per_rack_;

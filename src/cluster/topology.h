@@ -35,7 +35,6 @@ class Topology {
 
   /// Mapping helpers. All check their argument ranges.
   ChassisId chassis_of_node(NodeId node) const;
-  RackId rack_of_node(NodeId node) const;
   RackId rack_of_chassis(ChassisId chassis) const;
   NodeId first_node_of_chassis(ChassisId chassis) const;
   ChassisId first_chassis_of_rack(RackId rack) const;

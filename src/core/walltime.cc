@@ -1,7 +1,6 @@
 #include "core/walltime.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/check.h"
 
@@ -30,12 +29,6 @@ double DegradationModel::factor_at_ghz(double ghz, double degmin) const {
   double clamped = std::clamp(ghz, min_ghz_, max_ghz_);
   double span_fraction = (max_ghz_ - clamped) / (max_ghz_ - min_ghz_);
   return 1.0 + (degmin - 1.0) * span_fraction;
-}
-
-sim::Duration DegradationModel::scale(sim::Duration base, cluster::FreqIndex f,
-                                      double degmin) const {
-  double scaled = static_cast<double>(base) * factor(f, degmin);
-  return static_cast<sim::Duration>(std::llround(scaled));
 }
 
 }  // namespace ps::core

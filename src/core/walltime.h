@@ -8,8 +8,9 @@
 // for MIX replays.
 #pragma once
 
+#include <vector>
+
 #include "cluster/frequency.h"
-#include "sim/time.h"
 
 namespace ps::core {
 
@@ -29,12 +30,6 @@ class DegradationModel {
   /// Degradation factor at an arbitrary frequency in GHz (clamped to the
   /// table span). Used for MIX floor values that may sit between levels.
   double factor_at_ghz(double ghz, double degmin) const;
-
-  /// Duration scaled by the factor, rounded to the millisecond.
-  sim::Duration scale(sim::Duration base, cluster::FreqIndex f, double degmin) const;
-  sim::Duration scale(sim::Duration base, cluster::FreqIndex f) const {
-    return scale(base, f, default_degmin_);
-  }
 
   double default_degmin() const noexcept { return default_degmin_; }
   double min_ghz() const noexcept { return min_ghz_; }

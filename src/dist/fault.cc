@@ -30,18 +30,6 @@ constexpr const char* kSiteTokens[kFaultSiteCount] = {
 
 }  // namespace
 
-const char* to_string(FaultSite site) {
-  return kSiteTokens[static_cast<std::size_t>(site)];
-}
-
-bool FaultPlan::enabled() const {
-  if (rate <= 0.0) return false;
-  for (bool site : sites) {
-    if (site) return true;
-  }
-  return false;
-}
-
 bool FaultPlan::fires(FaultSite site, std::uint64_t shard_id,
                       std::uint64_t attempt) const {
   if (!sites[static_cast<std::size_t>(site)] || rate <= 0.0) return false;

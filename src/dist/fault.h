@@ -91,8 +91,6 @@ enum class FaultSite {
 
 inline constexpr std::size_t kFaultSiteCount = 16;
 
-const char* to_string(FaultSite site);
-
 struct FaultPlan {
   std::uint64_t seed = 0;
   /// Probability, per enabled (site, shard, attempt), that the site fires.
@@ -103,9 +101,6 @@ struct FaultPlan {
   bool sites[kFaultSiteCount] = {};
   /// Empty = every shard; else only the listed shard ids can fault.
   std::vector<std::uint64_t> shards;
-
-  /// True iff any site is enabled with a positive rate.
-  bool enabled() const;
 
   /// Deterministic trigger: FNV-mixed (seed, site, shard, attempt) mapped
   /// to [0,1) and compared against `rate`. Independent draws per site.

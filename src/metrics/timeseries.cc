@@ -32,54 +32,6 @@ void Recorder::sample(sim::Time now) {
   }
 }
 
-std::vector<std::int64_t> Recorder::times() const {
-  std::vector<std::int64_t> out;
-  out.reserve(samples_.size());
-  for (const Sample& s : samples_) out.push_back(s.t);
-  return out;
-}
-
-std::vector<double> Recorder::watts_series() const {
-  std::vector<double> out;
-  out.reserve(samples_.size());
-  for (const Sample& s : samples_) out.push_back(s.watts);
-  return out;
-}
-
-std::vector<double> Recorder::busy_nodes_series(cluster::FreqIndex f) const {
-  std::vector<double> out;
-  out.reserve(samples_.size());
-  for (const Sample& s : samples_) {
-    out.push_back(f < s.busy_by_freq.size() ? s.busy_by_freq[f] : 0);
-  }
-  return out;
-}
-
-std::vector<double> Recorder::idle_nodes_series() const {
-  std::vector<double> out;
-  out.reserve(samples_.size());
-  for (const Sample& s : samples_) out.push_back(s.idle_nodes);
-  return out;
-}
-
-std::vector<double> Recorder::off_nodes_series() const {
-  std::vector<double> out;
-  out.reserve(samples_.size());
-  for (const Sample& s : samples_) out.push_back(s.off_nodes);
-  return out;
-}
-
-std::vector<double> Recorder::busy_cores_series() const {
-  std::vector<double> out;
-  out.reserve(samples_.size());
-  for (const Sample& s : samples_) {
-    std::int64_t busy = 0;
-    for (std::int32_t n : s.busy_by_freq) busy += n;
-    out.push_back(static_cast<double>(busy * cores_per_node_));
-  }
-  return out;
-}
-
 template <typename Value>
 double Recorder::integrate(sim::Time from, sim::Time to, Value&& value_at) const {
   PS_CHECK_MSG(from <= to, "integrate: inverted interval");

@@ -40,15 +40,6 @@ class Recorder final : public rjms::ControllerObserver {
   /// a replay), instead of copying it sample by sample.
   std::vector<Sample> samples() && noexcept { return std::move(samples_); }
 
-  // --- series extraction (for charts) --------------------------------------
-  std::vector<std::int64_t> times() const;
-  std::vector<double> watts_series() const;
-  std::vector<double> busy_nodes_series(cluster::FreqIndex f) const;
-  std::vector<double> idle_nodes_series() const;
-  std::vector<double> off_nodes_series() const;
-  /// Busy cores at each sample (all frequencies).
-  std::vector<double> busy_cores_series() const;
-
   // --- exact step integrals over [from, to) --------------------------------
   /// Energy in joules: integral of watts dt.
   double energy_joules(sim::Time from, sim::Time to) const;

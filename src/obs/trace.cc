@@ -55,10 +55,6 @@ class TraceBuffer {
     std::lock_guard<std::mutex> lock(mutex_);
     return dropped_;
   }
-  std::size_t count() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return count_;
-  }
   /// Oldest-first copy of the live events.
   std::vector<TraceEvent> events() const {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -143,22 +139,6 @@ void stop_tracing() {
 
 bool tracing() noexcept {
   return detail::g_tracing.load(std::memory_order_relaxed);
-}
-
-std::size_t trace_event_count() {
-  detail::Session& s = detail::session();
-  std::lock_guard<std::mutex> lock(s.mutex);
-  std::size_t total = 0;
-  for (const auto& buffer : s.buffers) total += buffer->count();
-  return total;
-}
-
-std::uint64_t trace_dropped() {
-  detail::Session& s = detail::session();
-  std::lock_guard<std::mutex> lock(s.mutex);
-  std::uint64_t total = 0;
-  for (const auto& buffer : s.buffers) total += buffer->dropped();
-  return total;
 }
 
 std::string export_chrome_trace() {

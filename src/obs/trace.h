@@ -16,9 +16,9 @@
 //     ring-buffer store under an uncontended per-thread mutex.
 //
 // The ring is bounded: when a thread records past its capacity the oldest
-// events are overwritten and counted in trace_dropped() — tracing can
-// never grow memory without bound, and a truncated trace says so instead
-// of lying by omission.
+// events are overwritten and counted in the export's "dropped" field —
+// tracing can never grow memory without bound, and a truncated trace says
+// so instead of lying by omission.
 //
 // Determinism: spans observe wall time but never feed it back — no
 // simulation state, fingerprint input, or scheduling decision reads a
@@ -59,15 +59,11 @@ void stop_tracing();
 /// True while spans record.
 bool tracing() noexcept;
 
-/// Events currently held across all thread rings (post-drop).
-std::size_t trace_event_count();
-
-/// Oldest-overwritten events across all thread rings.
-std::uint64_t trace_dropped();
-
-/// Chrome trace-event JSON ({"traceEvents":[...]}) of everything recorded.
-/// Timestamps are microseconds relative to start_tracing. Requires a
-/// stopped session (no concurrent writers while exporting).
+/// Chrome trace-event JSON ({"traceEvents":[...]}) of everything recorded,
+/// with the oldest-overwritten event count of all thread rings in
+/// otherData.dropped. Timestamps are microseconds relative to
+/// start_tracing. Requires a stopped session (no concurrent writers while
+/// exporting).
 std::string export_chrome_trace();
 
 /// export_chrome_trace() to a file (atomic rename).

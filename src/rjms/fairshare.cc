@@ -34,10 +34,6 @@ double FairShare::total_usage(sim::Time now) const {
   return total;
 }
 
-double FairShare::factor(std::int32_t user, sim::Time now) const {
-  return factor(user, now, total_usage(now));
-}
-
 double FairShare::factor(std::int32_t user, sim::Time now, double total) const {
   if (total <= 0.0) return 1.0;
   auto it = usage_.find(user);

@@ -22,12 +22,10 @@ class FairShare {
   /// Records `core_seconds` of usage by `user` at time `now`.
   void charge(std::int32_t user, double core_seconds, sim::Time now);
 
-  /// Fair-share factor in (0, 1] for `user` at time `now`.
-  double factor(std::int32_t user, sim::Time now) const;
-
-  /// Same factor, given `total` = total_usage(now). A scheduling pass
-  /// prices many users at one instant: computing the O(users) total once
-  /// and passing it here makes the pass O(users) instead of O(users^2).
+  /// Fair-share factor in (0, 1] for `user` at time `now`, given `total` =
+  /// total_usage(now). A scheduling pass prices many users at one instant:
+  /// computing the O(users) total once and passing it here makes the pass
+  /// O(users) instead of O(users^2).
   double factor(std::int32_t user, sim::Time now, double total) const;
 
   /// Decayed total usage across users at `now` (core-seconds). Keeps each

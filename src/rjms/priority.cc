@@ -12,12 +12,6 @@ PriorityCalculator::PriorityCalculator(PriorityWeights weights, std::int64_t tot
   PS_CHECK_MSG(weights_.age_saturation > 0, "priority: age_saturation must be positive");
 }
 
-double PriorityCalculator::compute(const Job& job, sim::Time now,
-                                   const FairShare* fairshare) const {
-  return compute(job, now,
-                 fairshare != nullptr ? fairshare->factor(job.request.user, now) : 1.0);
-}
-
 double PriorityCalculator::compute(const Job& job, sim::Time now, double fs_factor) const {
   sim::Duration wait = std::max<sim::Duration>(now - job.request.submit_time, 0);
   double age_factor = std::min(

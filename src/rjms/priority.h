@@ -8,7 +8,6 @@
 
 #include <cstdint>
 
-#include "rjms/fairshare.h"
 #include "rjms/job.h"
 #include "sim/time.h"
 
@@ -27,11 +26,9 @@ class PriorityCalculator {
  public:
   PriorityCalculator(PriorityWeights weights, std::int64_t total_cores);
 
-  /// Priority of a pending job at `now`. `fairshare` may be null (factor 1).
-  double compute(const Job& job, sim::Time now, const FairShare* fairshare) const;
-
-  /// Same formula with a precomputed fair-share factor (a scheduling pass
-  /// prices every pending job of a user with one factor).
+  /// Priority of a pending job at `now`, given its user's fair-share factor
+  /// (a scheduling pass prices every pending job of a user with one
+  /// factor; 1 when fair-share is off).
   double compute(const Job& job, sim::Time now, double fs_factor) const;
 
   const PriorityWeights& weights() const noexcept { return weights_; }

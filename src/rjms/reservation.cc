@@ -7,15 +7,6 @@
 
 namespace ps::rjms {
 
-const char* to_string(ReservationKind kind) noexcept {
-  switch (kind) {
-    case ReservationKind::Maintenance: return "maintenance";
-    case ReservationKind::SwitchOff: return "switch-off";
-    case ReservationKind::Powercap: return "powercap";
-  }
-  return "?";
-}
-
 ReservationId ReservationBook::add(Reservation reservation) {
   PS_CHECK_MSG(reservation.start < reservation.end, "reservation window inverted or empty");
   if (reservation.kind == ReservationKind::Powercap) {
@@ -161,13 +152,6 @@ sim::Time ReservationBook::next_end_after(ReservationKind kind, sim::Time t) con
 double ReservationBook::cap_at(sim::Time t) const {
   double cap = std::numeric_limits<double>::infinity();
   for_each_overlapping(ReservationKind::Powercap, t, t + 1,
-                       [&cap](const Reservation& r) { cap = std::min(cap, r.watts); });
-  return cap;
-}
-
-double ReservationBook::min_cap_over(sim::Time from, sim::Time to) const {
-  double cap = std::numeric_limits<double>::infinity();
-  for_each_overlapping(ReservationKind::Powercap, from, to,
                        [&cap](const Reservation& r) { cap = std::min(cap, r.watts); });
   return cap;
 }

@@ -27,8 +27,6 @@ using ReservationId = std::int64_t;
 
 enum class ReservationKind : std::uint8_t { Maintenance, SwitchOff, Powercap };
 
-const char* to_string(ReservationKind kind) noexcept;
-
 struct Reservation {
   ReservationId id = 0;
   ReservationKind kind = ReservationKind::Maintenance;
@@ -142,9 +140,6 @@ class ReservationBook {
   /// Effective cap at instant `t`: the minimum watts among active powercap
   /// reservations; +infinity when none.
   double cap_at(sim::Time t) const;
-
-  /// Minimum effective cap anywhere in [from, to); +infinity when none.
-  double min_cap_over(sim::Time from, sim::Time to) const;
 
  private:
   /// Kinds at or below this size skip the tree: a linear pass over a

@@ -20,25 +20,14 @@ EventId Simulator::schedule_at_band(Time at, EventBand band,
   return queue_.push(std::max(at, now_), band, std::move(callback));
 }
 
-std::uint64_t Simulator::run() {
-  std::uint64_t fired_now = 0;
-  stop_requested_ = false;
-  while (!queue_.empty() && !stop_requested_) {
-    step();
-    ++fired_now;
-  }
-  return fired_now;
-}
-
 std::uint64_t Simulator::run_until(Time until) {
   PS_CHECK_MSG(until >= now_, "run_until into the past");
   std::uint64_t fired_now = 0;
-  stop_requested_ = false;
-  while (!queue_.empty() && !stop_requested_ && queue_.next_time() <= until) {
+  while (!queue_.empty() && queue_.next_time() <= until) {
     step();
     ++fired_now;
   }
-  if (!stop_requested_) now_ = until;
+  now_ = until;
   return fired_now;
 }
 

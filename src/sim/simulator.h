@@ -42,19 +42,12 @@ class Simulator {
   /// Cancels a pending event; false if already fired/cancelled.
   bool cancel(EventId id) { return queue_.cancel(id); }
 
-  /// Runs events until the queue is empty or a stop was requested.
-  /// Returns the number of events fired.
-  std::uint64_t run();
-
   /// Runs events with time <= `until`, then advances the clock to exactly
   /// `until` (even if no event sits there). Returns events fired.
   std::uint64_t run_until(Time until);
 
   /// Fires exactly one event if any is pending; returns whether one fired.
   bool step();
-
-  /// Makes run()/run_until() return before firing the next event.
-  void request_stop() noexcept { stop_requested_ = true; }
 
   bool pending() const noexcept { return !queue_.empty(); }
   std::size_t pending_count() const noexcept { return queue_.size(); }
@@ -70,7 +63,6 @@ class Simulator {
   EventQueue queue_;
   Time now_ = 0;
   std::uint64_t fired_ = 0;
-  bool stop_requested_ = false;
   EventBand default_band_ = EventBand::kSetup;
 };
 

@@ -117,21 +117,4 @@ std::string stacked_chart(const std::vector<std::int64_t>& times_ms,
   return out;
 }
 
-std::string sparkline(const std::vector<double>& values, double y_max) {
-  static const char* kBlocks[] = {" ", "▁", "▂", "▃",
-                                  "▄", "▅", "▆", "▇", "█"};
-  if (values.empty()) return {};
-  double peak = y_max;
-  if (peak <= 0.0) {
-    for (double v : values) peak = std::max(peak, v);
-    if (peak <= 0.0) peak = 1.0;
-  }
-  std::string out;
-  for (double v : values) {
-    auto idx = static_cast<std::size_t>(std::lround(std::clamp(v / peak, 0.0, 1.0) * 8.0));
-    out += kBlocks[idx];
-  }
-  return out;
-}
-
 }  // namespace ps::util::ascii

@@ -35,8 +35,4 @@ struct ChartOptions {
 std::string stacked_chart(const std::vector<std::int64_t>& times_ms,
                           const std::vector<Layer>& layers, const ChartOptions& options);
 
-/// Single-row sparkline of a series using 8-level block characters;
-/// useful for compact sweep summaries.
-std::string sparkline(const std::vector<double>& values, double y_max = 0.0);
-
 }  // namespace ps::util::ascii

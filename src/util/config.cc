@@ -91,16 +91,6 @@ std::optional<double> Config::get_f64(std::string_view section, std::string_view
   return parsed;
 }
 
-std::optional<bool> Config::get_bool(std::string_view section, std::string_view key) const {
-  auto raw = get(section, key);
-  if (!raw) return std::nullopt;
-  auto parsed = strings::parse_bool(*raw);
-  if (!parsed) {
-    throw std::runtime_error("config: key '" + std::string(key) + "' is not a boolean: " + *raw);
-  }
-  return parsed;
-}
-
 std::int64_t Config::get_i64_or(std::string_view section, std::string_view key,
                                 std::int64_t fallback) const {
   return get_i64(section, key).value_or(fallback);
@@ -111,34 +101,10 @@ double Config::get_f64_or(std::string_view section, std::string_view key,
   return get_f64(section, key).value_or(fallback);
 }
 
-bool Config::get_bool_or(std::string_view section, std::string_view key, bool fallback) const {
-  return get_bool(section, key).value_or(fallback);
-}
-
 std::string Config::get_or(std::string_view section, std::string_view key,
                            std::string_view fallback) const {
   auto raw = get(section, key);
   return raw ? *raw : std::string(fallback);
-}
-
-std::vector<std::string> Config::keys(std::string_view section) const {
-  std::vector<std::string> out;
-  auto sit = sections_.find(section_key(section));
-  if (sit == sections_.end()) return out;
-  out.reserve(sit->second.size());
-  for (const auto& [key, _] : sit->second) out.push_back(key);
-  return out;
-}
-
-bool Config::has_section(std::string_view section) const {
-  return sections_.count(section_key(section)) != 0;
-}
-
-std::vector<std::string> Config::sections() const {
-  std::vector<std::string> out;
-  out.reserve(sections_.size());
-  for (const auto& [name, _] : sections_) out.push_back(name);
-  return out;
 }
 
 }  // namespace ps::util

@@ -21,7 +21,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace ps::util {
 
@@ -42,24 +41,13 @@ class Config {
   /// Typed lookups; throw std::runtime_error when present but malformed.
   std::optional<std::int64_t> get_i64(std::string_view section, std::string_view key) const;
   std::optional<double> get_f64(std::string_view section, std::string_view key) const;
-  std::optional<bool> get_bool(std::string_view section, std::string_view key) const;
 
   /// Typed lookups with defaults.
   std::int64_t get_i64_or(std::string_view section, std::string_view key,
                           std::int64_t fallback) const;
   double get_f64_or(std::string_view section, std::string_view key, double fallback) const;
-  bool get_bool_or(std::string_view section, std::string_view key, bool fallback) const;
   std::string get_or(std::string_view section, std::string_view key,
                      std::string_view fallback) const;
-
-  /// All keys of a section in insertion-independent (sorted) order.
-  std::vector<std::string> keys(std::string_view section) const;
-
-  /// True if the section exists (even if empty).
-  bool has_section(std::string_view section) const;
-
-  /// Section names, sorted.
-  std::vector<std::string> sections() const;
 
  private:
   std::map<std::string, std::map<std::string, std::string>> sections_;

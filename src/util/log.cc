@@ -9,7 +9,6 @@ namespace ps::log {
 namespace {
 std::atomic<Level> g_level{Level::Warn};
 std::atomic<Format> g_format{Format::Plain};
-std::atomic<bool> g_stamping{false};
 std::mutex g_sink_mutex;
 
 /// Small per-thread ordinal, assigned on first log from each thread —
@@ -26,7 +25,9 @@ std::string wall_stamp() {
   ::clock_gettime(CLOCK_REALTIME, &ts);
   std::tm tm{};
   ::gmtime_r(&ts.tv_sec, &tm);
-  char buf[40];
+  // A real stamp is 24 bytes; the buffer fits the 88 that GCC's range
+  // analysis allows for unconstrained tm and tv_nsec values.
+  char buf[96];
   std::snprintf(buf, sizeof(buf), "%04d-%02d-%02dT%02d:%02d:%02d.%03ldZ",
                 tm.tm_year + 1900, tm.tm_mon + 1, tm.tm_mday, tm.tm_hour,
                 tm.tm_min, tm.tm_sec, ts.tv_nsec / 1'000'000);
@@ -71,12 +72,6 @@ void set_format(Format format) noexcept {
 
 Format format() noexcept { return g_format.load(std::memory_order_relaxed); }
 
-void set_stamping(bool stamping) noexcept {
-  g_stamping.store(stamping, std::memory_order_relaxed);
-}
-
-bool stamping() noexcept { return g_stamping.load(std::memory_order_relaxed); }
-
 const char* level_name(Level level) noexcept {
   switch (level) {
     case Level::Trace: return "TRACE";
@@ -98,13 +93,6 @@ void emit(Level level, const std::string& message) {
                        json_escape(message) + "\"}";
     std::lock_guard<std::mutex> lock(g_sink_mutex);
     std::fprintf(stderr, "%s\n", line.c_str());
-    return;
-  }
-  if (stamping()) {
-    std::string stamp = wall_stamp();
-    std::lock_guard<std::mutex> lock(g_sink_mutex);
-    std::fprintf(stderr, "[%s] [t%d] [%s] %s\n", stamp.c_str(),
-                 thread_ordinal(), level_name(level), message.c_str());
     return;
   }
   std::lock_guard<std::mutex> lock(g_sink_mutex);

@@ -9,12 +9,10 @@
 //   * Format::Plain (default) emits exactly `[LEVEL] message` — byte-identical
 //     to what this logger has always produced, so fenced stderr expectations
 //     never move.
-//   * set_stamping(true) prefixes each Plain line with a UTC wall-clock
-//     timestamp and a small per-thread ordinal: `[2026-08-08T12:00:00.123Z]
-//     [t3] [INFO] message` — for correlating daemon logs with telemetry
-//     documents (obs/registry.h).
 //   * Format::Json emits one JSON object per line ({"ts":...,"tid":...,
-//     "level":...,"msg":...}) for log shippers; always stamped.
+//     "level":...,"msg":...}) for log shippers: a UTC wall-clock stamp
+//     (`2026-08-08T12:00:00.123Z`) and a small per-thread ordinal, for
+//     correlating daemon logs with telemetry documents (obs/registry.h).
 #pragma once
 
 #include <mutex>
@@ -32,13 +30,9 @@ void set_level(Level level) noexcept;
 Level level() noexcept;
 
 /// Sink format; Plain by default (and byte-identical to the historical
-/// output unless stamping is on).
+/// output).
 void set_format(Format format) noexcept;
 Format format() noexcept;
-
-/// Plain-format wall-clock + thread-ordinal prefix. Off by default.
-void set_stamping(bool stamping) noexcept;
-bool stamping() noexcept;
 
 /// Returns a short uppercase tag ("TRACE".."ERROR") for a level.
 const char* level_name(Level level) noexcept;

@@ -20,17 +20,8 @@ void RunningStats::add(double x) noexcept {
   }
   ++count_;
   sum_ += x;
-  double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
+  mean_ += (x - mean_) / static_cast<double>(count_);
 }
-
-double RunningStats::variance() const noexcept {
-  if (count_ < 2) return 0.0;
-  return m2_ / static_cast<double>(count_ - 1);
-}
-
-double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 
 double percentile(std::vector<double> values, double q) {
   PS_CHECK_MSG(!values.empty(), "percentile of empty sample");
@@ -222,52 +213,6 @@ double QuantileSketch::quantile(double q) const noexcept {
     }
   }
   return max_;  // unreachable: cumulative == count_ by the loop end
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins) : lo_(lo), hi_(hi) {
-  PS_CHECK_MSG(hi > lo, "histogram range empty");
-  PS_CHECK_MSG(bins > 0, "histogram needs at least one bin");
-  counts_.assign(bins, 0);
-}
-
-void Histogram::add(double x) noexcept {
-  double ratio = (x - lo_) / (hi_ - lo_);
-  auto bin = static_cast<std::int64_t>(ratio * static_cast<double>(counts_.size()));
-  bin = std::clamp<std::int64_t>(bin, 0, static_cast<std::int64_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(bin)];
-  ++total_;
-}
-
-std::uint64_t Histogram::count(std::size_t bin) const {
-  PS_CHECK(bin < counts_.size());
-  return counts_[bin];
-}
-
-double Histogram::bin_low(std::size_t bin) const {
-  PS_CHECK(bin < counts_.size());
-  return lo_ + (hi_ - lo_) * static_cast<double>(bin) / static_cast<double>(counts_.size());
-}
-
-double Histogram::bin_high(std::size_t bin) const {
-  PS_CHECK(bin < counts_.size());
-  return lo_ + (hi_ - lo_) * static_cast<double>(bin + 1) / static_cast<double>(counts_.size());
-}
-
-std::string Histogram::render(std::size_t width) const {
-  std::uint64_t peak = 0;
-  for (auto c : counts_) peak = std::max(peak, c);
-  std::string out;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    auto bar_len = peak == 0 ? 0
-                             : static_cast<std::size_t>(static_cast<double>(counts_[i]) /
-                                                        static_cast<double>(peak) *
-                                                        static_cast<double>(width));
-    out += strings::format("[%10.3g, %10.3g) %8llu ", bin_low(i), bin_high(i),
-                           static_cast<unsigned long long>(counts_[i]));
-    out.append(bar_len, '#');
-    out.push_back('\n');
-  }
-  return out;
 }
 
 }  // namespace ps::util

@@ -9,15 +9,13 @@
 
 namespace ps::util {
 
-/// Streaming mean/variance (Welford). Numerically stable.
+/// Streaming count/mean/min/max/sum. The mean is updated incrementally
+/// (Welford), which stays accurate around a large common offset.
 class RunningStats {
  public:
   void add(double x) noexcept;
   std::size_t count() const noexcept { return count_; }
   double mean() const noexcept { return count_ ? mean_ : 0.0; }
-  /// Sample variance (n-1); 0 when fewer than two samples.
-  double variance() const noexcept;
-  double stddev() const noexcept;
   double min() const noexcept { return count_ ? min_ : 0.0; }
   double max() const noexcept { return count_ ? max_ : 0.0; }
   double sum() const noexcept { return sum_; }
@@ -25,7 +23,6 @@ class RunningStats {
  private:
   std::size_t count_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
   double sum_ = 0.0;
@@ -115,27 +112,6 @@ class QuantileSketch {
   double sum_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-};
-
-/// Fixed-bin histogram over [lo, hi); samples outside are clamped into the
-/// edge bins so totals always match the sample count.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-  void add(double x) noexcept;
-  std::size_t bin_count() const noexcept { return counts_.size(); }
-  std::uint64_t count(std::size_t bin) const;
-  std::uint64_t total() const noexcept { return total_; }
-  double bin_low(std::size_t bin) const;
-  double bin_high(std::size_t bin) const;
-  /// Multi-line ASCII rendering with proportional bars.
-  std::string render(std::size_t width = 50) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
 };
 
 }  // namespace ps::util

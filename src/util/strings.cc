@@ -51,15 +51,6 @@ bool starts_with(std::string_view text, std::string_view prefix) noexcept {
   return text.substr(0, prefix.size()) == prefix;
 }
 
-std::string join(const std::vector<std::string>& parts, std::string_view sep) {
-  std::string out;
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (i != 0) out += sep;
-    out += parts[i];
-  }
-  return out;
-}
-
 std::optional<std::int64_t> parse_i64(std::string_view text) noexcept {
   text = trim(text);
   std::int64_t value = 0;
@@ -89,13 +80,6 @@ std::optional<double> parse_f64(std::string_view text) noexcept {
   auto [ptr, ec] = std::from_chars(first, last, value);
   if (ec != std::errc{} || ptr != last) return std::nullopt;
   return value;
-}
-
-std::optional<bool> parse_bool(std::string_view text) noexcept {
-  std::string lowered = to_lower(trim(text));
-  if (lowered == "true" || lowered == "yes" || lowered == "on" || lowered == "1") return true;
-  if (lowered == "false" || lowered == "no" || lowered == "off" || lowered == "0") return false;
-  return std::nullopt;
 }
 
 std::string format(const char* fmt, ...) {

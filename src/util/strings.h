@@ -26,9 +26,6 @@ std::string to_lower(std::string_view text);
 /// True if `text` starts with `prefix`.
 bool starts_with(std::string_view text, std::string_view prefix) noexcept;
 
-/// Joins `parts` with `sep`.
-std::string join(const std::vector<std::string>& parts, std::string_view sep);
-
 /// Strict full-string parses; nullopt on any trailing garbage.
 std::optional<std::int64_t> parse_i64(std::string_view text) noexcept;
 /// Unsigned, in `base`, over the whole of `text`: no sign, no whitespace,
@@ -36,7 +33,6 @@ std::optional<std::int64_t> parse_i64(std::string_view text) noexcept;
 std::optional<std::uint64_t> parse_u64(std::string_view text,
                                        int base = 10) noexcept;
 std::optional<double> parse_f64(std::string_view text) noexcept;
-std::optional<bool> parse_bool(std::string_view text) noexcept;
 
 /// printf-style formatting into std::string (format checked by GCC).
 [[gnu::format(printf, 1, 2)]] std::string format(const char* fmt, ...);

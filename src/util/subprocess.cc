@@ -122,8 +122,4 @@ void Subprocess::kill() noexcept {
   if (!reaped_ && pid_ > 0) ::kill(pid_, SIGKILL);
 }
 
-void Subprocess::signal(int signo) noexcept {
-  if (!reaped_ && pid_ > 0) ::kill(pid_, signo);
-}
-
 }  // namespace ps::util

@@ -51,10 +51,6 @@ class Subprocess {
   /// reaped via wait()/try_wait().
   void kill() noexcept;
 
-  /// Sends an arbitrary signal (e.g. SIGTERM for the live-service graceful
-  /// shutdown tests). Safe after exit (no-op); does not reap.
-  void signal(int signo) noexcept;
-
   pid_t pid() const noexcept { return pid_; }
   bool running() const noexcept { return !reaped_; }
 

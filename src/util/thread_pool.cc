@@ -105,11 +105,4 @@ void parallel_for(ThreadPool& pool, std::size_t count,
   if (shared->first_error) std::rethrow_exception(shared->first_error);
 }
 
-void parallel_for(std::size_t count, const std::function<void(std::size_t)>& body,
-                  std::size_t threads) {
-  if (count == 0) return;
-  ThreadPool pool(threads);
-  parallel_for(pool, count, body);
-}
-
 }  // namespace ps::util

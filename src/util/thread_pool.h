@@ -70,8 +70,4 @@ class ThreadPool {
 void parallel_for(ThreadPool& pool, std::size_t count,
                   const std::function<void(std::size_t)>& body);
 
-/// Same, across a temporary pool of `threads` workers (0 = hardware).
-void parallel_for(std::size_t count, const std::function<void(std::size_t)>& body,
-                  std::size_t threads = 0);
-
 }  // namespace ps::util

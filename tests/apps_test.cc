@@ -100,7 +100,7 @@ TEST_F(AppsTest, EnergyOptimumSitsBetween2GHzAndMaxForCpuBoundApps) {
   // — the energy/performance trade-off is not monotonic for compute-bound
   // codes, motivating the MIX frequency floor.
   const cluster::FrequencyTable& table = pm_.frequencies();
-  auto idx_2ghz = table.index_of(2.0).value();
+  auto idx_2ghz = table.lowest_at_or_above(2.0).value();
   for (const AppModel& app : {linpack(), imb()}) {
     cluster::FreqIndex best = app.energy_optimal_freq(pm_);
     EXPECT_GE(best, idx_2ghz) << app.name();

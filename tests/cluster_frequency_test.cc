@@ -28,26 +28,13 @@ TEST(FrequencyTable, SortsInput) {
   EXPECT_DOUBLE_EQ(table.ghz(2), 2.0);
 }
 
-TEST(FrequencyTable, IndexOfExactLookup) {
-  FrequencyTable table = curie::frequency_table();
-  EXPECT_EQ(table.index_of(2.0), 4u);
-  EXPECT_EQ(table.index_of(2.7), 7u);
-  EXPECT_FALSE(table.index_of(2.05).has_value());
-}
-
 TEST(FrequencyTable, LowestAtOrAbove) {
   FrequencyTable table = curie::frequency_table();
   EXPECT_EQ(table.lowest_at_or_above(2.0), 4u);
+  EXPECT_EQ(table.lowest_at_or_above(2.7), 7u);
   EXPECT_EQ(table.lowest_at_or_above(1.95), 4u);
   EXPECT_EQ(table.lowest_at_or_above(0.1), 0u);
   EXPECT_FALSE(table.lowest_at_or_above(3.0).has_value());
-}
-
-TEST(FrequencyTable, SpanFraction) {
-  FrequencyTable table = curie::frequency_table();
-  EXPECT_DOUBLE_EQ(table.span_fraction(0), 0.0);
-  EXPECT_DOUBLE_EQ(table.span_fraction(table.max_index()), 1.0);
-  EXPECT_NEAR(table.span_fraction(4), (2.0 - 1.2) / (2.7 - 1.2), 1e-12);
 }
 
 TEST(FrequencyTable, Name) {

@@ -81,13 +81,5 @@ TEST(PowerModel, DescribeMentionsKeyNumbers) {
   EXPECT_NE(text.find("34360"), std::string::npos);
 }
 
-TEST(NodeState, Names) {
-  EXPECT_STREQ(to_string(NodeState::Off), "off");
-  EXPECT_STREQ(to_string(NodeState::Idle), "idle");
-  EXPECT_STREQ(to_string(NodeState::Busy), "busy");
-  EXPECT_STREQ(to_string(NodeState::Booting), "booting");
-  EXPECT_STREQ(to_string(NodeState::ShuttingDown), "shutting-down");
-}
-
 }  // namespace
 }  // namespace ps::cluster

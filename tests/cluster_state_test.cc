@@ -38,19 +38,22 @@ TEST(Cluster, SingleNodeOffKeepsBmcDraw) {
   double before = cl.watts();
   cl.set_state(0, NodeState::Off);
   EXPECT_DOUBLE_EQ(cl.watts(), before - (117.0 - 14.0));
-  EXPECT_DOUBLE_EQ(cl.node_watts(0), 14.0);
+  EXPECT_EQ(cl.count(NodeState::Off), 1);
+  EXPECT_DOUBLE_EQ(cl.watts(), cl.audit_watts());
 }
 
 TEST(Cluster, WholeChassisOffHarvestsBonus) {
   Cluster cl = mini();
   double before = cl.watts();
-  for (NodeId n : cl.topology().nodes_of_chassis(0)) cl.set_state(n, NodeState::Off);
+  for (NodeId n = 1; n < 18; ++n) cl.set_state(n, NodeState::Off);
+  double one_on = cl.watts();
+  cl.set_state(0, NodeState::Off);
+  // The last node takes its idle draw, the chassis infra and every BMC of
+  // the chassis with it.
+  EXPECT_DOUBLE_EQ(cl.watts(), one_on - (117.0 + 248.0 + 17 * 14.0));
   // Saving vs idle: 18 idle nodes + chassis infra = 18*117 + 248.
   EXPECT_DOUBLE_EQ(cl.watts(), before - (18 * 117.0 + 248.0));
-  EXPECT_TRUE(cl.chassis_fully_off(0));
-  EXPECT_EQ(cl.fully_off_chassis_count(), 1);
-  // BMC draw vanished with the chassis feed.
-  EXPECT_DOUBLE_EQ(cl.node_watts(0), 0.0);
+  EXPECT_EQ(cl.count(NodeState::Off), 18);
   EXPECT_DOUBLE_EQ(cl.watts(), cl.audit_watts());
 }
 
@@ -60,8 +63,7 @@ TEST(Cluster, WholeRackOffHarvestsRackBonus) {
   for (NodeId n : cl.topology().nodes_of_rack(1)) cl.set_state(n, NodeState::Off);
   double expected_saving = 90 * 117.0 + 5 * 248.0 + 900.0;
   EXPECT_DOUBLE_EQ(cl.watts(), before - expected_saving);
-  EXPECT_TRUE(cl.rack_fully_off(1));
-  EXPECT_EQ(cl.fully_off_rack_count(), 1);
+  EXPECT_EQ(cl.count(NodeState::Off), 90);
   EXPECT_DOUBLE_EQ(cl.watts(), cl.audit_watts());
 }
 
@@ -75,12 +77,17 @@ TEST(Cluster, ChassisComesBackWhenAnyNodeBoots) {
   EXPECT_DOUBLE_EQ(cl.watts(), cl.audit_watts());
 }
 
-TEST(Cluster, BusyFreqQueries) {
+TEST(Cluster, BusyCountByFreqFollowsRescales) {
   Cluster cl = mini();
   cl.set_state(5, NodeState::Busy, 3);
-  EXPECT_EQ(cl.busy_freq(5), 3u);
+  cl.set_state(6, NodeState::Busy, 3);
+  EXPECT_EQ(cl.busy_count_by_freq()[3], 2);
+  cl.set_state(5, NodeState::Busy, 0);
+  EXPECT_EQ(cl.busy_count_by_freq()[0], 1);
   EXPECT_EQ(cl.busy_count_by_freq()[3], 1);
-  EXPECT_THROW((void)cl.busy_freq(6), CheckError);
+  cl.set_state(6, NodeState::Idle);
+  EXPECT_EQ(cl.busy_count_by_freq()[3], 0);
+  EXPECT_EQ(cl.count(NodeState::Busy), 1);
 }
 
 TEST(Cluster, StateCountsStayConsistent) {
@@ -122,7 +129,6 @@ TEST(Cluster, InvalidArgumentsRejected) {
   EXPECT_THROW(cl.set_state(9999, NodeState::Idle), CheckError);
   EXPECT_THROW(cl.set_state(0, NodeState::Busy, 99), CheckError);
   EXPECT_THROW((void)cl.state(9999), CheckError);
-  EXPECT_THROW((void)cl.node_watts(-1), CheckError);
 }
 
 // Property: after any random transition sequence, the incremental power

@@ -9,7 +9,7 @@ namespace ps::cluster {
 namespace {
 
 TEST(Topology, CurieDimensions) {
-  Topology topo = curie::topology();
+  Topology topo = curie::scaled_topology(curie::kRacks);
   EXPECT_EQ(topo.racks(), 56);
   EXPECT_EQ(topo.chassis_per_rack(), 5);
   EXPECT_EQ(topo.nodes_per_chassis(), 18);
@@ -20,20 +20,19 @@ TEST(Topology, CurieDimensions) {
 }
 
 TEST(Topology, NodeToChassisAndRackMapping) {
-  Topology topo = curie::topology();
+  Topology topo = curie::scaled_topology(curie::kRacks);
   EXPECT_EQ(topo.chassis_of_node(0), 0);
   EXPECT_EQ(topo.chassis_of_node(17), 0);
   EXPECT_EQ(topo.chassis_of_node(18), 1);
-  EXPECT_EQ(topo.rack_of_node(0), 0);
-  EXPECT_EQ(topo.rack_of_node(89), 0);   // 5 chassis * 18 nodes - 1
-  EXPECT_EQ(topo.rack_of_node(90), 1);
-  EXPECT_EQ(topo.rack_of_node(5039), 55);
+  EXPECT_EQ(topo.rack_of_chassis(topo.chassis_of_node(89)), 0);  // 5 chassis * 18 nodes - 1
+  EXPECT_EQ(topo.rack_of_chassis(topo.chassis_of_node(90)), 1);
+  EXPECT_EQ(topo.rack_of_chassis(topo.chassis_of_node(5039)), 55);
   EXPECT_EQ(topo.rack_of_chassis(4), 0);
   EXPECT_EQ(topo.rack_of_chassis(5), 1);
 }
 
 TEST(Topology, FirstOfGroupInverses) {
-  Topology topo = curie::topology();
+  Topology topo = curie::scaled_topology(curie::kRacks);
   for (ChassisId c : {0, 1, 7, 279}) {
     NodeId first = topo.first_node_of_chassis(c);
     EXPECT_EQ(topo.chassis_of_node(first), c);
@@ -59,7 +58,7 @@ TEST(Topology, NodesOfRackCoversAllChassis) {
   Topology topo = curie::scaled_topology(2);
   auto nodes = topo.nodes_of_rack(1);
   EXPECT_EQ(nodes.size(), 90u);
-  for (NodeId n : nodes) EXPECT_EQ(topo.rack_of_node(n), 1);
+  for (NodeId n : nodes) EXPECT_EQ(topo.rack_of_chassis(topo.chassis_of_node(n)), 1);
 }
 
 TEST(Topology, RangeChecks) {

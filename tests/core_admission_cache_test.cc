@@ -182,7 +182,7 @@ TEST_F(AdmissionCacheTest, ResourceChangesInvalidate) {
   // job's verdict is re-priced in the new generations.
   controller_.submit(make_request(1, 160, sim::seconds(600), sim::seconds(900)));
   controller_.submit(make_request(2, 160, sim::hours(1), sim::hours(2)));
-  sim_.run();
+  while (sim_.step()) {}
 
   EXPECT_EQ(controller_.job(1).state, rjms::JobState::Completed);
   const auto& stats = governor.admission_cache_stats();

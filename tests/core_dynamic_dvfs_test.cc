@@ -58,10 +58,8 @@ TEST_F(DynamicDvfsTest, RescalePrimitiveStretchesRemainingTime) {
   EXPECT_EQ(job.freq, 0u);
   EXPECT_EQ(job.scaled_runtime, sim::seconds(1600));
   EXPECT_EQ(job.scaled_walltime, sim::seconds(400 + 1600 * 2));
-  for (cluster::NodeId node : job.nodes) {
-    EXPECT_EQ(cl_.busy_freq(node), 0u);
-  }
-  sim_.run();
+  EXPECT_EQ(cl_.busy_count_by_freq()[0], static_cast<std::int32_t>(job.nodes.size()));
+  while (sim_.step()) {}
   EXPECT_EQ(job.state, rjms::JobState::Completed);
   EXPECT_EQ(job.end_time, sim::seconds(1600));
 }

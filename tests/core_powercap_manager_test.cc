@@ -99,7 +99,7 @@ TEST_F(ManagerTest, NonePolicyIgnoresCapEntirely) {
   metrics::Recorder recorder(controller_);
   manager.add_powercap_now(15000.0);
   controller_.submit(make_request(1, 1440, sim::seconds(100), sim::seconds(200)));
-  sim_.run();
+  while (sim_.step()) {}
   EXPECT_EQ(controller_.job(1).state, rjms::JobState::Completed);
   EXPECT_EQ(controller_.job(1).freq, cl_.frequencies().max_index());
   // The cap was violated (recorded but unenforced).

@@ -22,7 +22,7 @@ TEST_F(WalltimeTest, EndpointsOfLinearInterpolation) {
 TEST_F(WalltimeTest, PaperMixValueAt2GHz) {
   // The paper uses 1.29 for MIX (floor 2.0 GHz); linear interpolation of
   // 1.63 over the 1.2-2.7 span gives 1 + 0.63*(0.7/1.5) = 1.294.
-  auto idx = table_.index_of(2.0).value();
+  auto idx = table_.lowest_at_or_above(2.0).value();
   EXPECT_NEAR(model_.factor(idx), 1.29, 0.005);
 }
 
@@ -47,17 +47,6 @@ TEST_F(WalltimeTest, FactorAtArbitraryGhzClampsToSpan) {
   EXPECT_DOUBLE_EQ(model_.factor_at_ghz(1.2, 1.63), 1.63);
   EXPECT_DOUBLE_EQ(model_.factor_at_ghz(3.5, 1.63), 1.0);   // above span
   EXPECT_DOUBLE_EQ(model_.factor_at_ghz(0.5, 1.63), 1.63);  // below span
-}
-
-TEST_F(WalltimeTest, ScaleRoundsToMilliseconds) {
-  // 1000 ms * 1.63 = 1630 ms.
-  EXPECT_EQ(model_.scale(sim::seconds(1), 0), 1630);
-  EXPECT_EQ(model_.scale(sim::seconds(1), table_.max_index()), 1000);
-  // Paper §V: walltime increased ~60% at the minimum frequency.
-  sim::Duration walltime = sim::hours(10);
-  double stretch = static_cast<double>(model_.scale(walltime, 0)) /
-                   static_cast<double>(walltime);
-  EXPECT_NEAR(stretch, 1.63, 1e-9);
 }
 
 TEST_F(WalltimeTest, InvalidInputsRejected) {

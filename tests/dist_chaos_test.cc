@@ -71,7 +71,6 @@ std::vector<core::ScenarioConfig> small_grid(std::size_t cells) {
 TEST(DistChaos, FaultPlanIsDeterministicAndBounded) {
   FaultPlan plan = FaultPlan::parse(
       "seed=7,rate=0.5,sites=die_before_publish+torn_publish,max_attempt=2");
-  EXPECT_TRUE(plan.enabled());
   // Pure function of (seed, site, shard, attempt): identical across calls.
   for (std::uint64_t shard = 0; shard < 32; ++shard) {
     for (std::uint64_t attempt = 1; attempt <= 3; ++attempt) {
@@ -104,8 +103,12 @@ TEST(DistChaos, FaultPlanIsDeterministicAndBounded) {
   EXPECT_TRUE(filtered.fires(FaultSite::TornPublish, 2, 1));
   EXPECT_FALSE(filtered.fires(FaultSite::TornPublish, 3, 1));
 
-  EXPECT_FALSE(FaultPlan().enabled());
-  EXPECT_FALSE(FaultPlan::parse("").enabled());
+  // Inert plans never fire.
+  for (const FaultPlan& inert : {FaultPlan(), FaultPlan::parse("")}) {
+    for (std::size_t s = 0; s < kFaultSiteCount; ++s) {
+      EXPECT_FALSE(inert.fires(static_cast<FaultSite>(s), 0, 1));
+    }
+  }
   EXPECT_THROW(FaultPlan::parse("rate=0.5"), std::runtime_error);  // no sites
   EXPECT_THROW(FaultPlan::parse("rate=2,sites=all"), std::runtime_error);
   EXPECT_THROW(FaultPlan::parse("sites=unknown_site"), std::runtime_error);

@@ -97,18 +97,25 @@ TEST_F(MetricsTest, PartialWindowIntegrals) {
               160.0 * 25.0, 1e-6);
 }
 
-TEST_F(MetricsTest, SeriesShapesConsistent) {
+TEST_F(MetricsTest, SamplesAreOrderedAndPartitionTheNodes) {
   controller_.submit(make_request(1, 160, sim::seconds(50), sim::seconds(100)));
-  sim_.run();
+  sim_.run_until(sim::seconds(100));
   recorder_.sample(sim_.now());
-  auto times = recorder_.times();
-  EXPECT_EQ(times.size(), recorder_.watts_series().size());
-  EXPECT_EQ(times.size(), recorder_.idle_nodes_series().size());
-  EXPECT_EQ(times.size(), recorder_.off_nodes_series().size());
-  EXPECT_EQ(times.size(), recorder_.busy_cores_series().size());
-  EXPECT_EQ(times.size(),
-            recorder_.busy_nodes_series(cl_.frequencies().max_index()).size());
-  EXPECT_TRUE(std::is_sorted(times.begin(), times.end()));
+  const std::vector<Sample>& samples = recorder_.samples();
+  ASSERT_GE(samples.size(), 2u);
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    const Sample& s = samples[i];
+    if (i > 0) EXPECT_LT(samples[i - 1].t, s.t);  // same-instant samples collapse
+    ASSERT_EQ(s.busy_by_freq.size(), cl_.frequencies().size());
+    std::int32_t busy = 0;
+    for (std::int32_t n : s.busy_by_freq) busy += n;
+    EXPECT_EQ(busy + s.idle_nodes + s.off_nodes + s.transitioning_nodes, 90) << "at " << s.t;
+  }
+  EXPECT_EQ(samples.front().busy_by_freq[cl_.frequencies().max_index()], 10);
+  EXPECT_DOUBLE_EQ(samples.front().watts, 12670.0 + 10 * (358.0 - 117.0));
+  EXPECT_EQ(samples.back().t, sim::seconds(100));
+  EXPECT_EQ(samples.back().idle_nodes, 90);
+  EXPECT_DOUBLE_EQ(samples.back().watts, 12670.0);
 }
 
 TEST_F(MetricsTest, MaxWattsTracksPeak) {
@@ -150,7 +157,7 @@ TEST_F(MetricsTest, SummaryWaitTimes) {
   controller_.submit(make_request(1, 1440, sim::seconds(100), sim::seconds(100)));
   // Job 2 submitted at t=0 but starts when job 1 ends (t=100).
   controller_.submit(make_request(2, 1440, sim::seconds(100), sim::seconds(100)));
-  sim_.run();
+  while (sim_.step()) {}
   recorder_.sample(sim_.now());
   RunSummary s = summarize(recorder_, controller_, 0, sim::seconds(300));
   EXPECT_NEAR(s.mean_wait_seconds, 50.0, 1e-6);  // (0 + 100) / 2

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "rjms/fairshare.h"
 #include "util/check.h"
 
 namespace ps::rjms {
@@ -21,7 +22,7 @@ TEST(Priority, OlderJobsScoreHigher) {
   Job old_job = make_job(1, 0, 100);
   Job new_job = make_job(2, sim::hours(3), 100);
   sim::Time now = sim::hours(4);
-  EXPECT_GT(calc.compute(old_job, now, nullptr), calc.compute(new_job, now, nullptr));
+  EXPECT_GT(calc.compute(old_job, now, 1.0), calc.compute(new_job, now, 1.0));
 }
 
 TEST(Priority, AgeFactorSaturates) {
@@ -29,8 +30,8 @@ TEST(Priority, AgeFactorSaturates) {
   w.age_saturation = sim::hours(1);
   PriorityCalculator calc(w, 80640);
   Job job = make_job(1, 0, 1);
-  double at_saturation = calc.compute(job, sim::hours(1), nullptr);
-  double beyond = calc.compute(job, sim::hours(20), nullptr);
+  double at_saturation = calc.compute(job, sim::hours(1), 1.0);
+  double beyond = calc.compute(job, sim::hours(20), 1.0);
   EXPECT_DOUBLE_EQ(at_saturation, beyond);
 }
 
@@ -38,15 +39,15 @@ TEST(Priority, BiggerJobsScoreHigher) {
   PriorityCalculator calc(PriorityWeights{}, 80640);
   Job small = make_job(1, 0, 16);
   Job big = make_job(2, 0, 40000);
-  EXPECT_GT(calc.compute(big, 0, nullptr), calc.compute(small, 0, nullptr));
+  EXPECT_GT(calc.compute(big, 0, 1.0), calc.compute(small, 0, 1.0));
 }
 
 TEST(Priority, SizeFactorCapsAtClusterWidth) {
   PriorityCalculator calc(PriorityWeights{}, 1000);
   Job machine_wide = make_job(1, 0, 1000);
   Job wider = make_job(2, 0, 5000);
-  EXPECT_DOUBLE_EQ(calc.compute(machine_wide, 0, nullptr),
-                   calc.compute(wider, 0, nullptr));
+  EXPECT_DOUBLE_EQ(calc.compute(machine_wide, 0, 1.0),
+                   calc.compute(wider, 0, 1.0));
 }
 
 TEST(Priority, FairShareInfluences) {
@@ -56,7 +57,9 @@ TEST(Priority, FairShareInfluences) {
   fs.charge(2, 1.0, 0);
   Job heavy_user = make_job(1, 0, 100, 1);
   Job light_user = make_job(2, 0, 100, 2);
-  EXPECT_GT(calc.compute(light_user, 0, &fs), calc.compute(heavy_user, 0, &fs));
+  double total = fs.total_usage(0);
+  EXPECT_GT(calc.compute(light_user, 0, fs.factor(2, 0, total)),
+            calc.compute(heavy_user, 0, fs.factor(1, 0, total)));
 }
 
 TEST(Priority, WeightsScaleContribution) {
@@ -67,14 +70,14 @@ TEST(Priority, WeightsScaleContribution) {
   only_age.age_saturation = sim::hours(1);
   PriorityCalculator calc(only_age, 80640);
   Job job = make_job(1, 0, 80640);
-  EXPECT_DOUBLE_EQ(calc.compute(job, sim::hours(1), nullptr), 100.0);
-  EXPECT_DOUBLE_EQ(calc.compute(job, 0, nullptr), 0.0);
+  EXPECT_DOUBLE_EQ(calc.compute(job, sim::hours(1), 1.0), 100.0);
+  EXPECT_DOUBLE_EQ(calc.compute(job, 0, 1.0), 0.0);
 }
 
 TEST(Priority, NegativeWaitClampedToZero) {
   PriorityCalculator calc(PriorityWeights{}, 80640);
   Job future = make_job(1, sim::hours(5), 1);
-  double p = calc.compute(future, 0, nullptr);
+  double p = calc.compute(future, 0, 1.0);
   PriorityWeights w;
   // Age factor must clamp to 0; only fairshare (=1) and the tiny size
   // factor contribute.

@@ -50,7 +50,7 @@ class OrderTest : public ::testing::Test {
       sim_.schedule_at(job.submit_time,
                        [&controller, job] { controller.submit(job); });
     }
-    sim_.run();
+    while (sim_.step()) {}
     std::vector<std::pair<sim::Time, JobId>> starts;
     for (JobId id : controller.all_jobs()) {
       if (id == 1000) continue;
@@ -102,7 +102,7 @@ TEST_F(OrderTest, FairShareWeightPrefersLightUsers) {
       make_request(2, 1440, sim::seconds(10), sim::seconds(20), sim::seconds(10), 8);
   sim_.schedule_at(heavy.submit_time, [&controller, heavy] { controller.submit(heavy); });
   sim_.schedule_at(light.submit_time, [&controller, light] { controller.submit(light); });
-  sim_.run();
+  while (sim_.step()) {}
   // The light user's job starts first despite the lower id of the other.
   EXPECT_LT(controller.job(2).start_time, controller.job(1).start_time);
 }
@@ -119,7 +119,7 @@ TEST_F(OrderTest, FairShareDisabledFallsBackToFcfs) {
       make_request(2, 1440, sim::seconds(10), sim::seconds(20), sim::seconds(10), 8);
   sim_.schedule_at(heavy.submit_time, [&controller, heavy] { controller.submit(heavy); });
   sim_.schedule_at(light.submit_time, [&controller, light] { controller.submit(light); });
-  sim_.run();
+  while (sim_.step()) {}
   // Equal priorities: id tie-break makes job 1 start first.
   EXPECT_LT(controller.job(1).start_time, controller.job(2).start_time);
 }
@@ -222,7 +222,11 @@ OrderRun run_case(const QueueCase& c, std::size_t backfill_depth) {
       }
       Job priced;
       priced.request = request;
-      ranked.emplace_back(-calc.compute(priced, release, fairshare), request.submit_time,
+      double fs_factor =
+          fairshare != nullptr
+              ? fairshare->factor(request.user, release, fairshare->total_usage(release))
+              : 1.0;
+      ranked.emplace_back(-calc.compute(priced, release, fs_factor), request.submit_time,
                           request.id);
     }
     std::sort(ranked.begin(), ranked.end());

@@ -85,7 +85,7 @@ TEST_F(SubmitBatchTest, MutatingEntryPointsDrainStagedAttemptsFirst) {
   controller_.kill_job(1);
   EXPECT_EQ(controller_.job(3).state, JobState::Running);
   EXPECT_EQ(controller_.job(3).start_time, sim::seconds(10));
-  sim_.run();
+  while (sim_.step()) {}
   EXPECT_EQ(controller_.job(3).state, JobState::Completed);
 }
 

@@ -102,7 +102,7 @@ TEST(ServeBackpressure, SigtermDrainsGracefullyAndEmitsFinalReport) {
       dir + "/load.out", dir + "/load.err");
 
   std::this_thread::sleep_for(std::chrono::milliseconds(400));
-  server.signal(SIGTERM);
+  ASSERT_EQ(::kill(server.pid(), SIGTERM), 0);
   int server_exit = -1;
   ASSERT_TRUE(server.wait_for(30'000, &server_exit))
       << "SIGTERM did not drain the daemon";

@@ -199,7 +199,7 @@ TEST(ServeTelemetry, FollowSurvivesDirectoryRotation) {
   EXPECT_TRUE(wait_for_snapshots(3))
       << "follow went silent across the rotation";
 
-  stat.signal(SIGTERM);
+  ASSERT_EQ(::kill(stat.pid(), SIGTERM), 0);
   int exit_code = -1;
   ASSERT_TRUE(stat.wait_for(10'000, &exit_code)) << "ps-stat ignored SIGTERM";
   EXPECT_EQ(exit_code, 0);

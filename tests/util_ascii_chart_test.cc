@@ -66,16 +66,5 @@ TEST(StackedChart, StepSemanticsHoldBetweenSamples) {
   EXPECT_GE(fills, 30u);
 }
 
-TEST(Sparkline, ScalesToPeak) {
-  std::string s = sparkline({0.0, 0.5, 1.0});
-  EXPECT_FALSE(s.empty());
-  EXPECT_EQ(sparkline({}), "");
-}
-
-TEST(Sparkline, AllZeroSafe) {
-  std::string s = sparkline({0.0, 0.0});
-  EXPECT_FALSE(s.empty());
-}
-
 }  // namespace
 }  // namespace ps::util::ascii

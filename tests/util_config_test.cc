@@ -22,9 +22,9 @@ enabled = yes
 
 TEST(Config, ParsesSectionsAndKeys) {
   Config config = Config::parse(kSample);
-  EXPECT_TRUE(config.has_section("cluster"));
-  EXPECT_TRUE(config.has_section("power"));
-  EXPECT_FALSE(config.has_section("missing"));
+  EXPECT_EQ(config.get("power", "down_watts"), "14");
+  EXPECT_FALSE(config.get("missing", "racks").has_value());
+  EXPECT_FALSE(config.get("power", "racks").has_value());  // keys stay in their section
   EXPECT_EQ(config.get_i64("cluster", "racks"), 56);
   EXPECT_EQ(config.get_i64("", "top_key"), 1);
 }
@@ -38,7 +38,7 @@ TEST(Config, SectionAndKeyLookupIsCaseInsensitive) {
 TEST(Config, TypedGetters) {
   Config config = Config::parse(kSample);
   EXPECT_DOUBLE_EQ(config.get_f64("power", "idle_watts").value(), 117.0);
-  EXPECT_EQ(config.get_bool("power", "enabled"), true);
+  EXPECT_EQ(config.get("power", "enabled"), "yes");
   EXPECT_FALSE(config.get("power", "absent").has_value());
 }
 
@@ -48,14 +48,13 @@ TEST(Config, TypedGettersWithDefaults) {
   EXPECT_EQ(config.get_i64_or("cluster", "absent", 7), 7);
   EXPECT_DOUBLE_EQ(config.get_f64_or("power", "absent", 2.5), 2.5);
   EXPECT_EQ(config.get_or("cluster", "absent", "dflt"), "dflt");
-  EXPECT_TRUE(config.get_bool_or("cluster", "absent", true));
+  EXPECT_EQ(config.get_or("cluster", "racks", "dflt"), "56");
 }
 
 TEST(Config, MalformedTypedValueThrows) {
   Config config = Config::parse("[s]\nk = not-a-number\n");
   EXPECT_THROW((void)config.get_i64("s", "k"), std::runtime_error);
   EXPECT_THROW((void)config.get_f64("s", "k"), std::runtime_error);
-  EXPECT_THROW((void)config.get_bool("s", "k"), std::runtime_error);
 }
 
 TEST(Config, SyntaxErrorsThrowWithLineInfo) {
@@ -69,11 +68,11 @@ TEST(Config, CommentsAndBlankLinesIgnored) {
   EXPECT_EQ(config.get("a", "k"), "v");
 }
 
-TEST(Config, KeysSortedAndSectionsListed) {
+TEST(Config, EmptySectionHeaderEndsThePreviousSection) {
   Config config = Config::parse("[b]\nz=1\na=2\n[a]\n");
-  EXPECT_EQ(config.keys("b"), (std::vector<std::string>{"a", "z"}));
-  // "" (top-level), "a", "b"
-  EXPECT_EQ(config.sections().size(), 3u);
+  EXPECT_EQ(config.get("b", "z"), "1");
+  EXPECT_EQ(config.get("b", "a"), "2");
+  EXPECT_FALSE(config.get("a", "z").has_value());
 }
 
 TEST(Config, MissingFileThrows) {

@@ -1,6 +1,6 @@
 // Log sink formats (util/log.h): the Plain default must stay byte-identical
-// to the historical `[LEVEL] message` shape, stamping adds a parseable
-// prefix, and Json mode emits one valid-shaped object per line.
+// to the historical `[LEVEL] message` shape, and Json mode emits one
+// valid-shaped, stamped object per line.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -15,36 +15,19 @@ namespace {
 struct LogConfigGuard {
   log::Level level = log::level();
   log::Format format = log::format();
-  bool stamping = log::stamping();
   ~LogConfigGuard() {
     log::set_level(level);
     log::set_format(format);
-    log::set_stamping(stamping);
   }
 };
 
 TEST(LogFormat, PlainDefaultIsByteIdentical) {
   LogConfigGuard guard;
   log::set_format(log::Format::Plain);
-  log::set_stamping(false);
   testing::internal::CaptureStderr();
   PS_LOG(Warn) << "cap " << 42 << " exceeded";
   EXPECT_EQ(testing::internal::GetCapturedStderr(),
             "[WARN] cap 42 exceeded\n");
-}
-
-TEST(LogFormat, StampingPrefixesTimestampAndThread) {
-  LogConfigGuard guard;
-  log::set_stamping(true);
-  testing::internal::CaptureStderr();
-  PS_LOG(Error) << "boom";
-  std::string line = testing::internal::GetCapturedStderr();
-  // [2026-08-08T12:00:00.123Z] [tN] [ERROR] boom
-  ASSERT_EQ(line.front(), '[');
-  EXPECT_EQ(line.substr(5, 1), "-");   // year-month separator at a fixed slot
-  EXPECT_NE(line.find("T"), std::string::npos);
-  EXPECT_NE(line.find("Z] [t"), std::string::npos);
-  EXPECT_NE(line.find("] [ERROR] boom\n"), std::string::npos);
 }
 
 TEST(LogFormat, JsonModeEmitsOneObjectPerLine) {
@@ -54,6 +37,10 @@ TEST(LogFormat, JsonModeEmitsOneObjectPerLine) {
   PS_LOG(Warn) << "a \"quoted\"\nvalue";
   std::string line = testing::internal::GetCapturedStderr();
   EXPECT_EQ(line.rfind("{\"ts\":\"", 0), 0u) << line;
+  // {"ts":"2026-08-08T12:00:00.123Z","tid":N,...
+  EXPECT_EQ(line.substr(11, 1), "-") << line;  // year-month separator
+  EXPECT_EQ(line.substr(17, 1), "T") << line;
+  EXPECT_EQ(line.substr(30, 9), "Z\",\"tid\":") << line;
   EXPECT_NE(line.find("\"level\":\"WARN\""), std::string::npos);
   // Quote and newline escaped: the message must not tear the JSON line.
   EXPECT_NE(line.find("\"msg\":\"a \\\"quoted\\\"\\nvalue\""),

@@ -32,12 +32,6 @@ TEST(StartsWith, Basics) {
   EXPECT_TRUE(starts_with("x", ""));
 }
 
-TEST(Join, WithSeparator) {
-  EXPECT_EQ(join({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(join({}, ","), "");
-  EXPECT_EQ(join({"solo"}, ","), "solo");
-}
-
 TEST(ParseI64, StrictFullString) {
   EXPECT_EQ(parse_i64("42"), 42);
   EXPECT_EQ(parse_i64("  -7 "), -7);
@@ -66,18 +60,6 @@ TEST(ParseF64, StrictFullString) {
   EXPECT_DOUBLE_EQ(parse_f64("-1e3").value(), -1000.0);
   EXPECT_FALSE(parse_f64("3.25 watts").has_value());
   EXPECT_FALSE(parse_f64("").has_value());
-}
-
-TEST(ParseBool, AcceptedSpellings) {
-  EXPECT_EQ(parse_bool("true"), true);
-  EXPECT_EQ(parse_bool("Yes"), true);
-  EXPECT_EQ(parse_bool("ON"), true);
-  EXPECT_EQ(parse_bool("1"), true);
-  EXPECT_EQ(parse_bool("false"), false);
-  EXPECT_EQ(parse_bool("no"), false);
-  EXPECT_EQ(parse_bool("off"), false);
-  EXPECT_EQ(parse_bool("0"), false);
-  EXPECT_FALSE(parse_bool("maybe").has_value());
 }
 
 TEST(Format, PrintfStyle) {
