@@ -420,11 +420,10 @@ std::size_t Controller::audit_pass_order() const {
   merge.end_pass();
   merge.advance(now);
 
-  double total = fairshare != nullptr ? fairshare->total_usage(now) : 0.0;
   std::vector<PendingBands::Priced> reference;
   reference.reserve(merge.size());
   merge.for_each([&](const Job& job) {
-    double fs = fairshare != nullptr ? fairshare->factor(job.request.user, now, total) : 1.0;
+    double fs = fairshare != nullptr ? fairshare->factor(job.request.user) : 1.0;
     reference.push_back(
         {merge.priority().compute(job, now, fs), job.request.submit_time, job.id()});
   });

@@ -5,6 +5,18 @@
 // classic 2^(-U/S) where U is the user's fraction of decayed total usage
 // and S the user's share fraction. Factor 1 = unused allocation, 0.5 =
 // exactly consumed share, -> 0 heavy over-consumption.
+//
+// Usage is kept in one fixed time frame: a charge of c at time t is stored
+// as c * 2^((t - epoch) / half_life). At any later time T every stored
+// value is its decayed usage times the same 2^((T - epoch) / half_life),
+// so U, a ratio of sums, does not change between charges: the factor
+// needs no `now`, and pricing a user is one lookup and one exp2 with no
+// pass over all users.
+//
+// Once a charge lands kRebaseHalfLives past `epoch`, it moves `epoch` on
+// by n whole half-lives and scales every value and the total by 2^-n with
+// ldexp. That is exact in binary floating point (subnormals aside), so a
+// rebase moves no factor bit.
 #pragma once
 
 #include <cstdint>
@@ -22,31 +34,19 @@ class FairShare {
   /// Records `core_seconds` of usage by `user` at time `now`.
   void charge(std::int32_t user, double core_seconds, sim::Time now);
 
-  /// Fair-share factor in (0, 1] for `user` at time `now`, given `total` =
-  /// total_usage(now). A scheduling pass prices many users at one instant:
-  /// computing the O(users) total once and passing it here makes the pass
-  /// O(users) instead of O(users^2).
-  double factor(std::int32_t user, sim::Time now, double total) const;
-
-  /// Decayed total usage across users at `now` (core-seconds). Keeps each
-  /// user's decayed usage at `now`, which factor(user, now, total) reuses
-  /// instead of decaying it again (the same double either way).
-  double total_usage(sim::Time now) const;
+  /// Fair-share factor in (0, 1] for `user` at any time from the last
+  /// charge on.
+  double factor(std::int32_t user) const;
 
   std::size_t user_count() const noexcept { return usage_.size(); }
 
  private:
-  double decay_to(double usage, sim::Time from, sim::Time to) const;
+  static constexpr std::int64_t kRebaseHalfLives = 64;
 
   sim::Duration half_life_;
-  struct Entry {
-    double usage = 0.0;       // core-seconds, decayed as of `as_of`
-    sim::Time as_of = 0;
-    // decay_to(usage, as_of, decayed_at), memoized by total_usage.
-    mutable double decayed = 0.0;
-    mutable sim::Time decayed_at = sim::kTimeMax;
-  };
-  std::unordered_map<std::int32_t, Entry> usage_;
+  sim::Time epoch_ = 0;
+  double total_ = 0.0;                            // sum of usage_ values
+  std::unordered_map<std::int32_t, double> usage_;  // scaled to the frame
 };
 
 }  // namespace ps::rjms

@@ -230,12 +230,9 @@ void PendingBands::begin_pass(sim::Time now, const FairShare* fairshare) {
   heap_.clear();
   taken_.clear();
   has_last_ = false;
-  // The fair-share total is O(users): take it once, then each user's
-  // factor once.
-  double total = fairshare != nullptr ? fairshare->total_usage(now) : 0.0;
   for (std::uint32_t index : active_) {
     User& user = users_[index];
-    user.factor = fairshare != nullptr ? fairshare->factor(user.id, now, total) : 1.0;
+    user.factor = fairshare != nullptr ? fairshare->factor(user.id) : 1.0;
     for (std::uint8_t b = 0; b < kBands; ++b) {
       Band& band = user.bands[b];
       if (band.slots.empty()) continue;

@@ -69,8 +69,18 @@ class PolicySweep : public ::testing::TestWithParam<Case> {
     return config;
   }
 
-  const ScenarioResult& result() const {
-    static std::map<std::tuple<int, int, int, int>, ScenarioResult> cache;
+  // A case's result, plus the controller's running and pending counts
+  // read before finish.
+  struct Audited {
+    ScenarioResult result;
+    std::size_t running = 0;
+    std::size_t pending = 0;
+  };
+
+  const ScenarioResult& result() const { return audited().result; }
+
+  const Audited& audited() const {
+    static std::map<std::tuple<int, int, int, int>, Audited> cache;
     Case c = GetParam();
     auto key = std::make_tuple(static_cast<int>(c.policy),
                                static_cast<int>(c.lambda * 100),
@@ -82,17 +92,20 @@ class PolicySweep : public ::testing::TestWithParam<Case> {
   }
 
   // run_scenario's wiring for a generated workload, plus the pass audit.
-  static ScenarioResult run_audited(const ScenarioConfig& config) {
+  static Audited run_audited(const ScenarioConfig& config) {
     const workload::GeneratorParams& params = *config.custom_workload;
     workload::VectorJobSource source(workload::generate(params, config.seed));
     Replay replay(config, source, params.span, 0);
     PassOrderAudit audit(replay.controller());
     replay.controller().add_observer(&audit);
     replay.advance_to(params.span);
-    ScenarioResult result = replay.finish(params.span);
+    Audited audited;
+    audited.running = replay.controller().running_count();
+    audited.pending = replay.controller().pending_count();
+    audited.result = replay.finish(params.span);
     EXPECT_GT(audit.passes, 0u);
     EXPECT_GT(audit.jobs, audit.passes);
-    return result;
+    return audited;
   }
 };
 
@@ -141,10 +154,14 @@ TEST_P(PolicySweep, UtilizationBounded) {
 }
 
 TEST_P(PolicySweep, JobAccountingConsistent) {
-  const ScenarioResult& r = result();
-  EXPECT_EQ(r.stats.submitted, 2300u);
-  EXPECT_LE(r.stats.completed + r.stats.killed, r.stats.started + r.stats.rejected);
-  EXPECT_LE(r.summary.launched_jobs, r.stats.started);
+  const Audited& a = audited();
+  const rjms::Controller::Stats& stats = a.result.stats;
+  EXPECT_EQ(stats.submitted, 2300u);
+  // Every submitted job ended, was rejected, or is still running or
+  // pending when the replay stops.
+  EXPECT_EQ(stats.submitted,
+            stats.completed + stats.killed + stats.rejected + a.running + a.pending);
+  EXPECT_LE(a.result.summary.launched_jobs, stats.started);
 }
 
 TEST_P(PolicySweep, EnergyPositiveAndBounded) {

@@ -272,9 +272,19 @@ TEST_F(ControllerTest, ObserversSeeStartsAndEnds) {
 
 TEST_F(ControllerTest, FairShareChargedOnCompletion) {
   controller_.submit(make_request(1, 160, sim::seconds(100), sim::seconds(200), 0, 7));
+  controller_.submit(make_request(2, 20, sim::seconds(300), sim::seconds(400), 0, 8));
   while (sim_.step()) {}
-  // 160 cores requested -> 10 nodes * 16 cores * 100 s.
-  EXPECT_NEAR(controller_.fairshare().total_usage(sim_.now()), 16000.0, 20.0);
+  ASSERT_EQ(controller_.job(1).end_time, sim::seconds(100));
+  ASSERT_EQ(controller_.job(2).end_time, sim::seconds(300));
+  // Allocated cores times runtime, charged at each job's end:
+  // 10 nodes * 16 cores * 100 s and 2 nodes * 16 cores * 300 s.
+  FairShare expected;
+  expected.charge(7, 16000.0, sim::seconds(100));
+  expected.charge(8, 9600.0, sim::seconds(300));
+  for (std::int32_t user : {7, 8}) {
+    EXPECT_DOUBLE_EQ(controller_.fairshare().factor(user), expected.factor(user));
+  }
+  EXPECT_LT(controller_.fairshare().factor(7), controller_.fairshare().factor(8));
 }
 
 TEST_F(ControllerTest, DuplicateJobIdRejected) {

@@ -2,55 +2,56 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "util/check.h"
 
 namespace ps::rjms {
 namespace {
 
-// The factor a scheduling pass prices `user` with at `now`.
-double factor(const FairShare& fs, std::int32_t user, sim::Time now) {
-  return fs.factor(user, now, fs.total_usage(now));
-}
-
 TEST(FairShare, UnusedUserGetsFullFactor) {
   FairShare fs;
-  EXPECT_DOUBLE_EQ(factor(fs, 1, 0), 1.0);
+  EXPECT_DOUBLE_EQ(fs.factor(1), 1.0);
 }
 
 TEST(FairShare, HeavyUserPenalized) {
   FairShare fs;
   fs.charge(1, 1e6, 0);
   fs.charge(2, 1.0, 0);
-  EXPECT_LT(factor(fs, 1, 0), factor(fs, 2, 0));
-  EXPECT_GT(factor(fs, 2, 0), 0.9);
+  EXPECT_LT(fs.factor(1), fs.factor(2));
+  EXPECT_GT(fs.factor(2), 0.9);
 }
 
 TEST(FairShare, EqualUsageEqualFactor) {
   FairShare fs;
   fs.charge(1, 500.0, 0);
   fs.charge(2, 500.0, 0);
-  EXPECT_DOUBLE_EQ(factor(fs, 1, 0), factor(fs, 2, 0));
+  EXPECT_DOUBLE_EQ(fs.factor(1), fs.factor(2));
   // Two users, each at exactly their share: factor = 2^-1 = 0.5.
-  EXPECT_DOUBLE_EQ(factor(fs, 1, 0), 0.5);
+  EXPECT_DOUBLE_EQ(fs.factor(1), 0.5);
 }
 
 TEST(FairShare, UsageDecaysWithHalfLife) {
+  // 1000 core-s, 500 one half-life later and 250 two half-lives later are
+  // the same decayed usage: three users at their share, 0.5 each.
   FairShare fs(sim::hours(1));
   fs.charge(1, 1000.0, 0);
-  EXPECT_NEAR(fs.total_usage(sim::hours(1)), 500.0, 1e-9);
-  EXPECT_NEAR(fs.total_usage(sim::hours(2)), 250.0, 1e-9);
+  fs.charge(2, 500.0, sim::hours(1));
+  EXPECT_DOUBLE_EQ(fs.factor(1), 0.5);
+  EXPECT_DOUBLE_EQ(fs.factor(2), 0.5);
+  fs.charge(3, 250.0, sim::hours(2));
+  for (std::int32_t user : {1, 2, 3}) EXPECT_DOUBLE_EQ(fs.factor(user), 0.5) << user;
 }
 
 TEST(FairShare, DecayRestoresFactorOverTime) {
   FairShare fs(sim::hours(1));
   fs.charge(1, 1e6, 0);
   fs.charge(2, 1.0, 0);
-  double early = factor(fs, 1, 0);
-  // After many half-lives user 1's usage is negligible *relative to user 2's
-  // equally decayed usage*... both decay equally, so the ratio persists;
-  // what recovers the factor is new usage by others.
+  double early = fs.factor(1);
+  // Both users' usage decays equally, so the ratio, and with it the factor,
+  // holds between charges; what recovers the factor is new usage by others.
   fs.charge(2, 1e6, sim::hours(10));
-  double later = factor(fs, 1, sim::hours(10));
+  double later = fs.factor(1);
   EXPECT_GT(later, early);
 }
 
@@ -58,8 +59,10 @@ TEST(FairShare, ChargeAccumulates) {
   FairShare fs;
   fs.charge(1, 100.0, 0);
   fs.charge(1, 200.0, 0);
-  EXPECT_NEAR(fs.total_usage(0), 300.0, 1e-9);
   EXPECT_EQ(fs.user_count(), 1u);
+  fs.charge(2, 300.0, 0);
+  EXPECT_DOUBLE_EQ(fs.factor(1), 0.5);
+  EXPECT_DOUBLE_EQ(fs.factor(2), 0.5);
 }
 
 TEST(FairShare, NegativeChargeRejected) {
@@ -71,32 +74,31 @@ TEST(FairShare, NegativeChargeRejected) {
 TEST(FairShare, FactorBounded) {
   FairShare fs;
   fs.charge(1, 1e9, 0);
-  double f = factor(fs, 1, 0);
+  double f = fs.factor(1);
   EXPECT_GT(f, 0.0);
   EXPECT_LE(f, 1.0);
 }
 
-TEST(FairShare, FactorReusesTheTotalsDecayBitIdentically) {
-  // total_usage keeps each user's decayed usage for the factors priced
-  // after it at the same instant; they must equal a fresh decay, and a
-  // charge must drop the kept value.
-  FairShare fs(sim::hours(2));
+TEST(FairShare, RebaseMovesNoFactorBit) {
+  // A charge 1030 half-lives past the frame rebases it by 2^-1030 (every
+  // value stays normal); a zero charge to a known user changes no usage, so
+  // every factor keeps its bits.
+  FairShare fs(sim::seconds(1));
   fs.charge(1, 3.5e5, 0);
-  fs.charge(2, 1.2e4, sim::minutes(17));
-  fs.charge(3, 7.7e6, sim::hours(1));
-  for (sim::Time t : {sim::hours(1), sim::hours(5) + 13, sim::hours(30)}) {
-    FairShare fresh = fs;  // kept values, if any, are for an earlier instant
-    double total = fs.total_usage(t);
-    for (std::int32_t user : {1, 2, 3, 99}) {
-      EXPECT_EQ(fs.factor(user, t, total), fresh.factor(user, t, total))
-          << "user " << user << " t " << t;
-    }
-  }
-  sim::Time t = sim::hours(31);
-  double total = fs.total_usage(t);
-  double before = fs.factor(2, t, total);
-  fs.charge(2, 5e5, t);
-  EXPECT_LT(fs.factor(2, t, total), before);
+  fs.charge(2, 1.2e4, sim::milliseconds(1700));
+  fs.charge(3, 7.7e6, sim::seconds(30) + 13);
+  std::vector<double> before;
+  for (std::int32_t user : {1, 2, 3, 99}) before.push_back(fs.factor(user));
+  fs.charge(2, 0.0, sim::seconds(1030));
+  std::vector<double> after;
+  for (std::int32_t user : {1, 2, 3, 99}) after.push_back(fs.factor(user));
+  EXPECT_EQ(before, after);
+  EXPECT_EQ(after.back(), 1.0);
+  // A new charge in the rebased frame outweighs the old usage 2^1000 times:
+  // it is all of the usage, against a 1/4 share.
+  fs.charge(4, 1.0, sim::seconds(1030));
+  EXPECT_DOUBLE_EQ(fs.factor(4), 0.0625);
+  EXPECT_DOUBLE_EQ(fs.factor(3), 1.0);
 }
 
 }  // namespace

@@ -57,9 +57,8 @@ TEST(Priority, FairShareInfluences) {
   fs.charge(2, 1.0, 0);
   Job heavy_user = make_job(1, 0, 100, 1);
   Job light_user = make_job(2, 0, 100, 2);
-  double total = fs.total_usage(0);
-  EXPECT_GT(calc.compute(light_user, 0, fs.factor(2, 0, total)),
-            calc.compute(heavy_user, 0, fs.factor(1, 0, total)));
+  EXPECT_GT(calc.compute(light_user, 0, fs.factor(2)),
+            calc.compute(heavy_user, 0, fs.factor(1)));
 }
 
 TEST(Priority, WeightsScaleContribution) {

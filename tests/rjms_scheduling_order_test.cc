@@ -222,10 +222,7 @@ OrderRun run_case(const QueueCase& c, std::size_t backfill_depth) {
       }
       Job priced;
       priced.request = request;
-      double fs_factor =
-          fairshare != nullptr
-              ? fairshare->factor(request.user, release, fairshare->total_usage(release))
-              : 1.0;
+      double fs_factor = fairshare != nullptr ? fairshare->factor(request.user) : 1.0;
       ranked.emplace_back(-calc.compute(priced, release, fs_factor), request.submit_time,
                           request.id);
     }
