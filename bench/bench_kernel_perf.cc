@@ -395,9 +395,9 @@ void BM_AdmissionBurstSubmit(benchmark::State& state) {
 }
 BENCHMARK(BM_AdmissionBurstSubmit)->Arg(64)->Iterations(256);
 
-// Interval query throughput on a reservation book holding many per-job
-// reservations (the regime the interval index targets; a handful of
-// reservations stays on the linear small-kind path).
+// Random-interval query throughput on a reservation book holding many
+// per-job reservations: the tree walk every kind's index answers with,
+// from a handful of reservations (/8) to thousands (/4096).
 void BM_ReservationOverlapQuery(benchmark::State& state) {
   const auto count = static_cast<std::int32_t>(state.range(0));
   rjms::ReservationBook book;
@@ -424,6 +424,46 @@ void BM_ReservationOverlapQuery(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_ReservationOverlapQuery)->Arg(8)->Arg(256)->Arg(4096);
+
+// The regime of a streamed replay's questions about `now`: 112 daily cap
+// windows (08:00-20:00) with a switch-off plan over each, asked about a
+// clock that only moves forward, 10 s a step, wrapping after the last day.
+// Each iteration makes the recorder's cap_at and release_node's switch-off
+// lookup, both answered off the book's memo of the active set. Ungated;
+// the random-interval kernel above is the tree path's.
+void BM_ReservationActiveAtNow(benchmark::State& state) {
+  rjms::ReservationBook book;
+  for (int day = 0; day < 112; ++day) {
+    rjms::Reservation cap;
+    cap.kind = rjms::ReservationKind::Powercap;
+    cap.start = sim::hours(24 * day + 8);
+    cap.end = cap.start + sim::hours(12);
+    cap.watts = 100000.0;
+    rjms::Reservation off = cap;
+    off.kind = rjms::ReservationKind::SwitchOff;
+    for (cluster::NodeId n = 0; n < 64; ++n) off.nodes.push_back(8 * n + day % 8);
+    off.permissive = true;
+    book.add(std::move(cap));
+    book.add(std::move(off));
+  }
+  const sim::Time lap = sim::hours(24 * 112);
+  sim::Time now = 0;
+  std::int64_t hits = 0;
+  for (auto _ : state) {
+    now += sim::seconds(10);
+    if (now >= lap) now = 0;
+    bool switch_off = false;
+    book.for_each_active(rjms::ReservationKind::SwitchOff, now,
+                         [&switch_off](const rjms::Reservation& res) {
+                           switch_off = switch_off || std::binary_search(res.nodes.begin(),
+                                                                         res.nodes.end(), 7);
+                         });
+    hits += (book.cap_at(now) < 1e9 ? 1 : 0) + (switch_off ? 1 : 0);
+    benchmark::DoNotOptimize(hits);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ReservationActiveAtNow);
 
 // Algorithm 2 pricing alone, in the regime of the 112-day streamed replay:
 // 112 daily cap windows (08:00-20:00 at 60 % of the 512-node machine's

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <limits>
 
 #include "apps/calibrated_apps.h"
 #include "util/check.h"
@@ -132,17 +131,11 @@ void OnlineGovernor::on_job_end(const rjms::Job& job) {
 std::optional<cluster::FreqIndex> OnlineGovernor::optimal_window_freq(
     const rjms::Reservation& cap) const {
   std::uint64_t version = controller_.reservations().version();
-  if (f_star_version_ != version) {
-    f_star_table_.clear();
-    f_star_version_ = version;
-  }
-  auto it = std::lower_bound(
-      f_star_table_.begin(), f_star_table_.end(), cap.id,
-      [](const WindowFreq& entry, rjms::ReservationId id) { return entry.id < id; });
-  if (it == f_star_table_.end() || it->id != cap.id) {
-    it = f_star_table_.insert(it, WindowFreq{cap.id, price_window_freq(cap)});
-  }
-  return it->f_star;
+  auto slot = static_cast<std::size_t>(cap.id);
+  if (slot >= f_star_by_id_.size()) f_star_by_id_.resize(slot + 1);
+  WindowFreq& entry = f_star_by_id_[slot];
+  if (entry.version != version) entry = WindowFreq{version, price_window_freq(cap)};
+  return entry.f_star;
 }
 
 std::optional<cluster::FreqIndex> OnlineGovernor::price_window_freq(
@@ -213,7 +206,9 @@ std::size_t OnlineGovernor::VerdictKeyHash::operator()(
 
 std::optional<cluster::FreqIndex> OnlineGovernor::compute_admission_freq(
     double node_count, sim::Duration walltime, double degmin, sim::Time now) const {
-  // The job's stretched span at every allowed level.
+  // The job's stretched span at every allowed level. Spans only grow as
+  // the frequency falls (degradation factors do), so each lower level
+  // reaches a superset of the windows a higher one reaches.
   spans_.clear();
   sim::Duration longest = 0;
   for (cluster::FreqIndex f = min_freq_; f <= max_freq_; ++f) {
@@ -223,59 +218,71 @@ std::optional<cluster::FreqIndex> OnlineGovernor::compute_admission_freq(
     longest = std::max(longest, eff_walltime);
   }
 
-  // One query: windows active at `now` give cap_at(now); later ones are
-  // the future windows some level's span may overlap, kept in id order.
-  double cap_now = std::numeric_limits<double>::infinity();
-  windows_.clear();
-  controller_.reservations().for_each_overlapping(
-      rjms::ReservationKind::Powercap, now, std::max(now + 1, now + longest),
-      [&](const rjms::Reservation& cap) {
-        if (cap.start <= now) {
-          cap_now = std::min(cap_now, cap.watts);
-        } else {
-          windows_.push_back(FutureWindow{&cap, false, 0.0, std::nullopt});
-        }
-      });
+  // Windows active at `now` give the instantaneous cap; the future windows
+  // some level's span may overlap are those starting in (now, now + longest).
+  const rjms::ReservationBook& book = controller_.reservations();
+  double cap_now = book.cap_at(now);
+  rjms::ReservationBook::StartRun future =
+      book.starting_in(rjms::ReservationKind::Powercap, now, now + longest);
+
+  double live_watts = controller_.cluster().watts();
+  if (config_.admission == AdmissionMode::Projection) {
+    // Id order, priced lazily: which windows get a CapCache, and when,
+    // fixes the floating-point bits of their persistence sums.
+    windows_.clear();
+    for (const rjms::Reservation& cap : future) windows_.push_back(FutureWindow{&cap});
+    std::sort(windows_.begin(), windows_.end(),
+              [](const FutureWindow& a, const FutureWindow& b) { return a.cap->id < b.cap->id; });
+  }
 
   // Highest frequency first (Algorithm 2 walks downward on failure).
-  double live_watts = controller_.cluster().watts();
+  // PaperLive modes: one walk over the windows in start order, folding each
+  // window the falling level's span reaches into a running minimum f* and
+  // a "some window has no f*" flag.
+  std::size_t reached = 0;
+  cluster::FreqIndex min_f_star = max_freq_;
+  bool some_window_without_f_star = false;
   for (cluster::FreqIndex f = max_freq_ + 1; f-- > min_freq_;) {
     sim::Time span_end = now + spans_[f - min_freq_];
     double delta = node_count * busy_delta(f);
 
     // Instantaneous check against the live measurement.
     if (live_watts + delta > cap_now + kWattsEpsilon) continue;
-    if (fits_future_windows(f, span_end, delta)) return f;
+    if (config_.admission == AdmissionMode::Projection) {
+      if (fits_projected_windows(span_end, delta)) return f;
+      continue;
+    }
+    for (; reached < future.size() && future[reached].start < span_end; ++reached) {
+      std::optional<cluster::FreqIndex> f_star = optimal_window_freq(future[reached]);
+      if (f_star.has_value()) {
+        min_f_star = std::min(min_f_star, *f_star);
+      } else {
+        some_window_without_f_star = true;
+      }
+    }
+    // The job is clamped to every reached window's global optimal
+    // frequency. A window without one keeps the job pending in
+    // PaperLiveStrict ("the job remains pending"); best effort lets only
+    // the lowest frequency pass.
+    if (f > min_f_star) continue;
+    if (some_window_without_f_star &&
+        (config_.admission == AdmissionMode::PaperLiveStrict || f > min_freq_)) {
+      continue;
+    }
+    return f;
   }
   return std::nullopt;
 }
 
-bool OnlineGovernor::fits_future_windows(cluster::FreqIndex f, sim::Time span_end,
-                                         double delta) const {
+bool OnlineGovernor::fits_projected_windows(sim::Time span_end, double delta) const {
   for (FutureWindow& window : windows_) {
     const rjms::Reservation& cap = *window.cap;
     if (cap.start >= span_end) continue;  // beyond this level's span
     if (!window.priced) {
-      if (config_.admission == AdmissionMode::Projection) {
-        window.projected_watts = projected_watts_at(cap);
-      } else {
-        window.f_star = optimal_window_freq(cap);
-      }
+      window.projected_watts = projected_watts_at(cap);
       window.priced = true;
     }
-    if (config_.admission == AdmissionMode::Projection) {
-      if (window.projected_watts + delta > cap.watts + kWattsEpsilon) return false;
-      continue;
-    }
-    // PaperLive / PaperLiveStrict: the job is clamped to the window's
-    // global optimal frequency.
-    if (window.f_star.has_value()) {
-      if (f > *window.f_star) return false;
-    } else if (config_.admission == AdmissionMode::PaperLiveStrict) {
-      return false;  // "the job remains pending"
-    } else if (f > min_freq_) {
-      return false;  // best effort: only the lowest frequency may pass
-    }
+    if (window.projected_watts + delta > cap.watts + kWattsEpsilon) return false;
   }
   return true;
 }

@@ -9,18 +9,24 @@
 // If even the policy's lowest frequency does not fit, the job stays
 // pending ("Impossible to schedule the job now").
 //
-// Pricing. One admission makes one powercap interval query, over `now` to
-// the end of the longest span any allowed frequency stretches the job to.
-// Windows already active give the instantaneous cap; later windows land in
-// a reused buffer, and each frequency level checks only those its own span
-// reaches, in id order, stopping at the first failure. A window's global
-// optimal frequency f* (PaperLive modes) depends only on the window and the
-// switch-off reservations, so it is priced once per (window id,
-// ReservationBook::version()) in a table PowercapManager's window-start
-// rescale reads too. Projection's window projection reads live watts and is
-// priced at most once per window per admission; its persistence sums are
-// kept incrementally (observer callbacks), so it costs O(#reservations),
-// not O(#running jobs).
+// Pricing. One admission asks the reservation book about `now` twice: the
+// cap active now (ReservationBook::cap_at, off the book's memo of the
+// active set) and the run of powercap windows starting before the end of
+// the longest span any allowed frequency stretches the job to (a binary
+// search on the book's start column). Spans only grow as the frequency
+// falls, so each lower level reaches a prefix of that start-ordered run
+// that contains the higher level's. The PaperLive modes walk it once,
+// keeping a running minimum of the reached windows' global optimal
+// frequencies f* and a flag for a window without one. f* depends only on
+// the window and the switch-off reservations, so it is priced once per
+// (window id, ReservationBook::version()) in a flat table indexed by id,
+// which PowercapManager's window-start rescale reads too. Projection reads
+// live watts: it re-sorts the run into id order and each level checks the
+// windows its own span reaches, stopping at the first failure, pricing
+// each at most once per admission. Its persistence sums are kept
+// incrementally (observer callbacks), so it costs O(#reservations), not
+// O(#running jobs); when a window's sum is created fixes its bits, so the
+// lazy id-ordered pricing stays.
 //
 // Admission verdicts are additionally cached per job class: a verdict
 // depends only on (requested walltime, allocation width, degmin) plus the
@@ -142,24 +148,22 @@ class OnlineGovernor final : public rjms::PowerGovernor, public rjms::Controller
   /// it once the window has started or its reservation is gone.
   mutable std::map<rjms::ReservationId, CapCache> future_caps_;
 
-  /// f* table: optimal_window_freq per window id (ascending), valid for one
-  /// ReservationBook::version(); cleared, not freed, when the book moves.
+  /// f* table: optimal_window_freq indexed by window id, each entry valid
+  /// for the ReservationBook::version() it was priced at.
   struct WindowFreq {
-    rjms::ReservationId id = 0;
+    std::uint64_t version = ~0ull;
     std::optional<cluster::FreqIndex> f_star;
   };
-  mutable std::vector<WindowFreq> f_star_table_;
-  mutable std::uint64_t f_star_version_ = ~0ull;
+  mutable std::vector<WindowFreq> f_star_by_id_;
 
   /// compute_admission_freq scratch, reused across admissions: the job's
-  /// stretched span per allowed level (index f - min_freq_), and the
-  /// future windows the longest span overlaps, in id order, each priced
-  /// on its first check.
+  /// stretched span per allowed level (index f - min_freq_), and for
+  /// Projection the future windows the longest span overlaps, in id order,
+  /// each priced on its first check.
   struct FutureWindow {
     const rjms::Reservation* cap = nullptr;
     bool priced = false;
-    double projected_watts = 0.0;                ///< Projection
-    std::optional<cluster::FreqIndex> f_star;    ///< PaperLive modes
+    double projected_watts = 0.0;
   };
   mutable std::vector<sim::Duration> spans_;
   mutable std::vector<FutureWindow> windows_;
@@ -185,10 +189,10 @@ class OnlineGovernor final : public rjms::PowerGovernor, public rjms::Controller
                                                            sim::Duration walltime,
                                                            double degmin,
                                                            sim::Time now) const;
-  /// Level `f`'s future-window checks: every window in windows_ starting
-  /// before `span_end`, in id order, priced on first use; false at the
-  /// first window the job (adding `delta` watts) does not fit.
-  bool fits_future_windows(cluster::FreqIndex f, sim::Time span_end, double delta) const;
+  /// Projection's future-window checks for one level: every window in
+  /// windows_ starting before `span_end`, in id order, priced on first use;
+  /// false at the first window the job (adding `delta` watts) does not fit.
+  bool fits_projected_windows(sim::Time span_end, double delta) const;
 
   /// Brings the cache generation up to `now`: no-op when nothing moved,
   /// carry when only time advanced quiescently (see the class comment),

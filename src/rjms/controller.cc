@@ -112,8 +112,8 @@ void Controller::compute_shadow(const Job& head) {
     // binding cap window closes (or when jobs free power — approximated by
     // the earliest running-job end).
     sim::Time cap_end = sim::kTimeMax;
-    reservations_.for_each_overlapping(
-        ReservationKind::Powercap, now, now + 1,
+    reservations_.for_each_active(
+        ReservationKind::Powercap, now,
         [&cap_end](const Reservation& cap) { cap_end = std::min(cap_end, cap.end); });
     sim::Time first_end =
         running_by_end_.empty() ? sim::kTimeMax : running_by_end_.begin()->first;
@@ -240,8 +240,8 @@ void Controller::power_node_off(cluster::NodeId node) {
 void Controller::release_node(cluster::NodeId node) {
   sim::Time now = simulator_.now();
   bool switch_off = false;
-  reservations_.for_each_overlapping(
-      ReservationKind::SwitchOff, now, now + 1, [&switch_off, node](const Reservation& res) {
+  reservations_.for_each_active(
+      ReservationKind::SwitchOff, now, [&switch_off, node](const Reservation& res) {
         switch_off = switch_off ||
                      std::binary_search(res.nodes.begin(), res.nodes.end(), node);
       });

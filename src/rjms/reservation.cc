@@ -7,6 +7,14 @@
 
 namespace ps::rjms {
 
+namespace {
+/// First start in a kind's start column strictly after `t`; kTimeMax when none.
+sim::Time first_start_after(const std::vector<sim::Time>& starts, sim::Time t) {
+  auto next = std::upper_bound(starts.begin(), starts.end(), t);
+  return next == starts.end() ? sim::kTimeMax : *next;
+}
+}  // namespace
+
 ReservationId ReservationBook::add(Reservation reservation) {
   PS_CHECK_MSG(reservation.start < reservation.end, "reservation window inverted or empty");
   if (reservation.kind == ReservationKind::Powercap) {
@@ -44,17 +52,14 @@ const Reservation* ReservationBook::find(ReservationId id) const {
 
 void ReservationBook::rebuild_index() const {
   for (KindIndex& ki : index_) {
-    ki.members.clear();
     ki.by_start.clear();
-    ki.tree.clear();
-    ki.leaf_count = 0;
+    ki.active.until = ki.active.at;  // drop the memo
   }
+  // Positions go in ascending, so the sort's position tie-break is id order.
   for (std::uint32_t pos = 0; pos < reservations_.size(); ++pos) {
-    index_[static_cast<std::size_t>(reservations_[pos].kind)].members.push_back(pos);
+    index_[static_cast<std::size_t>(reservations_[pos].kind)].by_start.push_back(pos);
   }
   for (KindIndex& ki : index_) {
-    if (ki.members.size() <= kLinearScanMax) continue;  // linear path, no tree
-    ki.by_start = ki.members;
     std::sort(ki.by_start.begin(), ki.by_start.end(),
               [this](std::uint32_t a, std::uint32_t b) {
                 if (reservations_[a].start != reservations_[b].start) {
@@ -62,6 +67,8 @@ void ReservationBook::rebuild_index() const {
                 }
                 return a < b;
               });
+    ki.starts.clear();
+    for (std::uint32_t pos : ki.by_start) ki.starts.push_back(reservations_[pos].start);
     std::size_t cap = 1;
     while (cap < ki.by_start.size()) cap *= 2;
     ki.leaf_count = cap;
@@ -74,6 +81,30 @@ void ReservationBook::rebuild_index() const {
     }
   }
   indexed_version_ = version_;
+}
+
+void ReservationBook::refill_active(KindIndex& ki, sim::Time t) const {
+  ActiveMemo& memo = ki.active;
+  memo.positions.clear();
+  collect_overlapping(ki, 1, 0, ki.leaf_count, t, t + 1, memo.positions);
+  std::sort(memo.positions.begin(), memo.positions.end());  // position order == id order
+  // The set can only change at the next start or when a member ends.
+  sim::Time until = first_start_after(ki.starts, t);
+  for (std::uint32_t pos : memo.positions) until = std::min(until, reservations_[pos].end);
+  memo.at = t;
+  memo.until = until;
+}
+
+ReservationBook::StartRun ReservationBook::starting_in(ReservationKind kind, sim::Time from,
+                                                       sim::Time to) const {
+  if (indexed_version_ != version_) rebuild_index();
+  const KindIndex& ki = index_[static_cast<std::size_t>(kind)];
+  auto first = std::upper_bound(ki.starts.begin(), ki.starts.end(), from);
+  // Every start from `first` on exceeds `from`, so to <= from yields first.
+  auto last = std::lower_bound(first, ki.starts.end(), to);
+  const std::uint32_t* base = ki.by_start.data();
+  return StartRun(reservations_.data(), base + (first - ki.starts.begin()),
+                  base + (last - ki.starts.begin()));
 }
 
 void ReservationBook::collect_overlapping(const KindIndex& ki, std::size_t node,
@@ -109,38 +140,16 @@ bool ReservationBook::node_blocked(cluster::NodeId node, sim::Time from, sim::Ti
   return blocked;
 }
 
-std::vector<const Reservation*> ReservationBook::powercaps_overlapping(sim::Time from,
-                                                                       sim::Time to) const {
-  std::vector<const Reservation*> out;
-  for_each_overlapping(ReservationKind::Powercap, from, to,
-                       [&out](const Reservation& r) { out.push_back(&r); });
-  return out;
-}
-
-std::vector<const Reservation*> ReservationBook::switchoffs_overlapping(sim::Time from,
-                                                                        sim::Time to) const {
-  std::vector<const Reservation*> out;
-  for_each_overlapping(ReservationKind::SwitchOff, from, to,
-                       [&out](const Reservation& r) { out.push_back(&r); });
-  return out;
-}
-
 sim::Time ReservationBook::next_start_after(ReservationKind kind, sim::Time t) const {
   if (indexed_version_ != version_) rebuild_index();
-  const KindIndex& ki = index_[static_cast<std::size_t>(kind)];
-  sim::Time best = sim::kTimeMax;
-  for (std::uint32_t pos : ki.members) {
-    const Reservation& r = reservations_[pos];
-    if (r.start > t && r.start < best) best = r.start;
-  }
-  return best;
+  return first_start_after(index_[static_cast<std::size_t>(kind)].starts, t);
 }
 
 sim::Time ReservationBook::next_end_after(ReservationKind kind, sim::Time t) const {
   if (indexed_version_ != version_) rebuild_index();
   const KindIndex& ki = index_[static_cast<std::size_t>(kind)];
   sim::Time best = sim::kTimeMax;
-  for (std::uint32_t pos : ki.members) {
+  for (std::uint32_t pos : ki.by_start) {
     const Reservation& r = reservations_[pos];
     // An open-ended reservation (end == kTimeMax) never contributes an end
     // boundary.
@@ -151,8 +160,8 @@ sim::Time ReservationBook::next_end_after(ReservationKind kind, sim::Time t) con
 
 double ReservationBook::cap_at(sim::Time t) const {
   double cap = std::numeric_limits<double>::infinity();
-  for_each_overlapping(ReservationKind::Powercap, t, t + 1,
-                       [&cap](const Reservation& r) { cap = std::min(cap, r.watts); });
+  for_each_active(ReservationKind::Powercap, t,
+                  [&cap](const Reservation& r) { cap = std::min(cap, r.watts); });
   return cap;
 }
 
@@ -169,8 +178,10 @@ void BlockedSet::ensure(const ReservationBook& book, sim::Time start, sim::Time 
   }
   ++epoch_;
   // ReservationBook::node_blocked vectorized over nodes, sharing its
-  // blocking predicate; the interval query bounds the work to reservations
-  // overlapping [start, horizon) (blocks_job_span implies overlap).
+  // blocking predicate, over the reservations overlapping [start, horizon)
+  // (blocks_job_span implies overlap). Those are exactly the ones active at
+  // `start` that begin before `horizon`, plus the run starting inside; the
+  // pass's `start` is `now`, so the first half is the book's memo.
   auto stamp = [&](const Reservation& r) {
     if (!r.blocks_job_span(start, horizon)) return;
     for (cluster::NodeId node : r.nodes) {
@@ -178,8 +189,12 @@ void BlockedSet::ensure(const ReservationBook& book, sim::Time start, sim::Time 
       if (i < stamps_.size()) stamps_[i] = epoch_;
     }
   };
-  book.for_each_overlapping(ReservationKind::Maintenance, start, horizon, stamp);
-  book.for_each_overlapping(ReservationKind::SwitchOff, start, horizon, stamp);
+  for (ReservationKind kind : {ReservationKind::Maintenance, ReservationKind::SwitchOff}) {
+    book.for_each_active(kind, start, [&](const Reservation& r) {
+      if (r.start < horizon) stamp(r);
+    });
+    for (const Reservation& r : book.starting_in(kind, start, horizon)) stamp(r);
+  }
   book_version_ = book.version();
   start_ = start;
   horizon_ = horizon;

@@ -73,14 +73,54 @@ struct Reservation {
 
 /// Registry of reservations with the interval queries the scheduler needs.
 ///
-/// Interval queries run off a per-kind index: positions sorted by start
-/// time under a max-end segment tree, so a stabbing query costs
-/// O(log n + matches) instead of a scan over the whole book. Small kinds
-/// (the common handful-of-reservations case) stay on a plain linear path
-/// with zero index overhead. The index is rebuilt lazily when `version()`
-/// changes; mutations are rare next to queries.
+/// Every kind has one index, rebuilt lazily when `version()` moves
+/// (mutations are rare next to queries): the kind's positions sorted by
+/// (start, id), a flat column of their starts, and a max-end segment tree
+/// over that order. Two query shapes run off it:
+///   * random intervals (`for_each_overlapping`, `node_blocked`) walk the
+///     tree: O(log n + matches);
+///   * questions about the simulated `now`, which only moves forward
+///     (`for_each_active`, `cap_at`, `starting_in`). Each kind memoizes the
+///     set active at the last queried instant, valid until the next start
+///     or the earliest end in the set, so a replay pays one stabbing query
+///     per reservation boundary instead of one per call; `starting_in` is
+///     a binary search on the start column.
+/// `for_each_overlapping` and `for_each_active` report in id order so
+/// floating-point folds over reservations stay bit-stable.
 class ReservationBook {
  public:
+  /// Reservations of one kind in (start, id) order: a contiguous run of
+  /// the kind's start column. Valid until the book next changes.
+  class StartRun {
+   public:
+    class iterator {
+     public:
+      iterator(const Reservation* base, const std::uint32_t* pos) : base_(base), pos_(pos) {}
+      const Reservation& operator*() const { return base_[*pos_]; }
+      iterator& operator++() {
+        ++pos_;
+        return *this;
+      }
+      bool operator!=(const iterator& other) const { return pos_ != other.pos_; }
+
+     private:
+      const Reservation* base_;
+      const std::uint32_t* pos_;
+    };
+
+    StartRun(const Reservation* base, const std::uint32_t* first, const std::uint32_t* last)
+        : base_(base), first_(first), last_(last) {}
+    iterator begin() const { return {base_, first_}; }
+    iterator end() const { return {base_, last_}; }
+    std::size_t size() const noexcept { return static_cast<std::size_t>(last_ - first_); }
+    const Reservation& operator[](std::size_t i) const { return base_[first_[i]]; }
+
+   private:
+    const Reservation* base_;
+    const std::uint32_t* first_;
+    const std::uint32_t* last_;
+  };
+
   /// Adds a reservation and returns its id. Throws ps::CheckError on
   /// inverted windows or (for node kinds) empty node lists.
   ReservationId add(Reservation reservation);
@@ -96,8 +136,7 @@ class ReservationBook {
   bool node_blocked(cluster::NodeId node, sim::Time from, sim::Time to) const;
 
   /// Allocation-free interval query: calls `fn(const Reservation&)` for each
-  /// reservation of `kind` overlapping [from, to), in id order. This is the
-  /// hot-path form of the *_overlapping vector queries below. Queries may
+  /// reservation of `kind` overlapping [from, to), in id order. Queries may
   /// nest (a callback may issue further queries); callbacks must not mutate
   /// the book.
   template <typename Fn>
@@ -105,13 +144,6 @@ class ReservationBook {
                             Fn&& fn) const {
     if (indexed_version_ != version_) rebuild_index();
     const KindIndex& ki = index_[static_cast<std::size_t>(kind)];
-    if (ki.tree.empty()) {  // small kind: members are already in id order
-      for (std::uint32_t pos : ki.members) {
-        const Reservation& r = reservations_[pos];
-        if (r.overlaps(from, to)) fn(r);
-      }
-      return;
-    }
     ScratchLease lease(*this);
     std::vector<std::uint32_t>& matches = lease.buf();
     collect_overlapping(ki, 1, 0, ki.leaf_count, from, to, matches);
@@ -119,21 +151,44 @@ class ReservationBook {
     for (std::uint32_t pos : matches) fn(reservations_[pos]);
   }
 
-  /// Pointers to powercap reservations overlapping [from, to), in id order.
-  std::vector<const Reservation*> powercaps_overlapping(sim::Time from, sim::Time to) const;
+  /// Calls `fn(const Reservation&)` for each reservation of `kind` active at
+  /// `t` (start <= t < end), in id order, off the kind's memo: a hit costs
+  /// no search, a miss (`t` outside the memo's validity interval, or the
+  /// book changed) refills it with one stabbing query. Meant for a
+  /// forward-moving `t`; any `t` is answered exactly. Queries may nest: a
+  /// callback asking about another instant of the same kind is answered
+  /// off the tree and leaves the memo being walked alone. Callbacks must
+  /// not mutate the book.
+  template <typename Fn>
+  void for_each_active(ReservationKind kind, sim::Time t, Fn&& fn) const {
+    if (indexed_version_ != version_) rebuild_index();
+    KindIndex& ki = index_[static_cast<std::size_t>(kind)];
+    ActiveMemo& memo = ki.active;
+    if (t < memo.at || t >= memo.until) {
+      if (memo.walkers > 0) {
+        for_each_overlapping(kind, t, t + 1, fn);
+        return;
+      }
+      refill_active(ki, t);
+    }
+    WalkGuard guard(memo.walkers);
+    for (std::uint32_t pos : memo.positions) fn(reservations_[pos]);
+  }
 
-  /// Pointers to switch-off reservations overlapping [from, to).
-  std::vector<const Reservation*> switchoffs_overlapping(sim::Time from, sim::Time to) const;
+  /// Reservations of `kind` with from < start < to, in (start, id) order.
+  /// Empty when to <= from + 1.
+  StartRun starting_in(ReservationKind kind, sim::Time from, sim::Time to) const;
 
   /// Mutation counter: bumped by add/remove. Lets derived caches (e.g.
   /// BlockedSet) detect staleness without observing every call site.
   std::uint64_t version() const noexcept { return version_; }
 
   /// Earliest start (resp. end) of a reservation of `kind` strictly after
-  /// `t`; sim::kTimeMax when none. O(reservations of that kind) off the
-  /// per-kind member index. Lets time-keyed caches (the governor's
-  /// admission cache) prove that a pure clock advance crossed no boundary
-  /// of that kind and carry their entries instead of clearing.
+  /// `t`; sim::kTimeMax when none. The start is a binary search on the
+  /// kind's start column, the end a scan over the kind. Lets time-keyed
+  /// caches (the governor's admission cache) prove that a pure clock
+  /// advance crossed no boundary of that kind and carry their entries
+  /// instead of clearing.
   sim::Time next_start_after(ReservationKind kind, sim::Time t) const;
   sim::Time next_end_after(ReservationKind kind, sim::Time t) const;
 
@@ -142,20 +197,40 @@ class ReservationBook {
   double cap_at(sim::Time t) const;
 
  private:
-  /// Kinds at or below this size skip the tree: a linear pass over a
-  /// handful of entries beats the collect + sort round trip.
-  static constexpr std::size_t kLinearScanMax = 16;
+  /// The set of a kind active at `at`: positions into reservations_ in id
+  /// order, exact for every t in [at, until), where `until` is the next
+  /// start after `at` or the earliest end in the set, whichever is first.
+  /// [at, until) is empty until the first query and after a rebuild.
+  struct ActiveMemo {
+    sim::Time at = 0;
+    sim::Time until = 0;
+    std::vector<std::uint32_t> positions;
+    std::uint32_t walkers = 0;  ///< for_each_active calls iterating positions
+  };
 
-  /// Per-kind interval index. `members` holds positions into reservations_
-  /// ascending (insertion order == id order). For kinds larger than
-  /// kLinearScanMax, `by_start` re-sorts those positions by (start, id) and
+  /// Per-kind interval index. `by_start` holds the kind's positions into
+  /// reservations_ sorted by (start, id) and `starts` their start times;
   /// `tree` is a max-end segment tree over by_start (1-based heap layout,
   /// leaf_count padded to a power of two) used to prune stabbing queries.
   struct KindIndex {
-    std::vector<std::uint32_t> members;
     std::vector<std::uint32_t> by_start;
+    std::vector<sim::Time> starts;
     std::vector<sim::Time> tree;
     std::size_t leaf_count = 0;
+    ActiveMemo active;
+  };
+
+  /// Counts a for_each_active walk for as long as it iterates the memo,
+  /// unwinding with the callback if it throws.
+  class WalkGuard {
+   public:
+    explicit WalkGuard(std::uint32_t& walkers) : walkers_(walkers) { ++walkers_; }
+    ~WalkGuard() { --walkers_; }
+    WalkGuard(const WalkGuard&) = delete;
+    WalkGuard& operator=(const WalkGuard&) = delete;
+
+   private:
+    std::uint32_t& walkers_;
   };
 
   /// Reentrant scratch acquisition for query result buffers, depth-indexed
@@ -181,6 +256,8 @@ class ReservationBook {
   };
 
   void rebuild_index() const;
+  /// Makes `ki.active` the set active at `t`.
+  void refill_active(KindIndex& ki, sim::Time t) const;
   /// Appends positions of by_start entries overlapping [from, to) under the
   /// subtree `node` covering leaves [lo, lo + len).
   void collect_overlapping(const KindIndex& ki, std::size_t node, std::size_t lo,

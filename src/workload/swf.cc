@@ -57,7 +57,11 @@ bool is_ws(char c) noexcept { return c == ' ' || c == '\t' || c == '\r' || c == 
 
 bool parse_line(std::string_view line, std::size_t line_number, Record& out) {
   // In-place whitespace tokenizer: no per-line vector, no per-field string.
-  std::string_view fields[kSwfFields];
+  // Field bounds rather than string_views: an array of string_views is
+  // zeroed on every call (288 bytes a line), while these stay
+  // uninitialized, and every read is behind the 18-field check below.
+  std::size_t begins[kSwfFields];
+  std::size_t ends[kSwfFields];
   std::size_t nfields = 0;
   std::size_t i = 0;
   const std::size_t n = line.size();
@@ -67,7 +71,10 @@ bool parse_line(std::string_view line, std::size_t line_number, Record& out) {
   while (i < n) {
     std::size_t begin = i;
     while (i < n && !is_ws(line[i])) ++i;
-    if (nfields < kSwfFields) fields[nfields] = line.substr(begin, i - begin);
+    if (nfields < kSwfFields) {
+      begins[nfields] = begin;
+      ends[nfields] = i;
+    }
     ++nfields;  // extra trailing fields are counted but ignored
     while (i < n && is_ws(line[i])) ++i;
   }
@@ -75,14 +82,17 @@ bool parse_line(std::string_view line, std::size_t line_number, Record& out) {
     fail(line_number, "expected 18 fields, got " + std::to_string(nfields));
   }
 
-  std::int64_t job_number = field_i64(fields[0], 0, line_number);
-  std::int64_t submit_s = field_i64(fields[1], 1, line_number);
-  std::int64_t run_s = field_i64(fields[3], 3, line_number);
-  std::int64_t allocated = field_i64(fields[4], 4, line_number);
-  std::int64_t requested = field_i64(fields[7], 7, line_number);
-  std::int64_t requested_s = field_i64(fields[8], 8, line_number);
-  std::int64_t status = field_i64(fields[10], 10, line_number);
-  std::int64_t user_id = field_i64(fields[11], 11, line_number);
+  auto field = [&](std::size_t k) {
+    return field_i64(line.substr(begins[k], ends[k] - begins[k]), k, line_number);
+  };
+  std::int64_t job_number = field(0);
+  std::int64_t submit_s = field(1);
+  std::int64_t run_s = field(3);
+  std::int64_t allocated = field(4);
+  std::int64_t requested = field(7);
+  std::int64_t requested_s = field(8);
+  std::int64_t status = field(10);
+  std::int64_t user_id = field(11);
 
   JobRequest& job = out.job;
   job.id = job_number;

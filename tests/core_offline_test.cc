@@ -177,7 +177,17 @@ TEST_F(OfflineTest, IdlePolicyDoesNothingOffline) {
   OfflinePlan plan = p.plan_window(0, sim::hours(1),
                                    0.6 * cl_.power_model().max_cluster_watts());
   EXPECT_EQ(plan.reservation_id, 0);
-  EXPECT_TRUE(controller_.reservations().switchoffs_overlapping(0, sim::hours(1)).empty());
+  // No switch-off plan over the window, by query and by a scan of the book.
+  const rjms::ReservationBook& book = controller_.reservations();
+  std::size_t queried = 0;
+  book.for_each_overlapping(rjms::ReservationKind::SwitchOff, 0, sim::hours(1),
+                            [&queried](const rjms::Reservation&) { ++queried; });
+  std::size_t scanned = 0;
+  for (const rjms::Reservation& r : book.all()) {
+    if (r.kind == rjms::ReservationKind::SwitchOff && r.overlaps(0, sim::hours(1))) ++scanned;
+  }
+  EXPECT_EQ(queried, 0u);
+  EXPECT_EQ(scanned, 0u);
 }
 
 TEST_F(OfflineTest, CapAboveMaxNeedsNoAction) {

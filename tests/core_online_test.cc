@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
+#include "apps/calibrated_apps.h"
 #include "cluster/curie.h"
 #include "core/powercap_manager.h"
 #include "util/rng.h"
@@ -316,10 +319,10 @@ TEST_F(OnlineTest, PolicyFrequencyRanges) {
 
 constexpr double kEps = 1e-6;
 
-// Algorithm 2 re-derived level by level: one cap_at(now) query, then per
-// frequency one interval query over the stretched span, pricing every
-// overlapped future window afresh (f* from a governor with an empty table,
-// the Projection figure from the live governor's bookkeeping).
+// Algorithm 2 re-derived level by level: the cap active now from a scan of
+// the book, then per frequency one interval query over the stretched span,
+// pricing every overlapped future window afresh (f* from a governor with an
+// empty table, the Projection figure from the live governor's bookkeeping).
 std::optional<cluster::FreqIndex> reference_admission_freq(
     const OnlineGovernor& governor, rjms::Controller& controller,
     const PowercapConfig& config, double node_count, sim::Duration walltime,
@@ -327,7 +330,12 @@ std::optional<cluster::FreqIndex> reference_admission_freq(
   const rjms::ReservationBook& book = controller.reservations();
   const cluster::PowerModel& pm = controller.cluster().power_model();
   const sim::Time now = controller.simulator().now();
-  const double cap_now = book.cap_at(now);
+  double cap_now = std::numeric_limits<double>::infinity();
+  for (const rjms::Reservation& r : book.all()) {
+    if (r.kind == rjms::ReservationKind::Powercap && r.active_at(now)) {
+      cap_now = std::min(cap_now, r.watts);
+    }
+  }
   const OnlineGovernor fresh(controller, config);
   for (cluster::FreqIndex f = governor.max_allowed_freq() + 1;
        f-- > governor.min_allowed_freq();) {
@@ -381,11 +389,14 @@ struct VerdictTally {
 };
 
 // One seeded random book on a 1-rack machine, probed at now = 3 000 s.
-// The book always holds the edges the single-query walk must get right:
-// two overlapping active caps (one open-ended), a window starting exactly
-// at now, an open-ended future window, a window that ended exactly at now
-// and switch-off plans over the future windows. Probes include zero
-// walltime and spans ending exactly at a window start.
+// The book always holds the edges the single-walk admission must get
+// right: two overlapping active caps (one open-ended), a window starting
+// exactly at now, an open-ended future window, a window that ended exactly
+// at now and switch-off plans over the future windows. Probes include zero
+// walltime and spans ending exactly at a window start. The simulator then
+// advances across window starts and ends, landing exactly on some and
+// strictly between others, and probes again: the book's memo of the caps
+// active at `now` must follow every boundary.
 void check_random_book(Policy policy, AdmissionMode mode, std::uint64_t seed,
                        VerdictTally& tally) {
   SCOPED_TRACE(testing::Message() << "policy " << static_cast<int>(policy) << " mode "
@@ -463,7 +474,9 @@ void check_random_book(Policy policy, AdmissionMode mode, std::uint64_t seed,
   };
   auto probe_all = [&] {
     probe(0);
-    for (sim::Time start : future_starts) probe(start - now);  // span ends at start
+    for (sim::Time start : future_starts) {
+      if (start > sim.now()) probe(start - sim.now());  // span ends at start
+    }
     for (int i = 0; i < 24; ++i) probe(sim::seconds(rng.uniform_int(1, 25000)));
   };
   probe_all();
@@ -474,6 +487,25 @@ void check_random_book(Policy policy, AdmissionMode mode, std::uint64_t seed,
   controller.add_powercap_reservation(late, late + sim::seconds(2000), random_watts());
   future_starts.push_back(late);
   probe_all();
+
+  // Advance across cap boundaries: land exactly on some, stop strictly
+  // between others.
+  std::vector<sim::Time> boundaries;
+  for (const rjms::Reservation& r : controller.reservations().all()) {
+    if (r.kind != rjms::ReservationKind::Powercap) continue;
+    for (sim::Time b : {r.start, r.end}) {
+      if (b > now && b != sim::kTimeMax) boundaries.push_back(b);
+    }
+  }
+  std::sort(boundaries.begin(), boundaries.end());
+  for (std::size_t i = 0; i < boundaries.size(); i += 2) {
+    sim.run_until(boundaries[i]);
+    probe_all();
+    if (i + 1 < boundaries.size() && boundaries[i + 1] > boundaries[i] + 1) {
+      sim.run_until(rng.uniform_int(boundaries[i] + 1, boundaries[i + 1] - 1));
+      probe_all();
+    }
+  }
 }
 
 TEST(OnlineReferenceTest, AdmissionMatchesBruteForceOnRandomBooks) {
@@ -490,6 +522,31 @@ TEST(OnlineReferenceTest, AdmissionMatchesBruteForceOnRandomBooks) {
   EXPECT_GT(tally.rejected, 0);
   EXPECT_GT(tally.at_max, 0);
   EXPECT_GT(tally.lowered, 0);
+}
+
+// The PaperLive walk folds windows into its running minimum f* as the level
+// falls, which is sound only because each lower level's span reaches every
+// window a higher level's does.
+TEST_F(OnlineTest, StretchedSpansGrowAsFrequencyFalls) {
+  std::vector<double> degmins = {1.0, PowercapConfig{}.default_degmin, 2.3};
+  for (const apps::AppModel& app : apps::measured_apps()) degmins.push_back(app.degmin());
+  PowercapConfig config = dvfs_config();
+  OnlineGovernor governor(controller_, config);
+  ASSERT_LT(governor.min_allowed_freq(), governor.max_allowed_freq());
+  for (double degmin : degmins) {
+    for (sim::Duration walltime :
+         {sim::Duration{0}, sim::Duration{1}, sim::Duration{7}, sim::seconds(1),
+          sim::minutes(17) + 3, sim::hours(24), sim::hours(72) + 1}) {
+      sim::Duration previous = 0;
+      for (cluster::FreqIndex f = governor.max_allowed_freq() + 1;
+           f-- > governor.min_allowed_freq();) {
+        sim::Duration span = stretched(walltime, governor.degradation().factor(f, degmin));
+        EXPECT_GE(span, previous) << "degmin " << degmin << " walltime " << walltime
+                                  << " level " << f;
+        previous = span;
+      }
+    }
+  }
 }
 
 // --- f* table staleness -------------------------------------------------------

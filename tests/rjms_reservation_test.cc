@@ -5,8 +5,11 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "util/check.h"
+#include "util/rng.h"
 
 namespace ps::rjms {
 namespace {
@@ -27,6 +30,36 @@ Reservation switch_off(sim::Time start, sim::Time end, std::vector<cluster::Node
   r.end = end;
   r.nodes = std::move(nodes);
   return r;
+}
+
+Reservation maintenance(sim::Time start, sim::Time end, std::vector<cluster::NodeId> nodes) {
+  Reservation r;
+  r.kind = ReservationKind::Maintenance;
+  r.start = start;
+  r.end = end;
+  r.nodes = std::move(nodes);
+  return r;
+}
+
+/// Ids of `kind` reservations overlapping [from, to), via the query API.
+std::vector<ReservationId> overlapping_ids(const ReservationBook& book,
+                                           ReservationKind kind, sim::Time from,
+                                           sim::Time to) {
+  std::vector<ReservationId> ids;
+  book.for_each_overlapping(kind, from, to,
+                            [&ids](const Reservation& r) { ids.push_back(r.id); });
+  return ids;
+}
+
+/// Reference answer from a brute-force scan over all().
+std::vector<ReservationId> brute_force_ids(const ReservationBook& book,
+                                           ReservationKind kind, sim::Time from,
+                                           sim::Time to) {
+  std::vector<ReservationId> ids;
+  for (const Reservation& r : book.all()) {
+    if (r.kind == kind && r.overlaps(from, to)) ids.push_back(r.id);
+  }
+  return ids;
 }
 
 // Minimum powercap anywhere in [from, to); +infinity when none.
@@ -110,9 +143,15 @@ TEST(ReservationBook, OverlapQueriesFilterByKind) {
   book.add(powercap(0, 100, 1.0));
   book.add(switch_off(0, 100, {1}));
   book.add(switch_off(200, 300, {2}));
-  EXPECT_EQ(book.powercaps_overlapping(0, 1000).size(), 1u);
-  EXPECT_EQ(book.switchoffs_overlapping(0, 1000).size(), 2u);
-  EXPECT_EQ(book.switchoffs_overlapping(150, 180).size(), 0u);
+  EXPECT_EQ(overlapping_ids(book, ReservationKind::Powercap, 0, 1000).size(), 1u);
+  EXPECT_EQ(overlapping_ids(book, ReservationKind::SwitchOff, 0, 1000).size(), 2u);
+  EXPECT_EQ(overlapping_ids(book, ReservationKind::SwitchOff, 150, 180).size(), 0u);
+  for (ReservationKind kind : {ReservationKind::Powercap, ReservationKind::SwitchOff}) {
+    for (auto [from, to] : std::vector<std::pair<sim::Time, sim::Time>>{
+             {0, 1000}, {150, 180}, {50, 250}}) {
+      EXPECT_EQ(overlapping_ids(book, kind, from, to), brute_force_ids(book, kind, from, to));
+    }
+  }
 }
 
 TEST(ReservationBook, OpenEndedPowercap) {
@@ -130,42 +169,12 @@ TEST(ReservationBook, ValidationRejectsBadInput) {
   EXPECT_THROW((void)book.add(switch_off(0, 10, {})), CheckError);   // no nodes
 }
 
-// --- interval index (tree path engages above the small-kind threshold) -----
-
-Reservation maintenance(sim::Time start, sim::Time end, std::vector<cluster::NodeId> nodes) {
-  Reservation r;
-  r.kind = ReservationKind::Maintenance;
-  r.start = start;
-  r.end = end;
-  r.nodes = std::move(nodes);
-  return r;
-}
-
-/// Ids of `kind` reservations overlapping [from, to), via the query API.
-std::vector<ReservationId> overlapping_ids(const ReservationBook& book,
-                                           ReservationKind kind, sim::Time from,
-                                           sim::Time to) {
-  std::vector<ReservationId> ids;
-  book.for_each_overlapping(kind, from, to,
-                            [&ids](const Reservation& r) { ids.push_back(r.id); });
-  return ids;
-}
-
-/// Reference answer from a brute-force scan over all().
-std::vector<ReservationId> brute_force_ids(const ReservationBook& book,
-                                           ReservationKind kind, sim::Time from,
-                                           sim::Time to) {
-  std::vector<ReservationId> ids;
-  for (const Reservation& r : book.all()) {
-    if (r.kind == kind && r.overlaps(from, to)) ids.push_back(r.id);
-  }
-  return ids;
-}
+// --- interval index -----------------------------------------------------------
 
 TEST(ReservationBook, IntervalIndexMatchesBruteForceInIdOrder) {
   ReservationBook book;
-  // 64 maintenance windows per kind: well past the linear threshold, with a
-  // deterministic staggered layout producing plenty of partial overlaps.
+  // 64 windows per kind in a deterministic staggered layout producing
+  // plenty of partial overlaps.
   for (int i = 0; i < 64; ++i) {
     sim::Time start = (i * 37) % 500;
     book.add(maintenance(start, start + 20 + (i % 7) * 40, {i}));
@@ -234,6 +243,177 @@ TEST(ReservationBook, IndexedNodeBlockedAndCapsMatchSemantics) {
   EXPECT_DOUBLE_EQ(book.cap_at(310), 1003.0);
   EXPECT_TRUE(std::isinf(book.cap_at(360)));
   EXPECT_DOUBLE_EQ(min_cap_over(book, 0, 320), 1000.0);
+}
+
+// --- the memo of the set active at `now` ----------------------------------------
+
+constexpr ReservationKind kKinds[] = {ReservationKind::Maintenance,
+                                      ReservationKind::SwitchOff, ReservationKind::Powercap};
+
+std::vector<ReservationId> active_ids(const ReservationBook& book, ReservationKind kind,
+                                      sim::Time t) {
+  std::vector<ReservationId> ids;
+  book.for_each_active(kind, t, [&ids](const Reservation& r) { ids.push_back(r.id); });
+  return ids;
+}
+
+std::vector<ReservationId> scanned_active_ids(const ReservationBook& book,
+                                              ReservationKind kind, sim::Time t) {
+  std::vector<ReservationId> ids;
+  for (const Reservation& r : book.all()) {
+    if (r.kind == kind && r.active_at(t)) ids.push_back(r.id);
+  }
+  return ids;
+}
+
+std::vector<ReservationId> starting_ids(const ReservationBook& book, ReservationKind kind,
+                                        sim::Time from, sim::Time to) {
+  std::vector<ReservationId> ids;
+  for (const Reservation& r : book.starting_in(kind, from, to)) ids.push_back(r.id);
+  return ids;
+}
+
+/// from < start < to, in (start, id) order.
+std::vector<ReservationId> scanned_starting_ids(const ReservationBook& book,
+                                                ReservationKind kind, sim::Time from,
+                                                sim::Time to) {
+  std::vector<const Reservation*> run;
+  for (const Reservation& r : book.all()) {
+    if (r.kind == kind && from < r.start && r.start < to) run.push_back(&r);
+  }
+  std::stable_sort(run.begin(), run.end(), [](const Reservation* a, const Reservation* b) {
+    return a->start < b->start;
+  });
+  std::vector<ReservationId> ids;
+  for (const Reservation* r : run) ids.push_back(r->id);
+  return ids;
+}
+
+double scanned_cap_at(const ReservationBook& book, sim::Time t) {
+  double cap = std::numeric_limits<double>::infinity();
+  for (const Reservation& r : book.all()) {
+    if (r.kind == ReservationKind::Powercap && r.active_at(t)) cap = std::min(cap, r.watts);
+  }
+  return cap;
+}
+
+bool scanned_node_blocked(const ReservationBook& book, cluster::NodeId node,
+                          sim::Time from, sim::Time to) {
+  for (const Reservation& r : book.all()) {
+    if (r.blocks_job_span(from, to) &&
+        std::find(r.nodes.begin(), r.nodes.end(), node) != r.nodes.end()) {
+      return true;
+    }
+  }
+  return false;
+}
+
+constexpr cluster::NodeId kMemoNodes = 6;
+
+/// A random reservation on a coarse 25-unit grid, so starts tie and windows
+/// end exactly where others start; a fifth are open-ended.
+Reservation random_reservation(util::Rng& rng) {
+  Reservation r;
+  r.kind = kKinds[rng.uniform_int(0, 2)];
+  r.start = 25 * rng.uniform_int(0, 40);
+  r.end = rng.chance(0.2) ? sim::kTimeMax : r.start + 25 * rng.uniform_int(1, 12);
+  if (r.kind == ReservationKind::Powercap) {
+    r.watts = static_cast<double>(rng.uniform_int(1, 50));
+  } else {
+    for (cluster::NodeId n = 0; n < kMemoNodes; ++n) {
+      if (rng.chance(0.3)) r.nodes.push_back(n);
+    }
+    if (r.nodes.empty()) r.nodes.push_back(static_cast<cluster::NodeId>(rng.uniform_int(0, 5)));
+    r.permissive = r.kind == ReservationKind::SwitchOff && rng.chance(0.5);
+  }
+  return r;
+}
+
+/// Every `now` query at `t` against the brute-force scan.
+void expect_now_queries_match(const ReservationBook& book, util::Rng& rng, sim::Time t) {
+  for (ReservationKind kind : kKinds) {
+    ASSERT_EQ(active_ids(book, kind, t), scanned_active_ids(book, kind, t))
+        << "kind " << static_cast<int>(kind) << " at " << t;
+    sim::Time to = t + 25 * rng.uniform_int(-2, 12) + rng.uniform_int(-1, 1);
+    ASSERT_EQ(starting_ids(book, kind, t, to), scanned_starting_ids(book, kind, t, to))
+        << "kind " << static_cast<int>(kind) << " (" << t << ", " << to << ")";
+    std::vector<ReservationId> got;
+    book.for_each_overlapping(kind, t, to, [&got](const Reservation& r) { got.push_back(r.id); });
+    ASSERT_EQ(got, brute_force_ids(book, kind, t, to))
+        << "kind " << static_cast<int>(kind) << " [" << t << ", " << to << ")";
+  }
+  double cap = book.cap_at(t);
+  double want = scanned_cap_at(book, t);
+  ASSERT_TRUE(cap == want) << "cap_at(" << t << ") " << cap << " vs " << want;
+  // A job span is never empty: it ends 1 to ~300 past `t`, often exactly
+  // on a grid boundary.
+  sim::Time horizon =
+      t + std::max<sim::Time>(1, 25 * rng.uniform_int(0, 12) + rng.uniform_int(-1, 1));
+  for (cluster::NodeId n = 0; n < kMemoNodes; ++n) {
+    ASSERT_EQ(book.node_blocked(n, t, horizon), scanned_node_blocked(book, n, t, horizon))
+        << "node " << n << " span [" << t << ", " << horizon << ")";
+  }
+}
+
+TEST(ReservationBook, ActiveMemoMatchesBruteForce) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    util::Rng rng(seed);
+    ReservationBook book;
+    std::vector<ReservationId> live;
+    for (int i = 0; i < 30; ++i) live.push_back(book.add(random_reservation(rng)));
+    sim::Time t = 0;
+    for (int step = 0; step < 300; ++step) {
+      switch (rng.uniform_int(0, 5)) {
+        case 0:  // repeat
+          break;
+        case 1:
+        case 2:  // advance, often inside the memo's validity interval
+          t += rng.uniform_int(0, 30);
+          break;
+        case 3: {  // land exactly on a boundary
+          const Reservation& r =
+              book.all()[static_cast<std::size_t>(rng.uniform_int(
+                  0, static_cast<std::int64_t>(book.all().size()) - 1))];
+          t = r.end != sim::kTimeMax && rng.chance(0.5) ? r.end : r.start;
+          break;
+        }
+        case 4:  // jump backwards
+          t = std::max<sim::Time>(0, t - rng.uniform_int(1, 300));
+          break;
+        default:  // move the book between queries
+          if (rng.chance(0.5) && live.size() > 1) {
+            auto victim = static_cast<std::size_t>(
+                rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
+            ASSERT_TRUE(book.remove(live[victim]));
+            live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
+          } else {
+            live.push_back(book.add(random_reservation(rng)));
+          }
+          break;
+      }
+      expect_now_queries_match(book, rng, t);
+    }
+  }
+}
+
+TEST(ReservationBook, ActiveQueriesNestAcrossInstants) {
+  util::Rng rng(7);
+  ReservationBook book;
+  for (int i = 0; i < 40; ++i) book.add(random_reservation(rng));
+  for (sim::Time t = 0; t < 1100; t += 25) {
+    for (ReservationKind kind : kKinds) {
+      std::vector<ReservationId> outer;
+      book.for_each_active(kind, t, [&](const Reservation& r) {
+        outer.push_back(r.id);
+        // Same kind, another instant: answered exactly, and the outer walk
+        // must survive it.
+        sim::Time other = t + 13 + 25 * static_cast<sim::Time>(outer.size());
+        ASSERT_EQ(active_ids(book, kind, other), scanned_active_ids(book, kind, other));
+      });
+      EXPECT_EQ(outer, scanned_active_ids(book, kind, t)) << "at " << t;
+    }
+  }
 }
 
 }  // namespace
