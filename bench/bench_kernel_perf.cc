@@ -395,6 +395,42 @@ void BM_AdmissionBurstSubmit(benchmark::State& state) {
 }
 BENCHMARK(BM_AdmissionBurstSubmit)->Arg(64)->Iterations(256);
 
+// One job's life in the controller, capless: N jobs submitted one per
+// second, each 4 nodes for 30 s, so every submission starts at once on the
+// 90-node rack and ~30 run at a time. One iteration = a fresh controller
+// running all N to their end, so job-table growth is in the count.
+// allocs_per_job counts heap allocations from the first submission to the
+// last end; the node list is the one a job cannot avoid. Ungated.
+void BM_ControllerJobLifecycle(benchmark::State& state) {
+  const std::int64_t jobs = state.range(0);
+  std::uint64_t allocs = 0;
+  for (auto _ : state) {
+    sim::Simulator sim;
+    cluster::Cluster cl = cluster::curie::make_scaled_cluster(1);
+    rjms::Controller controller(sim, cl, rjms::ControllerConfig{});
+    std::uint64_t before = allocations();
+    for (std::int64_t id = 1; id <= jobs; ++id) {
+      sim.schedule_at(sim::seconds(id), [&controller, id] {
+        workload::JobRequest req;
+        req.id = id;
+        req.submit_time = sim::seconds(id);
+        req.user = static_cast<std::int32_t>(id % 16);
+        req.requested_cores = 64;
+        req.base_runtime = sim::seconds(30);
+        req.requested_walltime = sim::seconds(60);
+        controller.submit(req);
+      });
+    }
+    while (sim.step()) {}
+    allocs += allocations() - before;
+    benchmark::DoNotOptimize(controller.stats().completed);
+  }
+  state.counters["allocs_per_job"] =
+      static_cast<double>(allocs) / static_cast<double>(state.iterations() * jobs);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * jobs);
+}
+BENCHMARK(BM_ControllerJobLifecycle)->Arg(1024)->Arg(16384);
+
 // Random-interval query throughput on a reservation book holding many
 // per-job reservations: the tree walk every kind's index answers with,
 // from a handful of reservations (/8) to thousands (/4096).

@@ -70,17 +70,16 @@ int main() {
   // 8. Inspect individual decisions: which frequency did each job get?
   std::printf("\njob decisions (the online algorithm picks the highest frequency "
               "fitting every overlapped cap window):\n");
-  for (rjms::JobId id : controller.all_jobs()) {
-    const rjms::Job& job = controller.job(id);
+  controller.for_each_job([&cl](const rjms::Job& job) {
     if (job.start_time < 0) {
       std::printf("  job %2lld: never started (pending at horizon)\n",
-                  static_cast<long long>(id));
-      continue;
+                  static_cast<long long>(job.id()));
+      return;
     }
     std::printf("  job %2lld: start %-7s freq %s  state %s\n",
-                static_cast<long long>(id),
+                static_cast<long long>(job.id()),
                 strings::human_duration_ms(job.start_time).c_str(),
                 cl.frequencies().name(job.freq).c_str(), rjms::to_string(job.state));
-  }
+  });
   return 0;
 }

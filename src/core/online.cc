@@ -66,11 +66,9 @@ OnlineGovernor::CapCache& OnlineGovernor::cache_for(const rjms::Reservation& cap
   // First query for this window: fold in the jobs already running whose
   // walltime-estimated end reaches past the window start.
   CapCache cache;
-  for (const auto& [est_end, jid] : controller_.running_by_end()) {
-    if (est_end <= cap.start) continue;
-    const rjms::Job& job = controller_.job(jid);
-    cache.persisting_delta +=
-        static_cast<double>(job.nodes.size()) * busy_delta(job.freq);
+  for (const rjms::Controller::RunningJob& running : controller_.running_by_end()) {
+    if (running.est_end <= cap.start) continue;
+    cache.persisting_delta += job_delta(*running.job, running.job->freq);
   }
   return future_caps_.emplace(cap.id, cache).first->second;
 }
@@ -90,9 +88,8 @@ void OnlineGovernor::for_each_future_cap(Fn&& fn) {
 }
 
 void OnlineGovernor::on_job_start(const rjms::Job& job) {
-  double delta = static_cast<double>(job.nodes.size()) * busy_delta(job.freq);
+  double delta = job_delta(job, job.freq);
   running_busy_delta_ += delta;
-  job_delta_[job.id()] = delta;
   sim::Time est_end = job.start_time + job.scaled_walltime;
   for_each_future_cap([&](const rjms::Reservation& cap, CapCache& cache) {
     if (est_end > cap.start) cache.persisting_delta += delta;
@@ -101,27 +98,20 @@ void OnlineGovernor::on_job_start(const rjms::Job& job) {
 
 void OnlineGovernor::on_job_rescaled(const rjms::Job& job, cluster::FreqIndex old_freq,
                                      sim::Time old_est_end) {
-  auto it = job_delta_.find(job.id());
-  if (it == job_delta_.end()) return;  // started before this governor attached
-  double old_delta = it->second;
-  double new_delta = static_cast<double>(job.nodes.size()) * busy_delta(job.freq);
+  double old_delta = job_delta(job, old_freq);
+  double new_delta = job_delta(job, job.freq);
   running_busy_delta_ += new_delta - old_delta;
-  it->second = new_delta;
 
   sim::Time new_est_end = job.start_time + job.scaled_walltime;
   for_each_future_cap([&](const rjms::Reservation& cap, CapCache& cache) {
     if (old_est_end > cap.start) cache.persisting_delta -= old_delta;
     if (new_est_end > cap.start) cache.persisting_delta += new_delta;
   });
-  (void)old_freq;
 }
 
 void OnlineGovernor::on_job_end(const rjms::Job& job) {
-  auto it = job_delta_.find(job.id());
-  if (it == job_delta_.end()) return;  // started before this governor attached
-  double delta = it->second;
+  double delta = job_delta(job, job.freq);
   running_busy_delta_ -= delta;
-  job_delta_.erase(it);
   sim::Time est_end = job.start_time + job.scaled_walltime;
   for_each_future_cap([&](const rjms::Reservation& cap, CapCache& cache) {
     if (est_end > cap.start) cache.persisting_delta -= delta;

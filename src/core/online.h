@@ -125,6 +125,10 @@ class OnlineGovernor final : public rjms::PowerGovernor, public rjms::Controller
   };
   CapCache& cache_for(const rjms::Reservation& cap) const;
   double busy_delta(cluster::FreqIndex f) const;
+  /// A running job's term of running_busy_delta_ at level `f`.
+  double job_delta(const rjms::Job& job, cluster::FreqIndex f) const {
+    return static_cast<double>(job.nodes.size()) * busy_delta(f);
+  }
   /// Calls `fn(cap, cache)` for every tracked window that has not started;
   /// erases the entries of started or removed windows on the way.
   template <typename Fn>
@@ -139,10 +143,10 @@ class OnlineGovernor final : public rjms::PowerGovernor, public rjms::Controller
   cluster::FreqIndex max_freq_ = 0;
   double walltime_stretch_ = 1.0;
 
-  /// Sum over running jobs of nodes x (busy - idle) watts.
+  /// Sum over running jobs of nodes x (busy - idle) watts. A job's own
+  /// term is recomputed from (nodes, freq) on rescale and end: the same
+  /// expression gives the same bits, so removal is exact.
   double running_busy_delta_ = 0.0;
-  /// Per-job delta for exact removal on job end.
-  std::unordered_map<rjms::JobId, double> job_delta_;
   /// Future-cap persistence sums, keyed by reservation id. Created on a
   /// window's first projection; the job start/end/rescale callbacks erase
   /// it once the window has started or its reservation is gone.

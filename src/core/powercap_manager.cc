@@ -7,6 +7,21 @@
 
 namespace ps::core {
 
+namespace {
+
+/// The running jobs in running_by_end() order. A snapshot: rescaling
+/// re-files jobs in that set.
+std::vector<const rjms::Job*> running_jobs(const rjms::Controller& controller) {
+  std::vector<const rjms::Job*> running;
+  running.reserve(controller.running_count());
+  for (const rjms::Controller::RunningJob& entry : controller.running_by_end()) {
+    running.push_back(entry.job);
+  }
+  return running;
+}
+
+}  // namespace
+
 PowercapManager::PowercapManager(rjms::Controller& controller, PowercapConfig config)
     : controller_(controller),
       config_(config),
@@ -78,18 +93,14 @@ void PowercapManager::rescale_down_for_window(rjms::ReservationId cap_id) {
   cluster::FreqIndex floor = target.value_or(governor_.min_allowed_freq());
   const DegradationModel& degradation = governor_.degradation();
 
-  // Snapshot ids first: rescaling mutates running_by_end_.
-  std::vector<rjms::JobId> running;
-  running.reserve(controller_.running_count());
-  for (const auto& [est_end, jid] : controller_.running_by_end()) running.push_back(jid);
   std::size_t rescaled = 0;
-  for (rjms::JobId id : running) {
-    const rjms::Job& job = controller_.job(id);
+  for (const rjms::Job* running : running_jobs(controller_)) {
+    const rjms::Job& job = *running;
     if (job.freq <= floor) continue;
     double degmin = governor_.degmin_for(job);
     double ratio =
         degradation.factor(floor, degmin) / degradation.factor(job.freq, degmin);
-    controller_.rescale_running_job(id, floor, ratio);
+    controller_.rescale_running_job(job.id(), floor, ratio);
     ++rescaled;
   }
   if (rescaled > 0) {
@@ -105,11 +116,8 @@ void PowercapManager::rescale_up_after_window() {
   const cluster::PowerModel& pm = controller_.cluster().power_model();
   cluster::FreqIndex fmax = governor_.max_allowed_freq();
 
-  std::vector<rjms::JobId> running;
-  running.reserve(controller_.running_count());
-  for (const auto& [est_end, jid] : controller_.running_by_end()) running.push_back(jid);
-  for (rjms::JobId id : running) {
-    const rjms::Job& job = controller_.job(id);
+  for (const rjms::Job* running : running_jobs(controller_)) {
+    const rjms::Job& job = *running;
     if (job.freq >= fmax) continue;
     // Highest frequency that keeps the live measurement under the cap
     // active now (none -> fmax directly).
@@ -128,7 +136,7 @@ void PowercapManager::rescale_up_after_window() {
     double degmin = governor_.degmin_for(job);
     double ratio =
         degradation.factor(best, degmin) / degradation.factor(job.freq, degmin);
-    controller_.rescale_running_job(id, best, ratio);
+    controller_.rescale_running_job(job.id(), best, ratio);
   }
 }
 
@@ -147,12 +155,11 @@ void PowercapManager::enforce_cap(double watts) {
   while (controller_.cluster().watts() > watts && controller_.running_count() > 0) {
     rjms::JobId newest = -1;
     sim::Time newest_start = -1;
-    for (const auto& [est_end, jid] : controller_.running_by_end()) {
-      const rjms::Job& job = controller_.job(jid);
-      if (job.start_time > newest_start ||
-          (job.start_time == newest_start && jid > newest)) {
-        newest = jid;
-        newest_start = job.start_time;
+    for (const rjms::Controller::RunningJob& running : controller_.running_by_end()) {
+      sim::Time start = running.job->start_time;
+      if (start > newest_start || (start == newest_start && running.id > newest)) {
+        newest = running.id;
+        newest_start = start;
       }
     }
     if (newest < 0) break;

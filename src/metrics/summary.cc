@@ -21,8 +21,7 @@ RunSummary summarize(const Recorder& recorder, const rjms::Controller& controlle
   s.cap_violation_seconds = recorder.cap_violation_seconds(from, to);
 
   double wait_sum = 0.0;
-  for (rjms::JobId id : controller.all_jobs()) {
-    const rjms::Job& job = controller.job(id);
+  controller.for_each_job([&](const rjms::Job& job) {
     ++s.submitted_jobs;
     if (job.start_time >= from && job.start_time < to) {
       ++s.launched_jobs;
@@ -35,7 +34,7 @@ RunSummary summarize(const Recorder& recorder, const rjms::Controller& controlle
         ++s.completed_jobs;
       }
     }
-  }
+  });
   if (s.launched_jobs > 0) {
     s.mean_wait_seconds = wait_sum / static_cast<double>(s.launched_jobs);
   }

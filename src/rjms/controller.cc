@@ -19,6 +19,7 @@ Controller::Controller(sim::Simulator& simulator, cluster::Cluster& cluster,
 
 void Controller::add_observer(ControllerObserver* observer) {
   PS_CHECK_MSG(observer != nullptr, "null observer");
+  PS_CHECK_MSG(stats_.started == 0, "observers must attach before the first job starts");
   observers_.push_back(observer);
 }
 
@@ -27,34 +28,28 @@ void Controller::notify_state_change() {
 }
 
 JobId Controller::submit(const workload::JobRequest& request) {
-  PS_CHECK_MSG(jobs_.count(request.id) == 0, "duplicate job id");
-  Job job;
-  job.request = request;
-  JobId id = request.id;
+  Job& job = jobs_.append(request);
   ++stats_.submitted;
-  submission_order_.push_back(id);
 
   if (job.required_nodes(cluster_.topology().cores_per_node()) >
       cluster_.topology().total_nodes()) {
     job.state = JobState::Killed;
     job.end_time = simulator_.now();
     ++stats_.rejected;
-    jobs_.emplace(id, std::move(job));
-    return id;
+    return job.id();
   }
 
-  Job& stored = jobs_.emplace(id, std::move(job)).first->second;
-  pending_.insert(stored, simulator_.now());
+  pending_.insert(job, simulator_.now());
   if (shadow_valid_) {
-    stage_quick_attempt(id);
+    stage_quick_attempt(job);
   } else {
     request_schedule();
   }
-  return id;
+  return job.id();
 }
 
-void Controller::stage_quick_attempt(JobId id) {
-  staged_submits_.push_back(id);
+void Controller::stage_quick_attempt(Job& job) {
+  staged_submits_.push_back(&job);
   if (drain_scheduled_) return;
   drain_scheduled_ = true;
   simulator_.schedule_at(simulator_.now(), [this] {
@@ -68,14 +63,13 @@ void Controller::drain_submit_batch() {
   draining_ = true;
   ++stats_.submit_batches;
   for (std::size_t i = 0; i < staged_submits_.size(); ++i) {
-    quick_attempt(staged_submits_[i]);
+    quick_attempt(*staged_submits_[i]);
   }
   staged_submits_.clear();
   draining_ = false;
 }
 
-void Controller::quick_attempt(JobId id) {
-  Job& job = jobs_.at(id);
+void Controller::quick_attempt(Job& job) {
   if (job.state != JobState::Pending) return;
   ++stats_.quick_attempts;
   double stretch = governor_ != nullptr ? governor_->max_walltime_stretch() : 1.0;
@@ -116,7 +110,7 @@ void Controller::compute_shadow(const Job& head) {
         ReservationKind::Powercap, now,
         [&cap_end](const Reservation& cap) { cap_end = std::min(cap_end, cap.end); });
     sim::Time first_end =
-        running_by_end_.empty() ? sim::kTimeMax : running_by_end_.begin()->first;
+        running_by_end_.empty() ? sim::kTimeMax : running_by_end_.begin()->est_end;
     shadow_time_ = std::min(cap_end, first_end);
     shadow_extra_nodes_ = 0;  // conservative: power is the scarce resource
     shadow_valid_ = true;
@@ -124,10 +118,10 @@ void Controller::compute_shadow(const Job& head) {
   }
 
   shadow_time_ = sim::kTimeMax;
-  for (const auto& [est_end, jid] : running_by_end_) {
-    free += static_cast<std::int32_t>(jobs_.at(jid).nodes.size());
+  for (const RunningJob& running : running_by_end_) {
+    free += static_cast<std::int32_t>(running.job->nodes.size());
     if (free >= required) {
-      shadow_time_ = est_end;
+      shadow_time_ = running.est_end;
       break;
     }
   }
@@ -208,17 +202,37 @@ void Controller::start_job(Job& job, StartPlan plan) {
     cluster_.set_state(node, cluster::NodeState::Busy, job.freq);
   }
 
-  bool killed_by_walltime = job.scaled_walltime < job.scaled_runtime;
-  sim::Duration lifetime = std::min(job.scaled_runtime, job.scaled_walltime);
-  JobId id = job.id();
-  end_events_[id] = simulator_.schedule_at(
-      now + lifetime, [this, id, killed_by_walltime] { finish_job(id, killed_by_walltime); });
-  running_by_end_.insert({now + job.scaled_walltime, id});
+  schedule_end(job);
 
   ++stats_.started;
   ++epoch_;
   for (ControllerObserver* obs : observers_) obs->on_job_start(job);
   notify_state_change();
+}
+
+void Controller::schedule_end(Job& job) {
+  sim::Duration lifetime = std::min(job.scaled_runtime, job.scaled_walltime);
+  Job* target = &job;  // the closure stays within std::function's local buffer
+  job.end_event =
+      simulator_.schedule_at(job.start_time + lifetime, [this, target] { finish_job(*target); });
+  RunningJob entry{job.start_time + job.scaled_walltime, job.id(), &job};
+  if (spare_running_.empty()) {
+    running_by_end_.insert(entry);
+    return;
+  }
+  RunningSet::node_type node = std::move(spare_running_.back());
+  spare_running_.pop_back();
+  node.value() = entry;
+  running_by_end_.insert(std::move(node));
+}
+
+void Controller::drop_end(Job& job, bool cancel_event) {
+  if (cancel_event) simulator_.cancel(job.end_event);
+  job.end_event = sim::kInvalidEventId;
+  RunningSet::node_type node =
+      running_by_end_.extract({job.start_time + job.scaled_walltime, job.id(), &job});
+  PS_CHECK(!node.empty());
+  spare_running_.push_back(std::move(node));
 }
 
 void Controller::power_node_off(cluster::NodeId node) {
@@ -252,14 +266,10 @@ void Controller::release_node(cluster::NodeId node) {
   cluster_.set_state(node, cluster::NodeState::Idle);
 }
 
-void Controller::teardown_running_job(JobId id, bool cancel_end_event, JobState final_state) {
-  Job& job = jobs_.at(id);
+void Controller::teardown_running_job(Job& job, bool cancel_end_event, JobState final_state) {
   sim::Time now = simulator_.now();
 
-  auto event = end_events_.find(id);
-  PS_CHECK(event != end_events_.end());
-  if (cancel_end_event) simulator_.cancel(event->second);
-  end_events_.erase(event);
+  drop_end(job, cancel_end_event);
 
   for (cluster::NodeId node : job.nodes) {
     release_node(node);
@@ -272,7 +282,6 @@ void Controller::teardown_running_job(JobId id, bool cancel_end_event, JobState 
       sim::to_seconds(now - job.start_time);
   fairshare_.charge(job.request.user, used_core_seconds, now);
 
-  running_by_end_.erase({job.start_time + job.scaled_walltime, id});
   if (final_state == JobState::Killed) {
     ++stats_.killed;
   } else {
@@ -283,36 +292,35 @@ void Controller::teardown_running_job(JobId id, bool cancel_end_event, JobState 
   notify_state_change();
 }
 
-void Controller::finish_job(JobId id, bool killed_by_walltime) {
+void Controller::finish_job(Job& job) {
   drain_submit_batch();
-  PS_CHECK_MSG(jobs_.at(id).state == JobState::Running, "finish_job on non-running job");
-  // The end event is firing right now: erase it, but there is nothing to
-  // cancel.
-  teardown_running_job(id, /*cancel_end_event=*/false,
+  PS_CHECK_MSG(job.state == JobState::Running, "finish_job on non-running job");
+  // The event fired at start + min(runtime, walltime); every rescale
+  // rescheduled it from the durations read here.
+  bool killed_by_walltime = job.scaled_walltime < job.scaled_runtime;
+  // The end event is firing right now: there is nothing to cancel.
+  teardown_running_job(job, /*cancel_end_event=*/false,
                        killed_by_walltime ? JobState::Killed : JobState::Completed);
   request_schedule();
 }
 
 void Controller::kill_job(JobId id) {
   drain_submit_batch();
-  PS_CHECK_MSG(jobs_.at(id).state == JobState::Running, "kill_job on non-running job");
-  teardown_running_job(id, /*cancel_end_event=*/true, JobState::Killed);
+  Job& job = job_for_update(id);
+  PS_CHECK_MSG(job.state == JobState::Running, "kill_job on non-running job");
+  teardown_running_job(job, /*cancel_end_event=*/true, JobState::Killed);
 }
 
 void Controller::rescale_running_job(JobId id, cluster::FreqIndex new_freq,
                                      double remaining_ratio) {
   drain_submit_batch();
-  Job& job = jobs_.at(id);
+  Job& job = job_for_update(id);
   PS_CHECK_MSG(job.state == JobState::Running, "rescale of non-running job");
   PS_CHECK_MSG(remaining_ratio > 0.0, "remaining_ratio must be positive");
   if (job.freq == new_freq) return;
   sim::Time now = simulator_.now();
 
-  auto event = end_events_.find(id);
-  PS_CHECK(event != end_events_.end());
-  simulator_.cancel(event->second);
-  end_events_.erase(event);
-  running_by_end_.erase({job.start_time + job.scaled_walltime, id});
+  drop_end(job, /*cancel_event=*/true);
 
   cluster::FreqIndex old_freq = job.freq;
   sim::Time old_est_end = job.start_time + job.scaled_walltime;
@@ -329,12 +337,7 @@ void Controller::rescale_running_job(JobId id, cluster::FreqIndex new_freq,
     cluster_.set_state(node, cluster::NodeState::Busy, new_freq);
   }
 
-  bool killed_by_walltime = job.scaled_walltime < job.scaled_runtime;
-  sim::Duration lifetime = std::min(job.scaled_runtime, job.scaled_walltime);
-  end_events_[id] = simulator_.schedule_at(
-      job.start_time + lifetime,
-      [this, id, killed_by_walltime] { finish_job(id, killed_by_walltime); });
-  running_by_end_.insert({job.start_time + job.scaled_walltime, id});
+  schedule_end(job);
 
   ++epoch_;
   for (ControllerObserver* obs : observers_) {
@@ -344,9 +347,9 @@ void Controller::rescale_running_job(JobId id, cluster::FreqIndex new_freq,
 }
 
 const Job& Controller::job(JobId id) const {
-  auto it = jobs_.find(id);
-  PS_CHECK_MSG(it != jobs_.end(), "unknown job id");
-  return it->second;
+  const Job* job = jobs_.find(id);
+  PS_CHECK_MSG(job != nullptr, "unknown job id");
+  return *job;
 }
 
 void Controller::full_pass() {

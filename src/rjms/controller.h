@@ -22,11 +22,10 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <set>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -85,6 +84,9 @@ class Controller {
   /// Wires the powercap governor (may be null). Call before submitting.
   void set_governor(PowerGovernor* governor) noexcept { governor_ = governor; }
 
+  /// Attaches an observer. Call before the first job starts: observers
+  /// that keep per-running-job state (the governor's power sums) must see
+  /// every start.
   void add_observer(ControllerObserver* observer);
 
   // --- job lifecycle -------------------------------------------------------
@@ -106,18 +108,31 @@ class Controller {
   void rescale_running_job(JobId id, cluster::FreqIndex new_freq,
                            double remaining_ratio);
 
+  /// The job with `id`. Throws CheckError for an id never submitted.
   const Job& job(JobId id) const;
-  bool has_job(JobId id) const { return jobs_.count(id) != 0; }
 
   std::size_t pending_count() const noexcept { return pending_.size(); }
   std::size_t running_count() const noexcept { return running_by_end_.size(); }
 
-  /// Running jobs ordered by estimated end (start + scaled walltime).
-  const std::set<std::pair<sim::Time, JobId>>& running_by_end() const noexcept {
-    return running_by_end_;
+  /// A running job keyed by its estimated end (start + scaled walltime).
+  struct RunningJob {
+    sim::Time est_end;
+    JobId id;
+    const Job* job;
+    /// (est_end, id): a strict total order over running jobs.
+    bool operator<(const RunningJob& other) const noexcept {
+      return est_end != other.est_end ? est_end < other.est_end : id < other.id;
+    }
+  };
+  using RunningSet = std::set<RunningJob>;
+  /// Running jobs ordered by estimated end, then id.
+  const RunningSet& running_by_end() const noexcept { return running_by_end_; }
+
+  /// Calls fn(const Job&) for every job ever submitted, in submission order.
+  template <class Fn>
+  void for_each_job(Fn&& fn) const {
+    jobs_.for_each(std::forward<Fn>(fn));
   }
-  /// All job ids ever submitted, in submission order.
-  const std::vector<JobId>& all_jobs() const noexcept { return submission_order_; }
 
   // --- reservations & power management -------------------------------------
 
@@ -203,17 +218,27 @@ class Controller {
 
   void notify_state_change();
   void full_pass();
+  /// The job with `id` for a mutating entry point; CheckError if unknown.
+  Job& job_for_update(JobId id) { return const_cast<Job&>(job(id)); }
   /// Single-job attempt (submit path) honouring the cached EASY shadow.
-  void quick_attempt(JobId id);
-  /// Stages `id` for the next batch drain and schedules the coalesced
+  void quick_attempt(Job& job);
+  /// Stages `job` for the next batch drain and schedules the coalesced
   /// drain event at the current time.
-  void stage_quick_attempt(JobId id);
+  void stage_quick_attempt(Job& job);
   std::optional<StartPlan> plan_start(const Job& job);
   void start_job(Job& job, StartPlan plan);
-  void finish_job(JobId id, bool killed_by_walltime);
+  /// Schedules the end event of a running job from its current durations
+  /// and files it in running_by_end_, reusing a spare set node if any.
+  void schedule_end(Job& job);
+  /// Undoes schedule_end: cancels the end event unless it is the one
+  /// firing now, and moves the job's running_by_end_ node to the stash.
+  void drop_end(Job& job, bool cancel_event);
+  /// The end event fired: the job ran to its walltime (Killed) or to its
+  /// runtime (Completed), whichever is shorter.
+  void finish_job(Job& job);
   /// Shared end-of-life bookkeeping for finish_job and kill_job: end-event
   /// cleanup, node release, fairshare charge, stats, observers.
-  void teardown_running_job(JobId id, bool cancel_end_event, JobState final_state);
+  void teardown_running_job(Job& job, bool cancel_end_event, JobState final_state);
   /// Shadow-time estimate for the head job (EASY): earliest time enough
   /// nodes are expected free, using walltime-based end estimates.
   void compute_shadow(const Job& head);
@@ -234,15 +259,17 @@ class Controller {
   ReservationBook reservations_;
   std::vector<ControllerObserver*> observers_;
 
-  std::unordered_map<JobId, Job> jobs_;
-  std::vector<JobId> submission_order_;
+  /// Every submitted job, at a stable address (rjms/job.h).
+  JobTable jobs_;
   /// Pending jobs in per-user priority bands (rjms/pending_bands.h). Its
-  /// entries point into jobs_, which is node-based and never erases. A
-  /// full pass walks them in pass order and prices only the band heads and
-  /// the jobs it visits.
+  /// entries point into jobs_, whose jobs never move. A full pass walks
+  /// them in pass order and prices only the band heads and the jobs it
+  /// visits.
   PendingBands pending_;
-  std::set<std::pair<sim::Time, JobId>> running_by_end_;
-  std::unordered_map<JobId, sim::EventId> end_events_;
+  RunningSet running_by_end_;
+  /// Set nodes of ended jobs, reused by the next start: a job start
+  /// allocates no running_by_end_ node once the stash holds one.
+  std::vector<RunningSet::node_type> spare_running_;
 
   // Pass-scoped blocked-node cache handed to the selectors; rebuilt lazily
   // by plan_start when the reservation book or the probed span changes.
@@ -254,7 +281,7 @@ class Controller {
   bool shadow_valid_ = false;
 
   // Submissions staged for the coalesced batch drain (see class comment).
-  std::vector<JobId> staged_submits_;
+  std::vector<Job*> staged_submits_;
   bool drain_scheduled_ = false;
   bool draining_ = false;
 

@@ -1,11 +1,14 @@
-// Job lifecycle record kept by the controller.
+// Job lifecycle record kept by the controller, and the job table that
+// holds every job a controller was ever given.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "cluster/frequency.h"
 #include "cluster/topology.h"
+#include "sim/event_queue.h"
 #include "sim/time.h"
 #include "workload/job_request.h"
 
@@ -37,6 +40,10 @@ struct Job {
   sim::Duration scaled_runtime = 0;
   sim::Duration scaled_walltime = 0;
 
+  /// The scheduled end event (valid while Running): it fires at
+  /// start_time + min(scaled_runtime, scaled_walltime).
+  sim::EventId end_event = sim::kInvalidEventId;
+
   JobId id() const noexcept { return request.id; }
 
   /// Whole-node allocation: nodes = ceil(requested_cores / cores_per_node).
@@ -49,6 +56,56 @@ struct Job {
   bool terminal() const noexcept {
     return state == JobState::Completed || state == JobState::Killed;
   }
+};
+
+/// Every job a controller was given, in submission order. Jobs live in
+/// fixed chunks of kChunkSize that are never moved or freed, so a Job&
+/// stays valid for the table's lifetime: the pending queue and the end
+/// events hold Job* across any number of later appends. An open-addressing
+/// index (power-of-two size, load <= 1/2, linear probing) maps an id to its
+/// position; its keys are the jobs' own request.id.
+class JobTable {
+ public:
+  /// Appends a job for `request`. Throws CheckError on a duplicate id.
+  Job& append(const workload::JobRequest& request);
+
+  /// The job with `id`, or null.
+  const Job* find(JobId id) const noexcept {
+    std::uint32_t pos = position(id);
+    return pos == kNone ? nullptr : &at(pos);
+  }
+
+  /// Calls fn(const Job&) for every job, in submission order.
+  template <class Fn>
+  void for_each(Fn&& fn) const {
+    for (std::uint32_t pos = 0; pos < size_; ++pos) fn(static_cast<const Job&>(at(pos)));
+  }
+
+ private:
+  static constexpr std::uint32_t kChunkBits = 8;
+  static constexpr std::uint32_t kChunkSize = 1u << kChunkBits;
+  static constexpr std::uint32_t kNone = ~0u;
+
+  Job& at(std::uint32_t pos) const noexcept {
+    return chunks_[pos >> kChunkBits][pos & (kChunkSize - 1)];
+  }
+  /// Fibonacci hashing: the top bits of id * 2^64/phi, which spread
+  /// sequential, strided and sign-extended ids alike.
+  std::size_t home(JobId id) const noexcept {
+    return static_cast<std::size_t>((static_cast<std::uint64_t>(id) * 0x9E3779B97F4A7C15ull) >>
+                                    index_shift_);
+  }
+  /// The index slot holding `id`, or the empty slot where it would go.
+  std::size_t probe(JobId id) const noexcept;
+  /// The position of `id` in submission order, or kNone.
+  std::uint32_t position(JobId id) const noexcept;
+  /// Doubles the index and re-files every job.
+  void grow_index();
+
+  std::vector<std::unique_ptr<Job[]>> chunks_;
+  std::uint32_t size_ = 0;
+  std::vector<std::uint32_t> index_;  ///< positions; kNone = empty slot
+  unsigned index_shift_ = 0;          ///< 64 - log2(index_.size())
 };
 
 }  // namespace ps::rjms

@@ -67,7 +67,7 @@ class PendingBands {
   bool empty() const noexcept { return size_ == 0; }
 
   /// Queues a pending job as of `now`. The job must stay at its address
-  /// while queued (the controller's job table is node-based).
+  /// while queued (the controller's JobTable never moves a job).
   void insert(Job& job, sim::Time now);
   /// Removes a queued job. Not during a pass: use take() there.
   void erase(const Job& job);

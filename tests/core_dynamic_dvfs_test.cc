@@ -64,6 +64,40 @@ TEST_F(DynamicDvfsTest, RescalePrimitiveStretchesRemainingTime) {
   EXPECT_EQ(job.end_time, sim::seconds(1600));
 }
 
+// The end event's verdict is recomputed when it fires: killed iff the
+// scaled walltime is strictly below the scaled runtime. A rescale scales
+// both remainders by one ratio, so the two cases below fence its outcome
+// on either side of that comparison.
+TEST_F(DynamicDvfsTest, RescaledWalltimeOverrunIsKilledAtTheNewWalltime) {
+  // Runtime 1000 s, walltime 600 s; at t=400 both remainders double:
+  // walltime 400 + 200*2 = 800 s, runtime 400 + 600*2 = 1600 s.
+  controller_.submit(make_request(1, 160, sim::seconds(1000), sim::seconds(600)));
+  sim_.run_until(sim::seconds(400));
+  controller_.rescale_running_job(1, 0, 2.0);
+  const rjms::Job& job = controller_.job(1);
+  ASSERT_EQ(job.scaled_walltime, sim::seconds(800));
+  ASSERT_EQ(job.scaled_runtime, sim::seconds(1600));
+  while (sim_.step()) {}
+  EXPECT_EQ(job.state, rjms::JobState::Killed);
+  EXPECT_EQ(job.end_time, sim::seconds(800));
+  EXPECT_EQ(controller_.stats().killed, 1u);
+}
+
+TEST_F(DynamicDvfsTest, RescaleRoundingWalltimeOntoRuntimeCompletes) {
+  // Walltime one millisecond over the runtime; halving both remainders
+  // rounds them to the same 502 ms. A tie is no overrun: the job completes.
+  controller_.submit(make_request(1, 160, 1003, 1004));
+  sim_.run_until(0);
+  controller_.rescale_running_job(1, 0, 0.5);
+  const rjms::Job& job = controller_.job(1);
+  ASSERT_EQ(job.scaled_walltime, 502);
+  ASSERT_EQ(job.scaled_runtime, 502);
+  while (sim_.step()) {}
+  EXPECT_EQ(job.state, rjms::JobState::Completed);
+  EXPECT_EQ(job.end_time, 502);
+  EXPECT_EQ(controller_.stats().completed, 1u);
+}
+
 TEST_F(DynamicDvfsTest, RescaleAdjustsClusterPowerImmediately) {
   controller_.submit(make_request(1, 160, sim::seconds(1000), sim::seconds(2000)));
   sim_.run_until(sim::seconds(10));

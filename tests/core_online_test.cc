@@ -628,14 +628,14 @@ TEST_F(OnlineTest, ProjectionAfterPassedWindowsMatchesFreshFoldIn) {
   }
   ASSERT_NE(last, nullptr);
   ASSERT_GT(last->start, sim_.now());
-  ASSERT_GT(controller_.running_by_end().rbegin()->first, last->start);  // persists
+  ASSERT_GT(controller_.running_by_end().rbegin()->est_end, last->start);  // persists
 
   // A fresh governor folds the running jobs in from scratch; it saw no job
   // start, so its idle baseline still holds their busy surplus.
   const cluster::PowerModel& pm = cl_.power_model();
   double running_surplus = 0.0;
-  for (const auto& [est_end, id] : controller_.running_by_end()) {
-    const rjms::Job& job = controller_.job(id);
+  for (const rjms::Controller::RunningJob& running : controller_.running_by_end()) {
+    const rjms::Job& job = *running.job;
     running_surplus += static_cast<double>(job.nodes.size()) *
                        (pm.frequencies().watts(job.freq) - pm.idle_watts());
   }

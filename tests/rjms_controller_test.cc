@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "cluster/curie.h"
 #include "util/check.h"
 
@@ -293,13 +296,73 @@ TEST_F(ControllerTest, DuplicateJobIdRejected) {
                ps::CheckError);
 }
 
+TEST_F(ControllerTest, ObserverAttachingAfterAStartRejected) {
+  CountingObserver early;
+  controller_.add_observer(&early);
+  controller_.submit(make_request(1, 16, sim::seconds(10), sim::seconds(20)));
+  sim_.run_until(0);
+  ASSERT_EQ(controller_.job(1).state, JobState::Running);
+  // A late observer would see ends of jobs whose starts it missed.
+  CountingObserver late;
+  EXPECT_THROW(controller_.add_observer(&late), ps::CheckError);
+}
+
+TEST_F(ControllerTest, JobTableFindsSparseNegativeAndExtremeIds) {
+  // Descending ids from three families whose low bits coincide, enough of
+  // them that the id index doubles several times (16 -> 1024 slots).
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  std::vector<JobId> ids;
+  for (std::int64_t i = 0; i < 150; ++i) {
+    ids.push_back(kMax - i);
+    ids.push_back(-1 - i * (std::int64_t{1} << 32));
+    ids.push_back((150 - i) << 40);
+  }
+  ids.push_back(std::numeric_limits<std::int64_t>::min());
+  for (JobId id : ids) controller_.submit(make_request(id, 16, sim::seconds(1), sim::seconds(2)));
+
+  for (JobId id : ids) EXPECT_EQ(controller_.job(id).id(), id);
+  std::vector<JobId> order;
+  controller_.for_each_job([&order](const Job& job) { order.push_back(job.id()); });
+  EXPECT_EQ(order, ids);
+
+  EXPECT_THROW(controller_.job(0), ps::CheckError);
+  EXPECT_THROW(controller_.job(kMax - 150), ps::CheckError);
+  EXPECT_THROW(controller_.kill_job(12345), ps::CheckError);
+  EXPECT_THROW(controller_.submit(make_request(kMax, 16, sim::seconds(1), sim::seconds(1))),
+               ps::CheckError);
+  EXPECT_THROW(controller_.submit(make_request(-1, 16, sim::seconds(1), sim::seconds(1))),
+               ps::CheckError);
+  EXPECT_EQ(controller_.stats().submitted, ids.size());
+}
+
+TEST_F(ControllerTest, PendingJobKeepsItsAddressAcrossChunkGrowth) {
+  // The pending queue and the end events hold Job*: later submissions must
+  // never move a job, whichever chunk it landed in.
+  controller_.submit(make_request(1, 1440, sim::seconds(100), sim::seconds(100)));
+  controller_.submit(make_request(2, 1440, sim::seconds(100), sim::seconds(100)));
+  sim_.run_until(0);  // job 1 holds the machine, job 2 waits
+  const Job* pending = &controller_.job(2);
+  ASSERT_EQ(pending->state, JobState::Pending);
+  for (std::int64_t id = 3; id < 10'003; ++id) {
+    controller_.submit(make_request(id, 16, sim::seconds(1), sim::seconds(2)));
+  }
+  EXPECT_EQ(&controller_.job(2), pending);
+  EXPECT_EQ(pending->state, JobState::Pending);
+  while (sim_.step()) {}
+  EXPECT_EQ(&controller_.job(2), pending);
+  EXPECT_EQ(pending->state, JobState::Completed);
+  EXPECT_EQ(controller_.stats().completed, 10'002u);
+}
+
 TEST_F(ControllerTest, StatsCountSubmissions) {
   controller_.submit(make_request(1, 16, sim::seconds(1), sim::seconds(2)));
   controller_.submit(make_request(2, 16, sim::seconds(1), sim::seconds(2)));
   while (sim_.step()) {}
   EXPECT_EQ(controller_.stats().submitted, 2u);
   EXPECT_EQ(controller_.stats().started, 2u);
-  EXPECT_EQ(controller_.all_jobs().size(), 2u);
+  std::vector<JobId> ids;
+  controller_.for_each_job([&ids](const Job& job) { ids.push_back(job.id()); });
+  EXPECT_EQ(ids, (std::vector<JobId>{1, 2}));
 }
 
 }  // namespace

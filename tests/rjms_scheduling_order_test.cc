@@ -52,10 +52,9 @@ class OrderTest : public ::testing::Test {
     }
     while (sim_.step()) {}
     std::vector<std::pair<sim::Time, JobId>> starts;
-    for (JobId id : controller.all_jobs()) {
-      if (id == 1000) continue;
-      starts.emplace_back(controller.job(id).start_time, id);
-    }
+    controller.for_each_job([&starts](const Job& job) {
+      if (job.id() != 1000) starts.emplace_back(job.start_time, job.id());
+    });
     std::sort(starts.begin(), starts.end());
     std::vector<JobId> order;
     order.reserve(starts.size());
