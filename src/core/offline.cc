@@ -308,8 +308,4 @@ std::vector<OfflinePlan> OfflinePlanner::plan_windows(
   return plans;
 }
 
-OfflinePlan OfflinePlanner::plan_window(sim::Time start, sim::Time end, double cap_watts) {
-  return plan_windows({{start, end, cap_watts}}).front();
-}
-
 }  // namespace ps::core

@@ -65,15 +65,10 @@ class OfflinePlanner {
  public:
   OfflinePlanner(rjms::Controller& controller, const PowercapConfig& config);
 
-  /// Runs Algorithm 1 for a powercap window and creates the switch-off
-  /// reservation when the chosen mechanism involves shutdown. Equivalent to
-  /// plan_windows with a single window.
-  OfflinePlan plan_window(sim::Time start, sim::Time end, double cap_watts);
-
-  /// Plans a whole multi-window schedule, registering one switch-off
-  /// reservation per shutdown-bearing window. Windows sharing a cap reuse
-  /// the memoized plan (split + selection) outright. Bit-identical to
-  /// calling plan_window per window.
+  /// Runs Algorithm 1 for each powercap window of a schedule, registering
+  /// one switch-off reservation per shutdown-bearing window. Windows
+  /// sharing a cap reuse the memoized plan (split + selection) outright.
+  /// Bit-identical to calling it once per window.
   std::vector<OfflinePlan> plan_windows(const std::vector<PlanWindow>& windows);
 
   /// Plan content for one cap — split, selection, budgets — without

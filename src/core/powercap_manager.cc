@@ -40,16 +40,11 @@ double PowercapManager::lambda_to_watts(double lambda) const {
 
 rjms::ReservationId PowercapManager::add_powercap(sim::Time start, sim::Time end,
                                                   double watts) {
-  PS_CHECK_MSG(watts > 0.0, "powercap watts must be positive");
-  rjms::ReservationId id = controller_.add_powercap_reservation(start, end, watts);
-  if (config_.policy == Policy::None) return id;
-
-  plans_.push_back(planner_.plan_window(start, end, watts));
-  arm_window_hooks(id, start, end, watts);
-  return id;
+  return add_powercap_schedule({{start, end, watts}}).front();
 }
 
-void PowercapManager::add_powercap_schedule(const std::vector<PlanWindow>& windows) {
+std::vector<rjms::ReservationId> PowercapManager::add_powercap_schedule(
+    const std::vector<PlanWindow>& windows) {
   // Register every cap reservation before planning: the governor's window
   // pricing then sees the whole schedule from the first admission on, and
   // the planner can reuse one plan across same-cap windows.
@@ -60,13 +55,14 @@ void PowercapManager::add_powercap_schedule(const std::vector<PlanWindow>& windo
     ids.push_back(
         controller_.add_powercap_reservation(window.start, window.end, window.cap_watts));
   }
-  if (config_.policy == Policy::None || windows.empty()) return;
+  if (config_.policy == Policy::None || windows.empty()) return ids;
 
   std::vector<OfflinePlan> plans = planner_.plan_windows(windows);
   for (std::size_t i = 0; i < windows.size(); ++i) {
     plans_.push_back(std::move(plans[i]));
     arm_window_hooks(ids[i], windows[i].start, windows[i].end, windows[i].cap_watts);
   }
+  return ids;
 }
 
 void PowercapManager::arm_window_hooks(rjms::ReservationId cap_id, sim::Time start,
@@ -86,7 +82,6 @@ void PowercapManager::arm_window_hooks(rjms::ReservationId cap_id, sim::Time sta
 }
 
 void PowercapManager::rescale_down_for_window(rjms::ReservationId cap_id) {
-  controller_.drain_submit_batch();  // rescaling mutates scheduling state
   const rjms::Reservation* cap = controller_.reservations().find(cap_id);
   if (cap == nullptr) return;
   std::optional<cluster::FreqIndex> target = governor_.optimal_window_freq(*cap);
@@ -110,7 +105,6 @@ void PowercapManager::rescale_down_for_window(rjms::ReservationId cap_id) {
 }
 
 void PowercapManager::rescale_up_after_window() {
-  controller_.drain_submit_batch();  // rescaling mutates scheduling state
   double cap_now = controller_.reservations().cap_at(controller_.simulator().now());
   const DegradationModel& degradation = governor_.degradation();
   const cluster::PowerModel& pm = controller_.cluster().power_model();
@@ -145,9 +139,6 @@ rjms::ReservationId PowercapManager::add_powercap_now(double watts) {
 }
 
 void PowercapManager::enforce_cap(double watts) {
-  // Same-millisecond submissions must land before the watts reading below,
-  // exactly as they would have with inline quick attempts.
-  controller_.drain_submit_batch();
   // Paper §IV-B: by default no extreme actions are taken; sites may opt in
   // to killing "the necessary number of jobs ... until the power
   // consumption of the cluster drops". Newest-first loses the least work.

@@ -30,9 +30,10 @@ class PowercapManager {
   /// Multi-window schedule (paper §VII: the 24 h day holds several cap
   /// windows): registers every powercap reservation first, then plans the
   /// whole schedule in one incremental OfflinePlanner pass, then arms the
-  /// per-window hooks (kill mode, dynamic DVFS). For a single window this
-  /// is exactly add_powercap.
-  void add_powercap_schedule(const std::vector<PlanWindow>& windows);
+  /// per-window hooks (kill mode, dynamic DVFS). Returns the reservation
+  /// ids in window order. add_powercap is the one-window case.
+  std::vector<rjms::ReservationId> add_powercap_schedule(
+      const std::vector<PlanWindow>& windows);
 
   /// Cap "set for now" with no time limitation (paper §IV-B).
   rjms::ReservationId add_powercap_now(double watts);

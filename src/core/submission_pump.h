@@ -1,6 +1,6 @@
 // The replay submission engine: pulls job chunks off a JobSource as the
-// event clock reaches them and drains each submit-time group through the
-// controller's batched-admission path. One recurring event on
+// event clock reaches them and submits each submit-time group to the
+// controller, which tries each job at once. One recurring event on
 // EventBand::kSubmit does all of it — no per-job event, no per-job
 // std::function (the wake lambda captures a single pointer, which lives in
 // the function's small-buffer storage), no per-job allocation.

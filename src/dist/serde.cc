@@ -520,7 +520,6 @@ void scenario_result(Io& io, T& result) {
       io.u64("full_passes", st.full_passes);
       io.u64("backfill_starts", st.backfill_starts);
       io.u64("quick_attempts", st.quick_attempts);
-      io.u64("submit_batches", st.submit_batches);
       io.u64("selector_fast_fails", st.selector_fast_fails);
       io.u64("admission_fast_fails", st.admission_fast_fails);
     });

@@ -71,7 +71,9 @@ class SerdeError : public std::runtime_error {
 /// v2: scenario_config grew submit_chunk (streamed-submission chunk).
 /// v3: powercap_config dropped the offline-planner audit flag (the planner
 ///     has one selection path, checked by tests instead of a runtime knob).
-inline constexpr int kSerdeVersion = 3;
+/// v4: controller_stats dropped the batch-drain count (submit-time
+///     attempts run inside Controller::submit, with no batch to count).
+inline constexpr int kSerdeVersion = 4;
 
 /// Enums travel as lowercase tokens, not integers, so a renumbered enum in
 /// a skewed binary is a parse error rather than a silently different value.

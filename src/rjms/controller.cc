@@ -41,36 +41,14 @@ JobId Controller::submit(const workload::JobRequest& request) {
 
   pending_.insert(job, simulator_.now());
   if (shadow_valid_) {
-    stage_quick_attempt(job);
+    quick_attempt(job);
   } else {
     request_schedule();
   }
   return job.id();
 }
 
-void Controller::stage_quick_attempt(Job& job) {
-  staged_submits_.push_back(&job);
-  if (drain_scheduled_) return;
-  drain_scheduled_ = true;
-  simulator_.schedule_at(simulator_.now(), [this] {
-    drain_scheduled_ = false;
-    drain_submit_batch();
-  });
-}
-
-void Controller::drain_submit_batch() {
-  if (draining_ || staged_submits_.empty()) return;
-  draining_ = true;
-  ++stats_.submit_batches;
-  for (std::size_t i = 0; i < staged_submits_.size(); ++i) {
-    quick_attempt(*staged_submits_[i]);
-  }
-  staged_submits_.clear();
-  draining_ = false;
-}
-
 void Controller::quick_attempt(Job& job) {
-  if (job.state != JobState::Pending) return;
   ++stats_.quick_attempts;
   double stretch = governor_ != nullptr ? governor_->max_walltime_stretch() : 1.0;
   auto est_walltime = static_cast<sim::Duration>(
@@ -243,7 +221,6 @@ void Controller::power_node_off(cluster::NodeId node) {
   cluster_.set_state(node, cluster::NodeState::ShuttingDown);
   simulator_.schedule_in(config_.shutdown_delay, [this, node] {
     if (cluster_.state(node) == cluster::NodeState::ShuttingDown) {
-      drain_submit_batch();
       cluster_.set_state(node, cluster::NodeState::Off);
       ++epoch_;
       notify_state_change();
@@ -293,7 +270,6 @@ void Controller::teardown_running_job(Job& job, bool cancel_end_event, JobState 
 }
 
 void Controller::finish_job(Job& job) {
-  drain_submit_batch();
   PS_CHECK_MSG(job.state == JobState::Running, "finish_job on non-running job");
   // The event fired at start + min(runtime, walltime); every rescale
   // rescheduled it from the durations read here.
@@ -305,7 +281,6 @@ void Controller::finish_job(Job& job) {
 }
 
 void Controller::kill_job(JobId id) {
-  drain_submit_batch();
   Job& job = job_for_update(id);
   PS_CHECK_MSG(job.state == JobState::Running, "kill_job on non-running job");
   teardown_running_job(job, /*cancel_end_event=*/true, JobState::Killed);
@@ -313,7 +288,6 @@ void Controller::kill_job(JobId id) {
 
 void Controller::rescale_running_job(JobId id, cluster::FreqIndex new_freq,
                                      double remaining_ratio) {
-  drain_submit_batch();
   Job& job = job_for_update(id);
   PS_CHECK_MSG(job.state == JobState::Running, "rescale of non-running job");
   PS_CHECK_MSG(remaining_ratio > 0.0, "remaining_ratio must be positive");
@@ -353,7 +327,6 @@ const Job& Controller::job(JobId id) const {
 }
 
 void Controller::full_pass() {
-  drain_submit_batch();
   ++stats_.full_passes;
   if (pending_.empty()) {
     shadow_valid_ = false;
@@ -444,7 +417,6 @@ std::size_t Controller::audit_pass_order() const {
 
 ReservationId Controller::add_powercap_reservation(sim::Time start, sim::Time end,
                                                    double watts) {
-  drain_submit_batch();
   Reservation reservation;
   reservation.kind = ReservationKind::Powercap;
   reservation.start = start;
@@ -454,7 +426,6 @@ ReservationId Controller::add_powercap_reservation(sim::Time start, sim::Time en
 
   // Admission conditions change at the boundaries: trigger passes.
   auto boundary = [this] {
-    drain_submit_batch();
     ++epoch_;
     notify_state_change();
     request_schedule();
@@ -468,7 +439,6 @@ ReservationId Controller::add_powercap_reservation(sim::Time start, sim::Time en
 
 ReservationId Controller::add_maintenance_reservation(sim::Time start, sim::Time end,
                                                       std::vector<cluster::NodeId> nodes) {
-  drain_submit_batch();
   Reservation reservation;
   reservation.kind = ReservationKind::Maintenance;
   reservation.start = start;
@@ -477,7 +447,6 @@ ReservationId Controller::add_maintenance_reservation(sim::Time start, sim::Time
   ReservationId id = reservations_.add(std::move(reservation));
   // Availability changes at the boundaries.
   auto boundary = [this] {
-    drain_submit_batch();
     ++epoch_;
     request_schedule();
   };
@@ -492,7 +461,6 @@ ReservationId Controller::add_switch_off_reservation(sim::Time start, sim::Time 
                                                      std::vector<cluster::NodeId> nodes,
                                                      double planned_saving_watts,
                                                      bool permissive) {
-  drain_submit_batch();
   Reservation reservation;
   reservation.kind = ReservationKind::SwitchOff;
   reservation.start = start;
@@ -513,7 +481,6 @@ ReservationId Controller::add_switch_off_reservation(sim::Time start, sim::Time 
 }
 
 void Controller::begin_switch_off(ReservationId id) {
-  drain_submit_batch();
   const Reservation* res = reservations_.find(id);
   if (res == nullptr) return;  // removed meanwhile
   std::size_t skipped = 0;
@@ -538,7 +505,6 @@ void Controller::begin_switch_off(ReservationId id) {
 }
 
 void Controller::end_switch_off(ReservationId id) {
-  drain_submit_batch();
   const Reservation* res = reservations_.find(id);
   if (res == nullptr) return;
   for (cluster::NodeId node : res->nodes) {
@@ -549,7 +515,6 @@ void Controller::end_switch_off(ReservationId id) {
       cluster_.set_state(node, cluster::NodeState::Booting);
       simulator_.schedule_in(config_.boot_delay, [this, node] {
         if (cluster_.state(node) == cluster::NodeState::Booting) {
-          drain_submit_batch();
           cluster_.set_state(node, cluster::NodeState::Idle);
           ++epoch_;
           notify_state_change();

@@ -9,16 +9,6 @@
 // have been freed (job end, reservation boundary, node boot) and a cheap
 // single-job attempt runs on submit, honouring the EASY reservation of the
 // head job. Everything is deterministic.
-//
-// Submission bursts are batched: same-millisecond submissions are staged
-// and drained in FIFO order through one coalesced event, so a burst shares
-// one blocked-set build, one selection-failure verdict per width class and
-// (with a governor) one admission verdict per job class. The drain-on-
-// mutation invariant keeps this bit-identical to inline attempts: every
-// path that mutates scheduling state — passes, job endings, reservation
-// registration, node transitions, external actions like cap enforcement —
-// calls drain_submit_batch() first, so a staged attempt always observes
-// exactly the state it would have seen synchronously inside submit().
 #pragma once
 
 #include <cstdint>
@@ -84,17 +74,19 @@ class Controller {
   /// Wires the powercap governor (may be null). Call before submitting.
   void set_governor(PowerGovernor* governor) noexcept { governor_ = governor; }
 
-  /// Attaches an observer. Call before the first job starts: observers
-  /// that keep per-running-job state (the governor's power sums) must see
-  /// every start.
+  /// Attaches an observer. Call before the first submit(): a job that fits
+  /// starts inside that call, and observers that keep per-running-job
+  /// state (the governor's power sums) must see every start.
   void add_observer(ControllerObserver* observer);
 
   // --- job lifecycle -------------------------------------------------------
 
   /// Registers a job arriving now (request.submit_time is recorded but the
   /// queue entry is created immediately — the replayer calls this at the
-  /// right simulation time). Jobs wider than the machine are rejected
-  /// (state Killed). Returns the job id.
+  /// right simulation time). When the last full pass cached an EASY shadow,
+  /// a job that fits it starts inside this call; otherwise it waits for
+  /// the next full pass. Jobs wider than the machine are rejected (state
+  /// Killed). Returns the job id.
   JobId submit(const workload::JobRequest& request);
 
   /// Terminates a running job immediately (powercap extreme action).
@@ -164,14 +156,6 @@ class Controller {
   /// Requests a full scheduling pass at the current time (coalesced).
   void request_schedule();
 
-  /// Runs any quick attempts staged by submit() for the current
-  /// millisecond, in FIFO order. Called automatically by the coalesced
-  /// drain event and at the top of every state-mutating entry point;
-  /// external components that read scheduling state mid-timestep (e.g. the
-  /// powercap manager's cap enforcement) must call it before reading.
-  /// Idempotent and cheap when nothing is staged.
-  void drain_submit_batch();
-
   // --- accessors ------------------------------------------------------------
 
   sim::Simulator& simulator() noexcept { return simulator_; }
@@ -204,7 +188,6 @@ class Controller {
     std::uint64_t full_passes = 0;
     std::uint64_t backfill_starts = 0;
     std::uint64_t quick_attempts = 0;       ///< submit-path attempts evaluated
-    std::uint64_t submit_batches = 0;       ///< non-empty batch drains
     std::uint64_t selector_fast_fails = 0;  ///< selections skipped by the width cache
     std::uint64_t admission_fast_fails = 0; ///< attempts settled by a cached rejection
   };
@@ -222,9 +205,6 @@ class Controller {
   Job& job_for_update(JobId id) { return const_cast<Job&>(job(id)); }
   /// Single-job attempt (submit path) honouring the cached EASY shadow.
   void quick_attempt(Job& job);
-  /// Stages `job` for the next batch drain and schedules the coalesced
-  /// drain event at the current time.
-  void stage_quick_attempt(Job& job);
   std::optional<StartPlan> plan_start(const Job& job);
   void start_job(Job& job, StartPlan plan);
   /// Schedules the end event of a running job from its current durations
@@ -279,11 +259,6 @@ class Controller {
   sim::Time shadow_time_ = sim::kTimeMax;
   std::int32_t shadow_extra_nodes_ = 0;
   bool shadow_valid_ = false;
-
-  // Submissions staged for the coalesced batch drain (see class comment).
-  std::vector<Job*> staged_submits_;
-  bool drain_scheduled_ = false;
-  bool draining_ = false;
 
   // Selection-failure fast path: selector success is monotone in width for
   // a fixed (cluster state, blocked set), so once a selection of width W

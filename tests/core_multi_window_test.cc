@@ -92,15 +92,14 @@ TEST_F(MultiWindowTest, PlanWindowsMatchesPerWindowPlanning) {
   }
   std::vector<OfflinePlan> joint_plans = joint.plan_windows(windows);
 
-  // Fresh controller, one plan_window call per window (the pre-multi-window
-  // code path).
+  // Fresh controller, one single-window plan_windows call per window (the
+  // pre-multi-window code path).
   sim::Simulator sim2;
   cluster::Cluster cl2 = cluster::curie::make_cluster();
   rjms::Controller ctrl2(sim2, cl2, {});
   OfflinePlanner per_window(ctrl2, config);
   for (std::size_t w = 0; w < windows.size(); ++w) {
-    OfflinePlan plan =
-        per_window.plan_window(windows[w].start, windows[w].end, windows[w].cap_watts);
+    OfflinePlan plan = per_window.plan_windows({windows[w]}).front();
     expect_plans_identical(joint_plans[w], plan);
     expect_selection_matches_oracle(cl_, plan);
   }

@@ -14,6 +14,12 @@
 namespace ps::core {
 namespace {
 
+/// One powercap window through the schedule planner.
+OfflinePlan plan_one(OfflinePlanner& planner, sim::Time start, sim::Time end,
+                     double cap_watts) {
+  return planner.plan_windows({{start, end, cap_watts}}).front();
+}
+
 class OfflineTest : public ::testing::Test {
  protected:
   OfflineTest()
@@ -120,7 +126,7 @@ TEST_F(OfflineTest, ShutPolicyPlansSwitchOffReservation) {
   config.policy = Policy::Shut;
   OfflinePlanner p = planner(config);
   double cap = 0.6 * cl_.power_model().max_cluster_watts();
-  OfflinePlan plan = p.plan_window(sim::hours(1), sim::hours(2), cap);
+  OfflinePlan plan = plan_one(p, sim::hours(1), sim::hours(2), cap);
   EXPECT_EQ(plan.split.mechanism, model::Mechanism::SwitchOffOnly);
   EXPECT_FALSE(plan.selection.nodes.empty());
   EXPECT_NE(plan.reservation_id, 0);
@@ -139,7 +145,7 @@ TEST_F(OfflineTest, MixPolicyBelowThresholdUsesBothMechanisms) {
   config.policy = Policy::Mix;
   OfflinePlanner p = planner(config);
   double cap = 0.4 * cl_.power_model().max_cluster_watts();
-  OfflinePlan plan = p.plan_window(0, sim::hours(1), cap);
+  OfflinePlan plan = plan_one(p, 0, sim::hours(1), cap);
   EXPECT_EQ(plan.split.mechanism, model::Mechanism::Both);
   EXPECT_GT(plan.split.n_off, 0.0);
   EXPECT_GT(plan.split.n_dvfs, 0.0);
@@ -153,7 +159,7 @@ TEST_F(OfflineTest, MixPolicyAboveThresholdUsesSingleMechanism) {
   config.policy = Policy::Mix;
   OfflinePlanner p = planner(config);
   double cap = 0.9 * cl_.power_model().max_cluster_watts();
-  OfflinePlan plan = p.plan_window(0, sim::hours(1), cap);
+  OfflinePlan plan = plan_one(p, 0, sim::hours(1), cap);
   // degmin at the 2.0 floor is 1.29; published rho < 0 -> switch-off.
   EXPECT_EQ(plan.split.mechanism, model::Mechanism::SwitchOffOnly);
 }
@@ -162,8 +168,8 @@ TEST_F(OfflineTest, DvfsPolicyMakesNoReservation) {
   PowercapConfig config;
   config.policy = Policy::Dvfs;
   OfflinePlanner p = planner(config);
-  OfflinePlan plan = p.plan_window(0, sim::hours(1),
-                                   0.6 * cl_.power_model().max_cluster_watts());
+  OfflinePlan plan = plan_one(p, 0, sim::hours(1),
+                              0.6 * cl_.power_model().max_cluster_watts());
   EXPECT_EQ(plan.reservation_id, 0);
   EXPECT_TRUE(plan.selection.nodes.empty());
   EXPECT_EQ(plan.split.mechanism, model::Mechanism::DvfsOnly);
@@ -174,8 +180,8 @@ TEST_F(OfflineTest, IdlePolicyDoesNothingOffline) {
   PowercapConfig config;
   config.policy = Policy::Idle;
   OfflinePlanner p = planner(config);
-  OfflinePlan plan = p.plan_window(0, sim::hours(1),
-                                   0.6 * cl_.power_model().max_cluster_watts());
+  OfflinePlan plan = plan_one(p, 0, sim::hours(1),
+                              0.6 * cl_.power_model().max_cluster_watts());
   EXPECT_EQ(plan.reservation_id, 0);
   // No switch-off plan over the window, by query and by a scan of the book.
   const rjms::ReservationBook& book = controller_.reservations();
@@ -194,8 +200,8 @@ TEST_F(OfflineTest, CapAboveMaxNeedsNoAction) {
   PowercapConfig config;
   config.policy = Policy::Shut;
   OfflinePlanner p = planner(config);
-  OfflinePlan plan = p.plan_window(0, sim::hours(1),
-                                   cl_.power_model().max_cluster_watts() + 1000.0);
+  OfflinePlan plan = plan_one(p, 0, sim::hours(1),
+                              cl_.power_model().max_cluster_watts() + 1000.0);
   EXPECT_EQ(plan.split.mechanism, model::Mechanism::None);
   EXPECT_EQ(plan.reservation_id, 0);
 }
@@ -205,8 +211,8 @@ TEST_F(OfflineTest, OfflineDisabledSkipsReservation) {
   config.policy = Policy::Shut;
   config.offline_enabled = false;
   OfflinePlanner p = planner(config);
-  OfflinePlan plan = p.plan_window(0, sim::hours(1),
-                                   0.6 * cl_.power_model().max_cluster_watts());
+  OfflinePlan plan = plan_one(p, 0, sim::hours(1),
+                              0.6 * cl_.power_model().max_cluster_watts());
   EXPECT_EQ(plan.split.mechanism, model::Mechanism::SwitchOffOnly);
   EXPECT_EQ(plan.reservation_id, 0);
 }
@@ -216,8 +222,8 @@ TEST_F(OfflineTest, ScatteredSelectionConfigured) {
   config.policy = Policy::Shut;
   config.selection = OfflineSelection::Scattered;
   OfflinePlanner p = planner(config);
-  OfflinePlan plan = p.plan_window(0, sim::hours(1),
-                                   0.6 * cl_.power_model().max_cluster_watts());
+  OfflinePlan plan = plan_one(p, 0, sim::hours(1),
+                              0.6 * cl_.power_model().max_cluster_watts());
   EXPECT_EQ(plan.selection.whole_racks, 0);
   // Scattered needs >= as many nodes as grouped for the same saving.
   PowercapConfig grouped_config;
@@ -226,8 +232,8 @@ TEST_F(OfflineTest, ScatteredSelectionConfigured) {
   cluster::Cluster cl2 = cluster::curie::make_cluster();
   rjms::Controller ctrl2(sim2, cl2, {});
   OfflinePlanner grouped(ctrl2, grouped_config);
-  OfflinePlan gplan = grouped.plan_window(0, sim::hours(1),
-                                          0.6 * cl2.power_model().max_cluster_watts());
+  OfflinePlan gplan = plan_one(grouped, 0, sim::hours(1),
+                               0.6 * cl2.power_model().max_cluster_watts());
   EXPECT_GE(plan.selection.nodes.size(), gplan.selection.nodes.size());
 }
 
@@ -236,16 +242,16 @@ TEST_F(OfflineTest, AutoPolicyFollowsModelDecision) {
   config.policy = Policy::Auto;
   OfflinePlanner p = planner(config);
   // 80%: published rho (degmin 1.63) < 0 -> switch-off.
-  OfflinePlan plan = p.plan_window(0, sim::hours(1),
-                                   0.8 * cl_.power_model().max_cluster_watts());
+  OfflinePlan plan = plan_one(p, 0, sim::hours(1),
+                              0.8 * cl_.power_model().max_cluster_watts());
   EXPECT_EQ(plan.split.mechanism, model::Mechanism::SwitchOffOnly);
   // 40%: below the 1.2 GHz feasibility threshold -> both.
   sim::Simulator sim2;
   cluster::Cluster cl2 = cluster::curie::make_cluster();
   rjms::Controller ctrl2(sim2, cl2, {});
   OfflinePlanner p2(ctrl2, config);
-  OfflinePlan plan2 = p2.plan_window(0, sim::hours(1),
-                                     0.4 * cl2.power_model().max_cluster_watts());
+  OfflinePlan plan2 = plan_one(p2, 0, sim::hours(1),
+                               0.4 * cl2.power_model().max_cluster_watts());
   EXPECT_EQ(plan2.split.mechanism, model::Mechanism::Both);
 }
 

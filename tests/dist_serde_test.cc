@@ -221,7 +221,6 @@ core::ScenarioResult pinned_result() {
   st.full_passes = 333;
   st.backfill_starts = 44;
   st.quick_attempts = 555;
-  st.submit_batches = 66;
   st.selector_fast_fails = 7;
   st.admission_fast_fails = 8;
   result.samples = {{0, 400000.5, 10, 2, 1, {3, 0, 5}},
@@ -252,8 +251,8 @@ serve::Submission pinned_submission(const std::string& client,
   return doc;
 }
 
-const char kScenarioResultPin[] = R"(begin scenario_result v3
-begin run_summary v3
+const char kScenarioResultPin[] = R"(begin scenario_result v4
+begin run_summary v4
 from 60000
 to 7200000
 energy_joules 41d65a0bc0000000
@@ -270,7 +269,7 @@ mean_watts 4122aff300000000
 max_watts 412e7bba80000000
 cap_violation_seconds 4012000000000000
 end run_summary
-begin controller_stats v3
+begin controller_stats v4
 submitted 120
 started 101
 completed 97
@@ -279,7 +278,6 @@ rejected 1
 full_passes 333
 backfill_starts 44
 quick_attempts 555
-submit_batches 66
 selector_fast_fails 7
 admission_fast_fails 8
 end controller_stats
@@ -290,12 +288,12 @@ cap_watts 412b774000000000
 cap_start 1800000
 cap_end 5400000
 has_plan 1
-begin offline_plan v3
+begin offline_plan v4
 mechanism both
 n_off 4029000000000000
 n_dvfs 400a000000000000
 work 3fec000000000000
-begin selection v3
+begin selection v4
 nodes 4 0+3 7+1
 whole_racks 1
 whole_chassis 2
@@ -312,12 +310,12 @@ windows 2
 window 1800000 5400000 412b774000000000
 window 6000000 9223372036854775807 41255cc100000000
 plans 2
-begin offline_plan v3
+begin offline_plan v4
 mechanism both
 n_off 4029000000000000
 n_dvfs 400a000000000000
 work 3fec000000000000
-begin selection v3
+begin selection v4
 nodes 4 0+3 7+1
 whole_racks 1
 whole_chassis 2
@@ -330,12 +328,12 @@ node_budget_watts 4129f0a000000000
 required_saving_watts 40e4050000000000
 reservation_id 17
 end offline_plan
-begin offline_plan v3
+begin offline_plan v4
 mechanism both
 n_off 4029000000000000
 n_dvfs 400a000000000000
 work 3fec000000000000
-begin selection v3
+begin selection v4
 nodes 4 40+3 47+1
 whole_racks 1
 whole_chassis 2
@@ -353,17 +351,17 @@ total_cores 80640
 end scenario_result
 )";
 
-const char kShardResultsHeadPin[] = R"(begin shard_results v3
+const char kShardResultsHeadPin[] = R"(begin shard_results v4
 id 5
 cells 1
-begin cell_record v3
+begin cell_record v4
 index 12
 fingerprint 0123456789abcdef
 )";
 
 const char kShardResultsTailPin[] = R"(end cell_record
 end shard_results
-checksum 2f716deeafe82b15
+checksum 9e46194483c04a29
 )";
 
 struct PinCase {
@@ -429,15 +427,15 @@ std::vector<PinCase> pin_cases() {
       {"scenario_result", serialize(pinned_result()),
        kScenarioResultPin},
       {"shard", serialize_shard(shard),
-       R"(begin shard v3
+       R"(begin shard v4
 id 5
 cells 2
-begin cell v3
+begin cell v4
 index 12
-begin scenario_config v3
+begin scenario_config v4
 profile bigjob
 has_custom_workload 1
-begin generator_params v3
+begin generator_params v4
 name serde round trip
 span 25200000
 job_count 1234
@@ -459,7 +457,7 @@ job 2 30000 0 16 600000 120000 -
 job 3 3600000 7 80640 86400000 72000000 stream
 seed 16045690984503098046
 racks 3
-begin powercap_config v3
+begin powercap_config v4
 policy auto
 default_degmin 3ff8000000000000
 use_app_degmin 0
@@ -480,7 +478,7 @@ cap_windows 3
 window 3fd999999999999a 3600000 7200000 -1
 window 3fe3333333333333 14400000 0 10800000
 window 3fe0000000000000 -1 2700000 300000
-begin controller_config v3
+begin controller_config v4
 priority_age 405ec00000000000
 priority_size 4046c00000000000
 priority_fair_share 4085300000000000
@@ -496,15 +494,15 @@ horizon 32400000
 submit_chunk 2700000
 end scenario_config
 end cell
-begin cell v3
+begin cell v4
 index 40
-begin scenario_config v3
+begin scenario_config v4
 profile medianjob
 has_custom_workload 0
 has_trace_jobs 0
 seed 9
 racks 56
-begin powercap_config v3
+begin powercap_config v4
 policy shut
 default_degmin 3ffa147ae147ae14
 use_app_degmin 1
@@ -522,7 +520,7 @@ cap_lambda 3ff0000000000000
 cap_start -1
 cap_duration 3600000
 cap_windows 0
-begin controller_config v3
+begin controller_config v4
 priority_age 408f400000000000
 priority_size 407f400000000000
 priority_fair_share 409f400000000000
@@ -539,33 +537,33 @@ submit_chunk 0
 end scenario_config
 end cell
 end shard
-checksum 1f224399a47ddb6c
+checksum 7ca36f36af5f71d4
 )"},
       {"shard_results", serialize_shard_results(results),
        std::string(kShardResultsHeadPin) + kScenarioResultPin + kShardResultsTailPin},
       {"grid_meta", serialize_grid_meta({27, 4, 0xfeedface12345678ull}),
-       R"(begin grid_meta v3
+       R"(begin grid_meta v4
 cells 27
 shards 4
 grid_checksum feedface12345678
 end grid_meta
-checksum b247fc08cff33738
+checksum 3839f675d1613601
 )"},
       {"heartbeat", serialize_heartbeat(42, 4711),
        R"(hb 42 4711
 )"},
       {"hello", serve::serialize_hello(hello),
-       R"(begin serve_hello v3
+       R"(begin serve_hello v4
 client alpha
 jobs 133
 last_submit 7200000
 tenant team-a
 weight 3
 end serve_hello
-checksum 61d01683aedaf782
+checksum c4903683ea7b45df
 )"},
       {"submission", serve::serialize_submission(pinned_submission("alpha", 8)),
-       R"(begin serve_submission v3
+       R"(begin serve_submission v4
 client alpha
 seq 8
 watermark 90008
@@ -575,10 +573,10 @@ jobs 2
 job 41 60000 3 512 7200000 5400000 linpack
 job 42 61000 0 16 600000 120000 -
 end serve_submission
-checksum 7a99e0b6c233aae0
+checksum 5651c316634bba65
 )"},
       {"status", serve::serialize_status(status),
-       R"(begin serve_status v3
+       R"(begin serve_status v4
 accepting 0
 seq 77
 sim_time 3600000
@@ -588,10 +586,10 @@ tenant_count 2
 tenant team-a 3 2 7 1 0
 tenant team-b 1 0 0 0 1
 end serve_status
-checksum c612febffddc98bf
+checksum 541240d328eabd00
 )"},
       {"checkpoint", serve::serialize_checkpoint(ckpt),
-       R"(begin serve_checkpoint v3
+       R"(begin serve_checkpoint v4
 seq 6
 committed 123456
 admitted 240
@@ -599,7 +597,7 @@ docs 12
 clamped 3
 scenario_checksum deadbeefcafef00d
 clients 2
-begin ckpt_client v3
+begin ckpt_client v4
 name alpha
 hello_jobs 200
 hello_last_submit 999000
@@ -609,7 +607,7 @@ eof 1
 admitted_jobs 120
 history_fp 0000000000001234
 end ckpt_client
-begin ckpt_client v3
+begin ckpt_client v4
 name beta
 hello_jobs 100
 hello_last_submit 888000
@@ -621,13 +619,13 @@ history_fp fedcba9876543210
 end ckpt_client
 sketch qsketch1 stand-in with spaces
 end serve_checkpoint
-checksum 7cae5c13ea80c94f
+checksum 0576d95b23e4ee2e
 )"},
       {"segment", serve::serialize_segment(segment),
-       R"(begin serve_segment v3
+       R"(begin serve_segment v4
 seq 6
 docs 2
-begin serve_submission v3
+begin serve_submission v4
 client alpha
 seq 0
 watermark 90000
@@ -637,7 +635,7 @@ jobs 2
 job 41 60000 3 512 7200000 5400000 linpack
 job 42 61000 0 16 600000 120000 -
 end serve_submission
-begin serve_submission v3
+begin serve_submission v4
 client beta
 seq 3
 watermark 90003
@@ -648,10 +646,10 @@ job 41 60000 3 512 7200000 5400000 linpack
 job 42 61000 0 16 600000 120000 -
 end serve_submission
 end serve_segment
-checksum b257daab845955cc
+checksum aa06861a4acb3abd
 )"},
       {"quarantine_reason", serve::serialize_quarantine_reason(reason),
-       R"(begin quarantine_reason v3
+       R"(begin quarantine_reason v4
 client beta
 seq 9
 kind hello
@@ -662,7 +660,7 @@ generation 2
 jobs 17
 wall_ns 555000111
 end quarantine_reason
-checksum 20dc8522a9fb307c
+checksum 519751bc2ba3b157
 )"},
   };
 }

@@ -1,10 +1,11 @@
-// Batched quick-attempts: same-millisecond submissions are staged and
-// drained FIFO through one coalesced event, and every state-mutating entry
-// point drains first (the drain-on-mutation invariant), so batching is
-// observationally identical to the old inline attempts. Also covers the
-// selection-failure fast path that makes a drained batch cost one selector
-// walk per failing width class.
+// Submit-time quick attempts: when the last full pass cached an EASY
+// shadow, submit() tries the new job at once and starts it before
+// returning if it fits the shadow and the idle nodes. Also covers the
+// selection-failure fast path that makes a burst cost one selector walk
+// per failing width class.
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "cluster/curie.h"
 #include "rjms/controller.h"
@@ -34,9 +35,9 @@ workload::JobRequest make_request(std::int64_t id, std::int64_t cores,
   return request;
 }
 
-class SubmitBatchTest : public ::testing::Test {
+class QuickAttemptTest : public ::testing::Test {
  protected:
-  SubmitBatchTest()
+  QuickAttemptTest()
       : cl_(cluster::curie::make_scaled_cluster(1)),  // 90 nodes, 1440 cores
         controller_(sim_, cl_, fcfs_config()) {}
 
@@ -53,9 +54,25 @@ class SubmitBatchTest : public ::testing::Test {
   Controller controller_;
 };
 
-TEST_F(SubmitBatchTest, BurstDrainsFifoThroughOneBatch) {
+TEST_F(QuickAttemptTest, SubmitStartsFittingJobBeforeReturning) {
   establish_shadow();
-  std::uint64_t batches_before = controller_.stats().submit_batches;
+  ASSERT_EQ(cl_.count(cluster::NodeState::Idle), 1);
+  std::uint64_t attempts_before = controller_.stats().quick_attempts;
+  // Ends at 70 s, inside the 200 s shadow: it cannot delay the head job.
+  JobId id = controller_.submit(make_request(3, 16, sim::seconds(30), sim::seconds(60),
+                                             sim::seconds(10)));
+  const Job& job = controller_.job(id);
+  EXPECT_EQ(job.state, JobState::Running);
+  EXPECT_EQ(job.start_time, sim::seconds(10));
+  EXPECT_EQ(job.nodes.size(), 1u);
+  EXPECT_EQ(cl_.count(cluster::NodeState::Idle), 0);
+  EXPECT_EQ(controller_.stats().quick_attempts, attempts_before + 1);
+  EXPECT_EQ(controller_.pending_count(), 1u);  // only the blocked head
+}
+
+TEST_F(QuickAttemptTest, SameMillisecondBurstTakesIdleNodeInFifoOrder) {
+  establish_shadow();
+  std::uint64_t attempts_before = controller_.stats().quick_attempts;
   // Three same-millisecond arrivals; only one node is idle, so FIFO order
   // decides who gets it: job 10 starts, 11 and 12 stay pending.
   for (std::int64_t id : {10, 11, 12}) {
@@ -69,36 +86,28 @@ TEST_F(SubmitBatchTest, BurstDrainsFifoThroughOneBatch) {
   EXPECT_EQ(controller_.job(10).start_time, sim::seconds(20));
   EXPECT_EQ(controller_.job(11).state, JobState::Pending);
   EXPECT_EQ(controller_.job(12).state, JobState::Pending);
-  // One coalesced drain evaluated the whole burst.
-  EXPECT_EQ(controller_.stats().submit_batches, batches_before + 1);
-  EXPECT_GE(controller_.stats().quick_attempts, 3u);
+  EXPECT_EQ(controller_.stats().quick_attempts, attempts_before + 3);
 }
 
-TEST_F(SubmitBatchTest, MutatingEntryPointsDrainStagedAttemptsFirst) {
+TEST_F(QuickAttemptTest, KillAfterInlineStartLeavesStartedJobInPlace) {
   establish_shadow();
-  // Staged but not yet drained: the drain event sits at the current time.
   controller_.submit(make_request(3, 16, sim::seconds(30), sim::seconds(60),
                                   sim::seconds(10)));
-  EXPECT_EQ(controller_.job(3).state, JobState::Pending);
-  // kill_job must drain first: job 3 takes the idle node *before* the kill
-  // frees the other 89, exactly as inline attempts would have.
+  ASSERT_EQ(controller_.job(3).state, JobState::Running);
+  std::vector<cluster::NodeId> taken = controller_.job(3).nodes;
+  // The kill frees the other 89 nodes; job 3 keeps the one it took.
   controller_.kill_job(1);
+  EXPECT_EQ(controller_.job(1).state, JobState::Killed);
   EXPECT_EQ(controller_.job(3).state, JobState::Running);
-  EXPECT_EQ(controller_.job(3).start_time, sim::seconds(10));
+  EXPECT_EQ(controller_.job(3).nodes, taken);
+  EXPECT_EQ(cl_.state(taken.front()), cluster::NodeState::Busy);
   while (sim_.step()) {}
   EXPECT_EQ(controller_.job(3).state, JobState::Completed);
+  EXPECT_EQ(controller_.job(3).start_time, sim::seconds(10));
+  EXPECT_EQ(controller_.job(3).end_time, sim::seconds(40));
 }
 
-TEST_F(SubmitBatchTest, DrainEventAloneRunsStagedAttempts) {
-  establish_shadow();
-  controller_.submit(make_request(3, 16, sim::seconds(30), sim::seconds(60),
-                                  sim::seconds(10)));
-  EXPECT_EQ(controller_.job(3).state, JobState::Pending);
-  sim_.run_until(sim::seconds(10));  // nothing else scheduled: drain event fires
-  EXPECT_EQ(controller_.job(3).state, JobState::Running);
-}
-
-TEST_F(SubmitBatchTest, SelectionFailureFastPathSkipsRepeatWalks) {
+TEST_F(QuickAttemptTest, SelectionFailureFastPathSkipsRepeatWalks) {
   // Chassis 0 under maintenance for any span reaching into the window:
   // 72 of 90 nodes are usable, so 80-node jobs pass the idle-count check
   // but fail selection. The first failure prices the width class; the rest
