@@ -162,13 +162,34 @@ void BM_IdleIndexWalk(benchmark::State& state) {
   for (auto _ : state) {
     std::int64_t sum = 0;
     for (std::int32_t idle = 1; idle <= cl.topology().nodes_per_chassis(); ++idle) {
-      for (cluster::ChassisId c : cl.chassis_with_idle(idle)) sum += c;
+      cl.visit_idle_bucket(idle, [&sum](cluster::ChassisId c) {
+        sum += c;
+        return false;
+      });
     }
     benchmark::DoNotOptimize(sum);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_IdleIndexWalk);
+
+// A job's node changes the way the controller makes them: a packed list of
+// N consecutive nodes (chassis-aligned, as the packing selector takes them
+// from an empty machine) set Busy at start, then Idle at the end, on a
+// full-scale machine. Items are node changes.
+void BM_ClusterJobStartEnd(benchmark::State& state) {
+  cluster::Cluster cl = cluster::curie::make_cluster();
+  std::vector<cluster::NodeId> nodes(static_cast<std::size_t>(state.range(0)));
+  for (std::size_t i = 0; i < nodes.size(); ++i) nodes[i] = static_cast<cluster::NodeId>(i);
+  for (auto _ : state) {
+    cl.set_state(nodes, cluster::NodeState::Busy, 7);
+    cl.set_state(nodes, cluster::NodeState::Idle);
+    benchmark::DoNotOptimize(cl.watts());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2 *
+                          state.range(0));
+}
+BENCHMARK(BM_ClusterJobStartEnd)->Arg(1)->Arg(18)->Arg(180);
 
 // Pass-scoped blocked-set rebuild from a realistic reservation book (a cap
 // window plus a handful of switch-off/maintenance windows at Curie scale).

@@ -1,7 +1,7 @@
 #include "cluster/cluster.h"
 
-#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "util/check.h"
 
@@ -19,6 +19,8 @@ Cluster::Cluster(PowerModel model)
   boot_mw_ = to_mw(model_.node_watts(NodeState::Booting, 0));
   idle_mw_ = to_mw(model_.node_watts(NodeState::Idle, 0));
   shut_mw_ = to_mw(model_.node_watts(NodeState::ShuttingDown, 0));
+  chassis_infra_mw_ = to_mw(model_.chassis_infra_watts());
+  rack_infra_mw_ = to_mw(model_.rack_infra_watts());
   busy_mw_.resize(model_.frequencies().size());
   for (FreqIndex f = 0; f < busy_mw_.size(); ++f) {
     busy_mw_[f] = to_mw(model_.frequencies().watts(f));
@@ -31,23 +33,24 @@ Cluster::Cluster(PowerModel model)
   auto chassis_count = static_cast<std::size_t>(topo.total_chassis());
   chassis_nodes_on_.assign(chassis_count, topo.nodes_per_chassis());
   chassis_idle_.assign(chassis_count, topo.nodes_per_chassis());
-  chassis_by_idle_.assign(static_cast<std::size_t>(topo.nodes_per_chassis()) + 1, {});
-  auto& full_bucket = chassis_by_idle_[static_cast<std::size_t>(topo.nodes_per_chassis())];
-  full_bucket.resize(chassis_count);
-  for (ChassisId c = 0; c < topo.total_chassis(); ++c) {
-    full_bucket[static_cast<std::size_t>(c)] = c;
-  }
+  bucket_words_ = (chassis_count + 63) / 64;
+  idle_bits_.assign((static_cast<std::size_t>(topo.nodes_per_chassis()) + 1) * bucket_words_, 0);
+  std::uint64_t* full_bucket =
+      idle_bits_.data() + static_cast<std::size_t>(topo.nodes_per_chassis()) * bucket_words_;
+  for (std::size_t c = 0; c < chassis_count; ++c) full_bucket[c / 64] |= 1ULL << (c % 64);
+  bucket_size_.assign(static_cast<std::size_t>(topo.nodes_per_chassis()) + 1, 0);
+  bucket_size_.back() = topo.total_chassis();
   chassis_node_mw_.assign(chassis_count,
                           static_cast<std::int64_t>(topo.nodes_per_chassis()) * idle_mw_);
   auto rack_count = static_cast<std::size_t>(topo.racks());
   rack_chassis_on_.assign(rack_count, topo.chassis_per_rack());
 
-  std::int64_t one_chassis = to_mw(model_.chassis_infra_watts()) +
-                             static_cast<std::int64_t>(topo.nodes_per_chassis()) * idle_mw_;
+  std::int64_t one_chassis =
+      chassis_infra_mw_ + static_cast<std::int64_t>(topo.nodes_per_chassis()) * idle_mw_;
   rack_chassis_mw_.assign(rack_count,
                           static_cast<std::int64_t>(topo.chassis_per_rack()) * one_chassis);
-  std::int64_t one_rack = to_mw(model_.rack_infra_watts()) +
-                          static_cast<std::int64_t>(topo.chassis_per_rack()) * one_chassis;
+  std::int64_t one_rack =
+      rack_infra_mw_ + static_cast<std::int64_t>(topo.chassis_per_rack()) * one_chassis;
   total_mw_ = static_cast<std::int64_t>(topo.racks()) * one_rack;
 }
 
@@ -67,94 +70,86 @@ std::int64_t Cluster::node_mw(NodeState state, FreqIndex freq) const {
 std::int64_t Cluster::chassis_mw(ChassisId c) const {
   auto ci = static_cast<std::size_t>(c);
   if (chassis_nodes_on_[ci] == 0) return 0;
-  return to_mw(model_.chassis_infra_watts()) + chassis_node_mw_[ci];
+  return chassis_infra_mw_ + chassis_node_mw_[ci];
 }
 
 std::int64_t Cluster::rack_mw(RackId r) const {
   auto ri = static_cast<std::size_t>(r);
   if (rack_chassis_on_[ri] == 0) return 0;
-  return to_mw(model_.rack_infra_watts()) + rack_chassis_mw_[ri];
+  return rack_infra_mw_ + rack_chassis_mw_[ri];
 }
 
-NodeState Cluster::state(NodeId node) const {
-  PS_CHECK_MSG(topology().valid_node(node), "node id out of range");
-  return nodes_[static_cast<std::size_t>(node)].state;
-}
-
-void Cluster::set_state(NodeId node, NodeState new_state, FreqIndex freq) {
-  PS_CHECK_MSG(topology().valid_node(node), "node id out of range");
+void Cluster::set_state(std::span<const NodeId> nodes, NodeState new_state,
+                        FreqIndex freq) {
   if (new_state == NodeState::Busy) {
     PS_CHECK_MSG(freq < busy_mw_.size(), "busy frequency out of range");
   } else {
     freq = 0;
   }
-  NodeSlot& slot = nodes_[static_cast<std::size_t>(node)];
-  NodeState old_state = slot.state;
-  FreqIndex old_freq = slot.freq;
-  if (old_state == new_state && old_freq == freq) return;
+  const Topology& topo = topology();
+  const std::int32_t per_chassis = topo.nodes_per_chassis();
+  const std::int64_t new_mw = node_mw(new_state, freq);
+  const std::int32_t on_in = new_state != NodeState::Off ? 1 : 0;
+  const std::int32_t idle_in = new_state == NodeState::Idle ? 1 : 0;
 
-  ChassisId c = topology().chassis_of_node(node);
-  RackId r = topology().rack_of_chassis(c);
-  auto ci = static_cast<std::size_t>(c);
-  auto ri = static_cast<std::size_t>(r);
+  std::size_t i = 0;
+  while (i < nodes.size()) {
+    // One maximal run of nodes in chassis c: gating, the rack and total
+    // sums and the idle bucket are read before it and settled after it.
+    PS_CHECK_MSG(topo.valid_node(nodes[i]), "node id out of range");
+    ChassisId c = topo.chassis_of_node(nodes[i]);
+    RackId r = topo.rack_of_chassis(c);
+    auto ci = static_cast<std::size_t>(c);
+    auto ri = static_cast<std::size_t>(r);
+    const NodeId first = c * per_chassis;
 
-  std::int64_t old_chassis = chassis_mw(c);
-  std::int64_t old_rack = rack_mw(r);
+    const std::int64_t old_chassis = chassis_mw(c);
+    const std::int64_t old_rack = rack_mw(r);
+    const bool chassis_was_on = chassis_nodes_on_[ci] > 0;
+    const std::int32_t old_idle = chassis_idle_[ci];
 
-  bool was_on = old_state != NodeState::Off;
-  bool is_on = new_state != NodeState::Off;
-  chassis_node_mw_[ci] += node_mw(new_state, freq) - node_mw(old_state, old_freq);
-  bool chassis_was_on = chassis_nodes_on_[ci] > 0;
-  chassis_nodes_on_[ci] += (is_on ? 1 : 0) - (was_on ? 1 : 0);
-  bool chassis_is_on = chassis_nodes_on_[ci] > 0;
-  PS_CHECK(chassis_nodes_on_[ci] >= 0);
+    for (; i < nodes.size() && nodes[i] >= first && nodes[i] - first < per_chassis; ++i) {
+      NodeSlot& slot = nodes_[static_cast<std::size_t>(nodes[i])];
+      NodeState old_state = slot.state;
+      if (old_state == new_state && slot.freq == freq) continue;
 
-  std::int64_t new_chassis = chassis_mw(c);
-  rack_chassis_mw_[ri] += new_chassis - old_chassis;
-  rack_chassis_on_[ri] += (chassis_is_on ? 1 : 0) - (chassis_was_on ? 1 : 0);
-  PS_CHECK(rack_chassis_on_[ri] >= 0);
+      chassis_node_mw_[ci] += new_mw - node_mw(old_state, slot.freq);
+      chassis_nodes_on_[ci] += on_in - (old_state != NodeState::Off ? 1 : 0);
+      PS_CHECK(chassis_nodes_on_[ci] >= 0);
 
-  std::int64_t new_rack = rack_mw(r);
-  total_mw_ += new_rack - old_rack;
+      --state_count_[state_index(old_state)];
+      ++state_count_[state_index(new_state)];
+      if (old_state == NodeState::Busy) --busy_by_freq_[slot.freq];
+      if (new_state == NodeState::Busy) ++busy_by_freq_[freq];
 
-  // Aggregate counters.
-  --state_count_[state_index(old_state)];
-  ++state_count_[state_index(new_state)];
-  if (old_state == NodeState::Busy) --busy_by_freq_[old_freq];
-  if (new_state == NodeState::Busy) ++busy_by_freq_[freq];
+      std::int32_t idle = chassis_idle_[ci] + idle_in -
+                          (old_state == NodeState::Idle ? 1 : 0);
+      PS_CHECK(idle >= 0 && idle <= per_chassis);
+      chassis_idle_[ci] = idle;
 
-  // Idle index: move the chassis between buckets when its idle count moves.
-  std::int32_t idle_delta = (new_state == NodeState::Idle ? 1 : 0) -
-                            (old_state == NodeState::Idle ? 1 : 0);
-  if (idle_delta != 0) {
-    std::int32_t old_idle = chassis_idle_[ci];
-    std::int32_t new_idle = old_idle + idle_delta;
-    PS_CHECK(new_idle >= 0 && new_idle <= topology().nodes_per_chassis());
-    chassis_idle_[ci] = new_idle;
-    move_idle_bucket(c, old_idle, new_idle);
+      slot.state = new_state;
+      slot.freq = freq;
+    }
+
+    const bool chassis_is_on = chassis_nodes_on_[ci] > 0;
+    rack_chassis_mw_[ri] += chassis_mw(c) - old_chassis;
+    rack_chassis_on_[ri] += (chassis_is_on ? 1 : 0) - (chassis_was_on ? 1 : 0);
+    PS_CHECK(rack_chassis_on_[ri] >= 0);
+    total_mw_ += rack_mw(r) - old_rack;
+
+    if (chassis_idle_[ci] != old_idle) move_idle_bucket(c, old_idle, chassis_idle_[ci]);
   }
-
-  slot.state = new_state;
-  slot.freq = freq;
 }
 
 void Cluster::move_idle_bucket(ChassisId c, std::int32_t old_idle, std::int32_t new_idle) {
-  auto& from = chassis_by_idle_[static_cast<std::size_t>(old_idle)];
-  auto pos = std::lower_bound(from.begin(), from.end(), c);
-  PS_CHECK(pos != from.end() && *pos == c);
-  from.erase(pos);
-  auto& to = chassis_by_idle_[static_cast<std::size_t>(new_idle)];
-  to.insert(std::lower_bound(to.begin(), to.end(), c), c);
-}
-
-std::int32_t Cluster::idle_nodes(ChassisId chassis) const {
-  PS_CHECK(chassis >= 0 && chassis < topology().total_chassis());
-  return chassis_idle_[static_cast<std::size_t>(chassis)];
-}
-
-const std::vector<ChassisId>& Cluster::chassis_with_idle(std::int32_t idle) const {
-  PS_CHECK(idle >= 0 && idle <= topology().nodes_per_chassis());
-  return chassis_by_idle_[static_cast<std::size_t>(idle)];
+  std::size_t word = static_cast<std::size_t>(c) / 64;
+  std::uint64_t bit = 1ULL << (static_cast<std::size_t>(c) % 64);
+  std::uint64_t& from = idle_bits_[static_cast<std::size_t>(old_idle) * bucket_words_ + word];
+  PS_CHECK((from & bit) != 0);
+  from &= ~bit;
+  idle_bits_[static_cast<std::size_t>(new_idle) * bucket_words_ + word] |= bit;
+  --bucket_size_[static_cast<std::size_t>(old_idle)];
+  ++bucket_size_[static_cast<std::size_t>(new_idle)];
 }
 
 bool Cluster::audit_idle_index() const {
@@ -166,22 +161,24 @@ bool Cluster::audit_idle_index() const {
     }
   }
   if (recount != chassis_idle_) return false;
-  // Every chassis must sit in exactly the bucket of its recounted idle
-  // value, and buckets must be sorted with no duplicates or strays.
-  std::size_t bucketed = 0;
-  for (std::size_t k = 0; k < chassis_by_idle_.size(); ++k) {
-    const auto& bucket = chassis_by_idle_[k];
-    if (!std::is_sorted(bucket.begin(), bucket.end())) return false;
-    if (std::adjacent_find(bucket.begin(), bucket.end()) != bucket.end()) return false;
-    for (ChassisId c : bucket) {
-      if (c < 0 || c >= topo.total_chassis()) return false;
-      if (recount[static_cast<std::size_t>(c)] != static_cast<std::int32_t>(k)) {
-        return false;
-      }
-    }
-    bucketed += bucket.size();
+  // Each bucket's size must be its bit count (the walk trusts it), and
+  // every chassis must sit in exactly the bucket of its recounted idle
+  // value, with no strays past the last chassis.
+  for (std::int32_t k = 0; k <= topo.nodes_per_chassis(); ++k) {
+    const std::uint64_t* words = idle_bits_.data() + static_cast<std::size_t>(k) * bucket_words_;
+    std::int32_t bits = 0;
+    for (std::size_t w = 0; w < bucket_words_; ++w) bits += std::popcount(words[w]);
+    if (bits != bucket_size_[static_cast<std::size_t>(k)]) return false;
   }
-  return bucketed == static_cast<std::size_t>(topo.total_chassis());
+  std::int32_t bucketed = 0;
+  bool stray = false;
+  for (std::int32_t k = 0; k <= topo.nodes_per_chassis(); ++k) {
+    stray = stray || visit_idle_bucket(k, [&](ChassisId c) {
+              ++bucketed;
+              return c >= topo.total_chassis() || recount[static_cast<std::size_t>(c)] != k;
+            });
+  }
+  return !stray && bucketed == topo.total_chassis();
 }
 
 double Cluster::audit_watts() const {

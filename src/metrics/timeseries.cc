@@ -15,21 +15,22 @@ Recorder::Recorder(rjms::Controller& controller)
 
 void Recorder::sample(sim::Time now) {
   const cluster::Cluster& cl = controller_.cluster();
-  Sample s;
+  // A same-instant update overwrites the last sample in place (its
+  // busy_by_freq keeps its buffer); a new instant appends one.
+  if (samples_.empty() || samples_.back().t != now) {
+    PS_CHECK_MSG(samples_.empty() || samples_.back().t < now,
+                 "recorder: time went backwards");
+    samples_.emplace_back();
+  }
+  Sample& s = samples_.back();
   s.t = now;
   s.watts = cl.watts();
   s.idle_nodes = cl.count(cluster::NodeState::Idle);
   s.off_nodes = cl.count(cluster::NodeState::Off);
   s.transitioning_nodes = cl.count(cluster::NodeState::Booting) +
                           cl.count(cluster::NodeState::ShuttingDown);
-  s.busy_by_freq = cl.busy_count_by_freq();
-  if (!samples_.empty() && samples_.back().t == now) {
-    samples_.back() = std::move(s);  // collapse same-instant updates
-  } else {
-    PS_CHECK_MSG(samples_.empty() || samples_.back().t < now,
-                 "recorder: time went backwards");
-    samples_.push_back(std::move(s));
-  }
+  const std::vector<std::int32_t>& busy = cl.busy_count_by_freq();
+  s.busy_by_freq.assign(busy.begin(), busy.end());
 }
 
 template <typename Value>

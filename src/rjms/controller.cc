@@ -177,8 +177,8 @@ void Controller::start_job(Job& job, StartPlan plan) {
   for (cluster::NodeId node : job.nodes) {
     PS_CHECK_MSG(cluster_.state(node) == cluster::NodeState::Idle,
                  "start_job on non-idle node");
-    cluster_.set_state(node, cluster::NodeState::Busy, job.freq);
   }
+  cluster_.set_state(job.nodes, cluster::NodeState::Busy, job.freq);
 
   schedule_end(job);
 
@@ -228,7 +228,7 @@ void Controller::power_node_off(cluster::NodeId node) {
   });
 }
 
-void Controller::release_node(cluster::NodeId node) {
+bool Controller::release_node(cluster::NodeId node) {
   sim::Time now = simulator_.now();
   bool switch_off = false;
   reservations_.for_each_active(
@@ -236,11 +236,8 @@ void Controller::release_node(cluster::NodeId node) {
         switch_off = switch_off ||
                      std::binary_search(res.nodes.begin(), res.nodes.end(), node);
       });
-  if (switch_off) {
-    power_node_off(node);  // opportunistic shutdown inside the window
-    return;
-  }
-  cluster_.set_state(node, cluster::NodeState::Idle);
+  if (switch_off) power_node_off(node);  // opportunistic shutdown inside the window
+  return switch_off;
 }
 
 void Controller::teardown_running_job(Job& job, bool cancel_end_event, JobState final_state) {
@@ -248,9 +245,11 @@ void Controller::teardown_running_job(Job& job, bool cancel_end_event, JobState 
 
   drop_end(job, cancel_end_event);
 
+  released_idle_.clear();
   for (cluster::NodeId node : job.nodes) {
-    release_node(node);
+    if (!release_node(node)) released_idle_.push_back(node);
   }
+  cluster_.set_state(released_idle_, cluster::NodeState::Idle);
   job.state = final_state;
   job.end_time = now;
 
@@ -307,9 +306,7 @@ void Controller::rescale_running_job(JobId id, cluster::FreqIndex new_freq,
   job.scaled_runtime = scale_remaining(job.scaled_runtime);
   job.scaled_walltime = scale_remaining(job.scaled_walltime);
   job.freq = new_freq;
-  for (cluster::NodeId node : job.nodes) {
-    cluster_.set_state(node, cluster::NodeState::Busy, new_freq);
-  }
+  cluster_.set_state(job.nodes, cluster::NodeState::Busy, new_freq);
 
   schedule_end(job);
 

@@ -225,9 +225,10 @@ class Controller {
 
   void begin_switch_off(ReservationId id);
   void end_switch_off(ReservationId id);
-  /// Frees one node after a job: Idle normally, or straight to Off when an
-  /// active switch-off reservation covers it (opportunistic shutdown).
-  void release_node(cluster::NodeId node);
+  /// Frees one node after a job: powers it off when an active switch-off
+  /// reservation covers it (opportunistic shutdown) and returns true;
+  /// otherwise returns false and the caller sets it Idle.
+  bool release_node(cluster::NodeId node);
   void power_node_off(cluster::NodeId node);
 
   sim::Simulator& simulator_;
@@ -250,6 +251,9 @@ class Controller {
   /// Set nodes of ended jobs, reused by the next start: a job start
   /// allocates no running_by_end_ node once the stash holds one.
   std::vector<RunningSet::node_type> spare_running_;
+  /// An ending job's nodes that go Idle, set in one call; reused across
+  /// jobs so a teardown allocates nothing once it holds the widest job.
+  std::vector<cluster::NodeId> released_idle_;
 
   // Pass-scoped blocked-node cache handed to the selectors; rebuilt lazily
   // by plan_start when the reservation book or the probed span changes.

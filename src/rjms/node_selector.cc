@@ -38,13 +38,14 @@ class PackingSelector final : public NodeSelector {
     out.reserve(static_cast<std::size_t>(count));
     // (idle count ascending, id ascending) straight off the bucket index:
     // filling the most loaded chassis first leaves whole chassis free for
-    // grouped shutdown. select() does not mutate node states, so iterating
+    // grouped shutdown. select() does not mutate node states, so walking
     // the live index is safe.
+    auto fill = [&](cluster::ChassisId chassis) {
+      take_from_chassis(ctx, chassis, count, out);
+      return static_cast<std::int32_t>(out.size()) >= count;
+    };
     for (std::int32_t idle = 1; idle <= topo.nodes_per_chassis(); ++idle) {
-      for (cluster::ChassisId chassis : ctx.cluster.chassis_with_idle(idle)) {
-        take_from_chassis(ctx, chassis, count, out);
-        if (static_cast<std::int32_t>(out.size()) >= count) return out;
-      }
+      if (ctx.cluster.visit_idle_bucket(idle, fill)) return out;
     }
     return std::nullopt;
   }

@@ -1,5 +1,5 @@
 // Incremental idle-node index: per-chassis idle counts and the "chassis by
-// idle count" buckets must match a brute-force recount after arbitrary
+// idle count" bitset buckets must match a brute-force recount after arbitrary
 // set_state transition sequences (the audit_watts cross-check pattern,
 // applied to the scheduler-facing index).
 #include <gtest/gtest.h>
@@ -28,12 +28,23 @@ std::vector<std::int32_t> brute_force_idle(const Cluster& cl) {
   return idle;
 }
 
+/// One idle bucket, as the visitor yields it.
+std::vector<ChassisId> bucket(const Cluster& cl, std::int32_t idle) {
+  std::vector<ChassisId> out;
+  cl.visit_idle_bucket(idle, [&out](ChassisId c) {
+    out.push_back(c);
+    return false;
+  });
+  return out;
+}
+
 /// The packing order the index exists to serve: (idle asc, id asc) over
 /// chassis with at least one idle node.
 std::vector<ChassisId> index_order(const Cluster& cl) {
   std::vector<ChassisId> order;
   for (std::int32_t idle = 1; idle <= cl.topology().nodes_per_chassis(); ++idle) {
-    for (ChassisId c : cl.chassis_with_idle(idle)) order.push_back(c);
+    std::vector<ChassisId> b = bucket(cl, idle);
+    order.insert(order.end(), b.begin(), b.end());
   }
   return order;
 }
@@ -56,10 +67,9 @@ TEST(ClusterIdleIndex, InitialStateAllChassisFullyIdle) {
   for (ChassisId c = 0; c < cl.topology().total_chassis(); ++c) {
     EXPECT_EQ(cl.idle_nodes(c), npc);
   }
-  EXPECT_EQ(cl.chassis_with_idle(npc).size(),
-            static_cast<std::size_t>(cl.topology().total_chassis()));
+  EXPECT_EQ(bucket(cl, npc).size(), static_cast<std::size_t>(cl.topology().total_chassis()));
   for (std::int32_t k = 0; k < npc; ++k) {
-    EXPECT_TRUE(cl.chassis_with_idle(k).empty());
+    EXPECT_TRUE(bucket(cl, k).empty());
   }
   EXPECT_TRUE(cl.audit_idle_index());
 }
@@ -69,7 +79,7 @@ TEST(ClusterIdleIndex, TracksSingleTransitions) {
   std::int32_t npc = cl.topology().nodes_per_chassis();
   cl.set_state(0, NodeState::Busy, 3);
   EXPECT_EQ(cl.idle_nodes(0), npc - 1);
-  EXPECT_EQ(cl.chassis_with_idle(npc - 1), std::vector<ChassisId>{0});
+  EXPECT_EQ(bucket(cl, npc - 1), std::vector<ChassisId>{0});
   // Busy -> Busy (rescale) does not move the chassis.
   cl.set_state(0, NodeState::Busy, 5);
   EXPECT_EQ(cl.idle_nodes(0), npc - 1);
@@ -90,16 +100,29 @@ TEST(ClusterIdleIndex, BucketsKeepAscendingChassisIds) {
   cl.set_state(cl.topology().first_node_of_chassis(4), NodeState::Busy, 0);
   cl.set_state(cl.topology().first_node_of_chassis(1), NodeState::Busy, 0);
   std::int32_t npc = cl.topology().nodes_per_chassis();
-  EXPECT_EQ(cl.chassis_with_idle(npc - 1), (std::vector<ChassisId>{1, 4}));
+  EXPECT_EQ(bucket(cl, npc - 1), (std::vector<ChassisId>{1, 4}));
   EXPECT_TRUE(cl.audit_idle_index());
+}
+
+TEST(ClusterIdleIndex, VisitorStopsAtFirstTrue) {
+  Cluster cl = mini();
+  std::int32_t npc = cl.topology().nodes_per_chassis();
+  std::vector<ChassisId> seen;
+  EXPECT_TRUE(cl.visit_idle_bucket(npc, [&seen](ChassisId c) {
+    seen.push_back(c);
+    return c == 2;
+  }));
+  EXPECT_EQ(seen, (std::vector<ChassisId>{0, 1, 2}));
+  EXPECT_FALSE(cl.visit_idle_bucket(0, [](ChassisId) { return true; }));
 }
 
 TEST(ClusterIdleIndex, InvalidArgumentsRejected) {
   Cluster cl = mini();
   EXPECT_THROW((void)cl.idle_nodes(-1), CheckError);
   EXPECT_THROW((void)cl.idle_nodes(cl.topology().total_chassis()), CheckError);
-  EXPECT_THROW((void)cl.chassis_with_idle(-1), CheckError);
-  EXPECT_THROW((void)cl.chassis_with_idle(cl.topology().nodes_per_chassis() + 1),
+  auto none = [](ChassisId) { return false; };
+  EXPECT_THROW((void)cl.visit_idle_bucket(-1, none), CheckError);
+  EXPECT_THROW((void)cl.visit_idle_bucket(cl.topology().nodes_per_chassis() + 1, none),
                CheckError);
 }
 
