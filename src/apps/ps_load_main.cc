@@ -13,7 +13,7 @@
 //                                             (corrupt_submission,
 //                                             flood_burst, stall_client,
 //                                             dup_publish, lie_watermark;
-//                                             spec grammar of dist::FaultPlan)
+//                                             spec grammar of util/fault.h)
 //       [--flood-docs N]                      documents per flood burst (8)
 //
 //   ps-load --spool DIR --swf FILE --clients N [...same tuning...]
@@ -108,7 +108,7 @@ int main(int argc, char** argv) {
         options.weight = need_count<std::uint64_t>(args, i);
         if (options.weight == 0) throw std::runtime_error("--weight wants >= 1");
       } else if (args[i] == "--faults") {
-        options.faults = dist::FaultPlan::parse(need_value(args, i));
+        options.faults = serve::ClientFaultPlan::parse(need_value(args, i));
       } else if (args[i] == "--flood-docs") {
         options.flood_docs = need_count<int>(args, i);
       } else throw std::runtime_error("unknown option " + args[i]);

@@ -21,9 +21,10 @@
 //       [--checkpoint-seconds N]    ... or every N simulated seconds (86400)
 //       [--journal-fsync]           fsync each journaled document (survives
 //                                  kernel crashes, not just SIGKILL)
-//       [--faults SPEC]             serve-tier fault injection (same spec
-//                                  grammar as $PS_SWEEP_FAULTS, which is
-//                                  also honoured; the flag wins)
+//       [--faults SPEC]             daemon fault injection (the serve
+//                                  sites of serve/server.h, spec grammar
+//                                  of util/fault.h); no environment
+//                                  variable is read
 //       [--telemetry-seconds N]     publish a sealed obs-registry snapshot
 //                                  into <spool>/telemetry/ every N wall
 //                                  seconds (read with ps-stat; 0 = off)
@@ -57,7 +58,6 @@
 
 #include "apps/cli_flags.h"
 #include "core/policy.h"
-#include "dist/fault.h"
 #include "obs/trace.h"
 #include "serve/server.h"
 #include "util/log.h"
@@ -115,7 +115,6 @@ int main(int argc, char** argv) {
   options.scenario.powercap.policy = core::Policy::Mix;
   options.scenario.cap_lambda = 0.5;
   try {
-    options.faults = dist::FaultPlan::from_env();
     for (std::size_t i = 0; i < args.size(); ++i) {
       if (args[i] == "--spool") options.spool = need_value(args, i);
       else if (args[i] == "--expect-clients") {
@@ -153,7 +152,7 @@ int main(int argc, char** argv) {
       } else if (args[i] == "--journal-fsync") {
         options.journal_fsync = true;
       } else if (args[i] == "--faults") {
-        options.faults = dist::FaultPlan::parse(need_value(args, i));
+        options.faults = serve::ServeFaultPlan::parse(need_value(args, i));
       } else if (args[i] == "--telemetry-seconds") {
         options.telemetry_seconds = need_count(args, i);
       } else if (args[i] == "--quantum-jobs") {

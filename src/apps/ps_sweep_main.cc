@@ -3,9 +3,9 @@
 //
 //   ps-sweep worker --spool DIR        claim/run/publish loop over a spool
 //       [--heartbeat-ms N]             lease renewal period
-//       [--faults SPEC]                deterministic chaos (dist/fault.h);
-//                                      default: $PS_SWEEP_FAULTS
-//   ps-sweep worker --stdin            cell blocks in, records out
+//       [--faults SPEC]                deterministic chaos (the sweep sites
+//                                      of dist/worker.h); default:
+//                                      $PS_SWEEP_FAULTS
 //   ps-sweep drive --cells FILE        drive a serialized cell grid across
 //       [--workers N] [--shards M]     N local workers; merged records to
 //       [--spool DIR] [--golden FILE]  stdout, summary to stderr
@@ -19,14 +19,13 @@
 // spool protocol and merge invariants; examples/distributed_sweep.cpp for
 // the C++ API.
 #include <cstdio>
+#include <cstdlib>
 #include <exception>
-#include <iostream>
 #include <string>
 #include <vector>
 
 #include "apps/cli_flags.h"
 #include "dist/driver.h"
-#include "dist/fault.h"
 #include "dist/protocol.h"
 #include "dist/worker.h"
 #include "util/log.h"
@@ -42,32 +41,28 @@ using cli::need_value;
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s worker --spool DIR [--heartbeat-ms N] [--faults SPEC]\n"
-               "       %s worker --stdin\n"
                "       %s drive --cells FILE [--workers N] [--shards M]\n"
                "          [--spool DIR] [--golden FILE] [--manifest-out FILE]\n"
                "          [--max-attempts N] [--lease-ms N] [--heartbeat-ms N]\n"
                "          [--poll-ms N] [--quarantine] [--resume] [--keep-spool]\n",
-               argv0, argv0, argv0);
+               argv0, argv0);
   return 2;
 }
 
 int worker_main(const std::vector<std::string>& args) {
   dist::WorkerOptions options;
-  options.faults = dist::FaultPlan::from_env();
-  bool from_stdin = false;
+  if (const char* env = std::getenv("PS_SWEEP_FAULTS")) {
+    options.faults = dist::SweepFaultPlan::parse(env);
+  }
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--spool") options.spool_dir = need_value(args, i);
-    else if (args[i] == "--stdin") from_stdin = true;
     else if (args[i] == "--heartbeat-ms") {
       options.heartbeat_interval_ms = need_count(args, i);
     } else if (args[i] == "--faults") {
-      options.faults = dist::FaultPlan::parse(need_value(args, i));
+      options.faults = dist::SweepFaultPlan::parse(need_value(args, i));
     } else throw std::runtime_error("unknown worker option " + args[i]);
   }
-  if (from_stdin == !options.spool_dir.empty()) {
-    throw std::runtime_error("worker wants exactly one of --spool DIR or --stdin");
-  }
-  if (from_stdin) return dist::run_worker_stream(std::cin, std::cout);
+  if (options.spool_dir.empty()) throw std::runtime_error("worker wants --spool DIR");
   return dist::run_worker_spool(options);
 }
 

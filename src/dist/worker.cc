@@ -4,7 +4,6 @@
 #include <condition_variable>
 #include <mutex>
 #include <stop_token>
-#include <sstream>
 #include <string>
 #include <thread>
 
@@ -64,22 +63,19 @@ class HeartbeatPump {
   ::_exit(137);  // the exit code a real SIGKILL would produce
 }
 
-/// Runs one cell and fingerprints its result before it is serialized.
-CellRecord run_cell(const IndexedCell& cell) {
-  CellRecord record;
-  record.index = cell.index;
-  record.result = core::run_scenario(cell.config);
-  record.fingerprint = core::fingerprint(record.result);
-  return record;
-}
-
 }  // namespace
 
 ShardResults run_shard(const Shard& shard) {
   ShardResults results;
   results.id = shard.id;
   results.records.reserve(shard.cells.size());
-  for (const IndexedCell& cell : shard.cells) results.records.push_back(run_cell(cell));
+  for (const IndexedCell& cell : shard.cells) {
+    // Each result is fingerprinted before it is serialized.
+    CellRecord& record = results.records.emplace_back();
+    record.index = cell.index;
+    record.result = core::run_scenario(cell.config);
+    record.fingerprint = core::fingerprint(record.result);
+  }
   return results;
 }
 
@@ -90,7 +86,7 @@ int run_worker_spool(const WorkerOptions& options) {
   util::ensure_dir(claimed_dir);
   util::ensure_dir(results_dir);
   const std::string pid_suffix = "." + std::to_string(::getpid());
-  const FaultPlan& faults = options.faults;
+  const SweepFaultPlan& faults = options.faults;
 
   for (;;) {
     bool claimed_one = false;
@@ -105,7 +101,7 @@ int run_worker_spool(const WorkerOptions& options) {
       }
       claimed_one = true;
 
-      if (faults.fires(FaultSite::HangAfterClaim, id, attempt)) {
+      if (faults.fires(SweepFault::HangAfterClaim, id, attempt)) {
         // Emulated process freeze: no heartbeat, no progress, no exit —
         // only the driver's lease timeout (and SIGKILL) ends this.
         for (;;) std::this_thread::sleep_for(std::chrono::seconds(3600));
@@ -114,7 +110,7 @@ int run_worker_spool(const WorkerOptions& options) {
       HeartbeatPump heartbeat(
           claimed_dir + "/" + heartbeat_file_name(id, attempt),
           options.heartbeat_interval_ms,
-          faults.fires(FaultSite::StallHeartbeat, id, attempt));
+          faults.fires(SweepFault::StallHeartbeat, id, attempt));
 
       Shard shard = parse_shard(util::read_file(claim_path));
       std::string document = serialize_shard_results(run_shard(shard));
@@ -124,17 +120,17 @@ int run_worker_spool(const WorkerOptions& options) {
       std::string published =
           results_dir + "/" + results_file_name(shard.id, attempt);
 
-      if (faults.fires(FaultSite::DieBeforePublish, id, attempt)) {
+      if (faults.fires(SweepFault::DieBeforePublish, id, attempt)) {
         emulate_sigkill();  // computed but never published; claim stranded
       }
-      if (faults.fires(FaultSite::TornPublish, id, attempt)) {
+      if (faults.fires(SweepFault::TornPublish, id, attempt)) {
         // A torn write that still reached the final name (non-atomic FS):
         // half the document, no checksum line, then death.
         util::write_file_atomic(published, document.substr(0, document.size() / 2),
                                 /*durable=*/false);
         emulate_sigkill();
       }
-      if (faults.fires(FaultSite::CorruptResult, id, attempt)) {
+      if (faults.fires(SweepFault::CorruptResult, id, attempt)) {
         // Bitrot after sealing: the checksum no longer matches the body.
         // The worker itself is healthy; the document is the casualty.
         document[document.size() / 2] ^= 0x20;
@@ -148,24 +144,6 @@ int run_worker_spool(const WorkerOptions& options) {
     }
     if (!claimed_one) return 0;  // nothing pending — done
   }
-}
-
-int run_worker_stream(std::istream& in, std::ostream& out) {
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = buffer.str();
-
-  Reader r(text);
-  Writer w;
-  while (!r.at_end()) {
-    IndexedCell cell;
-    indexed_cell(r, cell);
-    const CellRecord record = run_cell(cell);
-    cell_record(w, record);
-  }
-  out << w.take();
-  out.flush();
-  return out.good() ? 0 : 1;
 }
 
 }  // namespace ps::dist

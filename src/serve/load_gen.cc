@@ -148,8 +148,7 @@ LoadReport run_load_client(const LoadOptions& options) {
   // client_index) — a seeded storm replays identically. The patience on
   // the claim waits keeps a hostile client from hanging when the server
   // is gone; hostility must degrade into ordinary publishing.
-  using dist::FaultSite;
-  const auto fires = [&](FaultSite site, std::uint64_t seq) {
+  const auto fires = [&](ClientFault site, std::uint64_t seq) {
     return options.faults.fires(site, seq,
                                 static_cast<std::uint64_t>(options.client_index));
   };
@@ -169,19 +168,19 @@ LoadReport run_load_client(const LoadOptions& options) {
     doc.jobs.assign(mine.begin() + static_cast<std::ptrdiff_t>(pos),
                     mine.begin() + static_cast<std::ptrdiff_t>(end));
 
-    if (fires(FaultSite::FloodBurst, doc.seq) && flood_left == 0) {
+    if (fires(ClientFault::FloodBurst, doc.seq) && flood_left == 0) {
       // Ignore the gate and the pacing for the next few documents — the
       // burst the server's fair admission and in-flight quota must absorb.
       ++report.faults_injected;
       flood_left = std::max(options.flood_docs, 1);
     }
-    if (fires(FaultSite::StallClient, doc.seq)) {
+    if (fires(ClientFault::StallClient, doc.seq)) {
       // A client that wedges mid-stream (GC pause, swapped-out VM): the
       // server keeps serving everyone else off this client's watermark.
       ++report.faults_injected;
       std::this_thread::sleep_for(std::chrono::milliseconds(250));
     }
-    if (!doc.eof && fires(FaultSite::LieWatermark, doc.seq)) {
+    if (!doc.eof && fires(ClientFault::LieWatermark, doc.seq)) {
       // A watermark far beyond the jobs actually published: the det-mode
       // server quarantines the payloads this lie strands (late_jobs)
       // instead of admitting in the past or crashing.
@@ -205,7 +204,7 @@ LoadReport run_load_client(const LoadOptions& options) {
         inbox + "/" + submission_file_name(options.client, doc.seq);
     const std::string sealed = serialize_submission(doc);
 
-    if (fires(FaultSite::CorruptSubmission, doc.seq)) {
+    if (fires(ClientFault::CorruptSubmission, doc.seq)) {
       // Torn/corrupted publish: flip one payload byte so the seal fails at
       // ingest, wait for the server to quarantine the claim, then
       // republish the well-formed bytes under the same name — the retry a
@@ -220,7 +219,7 @@ LoadReport run_load_client(const LoadOptions& options) {
       wait_claimed(path, claim_patience_ms);
     }
     util::write_file_atomic(path, sealed, /*durable=*/false);
-    if (fires(FaultSite::DupPublish, doc.seq)) {
+    if (fires(ClientFault::DupPublish, doc.seq)) {
       // Lost-ack retry: publish the identical document again once the
       // original has been claimed. The journal duplicate check must
       // quarantine the copy and keep the original byte-exact.

@@ -13,10 +13,9 @@
 // spool inbox is durable and unbounded, so after `gate_patience_ms` of
 // refusal the client publishes anyway rather than hanging forever behind
 // a server that died. Nothing is ever dropped.
-// Hostile-client fault injection: --faults drives the client-tier sites
-// of dist::FaultPlan (corrupt_submission, flood_burst, stall_client,
-// dup_publish, lie_watermark) with shard = document seq and attempt =
-// client_index, so a seeded storm is reproducible across runs and across
+//
+// Hostile-client fault injection: --faults drives the client sites below
+// (util/fault.h), so a seeded storm is reproducible across runs and across
 // the fleet. The sites emulate *misbehavior the server must survive*, not
 // loss: every well-formed job is still published exactly once.
 #pragma once
@@ -24,10 +23,32 @@
 #include <cstdint>
 #include <string>
 
-#include "dist/fault.h"
 #include "sim/time.h"
+#include "util/fault.h"
 
 namespace ps::serve {
+
+/// The client's chaos sites. key = the seq of the document about to be
+/// published, attempt = the client's fleet index, so one spec shared by a
+/// whole `ps-load --clients N` fleet still draws independent faults per
+/// (client, document). Each value is the site's draw number.
+enum class ClientFault : std::uint8_t {
+  CorruptSubmission = 10,  ///< poison under the real name, then the good doc
+  FloodBurst = 11,         ///< a burst that ignores the gate and the pacing
+  StallClient = 12,        ///< client naps mid-stream (GC pause, swapped host)
+  DupPublish = 13,         ///< the same document twice (lost-ack retry)
+  LieWatermark = 14,       ///< watermark far past the published jobs
+};
+
+inline constexpr util::FaultSiteName<ClientFault> kClientFaultSites[] = {
+    {"corrupt_submission", ClientFault::CorruptSubmission},
+    {"flood_burst", ClientFault::FloodBurst},
+    {"stall_client", ClientFault::StallClient},
+    {"dup_publish", ClientFault::DupPublish},
+    {"lie_watermark", ClientFault::LieWatermark},
+};
+
+using ClientFaultPlan = util::FaultPlan<ClientFault, kClientFaultSites>;
 
 struct LoadOptions {
   std::string spool;
@@ -63,7 +84,7 @@ struct LoadOptions {
 
   /// Hostile-client chaos sites (inert by default). flood_burst publishes
   /// `flood_docs` documents ignoring the gate and the pacing.
-  dist::FaultPlan faults;
+  ClientFaultPlan faults;
   int flood_docs = 8;
 };
 

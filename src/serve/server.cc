@@ -21,7 +21,6 @@
 #include "core/replay.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
-#include "dist/fault.h"
 #include "dist/serde.h"
 #include "serve/fair.h"
 #include "serve/journal.h"
@@ -391,7 +390,7 @@ class Ingest {
       return true;
     }
     const std::uint64_t ordinal = claims_++;
-    if (options_.faults.fires(dist::FaultSite::StallIngest, ordinal,
+    if (options_.faults.fires(ServeFault::StallIngest, ordinal,
                               shared_.generation)) {
       // Slow disk / NFS stall: the claim is held, the pipeline keeps
       // running on what it already has. Latency, not loss.
@@ -410,7 +409,7 @@ class Ingest {
     }
     shared_.ingest_journaled.inc();
     if (!doc.is_hello) inc_inflight(shared_, tenant);
-    if (options_.faults.fires(dist::FaultSite::DieAfterClaim, ordinal,
+    if (options_.faults.fires(ServeFault::DieAfterClaim, ordinal,
                               shared_.generation)) {
       emulate_sigkill();  // journaled but never applied: recovery replays it
     }
@@ -716,7 +715,7 @@ class Daemon {
         report_.interrupted = true;
         return;
       }
-      if (options_.faults.fires(dist::FaultSite::StallDrain, iteration,
+      if (options_.faults.fires(ServeFault::StallDrain, iteration,
                                 report_.generation)) {
         // A starved serve loop: the queue fills behind it and backpressure
         // engages end to end. Latency, not loss.
@@ -1274,7 +1273,7 @@ class Daemon {
   void write_checkpoint() {
     PS_TRACE_SPAN("serve.checkpoint");
     const std::uint64_t seq = ckpt_next_seq_;
-    if (options_.faults.fires(dist::FaultSite::DieBeforeCheckpoint, seq,
+    if (options_.faults.fires(ServeFault::DieBeforeCheckpoint, seq,
                               report_.generation)) {
       emulate_sigkill();  // journal intact: recovery replays, nothing lost
     }
@@ -1325,7 +1324,7 @@ class Daemon {
     // 2. Checkpoint, durable — the commit point of the compaction.
     const std::string ckpt_path = ckpt_dir_ + "/" + checkpoint_file_name(seq);
     std::string doc = serialize_checkpoint(snapshot);
-    if (options_.faults.fires(dist::FaultSite::TornCheckpoint, seq,
+    if (options_.faults.fires(ServeFault::TornCheckpoint, seq,
                               report_.generation)) {
       // Torn write under the final name: the seal fails at parse time and
       // recovery skips backward to the previous checkpoint, whose journal
@@ -1335,7 +1334,7 @@ class Daemon {
       emulate_sigkill();
     }
     util::write_file_atomic(ckpt_path, doc, /*durable=*/true);
-    if (options_.faults.fires(dist::FaultSite::DieAfterCheckpoint, seq,
+    if (options_.faults.fires(ServeFault::DieAfterCheckpoint, seq,
                               report_.generation)) {
       emulate_sigkill();  // prune unfinished: recovery removes the leftovers
     }

@@ -37,12 +37,38 @@
 #include <string>
 
 #include "core/experiment.h"
-#include "dist/fault.h"
 #include "obs/registry.h"
 #include "serve/fair.h"
+#include "util/fault.h"
 #include "util/stats.h"
 
 namespace ps::serve {
+
+/// The daemon's chaos sites (util/fault.h). attempt = the daemon
+/// generation (bumped on every start), so max_attempt bounds kills across
+/// recoveries the way it bounds sweep retries: a storming plan always lets
+/// some generation finish. key = the claim ordinal for the ingest sites,
+/// the checkpoint seq for the checkpoint sites, the serve-loop iteration
+/// for stall_drain. Each value is the site's draw number.
+enum class ServeFault : std::uint8_t {
+  DieAfterClaim = 5,        ///< SIGKILL right after journaling a claimed doc
+  DieBeforeCheckpoint = 6,  ///< SIGKILL before the checkpoint is written
+  TornCheckpoint = 7,       ///< truncated checkpoint under the final name, then die
+  DieAfterCheckpoint = 8,   ///< SIGKILL after the checkpoint, before the prune
+  StallIngest = 9,          ///< ingest thread naps (slow disk / NFS stall)
+  StallDrain = 15,          ///< serve loop naps (CPU-starved or swapped daemon)
+};
+
+inline constexpr util::FaultSiteName<ServeFault> kServeFaultSites[] = {
+    {"die_after_claim", ServeFault::DieAfterClaim},
+    {"die_before_checkpoint", ServeFault::DieBeforeCheckpoint},
+    {"torn_checkpoint", ServeFault::TornCheckpoint},
+    {"die_after_checkpoint", ServeFault::DieAfterCheckpoint},
+    {"stall_ingest", ServeFault::StallIngest},
+    {"stall_drain", ServeFault::StallDrain},
+};
+
+using ServeFaultPlan = util::FaultPlan<ServeFault, kServeFaultSites>;
 
 enum class Mode {
   /// Deterministic replay: the simulation clock advances exactly to the
@@ -129,10 +155,9 @@ struct ServeOptions {
   /// dirty spool.
   std::uint64_t slow_start_docs = 32;
 
-  /// Serve-tier fault injection (die_after_claim, torn_checkpoint, ...) —
-  /// same plan mechanism as the distributed sweep, driven by
-  /// $PS_SWEEP_FAULTS or --faults. Inert by default.
-  dist::FaultPlan faults;
+  /// Daemon fault injection (the sites above), set by --faults only.
+  /// Inert by default.
+  ServeFaultPlan faults;
 
   /// Graceful-shutdown flag, typically flipped by a SIGTERM handler: stop
   /// claiming new documents, finish simulating everything already

@@ -1,12 +1,12 @@
-// Capped exponential backoff with deterministic seeded jitter — the one
-// retry-delay policy shared by every spool client (ps-load gate waits,
-// hostile-retry loops, future claim retries).
+// Capped exponential backoff with deterministic seeded jitter — the
+// retry-delay policy of ps-load's backpressure-gate waits. (Spool claims
+// do not use it: util::claim_file keeps its own schedule.)
 //
 // Why jitter at all: a fleet of clients that all see `accepting=false` at
 // the same instant and all sleep the same doubling schedule re-arrives in
 // lockstep — the thundering herd the backpressure gate exists to prevent.
 // Why *deterministic* jitter: the whole repo's chaos story rests on
-// reproducibility (dist/fault.h fires as a pure function of its inputs);
+// reproducibility (util/fault.h fires as a pure function of its inputs);
 // a wall-clock- or random_device-seeded jitter would make every hostile
 // soak unrepeatable. Each Backoff derives its delays purely from (seed,
 // attempt index) via a splitmix64 mix, so two runs of the same client
@@ -21,6 +21,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <string_view>
+
+#include "util/seal.h"
 
 namespace ps::util {
 
@@ -61,8 +63,8 @@ class Backoff {
 
   std::uint64_t attempts() const { return attempts_; }
 
-  /// splitmix64(seed ^ n) mapped to uniform [0, 1) — pure, stateless, the
-  /// same mixing discipline dist::FaultPlan::fires uses.
+  /// splitmix64 of (seed, n) mapped to uniform [0, 1) — pure and
+  /// stateless. (The fault trigger mixes with FNV-1a instead.)
   static double unit(std::uint64_t seed, std::uint64_t n) {
     std::uint64_t z = seed + 0x9e3779b97f4a7c15ull * (n + 1);
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
@@ -75,12 +77,7 @@ class Backoff {
   /// Stable seed from a client name (FNV-1a), so a named client keeps the
   /// same jitter schedule across restarts without any persisted state.
   static std::uint64_t seed_from_name(std::string_view name) {
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (char c : name) {
-      h ^= static_cast<unsigned char>(c);
-      h *= 0x100000001b3ull;
-    }
-    return h;
+    return fnv1a_bytes(name);
   }
 
  private:

@@ -34,7 +34,7 @@ class SealError : public std::runtime_error {
 
 /// Byte-wise FNV-1a over a buffer — the hash family behind the result
 /// fingerprints (core/fingerprint.h), the fault injector's deterministic
-/// draws (dist/fault.cc) and every document seal.
+/// draws (util/fault.cc) and every document seal.
 inline std::uint64_t fnv1a_bytes(std::string_view bytes,
                                  std::uint64_t hash = 0xcbf29ce484222325ull) {
   for (unsigned char byte : bytes) {

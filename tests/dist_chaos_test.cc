@@ -1,6 +1,6 @@
 // Chaos soak for the fault-tolerant sweep fabric: the 27-cell Fig-8
 // golden grid driven through real worker processes under a deterministic
-// fault schedule (dist/fault.h) must still merge bit-identical to the
+// fault schedule (the sweep sites of dist/worker.h) must still merge bit-identical to the
 // committed fingerprints — workers dying before publish, tearing their
 // publishes, flipping bits, hanging after claim; the driver reclaiming
 // leases mid-wave, fencing zombie publishes by token, rejecting corrupt
@@ -18,11 +18,11 @@
 #include "core/fingerprint.h"
 #include "core/sweep.h"
 #include "dist/driver.h"
-#include "dist/fault.h"
 #include "dist/protocol.h"
 #include "dist/worker.h"
 #include "fig8_golden.h"
 #include "util/spool.h"
+#include "util/subprocess.h"
 
 namespace ps::dist {
 namespace {
@@ -69,17 +69,17 @@ std::vector<core::ScenarioConfig> small_grid(std::size_t cells) {
 }
 
 TEST(DistChaos, FaultPlanIsDeterministicAndBounded) {
-  FaultPlan plan = FaultPlan::parse(
+  SweepFaultPlan plan = SweepFaultPlan::parse(
       "seed=7,rate=0.5,sites=die_before_publish+torn_publish,max_attempt=2");
   // Pure function of (seed, site, shard, attempt): identical across calls.
   for (std::uint64_t shard = 0; shard < 32; ++shard) {
     for (std::uint64_t attempt = 1; attempt <= 3; ++attempt) {
-      EXPECT_EQ(plan.fires(FaultSite::DieBeforePublish, shard, attempt),
-                plan.fires(FaultSite::DieBeforePublish, shard, attempt));
-      // Bounded by construction: nothing fires past max_attempt.
-      if (attempt > plan.max_attempt) {
-        for (std::size_t s = 0; s < kFaultSiteCount; ++s) {
-          EXPECT_FALSE(plan.fires(static_cast<FaultSite>(s), shard, attempt));
+      EXPECT_EQ(plan.fires(SweepFault::DieBeforePublish, shard, attempt),
+                plan.fires(SweepFault::DieBeforePublish, shard, attempt));
+      // Bounded by construction: nothing fires past max_attempt (2).
+      if (attempt > 2) {
+        for (const auto& row : kSweepFaultSites) {
+          EXPECT_FALSE(plan.fires(row.site, shard, attempt)) << row.token;
         }
       }
     }
@@ -89,30 +89,56 @@ TEST(DistChaos, FaultPlanIsDeterministicAndBounded) {
   int fired = 0;
   for (std::uint64_t shard = 0; shard < 32; ++shard) {
     for (std::uint64_t attempt = 1; attempt <= 2; ++attempt) {
-      fired += plan.fires(FaultSite::DieBeforePublish, shard, attempt) ? 1 : 0;
+      fired += plan.fires(SweepFault::DieBeforePublish, shard, attempt) ? 1 : 0;
     }
   }
   EXPECT_GT(fired, 0);
   EXPECT_LT(fired, 64);
   // Disabled sites stay silent even at rate 1.
-  FaultPlan narrow = FaultPlan::parse("seed=7,rate=1,sites=torn_publish");
-  EXPECT_FALSE(narrow.fires(FaultSite::DieBeforePublish, 0, 1));
-  EXPECT_TRUE(narrow.fires(FaultSite::TornPublish, 0, 1));
+  SweepFaultPlan narrow = SweepFaultPlan::parse("seed=7,rate=1,sites=torn_publish");
+  EXPECT_FALSE(narrow.fires(SweepFault::DieBeforePublish, 0, 1));
+  EXPECT_TRUE(narrow.fires(SweepFault::TornPublish, 0, 1));
   // Shard filters restrict the blast radius.
-  FaultPlan filtered = FaultPlan::parse("seed=7,rate=1,sites=all,shards=2");
-  EXPECT_TRUE(filtered.fires(FaultSite::TornPublish, 2, 1));
-  EXPECT_FALSE(filtered.fires(FaultSite::TornPublish, 3, 1));
+  SweepFaultPlan filtered = SweepFaultPlan::parse("seed=7,rate=1,sites=all,shards=2");
+  EXPECT_TRUE(filtered.fires(SweepFault::TornPublish, 2, 1));
+  EXPECT_FALSE(filtered.fires(SweepFault::TornPublish, 3, 1));
 
   // Inert plans never fire.
-  for (const FaultPlan& inert : {FaultPlan(), FaultPlan::parse("")}) {
-    for (std::size_t s = 0; s < kFaultSiteCount; ++s) {
-      EXPECT_FALSE(inert.fires(static_cast<FaultSite>(s), 0, 1));
+  for (const SweepFaultPlan& inert : {SweepFaultPlan(), SweepFaultPlan::parse("")}) {
+    for (const auto& row : kSweepFaultSites) {
+      EXPECT_FALSE(inert.fires(row.site, 0, 1)) << row.token;
     }
   }
-  EXPECT_THROW(FaultPlan::parse("rate=0.5"), std::runtime_error);  // no sites
-  EXPECT_THROW(FaultPlan::parse("rate=2,sites=all"), std::runtime_error);
-  EXPECT_THROW(FaultPlan::parse("sites=unknown_site"), std::runtime_error);
-  EXPECT_THROW(FaultPlan::parse("shiny=1"), std::runtime_error);
+  EXPECT_THROW(SweepFaultPlan::parse("rate=0.5"), std::runtime_error);  // no sites
+  EXPECT_THROW(SweepFaultPlan::parse("rate=2,sites=all"), std::runtime_error);
+  EXPECT_THROW(SweepFaultPlan::parse("sites=unknown_site"), std::runtime_error);
+  EXPECT_THROW(SweepFaultPlan::parse("shiny=1"), std::runtime_error);
+}
+
+TEST(DistChaos, WorkerRejectsAServeSite) {
+  // The worker parses its plan against the sweep table only, from --faults
+  // and from $PS_SWEEP_FAULTS alike: a daemon site is an unknown site.
+  std::string dir = util::make_temp_dir("chaos_foreign_site");
+  const std::string serve_site = "seed=1,rate=1,sites=die_after_claim";
+  util::Subprocess flag = util::Subprocess::spawn(
+      {PS_SWEEP_BIN, "worker", "--spool", dir + "/spool", "--faults", serve_site},
+      "", dir + "/flag.err");
+  EXPECT_EQ(flag.wait(), 1);
+  EXPECT_NE(util::read_file(dir + "/flag.err").find("unknown site 'die_after_claim'"),
+            std::string::npos)
+      << util::read_file(dir + "/flag.err");
+
+  ASSERT_EQ(::setenv("PS_SWEEP_FAULTS", serve_site.c_str(), 1), 0);
+  util::Subprocess env = util::Subprocess::spawn(
+      {PS_SWEEP_BIN, "worker", "--spool", dir + "/spool"}, "", dir + "/env.err");
+  const int env_exit = env.wait();
+  ::unsetenv("PS_SWEEP_FAULTS");
+  EXPECT_EQ(env_exit, 1);
+  EXPECT_NE(util::read_file(dir + "/env.err").find("unknown site 'die_after_claim'"),
+            std::string::npos)
+      << util::read_file(dir + "/env.err");
+  EXPECT_FALSE(util::path_exists(dir + "/spool"));  // rejected before any claim
+  util::remove_tree(dir);
 }
 
 TEST(DistChaos, Fig8SoakUnderMixedFaultsMatchesEveryGoldenFingerprint) {
@@ -128,12 +154,12 @@ TEST(DistChaos, Fig8SoakUnderMixedFaultsMatchesEveryGoldenFingerprint) {
       "sites=die_before_publish+torn_publish+corrupt_result";
   // Sanity: the schedule actually injects something on this geometry
   // (8 shards at 4 workers), else the soak soaks nothing.
-  FaultPlan plan = FaultPlan::parse(faults);
+  SweepFaultPlan plan = SweepFaultPlan::parse(faults);
   int injected = 0;
   for (std::uint64_t shard = 0; shard < 8; ++shard) {
     for (std::uint64_t attempt = 1; attempt <= 2; ++attempt) {
-      for (std::size_t s = 0; s < kFaultSiteCount; ++s) {
-        injected += plan.fires(static_cast<FaultSite>(s), shard, attempt) ? 1 : 0;
+      for (const auto& row : kSweepFaultSites) {
+        injected += plan.fires(row.site, shard, attempt) ? 1 : 0;
       }
     }
   }

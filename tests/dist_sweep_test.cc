@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <cstdlib>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -153,31 +152,6 @@ TEST(DistSweep, DriveCliProducesVerifiedManifest) {
     EXPECT_EQ(manifest[i], core::fingerprint(in_process[i])) << "cell " << i;
   }
   util::remove_tree(dir);
-}
-
-TEST(DistSweep, StreamWorkerEmitsRecordsForCellStream) {
-  // The stdin/stdout transport: cells in, fingerprinted records out,
-  // without any spool or driver.
-  std::vector<core::ScenarioConfig> grid = small_grid(2);
-  Writer w;
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    const IndexedCell cell{40 + i, grid[i]};
-    indexed_cell(w, cell);
-  }
-  std::istringstream in(w.take());
-  std::ostringstream out;
-  ASSERT_EQ(run_worker_stream(in, out), 0);
-
-  std::string out_text = out.str();  // Reader views, never owns
-  Reader r(out_text);
-  std::vector<core::ScenarioResult> in_process = core::run_sweep(grid, 1);
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    CellRecord record;
-    cell_record(r, record);
-    EXPECT_EQ(record.index, 40 + i);
-    EXPECT_EQ(record.fingerprint, core::fingerprint(in_process[i]));
-  }
-  EXPECT_TRUE(r.at_end());
 }
 
 TEST(DistSweep, InProcessShardRunnerMatchesEngine) {

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "core/policy.h"
-#include "dist/fault.h"
 #include "obs/registry.h"
 #include "serve/fair.h"
 #include "serve/load_gen.h"
@@ -239,7 +238,7 @@ RunResult run_quota_fence(int clients, int batch_jobs,
   std::vector<std::string> serve_argv = {
       PS_SERVE_BIN, "--spool", run.spool, "--expect-clients",
       strings::format("%d", clients), "--racks", "2", "--policy", "mix",
-      "--lambda", "0.5", "--stats-ms", "0", "--faults", ""};
+      "--lambda", "0.5", "--stats-ms", "0"};
   serve_argv.insert(serve_argv.end(), serve_extra.begin(), serve_extra.end());
   util::Subprocess server = util::Subprocess::spawn(
       serve_argv, run.dir + "/serve.out", run.dir + "/serve.err");
@@ -340,7 +339,7 @@ TEST(ServeFairness, PoisonThresholdAbandonsTheTenant) {
   util::Subprocess server = util::Subprocess::spawn(
       {PS_SERVE_BIN, "--spool", spool, "--expect-clients", "2", "--racks",
        "2", "--policy", "mix", "--lambda", "0.5", "--stats-ms", "0",
-       "--faults", "", "--poison-threshold", "2"},
+       "--poison-threshold", "2"},
       dir + "/serve.out", dir + "/serve.err");
 
   const std::string inbox = inbox_dir(spool);
@@ -429,8 +428,7 @@ TEST(ServeFairness, ExtraClientHelloIsQuarantinedAndItsTenantAbandoned) {
 
   util::Subprocess server = util::Subprocess::spawn(
       {PS_SERVE_BIN, "--spool", spool, "--expect-clients", "1", "--racks",
-       "2", "--policy", "mix", "--lambda", "0.5", "--stats-ms", "0",
-       "--faults", ""},
+       "2", "--policy", "mix", "--lambda", "0.5", "--stats-ms", "0"},
       dir + "/serve.out", dir + "/serve.err");
   int server_exit = -1;
   ASSERT_TRUE(server.wait_for(120'000, &server_exit)) << "ps-serve hung";
@@ -467,8 +465,7 @@ TEST(ServeFairness, SubmissionAfterEofIsQuarantined) {
   publish_empty_submission(spool, "late", 1, /*eof=*/true);
   util::Subprocess server = util::Subprocess::spawn(
       {PS_SERVE_BIN, "--spool", spool, "--expect-clients", "2", "--racks",
-       "2", "--policy", "mix", "--lambda", "0.5", "--stats-ms", "0",
-       "--faults", ""},
+       "2", "--policy", "mix", "--lambda", "0.5", "--stats-ms", "0"},
       dir + "/serve.out", dir + "/serve.err");
   EXPECT_TRUE(wait_for_reason(spool, 30'000))
       << "the post-eof document was never quarantined";
@@ -531,7 +528,7 @@ TEST(ServeFairness, LossFenceHoldsWithTheRegistryDisabled) {
   load.spool = spool;
   load.swf = mini_trace();
   load.client = "solo";
-  load.faults = dist::FaultPlan::parse(
+  load.faults = ClientFaultPlan::parse(
       "seed=9,rate=1,max_attempt=0,sites=lie_watermark+stall_client");
   EXPECT_NO_THROW(run_load_client(load));
   server.join();

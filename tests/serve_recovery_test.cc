@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <map>
 #include <string>
 #include <vector>
@@ -47,10 +48,11 @@ std::vector<std::string> serve_args(const std::string& spool, int clients,
       PS_SERVE_BIN,  "--spool",  spool, "--expect-clients",
       strings::format("%d", clients),   "--racks",
       "2",           "--policy", "mix", "--lambda",
-      "0.5",         "--stats-ms", "0",
-      // Always explicit, so a PS_SWEEP_FAULTS leaked from the environment
-      // (e.g. the CI chaos soak) can never reach these fences.
-      "--faults",    faults};
+      "0.5",         "--stats-ms", "0"};
+  if (!faults.empty()) {
+    args.push_back("--faults");
+    args.push_back(faults);
+  }
   if (checkpoint_jobs >= 0) {
     args.push_back("--checkpoint-jobs");
     args.push_back(strings::format("%d", checkpoint_jobs));
@@ -221,6 +223,39 @@ TEST(ServeRecovery, StalledIngestStaysGoldenWithoutRecovery) {
   EXPECT_EQ(report.at("fingerprint"), kGoldenFingerprint);
   EXPECT_EQ(report.at("admitted"), kMiniTraceJobs);
   EXPECT_EQ(report.at("generation"), "0");
+  util::remove_tree(dir);
+}
+
+TEST(ServeRecovery, DaemonIgnoresTheSweepFaultVariable) {
+  // $PS_SWEEP_FAULTS drives the sweep worker only: a rate-1 daemon-site
+  // spec left in the environment must not reach ps-serve, which takes its
+  // faults from --faults alone.
+  ASSERT_EQ(::setenv("PS_SWEEP_FAULTS",
+                     "seed=1,rate=1,max_attempt=9,sites=die_after_claim", 1),
+            0);
+  std::string dir = util::make_temp_dir("serve_env_faults");
+  std::string spool = dir + "/spool";
+  const int exit_code = crash_run(dir, spool, 1, 64, "", -1);
+  ::unsetenv("PS_SWEEP_FAULTS");
+  ASSERT_EQ(exit_code, 0) << util::read_file(dir + "/serve0.err");
+  std::map<std::string, std::string> report =
+      parse_report(util::read_file(dir + "/serve0.out"));
+  EXPECT_EQ(report.at("fingerprint"), kGoldenFingerprint);
+  EXPECT_EQ(report.at("admitted"), kMiniTraceJobs);
+  util::remove_tree(dir);
+}
+
+TEST(ServeRecovery, DaemonRejectsASweepSite) {
+  // The daemon parses --faults against its own site table only.
+  std::string dir = util::make_temp_dir("serve_foreign_site");
+  util::Subprocess server = util::Subprocess::spawn(
+      {PS_SERVE_BIN, "--spool", dir + "/spool", "--expect-clients", "1",
+       "--faults", "sites=die_before_publish"},
+      dir + "/serve.out", dir + "/serve.err");
+  EXPECT_EQ(server.wait(), 1);
+  const std::string err = util::read_file(dir + "/serve.err");
+  EXPECT_NE(err.find("unknown site 'die_before_publish'"), std::string::npos)
+      << err;
   util::remove_tree(dir);
 }
 
