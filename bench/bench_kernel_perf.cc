@@ -713,12 +713,12 @@ void BM_SpoolChecksum(benchmark::State& state) {
   // serialize_shard_results seals internally; strip the seal to isolate
   // seal+open as the measured unit over a realistic document body.
   std::string sealed = dist::serialize_shard_results(results);
-  std::string body(dist::open_document(sealed));
+  std::string body(util::open_document(sealed));
 
   std::uint64_t sink = 0;
   for (auto _ : state) {
-    std::string doc = dist::seal_document(body);
-    sink ^= dist::open_document(doc).size();
+    std::string doc = util::seal_document(body);
+    sink ^= util::open_document(doc).size();
     benchmark::DoNotOptimize(sink);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));

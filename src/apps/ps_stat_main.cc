@@ -28,8 +28,8 @@
 #include <thread>
 #include <vector>
 
+#include "apps/cli_flags.h"
 #include "obs/registry.h"
-#include "util/seal.h"
 #include "util/spool.h"
 #include "util/strings.h"
 
@@ -153,10 +153,8 @@ int main(int argc, char** argv) {
       else if (args[i] == "--follow") follow = true;
       else if (args[i] == "--prometheus") prometheus = true;
       else if (args[i] == "--poll-ms") {
-        if (i + 1 >= args.size()) throw std::runtime_error("--poll-ms wants a value");
-        auto value = strings::parse_i64(args[++i]);
-        if (!value || *value <= 0) throw std::runtime_error("--poll-ms wants a positive integer");
-        poll_ms = *value;
+        poll_ms = cli::need_count(args, i);
+        if (poll_ms == 0) throw std::runtime_error("--poll-ms wants >= 1");
       } else if (!args[i].empty() && args[i][0] == '-') {
         throw std::runtime_error("unknown option " + args[i]);
       } else if (dir.empty()) {

@@ -104,7 +104,7 @@ int drive_main(const std::vector<std::string>& args) {
   for (std::size_t i = 0; i < report.results.size(); ++i) {
     records.push_back({i, report.fingerprints[i], std::move(report.results[i])});
   }
-  dist::Writer w;
+  util::Writer w;
   w.block("sweep_results", [&] {
     w.list("cells", records, [&](const dist::CellRecord& record) {
       dist::cell_record(w, record);

@@ -15,13 +15,8 @@
 
 namespace ps::core {
 
-// The FNV-1a primitives live in util/seal.h (one hash family for result
-// fingerprints, fault-injector draws and document seals); re-exported here
-// so fingerprinting call sites keep their historical core:: spelling.
-using util::fnv1a;
-using util::fnv1a_bytes;
-
 inline std::uint64_t fingerprint(const ScenarioResult& result) {
+  using util::fnv1a;  // util/seal.h: one hash family for digests and seals
   std::uint64_t h = 0xcbf29ce484222325ull;
   const metrics::RunSummary& s = result.summary;
   h = fnv1a(h, s.energy_joules);

@@ -75,7 +75,7 @@ Verdict validate_results(const std::string& path, std::uint64_t shard_id,
   Verdict v;
   try {
     v.results = parse_shard_results(util::read_file(path));
-  } catch (const SerdeError&) {
+  } catch (const util::SerdeError&) {
     v.kind = Verdict::kCorrupt;
     return v;
   }
@@ -147,7 +147,7 @@ class Driver {
     // The grid checksum pins the spool to this exact grid: resuming
     // different cells must fail loudly, never merge.
     const std::uint64_t grid_checksum =
-        core::fnv1a_bytes(serialize_cell_grid(cells_));
+        util::fnv1a_bytes(serialize_cell_grid(cells_));
     const std::string meta_path = spool_grid_meta_path(spool_);
     std::size_t shard_count =
         options_.shards != 0 ? std::min(options_.shards, cells_.size())
@@ -159,7 +159,7 @@ class Driver {
       GridMeta meta;
       try {
         meta = parse_grid_meta(util::read_file(meta_path));
-      } catch (const SerdeError& error) {
+      } catch (const util::SerdeError& error) {
         fail("grid.meta unreadable (" + std::string(error.what()) + ")");
       }
       if (meta.cells != cells_.size() || meta.grid_checksum != grid_checksum) {

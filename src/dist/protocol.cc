@@ -6,13 +6,8 @@
 
 namespace ps::dist {
 
-template <class Io, class T>
-void indexed_cell(Io& io, T& cell) {
-  io.block("cell", [&] {
-    io.u64("index", cell.index);
-    scenario_config(io, cell.config);
-  });
-}
+using util::Reader;
+using util::Writer;
 
 template <class Io, class T>
 void cell_record(Io& io, T& record) {
@@ -23,8 +18,6 @@ void cell_record(Io& io, T& record) {
   });
 }
 
-template void indexed_cell(Writer&, const IndexedCell&);
-template void indexed_cell(Reader&, IndexedCell&);
 template void cell_record(Writer&, const CellRecord&);
 template void cell_record(Reader&, CellRecord&);
 
@@ -32,6 +25,14 @@ namespace {
 
 using CellGrid = std::vector<core::ScenarioConfig>;
 using Manifest = std::vector<std::uint64_t>;
+
+template <class Io, class T>
+void indexed_cell(Io& io, T& cell) {
+  io.block("cell", [&] {
+    io.u64("index", cell.index);
+    scenario_config(io, cell.config);
+  });
+}
 
 template <class Io, class T>
 void cell_grid(Io& io, T& cells) {
@@ -92,43 +93,43 @@ void heartbeat(Io& io, T& hb) {
 }  // namespace
 
 std::string serialize_cell_grid(const CellGrid& cells) {
-  return encode(cells, cell_grid<Writer, const CellGrid>);
+  return util::encode(cells, cell_grid<Writer, const CellGrid>);
 }
 
 CellGrid parse_cell_grid(std::string_view text) {
-  return decode(text, cell_grid<Reader, CellGrid>);
+  return util::decode(text, cell_grid<Reader, CellGrid>);
 }
 
 std::string serialize_shard(const Shard& s) {
-  return encode(s, shard<Writer, const Shard>);
+  return util::encode(s, shard<Writer, const Shard>);
 }
 
 Shard parse_shard(std::string_view text) {
-  return decode(text, shard<Reader, Shard>);
+  return util::decode(text, shard<Reader, Shard>);
 }
 
 std::string serialize_shard_results(const ShardResults& results) {
-  return encode(results, shard_results<Writer, const ShardResults>);
+  return util::encode(results, shard_results<Writer, const ShardResults>);
 }
 
 ShardResults parse_shard_results(std::string_view text) {
-  return decode(text, shard_results<Reader, ShardResults>);
+  return util::decode(text, shard_results<Reader, ShardResults>);
 }
 
 std::string serialize_manifest(const Manifest& fingerprints) {
-  return encode(fingerprints, manifest<Writer, const Manifest>);
+  return util::encode(fingerprints, manifest<Writer, const Manifest>);
 }
 
 Manifest parse_manifest(std::string_view text) {
-  return decode(text, manifest<Reader, Manifest>);
+  return util::decode(text, manifest<Reader, Manifest>);
 }
 
 std::string serialize_grid_meta(const GridMeta& meta) {
-  return encode(meta, grid_meta<Writer, const GridMeta>);
+  return util::encode(meta, grid_meta<Writer, const GridMeta>);
 }
 
 GridMeta parse_grid_meta(std::string_view text) {
-  return decode(text, grid_meta<Reader, GridMeta>);
+  return util::decode(text, grid_meta<Reader, GridMeta>);
 }
 
 std::string spool_cells_dir(const std::string& spool) { return spool + "/cells"; }
@@ -184,14 +185,14 @@ std::optional<std::int64_t> parse_claim_pid(std::string_view name) {
 }
 
 std::string serialize_heartbeat(std::uint64_t seq, std::int64_t pid) {
-  return encode(Heartbeat{seq, pid}, heartbeat<Writer, const Heartbeat>,
-                /*sealed=*/false);
+  return util::encode(Heartbeat{seq, pid}, heartbeat<Writer, const Heartbeat>,
+                      /*sealed=*/false);
 }
 
 std::optional<Heartbeat> parse_heartbeat(std::string_view text) {
   try {
-    return decode(text, heartbeat<Reader, Heartbeat>, /*sealed=*/false);
-  } catch (const SerdeError&) {
+    return util::decode(text, heartbeat<Reader, Heartbeat>, /*sealed=*/false);
+  } catch (const util::SerdeError&) {
     return std::nullopt;
   }
 }

@@ -1,5 +1,5 @@
 // The spool documents exchanged between the distributed-sweep driver and
-// its workers, built from the serde blocks (dist/serde.h):
+// its workers, built from the scenario walks (dist/serde.h):
 //
 //   * **cell grid** — a whole sweep as one document (the driver CLI input):
 //     index-implicit list of scenario_config blocks.
@@ -20,7 +20,7 @@
 //
 // All documents inherit the serde guarantees: versioned blocks, strict
 // field order, deterministic bytes — and every one is *sealed*: a trailing
-// `checksum <fnv1a-64>` line over the body (core::fnv1a_bytes, the same
+// `checksum <fnv1a-64>` line over the body (util::fnv1a_bytes, the same
 // hash family as the result fingerprints) makes a torn, truncated or
 // bit-flipped file a loud parse failure the driver treats as a retriable
 // worker fault, never as driver state.
@@ -77,17 +77,14 @@ std::vector<std::uint64_t> parse_manifest(std::string_view text);
 struct GridMeta {
   std::uint64_t cells = 0;
   std::uint64_t shards = 0;
-  std::uint64_t grid_checksum = 0;  ///< core::fnv1a_bytes over the grid doc
+  std::uint64_t grid_checksum = 0;  ///< util::fnv1a_bytes over the grid doc
 };
 
 std::string serialize_grid_meta(const GridMeta& meta);
 GridMeta parse_grid_meta(std::string_view text);
 
-/// Field walks of the two per-cell blocks, shared by the shard documents,
-/// the worker's stdin/stdout streaming mode and `ps-sweep drive`'s output
-/// (serde.h explains the walk idiom).
-template <class Io, class T>
-void indexed_cell(Io& io, T& cell);
+/// Field walk of one completed cell, shared by the shard-results document
+/// and `ps-sweep drive`'s output (util/wire.h explains the walk idiom).
 template <class Io, class T>
 void cell_record(Io& io, T& record);
 

@@ -1,11 +1,12 @@
 #include "obs/registry.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <ctime>
 
 #include "util/check.h"
-#include "util/seal.h"
 #include "util/strings.h"
+#include "util/wire.h"
 
 namespace ps::obs {
 
@@ -17,41 +18,51 @@ std::int64_t clock_ns(clockid_t clock) {
   return static_cast<std::int64_t>(ts.tv_sec) * 1'000'000'000 + ts.tv_nsec;
 }
 
-/// Metric names travel inside line-oriented documents and Prometheus
-/// exposition: printable, no whitespace.
+/// Metric names travel as row tokens of telemetry documents and in
+/// Prometheus exposition: printable, no whitespace.
+bool valid_name(std::string_view name) {
+  return !name.empty() && std::all_of(name.begin(), name.end(), [](char c) {
+    return c > ' ' && c <= '~';
+  });
+}
+
 void check_name(std::string_view name) {
-  PS_CHECK_MSG(!name.empty(), "obs: metric name must not be empty");
-  for (char c : name) {
-    PS_CHECK_MSG(c > ' ' && c <= '~',
-                 "obs: metric name must be printable without whitespace");
-  }
+  PS_CHECK_MSG(valid_name(name),
+               "obs: metric name must be non-empty, printable, no whitespace");
 }
 
-double parse_double_token(const std::string& token, const char* what) {
-  auto value = strings::parse_f64(token);
-  if (!value) {
-    throw std::runtime_error(std::string("telemetry: bad ") + what +
-                             " token: " + token);
-  }
-  return *value;
-}
-
-std::uint64_t parse_u64_token(const std::string& token, const char* what) {
-  auto value = strings::parse_u64(token);
-  if (!value) {
-    throw std::runtime_error(std::string("telemetry: bad ") + what +
-                             " token: " + token);
-  }
-  return *value;
-}
-
-std::int64_t parse_i64_token(const std::string& token, const char* what) {
-  auto value = strings::parse_i64(token);
-  if (!value) {
-    throw std::runtime_error(std::string("telemetry: bad ") + what +
-                             " token: " + token);
-  }
-  return *value;
+template <class Io, class T>
+void telemetry(Io& io, T& snap) {
+  io.block("telemetry", [&] {
+    io.u64("seq", snap.seq);
+    io.i64("wall_ns", snap.wall_ns);
+    io.i64("mono_ns", snap.mono_ns);
+    io.i64("sim_time_ms", snap.sim_time_ms);
+    io.list("counters", snap.counters, [&](auto& c) {
+      io.row("counter", [&] {
+        io.text("name", c.name);
+        io.u64("value", c.value);
+      });
+    });
+    io.list("gauges", snap.gauges, [&](auto& g) {
+      io.row("gauge", [&] {
+        io.text("name", g.name);
+        io.f64("value", g.value);
+      });
+    });
+    io.list("histograms", snap.histograms, [&](auto& h) {
+      io.row("hist", [&] {
+        io.text("name", h.name);
+        io.u64("count", h.count);
+        io.f64("sum", h.sum);
+        io.f64("min", h.min);
+        io.f64("p50", h.p50);
+        io.f64("p95", h.p95);
+        io.f64("p99", h.p99);
+        io.f64("max", h.max);
+      });
+    });
+  });
 }
 
 }  // namespace
@@ -149,73 +160,19 @@ Snapshot Registry::snapshot(std::int64_t sim_time_ms) const {
 }
 
 std::string serialize_snapshot(const Snapshot& snapshot) {
-  std::string body;
-  body += "telemetry v1\n";
-  body += strings::format("seq %" PRIu64 "\n", snapshot.seq);
-  body += strings::format("wall_ns %lld\n",
-                          static_cast<long long>(snapshot.wall_ns));
-  body += strings::format("mono_ns %lld\n",
-                          static_cast<long long>(snapshot.mono_ns));
-  body += strings::format("sim_time_ms %lld\n",
-                          static_cast<long long>(snapshot.sim_time_ms));
-  for (const Snapshot::CounterValue& c : snapshot.counters) {
-    body += strings::format("counter %s %" PRIu64 "\n", c.name.c_str(), c.value);
-  }
-  for (const Snapshot::GaugeValue& g : snapshot.gauges) {
-    body += strings::format("gauge %s %.17g\n", g.name.c_str(), g.value);
-  }
-  for (const Snapshot::HistogramValue& h : snapshot.histograms) {
-    body += strings::format(
-        "hist %s %" PRIu64 " %.17g %.17g %.17g %.17g %.17g %.17g\n",
-        h.name.c_str(), h.count, h.sum, h.min, h.p50, h.p95, h.p99, h.max);
-  }
-  return util::seal_document(std::move(body));
+  return util::encode(snapshot, telemetry<util::Writer, const Snapshot>);
 }
 
 Snapshot parse_snapshot(std::string_view text) {
-  std::string_view body = util::open_document(text);
-  Snapshot snap;
-  bool saw_header = false;
-  for (std::string_view line_view : strings::split(body, '\n')) {
-    std::vector<std::string> tokens = strings::split_ws(line_view);
-    if (tokens.empty()) continue;
-    if (!saw_header) {
-      if (tokens.size() != 2 || tokens[0] != "telemetry" || tokens[1] != "v1") {
-        throw std::runtime_error("telemetry: missing `telemetry v1` header");
-      }
-      saw_header = true;
-      continue;
+  Snapshot snap = util::decode(text, telemetry<util::Reader, Snapshot>);
+  auto require_names = [](const auto& metrics) {
+    for (const auto& metric : metrics) {
+      util::require(valid_name(metric.name), "telemetry: invalid metric name");
     }
-    const std::string& key = tokens[0];
-    if (key == "seq" && tokens.size() == 2) {
-      snap.seq = parse_u64_token(tokens[1], "seq");
-    } else if (key == "wall_ns" && tokens.size() == 2) {
-      snap.wall_ns = parse_i64_token(tokens[1], "wall_ns");
-    } else if (key == "mono_ns" && tokens.size() == 2) {
-      snap.mono_ns = parse_i64_token(tokens[1], "mono_ns");
-    } else if (key == "sim_time_ms" && tokens.size() == 2) {
-      snap.sim_time_ms = parse_i64_token(tokens[1], "sim_time_ms");
-    } else if (key == "counter" && tokens.size() == 3) {
-      snap.counters.push_back({tokens[1], parse_u64_token(tokens[2], "counter")});
-    } else if (key == "gauge" && tokens.size() == 3) {
-      snap.gauges.push_back({tokens[1], parse_double_token(tokens[2], "gauge")});
-    } else if (key == "hist" && tokens.size() == 9) {
-      Snapshot::HistogramValue h;
-      h.name = tokens[1];
-      h.count = parse_u64_token(tokens[2], "hist count");
-      h.sum = parse_double_token(tokens[3], "hist sum");
-      h.min = parse_double_token(tokens[4], "hist min");
-      h.p50 = parse_double_token(tokens[5], "hist p50");
-      h.p95 = parse_double_token(tokens[6], "hist p95");
-      h.p99 = parse_double_token(tokens[7], "hist p99");
-      h.max = parse_double_token(tokens[8], "hist max");
-      snap.histograms.push_back(std::move(h));
-    } else {
-      throw std::runtime_error("telemetry: unrecognized line: " +
-                               std::string(line_view));
-    }
-  }
-  if (!saw_header) throw std::runtime_error("telemetry: empty document");
+  };
+  require_names(snap.counters);
+  require_names(snap.gauges);
+  require_names(snap.histograms);
   return snap;
 }
 

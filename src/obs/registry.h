@@ -216,13 +216,16 @@ class CounterBaseline {
   std::map<std::string, std::uint64_t, std::less<>> base_;
 };
 
-/// The telemetry wire format: `telemetry v1` header, stamps, one line per
-/// metric, sealed with the trailing FNV-1a checksum line like every other
-/// spool document (util/seal.h). Doubles travel as %.17g — round-trippable.
+/// The telemetry wire format, a util/wire.h field walk: one `telemetry`
+/// block with the four stamps as scalars, then `counters`, `gauges` and
+/// `histograms` lists of one row per metric (`counter <name> <value>`,
+/// `gauge <name> <f64>`, `hist <name> <count> <sum> <min> <p50> <p95> <p99>
+/// <max>`), doubles as IEEE-754 bit patterns in hex. Sealed with the
+/// trailing FNV-1a checksum line like every other spool document.
 std::string serialize_snapshot(const Snapshot& snapshot);
-/// Inverse (expects a *sealed* document; verifies and strips the seal).
-/// Throws util::SealError on a torn/corrupt document, std::runtime_error
-/// on malformed bodies.
+/// Inverse (expects a *sealed* document). Throws util::SerdeError on a
+/// torn or corrupt document, a malformed body, or a metric name that
+/// registration would refuse (empty, whitespace, control characters).
 Snapshot parse_snapshot(std::string_view text);
 
 /// Prometheus text exposition of a snapshot (`ps_` prefix, dots and

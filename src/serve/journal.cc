@@ -2,18 +2,17 @@
 
 #include <exception>
 
-#include "dist/serde.h"
 #include "util/check.h"
-#include "util/seal.h"
 #include "util/spool.h"
 #include "util/strings.h"
+#include "util/wire.h"
 
 namespace ps::serve {
 
 namespace {
 
-using dist::Reader;
-using dist::Writer;
+using util::Reader;
+using util::Writer;
 
 template <class Io, class T>
 void ckpt_client(Io& io, T& client) {
@@ -40,7 +39,7 @@ void serve_checkpoint(Io& io, T& ckpt) {
     io.hex64("scenario_checksum", ckpt.scenario_checksum);
     io.list("clients", ckpt.clients,
             [&](auto& client) { ckpt_client(io, client); });
-    io.text("sketch", ckpt.sketch);
+    util::qsketch(io, ckpt.sketch);
   });
 }
 
@@ -51,6 +50,12 @@ void serve_segment(Io& io, T& segment) {
     io.list("docs", segment.docs,
             [&](auto& doc) { serve_submission(io, doc); });
   });
+}
+
+/// The epoch file: one unsealed scalar, `epoch <generation>`.
+template <class Io, class T>
+void epoch_file(Io& io, T& generation) {
+  io.u64("epoch", generation);
 }
 
 }  // namespace
@@ -86,16 +91,11 @@ std::optional<std::uint64_t> parse_checkpoint_name(std::string_view name) {
 }
 
 std::uint64_t read_epoch(const std::string& spool) {
-  const std::string path = epoch_path(spool);
-  if (!util::path_exists(path)) return 0;
   try {
-    std::string text = util::read_file(path);
-    std::string_view line = strings::trim(text);
-    constexpr std::string_view kKey = "epoch ";
-    if (line.substr(0, kKey.size()) != kKey) return 0;
-    return strings::parse_u64(line.substr(kKey.size())).value_or(0);
+    return util::decode(util::read_file(epoch_path(spool)),
+                        epoch_file<Reader, std::uint64_t>, /*sealed=*/false);
   } catch (const std::exception&) {
-    return 0;  // torn epoch file: treat as generation 0, never refuse to start
+    return 0;  // missing or torn epoch file: generation 0, never refuse to start
   }
 }
 
@@ -103,8 +103,8 @@ std::uint64_t bump_epoch(const std::string& spool) {
   std::uint64_t generation = read_epoch(spool);
   util::write_file_atomic(
       epoch_path(spool),
-      strings::format("epoch %llu\n",
-                      static_cast<unsigned long long>(generation + 1)),
+      util::encode(generation + 1, epoch_file<Writer, const std::uint64_t>,
+                   /*sealed=*/false),
       /*durable=*/true);
   return generation;
 }
@@ -128,15 +128,15 @@ std::uint64_t chain_submission(std::uint64_t fp, const Submission& doc) {
 }
 
 std::string serialize_checkpoint(const Checkpoint& ckpt) {
-  return dist::encode(ckpt, serve_checkpoint<Writer, const Checkpoint>);
+  return util::encode(ckpt, serve_checkpoint<Writer, const Checkpoint>);
 }
 
 Checkpoint parse_checkpoint(std::string_view text) {
-  Checkpoint ckpt = dist::decode(text, serve_checkpoint<Reader, Checkpoint>);
+  Checkpoint ckpt = util::decode(text, serve_checkpoint<Reader, Checkpoint>);
   for (std::size_t i = 0; i < ckpt.clients.size(); ++i) {
-    dist::require(valid_client_name(ckpt.clients[i].name),
+    util::require(valid_client_name(ckpt.clients[i].name),
                   "invalid checkpoint client name");
-    dist::require(i == 0 || ckpt.clients[i - 1].name < ckpt.clients[i].name,
+    util::require(i == 0 || ckpt.clients[i - 1].name < ckpt.clients[i].name,
                   "checkpoint clients not strictly ascending by name");
   }
   return ckpt;
@@ -147,17 +147,17 @@ std::string serialize_segment(const Segment& segment) {
     PS_CHECK_MSG(valid_client_name(doc.client),
                  "serve: segment document with an invalid client name");
   }
-  return dist::encode(segment, serve_segment<Writer, const Segment>);
+  return util::encode(segment, serve_segment<Writer, const Segment>);
 }
 
 Segment parse_segment(std::string_view text) {
-  Segment segment = dist::decode(text, serve_segment<Reader, Segment>);
+  Segment segment = util::decode(text, serve_segment<Reader, Segment>);
   for (std::size_t i = 0; i < segment.docs.size(); ++i) {
     const Submission& doc = segment.docs[i];
-    dist::require(valid_client_name(doc.client), "invalid client name");
+    util::require(valid_client_name(doc.client), "invalid client name");
     if (i == 0) continue;
     const Submission& prev = segment.docs[i - 1];
-    dist::require(prev.client < doc.client ||
+    util::require(prev.client < doc.client ||
                       (prev.client == doc.client && prev.seq < doc.seq),
                   "segment docs not in (client, seq) order");
   }
@@ -173,7 +173,7 @@ std::optional<Checkpoint> load_newest_checkpoint(const std::string& dir,
     try {
       Checkpoint ckpt = parse_checkpoint(util::read_file(dir + "/" + *it));
       if (ckpt.seq != *name_seq) {
-        throw dist::SerdeError("checkpoint seq disagrees with file name");
+        throw util::SerdeError("checkpoint seq disagrees with file name");
       }
       return ckpt;
     } catch (const std::exception&) {

@@ -37,6 +37,7 @@
 
 #include "serve/protocol.h"
 #include "sim/time.h"
+#include "util/stats.h"
 
 namespace ps::serve {
 
@@ -102,7 +103,7 @@ struct Checkpoint {
   /// rejected up front.
   std::uint64_t scenario_checksum = 0;
   std::vector<CheckpointClient> clients;  ///< sorted by name (strictly)
-  std::string sketch;  ///< util::QuantileSketch::serialize() of the latency sketch
+  util::QuantileSketch sketch{0.01};  ///< the admission-latency sketch
 };
 
 std::string serialize_checkpoint(const Checkpoint& ckpt);

@@ -10,8 +10,8 @@ namespace ps::serve {
 
 namespace {
 
-using dist::Reader;
-using dist::Writer;
+using util::Reader;
+using util::Writer;
 
 void check_client_name(std::string_view name) {
   PS_CHECK_MSG(valid_client_name(name),
@@ -87,40 +87,39 @@ std::string serialize_hello(const Hello& hello) {
   check_client_name(wire.tenant);
   PS_CHECK_MSG(wire.weight >= 1 && wire.weight <= kMaxTenantWeight,
                "serve: tenant weight must lie in [1, 1000]");
-  return dist::encode(wire, serve_hello<Writer, const Hello>);
+  return util::encode(wire, serve_hello<Writer, const Hello>);
 }
 
 Hello parse_hello(std::string_view text) {
-  Hello hello = dist::decode(text, serve_hello<Reader, Hello>);
-  dist::require(valid_client_name(hello.client), "invalid client name");
-  dist::require(valid_client_name(hello.tenant), "invalid tenant name");
-  dist::require(hello.weight >= 1 && hello.weight <= kMaxTenantWeight,
+  Hello hello = util::decode(text, serve_hello<Reader, Hello>);
+  util::require(valid_client_name(hello.client), "invalid client name");
+  util::require(valid_client_name(hello.tenant), "invalid tenant name");
+  util::require(hello.weight >= 1 && hello.weight <= kMaxTenantWeight,
                 "tenant weight out of [1, 1000]");
   return hello;
 }
 
 std::string serialize_submission(const Submission& submission) {
   check_client_name(submission.client);
-  return dist::encode(submission,
-                             serve_submission<Writer, const Submission>);
+  return util::encode(submission, serve_submission<Writer, const Submission>);
 }
 
 Submission parse_submission(std::string_view text) {
   Submission submission =
-      dist::decode(text, serve_submission<Reader, Submission>);
-  dist::require(valid_client_name(submission.client), "invalid client name");
+      util::decode(text, serve_submission<Reader, Submission>);
+  util::require(valid_client_name(submission.client), "invalid client name");
   return submission;
 }
 
 std::string serialize_status(const Status& status) {
   for (const TenantStatus& t : status.tenants) check_client_name(t.tenant);
-  return dist::encode(status, serve_status<Writer, const Status>);
+  return util::encode(status, serve_status<Writer, const Status>);
 }
 
 Status parse_status(std::string_view text) {
-  Status status = dist::decode(text, serve_status<Reader, Status>);
+  Status status = util::decode(text, serve_status<Reader, Status>);
   for (const TenantStatus& t : status.tenants) {
-    dist::require(valid_client_name(t.tenant), "invalid tenant name");
+    util::require(valid_client_name(t.tenant), "invalid tenant name");
   }
   return status;
 }

@@ -97,7 +97,7 @@ Hello parse_hello(std::string_view text);
 std::string serialize_submission(const Submission& submission);
 Submission parse_submission(std::string_view text);
 
-/// Field walk of the submission block (dist/serde.h) — the same bytes as
+/// Field walk of the submission block (util/wire.h) — the same bytes as
 /// the standalone wire document above, embeddable inside a larger document
 /// (the journal segment documents a checkpoint compacts retired
 /// submissions into).

@@ -2,10 +2,10 @@
 
 #include <utility>
 
-#include "dist/serde.h"
 #include "util/check.h"
 #include "util/spool.h"
 #include "util/strings.h"
+#include "util/wire.h"
 
 namespace ps::serve {
 
@@ -41,13 +41,13 @@ std::string serialize_quarantine_reason(const QuarantineReason& reason) {
   for (char& c : wire.detail) {
     if (c == '\n' || c == '\r') c = ' ';
   }
-  return dist::encode(
-      wire, quarantine_reason<dist::Writer, const QuarantineReason>);
+  return util::encode(
+      wire, quarantine_reason<util::Writer, const QuarantineReason>);
 }
 
 QuarantineReason parse_quarantine_reason(std::string_view text) {
-  return dist::decode(text,
-                             quarantine_reason<dist::Reader, QuarantineReason>);
+  return util::decode(text,
+                      quarantine_reason<util::Reader, QuarantineReason>);
 }
 
 std::string quarantine_file_name(std::uint64_t generation,

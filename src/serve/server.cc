@@ -661,7 +661,7 @@ class Daemon {
       // Latency percentiles of the pre-crash run live in the checkpoint;
       // the replayed documents below carry a dead process's publish
       // timestamps (outage included) and are excluded from measurement.
-      report_.latency = util::QuantileSketch::parse(ckpt_->sketch);
+      report_.latency = std::move(ckpt_->sketch);
       ckpt_.reset();
     }
     if (!recovered_subs_.empty()) {
@@ -1316,7 +1316,7 @@ class Daemon {
         prune.push_back(std::move(file));
       }
     }
-    snapshot.sketch = report_.latency.serialize();
+    snapshot.sketch = report_.latency;
     // 1. Segment, durable. A stale seg-<seq> from a crashed predecessor is
     //    simply overwritten — only a sealed ckpt-<seq> makes it reachable.
     util::write_file_atomic(ckpt_dir_ + "/" + segment_file_name(seq),
@@ -1573,7 +1573,7 @@ std::string format_report(const ServeReport& report) {
     line(key, u64(report.counters.delta(name)));
   }
   line("interrupted", report.interrupted ? "1" : "0");
-  line("fingerprint", dist::hex64_token(report.fingerprint));
+  line("fingerprint", util::hex64_token(report.fingerprint));
   return out;
 }
 

@@ -1,9 +1,9 @@
 // FNV-1a hashing and the sealed-document convention — the one checksum
-// family of the whole system. Hoisted from dist/protocol so every spool
-// tier shares a single implementation: the distributed-sweep documents
-// (dist/protocol), the live-service wire documents, and the ps-serve
-// write-ahead journal / checkpoint documents (serve/journal) are all
-// sealed and verified by exactly this code.
+// family of the whole system. Every spool tier shares this single
+// implementation: the distributed-sweep documents (dist/protocol), the
+// live-service wire documents, the ps-serve write-ahead journal /
+// checkpoint documents (serve/journal) and the telemetry snapshots
+// (obs/registry) are all sealed and verified by exactly this code.
 //
 // A *sealed* document is its body plus one trailing line:
 //
@@ -18,19 +18,10 @@
 
 #include <bit>
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 
 namespace ps::util {
-
-/// Thrown by open_document on a missing, malformed or mismatched seal.
-/// dist wraps it into SerdeError; serve recovery catches it to skip a
-/// corrupt checkpoint backward.
-class SealError : public std::runtime_error {
- public:
-  explicit SealError(const std::string& what) : std::runtime_error(what) {}
-};
 
 /// Byte-wise FNV-1a over a buffer — the hash family behind the result
 /// fingerprints (core/fingerprint.h), the fault injector's deterministic
@@ -61,8 +52,9 @@ inline std::uint64_t fnv1a(std::uint64_t hash, double value) {
 std::string seal_document(std::string body);
 
 /// Verifies and strips the trailing checksum line, returning the body.
-/// Throws SealError when the line is missing (torn/truncated file) or the
-/// digest does not match (bit flip).
+/// Throws util::SerdeError (util/wire.h) when the line is missing
+/// (torn/truncated file) or the digest does not match (bit flip); serve
+/// recovery catches it to skip a corrupt checkpoint backward.
 std::string_view open_document(std::string_view text);
 
 }  // namespace ps::util

@@ -1,13 +1,11 @@
 #include "util/stats.h"
 
 #include <algorithm>
-#include <bit>
-#include <cinttypes>
 #include <cmath>
-#include <stdexcept>
+#include <type_traits>
 
 #include "util/check.h"
-#include "util/strings.h"
+#include "util/wire.h"
 
 namespace ps::util {
 
@@ -86,112 +84,64 @@ void QuantileSketch::merge(const QuantileSketch& other) {
   sum_ += other.sum_;
 }
 
-namespace {
-
-// Doubles travel as IEEE-754 bit patterns (16 hex digits) so a sketch
-// restored from a checkpoint has *bit-identical* geometry — merge()'s
-// equality checks on gamma_/min_value_ must keep holding after a round trip.
-std::string double_hex(double value) {
-  return strings::format("%016" PRIx64, std::bit_cast<std::uint64_t>(value));
-}
-
-[[noreturn]] void sketch_fail(const std::string& detail) {
-  throw std::runtime_error("quantile sketch parse: " + detail);
-}
-
-/// Splits off the next space-delimited token; fails on exhaustion.
-std::string_view next_token(std::string_view& text) {
-  while (!text.empty() && text.front() == ' ') text.remove_prefix(1);
-  if (text.empty()) sketch_fail("truncated (missing token)");
-  std::size_t end = text.find(' ');
-  std::string_view token = text.substr(0, end);
-  text.remove_prefix(end == std::string_view::npos ? text.size() : end);
-  return token;
-}
-
-std::uint64_t parse_u64(std::string_view token, int base) {
-  std::optional<std::uint64_t> value = strings::parse_u64(token, base);
-  if (!value) sketch_fail("bad integer token '" + std::string(token) + "'");
-  return *value;
-}
-
-double parse_double_hex(std::string_view token) {
-  if (token.size() != 16) sketch_fail("double token is not 16 hex digits");
-  return std::bit_cast<double>(parse_u64(token, 16));
-}
-
-}  // namespace
-
-std::string QuantileSketch::serialize() const {
-  // One line, no trailing newline, so the sketch embeds as a single string
-  // field inside a dist::Writer document. Buckets are sparse `<i>:<count>`
-  // pairs in ascending index order — a latency sketch over a narrow band of
-  // observed values touches a handful of its ~2400 buckets.
-  std::string out = "qsketch1";
-  out += ' ';
-  out += double_hex(gamma_);
-  out += ' ';
-  out += double_hex(min_value_);
-  out += ' ';
-  out += double_hex(inv_log_gamma_);
-  out += strings::format(" %zu %llu", counts_.size(),
-                         static_cast<unsigned long long>(count_));
-  out += ' ';
-  out += double_hex(sum_);
-  out += ' ';
-  out += double_hex(min_);
-  out += ' ';
-  out += double_hex(max_);
-  std::size_t nonzero = 0;
-  for (std::uint64_t c : counts_) nonzero += c != 0;
-  out += strings::format(" %zu", nonzero);
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (counts_[i] == 0) continue;
-    out += strings::format(" %zu:%llu", i,
-                           static_cast<unsigned long long>(counts_[i]));
-  }
-  return out;
-}
-
-QuantileSketch QuantileSketch::parse(std::string_view text) {
-  if (next_token(text) != "qsketch1") sketch_fail("bad prefix");
-  QuantileSketch sketch{RawTag{}};
-  sketch.gamma_ = parse_double_hex(next_token(text));
-  sketch.min_value_ = parse_double_hex(next_token(text));
-  sketch.inv_log_gamma_ = parse_double_hex(next_token(text));
-  std::uint64_t buckets = parse_u64(next_token(text), 10);
-  if (buckets < 2 || buckets > (1u << 24)) sketch_fail("bucket count out of range");
-  sketch.counts_.assign(static_cast<std::size_t>(buckets), 0);
-  sketch.count_ = parse_u64(next_token(text), 10);
-  sketch.sum_ = parse_double_hex(next_token(text));
-  sketch.min_ = parse_double_hex(next_token(text));
-  sketch.max_ = parse_double_hex(next_token(text));
-  if (!(sketch.gamma_ > 1.0) || !(sketch.min_value_ > 0.0)) {
-    sketch_fail("geometry out of range");
-  }
-  std::uint64_t nonzero = parse_u64(next_token(text), 10);
-  std::uint64_t total = 0;
-  std::int64_t last_index = -1;
-  for (std::uint64_t k = 0; k < nonzero; ++k) {
-    std::string_view pair = next_token(text);
-    std::size_t colon = pair.find(':');
-    if (colon == std::string_view::npos) sketch_fail("bucket pair missing ':'");
-    std::uint64_t index = parse_u64(pair.substr(0, colon), 10);
-    std::uint64_t bucket_count = parse_u64(pair.substr(colon + 1), 10);
-    if (index >= buckets) sketch_fail("bucket index out of range");
-    if (static_cast<std::int64_t>(index) <= last_index) {
-      sketch_fail("bucket indices not strictly ascending");
+template <class Io, class T>
+void qsketch(Io& io, T& sketch) {
+  // Sparse rows: a latency sketch over a narrow band of observed values
+  // touches a handful of its ~2400 buckets.
+  struct Bucket {
+    std::uint64_t index = 0;
+    std::uint64_t count = 0;
+  };
+  std::vector<Bucket> buckets;
+  std::uint64_t size = sketch.counts_.size();
+  if constexpr (std::is_const_v<T>) {
+    for (std::size_t i = 0; i < sketch.counts_.size(); ++i) {
+      if (sketch.counts_[i] != 0) buckets.push_back({i, sketch.counts_[i]});
     }
-    if (bucket_count == 0) sketch_fail("explicit zero bucket");
-    last_index = static_cast<std::int64_t>(index);
-    sketch.counts_[static_cast<std::size_t>(index)] = bucket_count;
-    total += bucket_count;
   }
-  while (!text.empty() && text.front() == ' ') text.remove_prefix(1);
-  if (!text.empty()) sketch_fail("trailing garbage");
-  if (total != sketch.count_) sketch_fail("bucket counts do not sum to count");
-  return sketch;
+  io.block("qsketch", [&] {
+    io.f64("gamma", sketch.gamma_);
+    io.f64("min_value", sketch.min_value_);
+    io.f64("inv_log_gamma", sketch.inv_log_gamma_);
+    io.u64("bucket_count", size);
+    io.u64("count", sketch.count_);
+    io.f64("sum", sketch.sum_);
+    io.f64("min", sketch.min_);
+    io.f64("max", sketch.max_);
+    io.list("buckets", buckets, [&](auto& bucket) {
+      io.row("bucket", [&] {
+        io.u64("index", bucket.index);
+        io.u64("count", bucket.count);
+      });
+    });
+  });
+  if constexpr (!std::is_const_v<T>) {
+    if (size < 2 || size > (1u << 24)) io.fail("qsketch bucket count out of range");
+    if (!(sketch.gamma_ > 1.0) || !(sketch.min_value_ > 0.0)) {
+      io.fail("qsketch geometry out of range");
+    }
+    sketch.counts_.assign(size, 0);
+    std::uint64_t total = 0;
+    for (std::size_t k = 0; k < buckets.size(); ++k) {
+      const Bucket& bucket = buckets[k];
+      if (bucket.index >= size) io.fail("qsketch bucket index out of range");
+      if (k > 0 && bucket.index <= buckets[k - 1].index) {
+        io.fail("qsketch bucket indices not strictly ascending");
+      }
+      if (bucket.count == 0) io.fail("qsketch explicit zero bucket");
+      // Against what is left of `count`, so the running sum cannot wrap.
+      if (bucket.count > sketch.count_ - total) {
+        io.fail("qsketch bucket counts do not sum to count");
+      }
+      sketch.counts_[bucket.index] = bucket.count;
+      total += bucket.count;
+    }
+    if (total != sketch.count_) io.fail("qsketch bucket counts do not sum to count");
+  }
 }
+
+template void qsketch(Writer&, const QuantileSketch&);
+template void qsketch(Reader&, QuantileSketch&);
 
 double QuantileSketch::quantile(double q) const noexcept {
   if (count_ == 0) return 0.0;

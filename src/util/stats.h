@@ -3,8 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
-#include <string_view>
 #include <vector>
 
 namespace ps::util {
@@ -34,6 +32,17 @@ double percentile(std::vector<double> values, double q);
 
 /// Median convenience wrapper.
 double median(std::vector<double> values);
+
+/// Field walk of a QuantileSketch (util/wire.h): geometry and totals as
+/// IEEE-754 bit patterns, then one `bucket <index> <count>` row per nonzero
+/// bucket in ascending index order. Nested in the serve checkpoint, so a
+/// restored sketch reports bit-identical quantiles and still merges with a
+/// live one. Parsing rejects, as a util::SerdeError, a bucket count outside
+/// [2, 2^24], gamma <= 1 or min_value <= 0, bucket indices out of range or
+/// not strictly ascending, an explicit zero bucket, and bucket counts that
+/// do not sum to `count`.
+template <class Io, class T>
+void qsketch(Io& io, T& sketch);
 
 /// O(1)-memory quantile sketch over positive values (DDSketch-style
 /// logarithmic buckets): bucket i covers (min_value * gamma^i,
@@ -66,16 +75,6 @@ class QuantileSketch {
   /// Merges another sketch with identical geometry (checked).
   void merge(const QuantileSketch& other);
 
-  /// Bit-exact single-line text form (geometry as IEEE-754 hex bit
-  /// patterns, sparse nonzero buckets) for embedding in sealed serve
-  /// checkpoints. parse(serialize()) reproduces identical quantiles,
-  /// counters and error bound, and the round-tripped sketch merges with a
-  /// live one (the recovery path restores the latency sketch this way).
-  std::string serialize() const;
-  /// Inverse of serialize(); throws std::runtime_error on malformed input
-  /// (wrong prefix, token garbage, bucket/count inconsistencies).
-  static QuantileSketch parse(std::string_view text);
-
   /// Nearest-rank quantile estimate; q in [0, 1]. 0 when empty.
   double quantile(double q) const noexcept;
 
@@ -95,12 +94,8 @@ class QuantileSketch {
   std::size_t bucket_count() const noexcept { return counts_.size(); }
 
  private:
-  /// Tagged shell ctor for parse(), which restores every member verbatim
-  /// (the public ctor's defaulted arguments make a plain default ctor
-  /// ambiguous).
-  struct RawTag {};
-  explicit QuantileSketch(RawTag) noexcept
-      : min_value_(0.0), gamma_(1.0), inv_log_gamma_(0.0) {}
+  template <class Io, class T>
+  friend void qsketch(Io& io, T& sketch);
 
   std::size_t bucket_index(double x) const noexcept;
 

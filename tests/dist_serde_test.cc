@@ -4,6 +4,7 @@
 // and loud rejection of version skew, unknown fields and malformed rows.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <map>
 #include <optional>
@@ -12,10 +13,12 @@
 
 #include "dist/protocol.h"
 #include "dist/serde.h"
+#include "obs/registry.h"
 #include "scenario_fingerprint.h"
 #include "serve/journal.h"
 #include "serve/protocol.h"
 #include "serve/quarantine.h"
+#include "util/stats.h"
 
 namespace ps::dist {
 namespace {
@@ -251,8 +254,46 @@ serve::Submission pinned_submission(const std::string& client,
   return doc;
 }
 
-const char kScenarioResultPin[] = R"(begin scenario_result v4
-begin run_summary v4
+/// Every double kind the telemetry walk must carry bit for bit: a value
+/// %.17g needed all digits for, -0.0 and the smallest denormal.
+obs::Snapshot pinned_snapshot() {
+  obs::Snapshot snap;
+  snap.seq = 42;
+  snap.wall_ns = 1'760'000'000'123'456'789;
+  snap.mono_ns = 987'654'321'000;
+  snap.sim_time_ms = 3'600'000;
+  snap.counters = {{"serve.docs", 120},
+                   {"spool.claim_races", 18446744073709551615ull}};
+  snap.gauges = {{"serve.queue_depth", 17.25},
+                 {"serve.ratio", 0.1},
+                 {"serve.neg_zero", -0.0},
+                 {"serve.tiny", 4.9406564584124654e-324}};
+  snap.histograms = {{"serve.admit_ms", 6, 975.5, 0.5, 2.0100000000000002,
+                      64.299999999999997, 900.10000000000002, 900.0}};
+  return snap;
+}
+
+/// A non-default geometry with samples below min_value, above max_value
+/// and in a shared bucket.
+util::QuantileSketch pinned_sketch() {
+  util::QuantileSketch sketch(0.02, 0.5, 1e6);
+  for (double x : {0.1, 0.75, 3.0, 3.0, 42.0, 250.5, 1e7}) sketch.add(x);
+  return sketch;
+}
+
+std::string sketch_text(const util::QuantileSketch& sketch) {
+  return util::encode(sketch,
+                      util::qsketch<util::Writer, const util::QuantileSketch>,
+                      /*sealed=*/false);
+}
+
+util::QuantileSketch parse_sketch(std::string_view text) {
+  return util::decode(text, util::qsketch<util::Reader, util::QuantileSketch>,
+                      /*sealed=*/false);
+}
+
+const char kScenarioResultPin[] = R"(begin scenario_result v5
+begin run_summary v5
 from 60000
 to 7200000
 energy_joules 41d65a0bc0000000
@@ -269,7 +310,7 @@ mean_watts 4122aff300000000
 max_watts 412e7bba80000000
 cap_violation_seconds 4012000000000000
 end run_summary
-begin controller_stats v4
+begin controller_stats v5
 submitted 120
 started 101
 completed 97
@@ -288,12 +329,12 @@ cap_watts 412b774000000000
 cap_start 1800000
 cap_end 5400000
 has_plan 1
-begin offline_plan v4
+begin offline_plan v5
 mechanism both
 n_off 4029000000000000
 n_dvfs 400a000000000000
 work 3fec000000000000
-begin selection v4
+begin selection v5
 nodes 4 0+3 7+1
 whole_racks 1
 whole_chassis 2
@@ -310,12 +351,12 @@ windows 2
 window 1800000 5400000 412b774000000000
 window 6000000 9223372036854775807 41255cc100000000
 plans 2
-begin offline_plan v4
+begin offline_plan v5
 mechanism both
 n_off 4029000000000000
 n_dvfs 400a000000000000
 work 3fec000000000000
-begin selection v4
+begin selection v5
 nodes 4 0+3 7+1
 whole_racks 1
 whole_chassis 2
@@ -328,12 +369,12 @@ node_budget_watts 4129f0a000000000
 required_saving_watts 40e4050000000000
 reservation_id 17
 end offline_plan
-begin offline_plan v4
+begin offline_plan v5
 mechanism both
 n_off 4029000000000000
 n_dvfs 400a000000000000
 work 3fec000000000000
-begin selection v4
+begin selection v5
 nodes 4 40+3 47+1
 whole_racks 1
 whole_chassis 2
@@ -351,17 +392,17 @@ total_cores 80640
 end scenario_result
 )";
 
-const char kShardResultsHeadPin[] = R"(begin shard_results v4
+const char kShardResultsHeadPin[] = R"(begin shard_results v5
 id 5
 cells 1
-begin cell_record v4
+begin cell_record v5
 index 12
 fingerprint 0123456789abcdef
 )";
 
 const char kShardResultsTailPin[] = R"(end cell_record
 end shard_results
-checksum 9e46194483c04a29
+checksum 9955f35fbffa2c08
 )";
 
 struct PinCase {
@@ -406,7 +447,7 @@ std::vector<PinCase> pin_cases() {
   ckpt.scenario_checksum = 0xdeadbeefcafef00dull;
   ckpt.clients = {{"alpha", 200, 999'000, 6, 120'000, true, 120, 0x1234},
                   {"beta", 100, 888'000, 2, -5, false, 30, 0xfedcba9876543210ull}};
-  ckpt.sketch = "qsketch1 stand-in with spaces";
+  ckpt.sketch = pinned_sketch();
 
   serve::Segment segment;
   segment.seq = 6;
@@ -427,15 +468,15 @@ std::vector<PinCase> pin_cases() {
       {"scenario_result", serialize(pinned_result()),
        kScenarioResultPin},
       {"shard", serialize_shard(shard),
-       R"(begin shard v4
+       R"(begin shard v5
 id 5
 cells 2
-begin cell v4
+begin cell v5
 index 12
-begin scenario_config v4
+begin scenario_config v5
 profile bigjob
 has_custom_workload 1
-begin generator_params v4
+begin generator_params v5
 name serde round trip
 span 25200000
 job_count 1234
@@ -457,7 +498,7 @@ job 2 30000 0 16 600000 120000 -
 job 3 3600000 7 80640 86400000 72000000 stream
 seed 16045690984503098046
 racks 3
-begin powercap_config v4
+begin powercap_config v5
 policy auto
 default_degmin 3ff8000000000000
 use_app_degmin 0
@@ -478,7 +519,7 @@ cap_windows 3
 window 3fd999999999999a 3600000 7200000 -1
 window 3fe3333333333333 14400000 0 10800000
 window 3fe0000000000000 -1 2700000 300000
-begin controller_config v4
+begin controller_config v5
 priority_age 405ec00000000000
 priority_size 4046c00000000000
 priority_fair_share 4085300000000000
@@ -494,15 +535,15 @@ horizon 32400000
 submit_chunk 2700000
 end scenario_config
 end cell
-begin cell v4
+begin cell v5
 index 40
-begin scenario_config v4
+begin scenario_config v5
 profile medianjob
 has_custom_workload 0
 has_trace_jobs 0
 seed 9
 racks 56
-begin powercap_config v4
+begin powercap_config v5
 policy shut
 default_degmin 3ffa147ae147ae14
 use_app_degmin 1
@@ -520,7 +561,7 @@ cap_lambda 3ff0000000000000
 cap_start -1
 cap_duration 3600000
 cap_windows 0
-begin controller_config v4
+begin controller_config v5
 priority_age 408f400000000000
 priority_size 407f400000000000
 priority_fair_share 409f400000000000
@@ -537,33 +578,33 @@ submit_chunk 0
 end scenario_config
 end cell
 end shard
-checksum 7ca36f36af5f71d4
+checksum eb586aff55c32468
 )"},
       {"shard_results", serialize_shard_results(results),
        std::string(kShardResultsHeadPin) + kScenarioResultPin + kShardResultsTailPin},
       {"grid_meta", serialize_grid_meta({27, 4, 0xfeedface12345678ull}),
-       R"(begin grid_meta v4
+       R"(begin grid_meta v5
 cells 27
 shards 4
 grid_checksum feedface12345678
 end grid_meta
-checksum 3839f675d1613601
+checksum 14fd306ee11f497e
 )"},
       {"heartbeat", serialize_heartbeat(42, 4711),
        R"(hb 42 4711
 )"},
       {"hello", serve::serialize_hello(hello),
-       R"(begin serve_hello v4
+       R"(begin serve_hello v5
 client alpha
 jobs 133
 last_submit 7200000
 tenant team-a
 weight 3
 end serve_hello
-checksum c4903683ea7b45df
+checksum 80768393f7a796a0
 )"},
       {"submission", serve::serialize_submission(pinned_submission("alpha", 8)),
-       R"(begin serve_submission v4
+       R"(begin serve_submission v5
 client alpha
 seq 8
 watermark 90008
@@ -573,10 +614,10 @@ jobs 2
 job 41 60000 3 512 7200000 5400000 linpack
 job 42 61000 0 16 600000 120000 -
 end serve_submission
-checksum 5651c316634bba65
+checksum 8e0508cff893de0a
 )"},
       {"status", serve::serialize_status(status),
-       R"(begin serve_status v4
+       R"(begin serve_status v5
 accepting 0
 seq 77
 sim_time 3600000
@@ -586,10 +627,10 @@ tenant_count 2
 tenant team-a 3 2 7 1 0
 tenant team-b 1 0 0 0 1
 end serve_status
-checksum 541240d328eabd00
+checksum 23a4c87a20e02aad
 )"},
       {"checkpoint", serve::serialize_checkpoint(ckpt),
-       R"(begin serve_checkpoint v4
+       R"(begin serve_checkpoint v5
 seq 6
 committed 123456
 admitted 240
@@ -597,7 +638,7 @@ docs 12
 clamped 3
 scenario_checksum deadbeefcafef00d
 clients 2
-begin ckpt_client v4
+begin ckpt_client v5
 name alpha
 hello_jobs 200
 hello_last_submit 999000
@@ -607,7 +648,7 @@ eof 1
 admitted_jobs 120
 history_fp 0000000000001234
 end ckpt_client
-begin ckpt_client v4
+begin ckpt_client v5
 name beta
 hello_jobs 100
 hello_last_submit 888000
@@ -617,15 +658,31 @@ eof 0
 admitted_jobs 30
 history_fp fedcba9876543210
 end ckpt_client
-sketch qsketch1 stand-in with spaces
+begin qsketch v5
+gamma 3ff0a72f0539782a
+min_value 3fe0000000000000
+inv_log_gamma 4038ff2585faed51
+bucket_count 365
+count 7
+sum 416312f56b333333
+min 3fb999999999999a
+max 416312d000000000
+buckets 6
+bucket 0 1
+bucket 11 1
+bucket 45 2
+bucket 111 1
+bucket 156 1
+bucket 364 1
+end qsketch
 end serve_checkpoint
-checksum 0576d95b23e4ee2e
+checksum a7f1ea9a49a4d512
 )"},
       {"segment", serve::serialize_segment(segment),
-       R"(begin serve_segment v4
+       R"(begin serve_segment v5
 seq 6
 docs 2
-begin serve_submission v4
+begin serve_submission v5
 client alpha
 seq 0
 watermark 90000
@@ -635,7 +692,7 @@ jobs 2
 job 41 60000 3 512 7200000 5400000 linpack
 job 42 61000 0 16 600000 120000 -
 end serve_submission
-begin serve_submission v4
+begin serve_submission v5
 client beta
 seq 3
 watermark 90003
@@ -646,10 +703,10 @@ job 41 60000 3 512 7200000 5400000 linpack
 job 42 61000 0 16 600000 120000 -
 end serve_submission
 end serve_segment
-checksum aa06861a4acb3abd
+checksum 084912a56a4fac6a
 )"},
       {"quarantine_reason", serve::serialize_quarantine_reason(reason),
-       R"(begin quarantine_reason v4
+       R"(begin quarantine_reason v5
 client beta
 seq 9
 kind hello
@@ -660,7 +717,45 @@ generation 2
 jobs 17
 wall_ns 555000111
 end quarantine_reason
-checksum 519751bc2ba3b157
+checksum 62ca430683ca0dc2
+)"},
+      {"telemetry", obs::serialize_snapshot(pinned_snapshot()),
+       R"(begin telemetry v5
+seq 42
+wall_ns 1760000000123456789
+mono_ns 987654321000
+sim_time_ms 3600000
+counters 2
+counter serve.docs 120
+counter spool.claim_races 18446744073709551615
+gauges 4
+gauge serve.queue_depth 4031400000000000
+gauge serve.ratio 3fb999999999999a
+gauge serve.neg_zero 8000000000000000
+gauge serve.tiny 0000000000000001
+histograms 1
+hist serve.admit_ms 6 408e7c0000000000 3fe0000000000000 4000147ae147ae15 4050133333333333 408c20cccccccccd 408c200000000000
+end telemetry
+checksum c39314060b2b1ea2
+)"},
+      {"qsketch", sketch_text(pinned_sketch()),
+       R"(begin qsketch v5
+gamma 3ff0a72f0539782a
+min_value 3fe0000000000000
+inv_log_gamma 4038ff2585faed51
+bucket_count 365
+count 7
+sum 416312f56b333333
+min 3fb999999999999a
+max 416312d000000000
+buckets 6
+bucket 0 1
+bucket 11 1
+bucket 45 2
+bucket 111 1
+bucket 156 1
+bucket 364 1
+end qsketch
 )"},
   };
 }
@@ -678,6 +773,10 @@ std::string reparse(const std::string& text) {
 
 std::string reparse_result(const std::string& text) {
   return serialize(parse_scenario_result(text));
+}
+
+std::string reparse_sketch(const std::string& text) {
+  return sketch_text(parse_sketch(text));
 }
 
 std::string reparse_heartbeat(const std::string& text) {
@@ -701,10 +800,67 @@ TEST(DistSerde, EveryPinnedRecordReparsesToItsOwnBytes) {
       {"segment", reparse<serve::serialize_segment, serve::parse_segment>},
       {"quarantine_reason", reparse<serve::serialize_quarantine_reason,
                                     serve::parse_quarantine_reason>},
+      {"telemetry", reparse<obs::serialize_snapshot, obs::parse_snapshot>},
+      {"qsketch", reparse_sketch},
   };
   for (const PinCase& pin : pin_cases()) {
     ASSERT_TRUE(reparsers.count(pin.name)) << pin.name;
     EXPECT_EQ(reparsers.at(pin.name)(pin.expected), pin.expected) << pin.name;
+  }
+}
+
+std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+TEST(DistSerde, TelemetryAndSketchParseToTheirRecordedValues) {
+  // Recorded from the hand-written `telemetry v1` and `qsketch1` parsers
+  // these walks replaced, over the same two pinned values: every double
+  // as its bit pattern, and the sketch's quantiles.
+  const obs::Snapshot snap =
+      obs::parse_snapshot(obs::serialize_snapshot(pinned_snapshot()));
+  EXPECT_EQ(snap.seq, 42u);
+  EXPECT_EQ(snap.wall_ns, 1760000000123456789);
+  EXPECT_EQ(snap.mono_ns, 987654321000);
+  EXPECT_EQ(snap.sim_time_ms, 3600000);
+  ASSERT_EQ(snap.counters.size(), 2u);
+  EXPECT_EQ(snap.counters[0].name, "serve.docs");
+  EXPECT_EQ(snap.counters[0].value, 120u);
+  EXPECT_EQ(snap.counters[1].name, "spool.claim_races");
+  EXPECT_EQ(snap.counters[1].value, 18446744073709551615ull);
+  const std::uint64_t gauges[] = {0x4031400000000000ull, 0x3fb999999999999aull,
+                                  0x8000000000000000ull, 0x0000000000000001ull};
+  ASSERT_EQ(snap.gauges.size(), 4u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(bits(snap.gauges[i].value), gauges[i]) << snap.gauges[i].name;
+  }
+  ASSERT_EQ(snap.histograms.size(), 1u);
+  const obs::Snapshot::HistogramValue& h = snap.histograms[0];
+  EXPECT_EQ(h.name, "serve.admit_ms");
+  EXPECT_EQ(h.count, 6u);
+  EXPECT_EQ(bits(h.sum), 0x408e7c0000000000ull);
+  EXPECT_EQ(bits(h.min), 0x3fe0000000000000ull);
+  EXPECT_EQ(bits(h.p50), 0x4000147ae147ae15ull);
+  EXPECT_EQ(bits(h.p95), 0x4050133333333333ull);
+  EXPECT_EQ(bits(h.p99), 0x408c20cccccccccdull);
+  EXPECT_EQ(bits(h.max), 0x408c200000000000ull);
+
+  const util::QuantileSketch sketch =
+      parse_sketch(sketch_text(pinned_sketch()));
+  EXPECT_EQ(sketch.count(), 7u);
+  EXPECT_EQ(sketch.bucket_count(), 365u);
+  EXPECT_EQ(bits(sketch.sum()), 0x416312f56b333333ull);
+  EXPECT_EQ(bits(sketch.min()), 0x3fb999999999999aull);
+  EXPECT_EQ(bits(sketch.max()), 0x416312d000000000ull);
+  EXPECT_EQ(bits(sketch.error_bound()), 0x3f94e5e0a72f0540ull);
+  const std::pair<double, std::uint64_t> quantiles[] = {
+      {0.0, 0x3fe0000000000000ull},  {0.01, 0x3fe0000000000000ull},
+      {0.1, 0x3fe0000000000000ull},  {0.25, 0x3fe85b8d0bd4dbd2ull},
+      {0.5, 0x4007bad467a0a7fbull},  {0.75, 0x406f73897e8a1151ull},
+      {0.9, 0x412f8e807d6b5ac3ull},  {0.95, 0x412f8e807d6b5ac3ull},
+      {0.99, 0x412f8e807d6b5ac3ull}, {0.999, 0x412f8e807d6b5ac3ull},
+      {1.0, 0x412f8e807d6b5ac3ull},
+  };
+  for (const auto& [q, expected] : quantiles) {
+    EXPECT_EQ(bits(sketch.quantile(q)), expected) << "q=" << q;
   }
 }
 
@@ -793,11 +949,11 @@ TEST(DistSerde, SpecialDoublesRoundTrip) {
 
 TEST(DistSerde, VersionSkewIsRejected) {
   std::string text = serialize(core::ScenarioConfig{});
-  std::string current = " v" + std::to_string(kSerdeVersion);
-  std::string next = " v" + std::to_string(kSerdeVersion + 1);
+  std::string current = " v" + std::to_string(util::kSerdeVersion);
+  std::string next = " v" + std::to_string(util::kSerdeVersion + 1);
   std::string skewed = text;
   skewed.replace(skewed.find(current), current.size(), next);
-  EXPECT_THROW(parse_scenario_config(skewed), SerdeError);
+  EXPECT_THROW(parse_scenario_config(skewed), util::SerdeError);
 }
 
 TEST(DistSerde, LiveJobSourceIsRejected) {
@@ -806,7 +962,7 @@ TEST(DistSerde, LiveJobSourceIsRejected) {
   core::ScenarioConfig config;
   config.job_source = std::make_shared<workload::VectorJobSource>(
       std::vector<workload::JobRequest>{});
-  EXPECT_THROW(serialize(config), SerdeError);
+  EXPECT_THROW(serialize(config), util::SerdeError);
 }
 
 TEST(DistSerde, UnknownFieldIsRejected) {
@@ -815,7 +971,7 @@ TEST(DistSerde, UnknownFieldIsRejected) {
   std::size_t pos = text.find("seed ");
   ASSERT_NE(pos, std::string::npos);
   std::string extended = text.substr(0, pos) + "shiny_new_knob 7\n" + text.substr(pos);
-  EXPECT_THROW(parse_scenario_config(extended), SerdeError);
+  EXPECT_THROW(parse_scenario_config(extended), util::SerdeError);
 }
 
 TEST(DistSerde, MissingFieldIsRejected) {
@@ -823,12 +979,12 @@ TEST(DistSerde, MissingFieldIsRejected) {
   std::size_t pos = text.find("seed ");
   std::size_t eol = text.find('\n', pos);
   std::string truncated = text.substr(0, pos) + text.substr(eol + 1);
-  EXPECT_THROW(parse_scenario_config(truncated), SerdeError);
+  EXPECT_THROW(parse_scenario_config(truncated), util::SerdeError);
 }
 
 TEST(DistSerde, TrailingGarbageIsRejected) {
   std::string text = serialize(core::ScenarioConfig{});
-  EXPECT_THROW(parse_scenario_config(text + "extra junk\n"), SerdeError);
+  EXPECT_THROW(parse_scenario_config(text + "extra junk\n"), util::SerdeError);
 }
 
 TEST(DistSerde, ProtocolDocumentsRoundTrip) {
@@ -856,19 +1012,19 @@ TEST(DistSerde, ProtocolDocumentsRoundTrip) {
 
 TEST(DistSerde, SealedDocumentRoundTrips) {
   std::string body = "shard_results {\nid 3\n}\n";
-  std::string sealed = seal_document(body);
+  std::string sealed = util::seal_document(body);
   EXPECT_NE(sealed, body);                        // the seal is visible bytes
-  EXPECT_EQ(open_document(sealed), body);         // ...and strips clean
+  EXPECT_EQ(util::open_document(sealed), body);         // ...and strips clean
   // Sealing is deterministic: same body, same document.
-  EXPECT_EQ(sealed, seal_document(body));
+  EXPECT_EQ(sealed, util::seal_document(body));
 }
 
 TEST(DistSerde, UnsealedDocumentIsRejected) {
   // A document written by a pre-checksum binary (or a write torn before
   // the final line) has no seal: open must refuse, never guess.
-  EXPECT_THROW(open_document("shard_results {\nid 3\n}\n"), SerdeError);
-  EXPECT_THROW(open_document(""), SerdeError);
-  EXPECT_THROW(open_document("checksum tooshort\n"), SerdeError);
+  EXPECT_THROW(util::open_document("shard_results {\nid 3\n}\n"), util::SerdeError);
+  EXPECT_THROW(util::open_document(""), util::SerdeError);
+  EXPECT_THROW(util::open_document("checksum tooshort\n"), util::SerdeError);
 }
 
 TEST(DistSerde, TruncatedSealedDocumentIsRejected) {
@@ -880,19 +1036,19 @@ TEST(DistSerde, TruncatedSealedDocumentIsRejected) {
     return r;
   }());
   for (std::size_t len = 0; len < sealed.size(); ++len) {
-    EXPECT_THROW(open_document(std::string_view(sealed).substr(0, len)),
-                 SerdeError)
+    EXPECT_THROW(util::open_document(std::string_view(sealed).substr(0, len)),
+                 util::SerdeError)
         << "prefix of " << len << " bytes opened";
   }
 }
 
 TEST(DistSerde, BitFlippedSealedDocumentIsRejected) {
   // Bitrot anywhere — body or the checksum line itself — must be caught.
-  std::string sealed = seal_document("manifest {\ncells 0\n}\n");
+  std::string sealed = util::seal_document("manifest {\ncells 0\n}\n");
   for (std::size_t i = 0; i < sealed.size(); ++i) {
     std::string corrupt = sealed;
     corrupt[i] ^= 0x01;
-    EXPECT_THROW(open_document(corrupt), SerdeError) << "flip at byte " << i;
+    EXPECT_THROW(util::open_document(corrupt), util::SerdeError) << "flip at byte " << i;
   }
 }
 
@@ -912,8 +1068,8 @@ TEST(DistSerde, EveryProtocolDocumentIsSealed) {
        {serialize_cell_grid(grid), serialize_shard(shard),
         serialize_shard_results(results), serialize_manifest({1, 2}),
         serialize_grid_meta(meta)}) {
-    std::string_view body = open_document(doc);  // must not throw
-    EXPECT_THROW(parse_cell_grid(body), SerdeError);
+    std::string_view body = util::open_document(doc);  // must not throw
+    EXPECT_THROW(parse_cell_grid(body), util::SerdeError);
   }
   GridMeta parsed = parse_grid_meta(serialize_grid_meta(meta));
   EXPECT_EQ(parsed.cells, 2u);
@@ -964,12 +1120,24 @@ TEST(DistSerde, HeartbeatRoundTripsAndToleratesGarbage) {
 /// around hostile content, the case the checksum cannot catch.
 std::string with_line(const std::string& doc, const std::string& prefix,
                       const std::string& replacement, bool sealed = true) {
-  std::string body(sealed ? open_document(doc) : std::string_view(doc));
+  std::string body(sealed ? util::open_document(doc) : std::string_view(doc));
   std::size_t pos = body.rfind("\n" + prefix) + 1;
   EXPECT_NE(pos, 0u) << "no line starts with '" << prefix << "'";
   std::size_t eol = body.find('\n', pos);
   body.replace(pos, eol - pos, replacement);
-  return sealed ? seal_document(body) : body;
+  return sealed ? util::seal_document(body) : body;
+}
+
+/// The message of the util::SerdeError `parse` raises; empty when it
+/// accepts.
+template <class Parse>
+std::string serde_error(Parse&& parse) {
+  try {
+    parse();
+  } catch (const util::SerdeError& error) {
+    return error.what();
+  }
+  return "";
 }
 
 TEST(DistSerde, HostileCountsAreSerdeErrorsBeforeAnyAllocation) {
@@ -977,12 +1145,12 @@ TEST(DistSerde, HostileCountsAreSerdeErrorsBeforeAnyAllocation) {
   // is rejected against the bytes left in the document, before anything is
   // reserved for it.
   const std::string head =
-      "begin manifest v" + std::to_string(kSerdeVersion) + "\ncells ";
+      "begin manifest v" + std::to_string(util::kSerdeVersion) + "\ncells ";
   for (const char* count : {"100000000", "100000000000000"}) {
     try {
-      parse_manifest(seal_document(head + count + "\nend manifest\n"));
+      parse_manifest(util::seal_document(head + count + "\nend manifest\n"));
       ADD_FAILURE() << count << " accepted";
-    } catch (const SerdeError& error) {
+    } catch (const util::SerdeError& error) {
       // The count guard, not a version or checksum mismatch.
       EXPECT_NE(std::string(error.what()).find("exceeds the"), std::string::npos)
           << count << ": " << error.what();
@@ -992,7 +1160,7 @@ TEST(DistSerde, HostileCountsAreSerdeErrorsBeforeAnyAllocation) {
   EXPECT_THROW(serve::parse_submission(with_line(
                    serve::serialize_submission(doc), "jobs ",
                    "jobs 1000000000000000")),
-               SerdeError);
+               util::SerdeError);
   ShardResults results;
   results.records = {{0, 1, pinned_result()}};
   std::string sealed_results = serialize_shard_results(results);
@@ -1000,14 +1168,26 @@ TEST(DistSerde, HostileCountsAreSerdeErrorsBeforeAnyAllocation) {
        {"cells 18446744073709551615", "samples 99999999999"}) {
     std::string key = std::string(hostile).substr(0, std::string(hostile).find(' ') + 1);
     EXPECT_THROW(parse_shard_results(with_line(sealed_results, key, hostile)),
-                 SerdeError)
+                 util::SerdeError)
         << hostile;
   }
   // Counts inside a row are bounded by the row's own bytes.
   EXPECT_THROW(parse_shard_results(with_line(
                    sealed_results, "sample 60000",
                    "sample 60000 8000000000000000 0 0 4 4000000000")),
-               SerdeError);
+               util::SerdeError);
+  // The telemetry and sketch lists take the same guard.
+  for (const std::string& error :
+       {serde_error([] {
+          obs::parse_snapshot(with_line(obs::serialize_snapshot(pinned_snapshot()),
+                                        "counters ", "counters 100000000"));
+        }),
+        serde_error([] {
+          parse_sketch(with_line(sketch_text(pinned_sketch()), "buckets ",
+                                 "buckets 100000000", /*sealed=*/false));
+        })}) {
+    EXPECT_NE(error.find("exceeds the"), std::string::npos) << error;
+  }
   // The selection's run-length row decodes to far more nodes than bytes by
   // design; its count is capped, and runs may not overshoot the count.
   for (const char* hostile : {"nodes 4000000000 0+4000000000",
@@ -1016,7 +1196,7 @@ TEST(DistSerde, HostileCountsAreSerdeErrorsBeforeAnyAllocation) {
     EXPECT_THROW(parse_scenario_result(
                      with_line(serialize(pinned_result()), "nodes ", hostile,
                                /*sealed=*/false)),
-                 SerdeError)
+                 util::SerdeError)
         << hostile;
   }
 }
@@ -1030,13 +1210,13 @@ TEST(DistSerde, OutOfRangeIntegersAreSerdeErrors) {
     std::string prefix = std::string(hostile).substr(0, 5);
     EXPECT_THROW(parse_scenario_config(
                      with_line(config, prefix, hostile, /*sealed=*/false)),
-                 SerdeError)
+                 util::SerdeError)
         << hostile;
   }
   EXPECT_THROW(parse_scenario_config(with_line(
                    config, "job 1 ", "job 1 0 4294967296 512 7200000 5400000 x",
                    /*sealed=*/false)),
-               SerdeError);
+               util::SerdeError);
   const std::string result = serialize(pinned_result());
   for (const char* hostile : {"whole_racks 2147483648",
                               "sample 0 411869c040000000 4294967306 2 1 3 3 0 5",
@@ -1044,7 +1224,36 @@ TEST(DistSerde, OutOfRangeIntegersAreSerdeErrors) {
     std::string prefix = std::string(hostile).substr(0, 8);
     EXPECT_THROW(parse_scenario_result(
                      with_line(result, prefix, hostile, /*sealed=*/false)),
-                 SerdeError)
+                 util::SerdeError)
+        << hostile;
+  }
+
+  // Sketch bucket rows: index past bucket_count, a descending index, an
+  // explicit zero bucket.
+  const std::string sketch = sketch_text(pinned_sketch());
+  struct SketchRow {
+    const char* prefix;
+    const char* hostile;
+    const char* check;  ///< the walk's own message for it
+  };
+  for (const SketchRow& row :
+       {SketchRow{"bucket 364", "bucket 365 1", "index out of range"},
+        SketchRow{"bucket 45", "bucket 5 2", "not strictly ascending"},
+        SketchRow{"bucket 364", "bucket 364 0", "explicit zero bucket"}}) {
+    std::string error = serde_error([&] {
+      parse_sketch(with_line(sketch, row.prefix, row.hostile, false));
+    });
+    EXPECT_NE(error.find(row.check), std::string::npos)
+        << row.hostile << ": " << error;
+  }
+  // Metric names are checked as registration checks them.
+  const std::string telemetry = obs::serialize_snapshot(pinned_snapshot());
+  for (const char* hostile : {"counter serve\tdocs 120",
+                              "counter serve\x01" "docs 120",
+                              "counter serve\x7f 120"}) {
+    EXPECT_THROW(obs::parse_snapshot(
+                     with_line(telemetry, "counter serve.docs", hostile)),
+                 util::SerdeError)
         << hostile;
   }
 
@@ -1054,7 +1263,7 @@ TEST(DistSerde, OutOfRangeIntegersAreSerdeErrors) {
   for (const char* hostile : {"tenant team-a -5 2 7 1 0", "tenant team-a 3 2 7 2 0",
                               "tenant team-a 3 2 7 1", "tenant team-a 3 2 7 1 0 9"}) {
     EXPECT_THROW(serve::parse_status(with_line(sealed_status, "tenant ", hostile)),
-                 SerdeError)
+                 util::SerdeError)
         << hostile;
   }
 }

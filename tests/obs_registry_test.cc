@@ -14,6 +14,7 @@
 #include "obs/registry.h"
 #include "util/check.h"
 #include "util/seal.h"
+#include "util/wire.h"
 #include "util/thread_pool.h"
 
 namespace ps::obs {
@@ -88,7 +89,7 @@ TEST(ObsRegistry, SnapshotSerializeParseRoundTrips) {
   Registry registry;
   registry.counter("docs").inc(41);
   registry.gauge("queue_depth").set(17.25);
-  registry.gauge("ratio").set(0.1);  // not exactly representable: %.17g fence
+  registry.gauge("ratio").set(0.1);  // not exactly representable
   Histogram& lat = registry.histogram("latency_ms");
   for (double v : {0.5, 1.0, 2.0, 8.0, 64.0, 900.0}) lat.observe(v);
 
@@ -107,7 +108,7 @@ TEST(ObsRegistry, SnapshotSerializeParseRoundTrips) {
   ASSERT_EQ(back.gauges.size(), 2u);
   EXPECT_EQ(back.gauges[0].name, "queue_depth");
   EXPECT_EQ(back.gauges[0].value, 17.25);
-  EXPECT_EQ(back.gauges[1].value, 0.1);  // bit-exact through %.17g
+  EXPECT_EQ(back.gauges[1].value, 0.1);  // bit-exact through the hex pattern
   ASSERT_EQ(back.histograms.size(), 1u);
   EXPECT_EQ(back.histograms[0].name, "latency_ms");
   EXPECT_EQ(back.histograms[0].count, 6u);
@@ -124,10 +125,10 @@ TEST(ObsRegistry, ParseRejectsTornAndMalformedDocuments) {
   // A flipped byte in the body must fail the seal, not mis-parse.
   std::string torn = wire;
   torn[torn.find("c 1")] = 'z';
-  EXPECT_THROW(parse_snapshot(torn), util::SealError);
+  EXPECT_THROW(parse_snapshot(torn), util::SerdeError);
   // A well-sealed document of the wrong shape must fail loudly too.
   EXPECT_THROW(parse_snapshot(util::seal_document("nonsense v9\n")),
-               std::runtime_error);
+               util::SerdeError);
 }
 
 TEST(ObsRegistry, KillSwitchZeroesIncrements) {

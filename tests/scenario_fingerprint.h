@@ -9,6 +9,5 @@
 namespace ps::core::testing {
 
 using ps::core::fingerprint;
-using ps::core::fnv1a;
 
 }  // namespace ps::core::testing

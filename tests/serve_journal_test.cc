@@ -8,11 +8,11 @@
 #include <string>
 #include <vector>
 
-#include "dist/serde.h"
 #include "serve/journal.h"
 #include "serve/protocol.h"
 #include "util/spool.h"
 #include "util/stats.h"
+#include "util/wire.h"
 
 namespace ps::serve {
 namespace {
@@ -62,7 +62,7 @@ Checkpoint make_checkpoint(std::uint64_t seq) {
   util::QuantileSketch sketch(0.01);
   sketch.add(1.5);
   sketch.add(42.0);
-  ckpt.sketch = sketch.serialize();
+  ckpt.sketch = sketch;
   return ckpt;
 }
 
@@ -85,10 +85,9 @@ TEST(ServeJournal, CheckpointRoundTripsAllFields) {
   EXPECT_FALSE(parsed.clients[0].eof);
   EXPECT_EQ(parsed.clients[0].admitted_jobs, 120u);
   EXPECT_EQ(parsed.clients[0].history_fp, ckpt.clients[0].history_fp);
-  EXPECT_EQ(parsed.sketch, ckpt.sketch);
-  // The embedded sketch survives as a live sketch again.
-  util::QuantileSketch restored = util::QuantileSketch::parse(parsed.sketch);
-  EXPECT_EQ(restored.count(), 2u);
+  // The nested sketch survives as a live sketch again.
+  EXPECT_EQ(parsed.sketch.count(), 2u);
+  EXPECT_EQ(parsed.sketch.quantile(0.99), ckpt.sketch.quantile(0.99));
   // Serialization is deterministic: equal checkpoints, equal bytes.
   EXPECT_EQ(serialize_checkpoint(ckpt), serialize_checkpoint(ckpt));
 }
@@ -97,16 +96,16 @@ TEST(ServeJournal, CheckpointRejectsUnsortedClients) {
   Checkpoint ckpt = make_checkpoint(0);
   std::swap(ckpt.clients[0], ckpt.clients[1]);
   std::string doc = serialize_checkpoint(ckpt);
-  EXPECT_THROW(parse_checkpoint(doc), dist::SerdeError);
+  EXPECT_THROW(parse_checkpoint(doc), util::SerdeError);
 }
 
 TEST(ServeJournal, TornCheckpointFailsItsSeal) {
   std::string doc = serialize_checkpoint(make_checkpoint(1));
   EXPECT_THROW(parse_checkpoint(doc.substr(0, doc.size() / 2)),
-               dist::SerdeError);
+               util::SerdeError);
   std::string flipped = doc;
   flipped[doc.size() / 3] ^= 0x20;
-  EXPECT_THROW(parse_checkpoint(flipped), dist::SerdeError);
+  EXPECT_THROW(parse_checkpoint(flipped), util::SerdeError);
 }
 
 TEST(ServeJournal, SegmentRoundTripsAndEnforcesOrder) {
@@ -135,7 +134,7 @@ TEST(ServeJournal, SegmentRoundTripsAndEnforcesOrder) {
   unsorted.docs.push_back(make_submission("alpha", 1, 100));
   unsorted.docs.push_back(make_submission("alpha", 1, 200));  // duplicate seq
   std::string doc = serialize_segment(unsorted);
-  EXPECT_THROW(parse_segment(doc), dist::SerdeError);
+  EXPECT_THROW(parse_segment(doc), util::SerdeError);
 }
 
 TEST(ServeJournal, ChainIsOrderAndFieldSensitive) {
@@ -175,9 +174,12 @@ TEST(ServeJournal, EpochReadsLenientAndBumpsDurably) {
   EXPECT_EQ(read_epoch(spool), 1u);  // ...and the next start observes 1
   EXPECT_EQ(bump_epoch(spool), 1u);
   EXPECT_EQ(read_epoch(spool), 2u);
-  // Garbled epoch file: lenient zero, never a refusal to start.
-  util::write_file_atomic(epoch_path(spool), "not an epoch\n", false);
-  EXPECT_EQ(read_epoch(spool), 0u);
+  EXPECT_EQ(util::read_file(epoch_path(spool)), "epoch 2\n");  // the bytes
+  // Garbled or torn epoch file: lenient zero, never a refusal to start.
+  for (const char* garbled : {"not an epoch\n", "epo", "epoch \n", "epoch 2 3\n"}) {
+    util::write_file_atomic(epoch_path(spool), garbled, false);
+    EXPECT_EQ(read_epoch(spool), 0u) << garbled;
+  }
   util::remove_tree(spool);
 }
 

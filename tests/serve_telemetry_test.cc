@@ -217,5 +217,18 @@ TEST(ServeTelemetry, StatReportsEmptyDirectory) {
   util::remove_tree(dir);
 }
 
+TEST(ServeTelemetry, StatRejectsANonPositivePollInterval) {
+  // A usage error exits 1 before any directory is read; an accepted
+  // interval would reach the empty directory and exit 3.
+  std::string dir = util::make_temp_dir("serve_tele_poll");
+  for (const char* poll_ms : {"-1", "0", "soon"}) {
+    util::Subprocess stat = util::Subprocess::spawn(
+        {PS_STAT_BIN, dir, "--poll-ms", poll_ms}, dir + "/stat.out",
+        dir + "/stat.err");
+    EXPECT_EQ(stat.wait(), 1) << poll_ms;
+  }
+  util::remove_tree(dir);
+}
+
 }  // namespace
 }  // namespace ps::serve

@@ -12,6 +12,7 @@
 #include "util/check.h"
 #include "util/rng.h"
 #include "util/stats.h"
+#include "util/wire.h"
 
 namespace ps::util {
 namespace {
@@ -148,7 +149,15 @@ TEST(QuantileSketch, MergeRejectsMismatchedGeometry) {
   EXPECT_THROW(a.merge(b), CheckError);
 }
 
-// --- serialize/parse round trip (the serve-checkpoint embedding) ------------
+// --- qsketch walk round trip (the serve-checkpoint embedding) ---------------
+
+std::string encode_sketch(const QuantileSketch& sketch) {
+  return encode(sketch, qsketch<Writer, const QuantileSketch>, /*sealed=*/false);
+}
+
+QuantileSketch decode_sketch(std::string_view text) {
+  return decode(text, qsketch<Reader, QuantileSketch>, /*sealed=*/false);
+}
 
 TEST(QuantileSketchSerde, RoundTripReportsIdenticalQuantiles) {
   Rng rng(20260808);
@@ -159,7 +168,7 @@ TEST(QuantileSketchSerde, RoundTripReportsIdenticalQuantiles) {
     sketch.add(x);
     samples.push_back(x);
   }
-  QuantileSketch restored = QuantileSketch::parse(sketch.serialize());
+  QuantileSketch restored = decode_sketch(encode_sketch(sketch));
   EXPECT_EQ(restored.count(), sketch.count());
   EXPECT_DOUBLE_EQ(restored.sum(), sketch.sum());
   EXPECT_DOUBLE_EQ(restored.min(), sketch.min());
@@ -171,7 +180,7 @@ TEST(QuantileSketchSerde, RoundTripReportsIdenticalQuantiles) {
   }
   // Byte-identical re-serialization: the checkpoint diff of an idle serve
   // loop is empty.
-  EXPECT_EQ(restored.serialize(), sketch.serialize());
+  EXPECT_EQ(encode_sketch(restored), encode_sketch(sketch));
   // And the restored sketch still honors the advertised rank-error bound
   // against the exact sorted reference.
   expect_within_bound(restored, std::move(samples));
@@ -193,7 +202,7 @@ TEST(QuantileSketchSerde, MergeAfterRoundTripMatchesDirectMergeWithinBound) {
   }
   QuantileSketch direct = a;
   direct.merge(b);
-  QuantileSketch restored = QuantileSketch::parse(a.serialize());
+  QuantileSketch restored = decode_sketch(encode_sketch(a));
   restored.merge(b);
   EXPECT_EQ(restored.count(), direct.count());
   EXPECT_DOUBLE_EQ(restored.sum(), direct.sum());
@@ -205,7 +214,7 @@ TEST(QuantileSketchSerde, MergeAfterRoundTripMatchesDirectMergeWithinBound) {
 
 TEST(QuantileSketchSerde, EmptySketchRoundTrips) {
   QuantileSketch sketch(0.05, 1.0, 1e6);
-  QuantileSketch restored = QuantileSketch::parse(sketch.serialize());
+  QuantileSketch restored = decode_sketch(encode_sketch(sketch));
   EXPECT_EQ(restored.count(), 0u);
   EXPECT_EQ(restored.quantile(0.5), 0.0);
   EXPECT_EQ(restored.bucket_count(), sketch.bucket_count());
@@ -218,17 +227,15 @@ TEST(QuantileSketchSerde, EmptySketchRoundTrips) {
 TEST(QuantileSketchSerde, MalformedInputThrows) {
   QuantileSketch sketch;
   sketch.add(5.0);
-  std::string good = sketch.serialize();
-  EXPECT_THROW(QuantileSketch::parse(""), std::runtime_error);
-  EXPECT_THROW(QuantileSketch::parse("qsketch2" + good.substr(8)),
-               std::runtime_error);
-  EXPECT_THROW(QuantileSketch::parse(good.substr(0, good.size() / 2)),
-               std::runtime_error);
-  EXPECT_THROW(QuantileSketch::parse(good + " 7:1"), std::runtime_error);
+  std::string good = encode_sketch(sketch);
+  EXPECT_THROW(decode_sketch(""), SerdeError);
+  EXPECT_THROW(decode_sketch("begin qsketch2" + good.substr(13)), SerdeError);
+  EXPECT_THROW(decode_sketch(good.substr(0, good.size() / 2)), SerdeError);
+  EXPECT_THROW(decode_sketch(good + "bucket 7 1\n"), SerdeError);
   // A corrupted bucket count no longer sums to the total.
   std::string tampered = good;
-  tampered.back() = tampered.back() == '1' ? '2' : '1';
-  EXPECT_THROW(QuantileSketch::parse(tampered), std::runtime_error);
+  tampered.replace(tampered.find(" 1\nend qsketch"), 2, " 2");
+  EXPECT_THROW(decode_sketch(tampered), SerdeError);
 }
 
 }  // namespace

@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
 """Validate a ps-serve telemetry spool directory from outside the binary.
 
-Re-implements the seal and the `telemetry v1` wire format (src/obs/
-registry.h) in ~100 lines of stdlib Python, so CI can assert — with no C++
-in the loop — that the documents a daemon published are:
+Re-implements the seal and the telemetry block grammar (src/obs/
+registry.h, a util/wire.h field walk) in stdlib Python, so CI can assert —
+with no C++ in the loop — that the documents a daemon published are:
 
   * well-sealed: the trailing `checksum <hex64>` line is the FNV-1a digest
     of every body byte (util/seal.h);
-  * well-formed: header, stamps, and only counter/gauge/hist lines;
-  * monotonic: seq strictly increases across documents, wall/monotonic
-    stamps never go backward, and no counter ever decreases — the
+  * well-formed: one `telemetry` block holding the four stamps, then the
+    `counters`, `gauges` and `histograms` lists, one row per metric with a
+    printable whitespace-free name, doubles as IEEE-754 hex bit patterns;
+  * monotonic: seq strictly increases across documents, the monotonic
+    stamp never goes backward, and no counter ever decreases — the
     registry's snapshot-consistency promise observed end to end.
 
 Usage:
@@ -27,6 +29,7 @@ telemetry/. Exit code 1 on any violation, 2 on usage errors.
 
 import argparse
 import os
+import struct
 import sys
 
 FNV_OFFSET = 0xcbf29ce484222325
@@ -41,43 +44,65 @@ def fnv1a(data: bytes) -> int:
     return h
 
 
-def open_document(text: bytes, name: str) -> str:
+def open_document(text: bytes) -> str:
     """Verifies and strips the trailing checksum line; returns the body."""
     lines = text.split(b"\n")
     if len(lines) < 2 or lines[-1] != b"" or not lines[-2].startswith(b"checksum "):
-        raise ValueError(f"{name}: unsealed or truncated (no checksum line)")
+        raise ValueError(f"unsealed or truncated (no checksum line)")
     seal_line = lines[-2]
     body = text[: len(text) - len(seal_line) - 1]
     want = seal_line.split()[1].decode()
     got = format(fnv1a(body), "016x")
     if want != got:
-        raise ValueError(f"{name}: checksum mismatch (want {want}, got {got})")
+        raise ValueError(f"checksum mismatch (want {want}, got {got})")
     return body.decode()
 
 
-def parse_telemetry(body: str, name: str) -> dict:
-    lines = body.splitlines()
-    if not lines or lines[0] != "telemetry v1":
-        raise ValueError(f"{name}: missing 'telemetry v1' header")
-    doc = {"counters": {}, "gauges": {}, "hists": {}}
-    for line in lines[1:]:
-        key, _, rest = line.partition(" ")
-        if key in ("seq", "wall_ns", "mono_ns", "sim_time_ms"):
-            doc[key] = int(rest)
-        elif key == "counter":
-            cname, value = rest.rsplit(" ", 1)
-            doc["counters"][cname] = int(value)
-        elif key == "gauge":
-            gname, value = rest.rsplit(" ", 1)
-            doc["gauges"][gname] = float(value)
-        elif key == "hist":
-            fields = rest.split(" ")
-            doc["hists"][fields[0]] = [float(f) for f in fields[1:]]
-        else:
-            raise ValueError(f"{name}: unknown line kind {key!r}")
-    for required in ("seq", "wall_ns", "mono_ns", "sim_time_ms"):
-        if required not in doc:
-            raise ValueError(f"{name}: missing {required} stamp")
+def f64(token: str) -> float:
+    """A double's IEEE-754 bit pattern as 16 lowercase hex digits."""
+    if len(token) != 16 or token.strip("0123456789abcdef"):
+        raise ValueError(f"malformed hex64 {token!r}")
+    return struct.unpack("<d", struct.pack("<Q", int(token, 16)))[0]
+
+
+def parse_telemetry(body: str) -> dict:
+    """Reads the fields in the exact order the C++ walk writes them."""
+    lines = iter(body.splitlines())
+
+    def field(key):
+        line = next(lines, None)
+        if line is None:
+            raise ValueError(f"truncated before {key!r}")
+        got, _, rest = line.partition(" ")
+        if got != key:
+            raise ValueError(f"expected {key!r}, found {line[:40]!r}")
+        return rest
+
+    def rows(list_key, row_key, width):
+        metrics = {}
+        for _ in range(int(field(list_key))):
+            tokens = field(row_key).split(" ")
+            if len(tokens) != width:
+                raise ValueError(f"{row_key} row wants {width} tokens")
+            if not all("!" <= c <= "~" for c in tokens[0]):
+                raise ValueError(f"invalid metric name {tokens[0]!r}")
+            metrics[tokens[0]] = tokens[1:]
+        return metrics
+
+    kind, _, version = field("begin").partition(" v")
+    if kind != "telemetry" or not version.isdigit():
+        raise ValueError(f"missing 'begin telemetry v<N>' header")
+    doc = {key: int(field(key))
+           for key in ("seq", "wall_ns", "mono_ns", "sim_time_ms")}
+    doc["counters"] = {metric: int(value) for metric, (value,)
+                       in rows("counters", "counter", 2).items()}
+    doc["gauges"] = {metric: f64(value) for metric, (value,)
+                     in rows("gauges", "gauge", 2).items()}
+    doc["hists"] = {metric: [int(count)] + [f64(t) for t in stats]
+                    for metric, (count, *stats)
+                    in rows("histograms", "hist", 8).items()}
+    if field("end") != "telemetry" or any(line.strip() for line in lines):
+        raise ValueError(f"content after the telemetry block")
     return doc
 
 
@@ -121,9 +146,9 @@ def main():
         with open(os.path.join(tel_dir, name), "rb") as f:
             raw = f.read()
         try:
-            doc = parse_telemetry(open_document(raw, name), name)
+            doc = parse_telemetry(open_document(raw))
         except ValueError as error:
-            print(f"FAIL: {error}")
+            print(f"FAIL: {name}: {error}")
             violations += 1
             continue
         if prev is not None:
