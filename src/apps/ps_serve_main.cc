@@ -2,50 +2,7 @@
 // deterministic replay engine. Clients (ps-load) publish job submissions
 // into a spool; ps-serve ingests them, replays them through the powercap
 // controller, and reports throughput, admission-latency percentiles and
-// the replay fingerprint on exit.
-//
-//   ps-serve --spool DIR --expect-clients N
-//       [--mode det|wall]          det: sim chases the ingest watermark
-//                                  (bit-identical to offline replay);
-//                                  wall: sim chases wall time x accel,
-//                                  late jobs admitted late (default det)
-//       [--accel X]                wall mode: sim ms per wall ms (1000)
-//       [--racks N] [--policy P] [--lambda L]
-//       [--cap-start MS] [--cap-minutes M]
-//       [--queue-docs N] [--inbox-high-water N]
-//       [--stats-ms N] [--hello-timeout-ms N]
-//       [--recover]                 resume a dirty spool from its journal
-//                                  and newest sealed checkpoint
-//       [--checkpoint-jobs N]       checkpoint every N admitted jobs (5000;
-//                                  0 disables the job cadence)
-//       [--checkpoint-seconds N]    ... or every N simulated seconds (86400)
-//       [--journal-fsync]           fsync each journaled document (survives
-//                                  kernel crashes, not just SIGKILL)
-//       [--faults SPEC]             daemon fault injection (the serve
-//                                  sites of serve/server.h, spec grammar
-//                                  of util/fault.h); no environment
-//                                  variable is read
-//       [--telemetry-seconds N]     publish a sealed obs-registry snapshot
-//                                  into <spool>/telemetry/ every N wall
-//                                  seconds (read with ps-stat; 0 = off)
-//       [--quantum-jobs N]          DRR admission credit per tenant weight
-//                                  unit per cycle (256)
-//       [--admit-window-ms N]       quota/slow-start window length (100)
-//       [--tenant-window-jobs N]    jobs a tenant may admit per window
-//                                  (0 = unlimited)
-//       [--tenant-inflight-docs N]  claimed-but-unadmitted documents per
-//                                  tenant before ingest holds its claims
-//                                  (256; 0 = unlimited)
-//       [--poison-threshold N]      poison documents before a tenant is
-//                                  abandoned and quarantined (8; 0 = never)
-//       [--slow-start-docs N]       post-recovery claim allowance in the
-//                                  first window, doubling per window
-//                                  (32; 0 = off)
-//       [--trace-out FILE]          record trace spans and write Chrome
-//                                  trace-event JSON on exit (load in
-//                                  chrome://tracing or Perfetto)
-//       [--log-json]                JSON-lines log sink (one object per
-//                                  line, wall-clock stamped)
+// the replay fingerprint on exit. The flags are listed in kUsage below.
 //
 // SIGTERM/SIGINT drain gracefully: ingestion stops, everything already
 // admitted finishes simulating, and the final report still prints.
@@ -75,25 +32,49 @@ std::atomic<bool> g_stop{false};
 
 void handle_signal(int) { g_stop.store(true); }
 
-int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s --spool DIR --expect-clients N [--mode det|wall]\n"
-               "          [--accel X] [--racks N] [--policy none|shut|dvfs|mix|"
-               "idle|auto]\n"
-               "          [--lambda L] [--cap-start MS] [--cap-minutes M]\n"
-               "          [--queue-docs N] [--inbox-high-water N] [--stats-ms N]\n"
-               "          [--hello-timeout-ms N] [--recover] [--checkpoint-jobs N]\n"
-               "          [--checkpoint-seconds N] [--journal-fsync] "
-               "[--faults SPEC]\n"
-               "          [--telemetry-seconds N] [--trace-out FILE] "
-               "[--log-json]\n"
-               "          [--quantum-jobs N] [--admit-window-ms N] "
-               "[--tenant-window-jobs N]\n"
-               "          [--tenant-inflight-docs N] [--poison-threshold N] "
-               "[--slow-start-docs N]\n",
-               argv0);
-  return 2;
-}
+constexpr const char* kUsage = R"(usage: ps-serve --spool DIR --expect-clients N
+    [--mode det|wall]           det: sim chases the ingest watermark
+                                (bit-identical to offline replay);
+                                wall: sim chases wall time x accel,
+                                late jobs admitted late (default det)
+    [--accel X]                 wall mode: sim ms per wall ms (1000)
+    [--racks N] [--policy none|shut|dvfs|mix|idle|auto] [--lambda L]
+    [--cap-start MS] [--cap-minutes M]
+    [--queue-docs N] [--inbox-high-water N]
+    [--stats-ms N] [--hello-timeout-ms N]
+    [--recover]                 resume a dirty spool from its journal
+                                and newest sealed checkpoint
+    [--checkpoint-jobs N]       checkpoint every N admitted jobs (5000;
+                                0 disables the job cadence)
+    [--checkpoint-seconds N]    ... or every N simulated seconds (86400)
+    [--journal-fsync]           fsync each journaled document (survives
+                                kernel crashes, not just SIGKILL)
+    [--faults SPEC]             daemon fault injection (the serve sites
+                                of serve/server.h, spec grammar of
+                                util/fault.h); no environment variable
+                                is read
+    [--telemetry-seconds N]     publish a sealed obs-registry snapshot
+                                into <spool>/telemetry/ every N wall
+                                seconds (read with ps-stat; 0 = off)
+    [--quantum-jobs N]          DRR admission credit per tenant weight
+                                unit per cycle (256)
+    [--admit-window-ms N]       quota/slow-start window length (100)
+    [--tenant-window-jobs N]    jobs a tenant may admit per window
+                                (0 = unlimited)
+    [--tenant-inflight-docs N]  claimed-but-unadmitted documents per
+                                tenant before ingest holds its claims
+                                (256; 0 = unlimited)
+    [--poison-threshold N]      poison documents before a tenant is
+                                abandoned and quarantined (8; 0 = never)
+    [--slow-start-docs N]       post-recovery claim allowance in the
+                                first window, doubling per window
+                                (32; 0 = off)
+    [--trace-out FILE]          record trace spans and write Chrome
+                                trace-event JSON on exit (load in
+                                chrome://tracing or Perfetto)
+    [--log-json]                JSON-lines log sink (one object per
+                                line, wall-clock stamped)
+)";
 
 core::Policy parse_policy(const std::string& name) {
   std::string lowered = strings::to_lower(name);
@@ -175,7 +156,10 @@ int main(int argc, char** argv) {
         throw std::runtime_error("unknown option " + args[i]);
       }
     }
-    if (options.spool.empty()) return usage(argv[0]);
+    if (options.spool.empty()) {
+      std::fputs(kUsage, stderr);
+      return 2;
+    }
 
     struct sigaction action {};
     action.sa_handler = handle_signal;

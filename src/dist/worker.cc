@@ -59,10 +59,6 @@ class HeartbeatPump {
   std::jthread thread_;
 };
 
-[[noreturn]] void emulate_sigkill() {
-  ::_exit(137);  // the exit code a real SIGKILL would produce
-}
-
 }  // namespace
 
 ShardResults run_shard(const Shard& shard) {
@@ -121,14 +117,14 @@ int run_worker_spool(const WorkerOptions& options) {
           results_dir + "/" + results_file_name(shard.id, attempt);
 
       if (faults.fires(SweepFault::DieBeforePublish, id, attempt)) {
-        emulate_sigkill();  // computed but never published; claim stranded
+        util::emulate_sigkill();  // computed, never published: claim stranded
       }
       if (faults.fires(SweepFault::TornPublish, id, attempt)) {
         // A torn write that still reached the final name (non-atomic FS):
         // half the document, no checksum line, then death.
         util::write_file_atomic(published, document.substr(0, document.size() / 2),
                                 /*durable=*/false);
-        emulate_sigkill();
+        util::emulate_sigkill();
       }
       if (faults.fires(SweepFault::CorruptResult, id, attempt)) {
         // Bitrot after sealing: the checksum no longer matches the body.

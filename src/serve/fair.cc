@@ -15,7 +15,6 @@ void FairAdmitter::add_tenant(const std::string& tenant,
 
 void FairAdmitter::begin_cycle(std::int64_t now_ms,
                                const std::vector<std::string>& backlogged) {
-  ++cycles_;
   const std::int64_t window =
       options_.window_ms > 0 ? now_ms / options_.window_ms : 0;
   if (window != window_index_) {

@@ -86,10 +86,6 @@ class FairAdmitter {
   /// publishes the delta through the obs registry).
   std::uint64_t window_deferrals() const { return window_deferrals_; }
 
-  std::uint64_t cycles() const { return cycles_; }
-
-  const TenantQuotaOptions& options() const { return options_; }
-
  private:
   struct Tenant {
     std::uint64_t weight = 1;
@@ -102,7 +98,6 @@ class FairAdmitter {
   std::map<std::string, Tenant> tenants_;
   std::int64_t window_index_ = -1;
   std::uint64_t window_deferrals_ = 0;
-  std::uint64_t cycles_ = 0;
 };
 
 }  // namespace ps::serve

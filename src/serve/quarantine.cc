@@ -1,8 +1,5 @@
 #include "serve/quarantine.h"
 
-#include <utility>
-
-#include "util/check.h"
 #include "util/spool.h"
 #include "util/strings.h"
 #include "util/wire.h"
@@ -58,29 +55,6 @@ std::string quarantine_file_name(std::uint64_t generation,
                          static_cast<unsigned long long>(ordinal),
                          static_cast<int>(original_name.size()),
                          original_name.data());
-}
-
-std::string quarantine_document(const std::string& spool,
-                                const std::string& src_path,
-                                std::string_view original_name,
-                                std::uint64_t ordinal,
-                                const QuarantineReason& reason) {
-  const std::string dir = quarantine_dir(spool);
-  util::ensure_dir(dir);
-  const std::string name =
-      quarantine_file_name(reason.generation, ordinal, original_name);
-  const std::string dest = dir + "/" + name;
-  // Verdict first, evidence second. The reason record is the commit point:
-  // for a consumed tombstone, a crash after the journal entry moved but
-  // before the tombstone landed would leave a sequence gap recovery can
-  // never fill — a deadlock. Written this way, the worst crash window
-  // leaves both the tombstone and the journal entry, and recovery finishes
-  // the interrupted move when the tombstone consumes the seq.
-  util::write_file_atomic(dest + ".reason",
-                          serialize_quarantine_reason(reason),
-                          /*durable=*/true);
-  util::retire_file(src_path, dest, /*durable=*/true);
-  return dest;
 }
 
 std::map<std::string, std::set<std::uint64_t>> load_quarantine_tombstones(

@@ -69,16 +69,6 @@ std::string quarantine_file_name(std::uint64_t generation,
                                  std::uint64_t ordinal,
                                  std::string_view original_name);
 
-/// Moves `src_path` (a claimed or journaled document) into quarantine and
-/// writes the sealed reason record next to it, both durable. A missing
-/// source is tolerated — the reason record (tombstone) is still written,
-/// which is what recovery needs. Returns the quarantined document path.
-std::string quarantine_document(const std::string& spool,
-                                const std::string& src_path,
-                                std::string_view original_name,
-                                std::uint64_t ordinal,
-                                const QuarantineReason& reason);
-
 /// Recovery sweep: parses every sealed `.reason` record in the quarantine
 /// directory and returns the consumed-submission tombstones as
 /// client -> set of consumed seqs. Unsealed/corrupt reason records fail

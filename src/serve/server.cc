@@ -4,7 +4,6 @@
 #include <chrono>
 #include <iterator>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <queue>
 #include <set>
@@ -15,19 +14,17 @@
 
 #include <cstdio>
 
-#include <unistd.h>
-
 #include "core/fingerprint.h"
 #include "core/replay.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
 #include "dist/serde.h"
 #include "serve/fair.h"
+#include "serve/ingest.h"
 #include "serve/journal.h"
 #include "serve/protocol.h"
 #include "serve/quarantine.h"
 #include "sim/simulator.h"
-#include "util/bounded_queue.h"
 #include "util/check.h"
 #include "util/spool.h"
 #include "util/strings.h"
@@ -39,438 +36,15 @@ namespace {
 
 using workload::JobRequest;
 
-/// Same SIGKILL emulation as the dist chaos worker (dist/worker.cc): the
-/// injected crash must be indistinguishable from `kill -9` — no stack
-/// unwinding, no atexit, no flushed buffers.
-[[noreturn]] void emulate_sigkill() { ::_exit(137); }
-
-/// One claimed inbox document, either kind.
-struct IngestDoc {
-  bool is_hello = false;
-  Hello hello;
-  Submission submission;
-};
-
-/// State the ingest thread shares with the serve loop.
-struct Shared {
-  util::BoundedQueue<IngestDoc> queue;
-  std::atomic<bool> ingest_stop{false};
-  std::atomic<bool> accepting{true};
-  std::atomic<std::int64_t> sim_time{0};
-  std::atomic<std::uint64_t> admitted{0};
-  /// Registry-homed ingest counters (obs/registry.h): the report's
-  /// backpressure figure is the run's delta of `stalls`; the claim and
-  /// journal counters are telemetry-only.
-  obs::Counter& stalls = obs::Registry::global().counter(
-      "serve.backpressure_stalls");
-  obs::Counter& ingest_claims =
-      obs::Registry::global().counter("serve.ingest.claims");
-  obs::Counter& ingest_journaled =
-      obs::Registry::global().counter("serve.ingest.journaled");
-  /// Overload-hardening counters (serve/quarantine.h, serve/fair.h).
-  obs::Counter& q_docs =
-      obs::Registry::global().counter("serve.quarantine.docs");
-  obs::Counter& q_jobs =
-      obs::Registry::global().counter("serve.quarantine.jobs");
-  obs::Counter& q_poisoned =
-      obs::Registry::global().counter("serve.quarantine.poisoned_tenants");
-  obs::Counter& inflight_holds =
-      obs::Registry::global().counter("serve.quota.inflight_holds");
-  obs::Counter& slow_holds =
-      obs::Registry::global().counter("serve.slow_start.holds");
-  /// Names quarantined documents uniquely within a generation.
-  std::atomic<std::uint64_t> quarantine_ordinal{0};
-  /// Post-recovery slow start still ramping (advertised in the status
-  /// document so well-behaved clients hold their floods back).
-  std::atomic<bool> slow_start{false};
-  /// Daemon generation (epoch counter) — the fault-site `attempt`.
-  std::uint64_t generation = 0;
-
-  /// Cross-thread tenant state. The ingest thread consults quotas and the
-  /// poison set *before* claiming; the serve thread owns every decision
-  /// and refreshes the status rows. Critical sections are a handful of
-  /// map operations — never I/O.
-  std::mutex tenant_mutex;
-  std::map<std::string, std::string> tenant_of;       ///< client -> tenant
-  std::map<std::string, std::uint64_t> inflight;      ///< claimed, unapplied
-  std::map<std::string, std::uint64_t> poison_score;  ///< poison docs seen
-  std::set<std::string> poisoned;                     ///< abandoned tenants
-  std::vector<TenantStatus> tenant_status;            ///< status rows
-
-  // Set when the ingest thread dies on an exception (corrupt document,
-  // I/O failure); the serve thread rethrows it as its own failure.
-  std::atomic<bool> failed{false};
-  std::mutex failure_mutex;
-  std::string failure;
-
-  explicit Shared(std::size_t capacity) : queue(capacity) {}
-};
-
-/// The tenant a client bills to: the hello's declaration once seen, the
-/// client's own name before that (pre-hello documents are rare and the
-/// default matches what the hello will almost always declare).
-std::string tenant_for(Shared& shared, const std::string& client) {
-  std::lock_guard<std::mutex> lock(shared.tenant_mutex);
-  auto it = shared.tenant_of.find(client);
-  return it == shared.tenant_of.end() ? client : it->second;
-}
-
-bool is_poisoned(Shared& shared, const std::string& tenant) {
-  std::lock_guard<std::mutex> lock(shared.tenant_mutex);
-  return shared.poisoned.count(tenant) > 0;
-}
-
-std::uint64_t inflight_of(Shared& shared, const std::string& tenant) {
-  std::lock_guard<std::mutex> lock(shared.tenant_mutex);
-  auto it = shared.inflight.find(tenant);
-  return it == shared.inflight.end() ? 0 : it->second;
-}
-
-void inc_inflight(Shared& shared, const std::string& tenant) {
-  std::lock_guard<std::mutex> lock(shared.tenant_mutex);
-  ++shared.inflight[tenant];
-}
-
-/// Clamped at zero: documents recovered from the journal were never
-/// counted in (a recovery resets the map), so their release must not
-/// steal a live document's decrement.
-void dec_inflight(Shared& shared, const std::string& tenant) {
-  std::lock_guard<std::mutex> lock(shared.tenant_mutex);
-  auto it = shared.inflight.find(tenant);
-  if (it != shared.inflight.end() && it->second > 0) --it->second;
-}
-
-/// Charges one poison document to the tenant; returns its new score.
-std::uint64_t bump_poison(Shared& shared, const std::string& tenant) {
-  std::lock_guard<std::mutex> lock(shared.tenant_mutex);
-  return ++shared.poison_score[tenant];
-}
-
-/// Quarantines `src_path` (sealed reason record first — see
-/// serve/quarantine.h for the ordering argument) and counts it.
-void quarantine_and_count(const ServeOptions& options, Shared& shared,
-                          const std::string& src_path,
-                          const std::string& original_name,
-                          QuarantineReason reason) {
-  reason.generation = shared.generation;
-  reason.wall_ns = monotonic_ns();
-  quarantine_document(options.spool, src_path, original_name,
-                      shared.quarantine_ordinal.fetch_add(
-                          1, std::memory_order_relaxed),
-                      reason);
-  shared.q_docs.inc();
-  shared.q_jobs.inc(reason.jobs);
-}
-
-void publish_status(const ServeOptions& options, Shared& shared,
-                    std::uint64_t& status_seq) {
-  Status status;
-  status.accepting = shared.accepting.load(std::memory_order_relaxed);
-  status.seq = ++status_seq;
-  status.sim_time = shared.sim_time.load(std::memory_order_relaxed);
-  status.admitted = shared.admitted.load(std::memory_order_relaxed);
-  status.slow_start = shared.slow_start.load(std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(shared.tenant_mutex);
-    status.tenants = shared.tenant_status;
-  }
-  // Heartbeat-grade data: atomic for live readers, not crash-durable.
-  util::write_file_atomic(status_path(options.spool), serialize_status(status),
-                          /*durable=*/false);
-}
-
-/// The ingest thread: list -> claim -> parse -> journal -> push. A full
-/// queue stops the claiming (the inbox is the durable overflow buffer);
-/// nothing is ever discarded. Every claimed document is retired into the
-/// write-ahead journal *before* it can be pushed — SIGKILL between any two
-/// instructions leaves it recoverable from either accepted/ (claimed, not
-/// yet journaled; swept into the journal at recovery) or journal/.
-///
-/// Overload hardening at the claim edge:
-///   * submissions are claimed round-robin across clients (one per client
-///     per turn) instead of in sorted listing order, so a flooding
-///     client's thousand queued documents do not monopolize the claim
-///     order;
-///   * a tenant at its in-flight quota stops being claimed — its flood
-///     stays in the durable inbox instead of our memory;
-///   * a tenant marked poisoned has its documents claimed straight into
-///     quarantine (evidence, not workload);
-///   * documents that fail seal/parse/name validation quarantine with a
-///     sealed reason record instead of killing the thread;
-///   * a document whose name already exists in the journal is a duplicate
-///     publish (lost-ack retry or hostile replay) — the new copy
-///     quarantines so the journaled original stays byte-exact;
-///   * after a dirty recovery, a slow-start gate caps claims per quota
-///     window, doubling each window until uncapped.
-class Ingest {
- public:
-  Ingest(const ServeOptions& options, Shared& shared)
-      : options_(options),
-        shared_(shared),
-        inbox_(inbox_dir(options.spool)),
-        accepted_(accepted_dir(options.spool)),
-        journal_(journal_dir(options.spool)),
-        window_ns_(std::max<std::int64_t>(options.quotas.window_ms, 1) *
-                   1'000'000) {}
-
-  void run() {
-    std::int64_t last_status_ns = 0;
-    while (!stopping()) {
-      if (!claim_pass()) return;
-      bool accepting = !queue_full_ && !slow_held_ &&
-                       backlog_ <= options_.inbox_high_water;
-      bool changed =
-          shared_.accepting.exchange(accepting, std::memory_order_relaxed) !=
-          accepting;
-      std::int64_t now_ns = monotonic_ns();
-      if (changed || now_ns - last_status_ns >=
-                         options_.status_interval_ms * 1'000'000) {
-        publish_status(options_, shared_, status_seq_);
-        last_status_ns = now_ns;
-      }
-      if (backlog_ == 0 || quota_held_ || slow_held_) {
-        // Idle, or everything claimable is gated: poll instead of spinning.
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(options_.poll_ms));
-      }
-    }
-    // Final status: the daemon is draining; nothing further will be claimed.
-    shared_.accepting.store(false, std::memory_order_relaxed);
-    publish_status(options_, shared_, status_seq_);
-  }
-
- private:
-  using Listed = std::pair<std::string, InboxName>;
-
-  bool stopping() const {
-    return shared_.ingest_stop.load(std::memory_order_relaxed);
-  }
-
-  /// One pass over the inbox listing. False = stop ingesting entirely
-  /// (shutdown or a closed queue).
-  bool claim_pass() {
-    backlog_ = 0;
-    queue_full_ = quota_held_ = slow_held_ = false;
-    // Group the inbox by client: hellos first (tiny, and they carry the
-    // tenant mapping everything below bills against). list_files returns
-    // sorted names, so each per-client vector is already in seq order and
-    // the journal keeps its per-client-prefix property.
-    std::vector<Listed> hellos;
-    std::map<std::string, std::vector<Listed>> per_client;
-    for (const std::string& name : util::list_files(inbox_)) {
-      std::optional<InboxName> decoded = parse_inbox_name(name);
-      if (!decoded) continue;  // tmp litter from in-flight publishes
-      ++backlog_;
-      if (decoded->hello) {
-        hellos.emplace_back(name, *decoded);
-      } else {
-        per_client[decoded->client].emplace_back(name, *decoded);
-      }
-    }
-    for (const auto& [name, decoded] : hellos) {
-      if (!pump_doc(name, decoded)) return false;
-    }
-    std::map<std::string, std::size_t> cursor;
-    bool progressed = true;
-    while (progressed) {
-      progressed = false;
-      for (const auto& [client, docs] : per_client) {
-        if (stopping()) return true;
-        std::size_t& at = cursor[client];
-        if (at >= docs.size()) continue;
-        const std::string tenant = tenant_for(shared_, client);
-        if (options_.tenant_inflight_docs > 0 &&
-            !is_poisoned(shared_, tenant) &&
-            inflight_of(shared_, tenant) >= options_.tenant_inflight_docs) {
-          // Over quota: hold the rest of this client's backlog in the
-          // inbox until the serve loop admits what is already claimed.
-          if (!quota_held_) {
-            quota_held_ = true;
-            shared_.inflight_holds.inc();
-          }
-          at = docs.size();
-          continue;
-        }
-        if (slow_start_blocks()) {
-          if (!slow_held_) {
-            slow_held_ = true;
-            shared_.slow_holds.inc();
-          }
-          return true;
-        }
-        const auto& [name, decoded] = docs[at];
-        ++at;
-        if (!pump_doc(name, decoded)) return false;
-        progressed = true;
-      }
-    }
-    return true;
-  }
-
-  /// True while the post-recovery slow-start ramp refuses further claims
-  /// this window (windows are wall-clock, shared with the quota window
-  /// length so one knob tunes both).
-  bool slow_start_blocks() {
-    constexpr std::uint64_t kSlowStartUncap = 1u << 20;
-    if (!shared_.slow_start.load(std::memory_order_relaxed)) return false;
-    const std::int64_t widx = (monotonic_ns() - slow_epoch_ns_) / window_ns_;
-    if (widx != slow_window_) {
-      slow_window_ = widx;
-      std::uint64_t allowance =
-          std::max<std::uint64_t>(options_.slow_start_docs, 1);
-      for (std::int64_t i = 0; i < widx && allowance < kSlowStartUncap; ++i) {
-        allowance <<= 1;
-      }
-      slow_allowance_ = allowance;
-      slow_claimed_ = 0;
-      if (allowance >= kSlowStartUncap) {
-        shared_.slow_start.store(false, std::memory_order_relaxed);
-        return false;
-      }
-    }
-    if (slow_claimed_ >= slow_allowance_) return true;
-    ++slow_claimed_;
-    return false;
-  }
-
-  /// One claim+parse+journal+push. False = stop ingesting entirely
-  /// (shutdown or a closed queue).
-  bool pump_doc(const std::string& name, const InboxName& decoded) {
-    if (stopping()) return false;
-    PS_TRACE_SPAN("serve.ingest.doc");
-    const std::string tenant = tenant_for(shared_, decoded.client);
-    const std::string src = accepted_ + "/" + name;
-    if (!util::claim_file(inbox_ + "/" + name, src, claim_options_)) {
-      return true;  // vanished: only possible if an operator intervened
-    }
-    shared_.ingest_claims.inc();
-    QuarantineReason reason;
-    reason.client = decoded.client;
-    reason.kind = decoded.hello ? "hello" : "submission";
-    reason.seq = decoded.hello ? -1 : static_cast<std::int64_t>(decoded.seq);
-    auto reject = [&](const char* why, std::string detail) {
-      reason.reason = why;
-      reason.detail = std::move(detail);
-      quarantine_and_count(options_, shared_, src, name, reason);
-    };
-    if (is_poisoned(shared_, tenant)) {
-      reject("tenant_poisoned", "document from an abandoned tenant");
-      return true;
-    }
-    const std::string text = util::read_file(src);
-    IngestDoc doc;
-    doc.is_hello = decoded.hello;
-    try {
-      if (decoded.hello) {
-        doc.hello = parse_hello(text);
-        if (doc.hello.client != decoded.client) {
-          throw std::runtime_error("hello body does not match its file name");
-        }
-      } else {
-        doc.submission = parse_submission(text);
-        if (doc.submission.client != decoded.client ||
-            doc.submission.seq != decoded.seq) {
-          throw std::runtime_error(
-              "submission body does not match its file name");
-        }
-      }
-    } catch (const std::exception& e) {
-      // Poison document. The seq is NOT consumed: a client that
-      // republishes a well-formed document under the same name (the
-      // retry protocol after a corrupt write) is served normally.
-      reject("parse_failure", e.what());
-      bump_poison(shared_, tenant);
-      return true;
-    }
-    const std::string journaled = journal_ + "/" + name;
-    if (util::path_exists(journaled)) {
-      // Already admitted into the write-ahead history: duplicate.
-      reason.jobs = doc.submission.jobs.size();
-      reject("duplicate", "journal already holds this document");
-      return true;
-    }
-    const std::uint64_t ordinal = claims_++;
-    if (options_.faults.fires(ServeFault::StallIngest, ordinal,
-                              shared_.generation)) {
-      // Slow disk / NFS stall: the claim is held, the pipeline keeps
-      // running on what it already has. Latency, not loss.
-      std::this_thread::sleep_for(std::chrono::milliseconds(250));
-    }
-    // Write-ahead: journal the claimed document before its jobs can enter
-    // the pipeline. A lost rename race (ENOENT) means the document is
-    // already journaled — e.g. the recovery sweep of a previous generation
-    // retired it between our claim and this retire — which is success, not
-    // a fault; anything else is a real I/O failure and the retire has
-    // already thrown.
-    if (!util::retire_file(src, journaled, options_.journal_fsync)) {
-      PS_CHECK_MSG(
-          util::path_exists(journaled),
-          "serve ingest: claimed document vanished before it was journaled");
-    }
-    shared_.ingest_journaled.inc();
-    if (!doc.is_hello) inc_inflight(shared_, tenant);
-    if (options_.faults.fires(ServeFault::DieAfterClaim, ordinal,
-                              shared_.generation)) {
-      emulate_sigkill();  // journaled but never applied: recovery replays it
-    }
-    return push(std::move(doc));
-  }
-
-  /// Backpressure: a full queue holds this document (claimed, so no other
-  /// reader can take it) and retries, flipping the gate so clients back
-  /// off. False = the queue closed or ingest is stopping.
-  bool push(IngestDoc&& doc) {
-    while (!shared_.queue.try_push(std::move(doc))) {
-      if (shared_.queue.closed()) return false;
-      queue_full_ = true;
-      shared_.stalls.inc();
-      shared_.accepting.store(false, std::memory_order_relaxed);
-      publish_status(options_, shared_, status_seq_);
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      if (stopping()) return false;
-    }
-    return true;
-  }
-
-  const ServeOptions& options_;
-  Shared& shared_;
-  const std::string inbox_;
-  const std::string accepted_;
-  const std::string journal_;
-  // Local spool, polled at millisecond rate.
-  const util::SpoolOptions claim_options_{.durable = false,
-                                          .claim_backoff_max_ms = 8};
-  std::uint64_t status_seq_ = 0;
-  /// Daemon-lifetime claim ordinal — the fault-site id of the ingest sites,
-  /// so a chaos plan can target "the Nth claim of any generation".
-  std::uint64_t claims_ = 0;
-
-  // Slow-start ramp state.
-  const std::int64_t window_ns_;
-  const std::int64_t slow_epoch_ns_ = monotonic_ns();
-  std::int64_t slow_window_ = -1;
-  std::uint64_t slow_allowance_ = 0;
-  std::uint64_t slow_claimed_ = 0;
-
-  // What the current pass saw, for the status gate and the idle poll.
-  std::size_t backlog_ = 0;
-  bool queue_full_ = false;
-  bool quota_held_ = false;
-  bool slow_held_ = false;
-};
+constexpr std::int64_t kDrainWaitMs = 20;  ///< serve-loop queue wait
 
 /// Per-client stream reassembly: documents apply in contiguous sequence
 /// order no matter how the filesystem listed them.
 struct ClientState {
   bool helloed = false;
   Hello hello;
-  /// Billing tenant (the hello's declaration; client name before that).
-  std::string tenant;
-  /// Abandoned with its poisoned tenant: documents quarantine, streams no
-  /// longer count toward completion.
-  bool abandoned = false;
   std::uint64_t next_seq = 0;
-  std::map<std::uint64_t, Submission> deferred;
+  std::map<std::uint64_t, IngestDoc> deferred;
   /// Consumed-quarantine tombstones: sequence numbers the stream skips
   /// (their documents live in quarantine/, not the journal) — restored
   /// from the sealed reason records at recovery, consulted when building
@@ -503,7 +77,8 @@ struct PendingLatency {
 /// "Daemon phases"): recover_history, start_ingest, await_hellos,
 /// replay_history, serve, drain — called in that order by run_server. The
 /// simulator and every core/ object are touched by the calling thread only;
-/// the ingest thread shares nothing but `shared_`.
+/// the ingest thread (serve/ingest.h) shares nothing but `shared_`, whose
+/// TenantBook alone says whether a client is abandoned.
 class Daemon {
  public:
   /// Prepares the spool and refuses a dirty one without --recover.
@@ -515,7 +90,7 @@ class Daemon {
         wall_mode_(options.mode == Mode::kWallClock),
         scenario_checksum_(
             util::fnv1a_bytes(dist::serialize(options.scenario))),
-        shared_(options.queue_capacity),
+        shared_(options),
         source_(/*clamp_late=*/wall_mode_),
         admitter_(options.quotas) {
     for (const std::string& dir :
@@ -597,27 +172,12 @@ class Daemon {
   }
 
   void start_ingest() {
-    ingest_ = std::thread([this] {
-      try {
-        Ingest(options_, shared_).run();
-      } catch (const std::exception& e) {
-        {
-          std::lock_guard<std::mutex> lock(shared_.failure_mutex);
-          shared_.failure = e.what();
-        }
-        shared_.failed.store(true, std::memory_order_release);
-        shared_.queue.close();  // wakes the serve thread immediately
-      }
-    });
+    ingest_ = std::thread([this] { run_ingest(options_, shared_); });
   }
 
-  /// Replays the journaled hellos, then waits for every expected client.
-  /// False = the shutdown flag fired first.
+  /// Waits for every expected client (journaled hellos were applied at
+  /// recovery). False = the shutdown flag fired first.
   bool await_hellos() {
-    // Journaled hellos cannot collide with live ingest: a hello lives in
-    // exactly one of inbox/journal.
-    for (Hello& hello : recovered_hellos_) on_hello(std::move(hello));
-    recovered_hellos_.clear();
     const std::int64_t start_ns = monotonic_ns();
     while (hellos_ < options_.expect_clients) {
       check_ingest_alive();
@@ -673,7 +233,9 @@ class Daemon {
       c_recovered_docs_.inc(recovered_subs_.size());
       for (Submission& sub : recovered_subs_) {
         c_recovered_jobs_.inc(sub.jobs.size());
-        on_submission(std::move(sub));
+        IngestDoc doc;  // recovered: never charged an in-flight slot
+        doc.submission = std::move(sub);
+        on_submission(std::move(doc));
       }
       measure_latency_ = true;
       recovered_subs_ = {};
@@ -723,7 +285,9 @@ class Daemon {
       }
       apply_queued();
       // Tenants the ingest thread charged (parse failures) since last look.
-      check_poison();
+      for (const std::string& tenant : shared_.tenants.over_threshold()) {
+        poison_teardown(tenant);
+      }
       drr_round();
       refresh_tenant_status();
 
@@ -735,7 +299,7 @@ class Daemon {
         // Abandoned streams no longer count toward completion; hello-less
         // stragglers never block it either — their documents stay
         // deferred, bounded by the in-flight quota.
-        if (client.abandoned || !client.helloed) continue;
+        if (!client.helloed || shared_.tenants.abandoned(name)) continue;
         any_live = true;
         PS_CHECK_MSG(client.deferred.empty() || !client.eof,
                      "serve: sequence gap left behind an eof document");
@@ -769,8 +333,12 @@ class Daemon {
         advance_to(std::min(watermark, report_.horizon));
       }
       maybe_checkpoint();
-      stats_tick();
-      telemetry_tick();
+      if (due(last_stats_ns_, options_.stats_interval_ms * 1'000'000)) {
+        print_stats();
+      }
+      if (due(last_tele_ns_, options_.telemetry_seconds * 1'000'000'000)) {
+        telemetry_publish();
+      }
     }
   }
 
@@ -841,7 +409,6 @@ class Daemon {
   void check_ingest_alive() {
     if (!shared_.failed.load(std::memory_order_acquire)) return;
     stop_ingest();
-    std::lock_guard<std::mutex> lock(shared_.failure_mutex);
     PS_CHECK_MSG(false, "serve ingest thread failed: " + shared_.failure);
   }
 
@@ -849,12 +416,12 @@ class Daemon {
   /// interval for the first document).
   void apply_queued() {
     batch_.clear();
-    shared_.queue.pop_all(batch_, options_.drain_wait_ms);
+    shared_.queue.pop_all(batch_, kDrainWaitMs);
     for (IngestDoc& doc : batch_) {
       if (doc.is_hello) {
         on_hello(std::move(doc.hello));
       } else {
-        on_submission(std::move(doc.submission));
+        on_submission(std::move(doc));
       }
     }
   }
@@ -866,7 +433,9 @@ class Daemon {
       Hello hello = parse_hello(util::read_file(path));
       PS_CHECK_MSG(hello.client == decoded.client,
                    "serve --recover: journaled hello does not match its name");
-      recovered_hellos_.push_back(std::move(hello));
+      // Cannot collide with live ingest: a hello lives in exactly one of
+      // inbox/journal, and ingest has not started.
+      on_hello(std::move(hello));
       return;
     }
     auto floor = compacted_.find(decoded.client);
@@ -877,17 +446,13 @@ class Daemon {
       c_pruned_.inc();
       return;
     }
-    QuarantineReason reason;
-    reason.client = decoded.client;
-    reason.seq = static_cast<std::int64_t>(decoded.seq);
     std::set<std::uint64_t>& tombstones = clients_[decoded.client].quarantined;
     if (tombstones.count(decoded.seq)) {
       // A consumed tombstone exists for this entry: the previous
       // generation crashed between writing the reason record and moving
       // the document. Finish the interrupted quarantine move.
-      reason.reason = "tombstone_sweep";
-      reason.detail = "journal entry superseded by a consumed tombstone";
-      quarantine_and_count(options_, shared_, path, name, reason);
+      shared_.quarantine(journal_, decoded, "tombstone_sweep",
+                         "journal entry superseded by a consumed tombstone");
       return;
     }
     try {
@@ -904,17 +469,10 @@ class Daemon {
       // actually covered this seq, the history-fingerprint cross-check
       // still fails loudly — rot inside checkpointed history is genuinely
       // unrecoverable.
-      reason.reason = "parse_failure";
-      reason.detail = e.what();
-      reason.consumed = true;
-      quarantine_and_count(options_, shared_, path, name, reason);
+      shared_.quarantine(journal_, decoded, "parse_failure", e.what(), 0,
+                         /*consumed=*/true);
       tombstones.insert(decoded.seq);
     }
-  }
-
-  static const std::string& tenant_key(const std::string& name,
-                                       const ClientState& client) {
-    return client.tenant.empty() ? name : client.tenant;
   }
 
   /// Called after every consumed seq, so next_seq >= 1 here.
@@ -930,77 +488,33 @@ class Daemon {
     }
   }
 
-  /// Quarantines a document that already lives in the journal (the serve
-  /// thread's validation rejections) and releases its in-flight slot.
-  /// `seq` < 0 names the client's hello.
-  void quarantine_journaled(const std::string& client_name,
-                            const std::string& tenant, std::int64_t seq,
-                            std::uint64_t jobs, const char* why,
-                            const char* detail, bool consumed) {
-    const bool is_hello = seq < 0;
-    QuarantineReason reason;
-    reason.client = client_name;
-    reason.seq = seq;
-    reason.kind = is_hello ? "hello" : "submission";
-    reason.reason = why;
-    reason.detail = detail;
-    reason.consumed = consumed;
-    reason.jobs = jobs;
-    const std::string name =
-        is_hello ? hello_file_name(client_name)
-                 : submission_file_name(client_name,
-                                        static_cast<std::uint64_t>(seq));
-    quarantine_and_count(options_, shared_, journal_ + "/" + name, name,
-                         reason);
-    if (!is_hello) dec_inflight(shared_, tenant);
+  /// Quarantines a journaled submission the serve thread rejected unread
+  /// (its seq stays open) and releases the in-flight slot it was charged.
+  void reject(IngestDoc& doc, const char* why, const char* detail) {
+    const Submission& sub = doc.submission;
+    shared_.quarantine(journal_, {.client = sub.client, .seq = sub.seq}, why,
+                       detail, sub.jobs.size());
+    shared_.tenants.release(doc.charged);
+  }
+
+  /// Quarantines every pending document of a client whose tenant is
+  /// poisoned; its stream no longer counts toward completion.
+  void abandon(ClientState& client) {
+    for (auto& [seq, doc] : client.deferred) {
+      reject(doc, "tenant_poisoned", "pending document of an abandoned tenant");
+    }
+    client.deferred.clear();
   }
 
   /// Abandons a tenant: marks it poisoned (the ingest thread routes its
-  /// future documents straight to quarantine), quarantines every pending
-  /// document of its clients, and drops its streams from the completion
-  /// conditions.
+  /// future documents straight to quarantine, and a client that joins it
+  /// later is abandoned at its hello) and abandons each of its clients.
   void poison_teardown(const std::string& tenant) {
-    {
-      std::lock_guard<std::mutex> lock(shared_.tenant_mutex);
-      if (!shared_.poisoned.insert(tenant).second) return;
-    }
+    if (!shared_.tenants.poison(tenant)) return;
     shared_.q_poisoned.inc();
     for (auto& [name, client] : clients_) {
-      if (tenant_key(name, client) != tenant) continue;
-      client.abandoned = true;
-      for (auto& [seq, doc] : client.deferred) {
-        quarantine_journaled(name, tenant, static_cast<std::int64_t>(seq),
-                             doc.jobs.size(), "tenant_poisoned",
-                             "pending document of an abandoned tenant",
-                             /*consumed=*/false);
-      }
-      client.deferred.clear();
+      if (shared_.tenants.tenant_of(name) == tenant) abandon(client);
     }
-  }
-
-  /// Charges one poison document to the tenant and abandons it when the
-  /// threshold is crossed. The ingest thread also charges (parse
-  /// failures); check_poison() in the serve loop picks those up.
-  void charge_poison(const std::string& tenant) {
-    const std::uint64_t score = bump_poison(shared_, tenant);
-    if (options_.poison_threshold > 0 && score >= options_.poison_threshold) {
-      poison_teardown(tenant);
-    }
-  }
-
-  void check_poison() {
-    if (options_.poison_threshold == 0) return;
-    std::vector<std::string> over;
-    {
-      std::lock_guard<std::mutex> lock(shared_.tenant_mutex);
-      for (const auto& [tenant, score] : shared_.poison_score) {
-        if (score >= options_.poison_threshold &&
-            shared_.poisoned.count(tenant) == 0) {
-          over.push_back(tenant);
-        }
-      }
-    }
-    for (const std::string& tenant : over) poison_teardown(tenant);
   }
 
   void on_hello(Hello&& hello) {
@@ -1011,38 +525,38 @@ class Daemon {
     // check catches republishes) — seeing one means the write-ahead
     // invariant broke.
     PS_CHECK_MSG(!client.helloed, "serve: duplicate hello from a client");
-    client.tenant = hello.tenant.empty() ? cname : hello.tenant;
-    {
-      std::lock_guard<std::mutex> lock(shared_.tenant_mutex);
-      shared_.tenant_of[cname] = client.tenant;
-    }
+    const std::string tenant = hello.tenant;  // parse_hello fills it
+    shared_.tenants.bind(cname, tenant);
     if (hellos_ >= options_.expect_clients) {
       // An unexpected extra client: structurally wrong, not transient.
       // Quarantine the hello and abandon its tenant outright.
-      quarantine_journaled(cname, client.tenant, /*seq=*/-1, 0,
-                           "unexpected_client", "hello beyond --expect-clients",
-                           /*consumed=*/false);
-      poison_teardown(client.tenant);
-      client.abandoned = true;
-      return;
+      shared_.quarantine(journal_, {.client = cname, .hello = true},
+                         "unexpected_client", "hello beyond --expect-clients");
+      poison_teardown(tenant);
+    } else {
+      client.helloed = true;
+      client.hello = std::move(hello);
+      admitter_.add_tenant(tenant, client.hello.weight);
+      ++hellos_;
     }
-    client.helloed = true;
-    client.hello = std::move(hello);
-    admitter_.add_tenant(client.tenant,
-                         std::max<std::uint64_t>(client.hello.weight, 1));
-    ++hellos_;
-    if (!client.abandoned && !client.deferred.empty()) {
+    if (shared_.tenants.abandoned(cname)) {
+      // Joined (or is) an abandoned tenant: whatever it sent before this
+      // hello quarantines with it.
+      abandon(client);
+    } else if (!client.deferred.empty()) {
       apply_ready(cname, client, /*enforce_quota=*/live_quota_);
     }
   }
 
-  void on_submission(Submission&& sub) {
+  void on_submission(IngestDoc&& doc) {
+    const Submission& sub = doc.submission;
     const std::string cname = sub.client;
     ClientState& client = clients_[cname];
-    const std::string& tenant = tenant_key(cname, client);
+    const std::string tenant = shared_.tenants.tenant_of(cname);
+    const bool poisoned = shared_.tenants.abandoned(cname);
     const char* why = nullptr;
     const char* detail = nullptr;
-    if (client.abandoned) {
+    if (poisoned) {
       why = "tenant_poisoned";
       detail = "document from an abandoned tenant";
     } else if (client.eof) {
@@ -1055,13 +569,14 @@ class Daemon {
       detail = "sequence number below the client's next_seq";
     }
     if (why != nullptr) {
-      quarantine_journaled(cname, tenant, static_cast<std::int64_t>(sub.seq),
-                           sub.jobs.size(), why, detail, /*consumed=*/false);
-      if (!client.abandoned) charge_poison(tenant);
+      reject(doc, why, detail);
+      if (!poisoned && shared_.tenants.charge_poison(tenant)) {
+        poison_teardown(tenant);
+      }
       return;
     }
     const std::uint64_t seq = sub.seq;
-    bool inserted = client.deferred.emplace(seq, std::move(sub)).second;
+    bool inserted = client.deferred.emplace(seq, std::move(doc)).second;
     // Unreachable through the spool (same client+seq means the same inbox
     // name, and the ingest duplicate check quarantines the second copy),
     // so a violation here is an internal invariant break.
@@ -1081,28 +596,25 @@ class Daemon {
   std::uint64_t apply_ready(const std::string& name, ClientState& client,
                             bool enforce_quota) {
     std::uint64_t progressed = 0;
-    const std::string& tenant = tenant_key(name, client);
-    while (!client.abandoned) {
+    const std::string tenant = shared_.tenants.tenant_of(name);
+    while (!shared_.tenants.abandoned(name)) {
       auto it = client.deferred.find(client.next_seq);
       if (client.quarantined.count(client.next_seq)) {
         if (it != client.deferred.end()) {
           // A republish under a consumed seq: the slot is spent.
-          quarantine_journaled(name, tenant,
-                               static_cast<std::int64_t>(client.next_seq),
-                               it->second.jobs.size(), "duplicate",
-                               "republish of a quarantined sequence number",
-                               /*consumed=*/false);
+          reject(it->second, "duplicate",
+                 "republish of a quarantined sequence number");
           client.deferred.erase(it);
         }
       } else {
         if (it == client.deferred.end()) break;
         const std::uint64_t cost =
-            std::max<std::uint64_t>(it->second.jobs.size(), 1);
+            std::max<std::uint64_t>(it->second.submission.jobs.size(), 1);
         if (enforce_quota && !admitter_.try_admit(tenant, cost)) break;
-        Submission doc = std::move(it->second);
+        IngestDoc doc = std::move(it->second);
         client.deferred.erase(it);
-        dec_inflight(shared_, tenant);
-        apply(name, client, std::move(doc));
+        shared_.tenants.release(doc.charged);
+        apply(tenant, client, std::move(doc.submission));
       }
       ++client.next_seq;
       ++progressed;
@@ -1114,7 +626,8 @@ class Daemon {
   /// Applies the client's next in-order document. Its watermark/eof
   /// metadata always applies; a rejected payload quarantines and consumes
   /// the seq (a tombstone), so the stream is never wedged.
-  void apply(const std::string& name, ClientState& client, Submission&& doc) {
+  void apply(const std::string& tenant, ClientState& client,
+             Submission&& doc) {
     const char* why = nullptr;
     const char* detail = nullptr;
     if (doc.watermark < client.watermark) {
@@ -1135,11 +648,10 @@ class Daemon {
     client.watermark = std::max(client.watermark, doc.watermark);
     client.eof = doc.eof;
     if (why != nullptr) {
-      const std::string& tenant = tenant_key(name, client);
       client.quarantined.insert(doc.seq);
-      quarantine_journaled(name, tenant, static_cast<std::int64_t>(doc.seq),
-                           doc.jobs.size(), why, detail, /*consumed=*/true);
-      charge_poison(tenant);
+      shared_.quarantine(journal_, {.client = doc.client, .seq = doc.seq}, why,
+                         detail, doc.jobs.size(), /*consumed=*/true);
+      if (shared_.tenants.charge_poison(tenant)) poison_teardown(tenant);
       return;
     }
     client.history_fp = chain_submission(client.history_fp, doc);
@@ -1167,13 +679,12 @@ class Daemon {
     while (true) {
       std::vector<std::string> backlogged;
       for (const auto& [name, client] : clients_) {
-        if (client.abandoned || !client.helloed) continue;
+        if (!client.helloed || shared_.tenants.abandoned(name)) continue;
         if (client.quarantined.count(client.next_seq) ||
             client.deferred.count(client.next_seq)) {
-          const std::string& tenant = tenant_key(name, client);
-          if (std::find(backlogged.begin(), backlogged.end(), tenant) ==
-              backlogged.end()) {
-            backlogged.push_back(tenant);
+          std::string tenant = shared_.tenants.tenant_of(name);
+          if (std::ranges::find(backlogged, tenant) == backlogged.end()) {
+            backlogged.push_back(std::move(tenant));
           }
         }
       }
@@ -1181,8 +692,10 @@ class Daemon {
       admitter_.begin_cycle(monotonic_ns() / 1'000'000, backlogged);
       std::uint64_t progressed = 0;
       for (auto& [name, client] : clients_) {
-        if (client.abandoned || !client.helloed) continue;
-        progressed += apply_ready(name, client, /*enforce_quota=*/true);
+        // apply_ready stops at once for an abandoned client.
+        if (client.helloed) {
+          progressed += apply_ready(name, client, /*enforce_quota=*/true);
+        }
       }
       if (progressed == 0) break;
     }
@@ -1193,24 +706,17 @@ class Daemon {
   }
 
   void refresh_tenant_status() {
-    std::map<std::string, TenantStatus> agg;
+    std::map<std::string, TenantStatus> rows;
     for (const auto& [name, client] : clients_) {
-      if (!client.helloed && !client.abandoned) continue;
-      const std::string& tenant = tenant_key(name, client);
-      TenantStatus& row = agg[tenant];
+      if (!client.helloed && !shared_.tenants.abandoned(name)) continue;
+      const std::string tenant = shared_.tenants.tenant_of(name);
+      TenantStatus& row = rows[tenant];
       row.tenant = tenant;
       row.weight = admitter_.weight(tenant);
       row.window_jobs_left = admitter_.window_jobs_left(tenant);
       row.over_quota = admitter_.window_blocked(tenant);
     }
-    std::lock_guard<std::mutex> lock(shared_.tenant_mutex);
-    shared_.tenant_status.clear();
-    for (auto& [tenant, row] : agg) {
-      auto it = shared_.inflight.find(tenant);
-      row.inflight_docs = it == shared_.inflight.end() ? 0 : it->second;
-      row.poisoned = shared_.poisoned.count(tenant) > 0;
-      shared_.tenant_status.push_back(std::move(row));
-    }
+    shared_.tenants.set_rows(std::move(rows));
   }
 
   void advance_to(sim::Time target) {
@@ -1275,7 +781,7 @@ class Daemon {
     const std::uint64_t seq = ckpt_next_seq_;
     if (options_.faults.fires(ServeFault::DieBeforeCheckpoint, seq,
                               report_.generation)) {
-      emulate_sigkill();  // journal intact: recovery replays, nothing lost
+      util::emulate_sigkill();  // journal intact: recovery replays it all
     }
     Segment segment;
     segment.seq = seq;
@@ -1331,12 +837,12 @@ class Daemon {
       // suffix is still intact (the prune below never ran).
       util::write_file_atomic(ckpt_path, doc.substr(0, doc.size() / 2),
                               /*durable=*/true);
-      emulate_sigkill();
+      util::emulate_sigkill();
     }
     util::write_file_atomic(ckpt_path, doc, /*durable=*/true);
     if (options_.faults.fires(ServeFault::DieAfterCheckpoint, seq,
                               report_.generation)) {
-      emulate_sigkill();  // prune unfinished: recovery removes the leftovers
+      util::emulate_sigkill();  // prune unfinished: recovery finishes it
     }
     // 3. Prune the compacted journal suffix.
     for (const std::string& file : prune) {
@@ -1353,13 +859,16 @@ class Daemon {
     sim_at_ckpt_ = replay_->simulator().now();
   }
 
-  void stats_tick() {
-    if (options_.stats_interval_ms <= 0) return;
-    std::int64_t now_ns = monotonic_ns();
-    if (now_ns - last_stats_ns_ < options_.stats_interval_ms * 1'000'000) {
-      return;
-    }
-    last_stats_ns_ = now_ns;
+  /// True, and re-armed, once `interval_ns` (> 0) has passed since
+  /// `last_ns`: the wall-clock pacing of the stderr and telemetry ticks.
+  static bool due(std::int64_t& last_ns, std::int64_t interval_ns) {
+    const std::int64_t now_ns = monotonic_ns();
+    if (interval_ns <= 0 || now_ns - last_ns < interval_ns) return false;
+    last_ns = now_ns;
+    return true;
+  }
+
+  void print_stats() {
     std::fprintf(stderr,
                  "ps-serve: sim=%s admitted=%llu queue=%zu p50=%.2fms "
                  "p99=%.2fms%s\n",
@@ -1405,16 +914,6 @@ class Daemon {
         obs::serialize_snapshot(snap), /*durable=*/false);
   }
 
-  void telemetry_tick() {
-    if (options_.telemetry_seconds <= 0) return;
-    const std::int64_t now_ns = monotonic_ns();
-    if (now_ns - last_tele_ns_ < options_.telemetry_seconds * 1'000'000'000) {
-      return;
-    }
-    last_tele_ns_ = now_ns;
-    telemetry_publish();
-  }
-
   const ServeOptions& options_;
   const std::string accepted_;
   const std::string journal_;
@@ -1446,7 +945,6 @@ class Daemon {
 
   // Phase A's durable history, consumed by await_hellos / replay_history.
   std::optional<Checkpoint> ckpt_;
-  std::vector<Hello> recovered_hellos_;
   std::vector<Submission> recovered_subs_;
   std::map<std::string, std::uint64_t> compacted_;  // client -> journal floor
 

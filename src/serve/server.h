@@ -18,7 +18,8 @@
 // queue; the serve thread drains the queue, orders each client's stream by
 // its embedded sequence number, pushes jobs into the LiveJobSource,
 // commits watermarks, and runs the simulator. The simulator and every
-// core/ object are touched by the serve thread only.
+// core/ object are touched by the serve thread only; the threads share
+// one `Shared` whose `TenantBook` owns all tenant state (serve/ingest.h).
 //
 // Backpressure: a full queue stops the ingest thread from claiming (the
 // inbox is the overflow buffer — durable, unbounded, nothing is ever
@@ -105,9 +106,6 @@ struct ServeOptions {
   /// Inbox backlog (files) above which status flips to accepting=false.
   std::size_t inbox_high_water = 512;
 
-  std::int64_t poll_ms = 5;             ///< ingest idle poll interval
-  std::int64_t drain_wait_ms = 20;      ///< serve-loop queue wait
-  std::int64_t status_interval_ms = 50; ///< status document refresh
   std::int64_t stats_interval_ms = 2000;///< stderr progress tick; 0 = off
   /// Publish a sealed obs-registry snapshot into <spool>/telemetry/ every
   /// this many wall seconds (plus one final document at drain). 0 = off.

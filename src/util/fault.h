@@ -98,4 +98,8 @@ class FaultPlan {
   FaultTrigger trigger_;
 };
 
+/// The crash a tier's kill sites inject: `_exit(137)`, exactly as `kill -9`
+/// ends a process — no stack unwinding, no atexit, no flushed buffers.
+[[noreturn]] void emulate_sigkill();
+
 }  // namespace ps::util

@@ -7,9 +7,11 @@
 // work is lost.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <exception>
+#include <functional>
 #include <map>
 #include <optional>
 #include <set>
@@ -27,6 +29,7 @@
 #include "util/spool.h"
 #include "util/strings.h"
 #include "util/subprocess.h"
+#include "util/wire.h"
 
 namespace ps::serve {
 namespace {
@@ -75,13 +78,15 @@ std::vector<QuarantineReason> load_reasons(const std::string& spool) {
 
 /// Publishes a hand-rolled client's hello (no load generator behind it).
 void publish_hello(const std::string& spool, const std::string& client,
-                   std::uint64_t jobs, sim::Time last_submit) {
+                   std::uint64_t jobs, sim::Time last_submit,
+                   const std::string& tenant = "") {
   util::ensure_dir(spool);
   util::ensure_dir(inbox_dir(spool));
   Hello hello;
   hello.client = client;
   hello.jobs = jobs;
   hello.last_submit = last_submit;
+  hello.tenant = tenant;
   util::write_file_atomic(inbox_dir(spool) + "/" + hello_file_name(client),
                           serialize_hello(hello), /*durable=*/false);
 }
@@ -100,14 +105,72 @@ void publish_empty_submission(const std::string& spool,
       serialize_submission(doc), /*durable=*/false);
 }
 
-/// Waits (bounded) until a sealed reason record appears in quarantine/.
-bool wait_for_reason(const std::string& spool, std::int64_t patience_ms) {
+/// Polls `done` every 5 ms for up to `patience_ms`.
+bool eventually(const std::function<bool()>& done, std::int64_t patience_ms) {
   for (std::int64_t waited = 0; waited < patience_ms; waited += 5) {
-    if (!load_reasons(spool).empty()) return true;
+    if (done()) return true;
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  return false;
+  return done();
 }
+
+/// Waits (bounded) until `count` sealed reason records sit in quarantine/.
+bool wait_for_reasons(const std::string& spool, std::size_t count,
+                      std::int64_t patience_ms) {
+  return eventually([&] { return load_reasons(spool).size() >= count; },
+                    patience_ms);
+}
+
+/// The det-golden scenario (curie_mini, racks=2, Mix, lambda 0.5).
+ServeOptions golden_options(const std::string& spool) {
+  ServeOptions options;
+  options.spool = spool;
+  options.scenario.racks = 2;
+  options.scenario.powercap.policy = core::Policy::Mix;
+  options.scenario.cap_lambda = 0.5;
+  options.stats_interval_ms = 0;
+  return options;
+}
+
+/// run_server on a thread of this process. finish() waits for the report;
+/// past its patience it throws the stop flag, so a run that would never
+/// end reports `interrupted` instead of hanging the test.
+class InProcessServer {
+ public:
+  explicit InProcessServer(ServeOptions options)
+      : options_(std::move(options)) {
+    options_.stop = &stop_;
+    thread_ = std::thread([this] {
+      try {
+        report_.emplace(run_server(options_));
+      } catch (const std::exception& e) {
+        failure_ = e.what();
+      }
+      done_.store(true);
+    });
+  }
+  ~InProcessServer() {
+    stop_.store(true);
+    if (thread_.joinable()) thread_.join();
+  }
+
+  bool done() const { return done_.load(); }
+
+  std::optional<ServeReport> finish(std::int64_t patience_ms) {
+    if (!eventually([&] { return done(); }, patience_ms)) stop_.store(true);
+    thread_.join();
+    EXPECT_EQ(failure_, "");
+    return std::move(report_);
+  }
+
+ private:
+  ServeOptions options_;
+  std::atomic<bool> stop_{false};
+  std::atomic<bool> done_{false};
+  std::optional<ServeReport> report_;
+  std::string failure_;
+  std::thread thread_;
+};
 
 // --- FairAdmitter unit fences ------------------------------------------------
 
@@ -336,50 +399,98 @@ TEST(ServeFairness, PoisonThresholdAbandonsTheTenant) {
   // golden, and the run completes without the hostile eof.
   std::string dir = util::make_temp_dir("serve_poison");
   std::string spool = dir + "/spool";
-  util::Subprocess server = util::Subprocess::spawn(
-      {PS_SERVE_BIN, "--spool", spool, "--expect-clients", "2", "--racks",
-       "2", "--policy", "mix", "--lambda", "0.5", "--stats-ms", "0",
-       "--poison-threshold", "2"},
-      dir + "/serve.out", dir + "/serve.err");
+  ServeOptions options = golden_options(spool);
+  options.expect_clients = 2;
+  options.poison_threshold = 2;
+  InProcessServer server(options);
 
   const std::string inbox = inbox_dir(spool);
-  util::ensure_dir(spool);
-  util::ensure_dir(inbox);
-  Hello evil;
-  evil.client = "evil";
-  evil.jobs = 0;
-  evil.last_submit = -1;
-  util::write_file_atomic(inbox + "/" + hello_file_name("evil"),
-                          serialize_hello(evil), /*durable=*/false);
+  publish_hello(spool, "evil", 0, -1);
   for (std::uint64_t seq = 0; seq < 3; ++seq) {
     util::write_file_atomic(inbox + "/" + submission_file_name("evil", seq),
                             "not a sealed submission document\n",
                             /*durable=*/false);
   }
 
-  util::Subprocess load = util::Subprocess::spawn(
-      {PS_LOAD_BIN, "--spool", spool, "--swf", mini_trace(), "--client",
-       "solo", "--batch-jobs", "64"},
-      dir + "/load.out", dir + "/load.err");
-  EXPECT_EQ(load.wait(), 0) << util::read_file(dir + "/load.err");
-  int server_exit = -1;
-  ASSERT_TRUE(server.wait_for(120'000, &server_exit)) << "ps-serve hung";
-  EXPECT_EQ(server_exit, 0) << util::read_file(dir + "/serve.err");
+  LoadOptions load;
+  load.spool = spool;
+  load.swf = mini_trace();
+  load.client = "solo";
+  load.batch_jobs = 64;
+  EXPECT_NO_THROW(run_load_client(load));
+  std::optional<ServeReport> report = server.finish(120'000);
+  ASSERT_TRUE(report.has_value());
+  ASSERT_FALSE(report->interrupted) << "ps-serve hung";
 
-  std::map<std::string, std::string> report =
-      parse_report(util::read_file(dir + "/serve.out"));
-  EXPECT_EQ(report.at("fingerprint"), kGoldenFingerprint);
-  EXPECT_EQ(field_u64(report, "admitted"), kMiniTraceJobs);
-  EXPECT_EQ(field_u64(report, "poisoned_tenants"), 1u);
-  EXPECT_GE(field_u64(report, "quarantined_docs"), 3u);
+  EXPECT_EQ(util::hex64_token(report->fingerprint), kGoldenFingerprint);
+  EXPECT_EQ(report->admitted, kMiniTraceJobs);
+  EXPECT_EQ(report->counters.delta("serve.quarantine.poisoned_tenants"), 1u);
+  EXPECT_GE(report->counters.delta("serve.quarantine.docs"), 3u);
   std::vector<QuarantineReason> reasons = load_reasons(spool);
-  EXPECT_EQ(reasons.size(), field_u64(report, "quarantined_docs"));
+  EXPECT_EQ(reasons.size(), report->counters.delta("serve.quarantine.docs"));
   for (const QuarantineReason& reason : reasons) {
     EXPECT_EQ(reason.client, "evil");
     EXPECT_TRUE(reason.reason == "parse_failure" ||
                 reason.reason == "tenant_poisoned")
         << reason.reason;
   }
+  util::remove_tree(dir);
+}
+
+TEST(ServeFairness, LateHelloOnAPoisonedTenantIsAbandoned) {
+  // Client "evil" of tenant t closes its stream and then publishes two
+  // more documents: both quarantine as doc_after_eof during the hello
+  // phase, which poisons t at threshold 2. Client "late", also of tenant
+  // t, then publishes a document before its hello and one (its eof)
+  // after. Joining a poisoned tenant abandons "late" at its hello: the
+  // early document quarantines as tenant_poisoned, and with every stream
+  // abandoned the run ends without waiting for an eof that could never
+  // be admitted.
+  std::string dir = util::make_temp_dir("serve_late_poisoned");
+  std::string spool = dir + "/spool";
+  publish_hello(spool, "evil", 0, -1, "t");
+  for (std::uint64_t seq = 0; seq < 3; ++seq) {
+    publish_empty_submission(spool, "evil", seq, /*eof=*/true);
+  }
+  ServeOptions options = golden_options(spool);
+  options.expect_clients = 2;
+  options.poison_threshold = 2;
+  InProcessServer server(options);
+  ASSERT_TRUE(wait_for_reasons(spool, 2, 30'000)) << "evil never poisoned";
+
+  const std::string inbox = inbox_dir(spool);
+  auto inbox_empty = [&] { return util::list_files(inbox).empty(); };
+  publish_empty_submission(spool, "late", 0, /*eof=*/false);
+  ASSERT_TRUE(eventually(inbox_empty, 30'000));
+  publish_hello(spool, "late", 0, -1, "t");
+  // The eof goes out once the serve loop runs (it publishes tenant rows)
+  // or the run is already over.
+  EXPECT_TRUE(eventually(
+      [&] {
+        return server.done() ||
+               (util::path_exists(status_path(spool)) &&
+                !parse_status(util::read_file(status_path(spool)))
+                     .tenants.empty());
+      },
+      30'000));
+  publish_empty_submission(spool, "late", 1, /*eof=*/true);
+
+  std::optional<ServeReport> report = server.finish(5'000);
+  ASSERT_TRUE(report.has_value());
+  EXPECT_FALSE(report->interrupted) << "the loop waited on an abandoned stream";
+  EXPECT_EQ(report->clients, 2);
+  EXPECT_EQ(report->counters.delta("serve.quarantine.poisoned_tenants"), 1u);
+  std::map<std::string, std::string> verdicts;
+  for (const QuarantineReason& reason : load_reasons(spool)) {
+    verdicts[strings::format("%s/%lld", reason.client.c_str(),
+                             static_cast<long long>(reason.seq))] =
+        reason.reason;
+  }
+  EXPECT_EQ(verdicts["evil/1"], "doc_after_eof");
+  EXPECT_EQ(verdicts["evil/2"], "doc_after_eof");
+  EXPECT_EQ(verdicts["late/0"], "tenant_poisoned");
+  verdicts.erase("late/1");  // claimed only if ingest saw it before the drain
+  EXPECT_EQ(verdicts.size(), 3u);
   util::remove_tree(dir);
 }
 
@@ -467,7 +578,7 @@ TEST(ServeFairness, SubmissionAfterEofIsQuarantined) {
       {PS_SERVE_BIN, "--spool", spool, "--expect-clients", "2", "--racks",
        "2", "--policy", "mix", "--lambda", "0.5", "--stats-ms", "0"},
       dir + "/serve.out", dir + "/serve.err");
-  EXPECT_TRUE(wait_for_reason(spool, 30'000))
+  EXPECT_TRUE(wait_for_reasons(spool, 1, 30'000))
       << "the post-eof document was never quarantined";
 
   util::Subprocess load = util::Subprocess::spawn(
@@ -507,22 +618,7 @@ TEST(ServeFairness, LossFenceHoldsWithTheRegistryDisabled) {
   } registry_off;
   std::string dir = util::make_temp_dir("serve_obs_off");
   std::string spool = dir + "/spool";
-
-  ServeOptions options;
-  options.spool = spool;
-  options.scenario.racks = 2;
-  options.scenario.powercap.policy = core::Policy::Mix;
-  options.scenario.cap_lambda = 0.5;
-  options.stats_interval_ms = 0;
-  std::optional<ServeReport> report;
-  std::string failure;
-  std::thread server([&] {
-    try {
-      report.emplace(run_server(options));
-    } catch (const std::exception& e) {
-      failure = e.what();
-    }
-  });
+  InProcessServer server(golden_options(spool));
 
   LoadOptions load;
   load.spool = spool;
@@ -531,9 +627,7 @@ TEST(ServeFairness, LossFenceHoldsWithTheRegistryDisabled) {
   load.faults = ClientFaultPlan::parse(
       "seed=9,rate=1,max_attempt=0,sites=lie_watermark+stall_client");
   EXPECT_NO_THROW(run_load_client(load));
-  server.join();
-
-  EXPECT_EQ(failure, "");
+  std::optional<ServeReport> report = server.finish(120'000);
   ASSERT_TRUE(report.has_value());
   EXPECT_FALSE(report->interrupted);
   std::uint64_t stranded = 0;

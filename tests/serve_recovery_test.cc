@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "serve/ingest.h"
 #include "serve/journal.h"
 #include "serve/protocol.h"
 #include "serve/quarantine.h"
@@ -422,14 +423,12 @@ GhostRecovery recover_with_ghost(const std::string& seq0_bytes,
   util::write_file_atomic(journal + "/" + submission_file_name("ghost", 1),
                           serialize_submission(eof), /*durable=*/false);
   if (tombstone) {
-    QuarantineReason reason;
-    reason.client = "ghost";
-    reason.seq = 0;
-    reason.reason = "late_jobs";
-    reason.detail = "planted tombstone";
-    reason.consumed = true;
+    // A tombstone whose document was never moved: the source is missing.
     util::ensure_dir(quarantine_dir(spool));
-    quarantine_document(spool, dir + "/never-written", seq0, 0, reason);
+    ServeOptions options;
+    options.spool = spool;
+    Shared(options).quarantine(dir, {.client = "ghost", .seq = 0}, "late_jobs",
+                               "planted tombstone", 0, /*consumed=*/true);
   }
 
   int exit_code = recover_run(dir, spool, 2, "", -1, 1, &out.report);
