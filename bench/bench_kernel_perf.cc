@@ -85,8 +85,9 @@ void BM_EventQueuePushPop(benchmark::State& state) {
 BENCHMARK(BM_EventQueuePushPop)->Arg(1024)->Arg(16384);
 
 // Steady-state simulator shape: a standing population of events where each
-// pop triggers a fresh push (job end schedules the next pass, etc.). This
-// exercises the heap path rather than the bulk sorted-run path.
+// pop triggers a fresh push (job end schedules the next pass, etc.). This is
+// the shape a replay drives; BM_EventQueuePushPop's push-everything-then-
+// drain shape is one no replay produces since submissions are pumped.
 void BM_EventQueueInterleaved(benchmark::State& state) {
   const auto standing = static_cast<std::size_t>(state.range(0));
   util::Rng rng(3);

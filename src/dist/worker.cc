@@ -81,7 +81,8 @@ int run_worker_spool(const WorkerOptions& options) {
   const std::string results_dir = spool_results_dir(options.spool_dir);
   util::ensure_dir(claimed_dir);
   util::ensure_dir(results_dir);
-  const std::string pid_suffix = "." + std::to_string(::getpid());
+  std::string pid_suffix = ".";
+  pid_suffix += std::to_string(::getpid());
   const SweepFaultPlan& faults = options.faults;
 
   for (;;) {

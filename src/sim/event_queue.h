@@ -1,27 +1,20 @@
-// Cancellable priority event queue with deterministic FIFO tie-breaking.
+// Cancellable priority event queue with deterministic tie-breaking.
 //
-// Allocation-lean core, three cooperating parts:
-//   * a slab of callback slots in fixed-size chunks — growth never moves a
-//     live std::function, a freelist recycles slots, and steady-state
-//     push/pop performs no container allocation;
-//   * a staging buffer + sorted run for bulk patterns: pushes land in an
-//     unsorted staging vector; when a large batch accumulates (workload
-//     preload, scheduling-pass bursts) it is sorted once and merged into a
-//     sorted run that pops in O(1) per event — far cheaper than sifting a
-//     heap for every entry;
-//   * a 4-ary min-heap for small interleaved batches — shallower than a
-//     binary heap and friendlier to the cache on the sift path.
-// The pop order is the total order (time, insertion seq) regardless of
-// which structure holds an entry, so determinism and FIFO tie-breaks are
-// structural invariants, not scheduling accidents. Cancellation is lazy
-// and in-place: cancel() frees the slot immediately and stale entries are
-// skipped when they surface, identified by their slot key; a dead-entry
-// counter keeps the no-cancellation fast path free of slot lookups.
-// Methods are defined inline: the simulator drives millions of events per
-// run and the hot loops want to inline into the caller.
+// One 4-ary min-heap of 16-byte (time, key) entries over a slab of callback
+// slots. The slab holds the callbacks in fixed-size chunks — growth never
+// moves a live std::function, a freelist recycles slots, and steady-state
+// push/pop performs no container allocation. The 4-ary heap is shallower
+// than a binary heap and friendlier to the cache on the sift path. The key
+// packs (band, insertion seq, slot), so the pop order is the total order
+// (time, band, insertion seq): determinism and FIFO tie-breaks are
+// structural invariants, not scheduling accidents. Cancellation is lazy:
+// cancel() frees the slot at once and the stale entry is skipped when it
+// surfaces, recognised by its key; a dead-entry counter keeps the
+// no-cancellation path free of slot lookups. Methods are defined inline:
+// the simulator drives millions of events per run and the hot loops want
+// to inline into the caller.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -39,16 +32,14 @@ using EventId = std::uint64_t;
 inline constexpr EventId kInvalidEventId = 0;
 
 /// Tie-break lane for equal-time events: the total order is
-/// (time, band, insertion seq). Bands exist for one reason — the streaming
-/// workload pump (core/experiment.cc). A materialized replay preloads every
-/// submission before the clock starts, so at any timestamp the preloaded
-/// submissions fire after the rest of the setup wiring and before anything
-/// the run itself schedules (their insertion seqs sit between the two).
-/// A streaming pump reschedules itself *during* the run, so its seq alone
-/// would sort it after runtime events — the band restores the preloaded
-/// position structurally: Setup < Submit < Normal. Code that never mixes
-/// bands (every standalone queue/simulator user) sees plain FIFO
-/// tie-breaking, bit-identical to the pre-band order.
+/// (time, band, insertion seq), Setup < Submit < Normal. A replay schedules
+/// its wiring (reservations, cap announcements) before the clock starts,
+/// then the submission pump (core/submission_pump.h) reschedules itself
+/// while the clock runs. At equal timestamps a submission must fire after
+/// the setup wiring and before anything the run itself schedules; the pump's
+/// insertion seq alone would sort it after runtime events, so the band
+/// fixes its place structurally. Code that never mixes bands (every
+/// standalone queue/simulator user) sees plain FIFO tie-breaking.
 enum class EventBand : std::uint8_t {
   kSetup = 0,   ///< pre-run wiring (reservations, cap announcements)
   kSubmit = 1,  ///< the replay submission pump
@@ -56,7 +47,8 @@ enum class EventBand : std::uint8_t {
 };
 
 /// Priority queue of (time, callback) with:
-///  * deterministic ordering — equal-time events fire in insertion order;
+///  * deterministic ordering — equal-time events fire in (band, insertion)
+///    order;
 ///  * O(log n) lazy cancellation — cancelled entries are skipped on pop.
 class EventQueue {
  public:
@@ -83,16 +75,8 @@ class EventQueue {
     std::uint64_t key = (static_cast<std::uint64_t>(band) << kBandShift) |
                         (next_seq_++ << kSlotBits) | slot;
     s.last_key = key;
-
-    std::uint64_t utime = bias(time);
-    // Keys grow monotonically while every push uses one band; a lower-band
-    // push (the streaming pump rescheduling among runtime events) breaks
-    // that, and sort_staging falls back from the stable-by-time radix path
-    // to a full-key comparison sort for the affected flush.
-    if (!staging_.empty() && key < staging_.back().key) staging_keys_ascending_ = false;
-    staging_.push_back(Entry{utime, key});
-    staging_or_ |= utime;
-    staging_and_ &= utime;
+    heap_.push_back(Entry{time, key});
+    sift_up(heap_.size() - 1);
     ++live_count_;
     // The id is the key plus one so that id 0 is never issued.
     return key + 1;
@@ -132,52 +116,25 @@ class EventQueue {
 
   /// Time of the earliest live event; kTimeMax when empty.
   Time next_time() const {
-    const Entry* top = peek();
-    return top == nullptr ? kTimeMax : unbias(top->utime);
+    discard_dead();
+    return heap_.empty() ? kTimeMax : heap_.front().time;
   }
 
   /// Removes and returns the earliest live event. Requires !empty().
   struct Fired {
     Time time;
-    EventId id;
     Callback callback;
   };
   Fired pop() {
-    const Entry* top_ptr = peek();
-    PS_CHECK_MSG(top_ptr != nullptr, "pop from empty event queue");
-    Entry top = *top_ptr;
-    if (top_ptr == run_.data() + run_head_) {
-      ++run_head_;
-      if (run_head_ == run_.size()) {
-        run_.clear();
-        run_head_ = 0;
-      }
-    } else {
-      pop_heap_top();
-    }
-
+    discard_dead();
+    PS_CHECK_MSG(!heap_.empty(), "pop from empty event queue");
+    const Entry top = heap_.front();
+    pop_heap_top();
     std::uint32_t slot = slot_of(top.key);
-    Slot& s = slot_ref(slot);
-    Fired fired{unbias(top.utime), top.key + 1, std::move(s.callback)};
+    Fired fired{top.time, std::move(slot_ref(slot).callback)};
     free_slot(slot);
     --live_count_;
     return fired;
-  }
-
-  /// Drops everything (used between simulation runs).
-  void clear() {
-    staging_.clear();
-    staging_or_ = 0;
-    staging_and_ = ~std::uint64_t{0};
-    staging_keys_ascending_ = true;
-    run_.clear();
-    run_head_ = 0;
-    heap_.clear();
-    chunks_.clear();
-    slot_count_ = 0;
-    free_slots_.clear();
-    live_count_ = 0;
-    dead_count_ = 0;
   }
 
  private:
@@ -189,23 +146,14 @@ class EventQueue {
     std::uint64_t last_key = 0;  // key of the event occupying the slot
     bool live = false;
   };
-  // 16 bytes: sign-biased time + (band << kBandShift | seq << kSlotBits |
-  // slot). The time is stored biased (sign bit flipped) so it orders
-  // correctly as unsigned — which is what the radix sort digests. The band
-  // occupies the key's top bits (band-major tie-break), the seq below it so
-  // key comparison breaks same-band time ties FIFO; the slot in the low
-  // bits never affects the order because the seq is unique.
+  // 16 bytes: time + (band << kBandShift | seq << kSlotBits | slot). The
+  // band occupies the key's top bits (band-major tie-break), the seq below
+  // it so key comparison breaks same-band time ties FIFO; the slot in the
+  // low bits never affects the order because the seq is unique.
   struct Entry {
-    std::uint64_t utime;  // bias(time)
+    Time time;
     std::uint64_t key;
   };
-  static constexpr std::uint64_t kTimeBias = std::uint64_t{1} << 63;
-  static std::uint64_t bias(Time t) noexcept {
-    return static_cast<std::uint64_t>(t) ^ kTimeBias;
-  }
-  static Time unbias(std::uint64_t ut) noexcept {
-    return static_cast<Time>(ut ^ kTimeBias);
-  }
 
   static constexpr std::size_t kArity = 4;
   static constexpr unsigned kSlotBits = 24;  // up to 16.7M concurrent events
@@ -229,9 +177,9 @@ class EventQueue {
     const Slot& s = slot_ref(slot_of(e.key));
     return s.live && s.last_key == e.key;
   }
-  /// Earlier-than for the queue order (time, then insertion seq).
+  /// Earlier-than for the queue order (time, then band and insertion seq).
   static bool before(const Entry& a, const Entry& b) noexcept {
-    if (a.utime != b.utime) return a.utime < b.utime;
+    if (a.time != b.time) return a.time < b.time;
     return a.key < b.key;
   }
 
@@ -242,132 +190,17 @@ class EventQueue {
     free_slots_.push_back(slot);
   }
 
-  /// Points at the earliest live entry (run head or heap top), or null when
-  /// no live event exists. Flushes staging and discards surfaced dead
-  /// entries. Only dead-entry removal mutates, so observable state is
-  /// untouched — hence usable from const accessors via mutable storage.
-  const Entry* peek() const {
+  /// Pops cancelled entries off the heap top so it holds the earliest live
+  /// event. The dead-entry counter makes the common no-cancellation case a
+  /// single comparison with no slot lookups. Dropping dead entries leaves
+  /// the set of live events untouched, so the const next_time() may call
+  /// it through the mutable heap.
+  void discard_dead() const {
     auto& self = const_cast<EventQueue&>(*this);
-    self.flush_staging();
-    self.discard_dead();
-    const Entry* run_top = run_head_ < run_.size() ? &run_[run_head_] : nullptr;
-    const Entry* heap_top = heap_.empty() ? nullptr : &heap_.front();
-    if (run_top == nullptr) return heap_top;
-    if (heap_top == nullptr) return run_top;
-    return before(*run_top, *heap_top) ? run_top : heap_top;
-  }
-
-  /// Advances past cancelled entries at the run head and heap top. The
-  /// dead-entry counter makes the common no-cancellation case a single
-  /// comparison with no slot lookups.
-  void discard_dead() {
-    while (dead_count_ != 0) {
-      if (run_head_ < run_.size() && !entry_live(run_[run_head_])) {
-        ++run_head_;
-        if (run_head_ == run_.size()) {
-          run_.clear();
-          run_head_ = 0;
-        }
-        --dead_count_;
-        continue;
-      }
-      if (!heap_.empty() && !entry_live(heap_.front())) {
-        pop_heap_top();
-        --dead_count_;
-        continue;
-      }
-      break;
+    while (dead_count_ != 0 && !heap_.empty() && !entry_live(heap_.front())) {
+      self.pop_heap_top();
+      --dead_count_;
     }
-  }
-
-  void flush_staging() {
-    if (staging_.empty()) return;
-    std::size_t run_len = run_.size() - run_head_;
-    if (staging_.size() * 4 < run_len) {
-      // Batch small relative to the run: sift into the heap. Merging here
-      // would re-copy the whole run for a handful of events — repeated
-      // small batches against a long preloaded run must not go quadratic.
-      for (const Entry& e : staging_) {
-        heap_.push_back(e);
-        sift_up(heap_.size() - 1);
-      }
-    } else {
-      // Batch comparable to (or larger than) the run: one sort + linear
-      // merge. The ratio test above bounds merge work at a constant factor
-      // of the batch size, so bulk loads cost a few linear passes per
-      // event instead of a full heap sift.
-      sort_staging();
-      if (run_len == 0) {
-        run_.swap(staging_);
-        run_head_ = 0;
-      } else {
-        scratch_.clear();
-        scratch_.reserve(run_len + staging_.size());
-        std::merge(run_.begin() + static_cast<std::ptrdiff_t>(run_head_), run_.end(),
-                   staging_.begin(), staging_.end(), std::back_inserter(scratch_),
-                   [](const Entry& a, const Entry& b) { return before(a, b); });
-        run_.swap(scratch_);
-        run_head_ = 0;
-      }
-    }
-    staging_.clear();
-    staging_or_ = 0;
-    staging_and_ = ~std::uint64_t{0};
-    staging_keys_ascending_ = true;
-  }
-
-  /// Sorts staging into queue order. Staging is appended in insertion
-  /// order, so (within one band) its keys are already ascending: a STABLE
-  /// sort by biased time alone yields exactly the (time, band, seq) total
-  /// order. That
-  /// enables a stable LSD radix sort over only the bytes of utime that
-  /// actually vary across the batch (tracked with running or/and masks at
-  /// push time) — typically 2-4 passes instead of an O(n log n) comparison
-  /// sort whose data-dependent branches mispredict on random times.
-  void sort_staging() {
-    const std::size_t n = staging_.size();
-    if (!staging_keys_ascending_) {
-      // Mixed bands in this batch (a streaming-pump push landed among
-      // runtime pushes): insertion order is not key order, so sort by the
-      // full (time, key) relation. Rare — at most one pump event per flush.
-      std::sort(staging_.begin(), staging_.end(),
-                [](const Entry& a, const Entry& b) { return before(a, b); });
-      return;
-    }
-    std::uint64_t varying = staging_or_ ^ staging_and_;
-    if (varying == 0) return;  // all times equal: already in queue order
-    int passes = 0;
-    for (unsigned b = 0; b < 8; ++b) {
-      if ((varying >> (8 * b)) & 0xff) ++passes;
-    }
-    // Small batches or many digit passes: comparison sort wins.
-    if (n < 128 || passes > 5) {
-      std::stable_sort(staging_.begin(), staging_.end(),
-                       [](const Entry& a, const Entry& b) { return a.utime < b.utime; });
-      return;
-    }
-    radix_buf_.resize(n);
-    Entry* src = staging_.data();
-    Entry* dst = radix_buf_.data();
-    for (unsigned b = 0; b < 8; ++b) {
-      if (((varying >> (8 * b)) & 0xff) == 0) continue;
-      const unsigned shift = 8 * b;
-      std::uint32_t count[256] = {};
-      for (std::size_t i = 0; i < n; ++i) {
-        ++count[(src[i].utime >> shift) & 0xff];
-      }
-      std::uint32_t pos = 0;
-      for (std::uint32_t& c : count) {
-        std::uint32_t next = pos + c;
-        c = pos;
-        pos = next;
-      }
-      for (std::size_t i = 0; i < n; ++i) {
-        dst[count[(src[i].utime >> shift) & 0xff]++] = src[i];
-      }
-      std::swap(src, dst);
-    }
-    if (src != staging_.data()) staging_.swap(radix_buf_);
   }
 
   void pop_heap_top() {
@@ -416,18 +249,7 @@ class EventQueue {
     heap_[i] = moving;
   }
 
-  // All entry containers are mutable: peek() (used by const next_time)
-  // flushes staging and discards surfaced dead entries, neither of which
-  // changes the observable set of live events.
-  mutable std::vector<Entry> staging_;  // unsorted recent pushes
-  mutable std::uint64_t staging_or_ = 0;              // OR of staged utimes
-  mutable std::uint64_t staging_and_ = ~std::uint64_t{0};  // AND of staged utimes
-  mutable bool staging_keys_ascending_ = true;  // false once bands mix in a batch
-  mutable std::vector<Entry> run_;      // sorted ascending; consumed from run_head_
-  mutable std::size_t run_head_ = 0;
-  mutable std::vector<Entry> heap_;     // 4-ary min-heap over (time, seq)
-  mutable std::vector<Entry> scratch_;  // merge workspace (capacity reused)
-  mutable std::vector<Entry> radix_buf_;  // radix scatter workspace
+  mutable std::vector<Entry> heap_;  // 4-ary min-heap over (time, key)
   // Slot slab in fixed chunks: growth never moves a live std::function and
   // slot addresses stay stable for the lifetime of the queue.
   std::vector<std::unique_ptr<Slot[]>> chunks_;

@@ -50,7 +50,6 @@ class Simulator {
   bool step();
 
   bool pending() const noexcept { return !queue_.empty(); }
-  std::size_t pending_count() const noexcept { return queue_.size(); }
   Time next_event_time() const { return queue_.next_time(); }
 
   /// Total events fired since construction.

@@ -52,9 +52,10 @@ obs::Counter& claim_races_counter() {
 /// durable: POSIX only guarantees the new directory entry survives a crash
 /// once the directory itself has been synced.
 void fsync_parent_dir(const std::string& path) {
-  std::size_t slash = path.rfind('/');
-  std::string dir = slash == std::string::npos ? "." : path.substr(0, slash);
-  if (dir.empty()) dir = "/";
+  const std::size_t slash = path.rfind('/');
+  const std::string dir = slash == std::string::npos ? std::string(".")
+                          : slash == 0               ? std::string("/")
+                                                     : path.substr(0, slash);
   int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
   if (fd < 0) fail("open dir", dir);
   if (::fsync(fd) < 0) {
