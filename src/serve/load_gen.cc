@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <fstream>
 #include <thread>
 #include <vector>
 
@@ -88,37 +89,45 @@ bool wait_claimed(const std::string& path, std::int64_t patience_ms) {
 
 }  // namespace
 
-LoadReport run_load_client(const LoadOptions& options) {
-  PS_CHECK_MSG(valid_client_name(options.client),
-               "load: invalid client name");
+std::vector<workload::JobRequest> load_stripe(const LoadOptions& options) {
   PS_CHECK_MSG(options.client_count >= 1 && options.client_index >= 0 &&
                    options.client_index < options.client_count,
                "load: client_index must lie in [0, client_count)");
-  PS_CHECK_MSG(options.batch_jobs >= 1, "load: batch_jobs >= 1");
-
   // The offline prelude (tests/workload_trace_replay_test.cc,
   // examples/replay_swf.cpp): filter, then rebase over the *whole* trace —
-  // every client must rebase against the same minimum, so filtering and
-  // rebasing happen before striping.
+  // every client must rebase against the same minimum, so the stripe keeps
+  // raw submit times until the pass has seen every kept job.
   workload::swf::ParseOptions parse_options;
   parse_options.skip_zero_runtime = options.skip_zero_runtime;
   parse_options.max_jobs = options.max_jobs;
-  std::vector<workload::JobRequest> jobs =
-      workload::swf::load_file(options.swf, parse_options);
-  workload::swf::rebase_submit_times(jobs);
-
+  std::ifstream in = workload::swf::open(options.swf);
+  const auto index = static_cast<std::size_t>(options.client_index);
+  const auto count = static_cast<std::size_t>(options.client_count);
   std::vector<workload::JobRequest> mine;
-  for (std::size_t i = options.client_index; i < jobs.size();
-       i += options.client_count) {
-    mine.push_back(jobs[i]);
-  }
+  std::size_t kept = 0;
+  sim::Time base = sim::kTimeMax;
+  workload::swf::for_each_record(in, parse_options, [&](const workload::swf::Record& record) {
+    base = std::min(base, record.job.submit_time);
+    if (kept++ % count == index) mine.push_back(record.job);
+  });
+  for (workload::JobRequest& job : mine) job.submit_time -= base;
   // SWF does not require submit-time order; the watermark protocol does
   // (per client). Stable sort keeps equal-submit jobs in trace order.
-  std::stable_sort(mine.begin(), mine.end(),
-                   [](const workload::JobRequest& a,
-                      const workload::JobRequest& b) {
-                     return a.submit_time < b.submit_time;
-                   });
+  const auto by_submit = [](const workload::JobRequest& a, const workload::JobRequest& b) {
+    return a.submit_time < b.submit_time;
+  };
+  if (!std::is_sorted(mine.begin(), mine.end(), by_submit)) {
+    std::stable_sort(mine.begin(), mine.end(), by_submit);
+  }
+  return mine;
+}
+
+LoadReport run_load_client(const LoadOptions& options) {
+  PS_CHECK_MSG(valid_client_name(options.client),
+               "load: invalid client name");
+  PS_CHECK_MSG(options.batch_jobs >= 1, "load: batch_jobs >= 1");
+
+  const std::vector<workload::JobRequest> mine = load_stripe(options);
 
   LoadReport report;
   report.client = options.client;

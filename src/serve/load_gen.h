@@ -22,9 +22,11 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "sim/time.h"
 #include "util/fault.h"
+#include "workload/job_request.h"
 
 namespace ps::serve {
 
@@ -97,6 +99,15 @@ struct LoadReport {
   sim::Time last_submit = -1;   ///< greatest submit time in the stripe
   std::int64_t wall_ms = 0;
 };
+
+/// This client's jobs, in one streaming pass over the trace: the offline
+/// prelude's filters, submit times rebased against the minimum over the
+/// *whole* filtered trace (every client rebases alike), every
+/// client_count-th kept job from client_index, in submit-time order (a
+/// stable sort, run only when the stripe is out of order). The same jobs
+/// as swf::load_file → rebase_submit_times → stripe → stable sort, without
+/// holding the whole trace.
+std::vector<workload::JobRequest> load_stripe(const LoadOptions& options);
 
 /// Runs one client to completion: hello, batches, eof. Throws on I/O or
 /// option errors.

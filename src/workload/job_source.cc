@@ -64,10 +64,9 @@ SwfStreamSource::SwfStreamSource(std::string path, Options options)
     : path_(std::move(path)), options_(options) {}
 
 void SwfStreamSource::ensure_open() {
-  if (open_) return;
-  in_ = std::ifstream(path_);
-  if (!in_) throw std::runtime_error("swf: cannot open " + path_);
-  open_ = true;
+  if (lines_) return;
+  in_ = swf::open(path_);
+  lines_.emplace(in_);
 }
 
 bool SwfStreamSource::read_next(JobRequest& out) {
@@ -76,14 +75,14 @@ bool SwfStreamSource::read_next(JobRequest& out) {
     return false;
   }
   swf::Record record;
-  while (std::getline(in_, line_)) {
-    ++line_number_;
-    if (!swf::parse_line(line_, line_number_, record)) {
+  std::string_view line;
+  while (lines_->next(line)) {
+    if (!swf::parse_line(line, lines_->line_number(), record)) {
       // Header comment: remember the writer's submit-time bound.
-      std::size_t pos = line_.find(swf::kMaxSubmitHeader);
-      if (pos != std::string::npos) {
+      std::size_t pos = line.find(swf::kMaxSubmitHeader);
+      if (pos != std::string_view::npos) {
         auto value = strings::parse_i64(
-            strings::trim(std::string_view(line_).substr(pos + swf::kMaxSubmitHeader.size())));
+            strings::trim(line.substr(pos + swf::kMaxSubmitHeader.size())));
         if (value) header_hint_s_ = *value;
       }
       continue;
@@ -116,7 +115,7 @@ bool SwfStreamSource::fill_pending() {
         "swf stream: submit time regressed below an already-replayed chunk "
         "boundary at line %zu — streaming needs a (near-)submit-sorted "
         "trace; materialize it instead",
-        line_number_));
+        lines_->line_number()));
   }
   return true;
 }
@@ -180,8 +179,7 @@ void SwfStreamSource::prescan() {
   // for a trace whose earliest submission is not its first line). Shares
   // swf::for_each_record with the batch parser, so hint and materialized
   // horizon are computed over the very same job set.
-  std::ifstream scan(path_);
-  if (!scan) throw std::runtime_error("swf: cannot open " + path_);
+  std::ifstream scan = swf::open(path_);
   sim::Time lo = sim::kTimeMax;
   sim::Time hi = -1;
   swf::for_each_record(scan, options_.parse, [&](const swf::Record& record) {
@@ -201,9 +199,8 @@ void SwfStreamSource::prescan() {
 }
 
 void SwfStreamSource::rewind() {
+  lines_.reset();
   in_ = std::ifstream();
-  open_ = false;
-  line_number_ = 0;
   read_count_ = 0;
   raw_pending_.reset();
   exhausted_ = false;

@@ -79,14 +79,15 @@ class VectorJobSource final : public JobSource {
   std::size_t cursor_ = 0;
 };
 
-/// Streaming SWF reader: one buffered file handle, one line parsed at a
-/// time (workload::swf::parse_line), one job of lookahead — resident memory
-/// is independent of trace length. Submit times are rebased so the first
-/// job lands at t=0 (matching the swf::rebase_submit_times prelude of the
-/// materialized path, which for a submit-sorted trace subtracts exactly the
-/// first job's submit time). A trace whose submit times regress below an
-/// already-replayed chunk boundary cannot be streamed and throws; SWF
-/// traces are submit-sorted in practice (the archive's cleaned traces are).
+/// Streaming SWF reader: one file read in 64 KiB blocks (swf::LineReader),
+/// one line parsed at a time (swf::parse_line), one job of lookahead —
+/// resident memory is independent of trace length. Submit times are
+/// rebased so the first job lands at t=0 (matching the
+/// swf::rebase_submit_times prelude of the materialized path, which for a
+/// submit-sorted trace subtracts exactly the first job's submit time). A
+/// trace whose submit times regress below an already-replayed chunk
+/// boundary cannot be streamed and throws; SWF traces are submit-sorted in
+/// practice (the archive's cleaned traces are).
 ///
 /// last_submit_hint() comes from the "; MaxSubmitTime: <s>" header when
 /// present (our writer emits it) AND no option truncates the job set;
@@ -95,13 +96,13 @@ class VectorJobSource final : public JobSource {
 /// exactly, so an unsorted-head trace still rebases like the materialized
 /// path. The common replay setup (skip_zero_runtime on, to match the
 /// golden-fenced materialized configs) therefore pays one extra read-only
-/// pass per replay — measured ~12 ms on a 50k-line trace, cached across
-/// rewind() — which is the price of the hint being *exactly* the
-/// materialized horizon rather than a whole-file bound. A trusted header
-/// that OVER-reports acts as the contract's "tight upper bound": legal,
-/// but bit-parity with a materialized load of the same file then needs an
-/// exact header (files from swf::write) or an active filter forcing the
-/// scan. A header that UNDER-reports past the drain margin loses jobs —
+/// pass per replay — measured ~34 ms on the 200k-line quarter_daily
+/// trace, cached across rewind() — which is the price of the hint being
+/// *exactly* the materialized horizon rather than a whole-file bound. A
+/// trusted header that OVER-reports acts as the contract's "tight upper
+/// bound": legal, but bit-parity with a materialized load of the same file
+/// then needs an exact header (files from swf::write) or an active filter
+/// forcing the scan. A header that UNDER-reports past the drain margin loses jobs —
 /// run_scenario detects that after the replay and fails loudly.
 class SwfStreamSource final : public JobSource {
  public:
@@ -112,6 +113,9 @@ class SwfStreamSource final : public JobSource {
 
   explicit SwfStreamSource(std::string path) : SwfStreamSource(std::move(path), Options{}) {}
   SwfStreamSource(std::string path, Options options);
+  // The line reader points at in_.
+  SwfStreamSource(const SwfStreamSource&) = delete;
+  SwfStreamSource& operator=(const SwfStreamSource&) = delete;
 
   bool next_chunk(sim::Time until, std::vector<JobRequest>& out) override;
   sim::Time last_submit_hint() override;
@@ -136,9 +140,7 @@ class SwfStreamSource final : public JobSource {
   Options options_;
 
   std::ifstream in_;
-  bool open_ = false;
-  std::string line_;
-  std::size_t line_number_ = 0;
+  std::optional<swf::LineReader> lines_;     // engaged while in_ is open
   std::int64_t read_count_ = 0;              // jobs read (max_jobs accounting)
   std::optional<JobRequest> raw_pending_;    // lookahead, submit still raw
   bool exhausted_ = false;

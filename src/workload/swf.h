@@ -11,14 +11,22 @@
 //   8 requested processors, 9 requested time [s], 11 status, 12 user id.
 // Missing values (-1) fall back sensibly (requested := allocated, runtime 0).
 //
-// Parsing is allocation-free per line: fields are tokenized in place over a
-// string_view and decoded with std::from_chars (no per-field std::string,
-// no std::stoll). Both the batch parse() below and the streaming
-// SwfStreamSource (job_source.h) share the same line parser, so a trace
-// parses identically whether it is materialized or streamed.
+// Every SWF consumer reads through the same two pieces. LineReader splits a
+// stream into lines from 64 KiB blocks with memchr, with no per-line
+// std::getline or std::string. parse_line tokenizes one line in place,
+// eight bytes at a time where the line allows, and decodes each used field
+// that is a plain `[-]digits` token (at most 18 digits) in the same scan.
+// Any other token (fractions, exponents, '+', overlong digit runs) goes
+// through std::from_chars, so its value and its error are those of the
+// general path. parse(), for_each_record and the streaming
+// SwfStreamSource (job_source.h) share both, so a trace parses identically
+// whether it is materialized, pre-scanned or streamed.
 #pragma once
 
+#include <cstddef>
+#include <fstream>
 #include <istream>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -39,10 +47,41 @@ struct Record {
   std::int64_t status = 1;  ///< SWF field 11 (-1 when absent)
 };
 
+/// Splits a stream into lines. Reads 64 KiB blocks and finds line ends
+/// with memchr; a line longer than the buffer grows it. A line is the
+/// bytes before its '\n' (a '\r' before it stays, parse_line treats it as
+/// whitespace); a last line without '\n' still counts, and input ending in
+/// '\n' has no empty last line -- exactly the lines std::getline yields.
+class LineReader {
+ public:
+  explicit LineReader(std::istream& in);
+
+  /// The next line, valid until the following call; false at end of input.
+  bool next(std::string_view& line);
+  /// 1-based number of the line next() returned last.
+  std::size_t line_number() const { return line_number_; }
+
+ private:
+  /// Moves the unfinished line to the front of the buffer (growing it when
+  /// the line fills it) and reads the next block behind it.
+  void refill();
+
+  std::istream* in_;
+  std::unique_ptr<char[]> buf_;
+  std::size_t capacity_;
+  std::size_t pos_ = 0;  // start of the unread bytes
+  std::size_t end_ = 0;  // end of the bytes read so far
+  bool eof_ = false;
+  std::size_t line_number_ = 0;
+};
+
+/// Opens a trace file; throws std::runtime_error when unreadable.
+std::ifstream open(const std::string& path);
+
 /// Decodes one line. Returns false for comment (';') and blank lines.
 /// Malformed lines throw std::runtime_error naming `line_number`; a value
-/// that overflows int64 reports "out of range" (also with the line), it is
-/// never silently truncated.
+/// that overflows int64, or a time field whose milliseconds would, reports
+/// "out of range" (also with the line), it is never silently truncated.
 bool parse_line(std::string_view line, std::size_t line_number, Record& out);
 
 /// True when `record` passes the ParseOptions filters.
@@ -56,13 +95,12 @@ bool keep_record(const Record& record, const ParseOptions& options);
 /// and an opaque call per line costs ~30 % on it.
 template <typename Fn>
 void for_each_record(std::istream& in, const ParseOptions& options, Fn&& fn) {
-  std::string line;
-  std::size_t line_number = 0;
+  LineReader lines(in);
+  std::string_view line;
   std::int64_t kept = 0;
   Record record;
-  while (std::getline(in, line)) {
-    ++line_number;
-    if (!parse_line(line, line_number, record)) continue;
+  while (lines.next(line)) {
+    if (!parse_line(line, lines.line_number(), record)) continue;
     if (!keep_record(record, options)) continue;
     fn(record);
     ++kept;
