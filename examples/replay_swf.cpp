@@ -14,6 +14,8 @@
 //   * --stream: never materialize — a workload::SwfStreamSource feeds
 //     core::run_scenario in clock-keyed chunks (--chunk-seconds, default
 //     3600), so resident memory is O(chunk) however long the trace is.
+//     One read-only pre-scan of the file fixes the rebase offset and the
+//     horizon exactly as the default mode's load + rebase does.
 //     Generate a multi-week trace with ./build/make_curie_month and replay
 //     it both ways to see identical summaries at very different peak RSS.
 //
@@ -99,13 +101,13 @@ int main(int argc, char** argv) {
     core::ScenarioConfig config;
     config.racks = racks;
     config.powercap.policy = policy;
-    // One-hour cap window centered in the replay (the legacy single-window
-    // wiring run_scenario applies when cap_windows stays empty).
+    // One-hour cap window centered in the replay: with cap_windows empty,
+    // run_scenario plans the cap_lambda/cap_start/cap_duration window.
     config.cap_lambda = policy != core::Policy::None ? lambda : 1.0;
 
     if (stream) {
-      // O(chunk) memory: the trace is never materialized. The horizon comes
-      // from the source's MaxSubmitTime header (or a one-pass pre-scan).
+      // O(chunk) memory: the trace is never materialized. The rebase
+      // offset and horizon come from the source's one-pass pre-scan.
       workload::SwfStreamSource::Options stream_options;
       stream_options.parse = options;
       config.job_source =

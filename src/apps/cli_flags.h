@@ -1,7 +1,8 @@
-// Flag-value readers shared by the ps-* command-line entry points. Each
-// takes the value after args[i], advances i past it, and throws
-// std::runtime_error naming the flag when the value is missing or
-// malformed; every main reports that as "<tool>: <message>" and exits 1.
+// Flag-value readers shared by the command-line entry points (the ps-*
+// tools and make_curie_month). Each takes the value after args[i],
+// advances i past it, and throws std::runtime_error naming the flag when
+// the value is missing or malformed; every main reports that as
+// "<tool>: <message>" and exits 1.
 #pragma once
 
 #include <cstddef>

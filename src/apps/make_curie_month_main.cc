@@ -9,14 +9,15 @@
 // workload::curie_month_params, so the output is a pure function of
 // (jobs, days, seed): the golden fingerprint in
 // tests/workload_curie_month_test.cc pins the replay of the default file.
-// The written file carries the "; MaxSubmitTime:" header, which lets
-// SwfStreamSource bound a replay horizon without a pre-scan pass.
+// A streamed replay of the file (SwfStreamSource) finds its rebase offset
+// and horizon in one exact pre-scan, so it equals the materialized one.
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
+#include <vector>
 
+#include "apps/cli_flags.h"
 #include "util/strings.h"
 #include "workload/job_source.h"
 #include "workload/swf.h"
@@ -24,24 +25,22 @@
 
 int main(int argc, char** argv) {
   using namespace ps;
+  using namespace ps::cli;
+  std::vector<std::string> args(argv + 1, argv + argc);
   try {
     std::string out_path = "curie_month.swf";
     std::int64_t jobs = 50000;
     std::int32_t days = 28;
     std::uint64_t seed = 20111001;
-    for (int i = 1; i < argc; ++i) {
-      std::string arg = argv[i];
-      auto value = [&](const char* flag) {
-        if (i + 1 >= argc) throw std::runtime_error(std::string(flag) + " wants a value");
-        return std::string(argv[++i]);
-      };
-      if (arg == "--jobs") jobs = std::stoll(value("--jobs"));
-      else if (arg == "--days") days = static_cast<std::int32_t>(std::stol(value("--days")));
-      else if (arg == "--seed") seed = std::stoull(value("--seed"));
-      else if (arg.rfind("--", 0) == 0) throw std::runtime_error("unknown flag " + arg);
-      else out_path = arg;
+    for (std::size_t i = 0; i < args.size(); ++i) {
+      if (args[i] == "--jobs") jobs = need_count(args, i);
+      else if (args[i] == "--days") days = need_count<std::int32_t>(args, i);
+      else if (args[i] == "--seed") seed = need_count<std::uint64_t>(args, i);
+      else if (args[i].rfind("--", 0) == 0) throw std::runtime_error("unknown flag " + args[i]);
+      else out_path = args[i];
     }
-    if (jobs <= 0 || days <= 0) throw std::runtime_error("--jobs/--days must be positive");
+    if (jobs <= 0) throw std::runtime_error("--jobs must be positive");
+    if (days <= 0) throw std::runtime_error("--days must be positive");
 
     workload::GeneratorParams params =
         workload::curie_month_params(days, static_cast<std::size_t>(jobs));

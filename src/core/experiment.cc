@@ -33,8 +33,8 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
     if (config.trace_jobs || config.job_source) {
       horizon_from_hint = true;
       // Traces carry their own span: last submission plus a drain hour.
-      // The source bounds it without materializing the trace (SWF header
-      // or a one-pass pre-scan; vectors answer from their sorted tail).
+      // The source bounds it without materializing the trace (SWF sources
+      // by a one-pass pre-scan; vectors answer from their sorted tail).
       sim::Time last_submit = source->last_submit_hint();
       PS_CHECK_MSG(last_submit >= 0,
                    "scenario: job source cannot bound the replay horizon; "
@@ -52,11 +52,11 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   replay.advance_to(horizon);
   if (horizon_from_hint) {
     // An explicit config.horizon may truncate a trace on purpose; a
-    // hint-derived one may not — leftover jobs mean the hint lied (e.g. a
-    // stale MaxSubmitTime header) and the replay silently lost work.
+    // hint-derived one may not — leftover jobs mean the source's hint
+    // under-reported its last submission and the replay lost work.
     PS_CHECK_MSG(replay.pump().fully_drained(),
-                 "job source outlived its last_submit_hint — stale or "
-                 "under-reporting MaxSubmitTime header?");
+                 "job source outlived its last_submit_hint — the source "
+                 "under-reported its last submit time");
   }
   return replay.finish(horizon);
 }

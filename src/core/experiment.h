@@ -73,7 +73,8 @@ struct ScenarioConfig {
   /// Cap as a fraction of worst-case cluster draw; >= 1 means no cap.
   double cap_lambda = 1.0;
   /// Cap window; start < 0 centers a `cap_duration` window in the profile
-  /// span (the paper's "one hour in the middle").
+  /// span (the paper's "one hour in the middle"). The duration must be
+  /// positive; run_scenario plans it as a one-window advance schedule.
   sim::Time cap_start = -1;
   sim::Duration cap_duration = sim::hours(1);
 

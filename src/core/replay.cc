@@ -37,55 +37,54 @@ void Replay::add_cap_windows(const ScenarioConfig& config, sim::Time horizon) {
   // Policy::None skips every cap, single window or schedule alike, so a
   // None baseline is comparable across both config styles.
   if (config.powercap.policy == Policy::None) return;
-  if (!config.cap_windows.empty()) {
-    // Multi-window schedule: advance windows are planned jointly in one
-    // incremental planner pass; announce-typed windows register mid-replay.
-    // result.windows is ordered to match the plan registration order —
-    // advance windows (config order) first, then announce-typed windows by
-    // announce time — so windows[i] and plans[i] always describe the same
-    // window.
-    struct Announced {
-      sim::Time announce = 0;
-      ScenarioResult::Window window;
-    };
-    std::vector<PlanWindow> advance;
-    std::vector<Announced> announced;
-    for (const CapWindow& window : config.cap_windows) {
-      sim::Time start = window.start >= 0 ? window.start
-                                          : (horizon - window.duration) / 2;
-      sim::Time end =
-          window.duration > 0 ? start + window.duration : sim::kTimeMax;
-      double watts = manager_.lambda_to_watts(window.lambda);
-      if (window.announce >= 0) {
-        // An announcement past the horizon never happens: no reservation,
-        // no plan, no listed window.
-        if (window.announce > horizon) continue;
-        announced.push_back({window.announce, {start, end, watts}});
-      } else {
-        result_.windows.push_back({start, end, watts});
-        advance.push_back({start, end, watts});
-      }
+  // The single cap_lambda/cap_start/cap_duration window is a one-window
+  // advance schedule. Its duration must be positive: 0 would turn it into
+  // an open-ended CapWindow.
+  std::vector<CapWindow> single;
+  if (config.cap_windows.empty() && config.cap_lambda < 1.0) {
+    PS_CHECK_MSG(config.cap_duration > 0, "scenario: cap_duration must be positive");
+    single.push_back({config.cap_lambda, config.cap_start, config.cap_duration, -1});
+  }
+  const std::vector<CapWindow>& windows =
+      config.cap_windows.empty() ? single : config.cap_windows;
+  // Advance windows are planned jointly in one incremental planner pass;
+  // announce-typed windows register mid-replay. result.windows is ordered
+  // to match the plan registration order — advance windows (config order)
+  // first, then announce-typed windows by announce time — so windows[i]
+  // and plans[i] always describe the same window.
+  struct Announced {
+    sim::Time announce = 0;
+    ScenarioResult::Window window;
+  };
+  std::vector<PlanWindow> advance;
+  std::vector<Announced> announced;
+  for (const CapWindow& window : windows) {
+    sim::Time start = window.start >= 0 ? window.start
+                                        : (horizon - window.duration) / 2;
+    sim::Time end =
+        window.duration > 0 ? start + window.duration : sim::kTimeMax;
+    double watts = manager_.lambda_to_watts(window.lambda);
+    if (window.announce >= 0) {
+      // An announcement past the horizon never happens: no reservation,
+      // no plan, no listed window.
+      if (window.announce > horizon) continue;
+      announced.push_back({window.announce, {start, end, watts}});
+    } else {
+      result_.windows.push_back({start, end, watts});
+      advance.push_back({start, end, watts});
     }
-    manager_.add_powercap_schedule(advance);
-    std::stable_sort(announced.begin(), announced.end(),
-                     [](const Announced& a, const Announced& b) {
-                       return a.announce < b.announce;
-                     });
-    for (const Announced& entry : announced) {
-      result_.windows.push_back(entry.window);
-      const ScenarioResult::Window& w = entry.window;
-      simulator_.schedule_at(entry.announce, [this, w] {
-        manager_.add_powercap(w.start, w.end, w.watts);
-      });
-    }
-  } else if (config.cap_lambda < 1.0) {
-    sim::Time start = config.cap_start >= 0
-                          ? config.cap_start
-                          : (horizon - config.cap_duration) / 2;
-    sim::Time end = start + config.cap_duration;
-    double watts = manager_.lambda_to_watts(config.cap_lambda);
-    manager_.add_powercap(start, end, watts);
-    result_.windows.push_back({start, end, watts});
+  }
+  manager_.add_powercap_schedule(advance);
+  std::stable_sort(announced.begin(), announced.end(),
+                   [](const Announced& a, const Announced& b) {
+                     return a.announce < b.announce;
+                   });
+  for (const Announced& entry : announced) {
+    result_.windows.push_back(entry.window);
+    const ScenarioResult::Window& w = entry.window;
+    simulator_.schedule_at(entry.announce, [this, w] {
+      manager_.add_powercap(w.start, w.end, w.watts);
+    });
   }
   if (!result_.windows.empty()) {
     result_.cap_watts = result_.windows.front().watts;

@@ -57,8 +57,8 @@ class SubmissionPump {
 
   /// True once every job due by the horizon was submitted and the source
   /// reported no more beyond it. After a replay whose horizon came from
-  /// last_submit_hint(), anything else means the hint under-reported (a
-  /// stale MaxSubmitTime header) and jobs were silently dropped.
+  /// last_submit_hint(), anything else means the source's hint
+  /// under-reported its last submission and jobs were silently dropped.
   bool fully_drained() const noexcept {
     return cursor_ >= buffer_.size() && !more_;
   }

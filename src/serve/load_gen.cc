@@ -106,10 +106,12 @@ std::vector<workload::JobRequest> load_stripe(const LoadOptions& options) {
   std::vector<workload::JobRequest> mine;
   std::size_t kept = 0;
   sim::Time base = sim::kTimeMax;
-  workload::swf::for_each_record(in, parse_options, [&](const workload::swf::Record& record) {
+  workload::swf::RecordReader records(in, parse_options);
+  workload::swf::Record record;
+  while (records.next(record)) {
     base = std::min(base, record.job.submit_time);
     if (kept++ % count == index) mine.push_back(record.job);
-  });
+  }
   for (workload::JobRequest& job : mine) job.submit_time -= base;
   // SWF does not require submit-time order; the watermark protocol does
   // (per client). Stable sort keeps equal-submit jobs in trace order.

@@ -7,8 +7,8 @@
 //     client's name, how many jobs it will publish, and the greatest
 //     submit time it will ever send. The server waits for the expected
 //     client count before wiring caps and starting the clock — the hellos
-//     bound the replay horizon exactly like an SWF MaxSubmitTime header
-//     bounds an offline replay.
+//     bound the replay horizon exactly like last_submit_hint() bounds an
+//     offline replay.
 //   * **submission** — a batch of job records (the dist serde job rows —
 //     one wire format for job records everywhere) plus the client's
 //     sequence number, its *watermark* ("every job of mine with

@@ -63,149 +63,63 @@ sim::Time VectorJobSource::last_submit_hint() {
 SwfStreamSource::SwfStreamSource(std::string path, Options options)
     : path_(std::move(path)), options_(options) {}
 
-void SwfStreamSource::ensure_open() {
-  if (lines_) return;
-  in_ = swf::open(path_);
-  lines_.emplace(in_);
-}
-
-bool SwfStreamSource::read_next(JobRequest& out) {
-  ensure_open();
-  if (options_.parse.max_jobs > 0 && read_count_ >= options_.parse.max_jobs) {
-    return false;
-  }
+void SwfStreamSource::scan() {
+  if (scanned_) return;
+  std::ifstream in = swf::open(path_);
+  swf::RecordReader records(in, options_.parse);
   swf::Record record;
-  std::string_view line;
-  while (lines_->next(line)) {
-    if (!swf::parse_line(line, lines_->line_number(), record)) {
-      // Header comment: remember the writer's submit-time bound.
-      std::size_t pos = line.find(swf::kMaxSubmitHeader);
-      if (pos != std::string_view::npos) {
-        auto value = strings::parse_i64(
-            strings::trim(line.substr(pos + swf::kMaxSubmitHeader.size())));
-        if (value) header_hint_s_ = *value;
-      }
-      continue;
-    }
-    if (!swf::keep_record(record, options_.parse)) continue;
-    ++read_count_;
-    out = std::move(record.job);
-    return true;
+  sim::Time lo = sim::kTimeMax;
+  sim::Time hi = -1;
+  while (records.next(record)) {
+    lo = std::min(lo, record.job.submit_time);
+    hi = std::max(hi, record.job.submit_time);
   }
-  return false;
+  // No job survives the filters: 0, like rebase_submit_times on no jobs.
+  base_ = hi < 0 ? 0 : lo;
+  hint_ = hi < 0 ? 0 : hi - lo;
+  scanned_ = true;
 }
 
-bool SwfStreamSource::load_raw() {
-  if (raw_pending_) return true;
-  if (exhausted_) return false;
-  JobRequest job;
-  if (!read_next(job)) {
-    exhausted_ = true;
-    return false;
-  }
-  raw_pending_ = std::move(job);
-  return true;
-}
-
-bool SwfStreamSource::fill_pending() {
-  if (!load_raw()) return false;
-  if (options_.rebase && !base_) base_ = raw_pending_->submit_time;
-  if (pending_submit() <= floor_) {
+void SwfStreamSource::advance() {
+  has_pending_ = records_->next(pending_);
+  if (!has_pending_) return;
+  pending_.job.submit_time -= base_;
+  if (pending_.job.submit_time <= floor_) {
     throw std::runtime_error(strings::format(
         "swf stream: submit time regressed below an already-replayed chunk "
         "boundary at line %zu — streaming needs a (near-)submit-sorted "
         "trace; materialize it instead",
-        lines_->line_number()));
+        records_->line_number()));
   }
-  return true;
-}
-
-sim::Time SwfStreamSource::pending_submit() const {
-  return raw_pending_->submit_time - (options_.rebase && base_ ? *base_ : 0);
 }
 
 bool SwfStreamSource::next_chunk(sim::Time until, std::vector<JobRequest>& out) {
   PS_CHECK_MSG(until >= floor_, "JobSource::next_chunk: until must be nondecreasing");
-  while (fill_pending() && pending_submit() <= until) {
-    JobRequest job = std::move(*raw_pending_);
-    raw_pending_.reset();
-    if (options_.rebase) job.submit_time -= *base_;
-    out.push_back(std::move(job));
+  scan();
+  if (!records_) {
+    in_ = swf::open(path_);
+    records_.emplace(in_, options_.parse);
+    advance();
+  }
+  while (has_pending_ && pending_.job.submit_time <= until) {
+    out.push_back(std::move(pending_.job));
+    advance();
   }
   floor_ = until;
-  return raw_pending_.has_value() || !exhausted_;
+  return has_pending_;
 }
 
 sim::Time SwfStreamSource::last_submit_hint() {
-  if (hint_) return *hint_;
-  // Reading up to (and holding) the first data job pulls the header
-  // comments in without committing the rebase offset.
-  if (!load_raw()) {
-    // Exhausted (or empty) stream: the scan still answers exactly — and
-    // never from `floor_`, which is consumer state (a kTimeMax drain would
-    // poison horizon arithmetic downstream).
-    prescan();
-    return *hint_;
-  }
-  // The header describes the WHOLE file: it is only the materialized
-  // path's bound when nothing truncates the job set. With max_jobs or a
-  // filter active the last *kept* submission can differ, and a horizon
-  // from the header would silently break streamed/materialized
-  // bit-identity — the pre-scan below honors both.
-  const bool header_usable = !options_.parse.max_jobs &&
-                             !options_.parse.skip_zero_runtime &&
-                             !options_.parse.skip_failed_status;
-  if (header_hint_s_ && header_usable) {
-    sim::Time base = options_.rebase
-                         ? (base_ ? *base_ : raw_pending_->submit_time)
-                         : 0;
-    sim::Time rebased = sim::seconds(*header_hint_s_) - base;
-    if (rebased >= raw_pending_->submit_time - base) {
-      hint_ = rebased;
-      return *hint_;
-    }
-    // A header bound below the first job is wrong: fall through to the scan.
-  }
-  // No usable header: one exact pass. Anchoring base_ at the scanned
-  // minimum ALSO makes mildly unsorted traces rebase exactly like the
-  // materialized path.
-  prescan();
-  return *hint_;
-}
-
-void SwfStreamSource::prescan() {
-  // One O(1)-memory pass over the whole file: exact max (the hint) and min
-  // (the rebase offset — matching swf::rebase_submit_times exactly, even
-  // for a trace whose earliest submission is not its first line). Shares
-  // swf::for_each_record with the batch parser, so hint and materialized
-  // horizon are computed over the very same job set.
-  std::ifstream scan = swf::open(path_);
-  sim::Time lo = sim::kTimeMax;
-  sim::Time hi = -1;
-  swf::for_each_record(scan, options_.parse, [&](const swf::Record& record) {
-    lo = std::min(lo, record.job.submit_time);
-    hi = std::max(hi, record.job.submit_time);
-  });
-  if (hi < 0) {
-    hint_ = 0;  // no jobs survive the filters
-    return;
-  }
-  if (options_.rebase) {
-    if (!base_) base_ = lo;
-    hint_ = hi - *base_;
-  } else {
-    hint_ = hi;
-  }
+  scan();
+  return hint_;
 }
 
 void SwfStreamSource::rewind() {
-  lines_.reset();
+  // The scan survives: same file, same offset and hint.
+  records_.reset();
   in_ = std::ifstream();
-  read_count_ = 0;
-  raw_pending_.reset();
-  exhausted_ = false;
+  has_pending_ = false;
   floor_ = -1;
-  // base_/header_hint_s_/hint_ survive: same file, same offsets.
 }
 
 // --- ChunkedSyntheticSource --------------------------------------------------

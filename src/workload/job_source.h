@@ -79,41 +79,32 @@ class VectorJobSource final : public JobSource {
   std::size_t cursor_ = 0;
 };
 
-/// Streaming SWF reader: one file read in 64 KiB blocks (swf::LineReader),
-/// one line parsed at a time (swf::parse_line), one job of lookahead —
-/// resident memory is independent of trace length. Submit times are
-/// rebased so the first job lands at t=0 (matching the
-/// swf::rebase_submit_times prelude of the materialized path, which for a
-/// submit-sorted trace subtracts exactly the first job's submit time). A
-/// trace whose submit times regress below an already-replayed chunk
+/// Streaming SWF reader: one file read in 64 KiB blocks through
+/// swf::RecordReader, one job of lookahead, so resident memory is
+/// independent of trace length.
+///
+/// Before the first job or hint it makes one O(1)-memory pre-scan of the
+/// file through the same reader. The scan sets the rebase offset to the
+/// minimum kept submit time and the hint to the maximum minus the minimum:
+/// exactly what swf::rebase_submit_times does and returns for the
+/// materialized path, under the same filters and max_jobs. So a streamed
+/// replay equals the materialized one on any trace, whether or not its
+/// first line is its earliest submission. The scan is kept across
+/// rewind(), so a config that runs again pays it once. Header comments
+/// are never read for either value.
+///
+/// A trace whose submit times regress below an already-replayed chunk
 /// boundary cannot be streamed and throws; SWF traces are submit-sorted in
 /// practice (the archive's cleaned traces are).
-///
-/// last_submit_hint() comes from the "; MaxSubmitTime: <s>" header when
-/// present (our writer emits it) AND no option truncates the job set;
-/// otherwise from a one-pass O(1)-memory pre-scan of the file, which
-/// honors max_jobs and the filters and also fixes the rebase offset
-/// exactly, so an unsorted-head trace still rebases like the materialized
-/// path. The common replay setup (skip_zero_runtime on, to match the
-/// golden-fenced materialized configs) therefore pays one extra read-only
-/// pass per replay — measured ~34 ms on the 200k-line quarter_daily
-/// trace, cached across rewind() — which is the price of the hint being
-/// *exactly* the materialized horizon rather than a whole-file bound. A
-/// trusted header that OVER-reports acts as the contract's "tight upper
-/// bound": legal, but bit-parity with a materialized load of the same file
-/// then needs an exact header (files from swf::write) or an active filter
-/// forcing the scan. A header that UNDER-reports past the drain margin loses jobs —
-/// run_scenario detects that after the replay and fails loudly.
 class SwfStreamSource final : public JobSource {
  public:
   struct Options {
     swf::ParseOptions parse;  ///< same filters as the batch parser
-    bool rebase = true;       ///< shift submit times so the trace starts at 0
   };
 
   explicit SwfStreamSource(std::string path) : SwfStreamSource(std::move(path), Options{}) {}
   SwfStreamSource(std::string path, Options options);
-  // The line reader points at in_.
+  // The record reader points at in_.
   SwfStreamSource(const SwfStreamSource&) = delete;
   SwfStreamSource& operator=(const SwfStreamSource&) = delete;
 
@@ -122,32 +113,24 @@ class SwfStreamSource final : public JobSource {
   void rewind() override;
 
  private:
-  void ensure_open();
-  /// Reads forward to the next job passing the filters; false at EOF (or
-  /// once max_jobs have been read).
-  bool read_next(JobRequest& out);
-  /// Loads the raw (unrebased) lookahead slot; false once exhausted. Does
-  /// not commit the rebase offset, so last_submit_hint can still anchor it
-  /// at the pre-scanned minimum.
-  bool load_raw();
-  /// load_raw plus rebase-offset commitment and the monotonicity check.
-  bool fill_pending();
-  /// Rebased submit time of the lookahead job (requires a loaded slot).
-  sim::Time pending_submit() const;
-  void prescan();  // fills hint_ (and base_ if unset) in one exact pass
+  void scan();  // sets base_ and hint_ once, in one exact pass
+  /// Reads the next kept job, rebased, into the lookahead slot (clears
+  /// has_pending_ at the end). Throws when it falls at or below the
+  /// previous chunk's `until`.
+  void advance();
 
   std::string path_;
   Options options_;
 
+  bool scanned_ = false;
+  sim::Time base_ = 0;  // rebase offset: the minimum kept submit time
+  sim::Time hint_ = 0;  // the maximum kept submit time minus base_
+
   std::ifstream in_;
-  std::optional<swf::LineReader> lines_;     // engaged while in_ is open
-  std::int64_t read_count_ = 0;              // jobs read (max_jobs accounting)
-  std::optional<JobRequest> raw_pending_;    // lookahead, submit still raw
-  bool exhausted_ = false;
-  sim::Time floor_ = -1;                     // previous chunk's `until`
-  std::optional<sim::Time> base_;            // rebase offset (raw ms)
-  std::optional<sim::Time> header_hint_s_;   // raw MaxSubmitTime header [s]
-  std::optional<sim::Time> hint_;            // resolved, rebased hint [ms]
+  std::optional<swf::RecordReader> records_;  // engaged while in_ is open
+  swf::Record pending_;                       // lookahead, valid when has_pending_
+  bool has_pending_ = false;
+  sim::Time floor_ = -1;                      // previous chunk's `until`
 };
 
 /// Synthetic workload as a stream: generates jobs window by window (a

@@ -290,9 +290,9 @@ bool keep_record(const Record& record, const ParseOptions& options) {
 
 std::vector<JobRequest> parse(std::istream& in, const ParseOptions& options) {
   std::vector<JobRequest> jobs;
-  for_each_record(in, options, [&jobs](const Record& record) {
-    jobs.push_back(record.job);
-  });
+  RecordReader records(in, options);
+  Record record;
+  while (records.next(record)) jobs.push_back(record.job);
   return jobs;
 }
 
@@ -319,11 +319,8 @@ sim::Time rebase_submit_times(std::vector<JobRequest>& jobs) {
 }
 
 void write(std::ostream& out, const std::vector<JobRequest>& jobs) {
-  sim::Time max_submit = 0;
-  for (const JobRequest& job : jobs) max_submit = std::max(max_submit, job.submit_time);
   out << "; SWF written by powersched\n";
   out << "; MaxJobs: " << jobs.size() << "\n";
-  out << "; " << kMaxSubmitHeader << ' ' << max_submit / 1000 << "\n";
   for (const JobRequest& job : jobs) {
     out << job.id << ' ' << job.submit_time / 1000 << ' ' << -1 << ' '
         << job.base_runtime / 1000 << ' ' << job.requested_cores << ' ' << -1 << ' ' << -1

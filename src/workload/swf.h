@@ -18,9 +18,10 @@
 // that is a plain `[-]digits` token (at most 18 digits) in the same scan.
 // Any other token (fractions, exponents, '+', overlong digit runs) goes
 // through std::from_chars, so its value and its error are those of the
-// general path. parse(), for_each_record and the streaming
-// SwfStreamSource (job_source.h) share both, so a trace parses identically
-// whether it is materialized, pre-scanned or streamed.
+// general path. RecordReader adds the ParseOptions filters on top, and
+// parse(), ps-load and the streaming SwfStreamSource (job_source.h) all read
+// through it, so a trace parses identically whether it is materialized,
+// pre-scanned or streamed.
 #pragma once
 
 #include <cstddef>
@@ -87,26 +88,38 @@ bool parse_line(std::string_view line, std::size_t line_number, Record& out);
 /// True when `record` passes the ParseOptions filters.
 bool keep_record(const Record& record, const ParseOptions& options);
 
-/// Streams every record that passes `options` to `fn`, stopping after
-/// max_jobs kept records — the single definition of the filter/truncation
-/// semantics, shared by parse() and SwfStreamSource's pre-scan so the two
-/// can never disagree about which jobs a trace contains. A template (not
-/// std::function): the callback must inline — parse() is a gated kernel
-/// and an opaque call per line costs ~30 % on it.
-template <typename Fn>
-void for_each_record(std::istream& in, const ParseOptions& options, Fn&& fn) {
-  LineReader lines(in);
-  std::string_view line;
-  std::int64_t kept = 0;
-  Record record;
-  while (lines.next(line)) {
-    if (!parse_line(line, lines.line_number(), record)) continue;
-    if (!keep_record(record, options)) continue;
-    fn(record);
-    ++kept;
-    if (options.max_jobs > 0 && kept >= options.max_jobs) break;
+/// The records of a stream that pass `options`, one per next(), ending
+/// after max_jobs kept records -- the single definition of the
+/// filter/truncation semantics. parse(), SwfStreamSource (its pre-scan and
+/// its stream) and ps-load's stripe all pull through it, so they can never
+/// disagree about which jobs a trace contains. next() is inline: parse() is
+/// a gated kernel and an opaque call per line costs ~30 % on it.
+class RecordReader {
+ public:
+  RecordReader(std::istream& in, const ParseOptions& options)
+      : lines_(in), options_(options) {}
+
+  /// Decodes the next kept record into `record`; false at end of input
+  /// (or once max_jobs records were kept).
+  bool next(Record& record) {
+    if (options_.max_jobs > 0 && kept_ >= options_.max_jobs) return false;
+    std::string_view line;
+    while (lines_.next(line)) {
+      if (!parse_line(line, lines_.line_number(), record)) continue;
+      if (!keep_record(record, options_)) continue;
+      ++kept_;
+      return true;
+    }
+    return false;
   }
-}
+  /// 1-based number of the line the last record came from.
+  std::size_t line_number() const { return lines_.line_number(); }
+
+ private:
+  LineReader lines_;
+  ParseOptions options_;
+  std::int64_t kept_ = 0;
+};
 
 /// Parses SWF text. Comment/header lines start with ';'. Malformed data
 /// lines throw std::runtime_error with the line number.
@@ -126,14 +139,8 @@ std::vector<JobRequest> load_file(const std::string& path,
 /// standard prelude between load_file and ScenarioConfig::trace_jobs.
 sim::Time rebase_submit_times(std::vector<JobRequest>& jobs);
 
-/// Header comment carrying the trace's largest submit time in seconds
-/// ("; MaxSubmitTime: <s>"). write() emits it so SwfStreamSource can bound
-/// a replay horizon without a pre-scan; foreign traces without it fall back
-/// to a one-pass scan (see JobSource::last_submit_hint).
-inline constexpr std::string_view kMaxSubmitHeader = "MaxSubmitTime:";
-
-/// Writes jobs back out as SWF (fields we do not model are -1), prefixed
-/// with a MaxSubmitTime header.
+/// Writes jobs back out as SWF (fields we do not model are -1), after two
+/// header comments: the writer's name and the standard "; MaxJobs:" line.
 void write(std::ostream& out, const std::vector<JobRequest>& jobs);
 
 }  // namespace ps::workload::swf

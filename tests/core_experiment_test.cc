@@ -65,6 +65,21 @@ TEST(Experiment, ExplicitCapPlacementRespected) {
   EXPECT_EQ(r.cap_end, sim::minutes(30));
 }
 
+TEST(Experiment, SingleCapWindowNeedsAPositiveDuration) {
+  // The single window is planned as a one-window CapWindow schedule, where
+  // a 0 duration would mean open-ended; the scenario refuses it instead.
+  for (sim::Duration duration : {sim::Duration{0}, -sim::minutes(5)}) {
+    ScenarioConfig config;
+    config.custom_workload = tiny_workload();
+    config.racks = 2;
+    config.powercap.policy = Policy::Shut;
+    config.cap_lambda = 0.6;
+    config.cap_start = sim::minutes(10);
+    config.cap_duration = duration;
+    EXPECT_THROW(run_scenario(config), CheckError) << duration;
+  }
+}
+
 TEST(Experiment, NoCapWhenLambdaIsOne) {
   ScenarioConfig config;
   config.custom_workload = tiny_workload();

@@ -14,6 +14,7 @@
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/experiment.h"
@@ -21,7 +22,6 @@
 #include "fig8_golden.h"
 #include "offline_oracle.h"
 #include "scenario_fingerprint.h"
-#include "util/check.h"
 #include "workload/job_source.h"
 #include "workload/swf.h"
 
@@ -201,26 +201,75 @@ TEST(StreamParity, ChunkBoundaryEdgeCasesMatchMaterialized) {
   }
 }
 
-TEST(StreamParity, StaleHeaderHintFailsLoudly) {
-  // A MaxSubmitTime header above the first job but below the last would
-  // give the streamed replay a horizon that silently drops the tail; the
-  // pump detects the undrained source after the run and throws.
-  std::string path = ::testing::TempDir() + "stale_header.swf";
+/// Fingerprints of one SWF file replayed materialized (load_file, then
+/// rebase_submit_times) and streamed (SwfStreamSource), both under
+/// `horizon` (0 = derived from the trace).
+struct SwfReplays {
+  std::uint64_t materialized = 0;
+  std::uint64_t streamed = 0;
+};
+
+SwfReplays replay_swf_both_ways(const std::string& text, sim::Duration horizon) {
+  const std::string path = ::testing::TempDir() + "stream_parity_trace.swf";
   {
     std::ofstream out(path);
-    out << "; MaxSubmitTime: 100\n"
-           "1 0 -1 60 8 -1 -1 8 60 -1 1 1 -1 -1 -1 -1 -1 -1\n"
-           "2 100 -1 60 8 -1 -1 8 60 -1 1 1 -1 -1 -1 -1 -1 -1\n"
-           "3 50000 -1 60 8 -1 -1 8 60 -1 1 1 -1 -1 -1 -1 -1 -1\n";
+    out << text;
   }
   ScenarioConfig config;
-  config.job_source = std::make_shared<workload::SwfStreamSource>(path);
   config.racks = 1;
-  EXPECT_THROW(run_scenario(config), CheckError);
-  // An explicit horizon is a deliberate truncation and stays legal.
-  config.horizon = sim::hours(1);
-  EXPECT_NO_THROW(run_scenario(config));
+  config.powercap.policy = Policy::Mix;
+  config.cap_lambda = 0.5;
+  config.horizon = horizon;
+
+  ScenarioConfig materialized = config;
+  std::vector<workload::JobRequest> jobs = workload::swf::load_file(path);
+  workload::swf::rebase_submit_times(jobs);
+  materialized.trace_jobs = std::move(jobs);
+  ScenarioConfig streamed = config;
+  streamed.job_source = std::make_shared<workload::SwfStreamSource>(path);
+  streamed.submit_chunk = sim::minutes(10);
+
+  SwfReplays replays;
+  replays.materialized = fingerprint(run_scenario(materialized));
+  replays.streamed = fingerprint(run_scenario(streamed));
   std::remove(path.c_str());
+  return replays;
+}
+
+TEST(StreamParity, StaleOrOverReportingHeaderIsIgnored) {
+  // A "; MaxSubmitTime:" header is a comment like any other: one that
+  // under-reports (100 s, below the last job) or over-reports the trace
+  // changes neither the rebase offset nor the derived horizon.
+  const std::string jobs =
+      "1 0 -1 60 8 -1 -1 8 60 -1 1 1 -1 -1 -1 -1 -1 -1\n"
+      "2 100 -1 60 8 -1 -1 8 60 -1 1 1 -1 -1 -1 -1 -1 -1\n"
+      "3 50000 -1 60 8 -1 -1 8 60 -1 1 1 -1 -1 -1 -1 -1 -1\n";
+  const SwfReplays reference = replay_swf_both_ways(jobs, 0);
+  EXPECT_EQ(reference.streamed, reference.materialized);
+  for (const char* header : {"; MaxSubmitTime: 100\n", "; MaxSubmitTime: 900000\n"}) {
+    const SwfReplays replays = replay_swf_both_ways(header + jobs, 0);
+    EXPECT_EQ(replays.streamed, replays.materialized) << header;
+    EXPECT_EQ(replays.streamed, reference.streamed) << header;
+  }
+}
+
+TEST(StreamParity, UnsortedHeadStreamsLikeMaterialized) {
+  // The first line is not the earliest submission (1000 s, then 400 s):
+  // the stream must rebase on the minimum, like rebase_submit_times, with
+  // or without a header and at a derived or an explicit horizon.
+  const std::string jobs =
+      "1 1000 -1 600 8 -1 -1 8 900 -1 1 1 -1 -1 -1 -1 -1 -1\n"
+      "2 400 -1 600 8 -1 -1 8 900 -1 1 2 -1 -1 -1 -1 -1 -1\n"
+      "3 4000 -1 600 8 -1 -1 8 900 -1 1 1 -1 -1 -1 -1 -1 -1\n";
+  for (const std::string header : {"", "; MaxSubmitTime: 4000\n"}) {
+    for (sim::Duration horizon : {sim::Duration{0}, sim::hours(3)}) {
+      SwfReplays replays;
+      ASSERT_NO_THROW(replays = replay_swf_both_ways(header + jobs, horizon))
+          << "header '" << header << "' horizon " << horizon;
+      EXPECT_EQ(replays.streamed, replays.materialized)
+          << "header '" << header << "' horizon " << horizon;
+    }
+  }
 }
 
 TEST(StreamParity, StreamedConfigRunsRepeatedly) {

@@ -11,10 +11,13 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/experiment.h"
 #include "scenario_fingerprint.h"
+#include "util/spool.h"
+#include "util/subprocess.h"
 #include "workload/job_source.h"
 #include "workload/swf.h"
 #include "workload/synthetic.h"
@@ -108,6 +111,29 @@ TEST(CurieMonth, StreamedReplayMatchesMaterializedGolden) {
   if (digest != kGolden) {
     std::printf("    curie_month streamed digest: 0x%llx\n",
                 static_cast<unsigned long long>(digest));
+  }
+}
+
+TEST(CurieMonth, ToolRejectsMalformedFlags) {
+  // Each value used to be cut, wrapped or half-parsed into a trace; the
+  // tool must refuse it with a message naming the flag and write nothing.
+  const std::pair<const char*, const char*> cases[] = {
+      {"--days", "4294967297"}, {"--jobs", "12abc"}, {"--seed", "-1"},
+      {"--jobs", "x"},          {"--jobs", "0"},     {"--days", "0"}};
+  for (const auto& [flag, value] : cases) {
+    const std::string dir = util::make_temp_dir("curie_month_flags");
+    util::Subprocess tool = util::Subprocess::spawn(
+        {PS_CURIE_MONTH_BIN, dir + "/out.swf", flag, value}, dir + "/tool.out",
+        dir + "/tool.err");
+    int exit_code = -1;
+    ASSERT_TRUE(tool.wait_for(30'000, &exit_code)) << flag << ' ' << value;
+    EXPECT_EQ(exit_code, 1) << flag << ' ' << value;
+    const std::string err = util::read_file(dir + "/tool.err");
+    EXPECT_NE(err.find(std::string("make_curie_month: ") + flag), std::string::npos)
+        << flag << ' ' << value << ": " << err;
+    std::ifstream written(dir + "/out.swf");
+    EXPECT_FALSE(written.good()) << flag << ' ' << value;
+    util::remove_tree(dir);
   }
 }
 

@@ -54,6 +54,13 @@ std::string swf_text(const std::vector<JobRequest>& jobs) {
   return out.str();
 }
 
+/// What the materialized path derives its horizon from: the largest submit
+/// time after load_file and rebase_submit_times.
+sim::Time materialized_hint(const std::string& path, const swf::ParseOptions& options = {}) {
+  std::vector<JobRequest> jobs = swf::load_file(path, options);
+  return swf::rebase_submit_times(jobs);
+}
+
 // --- VectorJobSource ---------------------------------------------------------
 
 TEST(VectorJobSource, ChunksPartitionBySubmitTimeInclusive) {
@@ -137,13 +144,13 @@ TEST(SwfStreamSource, ChunkedDrainEqualsMaterialized) {
   EXPECT_EQ(ids(piecewise), ids(materialize(whole)));
 }
 
-TEST(SwfStreamSource, HeaderHintAvoidsNothingButIsExact) {
-  // Files from swf::write carry "; MaxSubmitTime:"; the hint must agree
-  // with the batch path's rebased max.
+TEST(SwfStreamSource, HintIsTheMaterializedRebasedMaximum) {
+  // The hint must agree with the batch path's rebased max.
   std::vector<JobRequest> jobs = {job_at(1, sim::seconds(5)), job_at(2, sim::seconds(900))};
   TempSwf file(swf_text(jobs));
   SwfStreamSource source(file.path());
-  EXPECT_EQ(source.last_submit_hint(), sim::seconds(895));  // rebased to first job
+  EXPECT_EQ(source.last_submit_hint(), materialized_hint(file.path()));
+  EXPECT_EQ(source.last_submit_hint(), sim::seconds(895));  // rebased to the minimum
   // The hint is answered before any chunk is pulled; pulling afterwards
   // still yields every job.
   EXPECT_EQ(materialize(source).size(), 2u);
@@ -151,8 +158,8 @@ TEST(SwfStreamSource, HeaderHintAvoidsNothingButIsExact) {
 }
 
 TEST(SwfStreamSource, PrescanHintWithoutHeader) {
-  // Hand-written SWF without MaxSubmitTime: the one-pass scan answers, and
-  // fixes the rebase offset from the true minimum (second line here).
+  // Hand-written SWF: the one-pass scan answers, and fixes the rebase
+  // offset from the true minimum (second line here).
   TempSwf file(
       "; no hint header\n"
       "1 100 -1 60 8 -1 -1 8 60 -1 1 3 -1 -1 -1 -1 -1 -1\n"
@@ -196,18 +203,22 @@ TEST(SwfStreamSource, MaxJobsAndFiltersMatchBatchParse) {
   TempSwf file(text);
   SwfStreamSource::Options stream_options;
   stream_options.parse = options;
-  stream_options.rebase = false;
   SwfStreamSource source(file.path(), stream_options);
   std::vector<JobRequest> streamed = materialize(source);
   std::vector<JobRequest> batch = swf::parse_string(text, options);
+  swf::rebase_submit_times(batch);
   EXPECT_EQ(ids(streamed), ids(batch));
   EXPECT_EQ(ids(streamed), (std::vector<std::int64_t>{3, 4}));
+  ASSERT_EQ(streamed.size(), batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(streamed[i].submit_time, batch[i].submit_time) << i;
+  }
+  EXPECT_EQ(streamed[0].submit_time, 0);  // rebased on the first kept job
 }
 
-TEST(SwfStreamSource, TruncatingOptionsOverrideTheHeaderHint) {
-  // The MaxSubmitTime header describes the whole file; with max_jobs (or a
-  // filter) active the hint must match the *kept* set, or streamed and
-  // materialized replays would derive different horizons.
+TEST(SwfStreamSource, TruncatingOptionsBoundTheHint) {
+  // With max_jobs (or a filter) active the hint must match the *kept* set,
+  // or streamed and materialized replays would derive different horizons.
   std::vector<JobRequest> jobs = {job_at(1, 0), job_at(2, sim::seconds(100)),
                                   job_at(3, sim::seconds(900))};
   TempSwf file(swf_text(jobs));
@@ -216,11 +227,12 @@ TEST(SwfStreamSource, TruncatingOptionsOverrideTheHeaderHint) {
   SwfStreamSource::Options stream_options;
   stream_options.parse = options;
   SwfStreamSource source(file.path(), stream_options);
-  EXPECT_EQ(source.last_submit_hint(), sim::seconds(100));  // not the header's 900
+  EXPECT_EQ(source.last_submit_hint(), materialized_hint(file.path(), options));
+  EXPECT_EQ(source.last_submit_hint(), sim::seconds(100));  // not the file's 900
   EXPECT_EQ(materialize(source).size(), 2u);
 
-  // Without truncation the header answers directly and agrees.
   SwfStreamSource whole(file.path());
+  EXPECT_EQ(whole.last_submit_hint(), materialized_hint(file.path()));
   EXPECT_EQ(whole.last_submit_hint(), sim::seconds(900));
 }
 
