@@ -4,8 +4,10 @@
 //
 //   ./build/examples/curie_day [policy] [lambda] [csv-path]
 //     policy: none | shut | dvfs | mix | idle | auto   (default mix)
-//     lambda: cap fraction of max power in (0, 1]      (default 0.4)
+//     lambda: cap fraction of max power, finite, > 0   (default 0.4;
+//             >= 1 = no cap)
 //     csv:    output path                              (default curie_day.csv)
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 
@@ -35,7 +37,14 @@ int main(int argc, char** argv) {
   std::string csv_path = "curie_day.csv";
   try {
     if (argc > 1) policy = parse_policy(argv[1]);
-    if (argc > 2) lambda = std::stod(argv[2]);
+    if (argc > 2) {
+      auto value = strings::parse_f64(argv[2]);
+      if (!value || !std::isfinite(*value) || *value <= 0.0) {
+        throw std::runtime_error(std::string("lambda wants a finite number > 0, got \"") +
+                                 argv[2] + "\"");
+      }
+      lambda = *value;
+    }
     if (argc > 3) csv_path = argv[3];
   } catch (const std::exception& e) {
     std::fprintf(stderr, "usage: curie_day [none|shut|dvfs|mix|idle|auto] "

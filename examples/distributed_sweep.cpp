@@ -6,6 +6,9 @@
 //
 //   ./build/distributed_sweep [workers]
 //
+// workers is an integer in 1..64 (default 2); a malformed count prints the
+// usage and exits 2.
+//
 // The driver launches `ps-sweep` worker processes (found next to this
 // binary; override with PS_SWEEP_WORKER_BIN), spools shards through a
 // private temp directory, and merges (index, fingerprint, result) records
@@ -13,8 +16,8 @@
 // at a shared filesystem and launching the workers on other machines is
 // the same protocol — see `ps-sweep drive --help` style usage in
 // src/apps/ps_sweep_main.cc.
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "core/fingerprint.h"
@@ -22,10 +25,25 @@
 #include "dist/driver.h"
 #include "util/strings.h"
 
+namespace {
+/// Far above the grid's 6 cells (a worker beyond the shard count idles);
+/// the bound keeps a stray huge count out of dist::run_distributed.
+constexpr std::int64_t kMaxWorkers = 64;
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace ps;
-  std::size_t workers = argc > 1 ? static_cast<std::size_t>(std::atol(argv[1])) : 2;
-  if (workers == 0) workers = 2;
+  std::size_t workers = 2;
+  if (argc > 1) {
+    auto value = strings::parse_i64(argv[1]);
+    if (!value || *value < 1 || *value > kMaxWorkers) {
+      std::fprintf(stderr, "workers wants an integer in 1..%lld, got \"%s\"\n"
+                           "usage: distributed_sweep [workers]\n",
+                   static_cast<long long>(kMaxWorkers), argv[1]);
+      return 2;
+    }
+    workers = static_cast<std::size_t>(*value);
+  }
 
   // A small {policy} x {lambda} grid of deterministic 1-rack replays.
   workload::GeneratorParams params =

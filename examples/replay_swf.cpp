@@ -3,6 +3,10 @@
 //   ./build/replay_swf [trace.swf] [policy] [lambda] [max_jobs]
 //                      [--stream] [--chunk-seconds N] [--racks R]
 //
+// lambda is a finite cap fraction > 0 (>= 1 = no cap), max_jobs >= 0
+// (0 = the whole trace), N >= 1 and R in 1..56. A malformed number prints
+// the usage and exits 1.
+//
 // Works with the public Curie trace from the Parallel Workloads Archive
 // (CEA-Curie-2011-2.1-cln.swf) or any other SWF file. Without arguments it
 // replays the checked-in mini-slice data/curie_mini.swf (falling back to a
@@ -23,8 +27,10 @@
 // bench and test — which is what lets tests/workload_trace_replay_test.cc
 // and tests/core_stream_parity_test.cc fence this path with golden
 // fingerprints like the Fig-8 sweep.
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <memory>
 
 #include "core/experiment.h"
@@ -45,6 +51,27 @@ ps::core::Policy parse_policy(const std::string& name) {
   if (lowered == "idle") return ps::core::Policy::Idle;
   if (lowered == "auto") return ps::core::Policy::Auto;
   throw std::runtime_error("unknown policy: " + name);
+}
+
+/// `text` as an integer in [lo, hi]; throws naming `what` otherwise.
+std::int64_t int_in(const std::string& text, const char* what, std::int64_t lo,
+                    std::int64_t hi) {
+  auto value = ps::strings::parse_i64(text);
+  if (!value || *value < lo || *value > hi) {
+    throw std::runtime_error(ps::strings::format(
+        "%s wants an integer in %lld..%lld, got \"%s\"", what, static_cast<long long>(lo),
+        static_cast<long long>(hi), text.c_str()));
+  }
+  return *value;
+}
+
+/// `text` as a finite cap fraction > 0; throws otherwise.
+double cap_fraction(const std::string& text) {
+  auto value = ps::strings::parse_f64(text);
+  if (!value || !std::isfinite(*value) || *value <= 0.0) {
+    throw std::runtime_error("lambda wants a finite number > 0, got \"" + text + "\"");
+  }
+  return *value;
 }
 
 /// The checked-in mini-trace, if findable from the usual run directories.
@@ -82,8 +109,14 @@ int main(int argc, char** argv) {
         return std::string(argv[++i]);
       };
       if (arg == "--stream") stream = true;
-      else if (arg == "--chunk-seconds") chunk = sim::seconds(std::stoll(value("--chunk-seconds")));
-      else if (arg == "--racks") racks = static_cast<std::int32_t>(std::stol(value("--racks")));
+      else if (arg == "--chunk-seconds") {
+        // Bounded so the chunk's milliseconds fit sim::Duration.
+        chunk = sim::seconds(int_in(value("--chunk-seconds"), "--chunk-seconds", 1,
+                                    std::numeric_limits<std::int64_t>::max() / 1000));
+      } else if (arg == "--racks") {
+        racks = static_cast<std::int32_t>(
+            int_in(value("--racks"), "--racks", 1, cluster::curie::kRacks));
+      }
       else if (arg.rfind("--", 0) == 0) throw std::runtime_error("unknown flag " + arg);
       else positional.push_back(arg);
     }
@@ -91,8 +124,11 @@ int main(int argc, char** argv) {
     if (path.empty()) path = write_demo_trace();
     core::Policy policy =
         positional.size() > 1 ? parse_policy(positional[1]) : core::Policy::Mix;
-    double lambda = positional.size() > 2 ? std::stod(positional[2]) : 0.5;
-    std::int64_t max_jobs = positional.size() > 3 ? std::stoll(positional[3]) : 20000;
+    double lambda = positional.size() > 2 ? cap_fraction(positional[2]) : 0.5;
+    std::int64_t max_jobs =
+        positional.size() > 3
+            ? int_in(positional[3], "max_jobs", 0, std::numeric_limits<std::int64_t>::max())
+            : 20000;
 
     workload::swf::ParseOptions options;
     options.skip_zero_runtime = true;

@@ -10,6 +10,7 @@
 #include <csignal>
 #include <cstdio>
 #include <exception>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -27,6 +28,8 @@ using cli::need_count;
 using cli::need_f64;
 using cli::need_i64;
 using cli::need_value;
+
+constexpr std::int64_t kMaxCapMinutes = std::numeric_limits<std::int64_t>::max() / 60'000;
 
 std::atomic<bool> g_stop{false};
 
@@ -115,7 +118,13 @@ int main(int argc, char** argv) {
       } else if (args[i] == "--cap-start") {
         options.scenario.cap_start = need_i64(args, i);
       } else if (args[i] == "--cap-minutes") {
-        options.scenario.cap_duration = sim::minutes(need_count(args, i));
+        // Bounded so sim::minutes cannot overflow.
+        std::int64_t minutes = need_count(args, i);
+        if (minutes < 1 || minutes > kMaxCapMinutes) {
+          throw std::runtime_error(strings::format(
+              "--cap-minutes wants 1..%lld", static_cast<long long>(kMaxCapMinutes)));
+        }
+        options.scenario.cap_duration = sim::minutes(minutes);
       } else if (args[i] == "--queue-docs") {
         options.queue_capacity = need_count<std::size_t>(args, i);
       } else if (args[i] == "--inbox-high-water") {

@@ -1,5 +1,6 @@
 #include "core/experiment.h"
 
+#include <cmath>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -59,6 +60,12 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
                  "under-reported its last submit time");
   }
   return replay.finish(horizon);
+}
+
+void check_single_cap(const ScenarioConfig& config) {
+  PS_CHECK_MSG(std::isfinite(config.cap_lambda) && config.cap_lambda > 0.0,
+               "scenario: cap_lambda must be finite and positive");
+  PS_CHECK_MSG(config.cap_duration > 0, "scenario: cap_duration must be positive");
 }
 
 std::vector<CapWindow> make_daily_cap_windows(sim::Time start, std::int32_t days,

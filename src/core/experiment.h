@@ -130,6 +130,13 @@ inline constexpr sim::Duration kDefaultStreamChunk = sim::hours(1);
 /// replay").
 ScenarioResult run_scenario(const ScenarioConfig& config);
 
+/// Throws ps::CheckError naming the field unless the single cap window is
+/// well-formed: cap_lambda finite and > 0 (>= 1 means no cap) and
+/// cap_duration > 0 (0 would turn the window into an open-ended CapWindow).
+/// Only meaningful while cap_windows is empty. The replay checks it before
+/// planning the window, and ps-serve before it waits for clients.
+void check_single_cap(const ScenarioConfig& config);
+
 /// Calendar-style cap schedule (ROADMAP "rolling/periodic cap schedules"):
 /// expands "every day from `window_start` to `window_end` (offsets within
 /// the day) run at `fraction` of worst-case draw" into one advance

@@ -38,12 +38,13 @@ void Replay::add_cap_windows(const ScenarioConfig& config, sim::Time horizon) {
   // None baseline is comparable across both config styles.
   if (config.powercap.policy == Policy::None) return;
   // The single cap_lambda/cap_start/cap_duration window is a one-window
-  // advance schedule. Its duration must be positive: 0 would turn it into
-  // an open-ended CapWindow.
+  // advance schedule.
   std::vector<CapWindow> single;
-  if (config.cap_windows.empty() && config.cap_lambda < 1.0) {
-    PS_CHECK_MSG(config.cap_duration > 0, "scenario: cap_duration must be positive");
-    single.push_back({config.cap_lambda, config.cap_start, config.cap_duration, -1});
+  if (config.cap_windows.empty()) {
+    check_single_cap(config);
+    if (config.cap_lambda < 1.0) {
+      single.push_back({config.cap_lambda, config.cap_start, config.cap_duration, -1});
+    }
   }
   const std::vector<CapWindow>& windows =
       config.cap_windows.empty() ? single : config.cap_windows;

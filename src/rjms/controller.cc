@@ -137,7 +137,7 @@ std::optional<Controller::StartPlan> Controller::plan_start(const Job& job) {
   }
 
   blocked_.ensure(reservations_, now, horizon, cluster_.topology().total_nodes());
-  SelectionContext ctx{cluster_, reservations_, now, horizon, &blocked_};
+  SelectionContext ctx{cluster_, blocked_};
   auto nodes = selector_->select(ctx, count);
   if (!nodes) {
     if (same_fail_generation) {

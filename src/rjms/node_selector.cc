@@ -5,10 +5,7 @@
 namespace ps::rjms {
 
 bool node_available(const SelectionContext& ctx, cluster::NodeId node) {
-  if (ctx.cluster.state(node) != cluster::NodeState::Idle) return false;
-  if (ctx.blocked != nullptr) return !ctx.blocked->blocked(node);
-  if (ctx.reservations.all().empty()) return true;  // skip the call per probe
-  return !ctx.reservations.node_blocked(node, ctx.start, ctx.horizon);
+  return ctx.cluster.state(node) == cluster::NodeState::Idle && !ctx.blocked.blocked(node);
 }
 
 namespace {

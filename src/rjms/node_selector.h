@@ -14,24 +14,20 @@
 
 #include "cluster/cluster.h"
 #include "rjms/reservation.h"
-#include "sim/time.h"
 
 namespace ps::rjms {
 
+/// What a selector reads: the cluster's node states and the nodes that
+/// reservations block for the job's span [now, now + pessimistic walltime
+/// + transition margins). Controller::plan_start builds the set once per
+/// span; tests and benches build theirs with BlockedSet::ensure.
 struct SelectionContext {
   const cluster::Cluster& cluster;
-  const ReservationBook& reservations;
-  sim::Time start;    ///< job start (now)
-  sim::Time horizon;  ///< start + pessimistic walltime (+ transition margins)
-  /// Pass-scoped blocked-node cache for [start, horizon). When set (the
-  /// controller threads one through every pass), availability probes are two
-  /// array reads; when null, probes fall back to the ReservationBook
-  /// interval query (identical result, used by direct/test callers).
-  const BlockedSet* blocked = nullptr;
+  const BlockedSet& blocked;
 };
 
 /// A node is selectable iff it is Idle and no Maintenance/SwitchOff
-/// reservation overlaps the job span.
+/// reservation blocks the job span.
 bool node_available(const SelectionContext& ctx, cluster::NodeId node);
 
 class NodeSelector {

@@ -69,28 +69,20 @@ void ReservationBook::rebuild_index() const {
               });
     ki.starts.clear();
     for (std::uint32_t pos : ki.by_start) ki.starts.push_back(reservations_[pos].start);
-    std::size_t cap = 1;
-    while (cap < ki.by_start.size()) cap *= 2;
-    ki.leaf_count = cap;
-    ki.tree.assign(2 * cap, std::numeric_limits<sim::Time>::min());
-    for (std::size_t i = 0; i < ki.by_start.size(); ++i) {
-      ki.tree[cap + i] = reservations_[ki.by_start[i]].end;
-    }
-    for (std::size_t i = cap - 1; i >= 1; --i) {
-      ki.tree[i] = std::max(ki.tree[2 * i], ki.tree[2 * i + 1]);
-    }
   }
   indexed_version_ = version_;
 }
 
-void ReservationBook::refill_active(KindIndex& ki, sim::Time t) const {
+void ReservationBook::refill_active(ReservationKind kind, sim::Time t) const {
+  KindIndex& ki = index_[static_cast<std::size_t>(kind)];
   ActiveMemo& memo = ki.active;
   memo.positions.clear();
-  collect_overlapping(ki, 1, 0, ki.leaf_count, t, t + 1, memo.positions);
-  std::sort(memo.positions.begin(), memo.positions.end());  // position order == id order
   // The set can only change at the next start or when a member ends.
   sim::Time until = first_start_after(ki.starts, t);
-  for (std::uint32_t pos : memo.positions) until = std::min(until, reservations_[pos].end);
+  for_each_overlapping(kind, t, t + 1, [&](const Reservation& r) {
+    memo.positions.push_back(static_cast<std::uint32_t>(&r - reservations_.data()));
+    until = std::min(until, r.end);
+  });
   memo.at = t;
   memo.until = until;
 }
@@ -105,39 +97,6 @@ ReservationBook::StartRun ReservationBook::starting_in(ReservationKind kind, sim
   const std::uint32_t* base = ki.by_start.data();
   return StartRun(reservations_.data(), base + (first - ki.starts.begin()),
                   base + (last - ki.starts.begin()));
-}
-
-void ReservationBook::collect_overlapping(const KindIndex& ki, std::size_t node,
-                                          std::size_t lo, std::size_t len,
-                                          sim::Time from, sim::Time to,
-                                          std::vector<std::uint32_t>& out) const {
-  if (lo >= ki.by_start.size()) return;            // padding subtree
-  if (ki.tree[node] <= from) return;               // max end <= from: no overlap below
-  if (reservations_[ki.by_start[lo]].start >= to) return;  // min start >= to
-  if (len == 1) {
-    // Leaf: end > from (pruned above) and start < to (pruned above) hold
-    // exactly, so this entry overlaps [from, to).
-    out.push_back(ki.by_start[lo]);
-    return;
-  }
-  collect_overlapping(ki, 2 * node, lo, len / 2, from, to, out);
-  collect_overlapping(ki, 2 * node + 1, lo + len / 2, len / 2, from, to, out);
-}
-
-bool ReservationBook::node_blocked(cluster::NodeId node, sim::Time from, sim::Time to) const {
-  // This runs per node probe on the selectors' no-BlockedSet fallback path;
-  // the empty book (no governor, no reservations) must stay one branch.
-  if (reservations_.empty()) return false;
-  bool blocked = false;
-  auto check = [&](const Reservation& r) {
-    if (blocked || !r.blocks_job_span(from, to)) return;
-    blocked = std::binary_search(r.nodes.begin(), r.nodes.end(), node);
-  };
-  // blocks_job_span implies overlaps(from, to) for node kinds, so the
-  // interval query never misses a blocking reservation.
-  for_each_overlapping(ReservationKind::Maintenance, from, to, check);
-  if (!blocked) for_each_overlapping(ReservationKind::SwitchOff, from, to, check);
-  return blocked;
 }
 
 sim::Time ReservationBook::next_start_after(ReservationKind kind, sim::Time t) const {
@@ -177,11 +136,11 @@ void BlockedSet::ensure(const ReservationBook& book, sim::Time start, sim::Time 
     epoch_ = 0;
   }
   ++epoch_;
-  // ReservationBook::node_blocked vectorized over nodes, sharing its
-  // blocking predicate, over the reservations overlapping [start, horizon)
-  // (blocks_job_span implies overlap). Those are exactly the ones active at
-  // `start` that begin before `horizon`, plus the run starting inside; the
-  // pass's `start` is `now`, so the first half is the book's memo.
+  // Stamps the nodes of every reservation whose blocks_job_span holds, over
+  // the reservations overlapping [start, horizon) (blocks_job_span implies
+  // overlap). Those are exactly the ones active at `start` that begin
+  // before `horizon`, plus the run starting inside; the pass's `start` is
+  // `now`, so the first half is the book's memo.
   auto stamp = [&](const Reservation& r) {
     if (!r.blocks_job_span(start, horizon)) return;
     for (cluster::NodeId node : r.nodes) {

@@ -12,10 +12,8 @@
 //     end == kTimeMax means "set for now, no time limitation".
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "cluster/topology.h"
@@ -58,9 +56,8 @@ struct Reservation {
   bool active_at(sim::Time t) const noexcept { return start <= t && t < end; }
 
   /// True when this reservation forbids starting a job spanning
-  /// [from, to) on its nodes. The single source of blocking semantics —
-  /// ReservationBook::node_blocked and BlockedSet::ensure both defer here
-  /// so the cached and fallback availability paths can never diverge.
+  /// [from, to) on its nodes. The single source of blocking semantics:
+  /// BlockedSet::ensure defers here, and so does the tests' reference scan.
   bool blocks_job_span(sim::Time from, sim::Time to) const noexcept {
     if (kind == ReservationKind::Powercap) return false;
     if (kind == ReservationKind::SwitchOff && permissive) {
@@ -71,22 +68,19 @@ struct Reservation {
   }
 };
 
-/// Registry of reservations with the interval queries the scheduler needs.
-///
-/// Every kind has one index, rebuilt lazily when `version()` moves
-/// (mutations are rare next to queries): the kind's positions sorted by
-/// (start, id), a flat column of their starts, and a max-end segment tree
-/// over that order. Two query shapes run off it:
-///   * random intervals (`for_each_overlapping`, `node_blocked`) walk the
-///     tree: O(log n + matches);
-///   * questions about the simulated `now`, which only moves forward
-///     (`for_each_active`, `cap_at`, `starting_in`). Each kind memoizes the
-///     set active at the last queried instant, valid until the next start
-///     or the earliest end in the set, so a replay pays one stabbing query
-///     per reservation boundary instead of one per call; `starting_in` is
-///     a binary search on the start column.
-/// `for_each_overlapping` and `for_each_active` report in id order so
-/// floating-point folds over reservations stay bit-stable.
+/// Registry of reservations with the queries the scheduler needs, sized to
+/// its traffic: a replay holds a few hundred reservations and asks about a
+/// random interval about once per cap window, but about the simulated `now`
+/// a million times (docs/ARCHITECTURE.md, "Reservation book").
+///   * `for_each_overlapping` is one scan of `reservations_`;
+///   * `for_each_active` and `cap_at` read a per-kind memo of the set active
+///     at the last queried instant, valid until the next start or the
+///     earliest end in the set, so a miss (one scan) comes once per
+///     reservation boundary instead of once per call;
+///   * `starting_in` and `next_start_after` binary-search a per-kind
+///     (start, id) column, rebuilt lazily when `version()` moves.
+/// Both visiting queries report in id order so floating-point folds over
+/// reservations stay bit-stable.
 class ReservationBook {
  public:
   /// Reservations of one kind in (start, id) order: a contiguous run of
@@ -131,34 +125,26 @@ class ReservationBook {
   const Reservation* find(ReservationId id) const;
   const std::vector<Reservation>& all() const noexcept { return reservations_; }
 
-  /// True if `node` is covered by a Maintenance/SwitchOff reservation
-  /// blocking a job spanning [from, to).
-  bool node_blocked(cluster::NodeId node, sim::Time from, sim::Time to) const;
-
-  /// Allocation-free interval query: calls `fn(const Reservation&)` for each
-  /// reservation of `kind` overlapping [from, to), in id order. Queries may
-  /// nest (a callback may issue further queries); callbacks must not mutate
-  /// the book.
+  /// Interval query: calls `fn(const Reservation&)` for each reservation of
+  /// `kind` overlapping [from, to), in id order, by one scan of the book.
+  /// Queries may nest (a callback may issue further queries); callbacks
+  /// must not mutate the book.
   template <typename Fn>
   void for_each_overlapping(ReservationKind kind, sim::Time from, sim::Time to,
                             Fn&& fn) const {
-    if (indexed_version_ != version_) rebuild_index();
-    const KindIndex& ki = index_[static_cast<std::size_t>(kind)];
-    ScratchLease lease(*this);
-    std::vector<std::uint32_t>& matches = lease.buf();
-    collect_overlapping(ki, 1, 0, ki.leaf_count, from, to, matches);
-    std::sort(matches.begin(), matches.end());  // position order == id order
-    for (std::uint32_t pos : matches) fn(reservations_[pos]);
+    for (const Reservation& r : reservations_) {
+      if (r.kind == kind && r.overlaps(from, to)) fn(r);
+    }
   }
 
   /// Calls `fn(const Reservation&)` for each reservation of `kind` active at
   /// `t` (start <= t < end), in id order, off the kind's memo: a hit costs
   /// no search, a miss (`t` outside the memo's validity interval, or the
-  /// book changed) refills it with one stabbing query. Meant for a
-  /// forward-moving `t`; any `t` is answered exactly. Queries may nest: a
-  /// callback asking about another instant of the same kind is answered
-  /// off the tree and leaves the memo being walked alone. Callbacks must
-  /// not mutate the book.
+  /// book changed) refills it with one scan. Meant for a forward-moving
+  /// `t`; any `t` is answered exactly. Queries may nest: a callback asking
+  /// about another instant of the same kind is answered by a scan and
+  /// leaves the memo being walked alone. Callbacks must not mutate the
+  /// book.
   template <typename Fn>
   void for_each_active(ReservationKind kind, sim::Time t, Fn&& fn) const {
     if (indexed_version_ != version_) rebuild_index();
@@ -169,7 +155,7 @@ class ReservationBook {
         for_each_overlapping(kind, t, t + 1, fn);
         return;
       }
-      refill_active(ki, t);
+      refill_active(kind, t);
     }
     WalkGuard guard(memo.walkers);
     for (std::uint32_t pos : memo.positions) fn(reservations_[pos]);
@@ -208,15 +194,11 @@ class ReservationBook {
     std::uint32_t walkers = 0;  ///< for_each_active calls iterating positions
   };
 
-  /// Per-kind interval index. `by_start` holds the kind's positions into
-  /// reservations_ sorted by (start, id) and `starts` their start times;
-  /// `tree` is a max-end segment tree over by_start (1-based heap layout,
-  /// leaf_count padded to a power of two) used to prune stabbing queries.
+  /// Per-kind start index. `by_start` holds the kind's positions into
+  /// reservations_ sorted by (start, id) and `starts` their start times.
   struct KindIndex {
     std::vector<std::uint32_t> by_start;
     std::vector<sim::Time> starts;
-    std::vector<sim::Time> tree;
-    std::size_t leaf_count = 0;
     ActiveMemo active;
   };
 
@@ -233,36 +215,9 @@ class ReservationBook {
     std::uint32_t& walkers_;
   };
 
-  /// Reentrant scratch acquisition for query result buffers, depth-indexed
-  /// so a callback that issues its own for_each_overlapping query never
-  /// clobbers the outer one.
-  class ScratchLease {
-   public:
-    explicit ScratchLease(const ReservationBook& book) : book_(book) {
-      if (book_.scratch_depth_ == book_.scratch_pool_.size()) {
-        book_.scratch_pool_.emplace_back();
-      }
-      depth_ = book_.scratch_depth_++;
-      buf().clear();
-    }
-    ~ScratchLease() { --book_.scratch_depth_; }
-    ScratchLease(const ScratchLease&) = delete;
-    ScratchLease& operator=(const ScratchLease&) = delete;
-    std::vector<std::uint32_t>& buf() const { return book_.scratch_pool_[depth_]; }
-
-   private:
-    const ReservationBook& book_;
-    std::size_t depth_ = 0;
-  };
-
   void rebuild_index() const;
-  /// Makes `ki.active` the set active at `t`.
-  void refill_active(KindIndex& ki, sim::Time t) const;
-  /// Appends positions of by_start entries overlapping [from, to) under the
-  /// subtree `node` covering leaves [lo, lo + len).
-  void collect_overlapping(const KindIndex& ki, std::size_t node, std::size_t lo,
-                           std::size_t len, sim::Time from, sim::Time to,
-                           std::vector<std::uint32_t>& out) const;
+  /// Makes the memo of `kind` the set active at `t`.
+  void refill_active(ReservationKind kind, sim::Time t) const;
 
   std::vector<Reservation> reservations_;
   ReservationId next_id_ = 1;
@@ -270,14 +225,12 @@ class ReservationBook {
 
   mutable KindIndex index_[3];
   mutable std::uint64_t indexed_version_ = ~0ull;
-  mutable std::vector<std::vector<std::uint32_t>> scratch_pool_;
-  mutable std::size_t scratch_depth_ = 0;
 };
 
-/// Pass-scoped cache of "which nodes are reservation-blocked for a job
-/// spanning [start, horizon)". Built from the ReservationBook in
-/// O(reservations + blocked nodes), it turns each node_available probe's
-/// interval query (O(reservations × log nodes)) into two array reads.
+/// Pass-scoped set of "which nodes are reservation-blocked for a job
+/// spanning [start, horizon)": the only way node selection learns about
+/// reservations. Built from the ReservationBook in O(reservations + blocked
+/// nodes), it turns each node_available probe into two array reads.
 ///
 /// Epoch-stamped: ensure() bumps an epoch and restamps the blocked nodes
 /// instead of clearing the bitmap, so rebuilds never pay O(total nodes).

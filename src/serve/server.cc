@@ -1010,6 +1010,7 @@ ServeReport run_server(const ServeOptions& options) {
   if (options.mode == Mode::kWallClock) {
     PS_CHECK_MSG(options.accel > 0.0, "serve: wall-clock accel > 0");
   }
+  core::check_single_cap(options.scenario);
   Daemon daemon(options);
   daemon.recover_history();
   daemon.start_ingest();

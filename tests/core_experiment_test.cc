@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "util/check.h"
 
 namespace ps::core {
@@ -77,6 +79,20 @@ TEST(Experiment, SingleCapWindowNeedsAPositiveDuration) {
     config.cap_start = sim::minutes(10);
     config.cap_duration = duration;
     EXPECT_THROW(run_scenario(config), CheckError) << duration;
+  }
+}
+
+TEST(Experiment, SingleCapLambdaMustBeFiniteAndPositive) {
+  // A NaN fraction used to compare false against 1.0 and replay uncapped;
+  // zero and negative fractions failed only once the window was priced.
+  for (double lambda : {0.0, -0.5, std::nan("")}) {
+    ScenarioConfig config;
+    config.custom_workload = tiny_workload();
+    config.racks = 2;
+    config.powercap.policy = Policy::Shut;
+    config.cap_lambda = lambda;
+    EXPECT_THROW(run_scenario(config), CheckError) << lambda;
+    EXPECT_THROW(check_single_cap(config), CheckError) << lambda;
   }
 }
 

@@ -1,14 +1,14 @@
-// Pass-scoped BlockedSet cache: must agree with ReservationBook::
-// node_blocked for every node and span, including permissive switch-off
-// semantics, and must observe book mutations through the version counter.
+// Pass-scoped BlockedSet: must agree with the reference scan over the book
+// (tests/reservation_reference.h) for every node and span, including
+// permissive switch-off semantics, and must observe book mutations through
+// the version counter.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <utility>
 #include <vector>
 
-#include "cluster/curie.h"
-#include "rjms/node_selector.h"
+#include "reservation_reference.h"
 #include "rjms/reservation.h"
 #include "util/rng.h"
 
@@ -33,7 +33,7 @@ void expect_matches_book(const ReservationBook& book, sim::Time start,
   BlockedSet set;
   set.ensure(book, start, horizon, kNodes);
   for (cluster::NodeId n = 0; n < kNodes; ++n) {
-    ASSERT_EQ(set.blocked(n), book.node_blocked(n, start, horizon))
+    ASSERT_EQ(set.blocked(n), scanned_node_blocked(book, n, start, horizon))
         << "node " << n << " span [" << start << ", " << horizon << ")";
   }
 }
@@ -156,22 +156,6 @@ TEST(BlockedSet, ForEachOverlappingMatchesBookScan) {
       }
       EXPECT_EQ(via_fn, via_scan);
     }
-  }
-}
-
-// node_available must give the same answer with and without the cache.
-TEST(BlockedSet, NodeAvailableAgreesWithFallback) {
-  cluster::Cluster cl = cluster::curie::make_scaled_cluster(2);
-  ReservationBook book;
-  book.add(node_res(ReservationKind::Maintenance, 0, 500, {4, 5}));
-  cl.set_state(6, cluster::NodeState::Busy, 0);
-
-  BlockedSet set;
-  set.ensure(book, 0, 100, cl.topology().total_nodes());
-  SelectionContext plain{cl, book, 0, 100};
-  SelectionContext cached{cl, book, 0, 100, &set};
-  for (cluster::NodeId n = 0; n < 10; ++n) {
-    EXPECT_EQ(node_available(plain, n), node_available(cached, n)) << "node " << n;
   }
 }
 

@@ -13,12 +13,16 @@ class SelectorTest : public ::testing::Test {
  protected:
   SelectorTest() : cl_(cluster::curie::make_scaled_cluster(2)) {}
 
+  /// The context Controller::plan_start would build for a job spanning
+  /// [start, horizon).
   SelectionContext ctx(sim::Time start = 0, sim::Time horizon = 1000) {
-    return SelectionContext{cl_, book_, start, horizon};
+    blocked_.ensure(book_, start, horizon, cl_.topology().total_nodes());
+    return SelectionContext{cl_, blocked_};
   }
 
   cluster::Cluster cl_;  // 2 racks = 10 chassis = 180 nodes
   ReservationBook book_;
+  BlockedSet blocked_;
 };
 
 TEST_F(SelectorTest, AvailabilityRequiresIdleAndUnblocked) {

@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "reservation_reference.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -62,6 +63,15 @@ std::vector<ReservationId> brute_force_ids(const ReservationBook& book,
   return ids;
 }
 
+/// Whether `node` is blocked for a job spanning [from, to), asked the way
+/// node selection asks: through a freshly built BlockedSet.
+bool set_blocks(const ReservationBook& book, cluster::NodeId node, sim::Time from,
+                sim::Time to) {
+  BlockedSet set;
+  set.ensure(book, from, to, node + 1);
+  return set.blocked(node);
+}
+
 // Minimum powercap anywhere in [from, to); +infinity when none.
 double min_cap_over(const ReservationBook& book, sim::Time from, sim::Time to) {
   double cap = std::numeric_limits<double>::infinity();
@@ -103,13 +113,13 @@ TEST(ReservationBook, FindAndRemove) {
 TEST(ReservationBook, NodeBlockedDuringWindow) {
   ReservationBook book;
   book.add(switch_off(100, 200, {5, 6, 7}));
-  EXPECT_TRUE(book.node_blocked(5, 150, 160));
-  EXPECT_TRUE(book.node_blocked(5, 0, 101));
-  EXPECT_FALSE(book.node_blocked(5, 200, 300));
-  EXPECT_FALSE(book.node_blocked(4, 150, 160));
+  EXPECT_TRUE(set_blocks(book, 5, 150, 160));
+  EXPECT_TRUE(set_blocks(book, 5, 0, 101));
+  EXPECT_FALSE(set_blocks(book, 5, 200, 300));
+  EXPECT_FALSE(set_blocks(book, 4, 150, 160));
   // Powercap reservations never block nodes.
   book.add(powercap(0, 1000, 1.0));
-  EXPECT_FALSE(book.node_blocked(4, 0, 1000));
+  EXPECT_FALSE(set_blocks(book, 4, 0, 1000));
 }
 
 TEST(ReservationBook, NodesSortedAndDeduplicated) {
@@ -236,10 +246,10 @@ TEST(ReservationBook, IndexedNodeBlockedAndCapsMatchSemantics) {
     book.add(maintenance(i * 100, i * 100 + 50, {i}));
     book.add(powercap(i * 100, i * 100 + 50, 1000.0 + i));
   }
-  // Spot-check node_blocked and cap_at against the reservation definitions.
-  EXPECT_TRUE(book.node_blocked(3, 310, 320));
-  EXPECT_FALSE(book.node_blocked(3, 360, 380));   // window over
-  EXPECT_FALSE(book.node_blocked(4, 310, 320));   // other node's window
+  // Spot-check blocking and cap_at against the reservation definitions.
+  EXPECT_TRUE(set_blocks(book, 3, 310, 320));
+  EXPECT_FALSE(set_blocks(book, 3, 360, 380));   // window over
+  EXPECT_FALSE(set_blocks(book, 4, 310, 320));   // other node's window
   EXPECT_DOUBLE_EQ(book.cap_at(310), 1003.0);
   EXPECT_TRUE(std::isinf(book.cap_at(360)));
   EXPECT_DOUBLE_EQ(min_cap_over(book, 0, 320), 1000.0);
@@ -297,17 +307,6 @@ double scanned_cap_at(const ReservationBook& book, sim::Time t) {
   return cap;
 }
 
-bool scanned_node_blocked(const ReservationBook& book, cluster::NodeId node,
-                          sim::Time from, sim::Time to) {
-  for (const Reservation& r : book.all()) {
-    if (r.blocks_job_span(from, to) &&
-        std::find(r.nodes.begin(), r.nodes.end(), node) != r.nodes.end()) {
-      return true;
-    }
-  }
-  return false;
-}
-
 constexpr cluster::NodeId kMemoNodes = 6;
 
 /// A random reservation on a coarse 25-unit grid, so starts tie and windows
@@ -329,8 +328,10 @@ Reservation random_reservation(util::Rng& rng) {
   return r;
 }
 
-/// Every `now` query at `t` against the brute-force scan.
-void expect_now_queries_match(const ReservationBook& book, util::Rng& rng, sim::Time t) {
+/// Every `now` query at `t` against the brute-force scan. `blocked` lives
+/// across calls, so its rebuilds are keyed on the book version and span.
+void expect_now_queries_match(const ReservationBook& book, BlockedSet& blocked,
+                              util::Rng& rng, sim::Time t) {
   for (ReservationKind kind : kKinds) {
     ASSERT_EQ(active_ids(book, kind, t), scanned_active_ids(book, kind, t))
         << "kind " << static_cast<int>(kind) << " at " << t;
@@ -349,8 +350,9 @@ void expect_now_queries_match(const ReservationBook& book, util::Rng& rng, sim::
   // on a grid boundary.
   sim::Time horizon =
       t + std::max<sim::Time>(1, 25 * rng.uniform_int(0, 12) + rng.uniform_int(-1, 1));
+  blocked.ensure(book, t, horizon, kMemoNodes);
   for (cluster::NodeId n = 0; n < kMemoNodes; ++n) {
-    ASSERT_EQ(book.node_blocked(n, t, horizon), scanned_node_blocked(book, n, t, horizon))
+    ASSERT_EQ(blocked.blocked(n), scanned_node_blocked(book, n, t, horizon))
         << "node " << n << " span [" << t << ", " << horizon << ")";
   }
 }
@@ -360,6 +362,7 @@ TEST(ReservationBook, ActiveMemoMatchesBruteForce) {
     SCOPED_TRACE(testing::Message() << "seed " << seed);
     util::Rng rng(seed);
     ReservationBook book;
+    BlockedSet blocked;
     std::vector<ReservationId> live;
     for (int i = 0; i < 30; ++i) live.push_back(book.add(random_reservation(rng)));
     sim::Time t = 0;
@@ -392,7 +395,7 @@ TEST(ReservationBook, ActiveMemoMatchesBruteForce) {
           }
           break;
       }
-      expect_now_queries_match(book, rng, t);
+      expect_now_queries_match(book, blocked, rng, t);
     }
   }
 }
