@@ -14,8 +14,8 @@
 #include "bench_common.h"
 
 #include <chrono>
-#include <cstring>
 
+#include "apps/cli_flags.h"
 #include "core/sweep.h"
 #include "dist/driver.h"
 #include "util/strings.h"
@@ -23,20 +23,19 @@
 int main(int argc, char** argv) {
   using namespace ps;
   std::size_t distributed = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--distributed") == 0) {
-      // A malformed worker count must fail loudly, not silently fall back
-      // to the in-process path — CI diffs the two modes and a fallback
-      // would make that comparison vacuous.
-      std::optional<std::int64_t> workers =
-          i + 1 < argc ? strings::parse_i64(argv[i + 1]) : std::nullopt;
-      if (!workers || *workers <= 0) {
-        std::fprintf(stderr, "--distributed wants a positive worker count\n");
-        return 2;
-      }
-      distributed = static_cast<std::size_t>(*workers);
-      ++i;
-    }
+  // A malformed worker count must fail loudly, not silently fall back to
+  // the in-process path — CI diffs the two modes and a fallback would make
+  // that comparison vacuous.
+  const cli::Flag flags[] = {
+      {"--distributed", "N", "shard the grid across N worker processes",
+       [&](auto f, auto& v) { distributed = cli::integer<std::size_t>(f, v, 1); }},
+  };
+  try {
+    cli::parse(std::vector<std::string>(argv + 1, argv + argc), flags);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bench_fig8_policy_sweep: %s\n%s", e.what(),
+                 cli::usage("bench_fig8_policy_sweep [flags]", flags).c_str());
+    return 1;
   }
   bench::print_header("Fig 8 — normalized energy / launched jobs / work per scenario");
 

@@ -8,40 +8,28 @@
 //     min_work_fraction: finite, > 0; default 0.80
 //     racks:             cluster scale in 1..56, default 8 (fast); 56 = full
 //                        Curie
-// A malformed number prints the usage and exits 2.
-#include <cmath>
+// A malformed number prints the usage and exits 1.
 #include <cstdio>
 #include <vector>
 
+#include "apps/cli_flags.h"
 #include "core/experiment.h"
 #include "metrics/report.h"
 #include "util/strings.h"
-
-namespace {
-constexpr const char* kUsage = "usage: capacity_planner [min_work_fraction] [racks]\n";
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace ps;
   double min_work = 0.80;
   std::int32_t racks = 8;
-  if (argc > 1) {
-    auto value = strings::parse_f64(argv[1]);
-    if (!value || !std::isfinite(*value) || *value <= 0.0) {
-      std::fprintf(stderr, "min_work_fraction wants a finite number > 0, got \"%s\"\n%s",
-                   argv[1], kUsage);
-      return 2;
+  try {
+    if (argc > 1) min_work = cli::real("min_work_fraction", argv[1], cli::Sign::kPositive);
+    if (argc > 2) {
+      racks = cli::integer<std::int32_t>("racks", argv[2], 1, cluster::curie::kRacks);
     }
-    min_work = *value;
-  }
-  if (argc > 2) {
-    auto value = strings::parse_i64(argv[2]);
-    if (!value || *value < 1 || *value > cluster::curie::kRacks) {
-      std::fprintf(stderr, "racks wants an integer in 1..%d, got \"%s\"\n%s",
-                   cluster::curie::kRacks, argv[2], kUsage);
-      return 2;
-    }
-    racks = static_cast<std::int32_t>(*value);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "capacity_planner: %s\nusage: capacity_planner "
+                         "[min_work_fraction] [racks]\n", e.what());
+    return 1;
   }
 
   std::printf("capacity planning: deepest 1 h cap keeping >= %.0f%% of the "

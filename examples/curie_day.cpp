@@ -7,28 +7,12 @@
 //     lambda: cap fraction of max power, finite, > 0   (default 0.4;
 //             >= 1 = no cap)
 //     csv:    output path                              (default curie_day.csv)
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 
+#include "apps/cli_flags.h"
 #include "core/experiment.h"
 #include "util/csv.h"
-#include "util/strings.h"
-
-namespace {
-
-ps::core::Policy parse_policy(const std::string& name) {
-  std::string lowered = ps::strings::to_lower(name);
-  if (lowered == "none") return ps::core::Policy::None;
-  if (lowered == "shut") return ps::core::Policy::Shut;
-  if (lowered == "dvfs") return ps::core::Policy::Dvfs;
-  if (lowered == "mix") return ps::core::Policy::Mix;
-  if (lowered == "idle") return ps::core::Policy::Idle;
-  if (lowered == "auto") return ps::core::Policy::Auto;
-  throw std::runtime_error("unknown policy: " + name);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace ps;
@@ -36,19 +20,12 @@ int main(int argc, char** argv) {
   double lambda = 0.40;
   std::string csv_path = "curie_day.csv";
   try {
-    if (argc > 1) policy = parse_policy(argv[1]);
-    if (argc > 2) {
-      auto value = strings::parse_f64(argv[2]);
-      if (!value || !std::isfinite(*value) || *value <= 0.0) {
-        throw std::runtime_error(std::string("lambda wants a finite number > 0, got \"") +
-                                 argv[2] + "\"");
-      }
-      lambda = *value;
-    }
+    if (argc > 1) policy = cli::policy("policy", argv[1]);
+    if (argc > 2) lambda = cli::real("lambda", argv[2], cli::Sign::kPositive);
     if (argc > 3) csv_path = argv[3];
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "usage: curie_day [none|shut|dvfs|mix|idle|auto] "
-                         "[lambda] [csv]\n%s\n", e.what());
+    std::fprintf(stderr, "curie_day: %s\nusage: curie_day [none|shut|dvfs|mix|idle|auto] "
+                         "[lambda] [csv]\n", e.what());
     return 1;
   }
 

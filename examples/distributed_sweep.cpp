@@ -7,7 +7,7 @@
 //   ./build/distributed_sweep [workers]
 //
 // workers is an integer in 1..64 (default 2); a malformed count prints the
-// usage and exits 2.
+// usage and exits 1.
 //
 // The driver launches `ps-sweep` worker processes (found next to this
 // binary; override with PS_SWEEP_WORKER_BIN), spools shards through a
@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "apps/cli_flags.h"
 #include "core/fingerprint.h"
 #include "core/sweep.h"
 #include "dist/driver.h"
@@ -28,21 +29,18 @@
 namespace {
 /// Far above the grid's 6 cells (a worker beyond the shard count idles);
 /// the bound keeps a stray huge count out of dist::run_distributed.
-constexpr std::int64_t kMaxWorkers = 64;
+constexpr std::size_t kMaxWorkers = 64;
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace ps;
   std::size_t workers = 2;
-  if (argc > 1) {
-    auto value = strings::parse_i64(argv[1]);
-    if (!value || *value < 1 || *value > kMaxWorkers) {
-      std::fprintf(stderr, "workers wants an integer in 1..%lld, got \"%s\"\n"
-                           "usage: distributed_sweep [workers]\n",
-                   static_cast<long long>(kMaxWorkers), argv[1]);
-      return 2;
-    }
-    workers = static_cast<std::size_t>(*value);
+  try {
+    if (argc > 1) workers = cli::integer<std::size_t>("workers", argv[1], 1, kMaxWorkers);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "distributed_sweep: %s\nusage: distributed_sweep [workers]\n",
+                 e.what());
+    return 1;
   }
 
   // A small {policy} x {lambda} grid of deterministic 1-rack replays.

@@ -27,10 +27,10 @@
 // `--distributed N`, across N worker processes through the distributed
 // driver (dist/driver.h) with byte-identical stdout.
 #include <cstdio>
-#include <cstring>
 #include <stdexcept>
 #include <vector>
 
+#include "apps/cli_flags.h"
 #include "cluster/from_config.h"
 #include "core/model.h"
 #include "core/sweep.h"
@@ -43,23 +43,22 @@
 int main(int argc, char** argv) {
   using namespace ps;
   std::size_t distributed = 0;
-  const char* ini_path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--distributed") == 0) {
-      std::optional<std::int64_t> workers =
-          i + 1 < argc ? strings::parse_i64(argv[i + 1]) : std::nullopt;
-      if (!workers || *workers <= 0) {
-        std::fprintf(stderr, "--distributed wants a positive worker count\n");
-        return 2;
-      }
-      distributed = static_cast<std::size_t>(*workers);
-      ++i;
-    } else {
-      ini_path = argv[i];
-    }
+  std::string ini_path;
+  const cli::Flag flags[] = {
+      {"--distributed", "N", "measure across N worker processes", [&](auto f, auto& v) {
+         distributed = cli::integer<std::size_t>(f, v, 1);
+       }},
+  };
+  try {
+    cli::parse(std::vector<std::string>(argv + 1, argv + argc), flags,
+               [&](const std::string& word) { ini_path = word; });
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "policy_explorer: %s\n%s", e.what(),
+                 cli::usage("policy_explorer [cluster.ini] [flags]", flags).c_str());
+    return 1;
   }
   util::Config ini =
-      ini_path != nullptr ? util::Config::load_file(ini_path) : util::Config::parse("");
+      ini_path.empty() ? util::Config::parse("") : util::Config::load_file(ini_path);
   cluster::PowerModel pm = cluster::power_model_from_config(ini);
   double degmin = ini.get_f64_or("model", "degmin", 1.63);
   double mix_floor = ini.get_f64_or("model", "mix_floor_ghz", 2.0);

@@ -1,11 +1,10 @@
 // Replay a real workload trace (Standard Workload Format) under a powercap.
 //
-//   ./build/replay_swf [trace.swf] [policy] [lambda] [max_jobs]
-//                      [--stream] [--chunk-seconds N] [--racks R]
+//   ./build/replay_swf [trace.swf] [policy] [lambda] [max_jobs] [flags]
 //
-// lambda is a finite cap fraction > 0 (>= 1 = no cap), max_jobs >= 0
-// (0 = the whole trace), N >= 1 and R in 1..56. A malformed number prints
-// the usage and exits 1.
+// lambda is a finite cap fraction > 0 (>= 1 = no cap) and max_jobs >= 0
+// (0 = the whole trace); the flags are listed once, in the table in main().
+// A malformed value prints the usage and exits 1.
 //
 // Works with the public Curie trace from the Parallel Workloads Archive
 // (CEA-Curie-2011-2.1-cln.swf) or any other SWF file. Without arguments it
@@ -27,12 +26,11 @@
 // bench and test — which is what lets tests/workload_trace_replay_test.cc
 // and tests/core_stream_parity_test.cc fence this path with golden
 // fingerprints like the Fig-8 sweep.
-#include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <limits>
 #include <memory>
 
+#include "apps/cli_flags.h"
 #include "core/experiment.h"
 #include "metrics/summary.h"
 #include "util/strings.h"
@@ -41,38 +39,6 @@
 #include "workload/trace_stats.h"
 
 namespace {
-
-ps::core::Policy parse_policy(const std::string& name) {
-  std::string lowered = ps::strings::to_lower(name);
-  if (lowered == "none") return ps::core::Policy::None;
-  if (lowered == "shut") return ps::core::Policy::Shut;
-  if (lowered == "dvfs") return ps::core::Policy::Dvfs;
-  if (lowered == "mix") return ps::core::Policy::Mix;
-  if (lowered == "idle") return ps::core::Policy::Idle;
-  if (lowered == "auto") return ps::core::Policy::Auto;
-  throw std::runtime_error("unknown policy: " + name);
-}
-
-/// `text` as an integer in [lo, hi]; throws naming `what` otherwise.
-std::int64_t int_in(const std::string& text, const char* what, std::int64_t lo,
-                    std::int64_t hi) {
-  auto value = ps::strings::parse_i64(text);
-  if (!value || *value < lo || *value > hi) {
-    throw std::runtime_error(ps::strings::format(
-        "%s wants an integer in %lld..%lld, got \"%s\"", what, static_cast<long long>(lo),
-        static_cast<long long>(hi), text.c_str()));
-  }
-  return *value;
-}
-
-/// `text` as a finite cap fraction > 0; throws otherwise.
-double cap_fraction(const std::string& text) {
-  auto value = ps::strings::parse_f64(text);
-  if (!value || !std::isfinite(*value) || *value <= 0.0) {
-    throw std::runtime_error("lambda wants a finite number > 0, got \"" + text + "\"");
-  }
-  return *value;
-}
 
 /// The checked-in mini-trace, if findable from the usual run directories.
 std::string find_mini_trace() {
@@ -97,38 +63,30 @@ std::string write_demo_trace() {
 
 int main(int argc, char** argv) {
   using namespace ps;
+  bool stream = false;
+  sim::Duration chunk = 0;  // 0 = run_scenario's default stream chunk
+  std::int32_t racks = cluster::curie::kRacks;
+  std::vector<std::string> positional;
+  const cli::Flag flags[] = {
+      {"--stream", "", "never materialize the trace", [&](auto, auto&) { stream = true; }},
+      {"--chunk-seconds", "N", "stream chunk (3600)", [&](auto f, auto& v) {
+         chunk = sim::seconds(cli::duration(f, v, sim::seconds(1), 1));
+       }},
+      {"--racks", "R", "Curie racks to simulate (56)", [&](auto f, auto& v) {
+         racks = cli::integer<std::int32_t>(f, v, 1, cluster::curie::kRacks);
+       }},
+  };
   try {
-    bool stream = false;
-    sim::Duration chunk = 0;  // 0 = run_scenario's default stream chunk
-    std::int32_t racks = cluster::curie::kRacks;
-    std::vector<std::string> positional;
-    for (int i = 1; i < argc; ++i) {
-      std::string arg = argv[i];
-      auto value = [&](const char* flag) {
-        if (i + 1 >= argc) throw std::runtime_error(std::string(flag) + " wants a value");
-        return std::string(argv[++i]);
-      };
-      if (arg == "--stream") stream = true;
-      else if (arg == "--chunk-seconds") {
-        // Bounded so the chunk's milliseconds fit sim::Duration.
-        chunk = sim::seconds(int_in(value("--chunk-seconds"), "--chunk-seconds", 1,
-                                    std::numeric_limits<std::int64_t>::max() / 1000));
-      } else if (arg == "--racks") {
-        racks = static_cast<std::int32_t>(
-            int_in(value("--racks"), "--racks", 1, cluster::curie::kRacks));
-      }
-      else if (arg.rfind("--", 0) == 0) throw std::runtime_error("unknown flag " + arg);
-      else positional.push_back(arg);
-    }
+    cli::parse(std::vector<std::string>(argv + 1, argv + argc), flags,
+               [&](const std::string& word) { positional.push_back(word); });
     std::string path = positional.size() > 0 ? positional[0] : find_mini_trace();
     if (path.empty()) path = write_demo_trace();
     core::Policy policy =
-        positional.size() > 1 ? parse_policy(positional[1]) : core::Policy::Mix;
-    double lambda = positional.size() > 2 ? cap_fraction(positional[2]) : 0.5;
+        positional.size() > 1 ? cli::policy("policy", positional[1]) : core::Policy::Mix;
+    double lambda =
+        positional.size() > 2 ? cli::real("lambda", positional[2], cli::Sign::kPositive) : 0.5;
     std::int64_t max_jobs =
-        positional.size() > 3
-            ? int_in(positional[3], "max_jobs", 0, std::numeric_limits<std::int64_t>::max())
-            : 20000;
+        positional.size() > 3 ? cli::integer("max_jobs", positional[3]) : 20000;
 
     workload::swf::ParseOptions options;
     options.skip_zero_runtime = true;
@@ -185,10 +143,9 @@ int main(int argc, char** argv) {
     std::printf("\n%s\n", result.summary.describe().c_str());
     return 0;
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "replay_swf: %s\nusage: replay_swf [trace.swf] "
-                         "[none|shut|dvfs|mix|idle|auto] [lambda] [max_jobs] "
-                         "[--stream] [--chunk-seconds N] [--racks R]\n",
-                 e.what());
+    std::fprintf(stderr, "replay_swf: %s\n%s", e.what(),
+                 cli::usage("replay_swf [trace.swf] [none|shut|dvfs|mix|idle|auto] "
+                            "[lambda] [max_jobs] [flags]", flags).c_str());
     return 1;
   }
 }

@@ -3,7 +3,10 @@
 // by default; CI regenerates it on demand instead of checking megabytes of
 // trace into the repository).
 //
-//   ./build/make_curie_month [out.swf] [--jobs N] [--days D] [--seed S]
+//   ./build/make_curie_month [out.swf] [flags]
+//
+// The flags are listed once, in the table in main() (printed as the usage
+// with any error).
 //
 // The job stream comes from workload::ChunkedSyntheticSource with
 // workload::curie_month_params, so the output is a pure function of
@@ -25,23 +28,21 @@
 
 int main(int argc, char** argv) {
   using namespace ps;
-  using namespace ps::cli;
   std::vector<std::string> args(argv + 1, argv + argc);
+  std::string out_path = "curie_month.swf";
+  std::int64_t jobs = 50000;
+  std::int32_t days = 28;
+  std::uint64_t seed = 20111001;
+  const cli::Flag flags[] = {
+      {"--jobs", "N", "jobs in the trace (50000)",
+       [&](auto f, auto& v) { jobs = cli::integer<std::int64_t>(f, v, 1); }},
+      {"--days", "D", "days the trace spans (28)",
+       [&](auto f, auto& v) { days = cli::integer<std::int32_t>(f, v, 1); }},
+      {"--seed", "S", "generator seed (20111001)",
+       [&](auto f, auto& v) { seed = cli::integer<std::uint64_t>(f, v); }},
+  };
   try {
-    std::string out_path = "curie_month.swf";
-    std::int64_t jobs = 50000;
-    std::int32_t days = 28;
-    std::uint64_t seed = 20111001;
-    for (std::size_t i = 0; i < args.size(); ++i) {
-      if (args[i] == "--jobs") jobs = need_count(args, i);
-      else if (args[i] == "--days") days = need_count<std::int32_t>(args, i);
-      else if (args[i] == "--seed") seed = need_count<std::uint64_t>(args, i);
-      else if (args[i].rfind("--", 0) == 0) throw std::runtime_error("unknown flag " + args[i]);
-      else out_path = args[i];
-    }
-    if (jobs <= 0) throw std::runtime_error("--jobs must be positive");
-    if (days <= 0) throw std::runtime_error("--days must be positive");
-
+    cli::parse(args, flags, [&](const std::string& word) { out_path = word; });
     workload::GeneratorParams params =
         workload::curie_month_params(days, static_cast<std::size_t>(jobs));
     workload::ChunkedSyntheticSource source(params, seed);
@@ -58,10 +59,8 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(seed));
     return 0;
   } catch (const std::exception& e) {
-    std::fprintf(stderr,
-                 "make_curie_month: %s\nusage: make_curie_month [out.swf] "
-                 "[--jobs N] [--days D] [--seed S]\n",
-                 e.what());
+    std::fprintf(stderr, "make_curie_month: %s\n%s", e.what(),
+                 cli::usage("make_curie_month [out.swf] [flags]", flags).c_str());
     return 1;
   }
 }

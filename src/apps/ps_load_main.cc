@@ -1,26 +1,10 @@
 // ps-load — the load generator for ps-serve: replays an SWF trace into a
-// serve spool, either as one client or as a multi-process fleet.
-//
-//   ps-load --spool DIR --swf FILE --client NAME
-//       [--client-index I --client-count N]   stripe of a fleet replay
-//       [--batch-jobs N] [--accel X]          X=0: firehose (default)
-//       [--keep-zero-runtime] [--max-jobs N]
-//       [--inbox-high-water N]
-//       [--tenant NAME] [--weight N]          fair-admission identity
-//                                             (default: tenant = client
-//                                             name, weight 1)
-//       [--faults SPEC]                       hostile-client chaos sites
-//                                             (corrupt_submission,
-//                                             flood_burst, stall_client,
-//                                             dup_publish, lie_watermark;
-//                                             spec grammar of util/fault.h)
-//       [--flood-docs N]                      documents per flood burst (8)
-//
-//   ps-load --spool DIR --swf FILE --clients N [...same tuning...]
-//       parent mode: spawns N child processes of this binary (client
-//       names c0..c(N-1)), waits for all, exits non-zero if any failed.
-//       --tenant/--weight/--faults forward to every child; with no
-//       --tenant each child bills as its own tenant (c0..c(N-1)).
+// serve spool, either as one client (--client NAME) or, with --clients N,
+// as a parent that spawns N child processes of this binary (client names
+// c0..c(N-1)), waits for all, and exits non-zero if any failed. Every flag
+// but the identity and fleet ones forwards to each child; with no --tenant
+// each child bills as its own tenant. The flags are listed once, in the
+// table in main() (printed as the usage).
 #include <algorithm>
 #include <cstdio>
 #include <stdexcept>
@@ -29,27 +13,13 @@
 
 #include "apps/cli_flags.h"
 #include "serve/load_gen.h"
+#include "serve/protocol.h"
 #include "util/strings.h"
 #include "util/subprocess.h"
 
 namespace {
 
 using namespace ps;
-using cli::need_count;
-using cli::need_f64;
-using cli::need_value;
-
-int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s --spool DIR --swf FILE --client NAME\n"
-               "          [--client-index I --client-count N] [--batch-jobs N]\n"
-               "          [--accel X] [--keep-zero-runtime] [--max-jobs N]\n"
-               "          [--inbox-high-water N] [--tenant NAME] [--weight N]\n"
-               "          [--faults SPEC] [--flood-docs N]\n"
-               "       %s --spool DIR --swf FILE --clients N [...]\n",
-               argv0, argv0);
-  return 2;
-}
 
 int run_fleet(const char* self, const serve::LoadOptions& base, int clients,
               const std::vector<std::string>& tuning) {
@@ -80,48 +50,67 @@ int main(int argc, char** argv) {
   std::vector<std::string> args(argv + 1, argv + argc);
   serve::LoadOptions options;
   int clients = 0;
-  // Tuning flags forwarded verbatim to fleet children.
+  // Tuning flags, with their values, forwarded verbatim to fleet children.
   std::vector<std::string> tuning;
+  auto tune = [&](cli::Flag flag) {
+    flag.apply = [&tuning, apply = std::move(flag.apply), has_value = !flag.value.empty()](
+                     std::string_view f, const std::string& v) {
+      apply(f, v);
+      tuning.emplace_back(f);
+      if (has_value) tuning.push_back(v);
+    };
+    return flag;
+  };
+  const cli::Flag flags[] = {
+      {"--spool", "DIR", "serve spool (required)", [&](auto, auto& v) { options.spool = v; }},
+      {"--swf", "FILE", "trace to replay (required)", [&](auto, auto& v) { options.swf = v; }},
+      {"--client", "NAME", "replay as this one client", [&](auto, auto& v) { options.client = v; }},
+      {"--clients", "N", "... or spawn N clients c0..c(N-1)",
+       [&](auto f, auto& v) { clients = cli::integer<int>(f, v); }},
+      {"--client-index", "I", "this client's stripe of a fleet replay (0)",
+       [&](auto f, auto& v) { options.client_index = cli::integer<int>(f, v); }},
+      {"--client-count", "N", "fleet size the trace is striped across (1)",
+       [&](auto f, auto& v) { options.client_count = cli::integer<int>(f, v); }},
+      tune({"--batch-jobs", "N", "jobs per submission document (64)",
+            [&](auto f, auto& v) { options.batch_jobs = cli::integer<int>(f, v); }}),
+      tune({"--accel", "X", "sim ms per wall ms; 0 = firehose (0)", [&](auto f, auto& v) {
+              options.accel = cli::real(f, v, cli::Sign::kNonNegative);
+            }}),
+      tune({"--keep-zero-runtime", "", "replay zero-runtime jobs too",
+            [&](auto, auto&) { options.skip_zero_runtime = false; }}),
+      tune({"--max-jobs", "N", "read at most N trace jobs (0 = all)",
+            [&](auto f, auto& v) { options.max_jobs = cli::integer(f, v); }}),
+      tune({"--inbox-high-water", "N", "inbox backlog that gates publishing (512)",
+            [&](auto f, auto& v) { options.inbox_high_water = cli::integer<std::size_t>(f, v); }}),
+      tune({"--gate-patience-ms", "N", "longest gate wait before publishing\nanyway (10000)",
+            [&](auto f, auto& v) {
+              options.gate_patience_ms = cli::duration(f, v, cli::kNsPerMs);
+            }}),
+      tune({"--tenant", "NAME", "fair-admission tenant (the client name)",
+            [&](auto, auto& v) { options.tenant = v; }}),
+      tune({"--weight", "N", "tenant weight (1)", [&](auto f, auto& v) {
+              options.weight = cli::integer<std::uint64_t>(f, v, 1, serve::kMaxTenantWeight);
+            }}),
+      tune({"--faults", "SPEC", "hostile-client chaos sites\n(corrupt_submission, flood_burst,\n"
+            "stall_client, dup_publish,\nlie_watermark; spec grammar of\nutil/fault.h)",
+            [&](auto, auto& v) { options.faults = serve::ClientFaultPlan::parse(v); }}),
+      tune({"--flood-docs", "N", "documents per flood burst (8)",
+            [&](auto f, auto& v) { options.flood_docs = cli::integer<int>(f, v); }}),
+  };
   try {
-    for (std::size_t i = 0; i < args.size(); ++i) {
-      bool tune = true;
-      std::size_t flag = i;
-      if (args[i] == "--spool") { options.spool = need_value(args, i); tune = false; }
-      else if (args[i] == "--swf") { options.swf = need_value(args, i); tune = false; }
-      else if (args[i] == "--client") { options.client = need_value(args, i); tune = false; }
-      else if (args[i] == "--clients") { clients = need_count<int>(args, i); tune = false; }
-      else if (args[i] == "--client-index") { options.client_index = need_count<int>(args, i); tune = false; }
-      else if (args[i] == "--client-count") { options.client_count = need_count<int>(args, i); tune = false; }
-      else if (args[i] == "--batch-jobs") options.batch_jobs = need_count<int>(args, i);
-      else if (args[i] == "--accel") {
-        options.accel = need_f64(args, i);
-        if (options.accel < 0) throw std::runtime_error("--accel wants a number >= 0");
-      } else if (args[i] == "--keep-zero-runtime") options.skip_zero_runtime = false;
-      else if (args[i] == "--max-jobs") options.max_jobs = need_count(args, i);
-      else if (args[i] == "--inbox-high-water") {
-        options.inbox_high_water = need_count<std::size_t>(args, i);
-      } else if (args[i] == "--gate-patience-ms") {
-        options.gate_patience_ms = need_count(args, i);
-      } else if (args[i] == "--tenant") {
-        options.tenant = need_value(args, i);
-      } else if (args[i] == "--weight") {
-        options.weight = need_count<std::uint64_t>(args, i);
-        if (options.weight == 0) throw std::runtime_error("--weight wants >= 1");
-      } else if (args[i] == "--faults") {
-        options.faults = serve::ClientFaultPlan::parse(need_value(args, i));
-      } else if (args[i] == "--flood-docs") {
-        options.flood_docs = need_count<int>(args, i);
-      } else throw std::runtime_error("unknown option " + args[i]);
-      if (tune) tuning.insert(tuning.end(), args.begin() + flag, args.begin() + i + 1);
+    cli::parse(args, flags);
+    if (options.spool.empty() || options.swf.empty() ||
+        (clients == 0 && options.client.empty())) {
+      std::fputs(cli::usage("ps-load --spool DIR --swf FILE --client NAME|--clients N "
+                            "[flags]", flags).c_str(), stderr);
+      return 2;
     }
-    if (options.spool.empty() || options.swf.empty()) return usage(argv[0]);
     if (clients > 0) {
       if (!options.client.empty()) {
         throw std::runtime_error("--clients and --client are exclusive");
       }
       return run_fleet(argv[0], options, clients, tuning);
     }
-    if (options.client.empty()) return usage(argv[0]);
     serve::LoadReport report = serve::run_load_client(options);
     std::fputs(serve::format_load_report(report).c_str(), stdout);
     return 0;

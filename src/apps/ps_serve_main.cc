@@ -2,7 +2,8 @@
 // deterministic replay engine. Clients (ps-load) publish job submissions
 // into a spool; ps-serve ingests them, replays them through the powercap
 // controller, and reports throughput, admission-latency percentiles and
-// the replay fingerprint on exit. The flags are listed in kUsage below.
+// the replay fingerprint on exit. Its flags are listed once, in the table
+// in main() (printed as the usage when --spool is missing).
 //
 // SIGTERM/SIGINT drain gracefully: ingestion stops, everything already
 // admitted finishes simulating, and the final report still prints.
@@ -10,85 +11,29 @@
 #include <csignal>
 #include <cstdio>
 #include <exception>
-#include <limits>
 #include <string>
 #include <vector>
 
 #include "apps/cli_flags.h"
-#include "core/policy.h"
+#include "cluster/curie.h"
 #include "obs/trace.h"
+#include "serve/protocol.h"
 #include "serve/server.h"
 #include "util/log.h"
-#include "util/strings.h"
 
 namespace {
 
 using namespace ps;
-using cli::need_count;
-using cli::need_f64;
-using cli::need_i64;
-using cli::need_value;
 
-constexpr std::int64_t kMaxCapMinutes = std::numeric_limits<std::int64_t>::max() / 60'000;
+/// Each admit cycle adds quantum x weight (at most kMaxTenantWeight) to a
+/// tenant's credit, which holds less than one document's cost before it:
+/// half of int64_t each keeps the sum exact (serve/fair.cc).
+constexpr std::uint64_t kMaxQuantumJobs =
+    std::numeric_limits<std::int64_t>::max() / (2 * serve::kMaxTenantWeight);
 
 std::atomic<bool> g_stop{false};
 
 void handle_signal(int) { g_stop.store(true); }
-
-constexpr const char* kUsage = R"(usage: ps-serve --spool DIR --expect-clients N
-    [--mode det|wall]           det: sim chases the ingest watermark
-                                (bit-identical to offline replay);
-                                wall: sim chases wall time x accel,
-                                late jobs admitted late (default det)
-    [--accel X]                 wall mode: sim ms per wall ms (1000)
-    [--racks N] [--policy none|shut|dvfs|mix|idle|auto] [--lambda L]
-    [--cap-start MS] [--cap-minutes M]
-    [--queue-docs N] [--inbox-high-water N]
-    [--stats-ms N] [--hello-timeout-ms N]
-    [--recover]                 resume a dirty spool from its journal
-                                and newest sealed checkpoint
-    [--checkpoint-jobs N]       checkpoint every N admitted jobs (5000;
-                                0 disables the job cadence)
-    [--checkpoint-seconds N]    ... or every N simulated seconds (86400)
-    [--journal-fsync]           fsync each journaled document (survives
-                                kernel crashes, not just SIGKILL)
-    [--faults SPEC]             daemon fault injection (the serve sites
-                                of serve/server.h, spec grammar of
-                                util/fault.h); no environment variable
-                                is read
-    [--telemetry-seconds N]     publish a sealed obs-registry snapshot
-                                into <spool>/telemetry/ every N wall
-                                seconds (read with ps-stat; 0 = off)
-    [--quantum-jobs N]          DRR admission credit per tenant weight
-                                unit per cycle (256)
-    [--admit-window-ms N]       quota/slow-start window length (100)
-    [--tenant-window-jobs N]    jobs a tenant may admit per window
-                                (0 = unlimited)
-    [--tenant-inflight-docs N]  claimed-but-unadmitted documents per
-                                tenant before ingest holds its claims
-                                (256; 0 = unlimited)
-    [--poison-threshold N]      poison documents before a tenant is
-                                abandoned and quarantined (8; 0 = never)
-    [--slow-start-docs N]       post-recovery claim allowance in the
-                                first window, doubling per window
-                                (32; 0 = off)
-    [--trace-out FILE]          record trace spans and write Chrome
-                                trace-event JSON on exit (load in
-                                chrome://tracing or Perfetto)
-    [--log-json]                JSON-lines log sink (one object per
-                                line, wall-clock stamped)
-)";
-
-core::Policy parse_policy(const std::string& name) {
-  std::string lowered = strings::to_lower(name);
-  if (lowered == "none") return core::Policy::None;
-  if (lowered == "shut") return core::Policy::Shut;
-  if (lowered == "dvfs") return core::Policy::Dvfs;
-  if (lowered == "mix") return core::Policy::Mix;
-  if (lowered == "idle") return core::Policy::Idle;
-  if (lowered == "auto") return core::Policy::Auto;
-  throw std::runtime_error("unknown policy " + name);
-}
 
 }  // namespace
 
@@ -98,75 +43,90 @@ int main(int argc, char** argv) {
   std::string trace_out;
   options.scenario.powercap.policy = core::Policy::Mix;
   options.scenario.cap_lambda = 0.5;
+  core::ScenarioConfig& scenario = options.scenario;
+  serve::TenantQuotaOptions& quotas = options.quotas;
+  const cli::Flag flags[] = {
+      {"--spool", "DIR", "spool root (required)", [&](auto, auto& v) { options.spool = v; }},
+      {"--expect-clients", "N", "clients whose hellos start the clock (1)",
+       [&](auto f, auto& v) { options.expect_clients = cli::integer<int>(f, v); }},
+      {"--mode", "det|wall",
+       "det: sim chases the ingest watermark\n(bit-identical to offline replay);\n"
+       "wall: sim chases wall time x accel,\nlate jobs admitted late (default det)",
+       [&](auto f, auto& v) {
+         if (v != "det" && v != "wall") cli::refuse(f, "det or wall", v);
+         options.mode = v == "det" ? serve::Mode::kDeterministic : serve::Mode::kWallClock;
+       }},
+      {"--accel", "X", "wall mode: sim ms per wall ms (1000)",
+       [&](auto f, auto& v) { options.accel = cli::real(f, v); }},
+      {"--racks", "N", "Curie racks to simulate (56)", [&](auto f, auto& v) {
+         scenario.racks = cli::integer<std::int32_t>(f, v, 1, cluster::curie::kRacks);
+       }},
+      {"--policy", "P", "powercap policy: none|shut|dvfs|mix|\nidle|auto (mix)",
+       [&](auto f, auto& v) { scenario.powercap.policy = cli::policy(f, v); }},
+      {"--lambda", "L", "cap fraction of max power (0.5)",
+       [&](auto f, auto& v) { scenario.cap_lambda = cli::real(f, v); }},
+      {"--cap-start", "MS", "cap window start in ms; negative\n(the default) centres it",
+       [&](auto f, auto& v) {
+         scenario.cap_start = cli::integer<std::int64_t>(
+             f, v, std::numeric_limits<std::int64_t>::min());
+       }},
+      {"--cap-minutes", "M", "cap window length (60)", [&](auto f, auto& v) {
+         scenario.cap_duration = sim::minutes(cli::duration(f, v, sim::minutes(1), 1));
+       }},
+      {"--queue-docs", "N", "ingest queue capacity in documents (256)",
+       [&](auto f, auto& v) { options.queue_capacity = cli::integer<std::size_t>(f, v); }},
+      {"--inbox-high-water", "N", "inbox backlog that stops accepting (512)",
+       [&](auto f, auto& v) { options.inbox_high_water = cli::integer<std::size_t>(f, v); }},
+      {"--stats-ms", "N", "stderr progress period (2000; 0 = off)", [&](auto f, auto& v) {
+         options.stats_interval_ms = cli::duration(f, v, cli::kNsPerMs);
+       }},
+      {"--hello-timeout-ms", "N", "give up waiting for hellos (60000;\n0 = never)",
+       [&](auto f, auto& v) { options.hello_timeout_ms = cli::duration(f, v, cli::kNsPerMs); }},
+      {"--recover", "", "resume a dirty spool from its journal\nand newest sealed checkpoint",
+       [&](auto, auto&) { options.recover = true; }},
+      {"--checkpoint-jobs", "N",
+       "checkpoint every N admitted jobs (5000;\n0 disables the job cadence)",
+        [&](auto f, auto& v) { options.checkpoint_jobs = cli::integer(f, v); }},
+      {"--checkpoint-seconds", "N", "... or every N simulated seconds (86400)",
+       [&](auto f, auto& v) {
+         options.checkpoint_seconds = cli::duration(f, v, sim::seconds(1));
+       }},
+      {"--journal-fsync", "", "fsync each journaled document (survives\n"
+       "kernel crashes, not just SIGKILL)", [&](auto, auto&) { options.journal_fsync = true; }},
+      {"--faults", "SPEC", "daemon fault injection (the serve sites\nof serve/server.h, spec "
+       "grammar of\nutil/fault.h); no environment variable\nis read",
+       [&](auto, auto& v) { options.faults = serve::ServeFaultPlan::parse(v); }},
+      {"--telemetry-seconds", "N", "publish a sealed obs-registry snapshot\ninto "
+       "<spool>/telemetry/ every N wall\nseconds (read with ps-stat; 0 = off)",
+       [&](auto f, auto& v) {
+         options.telemetry_seconds = cli::duration(f, v, cli::kNsPerSecond);
+       }},
+      {"--quantum-jobs", "N", "DRR admission credit per tenant weight\nunit per cycle (256)",
+       [&](auto f, auto& v) {
+         quotas.quantum_jobs = cli::integer<std::uint64_t>(f, v, 0, kMaxQuantumJobs);
+       }},
+      {"--admit-window-ms", "N", "quota/slow-start window length (100)",
+       [&](auto f, auto& v) { quotas.window_ms = cli::duration(f, v, cli::kNsPerMs); }},
+      {"--tenant-window-jobs", "N", "jobs a tenant may admit per window\n(0 = unlimited)",
+       [&](auto f, auto& v) { quotas.window_jobs = cli::integer<std::uint64_t>(f, v); }},
+      {"--tenant-inflight-docs", "N", "claimed-but-unadmitted documents per\ntenant before "
+       "ingest holds its claims\n(256; 0 = unlimited)",
+       [&](auto f, auto& v) { options.tenant_inflight_docs = cli::integer<std::uint64_t>(f, v); }},
+      {"--poison-threshold", "N", "poison documents before a tenant is\nabandoned and "
+       "quarantined (8; 0 = never)",
+       [&](auto f, auto& v) { options.poison_threshold = cli::integer<std::uint64_t>(f, v); }},
+      {"--slow-start-docs", "N", "post-recovery claim allowance in the\nfirst window, "
+       "doubling per window\n(32; 0 = off)",
+       [&](auto f, auto& v) { options.slow_start_docs = cli::integer<std::uint64_t>(f, v); }},
+      {"--trace-out", "FILE", "record trace spans and write Chrome\ntrace-event JSON on exit "
+       "(load in\nchrome://tracing or Perfetto)", [&](auto, auto& v) { trace_out = v; }},
+      {"--log-json", "", "JSON-lines log sink (one object per\nline, wall-clock stamped)",
+       [&](auto, auto&) { log::set_format(log::Format::Json); }},
+  };
   try {
-    for (std::size_t i = 0; i < args.size(); ++i) {
-      if (args[i] == "--spool") options.spool = need_value(args, i);
-      else if (args[i] == "--expect-clients") {
-        options.expect_clients = need_count<int>(args, i);
-      } else if (args[i] == "--mode") {
-        std::string mode = need_value(args, i);
-        if (mode == "det") options.mode = serve::Mode::kDeterministic;
-        else if (mode == "wall") options.mode = serve::Mode::kWallClock;
-        else throw std::runtime_error("--mode wants det or wall");
-      } else if (args[i] == "--accel") options.accel = need_f64(args, i);
-      else if (args[i] == "--racks") {
-        options.scenario.racks = need_count<std::int32_t>(args, i);
-      } else if (args[i] == "--policy") {
-        options.scenario.powercap.policy = parse_policy(need_value(args, i));
-      } else if (args[i] == "--lambda") {
-        options.scenario.cap_lambda = need_f64(args, i);
-      } else if (args[i] == "--cap-start") {
-        options.scenario.cap_start = need_i64(args, i);
-      } else if (args[i] == "--cap-minutes") {
-        // Bounded so sim::minutes cannot overflow.
-        std::int64_t minutes = need_count(args, i);
-        if (minutes < 1 || minutes > kMaxCapMinutes) {
-          throw std::runtime_error(strings::format(
-              "--cap-minutes wants 1..%lld", static_cast<long long>(kMaxCapMinutes)));
-        }
-        options.scenario.cap_duration = sim::minutes(minutes);
-      } else if (args[i] == "--queue-docs") {
-        options.queue_capacity = need_count<std::size_t>(args, i);
-      } else if (args[i] == "--inbox-high-water") {
-        options.inbox_high_water = need_count<std::size_t>(args, i);
-      } else if (args[i] == "--stats-ms") {
-        options.stats_interval_ms = need_count(args, i);
-      } else if (args[i] == "--hello-timeout-ms") {
-        options.hello_timeout_ms = need_count(args, i);
-      } else if (args[i] == "--recover") {
-        options.recover = true;
-      } else if (args[i] == "--checkpoint-jobs") {
-        options.checkpoint_jobs = need_count(args, i);
-      } else if (args[i] == "--checkpoint-seconds") {
-        options.checkpoint_seconds = need_count(args, i);
-      } else if (args[i] == "--journal-fsync") {
-        options.journal_fsync = true;
-      } else if (args[i] == "--faults") {
-        options.faults = serve::ServeFaultPlan::parse(need_value(args, i));
-      } else if (args[i] == "--telemetry-seconds") {
-        options.telemetry_seconds = need_count(args, i);
-      } else if (args[i] == "--quantum-jobs") {
-        options.quotas.quantum_jobs = need_count<std::uint64_t>(args, i);
-      } else if (args[i] == "--admit-window-ms") {
-        options.quotas.window_ms = need_count(args, i);
-      } else if (args[i] == "--tenant-window-jobs") {
-        options.quotas.window_jobs = need_count<std::uint64_t>(args, i);
-      } else if (args[i] == "--tenant-inflight-docs") {
-        options.tenant_inflight_docs = need_count<std::uint64_t>(args, i);
-      } else if (args[i] == "--poison-threshold") {
-        options.poison_threshold = need_count<std::uint64_t>(args, i);
-      } else if (args[i] == "--slow-start-docs") {
-        options.slow_start_docs = need_count<std::uint64_t>(args, i);
-      } else if (args[i] == "--trace-out") {
-        trace_out = need_value(args, i);
-      } else if (args[i] == "--log-json") {
-        log::set_format(log::Format::Json);
-      } else {
-        throw std::runtime_error("unknown option " + args[i]);
-      }
-    }
+    cli::parse(args, flags);
     if (options.spool.empty()) {
-      std::fputs(kUsage, stderr);
+      std::fputs(cli::usage("ps-serve --spool DIR [flags]", flags).c_str(), stderr);
       return 2;
     }
 

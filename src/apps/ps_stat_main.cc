@@ -1,20 +1,11 @@
 // ps-stat — reads the telemetry spool a ps-serve daemon publishes with
 // --telemetry-seconds (sealed obs-registry snapshots, obs/registry.h wire
-// format) and presents it.
-//
-//   ps-stat DIR                 pretty-print the newest snapshot; DIR is a
-//                               telemetry directory or a spool root (its
-//                               telemetry/ subdirectory is used when present)
-//       [--all]                 pretty-print every snapshot, oldest first
-//       [--follow]              keep polling and print each new snapshot as
-//                               it is published (SIGINT/SIGTERM exit clean);
-//                               survives the directory being rotated or
-//                               removed mid-tail — warns on stderr and
-//                               reopens instead of exiting or going silent
-//       [--prometheus]          Prometheus text exposition instead of the
-//                               human table (newest snapshot, or each new
-//                               one under --follow)
-//       [--poll-ms N]           --follow poll interval (default 500)
+// format) and presents it: by default the newest snapshot of DIR, a
+// telemetry directory or a spool root (its telemetry/ subdirectory is used
+// when present). The flags are listed once, in the table in main()
+// (printed as the usage). --follow survives the directory being rotated or
+// removed mid-tail: it warns on stderr and reopens instead of exiting or
+// going silent.
 //
 // Exit codes: 0 ok, 2 usage, 3 no telemetry documents found (one-shot).
 // Torn or corrupt documents (a crashed writer) are reported on stderr and
@@ -40,13 +31,6 @@ using namespace ps;
 std::atomic<bool> g_stop{false};
 
 void handle_signal(int) { g_stop.store(true); }
-
-int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s DIR [--all] [--follow] [--prometheus] [--poll-ms N]\n",
-               argv0);
-  return 2;
-}
 
 std::string wall_stamp(std::int64_t wall_ns) {
   std::time_t secs = static_cast<std::time_t>(wall_ns / 1'000'000'000);
@@ -147,23 +131,24 @@ int main(int argc, char** argv) {
   bool follow = false;
   bool prometheus = false;
   std::int64_t poll_ms = 500;
+  const cli::Flag flags[] = {
+      {"--all", "", "pretty-print every snapshot, oldest first", [&](auto, auto&) { all = true; }},
+      {"--follow", "", "keep polling and print each new snapshot\nas it is published "
+       "(SIGINT/SIGTERM exit\ncleanly)", [&](auto, auto&) { follow = true; }},
+      {"--prometheus", "", "Prometheus text exposition instead of\nthe human table",
+       [&](auto, auto&) { prometheus = true; }},
+      {"--poll-ms", "N", "--follow poll interval (500)",
+       [&](auto f, auto& v) { poll_ms = cli::integer<std::int64_t>(f, v, 1); }},
+  };
   try {
-    for (std::size_t i = 0; i < args.size(); ++i) {
-      if (args[i] == "--all") all = true;
-      else if (args[i] == "--follow") follow = true;
-      else if (args[i] == "--prometheus") prometheus = true;
-      else if (args[i] == "--poll-ms") {
-        poll_ms = cli::need_count(args, i);
-        if (poll_ms == 0) throw std::runtime_error("--poll-ms wants >= 1");
-      } else if (!args[i].empty() && args[i][0] == '-') {
-        throw std::runtime_error("unknown option " + args[i]);
-      } else if (dir.empty()) {
-        dir = args[i];
-      } else {
-        throw std::runtime_error("more than one directory given");
-      }
+    cli::parse(args, flags, [&](const std::string& word) {
+      if (!dir.empty()) throw std::runtime_error("more than one directory given");
+      dir = word;
+    });
+    if (dir.empty()) {
+      std::fputs(cli::usage("ps-stat DIR [flags]", flags).c_str(), stderr);
+      return 2;
     }
-    if (dir.empty()) return usage(argv[0]);
     // A spool root is accepted for convenience: use its telemetry/ child.
     if (util::path_exists(dir + "/telemetry")) dir += "/telemetry";
 

@@ -1,23 +1,11 @@
-// ps-sweep — the distributed sweep binary (worker and driver in one
-// executable, so "distributing" is just running more of the same binary).
-//
-//   ps-sweep worker --spool DIR        claim/run/publish loop over a spool
-//       [--heartbeat-ms N]             lease renewal period
-//       [--faults SPEC]                deterministic chaos (the sweep sites
-//                                      of dist/worker.h); default:
-//                                      $PS_SWEEP_FAULTS
-//   ps-sweep drive --cells FILE        drive a serialized cell grid across
-//       [--workers N] [--shards M]     N local workers; merged records to
-//       [--spool DIR] [--golden FILE]  stdout, summary to stderr
-//       [--manifest-out FILE]
-//       [--max-attempts N]             attempts per shard before giving up
-//       [--lease-ms N] [--heartbeat-ms N] [--poll-ms N]
-//       [--quarantine]                 report exhausted shards, exit 3
-//       [--resume]                     adopt valid results already in --spool
-//
-// See docs/ARCHITECTURE.md ("The dist layer", "Failure model") for the
-// spool protocol and merge invariants; examples/distributed_sweep.cpp for
-// the C++ API.
+// ps-sweep — the distributed sweep binary, worker and driver in one
+// executable: `ps-sweep worker --spool DIR` runs the claim/run/publish loop
+// over a spool; `ps-sweep drive --cells FILE` drives a serialized cell grid
+// across local workers (merged records to stdout, summary to stderr). Each
+// mode lists its flags once, in its table below, printed as its usage. See
+// docs/ARCHITECTURE.md ("The dist layer", "Failure model") for the spool
+// protocol and examples/distributed_sweep.cpp for the C++ API.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -30,39 +18,34 @@
 #include "dist/worker.h"
 #include "util/log.h"
 #include "util/spool.h"
-#include "util/strings.h"
 
 namespace {
 
 using namespace ps;
-using cli::need_count;
-using cli::need_value;
 
-int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s worker --spool DIR [--heartbeat-ms N] [--faults SPEC]\n"
-               "       %s drive --cells FILE [--workers N] [--shards M]\n"
-               "          [--spool DIR] [--golden FILE] [--manifest-out FILE]\n"
-               "          [--max-attempts N] [--lease-ms N] [--heartbeat-ms N]\n"
-               "          [--poll-ms N] [--quarantine] [--resume] [--keep-spool]\n",
-               argv0, argv0);
-  return 2;
-}
+/// The lease clamp doubles the heartbeat (dist/driver.cc), and the
+/// driver compares both against steady_clock nanoseconds.
+constexpr std::int64_t kHeartbeatUnit = 2 * cli::kNsPerMs;
 
 int worker_main(const std::vector<std::string>& args) {
   dist::WorkerOptions options;
   if (const char* env = std::getenv("PS_SWEEP_FAULTS")) {
     options.faults = dist::SweepFaultPlan::parse(env);
   }
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--spool") options.spool_dir = need_value(args, i);
-    else if (args[i] == "--heartbeat-ms") {
-      options.heartbeat_interval_ms = need_count(args, i);
-    } else if (args[i] == "--faults") {
-      options.faults = dist::SweepFaultPlan::parse(need_value(args, i));
-    } else throw std::runtime_error("unknown worker option " + args[i]);
+  const cli::Flag flags[] = {
+      {"--spool", "DIR", "spool to work (required)", [&](auto, auto& v) { options.spool_dir = v; }},
+      {"--heartbeat-ms", "N", "lease renewal period (500)", [&](auto f, auto& v) {
+         options.heartbeat_interval_ms = cli::duration(f, v, kHeartbeatUnit);
+       }},
+      {"--faults", "SPEC", "deterministic chaos (the sweep sites of\ndist/worker.h); "
+       "default: $PS_SWEEP_FAULTS",
+       [&](auto, auto& v) { options.faults = dist::SweepFaultPlan::parse(v); }},
+  };
+  cli::parse(args, flags);
+  if (options.spool_dir.empty()) {
+    std::fputs(cli::usage("ps-sweep worker --spool DIR [flags]", flags).c_str(), stderr);
+    return 2;
   }
-  if (options.spool_dir.empty()) throw std::runtime_error("worker wants --spool DIR");
   return dist::run_worker_spool(options);
 }
 
@@ -70,30 +53,43 @@ int drive_main(const std::vector<std::string>& args) {
   dist::DriverOptions options;
   std::string cells_path;
   std::string manifest_out;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--cells") cells_path = need_value(args, i);
-    else if (args[i] == "--workers") {
-      options.workers = need_count<std::size_t>(args, i);
-    } else if (args[i] == "--shards") {
-      options.shards = need_count<std::size_t>(args, i);
-    } else if (args[i] == "--spool") options.spool_dir = need_value(args, i);
-    else if (args[i] == "--golden") {
-      options.golden = dist::parse_manifest(util::read_file(need_value(args, i)));
-    } else if (args[i] == "--manifest-out") manifest_out = need_value(args, i);
-    else if (args[i] == "--keep-spool") options.keep_spool = true;
-    else if (args[i] == "--max-attempts") {
-      options.max_attempts = need_count<std::size_t>(args, i);
-    } else if (args[i] == "--lease-ms") options.lease_timeout_ms = need_count(args, i);
-    else if (args[i] == "--heartbeat-ms") {
-      options.heartbeat_interval_ms = need_count(args, i);
-    } else if (args[i] == "--poll-ms") options.poll_interval_ms = need_count(args, i);
-    else if (args[i] == "--quarantine") options.quarantine = true;
-    else if (args[i] == "--resume") options.resume = true;
-    else if (args[i] == "--verbose") log::set_level(log::Level::Info);
-    else if (args[i] == "--log-json") log::set_format(log::Format::Json);
-    else throw std::runtime_error("unknown drive option " + args[i]);
+  const cli::Flag flags[] = {
+      {"--cells", "FILE", "serialized cell grid (required)",
+       [&](auto, auto& v) { cells_path = v; }},
+      {"--workers", "N", "local worker processes (2)",
+       [&](auto f, auto& v) { options.workers = cli::integer<std::size_t>(f, v); }},
+      {"--shards", "M", "shards the grid splits into (0 = auto)",
+       [&](auto f, auto& v) { options.shards = cli::integer<std::size_t>(f, v); }},
+      {"--spool", "DIR", "spool directory (default: a private temp)",
+       [&](auto, auto& v) { options.spool_dir = v; }},
+      {"--golden", "FILE", "verify every cell against this manifest",
+       [&](auto, auto& v) { options.golden = dist::parse_manifest(util::read_file(v)); }},
+      {"--manifest-out", "FILE", "write the merged fingerprint manifest",
+       [&](auto, auto& v) { manifest_out = v; }},
+      {"--keep-spool", "", "keep the spool after the drive",
+       [&](auto, auto&) { options.keep_spool = true; }},
+      {"--max-attempts", "N", "attempts per shard before giving up (3)",
+       [&](auto f, auto& v) { options.max_attempts = cli::integer<std::size_t>(f, v); }},
+      {"--lease-ms", "N", "heartbeat age that marks a holder hung\n(10000)",
+       [&](auto f, auto& v) { options.lease_timeout_ms = cli::duration(f, v, cli::kNsPerMs); }},
+      {"--heartbeat-ms", "N", "workers' lease renewal period (500)", [&](auto f, auto& v) {
+         options.heartbeat_interval_ms = cli::duration(f, v, kHeartbeatUnit);
+       }},
+      {"--poll-ms", "N", "spool poll period (25)",
+       [&](auto f, auto& v) { options.poll_interval_ms = cli::duration(f, v, cli::kNsPerMs); }},
+      {"--quarantine", "", "report exhausted shards, exit 3",
+       [&](auto, auto&) { options.quarantine = true; }},
+      {"--resume", "", "adopt valid results already in --spool",
+       [&](auto, auto&) { options.resume = true; }},
+      {"--verbose", "", "info-level log", [&](auto, auto&) { log::set_level(log::Level::Info); }},
+      {"--log-json", "", "JSON-lines log sink",
+       [&](auto, auto&) { log::set_format(log::Format::Json); }},
+  };
+  cli::parse(args, flags);
+  if (cells_path.empty()) {
+    std::fputs(cli::usage("ps-sweep drive --cells FILE [flags]", flags).c_str(), stderr);
+    return 2;
   }
-  if (cells_path.empty()) throw std::runtime_error("drive wants --cells FILE");
 
   std::vector<core::ScenarioConfig> cells =
       dist::parse_cell_grid(util::read_file(cells_path));
@@ -140,13 +136,14 @@ int drive_main(const std::vector<std::string>& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return usage(argv[0]);
-  std::vector<std::string> args(argv + 2, argv + argc);
+  const std::string mode = argc > 1 ? argv[1] : "";
+  std::vector<std::string> args(argv + std::min(argc, 2), argv + argc);
   try {
-    std::string mode = argv[1];
     if (mode == "worker") return worker_main(args);
     if (mode == "drive") return drive_main(args);
-    return usage(argv[0]);
+    std::fputs("usage: ps-sweep worker|drive [flags] (a mode alone lists its flags)\n",
+               stderr);
+    return 2;
   } catch (const std::exception& error) {
     std::fprintf(stderr, "ps-sweep: %s\n", error.what());
     return 1;

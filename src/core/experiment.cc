@@ -66,6 +66,8 @@ void check_single_cap(const ScenarioConfig& config) {
   PS_CHECK_MSG(std::isfinite(config.cap_lambda) && config.cap_lambda > 0.0,
                "scenario: cap_lambda must be finite and positive");
   PS_CHECK_MSG(config.cap_duration > 0, "scenario: cap_duration must be positive");
+  PS_CHECK_MSG(config.cap_start < 0 || config.cap_start <= sim::kTimeMax - config.cap_duration,
+               "scenario: cap_start + cap_duration must fit sim::Time");
 }
 
 std::vector<CapWindow> make_daily_cap_windows(sim::Time start, std::int32_t days,

@@ -131,8 +131,9 @@ inline constexpr sim::Duration kDefaultStreamChunk = sim::hours(1);
 ScenarioResult run_scenario(const ScenarioConfig& config);
 
 /// Throws ps::CheckError naming the field unless the single cap window is
-/// well-formed: cap_lambda finite and > 0 (>= 1 means no cap) and
-/// cap_duration > 0 (0 would turn the window into an open-ended CapWindow).
+/// well-formed: cap_lambda finite and > 0 (>= 1 means no cap),
+/// cap_duration > 0 (0 would turn the window into an open-ended CapWindow)
+/// and a window end cap_start + cap_duration that fits sim::Time.
 /// Only meaningful while cap_windows is empty. The replay checks it before
 /// planning the window, and ps-serve before it waits for clients.
 void check_single_cap(const ScenarioConfig& config);

@@ -1,5 +1,7 @@
 #include "core/policy.h"
 
+#include "util/strings.h"
+
 namespace ps::core {
 
 const char* to_string(AdmissionMode mode) noexcept {
@@ -21,6 +23,15 @@ const char* to_string(Policy policy) noexcept {
     case Policy::Auto: return "AUTO";
   }
   return "?";
+}
+
+std::optional<Policy> parse_policy(std::string_view name) {
+  const std::string lowered = strings::to_lower(name);
+  for (Policy policy : {Policy::None, Policy::Shut, Policy::Dvfs, Policy::Mix,
+                        Policy::Idle, Policy::Auto}) {
+    if (lowered == strings::to_lower(to_string(policy))) return policy;
+  }
+  return std::nullopt;
 }
 
 }  // namespace ps::core

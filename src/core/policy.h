@@ -2,6 +2,8 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <string_view>
 
 namespace ps::core {
 
@@ -17,6 +19,10 @@ enum class Policy : std::uint8_t {
 };
 
 const char* to_string(Policy policy) noexcept;
+
+/// The policy whose to_string name equals `name`, ignoring case
+/// ("mix", "SHUT", ...); nullopt for any other text.
+std::optional<Policy> parse_policy(std::string_view name);
 
 /// Which rho convention the offline algorithm uses (see apps::rho_published).
 enum class RhoConvention : std::uint8_t {

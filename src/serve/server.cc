@@ -326,8 +326,12 @@ class Daemon {
       if (wall_mode_) {
         double elapsed_ms =
             static_cast<double>(monotonic_ns() - clock_epoch_ns_) / 1e6;
-        sim::Time target = static_cast<sim::Time>(elapsed_ms * options_.accel);
-        advance_to(std::min(target, report_.horizon));
+        // Clamped to the horizon in double, so no finite accel overflows
+        // the cast.
+        const double target = elapsed_ms * options_.accel;
+        advance_to(target < static_cast<double>(report_.horizon)
+                       ? static_cast<sim::Time>(target)
+                       : report_.horizon);
       } else if (watermark > committed_ && watermark >= 0) {
         // Deterministic mode: chase the committed watermark, nothing more.
         advance_to(std::min(watermark, report_.horizon));

@@ -82,6 +82,23 @@ TEST(Experiment, SingleCapWindowNeedsAPositiveDuration) {
   }
 }
 
+TEST(Experiment, SingleCapWindowEndMustFitSimTime) {
+  // cap_start + cap_duration is the window end the replay computes; one
+  // past sim::kTimeMax was signed overflow. A negative start centres the
+  // window and never overflows.
+  ScenarioConfig config;
+  config.cap_lambda = 0.6;
+  config.cap_duration = sim::hours(1);
+  config.cap_start = sim::kTimeMax - sim::hours(1);
+  EXPECT_NO_THROW(check_single_cap(config));
+  config.cap_start += 1;
+  EXPECT_THROW(check_single_cap(config), CheckError);
+  config.cap_start = sim::kTimeMax;
+  EXPECT_THROW(check_single_cap(config), CheckError);
+  config.cap_start = -1;
+  EXPECT_NO_THROW(check_single_cap(config));
+}
+
 TEST(Experiment, SingleCapLambdaMustBeFiniteAndPositive) {
   // A NaN fraction used to compare false against 1.0 and replay uncapped;
   // zero and negative fractions failed only once the window was priced.

@@ -138,7 +138,10 @@ TEST(ServeBackpressure, MissingClientFailsLoudlyInsteadOfHanging) {
 TEST(ServeBackpressure, NegativeCountFlagsFailAtStartup) {
   // A negative count would wrap in its size_t/uint64_t option; the daemon
   // must refuse it before it starts waiting for hellos.
-  for (const char* flag : {"--queue-docs", "--racks"}) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"--queue-docs", "--queue-docs wants a non-negative integer"},
+      {"--racks", "--racks wants an integer in 1..56"}};
+  for (const auto& [flag, message] : cases) {
     std::string dir = util::make_temp_dir("serve_flags");
     util::Subprocess server = util::Subprocess::spawn(
         {PS_SERVE_BIN, "--spool", dir + "/spool", "--expect-clients", "1",
@@ -148,9 +151,7 @@ TEST(ServeBackpressure, NegativeCountFlagsFailAtStartup) {
     ASSERT_TRUE(server.wait_for(30'000, &server_exit)) << flag;
     EXPECT_EQ(server_exit, 1) << flag;
     std::string err = util::read_file(dir + "/serve.err");
-    EXPECT_NE(err.find(std::string(flag) + " wants a non-negative integer"),
-              std::string::npos)
-        << err;
+    EXPECT_NE(err.find(message), std::string::npos) << err;
     util::remove_tree(dir);
   }
 }

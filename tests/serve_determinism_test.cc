@@ -103,32 +103,36 @@ TEST(ServeDeterminism, FourClientsMatchOfflineGolden) {
 TEST(ServeDeterminism, WallClockModeAdmitsEveryJob) {
   // Wall-clock mode trades determinism for service semantics: late
   // documents are admitted late (clamped), never dropped — every declared
-  // job still reaches the controller.
-  std::string dir = util::make_temp_dir("serve_wall");
-  std::string spool = dir + "/spool";
+  // job still reaches the controller. A huge finite accel jumps the clock
+  // straight to the horizon (clamped before the conversion to sim::Time).
+  for (const char* accel : {"200000", "1e300"}) {
+    SCOPED_TRACE(accel);
+    std::string dir = util::make_temp_dir("serve_wall");
+    std::string spool = dir + "/spool";
 
-  util::Subprocess server = util::Subprocess::spawn(
-      {PS_SERVE_BIN, "--spool", spool, "--expect-clients", "1", "--racks",
-       "2", "--mode", "wall", "--accel", "200000", "--stats-ms", "0"},
-      dir + "/serve.out", dir + "/serve.err");
-  util::Subprocess load = util::Subprocess::spawn(
-      {PS_LOAD_BIN, "--spool", spool, "--swf", mini_trace(), "--client",
-       "solo", "--batch-jobs", "50"},
-      dir + "/load.out", dir + "/load.err");
+    util::Subprocess server = util::Subprocess::spawn(
+        {PS_SERVE_BIN, "--spool", spool, "--expect-clients", "1", "--racks",
+         "2", "--mode", "wall", "--accel", accel, "--stats-ms", "0"},
+        dir + "/serve.out", dir + "/serve.err");
+    util::Subprocess load = util::Subprocess::spawn(
+        {PS_LOAD_BIN, "--spool", spool, "--swf", mini_trace(), "--client",
+         "solo", "--batch-jobs", "50"},
+        dir + "/load.out", dir + "/load.err");
 
-  EXPECT_EQ(load.wait(), 0) << util::read_file(dir + "/load.err");
-  int server_exit = -1;
-  ASSERT_TRUE(server.wait_for(60'000, &server_exit))
-      << "wall-mode ps-serve hung";
-  EXPECT_EQ(server_exit, 0) << util::read_file(dir + "/serve.err");
+    EXPECT_EQ(load.wait(), 0) << util::read_file(dir + "/load.err");
+    int server_exit = -1;
+    ASSERT_TRUE(server.wait_for(60'000, &server_exit))
+        << "wall-mode ps-serve hung";
+    EXPECT_EQ(server_exit, 0) << util::read_file(dir + "/serve.err");
 
-  std::map<std::string, std::string> report =
-      parse_report(util::read_file(dir + "/serve.out"));
-  EXPECT_EQ(report.at("admitted"),
-            strings::format("%llu",
-                            static_cast<unsigned long long>(kMiniTraceJobs)));
-  EXPECT_EQ(report.at("interrupted"), "0");
-  util::remove_tree(dir);
+    std::map<std::string, std::string> report =
+        parse_report(util::read_file(dir + "/serve.out"));
+    EXPECT_EQ(report.at("admitted"),
+              strings::format("%llu",
+                              static_cast<unsigned long long>(kMiniTraceJobs)));
+    EXPECT_EQ(report.at("interrupted"), "0");
+    util::remove_tree(dir);
+  }
 }
 
 }  // namespace
