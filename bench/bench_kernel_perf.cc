@@ -192,10 +192,10 @@ void BM_ClusterJobStartEnd(benchmark::State& state) {
 }
 BENCHMARK(BM_ClusterJobStartEnd)->Arg(1)->Arg(18)->Arg(180);
 
-// Pass-scoped blocked-set rebuild from a realistic reservation book (a cap
-// window plus a handful of switch-off/maintenance windows at Curie scale).
-void BM_BlockedSetBuild(benchmark::State& state) {
-  cluster::Cluster cl = cluster::curie::make_cluster();
+// A realistic reservation book at Curie scale: a cap window plus two
+// switch-off and two maintenance windows of ~256 random nodes each,
+// starting at 0, 10, 20 and 30 minutes.
+rjms::ReservationBook make_blocking_book(const cluster::Cluster& cl) {
   rjms::ReservationBook book;
   {
     rjms::Reservation cap;
@@ -220,16 +220,43 @@ void BM_BlockedSetBuild(benchmark::State& state) {
     res.nodes.erase(std::unique(res.nodes.begin(), res.nodes.end()), res.nodes.end());
     book.add(std::move(res));
   }
+  return book;
+}
+
+// Blocked-set queries the way a pass makes them: each job brings its own
+// horizon, here always past every window start, so every query blocks the
+// same reservations and the set answers from its horizon interval.
+void BM_BlockedSetBuild(benchmark::State& state) {
+  cluster::Cluster cl = cluster::curie::make_cluster();
+  rjms::ReservationBook book = make_blocking_book(cl);
   rjms::BlockedSet blocked;
   sim::Time horizon = sim::minutes(30);
   for (auto _ : state) {
-    horizon += 1;  // force a rebuild every iteration (cache-miss path)
+    horizon += 1;  // a new horizon each iteration, the same blocking set
     blocked.ensure(book, 0, horizon, cl.topology().total_nodes());
-    benchmark::DoNotOptimize(blocked.blocked(0));
+    benchmark::DoNotOptimize(blocked.window(0, 64));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_BlockedSetBuild);
+
+// The rewrite path: horizons alternate between 15 and 45 minutes, so the
+// blocking set alternates between two and four windows and every query
+// walks the book and rewrites the words.
+void BM_BlockedSetRebuild(benchmark::State& state) {
+  cluster::Cluster cl = cluster::curie::make_cluster();
+  rjms::ReservationBook book = make_blocking_book(cl);
+  rjms::BlockedSet blocked;
+  bool late = false;
+  for (auto _ : state) {
+    late = !late;
+    blocked.ensure(book, 0, late ? sim::minutes(45) : sim::minutes(15),
+                   cl.topology().total_nodes());
+    benchmark::DoNotOptimize(blocked.window(0, 64));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_BlockedSetRebuild);
 
 template <rjms::SelectorKind kKind>
 void BM_NodeSelection(benchmark::State& state) {
@@ -243,9 +270,11 @@ void BM_NodeSelection(benchmark::State& state) {
   blocked.ensure(book, 0, sim::hours(1), cl.topology().total_nodes());
   auto selector = rjms::make_selector(kKind);
   rjms::SelectionContext ctx{cl, blocked};
+  std::vector<cluster::NodeId> nodes;
   for (auto _ : state) {
-    auto nodes = selector->select(ctx, static_cast<std::int32_t>(state.range(0)));
-    benchmark::DoNotOptimize(nodes);
+    benchmark::DoNotOptimize(
+        selector->select(ctx, static_cast<std::int32_t>(state.range(0)), nodes));
+    benchmark::DoNotOptimize(nodes.data());
   }
 }
 void BM_NodeSelectionPacking(benchmark::State& state) {

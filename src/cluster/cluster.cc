@@ -21,12 +21,14 @@ Cluster::Cluster(PowerModel model)
   shut_mw_ = to_mw(model_.node_watts(NodeState::ShuttingDown, 0));
   chassis_infra_mw_ = to_mw(model_.chassis_infra_watts());
   rack_infra_mw_ = to_mw(model_.rack_infra_watts());
+  PS_CHECK_MSG(model_.frequencies().size() <= 256, "more DVFS levels than a node slot holds");
   busy_mw_.resize(model_.frequencies().size());
   for (FreqIndex f = 0; f < busy_mw_.size(); ++f) {
     busy_mw_[f] = to_mw(model_.frequencies().watts(f));
   }
 
   nodes_.assign(static_cast<std::size_t>(total_nodes_), NodeSlot{});
+  idle_.assign(total_nodes_, true);
   state_count_[state_index(NodeState::Idle)] = total_nodes_;
   busy_by_freq_.assign(model_.frequencies().size(), 0);
 
@@ -122,13 +124,14 @@ void Cluster::set_state(std::span<const NodeId> nodes, NodeState new_state,
       if (old_state == NodeState::Busy) --busy_by_freq_[slot.freq];
       if (new_state == NodeState::Busy) ++busy_by_freq_[freq];
 
-      std::int32_t idle = chassis_idle_[ci] + idle_in -
-                          (old_state == NodeState::Idle ? 1 : 0);
+      const std::int32_t idle_out = old_state == NodeState::Idle ? 1 : 0;
+      std::int32_t idle = chassis_idle_[ci] + idle_in - idle_out;
       PS_CHECK(idle >= 0 && idle <= per_chassis);
       chassis_idle_[ci] = idle;
+      if (idle_in != idle_out) idle_.flip(nodes[i]);
 
       slot.state = new_state;
-      slot.freq = freq;
+      slot.freq = static_cast<std::uint8_t>(freq);
     }
 
     const bool chassis_is_on = chassis_nodes_on_[ci] > 0;
@@ -156,9 +159,9 @@ bool Cluster::audit_idle_index() const {
   const Topology& topo = topology();
   std::vector<std::int32_t> recount(static_cast<std::size_t>(topo.total_chassis()), 0);
   for (NodeId n = 0; n < topo.total_nodes(); ++n) {
-    if (nodes_[static_cast<std::size_t>(n)].state == NodeState::Idle) {
-      ++recount[static_cast<std::size_t>(topo.chassis_of_node(n))];
-    }
+    const bool idle = nodes_[static_cast<std::size_t>(n)].state == NodeState::Idle;
+    if (idle != idle_.test(n)) return false;
+    if (idle) ++recount[static_cast<std::size_t>(topo.chassis_of_node(n))];
   }
   if (recount != chassis_idle_) return false;
   // Each bucket's size must be its bit count (the walk trusts it), and

@@ -16,6 +16,7 @@
 #include <span>
 #include <vector>
 
+#include "cluster/node_bits.h"
 #include "cluster/power_model.h"
 #include "util/check.h"
 
@@ -70,6 +71,14 @@ class Cluster {
     return chassis_idle_[static_cast<std::size_t>(chassis)];
   }
 
+  /// Idle bits of nodes [first, first + len), node `first` at bit 0, for
+  /// 1 <= len <= 64 inside the machine: one window of the node-bit layout
+  /// (cluster/node_bits.h), kept by set_state. A chassis of npc nodes is
+  /// the windows at first_node_of_chassis(c) + 64k.
+  std::uint64_t idle_window(NodeId first, std::int32_t len) const noexcept {
+    return idle_.window(first, len);
+  }
+
   /// Calls `fn(chassis)` for each chassis holding exactly `idle` Idle
   /// nodes, ascending chassis id, and stops at the first call that returns
   /// true; returns whether one did. Valid idle values are
@@ -93,9 +102,9 @@ class Cluster {
     return false;
   }
 
-  /// Full O(N) recount cross-checking idle_nodes() and the idle buckets
-  /// against node states (the audit_watts() of the idle index). Returns
-  /// false on any disagreement.
+  /// Full O(N) recount cross-checking idle_nodes(), the idle buckets and
+  /// the idle bits against node states (the audit_watts() of the idle
+  /// index). Returns false on any disagreement.
   bool audit_idle_index() const;
 
   /// Nodes in any powered state (not Off).
@@ -110,11 +119,15 @@ class Cluster {
   PowerModel model_;
   std::int32_t total_nodes_;
 
+  // Two bytes per node: the constructor checks that every FreqIndex of
+  // the model fits the byte.
   struct NodeSlot {
     NodeState state = NodeState::Idle;
-    FreqIndex freq = 0;  // meaningful when Busy
+    std::uint8_t freq = 0;  // meaningful when Busy
   };
+  static_assert(sizeof(NodeSlot) == 2);
   std::vector<NodeSlot> nodes_;
+  NodeBits idle_;  // bit n set iff node n is Idle
 
   // Per-chassis and per-rack gating state.
   std::vector<std::int32_t> chassis_nodes_on_;   // nodes not Off

@@ -138,8 +138,7 @@ std::optional<Controller::StartPlan> Controller::plan_start(const Job& job) {
 
   blocked_.ensure(reservations_, now, horizon, cluster_.topology().total_nodes());
   SelectionContext ctx{cluster_, blocked_};
-  auto nodes = selector_->select(ctx, count);
-  if (!nodes) {
+  if (!selector_->select(ctx, count, picked_)) {
     if (same_fail_generation) {
       sel_fail_width_ = std::min(sel_fail_width_, count);
     } else {
@@ -154,7 +153,7 @@ std::optional<Controller::StartPlan> Controller::plan_start(const Job& job) {
 
   PowerGovernor::Admission admission;
   if (governor_ != nullptr) {
-    auto result = governor_->admit(job, *nodes);
+    auto result = governor_->admit(job, picked_);
     if (!result) return std::nullopt;
     admission = *result;
   } else {
@@ -162,7 +161,7 @@ std::optional<Controller::StartPlan> Controller::plan_start(const Job& job) {
     admission.scaled_runtime = job.request.base_runtime;
     admission.scaled_walltime = job.request.requested_walltime;
   }
-  return StartPlan{std::move(*nodes), admission};
+  return StartPlan{picked_, admission};
 }
 
 void Controller::start_job(Job& job, StartPlan plan) {

@@ -255,9 +255,13 @@ class Controller {
   /// jobs so a teardown allocates nothing once it holds the widest job.
   std::vector<cluster::NodeId> released_idle_;
 
-  // Pass-scoped blocked-node cache handed to the selectors; rebuilt lazily
-  // by plan_start when the reservation book or the probed span changes.
+  // Blocked-node words handed to the selectors; plan_start re-ensures
+  // them per span, and they are rewritten only when the blocking
+  // reservations change.
   BlockedSet blocked_;
+  // The selector's output buffer: a failed selection or a rejected
+  // admission allocates nothing, and an admitted plan copies it once.
+  std::vector<cluster::NodeId> picked_;
 
   // EASY shadow cached from the last full pass (for submit-path attempts).
   sim::Time shadow_time_ = sim::kTimeMax;

@@ -27,10 +27,14 @@ void FairShare::charge(std::int32_t user, double core_seconds, sim::Time now) {
   total_ += scaled;
 }
 
-double FairShare::factor(std::int32_t user) const {
-  if (total_ <= 0.0) return 1.0;
+const double* FairShare::usage_slot(std::int32_t user) const {
   auto it = usage_.find(user);
-  double mine = it != usage_.end() ? it->second : 0.0;
+  return it != usage_.end() ? &it->second : nullptr;
+}
+
+double FairShare::factor_at(const double* slot) const {
+  if (total_ <= 0.0) return 1.0;
+  double mine = slot != nullptr ? *slot : 0.0;
   // Equal shares: with k known users each share is 1/k. Unknown users have
   // zero usage, so counting only seen users is conservative.
   return std::exp2(-(mine / total_) * static_cast<double>(usage_.size()));

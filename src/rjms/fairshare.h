@@ -36,7 +36,15 @@ class FairShare {
 
   /// Fair-share factor in (0, 1] for `user` at any time from the last
   /// charge on.
-  double factor(std::int32_t user) const;
+  double factor(std::int32_t user) const { return factor_at(usage_slot(user)); }
+
+  /// The user's usage cell: null until the user's first charge, then the
+  /// same address for this FairShare's lifetime (map nodes never move and
+  /// are never erased; a rebase rescales in place). A caller that prices
+  /// the same users on every pass keeps it and skips the lookup.
+  const double* usage_slot(std::int32_t user) const;
+  /// factor() of the user whose usage_slot() is `slot`.
+  double factor_at(const double* slot) const;
 
   std::size_t user_count() const noexcept { return usage_.size(); }
 

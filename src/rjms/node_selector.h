@@ -8,35 +8,50 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "cluster/cluster.h"
 #include "rjms/reservation.h"
+#include "util/check.h"
 
 namespace ps::rjms {
 
 /// What a selector reads: the cluster's node states and the nodes that
 /// reservations block for the job's span [now, now + pessimistic walltime
 /// + transition margins). Controller::plan_start builds the set once per
-/// span; tests and benches build theirs with BlockedSet::ensure.
+/// span; tests and benches build theirs with BlockedSet::ensure. A node is
+/// available iff it is Idle and not blocked: per 64-node window of the
+/// node-bit layout, `cluster.idle_window & ~blocked.window`.
 struct SelectionContext {
   const cluster::Cluster& cluster;
   const BlockedSet& blocked;
 };
 
-/// A node is selectable iff it is Idle and no Maintenance/SwitchOff
-/// reservation blocks the job span.
-bool node_available(const SelectionContext& ctx, cluster::NodeId node);
-
 class NodeSelector {
  public:
   virtual ~NodeSelector() = default;
-  /// Picks exactly `count` available nodes or returns nullopt.
-  virtual std::optional<std::vector<cluster::NodeId>> select(const SelectionContext& ctx,
-                                                             std::int32_t count) = 0;
+
+  /// Picks exactly `count` (>= 1) available nodes into `out`, which it
+  /// clears first, and returns true; returns false, with `out` holding a
+  /// partial pick, when fewer are available. `out` is the caller's buffer,
+  /// so a selection allocates only when it grows. `ctx.blocked` must span
+  /// the cluster's nodes.
+  bool select(const SelectionContext& ctx, std::int32_t count,
+              std::vector<cluster::NodeId>& out) {
+    PS_CHECK_MSG(count >= 1, "selection of no nodes");
+    PS_CHECK_MSG(ctx.blocked.size() == ctx.cluster.topology().total_nodes(),
+                 "blocked set sized for another machine");
+    out.clear();
+    return pick(ctx, count, out);
+  }
+
   virtual std::string name() const = 0;
+
+ private:
+  /// select() after its checks, with `out` empty.
+  virtual bool pick(const SelectionContext& ctx, std::int32_t count,
+                    std::vector<cluster::NodeId>& out) = 0;
 };
 
 enum class SelectorKind {

@@ -223,6 +223,14 @@ bool PendingBands::fill(const User& user, Band& band, Priced& head) {
   return true;
 }
 
+double PendingBands::factor_of(User& user, const FairShare& fairshare) {
+  if (user.usage == nullptr && user.usage_probed_at != fairshare.user_count()) {
+    user.usage = fairshare.usage_slot(user.id);
+    user.usage_probed_at = fairshare.user_count();
+  }
+  return fairshare.factor_at(user.usage);
+}
+
 void PendingBands::begin_pass(sim::Time now, const FairShare* fairshare) {
   PS_CHECK_MSG(!in_pass_, "pending bands: nested pass");
   in_pass_ = true;
@@ -230,9 +238,16 @@ void PendingBands::begin_pass(sim::Time now, const FairShare* fairshare) {
   heap_.clear();
   taken_.clear();
   has_last_ = false;
+  if (fairshare != priced_by_) {
+    for (User& user : users_) {
+      user.usage = nullptr;
+      user.usage_probed_at = kNotProbed;
+    }
+    priced_by_ = fairshare;
+  }
   for (std::uint32_t index : active_) {
     User& user = users_[index];
-    user.factor = fairshare != nullptr ? fairshare->factor(user.id) : 1.0;
+    user.factor = fairshare != nullptr ? factor_of(user, *fairshare) : 1.0;
     for (std::uint8_t b = 0; b < kBands; ++b) {
       Band& band = user.bands[b];
       if (band.slots.empty()) continue;

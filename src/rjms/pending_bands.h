@@ -96,6 +96,7 @@ class PendingBands {
 
  private:
   enum BandKind : std::uint8_t { kEarly, kYoung, kSaturated, kBands };
+  static constexpr std::size_t kNotProbed = ~std::size_t{0};
 
   /// One queued job. `key` is the band's static key: the size term in the
   /// early and saturated bands, w_size·size - w_age·submit/sat when young.
@@ -129,6 +130,11 @@ class PendingBands {
     std::size_t count = 0;       ///< queued jobs over all bands
     std::size_t active_pos = 0;  ///< index in active_ while count > 0
     double factor = 1.0;         ///< fair-share factor of the current pass
+    /// FairShare::usage_slot of the user, once non-null; while null, the
+    /// user count it was looked up at (no new slot appears before the
+    /// count grows).
+    const double* usage = nullptr;
+    std::size_t usage_probed_at = kNotProbed;
     Band bands[kBands];
   };
   /// A band's next job in pass order, as the merge heap holds it.
@@ -164,6 +170,9 @@ class PendingBands {
   void release(std::uint32_t user);
   void refresh_delta(sim::Time submit_time);
 
+  /// The user's fair-share factor under `fairshare` (non-null), looking
+  /// its usage slot up only while the slot may have appeared.
+  double factor_of(User& user, const FairShare& fairshare);
   /// Adds the next run of `band` to its group, priced.
   void add_run(const User& user, Band& band);
   /// Prices the band's tie group and returns its next job in pass order;
@@ -179,6 +188,7 @@ class PendingBands {
   double key_span_ = 0.0;  ///< max |w_age·submit/sat| over inserted jobs
 
   std::vector<User> users_;
+  const FairShare* priced_by_ = nullptr;  ///< the FairShare users' slots point into
   std::unordered_map<std::int32_t, std::uint32_t> user_of_;
   std::vector<std::uint32_t> active_;  ///< users with queued jobs
   std::vector<Crossing> crossings_;    ///< min-heap on `at`

@@ -126,37 +126,58 @@ double ReservationBook::cap_at(sim::Time t) const {
 
 void BlockedSet::ensure(const ReservationBook& book, sim::Time start, sim::Time horizon,
                         std::int32_t total_nodes) {
-  auto nodes = static_cast<std::size_t>(total_nodes);
-  if (book_version_ == book.version() && start_ == start && horizon_ == horizon &&
-      stamps_.size() == nodes) {
+  const bool same_book = book_version_ == book.version() && bits_.size() == total_nodes;
+  if (same_book && start == start_ && horizon_lo_ <= horizon && horizon < horizon_hi_) {
     return;
   }
-  if (stamps_.size() != nodes) {
-    stamps_.assign(nodes, 0);
-    epoch_ = 0;
-  }
-  ++epoch_;
-  // Stamps the nodes of every reservation whose blocks_job_span holds, over
-  // the reservations overlapping [start, horizon) (blocks_job_span implies
-  // overlap). Those are exactly the ones active at `start` that begin
-  // before `horizon`, plus the run starting inside; the pass's `start` is
-  // `now`, so the first half is the book's memo.
-  auto stamp = [&](const Reservation& r) {
-    if (!r.blocks_job_span(start, horizon)) return;
-    for (cluster::NodeId node : r.nodes) {
-      auto i = static_cast<std::size_t>(node);
-      if (i < stamps_.size()) stamps_[i] = epoch_;
-    }
-  };
+  // blocks_job_span implies overlap, so the blocking reservations are
+  // among those active at `start` and those starting in (start, horizon).
+  // For horizon > start every active one blocks. Of the ones ahead, a
+  // permissive SwitchOff never blocks (only starts inside its window are
+  // forbidden) and a strict one blocks iff it starts before `horizon`: the
+  // set stays the same for horizons past the last strict start taken, up
+  // to and including the first strict start not taken.
+  scratch_.clear();
+  sim::Time lo = start + 1;
+  sim::Time hi = sim::kTimeMax;
   for (ReservationKind kind : {ReservationKind::Maintenance, ReservationKind::SwitchOff}) {
     book.for_each_active(kind, start, [&](const Reservation& r) {
-      if (r.start < horizon) stamp(r);
+      if (r.blocks_job_span(start, horizon)) scratch_.push_back(&r);
     });
-    for (const Reservation& r : book.starting_in(kind, start, horizon)) stamp(r);
+    for (const Reservation& r : book.starting_in(kind, start, sim::kTimeMax)) {
+      if (r.kind == ReservationKind::SwitchOff && r.permissive) continue;
+      if (r.start >= horizon) {
+        hi = std::min(hi, r.start + 1);
+        break;
+      }
+      scratch_.push_back(&r);
+      lo = std::max(lo, r.start + 1);
+    }
+  }
+  if (horizon <= start) {  // an empty span: cache this horizon alone
+    lo = horizon;
+    hi = horizon + 1;
+  }
+
+  std::sort(scratch_.begin(), scratch_.end(),
+            [](const Reservation* a, const Reservation* b) { return a->id < b->id; });
+  const bool same_ids =
+      std::equal(scratch_.begin(), scratch_.end(), ids_.begin(), ids_.end(),
+                 [](const Reservation* r, ReservationId id) { return r->id == id; });
+  if (!same_book || !same_ids) {
+    bits_.assign(total_nodes, false);
+    ids_.clear();
+    for (const Reservation* r : scratch_) {
+      ids_.push_back(r->id);
+      for (cluster::NodeId node : r->nodes) {
+        if (node >= 0 && node < total_nodes) bits_.set(node);
+      }
+    }
   }
   book_version_ = book.version();
   start_ = start;
-  horizon_ = horizon;
+  horizon_lo_ = lo;
+  horizon_hi_ = hi;
 }
 
 }  // namespace ps::rjms

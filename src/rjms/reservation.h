@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "cluster/node_bits.h"
 #include "cluster/topology.h"
 #include "sim/time.h"
 
@@ -227,33 +228,51 @@ class ReservationBook {
   mutable std::uint64_t indexed_version_ = ~0ull;
 };
 
-/// Pass-scoped set of "which nodes are reservation-blocked for a job
-/// spanning [start, horizon)": the only way node selection learns about
-/// reservations. Built from the ReservationBook in O(reservations + blocked
-/// nodes), it turns each node_available probe into two array reads.
+/// Which nodes reservations block for a job spanning [start, horizon):
+/// the only way node selection learns about reservations. It keeps the
+/// cluster's node-bit layout (cluster/node_bits.h), so a selector reads a
+/// chassis's blocked nodes as the same windows as its idle ones.
 ///
-/// Epoch-stamped: ensure() bumps an epoch and restamps the blocked nodes
-/// instead of clearing the bitmap, so rebuilds never pay O(total nodes).
-/// A rebuild only happens when the book version or the queried interval
-/// changed; repeated probes within one scheduling pass hit the cache.
+/// The words depend only on which reservations block, not on the span
+/// itself, and a pass prices each job with its own horizon. So ensure()
+/// keys the words on (book version, ids of the blocking reservations) and
+/// rewrites them only when that key moves. The blocking ids are a
+/// function of the horizon that is constant between consecutive starts of
+/// the strict reservations ahead of `start`; ensure() remembers that
+/// interval and answers a horizon inside it, at the same `start` and book
+/// version, without walking the book.
 class BlockedSet {
  public:
-  /// Makes the set describe [start, horizon) under `book`. No-op when the
-  /// cached interval and book version still match.
+  /// Makes the set describe [start, horizon) under `book`, over node ids
+  /// [0, total_nodes); reserved ids outside that range are ignored. One
+  /// set serves one book: its cache trusts that a reservation id never
+  /// names two node lists.
   void ensure(const ReservationBook& book, sim::Time start, sim::Time horizon,
               std::int32_t total_nodes);
 
-  bool blocked(cluster::NodeId node) const noexcept {
-    auto i = static_cast<std::size_t>(node);
-    return i < stamps_.size() && stamps_[i] == epoch_;
+  bool blocked(cluster::NodeId node) const noexcept { return bits_.test(node); }
+
+  /// Blocked bits of nodes [first, first + len), as
+  /// cluster::Cluster::idle_window reads idle ones.
+  std::uint64_t window(cluster::NodeId first, std::int32_t len) const noexcept {
+    return bits_.window(first, len);
   }
 
+  std::int32_t size() const noexcept { return bits_.size(); }
+
  private:
-  std::vector<std::uint64_t> stamps_;
-  std::uint64_t epoch_ = 0;
+  cluster::NodeBits bits_;
+  // The key of bits_: the book version and the ids (ascending) of the
+  // reservations whose nodes it holds.
   std::uint64_t book_version_ = ~0ull;
+  std::vector<ReservationId> ids_;
+  // The last query's `start` and the horizons [horizon_lo_, horizon_hi_)
+  // that block the same reservations there.
   sim::Time start_ = -1;
-  sim::Time horizon_ = -1;
+  sim::Time horizon_lo_ = 0;
+  sim::Time horizon_hi_ = 0;
+  // The blocking reservations of one walk; reused across calls.
+  std::vector<const Reservation*> scratch_;
 };
 
 }  // namespace ps::rjms

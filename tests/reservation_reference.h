@@ -6,6 +6,7 @@
 #pragma once
 
 #include <algorithm>
+#include <set>
 
 #include "rjms/reservation.h"
 
@@ -20,6 +21,16 @@ inline bool scanned_node_blocked(const ReservationBook& book, cluster::NodeId no
     }
   }
   return false;
+}
+
+/// Every node some reservation blocks for [from, to), by the same scan.
+inline std::set<cluster::NodeId> scanned_blocked_nodes(const ReservationBook& book,
+                                                       sim::Time from, sim::Time to) {
+  std::set<cluster::NodeId> blocked;
+  for (const Reservation& r : book.all()) {
+    if (r.blocks_job_span(from, to)) blocked.insert(r.nodes.begin(), r.nodes.end());
+  }
+  return blocked;
 }
 
 }  // namespace ps::rjms

@@ -28,14 +28,29 @@ Reservation node_res(ReservationKind kind, sim::Time start, sim::Time end,
   return r;
 }
 
+/// `set` (already ensured for the span) against the reference scan, node
+/// by node and window by window.
+void expect_set_matches(const BlockedSet& set, const ReservationBook& book,
+                        sim::Time start, sim::Time horizon) {
+  std::uint64_t window = 0;
+  for (cluster::NodeId n = 0; n < kNodes; ++n) {
+    const bool expected = scanned_node_blocked(book, n, start, horizon);
+    ASSERT_EQ(set.blocked(n), expected)
+        << "node " << n << " span [" << start << ", " << horizon << ")";
+    if (expected) window |= 1ULL << (n % 64);
+    if (n % 64 == 63 || n + 1 == kNodes) {
+      const cluster::NodeId first = n - n % 64;
+      ASSERT_EQ(set.window(first, n - first + 1), window) << "window at " << first;
+      window = 0;
+    }
+  }
+}
+
 void expect_matches_book(const ReservationBook& book, sim::Time start,
                          sim::Time horizon) {
   BlockedSet set;
   set.ensure(book, start, horizon, kNodes);
-  for (cluster::NodeId n = 0; n < kNodes; ++n) {
-    ASSERT_EQ(set.blocked(n), scanned_node_blocked(book, n, start, horizon))
-        << "node " << n << " span [" << start << ", " << horizon << ")";
-  }
+  expect_set_matches(set, book, start, horizon);
 }
 
 TEST(BlockedSet, MatchesNodeBlockedForAllKinds) {
@@ -128,6 +143,94 @@ TEST(BlockedSet, PropertyMatchesBookUnderRandomReservations) {
       expect_matches_book(book, start, horizon);
     }
   }
+}
+
+Reservation random_node_res(util::Rng& rng, sim::Time now) {
+  sim::Time start = now + rng.uniform_int(-200, 600);
+  sim::Time end = start + rng.uniform_int(1, 400);
+  std::vector<cluster::NodeId> nodes;
+  auto first = static_cast<cluster::NodeId>(rng.uniform_int(0, kNodes - 1));
+  auto width = static_cast<cluster::NodeId>(rng.uniform_int(1, 80));
+  for (cluster::NodeId n = first; n < std::min(kNodes, first + width); ++n) {
+    if (rng.chance(0.7)) nodes.push_back(n);
+  }
+  if (nodes.empty()) nodes.push_back(first);
+  bool switch_off = rng.chance(0.5);
+  return node_res(switch_off ? ReservationKind::SwitchOff : ReservationKind::Maintenance,
+                  start, end, std::move(nodes), switch_off && rng.chance(0.5));
+}
+
+// One set reused the way plan_start reuses it: many horizons per `now`, a
+// clock moving forward, reservations added and removed in between. Every
+// answer must equal the reference scan, whichever of the set's shortcuts
+// (a horizon inside the cached interval, the same blocking ids after a
+// walk) produced it.
+TEST(BlockedSet, ReusedSetMatchesBookAcrossSpansAddsAndRemoves) {
+  util::Rng rng(4242);
+  ReservationBook book;
+  BlockedSet set;
+  std::vector<ReservationId> live;
+  sim::Time now = 0;
+  for (int step = 0; step < 600; ++step) {
+    const double op = rng.uniform(0, 1);
+    if (op < 0.12) {
+      live.push_back(book.add(random_node_res(rng, now)));
+    } else if (op < 0.2 && !live.empty()) {
+      auto victim = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
+      ASSERT_TRUE(book.remove(live[victim]));
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
+    } else if (op < 0.4) {
+      now += rng.uniform_int(0, 60);
+    }
+    for (int probe = 0; probe < 4; ++probe) {
+      sim::Time horizon = now + rng.uniform_int(0, 500);
+      set.ensure(book, now, horizon, kNodes);
+      expect_set_matches(set, book, now, horizon);
+    }
+  }
+}
+
+TEST(BlockedSet, VersionBumpWithSameBlockingIdsStaysExact) {
+  ReservationBook book;
+  ReservationId strict =
+      book.add(node_res(ReservationKind::SwitchOff, 100, 300, {60, 61, 62, 63, 64, 65}));
+  book.add(node_res(ReservationKind::Maintenance, 0, 200, {5}));
+  BlockedSet set;
+  set.ensure(book, 50, 150, kNodes);
+  expect_set_matches(set, book, 50, 150);
+
+  // A permissive window ahead and a powercap bump the version but block
+  // nothing for this span: same blocking ids, new version.
+  ReservationId ahead = book.add(node_res(ReservationKind::SwitchOff, 120, 400, {7}, true));
+  {
+    Reservation cap;
+    cap.kind = ReservationKind::Powercap;
+    cap.start = 0;
+    cap.end = 1000;
+    cap.watts = 10.0;
+    book.add(std::move(cap));
+  }
+  set.ensure(book, 50, 150, kNodes);
+  expect_set_matches(set, book, 50, 150);
+  set.ensure(book, 50, 120, kNodes);  // inside the cached horizon interval
+  expect_set_matches(set, book, 50, 120);
+  set.ensure(book, 50, 100, kNodes);  // the strict window no longer overlaps
+  expect_set_matches(set, book, 50, 100);
+  set.ensure(book, 50, 101, kNodes);  // first horizon that overlaps it again
+  expect_set_matches(set, book, 50, 101);
+
+  // Removing a non-blocking reservation bumps the version again.
+  ASSERT_TRUE(book.remove(ahead));
+  set.ensure(book, 50, 150, kNodes);
+  expect_set_matches(set, book, 50, 150);
+  // The permissive window's start is inside the span at a later `now`.
+  book.add(node_res(ReservationKind::SwitchOff, 120, 400, {7}, true));
+  set.ensure(book, 130, 150, kNodes);
+  expect_set_matches(set, book, 130, 150);
+  ASSERT_TRUE(book.remove(strict));
+  set.ensure(book, 130, 150, kNodes);
+  expect_set_matches(set, book, 130, 150);
 }
 
 TEST(BlockedSet, ForEachOverlappingMatchesBookScan) {

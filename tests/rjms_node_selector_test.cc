@@ -20,17 +20,28 @@ class SelectorTest : public ::testing::Test {
     return SelectionContext{cl_, blocked_};
   }
 
+  /// select() of a fresh `kind` selector into picked_.
+  bool pick(SelectorKind kind, std::int32_t count, sim::Time start = 0,
+            sim::Time horizon = 1000) {
+    return make_selector(kind)->select(ctx(start, horizon), count, picked_);
+  }
+
   cluster::Cluster cl_;  // 2 racks = 10 chassis = 180 nodes
   ReservationBook book_;
   BlockedSet blocked_;
+  std::vector<cluster::NodeId> picked_;
 };
 
 TEST_F(SelectorTest, AvailabilityRequiresIdleAndUnblocked) {
-  EXPECT_TRUE(node_available(ctx(), 0));
+  // Node 0 is available iff a linear pick of one node takes it.
+  auto available0 = [this](sim::Time start, sim::Time horizon) {
+    return pick(SelectorKind::Linear, 1, start, horizon) && picked_.front() == 0;
+  };
+  EXPECT_TRUE(available0(0, 1000));
   cl_.set_state(0, cluster::NodeState::Busy, 0);
-  EXPECT_FALSE(node_available(ctx(), 0));
+  EXPECT_FALSE(available0(0, 1000));
   cl_.set_state(0, cluster::NodeState::Off);
-  EXPECT_FALSE(node_available(ctx(), 0));
+  EXPECT_FALSE(available0(0, 1000));
   cl_.set_state(0, cluster::NodeState::Idle);
 
   Reservation r;
@@ -39,31 +50,28 @@ TEST_F(SelectorTest, AvailabilityRequiresIdleAndUnblocked) {
   r.end = 2000;
   r.nodes = {0};
   book_.add(std::move(r));
-  EXPECT_FALSE(node_available(ctx(0, 1000), 0));  // overlaps window
-  EXPECT_TRUE(node_available(ctx(0, 400), 0));    // job done before window
+  EXPECT_FALSE(available0(0, 1000));  // overlaps window
+  EXPECT_TRUE(available0(0, 400));    // job done before window
 }
 
 TEST_F(SelectorTest, AllSelectorsReturnExactCountOfDistinctIdleNodes) {
   for (auto kind : {SelectorKind::Packing, SelectorKind::Linear, SelectorKind::Spread}) {
-    auto selector = make_selector(kind);
-    auto nodes = selector->select(ctx(), 25);
-    ASSERT_TRUE(nodes.has_value()) << selector->name();
-    EXPECT_EQ(nodes->size(), 25u);
-    std::set<cluster::NodeId> unique(nodes->begin(), nodes->end());
+    ASSERT_TRUE(pick(kind, 25)) << make_selector(kind)->name();
+    EXPECT_EQ(picked_.size(), 25u);
+    std::set<cluster::NodeId> unique(picked_.begin(), picked_.end());
     EXPECT_EQ(unique.size(), 25u);
-    for (cluster::NodeId n : *nodes) {
+    for (cluster::NodeId n : picked_) {
       EXPECT_EQ(cl_.state(n), cluster::NodeState::Idle);
     }
   }
 }
 
 TEST_F(SelectorTest, FailsWhenNotEnoughNodes) {
-  auto selector = make_selector(SelectorKind::Packing);
-  EXPECT_FALSE(selector->select(ctx(), 181).has_value());
+  EXPECT_FALSE(pick(SelectorKind::Packing, 181));
   // Make half the cluster busy; 91 nodes can no longer be found.
   for (cluster::NodeId n = 0; n < 90; ++n) cl_.set_state(n, cluster::NodeState::Busy, 0);
-  EXPECT_FALSE(selector->select(ctx(), 91).has_value());
-  EXPECT_TRUE(selector->select(ctx(), 90).has_value());
+  EXPECT_FALSE(pick(SelectorKind::Packing, 91));
+  EXPECT_TRUE(pick(SelectorKind::Packing, 90));
 }
 
 TEST_F(SelectorTest, PackingFillsPartiallyUsedChassisFirst) {
@@ -73,10 +81,8 @@ TEST_F(SelectorTest, PackingFillsPartiallyUsedChassisFirst) {
   for (std::size_t i = 0; i + 1 < chassis3.size(); ++i) {
     cl_.set_state(chassis3[i], cluster::NodeState::Busy, 0);
   }
-  auto selector = make_selector(SelectorKind::Packing);
-  auto nodes = selector->select(ctx(), 1);
-  ASSERT_TRUE(nodes.has_value());
-  EXPECT_EQ(nodes->front(), chassis3.back());
+  ASSERT_TRUE(pick(SelectorKind::Packing, 1));
+  EXPECT_EQ(picked_.front(), chassis3.back());
 }
 
 TEST_F(SelectorTest, PackingKeepsWholeChassisFreeWhenPossible) {
@@ -86,28 +92,22 @@ TEST_F(SelectorTest, PackingKeepsWholeChassisFreeWhenPossible) {
     cl_.set_state(cl_.topology().first_node_of_chassis(0) + i, cluster::NodeState::Busy, 0);
     cl_.set_state(cl_.topology().first_node_of_chassis(1) + i, cluster::NodeState::Busy, 0);
   }
-  auto selector = make_selector(SelectorKind::Packing);
-  auto nodes = selector->select(ctx(), 18);
-  ASSERT_TRUE(nodes.has_value());
+  ASSERT_TRUE(pick(SelectorKind::Packing, 18));
   std::set<cluster::ChassisId> chassis_used;
-  for (cluster::NodeId n : *nodes) chassis_used.insert(cl_.topology().chassis_of_node(n));
+  for (cluster::NodeId n : picked_) chassis_used.insert(cl_.topology().chassis_of_node(n));
   EXPECT_EQ(chassis_used, (std::set<cluster::ChassisId>{0, 1}));
 }
 
 TEST_F(SelectorTest, LinearPicksAscendingIds) {
-  auto selector = make_selector(SelectorKind::Linear);
   cl_.set_state(0, cluster::NodeState::Busy, 0);
-  auto nodes = selector->select(ctx(), 3);
-  ASSERT_TRUE(nodes.has_value());
-  EXPECT_EQ(*nodes, (std::vector<cluster::NodeId>{1, 2, 3}));
+  ASSERT_TRUE(pick(SelectorKind::Linear, 3));
+  EXPECT_EQ(picked_, (std::vector<cluster::NodeId>{1, 2, 3}));
 }
 
 TEST_F(SelectorTest, SpreadScattersAcrossChassis) {
-  auto selector = make_selector(SelectorKind::Spread);
-  auto nodes = selector->select(ctx(), 10);
-  ASSERT_TRUE(nodes.has_value());
+  ASSERT_TRUE(pick(SelectorKind::Spread, 10));
   std::set<cluster::ChassisId> chassis_used;
-  for (cluster::NodeId n : *nodes) chassis_used.insert(cl_.topology().chassis_of_node(n));
+  for (cluster::NodeId n : picked_) chassis_used.insert(cl_.topology().chassis_of_node(n));
   EXPECT_EQ(chassis_used.size(), 10u);  // one node per chassis
 }
 
@@ -116,9 +116,8 @@ TEST_F(SelectorTest, SelectorsSkipFullyOffChassis) {
     cl_.set_state(n, cluster::NodeState::Off);
   }
   for (auto kind : {SelectorKind::Packing, SelectorKind::Linear, SelectorKind::Spread}) {
-    auto nodes = make_selector(kind)->select(ctx(), 162);
-    ASSERT_TRUE(nodes.has_value());
-    for (cluster::NodeId n : *nodes) {
+    ASSERT_TRUE(pick(kind, 162));
+    for (cluster::NodeId n : picked_) {
       EXPECT_NE(cl_.topology().chassis_of_node(n), 0);
     }
   }
