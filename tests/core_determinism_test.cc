@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/experiment.h"
+#include "core/replay.h"
 #include "fig8_golden.h"
 #include "scenario_fingerprint.h"
 
@@ -112,6 +113,64 @@ TEST(Determinism, Fig8GoldenFingerprintsMatchCommittedValues) {
                   static_cast<unsigned long long>(digest));
     }
   }
+}
+
+// --- replays that supersede job ends --------------------------------------
+//
+// Kill mode and dynamic DVFS are the only paths that drop or replace a
+// running job's end event (kill_job, rescale_running_job); no Fig-8 cell
+// takes either. A cap of half the machine, announced with no warning in
+// the middle of the golden workload for 20 min, makes both act: kill mode
+// kills running jobs to get under it, dynamic DVFS slows them when it opens
+// and speeds them up when it closes. Each digest was computed before job
+// ends stopped being cancelled in the event queue.
+
+ScenarioConfig superseding_config(Policy policy) {
+  ScenarioConfig config = fig8_golden_config(workload::Profile::MedianJob, policy, 1.0);
+  CapWindow window;
+  window.lambda = 0.5;
+  window.start = sim::minutes(30);
+  window.duration = sim::minutes(20);
+  window.announce = sim::minutes(30);
+  config.cap_windows = {window};
+  return config;
+}
+
+TEST(Determinism, KillModeDigestMatchesCommittedValue) {
+  ScenarioConfig config = superseding_config(Policy::Shut);
+  const ScenarioResult waited = run_scenario(config);
+  config.powercap.kill_on_overcap = true;
+  const ScenarioResult killed = run_scenario(config);
+  EXPECT_GT(killed.stats.killed, 0u);
+  // Walltime kills count too: only the excess over the waiting run is the cap's.
+  EXPECT_GT(killed.stats.killed, waited.stats.killed);
+  const std::uint64_t digest = fingerprint(killed);
+  EXPECT_EQ(digest, 0xaf8f8eb2e3335e02ull) << "computed 0x" << std::hex << digest;
+}
+
+struct RescaleCount : rjms::ControllerObserver {
+  void on_job_rescaled(const rjms::Job&, cluster::FreqIndex, sim::Time) override {
+    ++rescales;
+  }
+  std::uint64_t rescales = 0;
+};
+
+TEST(Determinism, DynamicDvfsDigestMatchesCommittedValue) {
+  ScenarioConfig config = superseding_config(Policy::Dvfs);
+  config.powercap.dynamic_dvfs = true;
+  const std::uint64_t digest = fingerprint(run_scenario(config));
+  EXPECT_EQ(digest, 0x1f9bf18d93af0eceull) << "computed 0x" << std::hex << digest;
+
+  // The same replay driven the way run_scenario drives it, with an
+  // observer counting the rescales.
+  const sim::Time horizon = config.custom_workload->span;
+  workload::VectorJobSource source(workload::generate(*config.custom_workload, config.seed));
+  Replay replay(config, source, horizon, 0);
+  RescaleCount count;
+  replay.controller().add_observer(&count);
+  replay.advance_to(horizon);
+  EXPECT_EQ(fingerprint(replay.finish(horizon)), digest);
+  EXPECT_GT(count.rescales, 0u);
 }
 
 TEST(Determinism, DistinctSeedsDiverge) {
