@@ -7,7 +7,21 @@
 #include "bench_common.h"
 
 #include "core/powercap_manager.h"
+#include "core/submission_pump.h"
 #include "metrics/report.h"
+
+namespace {
+
+/// Sets a cap "set for now" when its event fires.
+struct CapAnnouncement final : ps::sim::EventHandler {
+  CapAnnouncement(ps::core::PowercapManager& manager, double watts)
+      : manager(manager), watts(watts) {}
+  void on_event(const ps::sim::Event&) override { manager.add_powercap_now(watts); }
+  ps::core::PowercapManager& manager;
+  double watts;
+};
+
+}  // namespace
 
 int main() {
   using namespace ps;
@@ -53,14 +67,16 @@ int main() {
     core::PowercapManager manager(controller, powercap);
     metrics::Recorder recorder(controller);
 
-    auto jobs = workload::generate(workload::Profile::MedianJob, bench::kSeed);
-    for (const auto& job : jobs) {
-      const workload::JobRequest* ptr = &job;
-      sim.schedule_at(job.submit_time, [&controller, ptr] { controller.submit(*ptr); });
-    }
-    double cap_watts = manager.lambda_to_watts(0.65);
-    sim.schedule_at(sim::hours(2),
-                    [&manager, cap_watts] { manager.add_powercap_now(cap_watts); });
+    workload::VectorJobSource source(
+        workload::generate(workload::Profile::MedianJob, bench::kSeed));
+    core::SubmissionPump pump(sim, controller, source, sim::hours(5), /*chunk=*/0,
+                              /*width_scale=*/1.0);
+    pump.prime();
+    // Runtime events sort after the pump at equal timestamps; the
+    // announcement, scheduled first, leads them.
+    sim.set_default_band(sim::EventBand::kNormal);
+    CapAnnouncement announcement(manager, manager.lambda_to_watts(0.65));
+    sim.schedule_at(sim::hours(2), announcement, /*kind=*/0);
     sim.run_until(sim::hours(5));
     recorder.sample(sim.now());
     metrics::RunSummary summary =

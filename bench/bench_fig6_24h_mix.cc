@@ -9,6 +9,8 @@
 // jointly by the incremental offline planner — the §VII day generalized).
 #include "bench_common.h"
 
+#include <algorithm>
+
 #include "core/sweep.h"
 
 int main() {

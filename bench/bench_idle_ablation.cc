@@ -5,6 +5,8 @@
 // keeping about the same energy consumption."
 #include "bench_common.h"
 
+#include <algorithm>
+
 #include "core/sweep.h"
 
 int main() {

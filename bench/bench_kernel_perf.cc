@@ -20,6 +20,7 @@
 #include <new>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/curie.h"
@@ -28,6 +29,7 @@
 #include "core/offline.h"
 #include "core/online.h"
 #include "core/powercap_manager.h"
+#include "core/submission_pump.h"
 #include "core/sweep.h"
 #include "dist/protocol.h"
 #include "obs/registry.h"
@@ -68,15 +70,23 @@ std::uint64_t allocations() {
   return g_alloc_count.load(std::memory_order_relaxed);
 }
 
+/// The event-queue kernels time the queue alone: nothing handles their
+/// events.
+struct InertHandler final : sim::EventHandler {
+  void on_event(const sim::Event&) override {}
+};
+
 void BM_EventQueuePushPop(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   util::Rng rng(1);
   std::vector<sim::Time> times;
   times.reserve(n);
   for (std::size_t i = 0; i < n; ++i) times.push_back(rng.uniform_int(0, 1 << 20));
+  InertHandler handler;
   for (auto _ : state) {
     sim::EventQueue queue;
-    for (sim::Time t : times) queue.push(t, [] {});
+    std::int64_t arg = 0;
+    for (sim::Time t : times) queue.push(t, sim::EventBand::kNormal, handler, 1, ++arg);
     while (!queue.empty()) benchmark::DoNotOptimize(queue.pop().time);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -91,40 +101,23 @@ BENCHMARK(BM_EventQueuePushPop)->Arg(1024)->Arg(16384);
 void BM_EventQueueInterleaved(benchmark::State& state) {
   const auto standing = static_cast<std::size_t>(state.range(0));
   util::Rng rng(3);
+  InertHandler handler;
   sim::EventQueue queue;
   sim::Time now = 0;
   for (std::size_t i = 0; i < standing; ++i) {
-    queue.push(rng.uniform_int(0, 1 << 16), [] {});
+    queue.push(rng.uniform_int(0, 1 << 16), sim::EventBand::kNormal, handler, 1,
+               static_cast<std::int64_t>(i));
   }
   for (auto _ : state) {
-    auto fired = queue.pop();
+    const sim::Event fired = queue.pop();
     now = fired.time;
-    queue.push(now + 1 + rng.uniform_int(0, 1 << 16), [] {});
+    queue.push(now + 1 + rng.uniform_int(0, 1 << 16), sim::EventBand::kNormal, handler, 1,
+               fired.arg);
     benchmark::DoNotOptimize(fired.time);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_EventQueueInterleaved)->Arg(1024)->Arg(16384);
-
-// Cancellation-heavy pattern (walltime rescaling cancels and reschedules
-// end events): half the pushed events are cancelled before draining.
-void BM_EventQueueCancel(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  util::Rng rng(5);
-  std::vector<sim::Time> times;
-  times.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) times.push_back(rng.uniform_int(0, 1 << 20));
-  std::vector<sim::EventId> ids(n);
-  for (auto _ : state) {
-    sim::EventQueue queue;
-    for (std::size_t i = 0; i < n; ++i) ids[i] = queue.push(times[i], [] {});
-    for (std::size_t i = 0; i < n; i += 2) queue.cancel(ids[i]);
-    while (!queue.empty()) benchmark::DoNotOptimize(queue.pop().time);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_EventQueueCancel)->Arg(16384);
 
 void BM_ClusterSetState(benchmark::State& state) {
   cluster::Cluster cl = cluster::curie::make_cluster();
@@ -449,11 +442,12 @@ void BM_AdmissionBurstSubmit(benchmark::State& state) {
 BENCHMARK(BM_AdmissionBurstSubmit)->Arg(64)->Iterations(256);
 
 // One job's life in the controller, capless: N jobs submitted one per
-// second, each 4 nodes for 30 s, so every submission starts at once on the
-// 90-node rack and ~30 run at a time. One iteration = a fresh controller
-// running all N to their end, so job-table growth is in the count.
-// allocs_per_job counts heap allocations from the first submission to the
-// last end; the node list is the one a job cannot avoid. Ungated.
+// second by the submission pump, each 4 nodes for 30 s, so every
+// submission starts at once on the 90-node rack and ~30 run at a time.
+// One iteration = a fresh controller running all N to their end, so
+// job-table growth is in the count. allocs_per_job counts heap allocations
+// from the first submission to the last end (the pump's buffer is filled
+// before); the node list is the one a job cannot avoid. Ungated.
 void BM_ControllerJobLifecycle(benchmark::State& state) {
   const std::int64_t jobs = state.range(0);
   std::uint64_t allocs = 0;
@@ -461,19 +455,23 @@ void BM_ControllerJobLifecycle(benchmark::State& state) {
     sim::Simulator sim;
     cluster::Cluster cl = cluster::curie::make_scaled_cluster(1);
     rjms::Controller controller(sim, cl, rjms::ControllerConfig{});
-    std::uint64_t before = allocations();
+    std::vector<workload::JobRequest> requests;
     for (std::int64_t id = 1; id <= jobs; ++id) {
-      sim.schedule_at(sim::seconds(id), [&controller, id] {
-        workload::JobRequest req;
-        req.id = id;
-        req.submit_time = sim::seconds(id);
-        req.user = static_cast<std::int32_t>(id % 16);
-        req.requested_cores = 64;
-        req.base_runtime = sim::seconds(30);
-        req.requested_walltime = sim::seconds(60);
-        controller.submit(req);
-      });
+      workload::JobRequest req;
+      req.id = id;
+      req.submit_time = sim::seconds(id);
+      req.user = static_cast<std::int32_t>(id % 16);
+      req.requested_cores = 64;
+      req.base_runtime = sim::seconds(30);
+      req.requested_walltime = sim::seconds(60);
+      requests.push_back(req);
     }
+    workload::VectorJobSource source(std::move(requests));
+    core::SubmissionPump pump(sim, controller, source, sim::seconds(jobs), /*chunk=*/0,
+                              /*width_scale=*/1.0);
+    pump.prime();
+    sim.set_default_band(sim::EventBand::kNormal);
+    std::uint64_t before = allocations();
     while (sim.step()) {}
     allocs += allocations() - before;
     benchmark::DoNotOptimize(controller.stats().completed);

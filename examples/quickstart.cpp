@@ -7,9 +7,12 @@
 // powercap manager). For trace-scale experiments prefer core::run_scenario
 // (see curie_day.cpp).
 #include <cstdio>
+#include <utility>
+#include <vector>
 
 #include "cluster/curie.h"
 #include "core/powercap_manager.h"
+#include "core/submission_pump.h"
 #include "metrics/summary.h"
 #include "metrics/timeseries.h"
 #include "util/strings.h"
@@ -49,7 +52,9 @@ int main() {
               plan.selection.whole_chassis, plan.selection.singles);
 
   // 6. Submit work: a stream of 36-node jobs, one every 5 minutes, each
-  //    running 25 min (requesting 1 h).
+  //    running 25 min (requesting 1 h). The submission pump hands each job
+  //    to the controller at its submit time.
+  std::vector<workload::JobRequest> jobs;
   for (int i = 0; i < 24; ++i) {
     workload::JobRequest job;
     job.id = i + 1;
@@ -58,8 +63,15 @@ int main() {
     job.base_runtime = sim::minutes(25);
     job.requested_walltime = sim::hours(1);
     job.user = i % 3;
-    sim.schedule_at(job.submit_time, [&controller, job] { controller.submit(job); });
+    jobs.push_back(job);
   }
+  workload::VectorJobSource source(std::move(jobs));
+  core::SubmissionPump pump(sim, controller, source, /*horizon=*/sim::hours(3),
+                            /*chunk=*/0, /*width_scale=*/1.0);
+  pump.prime();
+  // Events scheduled from here on are the run's own: at equal timestamps
+  // they follow the submissions.
+  sim.set_default_band(sim::EventBand::kNormal);
 
   // 7. Run three simulated hours and summarize.
   sim.run_until(sim::hours(3));

@@ -60,24 +60,34 @@ std::vector<rjms::ReservationId> PowercapManager::add_powercap_schedule(
   std::vector<OfflinePlan> plans = planner_.plan_windows(windows);
   for (std::size_t i = 0; i < windows.size(); ++i) {
     plans_.push_back(std::move(plans[i]));
-    arm_window_hooks(ids[i], windows[i].start, windows[i].end, windows[i].cap_watts);
+    arm_window_hooks(ids[i], windows[i].start, windows[i].end);
   }
   return ids;
 }
 
 void PowercapManager::arm_window_hooks(rjms::ReservationId cap_id, sim::Time start,
-                                       sim::Time end, double watts) {
-  if (config_.kill_on_overcap) {
-    controller_.simulator().schedule_at(start, [this, watts] { enforce_cap(watts); });
-  }
+                                       sim::Time end) {
+  sim::Simulator& simulator = controller_.simulator();
+  if (config_.kill_on_overcap) simulator.schedule_at(start, *this, kEnforce, cap_id);
   bool scalable = config_.policy == Policy::Dvfs || config_.policy == Policy::Mix ||
                   config_.policy == Policy::Auto;
   if (config_.dynamic_dvfs && scalable) {
-    controller_.simulator().schedule_at(
-        start, [this, cap_id] { rescale_down_for_window(cap_id); });
-    if (end != sim::kTimeMax) {
-      controller_.simulator().schedule_at(end, [this] { rescale_up_after_window(); });
-    }
+    simulator.schedule_at(start, *this, kRescaleDown, cap_id);
+    if (end != sim::kTimeMax) simulator.schedule_at(end, *this, kRescaleUp);
+  }
+}
+
+void PowercapManager::on_event(const sim::Event& event) {
+  switch (static_cast<EventKind>(event.kind)) {
+    case kEnforce:
+      enforce_cap(event.arg);
+      return;
+    case kRescaleDown:
+      rescale_down_for_window(event.arg);
+      return;
+    case kRescaleUp:
+      rescale_up_after_window();
+      return;
   }
 }
 
@@ -138,7 +148,10 @@ rjms::ReservationId PowercapManager::add_powercap_now(double watts) {
   return add_powercap(controller_.simulator().now(), sim::kTimeMax, watts);
 }
 
-void PowercapManager::enforce_cap(double watts) {
+void PowercapManager::enforce_cap(rjms::ReservationId cap_id) {
+  const rjms::Reservation* cap = controller_.reservations().find(cap_id);
+  if (cap == nullptr) return;  // removed meanwhile
+  const double watts = cap->watts;
   // Paper §IV-B: by default no extreme actions are taken; sites may opt in
   // to killing "the necessary number of jobs ... until the power
   // consumption of the cluster drops". Newest-first loses the least work.

@@ -4,6 +4,7 @@
 // "extreme actions" kill mode).
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "core/offline.h"
@@ -13,7 +14,7 @@
 
 namespace ps::core {
 
-class PowercapManager {
+class PowercapManager : private sim::EventHandler {
  public:
   /// Attaches governor + observer to the controller (unless Policy::None,
   /// which leaves the controller unrestricted — the paper's baseline).
@@ -52,10 +53,20 @@ class PowercapManager {
   std::vector<OfflinePlan> release_plans() noexcept { return std::move(plans_); }
 
  private:
+  /// What a manager event means (sim::Event::kind); kEnforce and
+  /// kRescaleDown carry the cap reservation id as their arg.
+  enum EventKind : std::uint8_t {
+    kEnforce,      ///< kill mode at the window start
+    kRescaleDown,  ///< dynamic DVFS at the window start
+    kRescaleUp,    ///< dynamic DVFS at the window end
+  };
+  void on_event(const sim::Event& event) override;
+
   /// Kill-mode / dynamic-DVFS events at one window's boundaries.
-  void arm_window_hooks(rjms::ReservationId cap_id, sim::Time start, sim::Time end,
-                        double watts);
-  void enforce_cap(double watts);
+  void arm_window_hooks(rjms::ReservationId cap_id, sim::Time start, sim::Time end);
+  /// Kill mode: kills running jobs, newest first, until the cluster draws
+  /// no more than the cap reservation's watts.
+  void enforce_cap(rjms::ReservationId cap_id);
   /// dynamic_dvfs extension: slow every running scalable job to the
   /// window's optimal frequency when it opens.
   void rescale_down_for_window(rjms::ReservationId cap_id);

@@ -81,17 +81,20 @@ void Replay::add_cap_windows(const ScenarioConfig& config, sim::Time horizon) {
                      return a.announce < b.announce;
                    });
   for (const Announced& entry : announced) {
+    simulator_.schedule_at(entry.announce, *this, /*kind=*/0,
+                           static_cast<std::int64_t>(result_.windows.size()));
     result_.windows.push_back(entry.window);
-    const ScenarioResult::Window& w = entry.window;
-    simulator_.schedule_at(entry.announce, [this, w] {
-      manager_.add_powercap(w.start, w.end, w.watts);
-    });
   }
   if (!result_.windows.empty()) {
     result_.cap_watts = result_.windows.front().watts;
     result_.cap_start = result_.windows.front().start;
     result_.cap_end = result_.windows.front().end;
   }
+}
+
+void Replay::on_event(const sim::Event& event) {
+  const ScenarioResult::Window& w = result_.windows[static_cast<std::size_t>(event.arg)];
+  manager_.add_powercap(w.start, w.end, w.watts);
 }
 
 void Replay::advance_to(sim::Time t) {

@@ -25,7 +25,7 @@
 
 namespace ps::core {
 
-class Replay {
+class Replay : private sim::EventHandler {
  public:
   /// Wires the replay of `source` under `config`. `horizon` resolves the
   /// cap windows (centred windows, announcements past it). `default_chunk`
@@ -34,7 +34,8 @@ class Replay {
   /// pump starts bounded at -1, so nothing is pulled until advance_to.
   Replay(const ScenarioConfig& config, workload::JobSource& source,
          sim::Time horizon, sim::Duration default_chunk);
-  // Scheduled cap announcements capture `this`: the replay never moves.
+  // Scheduled cap announcements name the replay as their handler: it never
+  // moves.
   Replay(const Replay&) = delete;
   Replay& operator=(const Replay&) = delete;
 
@@ -53,6 +54,9 @@ class Replay {
 
  private:
   void add_cap_windows(const ScenarioConfig& config, sim::Time horizon);
+  /// The replay's one event: a cap announcement, arg = its index into
+  /// result_.windows.
+  void on_event(const sim::Event& event) override;
 
   cluster::Cluster cluster_;
   sim::Simulator simulator_;

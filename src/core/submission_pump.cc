@@ -33,11 +33,11 @@ void SubmissionPump::refill() {
 
 void SubmissionPump::schedule_next() {
   if (cursor_ >= buffer_.size()) return;  // refill found nothing: done
-  simulator_.schedule_at_band(buffer_[cursor_].submit_time,
-                              sim::EventBand::kSubmit, [this] { wake(); });
+  simulator_.schedule_at_band(buffer_[cursor_].submit_time, sim::EventBand::kSubmit,
+                              *this, /*kind=*/0);
 }
 
-void SubmissionPump::wake() {
+void SubmissionPump::on_event(const sim::Event&) {
   const sim::Time now = simulator_.now();
   while (cursor_ < buffer_.size() && buffer_[cursor_].submit_time <= now) {
     controller_.submit(buffer_[cursor_]);

@@ -1,9 +1,8 @@
 // The replay submission engine: pulls job chunks off a JobSource as the
 // event clock reaches them and submits each submit-time group to the
-// controller, which tries each job at once. One recurring event on
+// controller, which tries each job at once. One recurring wake event on
 // EventBand::kSubmit does all of it — no per-job event, no per-job
-// std::function (the wake lambda captures a single pointer, which lives in
-// the function's small-buffer storage), no per-job allocation.
+// allocation.
 //
 // Why this is bit-identical to the old preloaded-event replay: the total
 // event order is (time, band, seq). Everything wired before the clock runs
@@ -30,7 +29,7 @@
 
 namespace ps::core {
 
-class SubmissionPump {
+class SubmissionPump : private sim::EventHandler {
  public:
   /// `horizon`: jobs past it are never pulled (extendable later).
   /// `chunk` <= 0: one pull straight to the horizon. `width_scale` < 1
@@ -74,7 +73,8 @@ class SubmissionPump {
  private:
   void refill();
   void schedule_next();
-  void wake();
+  /// The pump's one event, the wake: submits every buffered job due now.
+  void on_event(const sim::Event& event) override;
 
   sim::Simulator& simulator_;
   rjms::Controller& controller_;

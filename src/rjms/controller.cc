@@ -68,10 +68,59 @@ void Controller::quick_attempt(Job& job) {
 void Controller::request_schedule() {
   if (pass_scheduled_) return;
   pass_scheduled_ = true;
-  simulator_.schedule_at(simulator_.now(), [this] {
-    pass_scheduled_ = false;
-    full_pass();
-  });
+  simulator_.schedule_at(simulator_.now(), *this, kPass);
+}
+
+void Controller::on_event(const sim::Event& event) {
+  switch (static_cast<EventKind>(event.kind)) {
+    case kPass:
+      pass_scheduled_ = false;
+      full_pass();
+      return;
+    case kJobEnd: {
+      // A kill or a rescale since this event was scheduled left the job
+      // with another live end, or none.
+      Job& job = job_for_update(event.arg);
+      if (job.end_event == event.seq) finish_job(job);
+      return;
+    }
+    case kCapBoundary:
+      // Admission conditions change at the boundaries.
+      ++epoch_;
+      notify_state_change();
+      request_schedule();
+      return;
+    case kMaintenanceBoundary:
+      // Availability changes at the boundaries.
+      ++epoch_;
+      request_schedule();
+      return;
+    case kSwitchOffBegin:
+      begin_switch_off(event.arg);
+      return;
+    case kSwitchOffEnd:
+      end_switch_off(event.arg);
+      return;
+    case kShutdownDone: {
+      const auto node = static_cast<cluster::NodeId>(event.arg);
+      if (cluster_.state(node) == cluster::NodeState::ShuttingDown) {
+        cluster_.set_state(node, cluster::NodeState::Off);
+        ++epoch_;
+        notify_state_change();
+      }
+      return;
+    }
+    case kBootDone: {
+      const auto node = static_cast<cluster::NodeId>(event.arg);
+      if (cluster_.state(node) == cluster::NodeState::Booting) {
+        cluster_.set_state(node, cluster::NodeState::Idle);
+        ++epoch_;
+        notify_state_change();
+        request_schedule();
+      }
+      return;
+    }
+  }
 }
 
 void Controller::compute_shadow(const Job& head) {
@@ -189,9 +238,7 @@ void Controller::start_job(Job& job, StartPlan plan) {
 
 void Controller::schedule_end(Job& job) {
   sim::Duration lifetime = std::min(job.scaled_runtime, job.scaled_walltime);
-  Job* target = &job;  // the closure stays within std::function's local buffer
-  job.end_event =
-      simulator_.schedule_at(job.start_time + lifetime, [this, target] { finish_job(*target); });
+  job.end_event = simulator_.schedule_at(job.start_time + lifetime, *this, kJobEnd, job.id());
   RunningJob entry{job.start_time + job.scaled_walltime, job.id(), &job};
   if (spare_running_.empty()) {
     running_by_end_.insert(entry);
@@ -203,8 +250,7 @@ void Controller::schedule_end(Job& job) {
   running_by_end_.insert(std::move(node));
 }
 
-void Controller::drop_end(Job& job, bool cancel_event) {
-  if (cancel_event) simulator_.cancel(job.end_event);
+void Controller::drop_end(Job& job) {
   job.end_event = sim::kInvalidEventId;
   RunningSet::node_type node =
       running_by_end_.extract({job.start_time + job.scaled_walltime, job.id(), &job});
@@ -218,13 +264,7 @@ void Controller::power_node_off(cluster::NodeId node) {
     return;
   }
   cluster_.set_state(node, cluster::NodeState::ShuttingDown);
-  simulator_.schedule_in(config_.shutdown_delay, [this, node] {
-    if (cluster_.state(node) == cluster::NodeState::ShuttingDown) {
-      cluster_.set_state(node, cluster::NodeState::Off);
-      ++epoch_;
-      notify_state_change();
-    }
-  });
+  simulator_.schedule_at(simulator_.now() + config_.shutdown_delay, *this, kShutdownDone, node);
 }
 
 bool Controller::release_node(cluster::NodeId node) {
@@ -239,10 +279,10 @@ bool Controller::release_node(cluster::NodeId node) {
   return switch_off;
 }
 
-void Controller::teardown_running_job(Job& job, bool cancel_end_event, JobState final_state) {
+void Controller::teardown_running_job(Job& job, JobState final_state) {
   sim::Time now = simulator_.now();
 
-  drop_end(job, cancel_end_event);
+  drop_end(job);
 
   released_idle_.clear();
   for (cluster::NodeId node : job.nodes) {
@@ -272,16 +312,14 @@ void Controller::finish_job(Job& job) {
   // The event fired at start + min(runtime, walltime); every rescale
   // rescheduled it from the durations read here.
   bool killed_by_walltime = job.scaled_walltime < job.scaled_runtime;
-  // The end event is firing right now: there is nothing to cancel.
-  teardown_running_job(job, /*cancel_end_event=*/false,
-                       killed_by_walltime ? JobState::Killed : JobState::Completed);
+  teardown_running_job(job, killed_by_walltime ? JobState::Killed : JobState::Completed);
   request_schedule();
 }
 
 void Controller::kill_job(JobId id) {
   Job& job = job_for_update(id);
   PS_CHECK_MSG(job.state == JobState::Running, "kill_job on non-running job");
-  teardown_running_job(job, /*cancel_end_event=*/true, JobState::Killed);
+  teardown_running_job(job, JobState::Killed);
 }
 
 void Controller::rescale_running_job(JobId id, cluster::FreqIndex new_freq,
@@ -292,7 +330,7 @@ void Controller::rescale_running_job(JobId id, cluster::FreqIndex new_freq,
   if (job.freq == new_freq) return;
   sim::Time now = simulator_.now();
 
-  drop_end(job, /*cancel_event=*/true);
+  drop_end(job);
 
   cluster::FreqIndex old_freq = job.freq;
   sim::Time old_est_end = job.start_time + job.scaled_walltime;
@@ -420,14 +458,8 @@ ReservationId Controller::add_powercap_reservation(sim::Time start, sim::Time en
   reservation.watts = watts;
   ReservationId id = reservations_.add(std::move(reservation));
 
-  // Admission conditions change at the boundaries: trigger passes.
-  auto boundary = [this] {
-    ++epoch_;
-    notify_state_change();
-    request_schedule();
-  };
-  simulator_.schedule_at(start, boundary);
-  if (end != sim::kTimeMax) simulator_.schedule_at(end, boundary);
+  simulator_.schedule_at(start, *this, kCapBoundary);
+  if (end != sim::kTimeMax) simulator_.schedule_at(end, *this, kCapBoundary);
   ++epoch_;
   request_schedule();
   return id;
@@ -441,13 +473,8 @@ ReservationId Controller::add_maintenance_reservation(sim::Time start, sim::Time
   reservation.end = end;
   reservation.nodes = std::move(nodes);
   ReservationId id = reservations_.add(std::move(reservation));
-  // Availability changes at the boundaries.
-  auto boundary = [this] {
-    ++epoch_;
-    request_schedule();
-  };
-  simulator_.schedule_at(start, boundary);
-  if (end != sim::kTimeMax) simulator_.schedule_at(end, boundary);
+  simulator_.schedule_at(start, *this, kMaintenanceBoundary);
+  if (end != sim::kTimeMax) simulator_.schedule_at(end, *this, kMaintenanceBoundary);
   ++epoch_;
   request_schedule();
   return id;
@@ -467,10 +494,8 @@ ReservationId Controller::add_switch_off_reservation(sim::Time start, sim::Time 
   ReservationId id = reservations_.add(std::move(reservation));
 
   sim::Time shutdown_begin = std::max<sim::Time>(start - config_.shutdown_delay, 0);
-  simulator_.schedule_at(shutdown_begin, [this, id] { begin_switch_off(id); });
-  if (end != sim::kTimeMax) {
-    simulator_.schedule_at(end, [this, id] { end_switch_off(id); });
-  }
+  simulator_.schedule_at(shutdown_begin, *this, kSwitchOffBegin, id);
+  if (end != sim::kTimeMax) simulator_.schedule_at(end, *this, kSwitchOffEnd, id);
   ++epoch_;
   request_schedule();
   return id;
@@ -509,14 +534,7 @@ void Controller::end_switch_off(ReservationId id) {
       cluster_.set_state(node, cluster::NodeState::Idle);
     } else {
       cluster_.set_state(node, cluster::NodeState::Booting);
-      simulator_.schedule_in(config_.boot_delay, [this, node] {
-        if (cluster_.state(node) == cluster::NodeState::Booting) {
-          cluster_.set_state(node, cluster::NodeState::Idle);
-          ++epoch_;
-          notify_state_change();
-          request_schedule();
-        }
-      });
+      simulator_.schedule_at(simulator_.now() + config_.boot_delay, *this, kBootDone, node);
     }
   }
   ++epoch_;

@@ -64,7 +64,7 @@ class ControllerObserver {
   virtual void on_pass(sim::Time now) { (void)now; }
 };
 
-class Controller {
+class Controller : private sim::EventHandler {
  public:
   Controller(sim::Simulator& simulator, cluster::Cluster& cluster, ControllerConfig config);
 
@@ -207,21 +207,37 @@ class Controller {
   void quick_attempt(Job& job);
   std::optional<StartPlan> plan_start(const Job& job);
   void start_job(Job& job, StartPlan plan);
-  /// Schedules the end event of a running job from its current durations
-  /// and files it in running_by_end_, reusing a spare set node if any.
+  /// Schedules the end event of a running job from its current durations,
+  /// records it as the job's live end and files the job in
+  /// running_by_end_, reusing a spare set node if any.
   void schedule_end(Job& job);
-  /// Undoes schedule_end: cancels the end event unless it is the one
-  /// firing now, and moves the job's running_by_end_ node to the stash.
-  void drop_end(Job& job, bool cancel_event);
-  /// The end event fired: the job ran to its walltime (Killed) or to its
-  /// runtime (Completed), whichever is shorter.
+  /// Undoes schedule_end: the job has no live end event any more (the
+  /// scheduled one is ignored when it fires), and its running_by_end_ node
+  /// moves to the stash.
+  void drop_end(Job& job);
+  /// The live end event fired: the job ran to its walltime (Killed) or to
+  /// its runtime (Completed), whichever is shorter.
   void finish_job(Job& job);
   /// Shared end-of-life bookkeeping for finish_job and kill_job: end-event
   /// cleanup, node release, fairshare charge, stats, observers.
-  void teardown_running_job(Job& job, bool cancel_end_event, JobState final_state);
+  void teardown_running_job(Job& job, JobState final_state);
   /// Shadow-time estimate for the head job (EASY): earliest time enough
   /// nodes are expected free, using walltime-based end estimates.
   void compute_shadow(const Job& head);
+
+  /// What a controller event means (sim::Event::kind); `arg` is noted
+  /// where one is carried.
+  enum EventKind : std::uint8_t {
+    kPass,                 ///< the coalesced full scheduling pass
+    kJobEnd,               ///< arg: job id; a no-op unless the job's live end
+    kCapBoundary,          ///< a powercap reservation starts or ends
+    kMaintenanceBoundary,  ///< a maintenance reservation starts or ends
+    kSwitchOffBegin,       ///< arg: switch-off reservation id
+    kSwitchOffEnd,         ///< arg: switch-off reservation id
+    kShutdownDone,         ///< arg: node id, after shutdown_delay
+    kBootDone,             ///< arg: node id, after boot_delay
+  };
+  void on_event(const sim::Event& event) override;
 
   void begin_switch_off(ReservationId id);
   void end_switch_off(ReservationId id);

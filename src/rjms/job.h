@@ -40,8 +40,10 @@ struct Job {
   sim::Duration scaled_runtime = 0;
   sim::Duration scaled_walltime = 0;
 
-  /// The scheduled end event (valid while Running): it fires at
-  /// start_time + min(scaled_runtime, scaled_walltime).
+  /// The live end event (kInvalidEventId when none): it fires at
+  /// start_time + min(scaled_runtime, scaled_walltime). A kill or rescale
+  /// resets or replaces it, and an end event with another id does nothing
+  /// when it fires.
   sim::EventId end_event = sim::kInvalidEventId;
 
   JobId id() const noexcept { return request.id; }
@@ -60,8 +62,8 @@ struct Job {
 
 /// Every job a controller was given, in submission order. Jobs live in
 /// fixed chunks of kChunkSize that are never moved or freed, so a Job&
-/// stays valid for the table's lifetime: the pending queue and the end
-/// events hold Job* across any number of later appends. An open-addressing
+/// stays valid for the table's lifetime: the pending queue and the running
+/// set hold Job* across any number of later appends. An open-addressing
 /// index (power-of-two size, load <= 1/2, linear probing) maps an id to its
 /// position; its keys are the jobs' own request.id.
 class JobTable {

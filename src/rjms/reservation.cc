@@ -1,6 +1,7 @@
 #include "rjms/reservation.h"
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
 
 #include "util/check.h"
@@ -8,6 +9,14 @@
 namespace ps::rjms {
 
 namespace {
+/// Source of every book's version: unique across books, so a version names
+/// one book's contents.
+std::atomic<std::uint64_t> g_book_versions{0};
+
+std::uint64_t next_book_version() noexcept {
+  return g_book_versions.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
 /// First start in a kind's start column strictly after `t`; kTimeMax when none.
 sim::Time first_start_after(const std::vector<sim::Time>& starts, sim::Time t) {
   auto next = std::upper_bound(starts.begin(), starts.end(), t);
@@ -27,7 +36,7 @@ ReservationId ReservationBook::add(Reservation reservation) {
   }
   reservation.id = next_id_++;
   reservations_.push_back(std::move(reservation));
-  ++version_;
+  version_ = next_book_version();
   return reservations_.back().id;
 }
 
@@ -39,7 +48,7 @@ bool ReservationBook::remove(ReservationId id) {
       [](const Reservation& r, ReservationId target) { return r.id < target; });
   if (it == reservations_.end() || it->id != id) return false;
   reservations_.erase(it);
-  ++version_;
+  version_ = next_book_version();
   return true;
 }
 

@@ -166,8 +166,10 @@ class ReservationBook {
   /// Empty when to <= from + 1.
   StartRun starting_in(ReservationKind kind, sim::Time from, sim::Time to) const;
 
-  /// Mutation counter: bumped by add/remove. Lets derived caches (e.g.
-  /// BlockedSet) detect staleness without observing every call site.
+  /// Mutation stamp: add/remove draw it from one process-wide counter, so
+  /// no two mutated books ever share a version. Lets derived caches (e.g.
+  /// BlockedSet) detect staleness, or a different book, without observing
+  /// every call site.
   std::uint64_t version() const noexcept { return version_; }
 
   /// Earliest start (resp. end) of a reservation of `kind` strictly after
@@ -222,7 +224,7 @@ class ReservationBook {
 
   std::vector<Reservation> reservations_;
   ReservationId next_id_ = 1;
-  std::uint64_t version_ = 0;
+  std::uint64_t version_ = 0;  // 0 until the first mutation: a fresh, empty book
 
   mutable KindIndex index_[3];
   mutable std::uint64_t indexed_version_ = ~0ull;
@@ -244,9 +246,7 @@ class ReservationBook {
 class BlockedSet {
  public:
   /// Makes the set describe [start, horizon) under `book`, over node ids
-  /// [0, total_nodes); reserved ids outside that range are ignored. One
-  /// set serves one book: its cache trusts that a reservation id never
-  /// names two node lists.
+  /// [0, total_nodes); reserved ids outside that range are ignored.
   void ensure(const ReservationBook& book, sim::Time start, sim::Time horizon,
               std::int32_t total_nodes);
 

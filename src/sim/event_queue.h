@@ -1,24 +1,22 @@
-// Cancellable priority event queue with deterministic tie-breaking.
+// Priority queue of plain-data events with deterministic tie-breaking.
 //
-// One 4-ary min-heap of 16-byte (time, key) entries over a slab of callback
-// slots. The slab holds the callbacks in fixed-size chunks — growth never
-// moves a live std::function, a freelist recycles slots, and steady-state
-// push/pop performs no container allocation. The 4-ary heap is shallower
-// than a binary heap and friendlier to the cache on the sift path. The key
-// packs (band, insertion seq, slot), so the pop order is the total order
+// An event is (time, band, seq, handler, kind, arg): the component that
+// handles it, a kind byte that component defines and one integer argument.
+// The queue holds no code, so it can be printed, compared and hashed. One
+// 4-ary min-heap stores the events inline in 32-byte entries; steady-state
+// push/pop performs no allocation, and the 4-ary heap is shallower than a
+// binary heap and friendlier to the cache on the sift path. An entry's key
+// packs (band, insertion seq, kind), so the pop order is the total order
 // (time, band, insertion seq): determinism and FIFO tie-breaks are
-// structural invariants, not scheduling accidents. Cancellation is lazy:
-// cancel() frees the slot at once and the stale entry is skipped when it
-// surfaces, recognised by its key; a dead-entry counter keeps the
-// no-cancellation path free of slot lookups. Methods are defined inline:
-// the simulator drives millions of events per run and the hot loops want
-// to inline into the caller.
+// structural invariants, not scheduling accidents. Nothing is cancelled:
+// an owner that supersedes an event (a killed or rescaled job's end) keeps
+// the id of the live one and ignores the others when they fire. Methods are
+// defined inline: the simulator drives millions of events per run and the
+// hot loops want to inline into the caller.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <memory>
-#include <utility>
 #include <vector>
 
 #include "sim/time.h"
@@ -26,7 +24,7 @@
 
 namespace ps::sim {
 
-/// Opaque handle for cancelling a scheduled event. Value 0 is never issued.
+/// An event's insertion seq, unique within its queue. 0 is never issued.
 using EventId = std::uint64_t;
 
 inline constexpr EventId kInvalidEventId = 0;
@@ -46,167 +44,88 @@ enum class EventBand : std::uint8_t {
   kNormal = 2,  ///< everything scheduled while the clock runs
 };
 
-/// Priority queue of (time, callback) with:
-///  * deterministic ordering — equal-time events fire in (band, insertion)
-///    order;
-///  * O(log n) lazy cancellation — cancelled entries are skipped on pop.
+class EventHandler;
+
+/// A popped event. `kind` and `arg` mean what `handler` defines them to.
+struct Event {
+  Time time;
+  EventBand band;
+  std::uint8_t kind;
+  EventId seq;
+  EventHandler* handler;
+  std::int64_t arg;
+};
+
+/// A component that schedules events names itself as their handler and
+/// decodes each in one on_event switch over its own kinds.
+class EventHandler {
+ public:
+  virtual void on_event(const Event& event) = 0;
+
+ protected:
+  ~EventHandler() = default;
+};
+
 class EventQueue {
  public:
-  using Callback = std::function<void()>;
-
-  /// Enqueues `callback` at `time` in `band`; returns a handle for cancel().
-  EventId push(Time time, EventBand band, Callback callback) {
-    PS_CHECK_MSG(callback != nullptr, "event callback must not be null");
-    std::uint32_t slot;
-    if (!free_slots_.empty()) {
-      slot = free_slots_.back();
-      free_slots_.pop_back();
-    } else {
-      slot = slot_count_++;
-      PS_CHECK_MSG(slot < (1u << kSlotBits), "too many concurrent events");
-      if ((slot >> kChunkBits) == chunks_.size()) {
-        chunks_.push_back(std::make_unique<Slot[]>(kChunkSize));
-      }
-    }
-    Slot& s = slot_ref(slot);
-    s.callback = std::move(callback);
-    s.live = true;
+  /// Enqueues (handler, kind, arg) at `time` in `band`; returns its id.
+  EventId push(Time time, EventBand band, EventHandler& handler, std::uint8_t kind,
+               std::int64_t arg) {
     PS_CHECK_MSG(next_seq_ < (std::uint64_t{1} << kSeqBits), "event seq exhausted");
-    std::uint64_t key = (static_cast<std::uint64_t>(band) << kBandShift) |
-                        (next_seq_++ << kSlotBits) | slot;
-    s.last_key = key;
-    heap_.push_back(Entry{time, key});
+    const EventId seq = next_seq_++;
+    const std::uint64_t key = (static_cast<std::uint64_t>(band) << kBandShift) |
+                              (seq << kKindBits) | kind;
+    heap_.push_back(Entry{time, key, &handler, arg});
     sift_up(heap_.size() - 1);
-    ++live_count_;
-    // The id is the key plus one so that id 0 is never issued.
-    return key + 1;
+    return seq;
   }
 
-  /// Band-less convenience overload (standalone queue users): kNormal.
-  EventId push(Time time, Callback callback) {
-    return push(time, EventBand::kNormal, std::move(callback));
-  }
+  bool empty() const noexcept { return heap_.empty(); }
 
-  /// Cancels a pending event. Returns false if the event already fired,
-  /// was already cancelled, or the id was never issued.
-  bool cancel(EventId id) {
-    if (id == kInvalidEventId) return false;
-    std::uint64_t key = id - 1;
-    std::uint32_t slot = slot_of(key);
-    if (slot >= slot_count_) return false;
-    Slot& s = slot_ref(slot);
-    if (!s.live || s.last_key != key) return false;
-    // Lazy: the entry stays where it is and is skipped when it surfaces.
-    free_slot(slot);
-    ++dead_count_;
-    --live_count_;
-    return true;
-  }
+  /// Total events ever pushed. Cold accessor for post-run registry
+  /// publishing (obs/registry.h).
+  std::uint64_t pushed_count() const noexcept { return next_seq_ - 1; }
 
-  /// True when no live (non-cancelled) events remain.
-  bool empty() const noexcept { return live_count_ == 0; }
+  /// Time of the earliest event; kTimeMax when empty.
+  Time next_time() const noexcept { return heap_.empty() ? kTimeMax : heap_.front().time; }
 
-  /// Number of live events.
-  std::size_t size() const noexcept { return live_count_; }
-
-  /// Total events ever pushed (the sequence counter — cancellations
-  /// included). Cold accessor for post-run registry publishing
-  /// (obs/registry.h); the hot push path keeps its plain counters.
-  std::uint64_t pushed_count() const noexcept { return next_seq_; }
-
-  /// Time of the earliest live event; kTimeMax when empty.
-  Time next_time() const {
-    discard_dead();
-    return heap_.empty() ? kTimeMax : heap_.front().time;
-  }
-
-  /// Removes and returns the earliest live event. Requires !empty().
-  struct Fired {
-    Time time;
-    Callback callback;
-  };
-  Fired pop() {
-    discard_dead();
+  /// Removes and returns the earliest event. Requires !empty().
+  Event pop() {
     PS_CHECK_MSG(!heap_.empty(), "pop from empty event queue");
     const Entry top = heap_.front();
-    pop_heap_top();
-    std::uint32_t slot = slot_of(top.key);
-    Fired fired{top.time, std::move(slot_ref(slot).callback)};
-    free_slot(slot);
-    --live_count_;
-    return fired;
+    heap_.front() = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) sift_down(0);
+    return Event{top.time,
+                 static_cast<EventBand>(top.key >> kBandShift),
+                 static_cast<std::uint8_t>(top.key),
+                 (top.key & ((std::uint64_t{1} << kBandShift) - 1)) >> kKindBits,
+                 top.handler,
+                 top.arg};
   }
 
  private:
-  // An EventId encodes (slot index, insertion seq). The slot remembers the
-  // key of the event currently occupying it, so handles to fired/cancelled
-  // events can never alias an event that later reuses the slot.
-  struct Slot {
-    Callback callback;
-    std::uint64_t last_key = 0;  // key of the event occupying the slot
-    bool live = false;
-  };
-  // 16 bytes: time + (band << kBandShift | seq << kSlotBits | slot). The
-  // band occupies the key's top bits (band-major tie-break), the seq below
-  // it so key comparison breaks same-band time ties FIFO; the slot in the
-  // low bits never affects the order because the seq is unique.
+  // 32 bytes: time, key = band << kBandShift | seq << kKindBits | kind,
+  // handler, arg. The band occupies the key's top bits (band-major
+  // tie-break), the seq below it so key comparison breaks same-band time
+  // ties FIFO; the kind in the low byte never affects the order because the
+  // seq is unique.
   struct Entry {
     Time time;
     std::uint64_t key;
+    EventHandler* handler;
+    std::int64_t arg;
   };
 
   static constexpr std::size_t kArity = 4;
-  static constexpr unsigned kSlotBits = 24;  // up to 16.7M concurrent events
-  static constexpr unsigned kBandShift = 62; // 2 band bits atop the key
-  static constexpr unsigned kSeqBits = kBandShift - kSlotBits;
-  static constexpr unsigned kChunkBits = 12;
-  static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkBits;
+  static constexpr unsigned kKindBits = 8;
+  static constexpr unsigned kBandShift = 62;  // 2 band bits atop the key
+  static constexpr unsigned kSeqBits = kBandShift - kKindBits;
 
-  static std::uint32_t slot_of(std::uint64_t key) noexcept {
-    return static_cast<std::uint32_t>(key & ((1u << kSlotBits) - 1));
-  }
-
-  Slot& slot_ref(std::uint32_t s) noexcept {
-    return chunks_[s >> kChunkBits][s & (kChunkSize - 1)];
-  }
-  const Slot& slot_ref(std::uint32_t s) const noexcept {
-    return chunks_[s >> kChunkBits][s & (kChunkSize - 1)];
-  }
-
-  bool entry_live(const Entry& e) const noexcept {
-    const Slot& s = slot_ref(slot_of(e.key));
-    return s.live && s.last_key == e.key;
-  }
   /// Earlier-than for the queue order (time, then band and insertion seq).
   static bool before(const Entry& a, const Entry& b) noexcept {
     if (a.time != b.time) return a.time < b.time;
     return a.key < b.key;
-  }
-
-  void free_slot(std::uint32_t slot) {
-    Slot& s = slot_ref(slot);
-    s.callback = nullptr;
-    s.live = false;
-    free_slots_.push_back(slot);
-  }
-
-  /// Pops cancelled entries off the heap top so it holds the earliest live
-  /// event. The dead-entry counter makes the common no-cancellation case a
-  /// single comparison with no slot lookups. Dropping dead entries leaves
-  /// the set of live events untouched, so the const next_time() may call
-  /// it through the mutable heap.
-  void discard_dead() const {
-    auto& self = const_cast<EventQueue&>(*this);
-    while (dead_count_ != 0 && !heap_.empty() && !entry_live(heap_.front())) {
-      self.pop_heap_top();
-      --dead_count_;
-    }
-  }
-
-  void pop_heap_top() {
-    heap_.front() = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) sift_down(0);
   }
 
   void sift_up(std::size_t i) {
@@ -249,15 +168,8 @@ class EventQueue {
     heap_[i] = moving;
   }
 
-  mutable std::vector<Entry> heap_;  // 4-ary min-heap over (time, key)
-  // Slot slab in fixed chunks: growth never moves a live std::function and
-  // slot addresses stay stable for the lifetime of the queue.
-  std::vector<std::unique_ptr<Slot[]>> chunks_;
-  std::uint32_t slot_count_ = 0;
-  std::vector<std::uint32_t> free_slots_;
-  std::uint64_t next_seq_ = 0;
-  std::size_t live_count_ = 0;
-  mutable std::size_t dead_count_ = 0;  // cancelled entries not yet surfaced
+  std::vector<Entry> heap_;  // 4-ary min-heap over (time, key)
+  EventId next_seq_ = 1;
 };
 
 }  // namespace ps::sim

@@ -104,6 +104,26 @@ TEST(BlockedSet, SeesBookMutationsViaVersion) {
   EXPECT_FALSE(set.blocked(5));
 }
 
+TEST(BlockedSet, OneSetServesBooksWithTheSameHistory) {
+  // Two books built by the same sequence of adds give out the same ids; only
+  // the node lists differ. A set ensured against each in turn must answer for
+  // the book it is handed, even for the same span.
+  std::vector<ReservationBook> books(2);
+  for (std::size_t b = 0; b < books.size(); ++b) {
+    const cluster::NodeId base = static_cast<cluster::NodeId>(100 * b);
+    books[b].add(node_res(ReservationKind::Maintenance, 0, 100, {base + 1, base + 2}));
+    books[b].add(node_res(ReservationKind::SwitchOff, 50, 150, {base + 30}));
+  }
+  BlockedSet set;
+  for (int round = 0; round < 2; ++round) {
+    for (const ReservationBook& book : books) {
+      set.ensure(book, 10, 80, kNodes);
+      expect_set_matches(set, book, 10, 80);
+      ASSERT_FALSE(HasFatalFailure());
+    }
+  }
+}
+
 TEST(BlockedSet, RebuildsWhenSpanChanges) {
   ReservationBook book;
   book.add(node_res(ReservationKind::Maintenance, 100, 200, {9}));

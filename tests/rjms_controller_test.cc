@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "cluster/curie.h"
+#include "scheduled_actions.h"
 #include "util/check.h"
 
 namespace ps::rjms {
@@ -240,9 +242,56 @@ TEST_F(ControllerTest, KillJobFreesNodesImmediately) {
   EXPECT_EQ(controller_.job(1).state, JobState::Killed);
   EXPECT_EQ(cl_.count(cluster::NodeState::Busy), 0);
   EXPECT_EQ(controller_.running_count(), 0u);
-  // The cancelled end event must not fire.
+  // The superseded end event still fires at 1000 s, and does nothing.
+  const std::uint64_t epoch = controller_.epoch();
+  const std::uint64_t fired = sim_.fired_count();
   while (sim_.step()) {}
+  EXPECT_EQ(sim_.fired_count(), fired + 1);
+  EXPECT_EQ(sim_.now(), sim::seconds(1000));
+  EXPECT_EQ(controller_.epoch(), epoch);
+  EXPECT_EQ(controller_.job(1).state, JobState::Killed);
   EXPECT_EQ(controller_.job(1).end_time, sim::seconds(10));
+  EXPECT_EQ(controller_.stats().killed, 1u);
+  EXPECT_EQ(controller_.stats().completed, 0u);
+}
+
+// A rescale at the very instant a job's end is due leaves it no remaining
+// time: the new end event sits at the same millisecond as the one it
+// replaces. The job must finish once, where the new event sits in the
+// (time, band, seq) order: after an event scheduled at that instant once
+// the old end was already queued. An end judged live by its time alone
+// would finish the job at the old event's place, before the marker.
+TEST_F(ControllerTest, RescaleAtTheEndInstantFinishesOnceAtTheNewEndsPlace) {
+  struct EndLog : ControllerObserver {
+    explicit EndLog(std::vector<std::string>& log) : log(log) {}
+    void on_job_end(const Job&) override { log.push_back("end"); }
+    std::vector<std::string>& log;
+  };
+  std::vector<std::string> log;
+  EndLog observer(log);
+  controller_.add_observer(&observer);
+  sim::ScheduledActions actions(sim_);
+  const cluster::FreqIndex slower = cl_.frequencies().max_index() - 1;
+  // Queued before the job's end event, so it fires first at 100 s.
+  actions.at(sim::seconds(100), [&] {
+    controller_.rescale_running_job(1, slower, 1.5);
+    log.push_back("rescaled");
+  });
+  controller_.submit(make_request(1, 16, sim::seconds(100), sim::seconds(200)));
+  sim_.run_until(0);
+  ASSERT_EQ(controller_.job(1).state, JobState::Running);
+  actions.at(sim::seconds(100), [&] { log.push_back("marker"); });
+
+  while (sim_.step()) {}
+  EXPECT_EQ(log, (std::vector<std::string>{"rescaled", "marker", "end"}));
+  const Job& job = controller_.job(1);
+  EXPECT_EQ(job.state, JobState::Completed);
+  EXPECT_EQ(job.end_time, sim::seconds(100));
+  EXPECT_EQ(job.freq, slower);
+  EXPECT_EQ(job.scaled_runtime, sim::seconds(100));          // nothing left to scale
+  EXPECT_EQ(job.scaled_walltime, sim::seconds(100 + 150));  // 100 s left, x1.5
+  EXPECT_EQ(controller_.stats().completed, 1u);
+  EXPECT_EQ(controller_.stats().killed, 0u);
 }
 
 TEST_F(ControllerTest, KillNonRunningJobRejected) {

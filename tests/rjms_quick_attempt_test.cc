@@ -9,6 +9,7 @@
 
 #include "cluster/curie.h"
 #include "rjms/controller.h"
+#include "scheduled_actions.h"
 #include "util/check.h"
 
 namespace ps::rjms {
@@ -75,8 +76,9 @@ TEST_F(QuickAttemptTest, SameMillisecondBurstTakesIdleNodeInFifoOrder) {
   std::uint64_t attempts_before = controller_.stats().quick_attempts;
   // Three same-millisecond arrivals; only one node is idle, so FIFO order
   // decides who gets it: job 10 starts, 11 and 12 stay pending.
+  sim::ScheduledActions actions(sim_);
   for (std::int64_t id : {10, 11, 12}) {
-    sim_.schedule_at(sim::seconds(20), [this, id] {
+    actions.at(sim::seconds(20), [this, id] {
       controller_.submit(make_request(id, 16, sim::seconds(30), sim::seconds(60),
                                       sim::seconds(20)));
     });

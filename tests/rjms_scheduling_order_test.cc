@@ -10,6 +10,7 @@
 
 #include "cluster/curie.h"
 #include "rjms/controller.h"
+#include "scheduled_actions.h"
 
 namespace ps::rjms {
 namespace {
@@ -47,8 +48,7 @@ class OrderTest : public ::testing::Test {
     controller.submit(
         make_request(1000, 1440, sim::seconds(100), sim::seconds(100)));
     for (auto& job : jobs) {
-      sim_.schedule_at(job.submit_time,
-                       [&controller, job] { controller.submit(job); });
+      actions_.at(job.submit_time, [&controller, job] { controller.submit(job); });
     }
     while (sim_.step()) {}
     std::vector<std::pair<sim::Time, JobId>> starts;
@@ -63,6 +63,7 @@ class OrderTest : public ::testing::Test {
   }
 
   sim::Simulator sim_;
+  sim::ScheduledActions actions_{sim_};
   cluster::Cluster cl_;
 };
 
@@ -99,8 +100,8 @@ TEST_F(OrderTest, FairShareWeightPrefersLightUsers) {
       make_request(1, 1440, sim::seconds(10), sim::seconds(20), sim::seconds(10), 7);
   workload::JobRequest light =
       make_request(2, 1440, sim::seconds(10), sim::seconds(20), sim::seconds(10), 8);
-  sim_.schedule_at(heavy.submit_time, [&controller, heavy] { controller.submit(heavy); });
-  sim_.schedule_at(light.submit_time, [&controller, light] { controller.submit(light); });
+  actions_.at(heavy.submit_time, [&controller, heavy] { controller.submit(heavy); });
+  actions_.at(light.submit_time, [&controller, light] { controller.submit(light); });
   while (sim_.step()) {}
   // The light user's job starts first despite the lower id of the other.
   EXPECT_LT(controller.job(2).start_time, controller.job(1).start_time);
@@ -116,8 +117,8 @@ TEST_F(OrderTest, FairShareDisabledFallsBackToFcfs) {
       make_request(1, 1440, sim::seconds(10), sim::seconds(20), sim::seconds(10), 7);
   workload::JobRequest light =
       make_request(2, 1440, sim::seconds(10), sim::seconds(20), sim::seconds(10), 8);
-  sim_.schedule_at(heavy.submit_time, [&controller, heavy] { controller.submit(heavy); });
-  sim_.schedule_at(light.submit_time, [&controller, light] { controller.submit(light); });
+  actions_.at(heavy.submit_time, [&controller, heavy] { controller.submit(heavy); });
+  actions_.at(light.submit_time, [&controller, light] { controller.submit(light); });
   while (sim_.step()) {}
   // Equal priorities: id tie-break makes job 1 start first.
   EXPECT_LT(controller.job(1).start_time, controller.job(2).start_time);
@@ -186,6 +187,7 @@ OrderRun run_case(const QueueCase& c, std::size_t backfill_depth) {
   ControllerConfig config = c.config;
   config.backfill_depth = backfill_depth;
   Controller controller(sim, cl, config);
+  sim::ScheduledActions actions(sim);
   AuditLog log(controller);
   controller.add_observer(&log);
 
@@ -201,7 +203,7 @@ OrderRun run_case(const QueueCase& c, std::size_t backfill_depth) {
   for (const QueuedJob& job : c.queue) {
     EXPECT_LT(job.submit_at, c.step) << "queue jobs arrive before the first release";
     workload::JobRequest request = job.request;
-    sim.schedule_at(job.submit_at, [&controller, request] { controller.submit(request); });
+    actions.at(job.submit_at, [&controller, request] { controller.submit(request); });
   }
 
   OrderRun run;

@@ -16,53 +16,62 @@
 namespace ps::sim {
 namespace {
 
+/// The queue never calls its handlers; tests only compare their addresses.
+struct Inert final : EventHandler {
+  void on_event(const Event&) override {}
+};
+
+/// Pops everything, returning each event's arg in pop order.
+std::vector<std::int64_t> drain_args(EventQueue& q) {
+  std::vector<std::int64_t> args;
+  while (!q.empty()) args.push_back(q.pop().arg);
+  return args;
+}
+
 TEST(EventQueue, PopsInTimeOrder) {
   EventQueue q;
-  std::vector<int> order;
-  q.push(30, [&order] { order.push_back(3); });
-  q.push(10, [&order] { order.push_back(1); });
-  q.push(20, [&order] { order.push_back(2); });
-  while (!q.empty()) q.pop().callback();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  Inert h;
+  q.push(30, EventBand::kNormal, h, 0, 3);
+  q.push(10, EventBand::kNormal, h, 0, 1);
+  q.push(20, EventBand::kNormal, h, 0, 2);
+  EXPECT_EQ(drain_args(q), (std::vector<std::int64_t>{1, 2, 3}));
 }
 
 TEST(EventQueue, EqualTimesFireFifo) {
   EventQueue q;
-  std::vector<int> order;
-  for (int i = 0; i < 10; ++i) {
-    q.push(5, [&order, i] { order.push_back(i); });
-  }
-  while (!q.empty()) q.pop().callback();
-  std::vector<int> expected(10);
-  for (int i = 0; i < 10; ++i) expected[static_cast<std::size_t>(i)] = i;
-  EXPECT_EQ(order, expected);
+  Inert h;
+  for (std::int64_t i = 0; i < 10; ++i) q.push(5, EventBand::kNormal, h, 0, i);
+  std::vector<std::int64_t> expected(10);
+  for (std::int64_t i = 0; i < 10; ++i) expected[static_cast<std::size_t>(i)] = i;
+  EXPECT_EQ(drain_args(q), expected);
 }
 
-TEST(EventQueue, CancelPreventsFiring) {
+TEST(EventQueue, PopReturnsThePushedEvent) {
   EventQueue q;
-  bool fired = false;
-  EventId id = q.push(10, [&fired] { fired = true; });
-  EXPECT_TRUE(q.cancel(id));
+  Inert a;
+  Inert b;
+  const EventId first = q.push(7, EventBand::kSubmit, a, 200, -5);
+  const EventId second = q.push(-3, EventBand::kSetup, b, 0, INT64_MAX);
+  EXPECT_NE(first, kInvalidEventId);
+  EXPECT_EQ(second, first + 1);
+  EXPECT_EQ(q.pushed_count(), 2u);
+
+  const Event early = q.pop();
+  EXPECT_EQ(early.time, -3);
+  EXPECT_EQ(early.band, EventBand::kSetup);
+  EXPECT_EQ(early.kind, 0);
+  EXPECT_EQ(early.seq, second);
+  EXPECT_EQ(early.handler, &b);
+  EXPECT_EQ(early.arg, INT64_MAX);
+
+  const Event late = q.pop();
+  EXPECT_EQ(late.time, 7);
+  EXPECT_EQ(late.band, EventBand::kSubmit);
+  EXPECT_EQ(late.kind, 200);
+  EXPECT_EQ(late.seq, first);
+  EXPECT_EQ(late.handler, &a);
+  EXPECT_EQ(late.arg, -5);
   EXPECT_TRUE(q.empty());
-  EXPECT_FALSE(fired);
-}
-
-TEST(EventQueue, CancelTwiceFails) {
-  EventQueue q;
-  EventId id = q.push(10, [] {});
-  EXPECT_TRUE(q.cancel(id));
-  EXPECT_FALSE(q.cancel(id));
-  EXPECT_FALSE(q.cancel(kInvalidEventId));
-  EXPECT_FALSE(q.cancel(9999));
-}
-
-TEST(EventQueue, NextTimeSkipsCancelled) {
-  EventQueue q;
-  EventId early = q.push(10, [] {});
-  q.push(20, [] {});
-  EXPECT_EQ(q.next_time(), 10);
-  q.cancel(early);
-  EXPECT_EQ(q.next_time(), 20);
 }
 
 TEST(EventQueue, NextTimeOnEmptyIsMax) {
@@ -70,35 +79,19 @@ TEST(EventQueue, NextTimeOnEmptyIsMax) {
   EXPECT_EQ(q.next_time(), kTimeMax);
 }
 
-TEST(EventQueue, SizeTracksLiveEvents) {
-  EventQueue q;
-  EventId a = q.push(1, [] {});
-  q.push(2, [] {});
-  EXPECT_EQ(q.size(), 2u);
-  q.cancel(a);
-  EXPECT_EQ(q.size(), 1u);
-  q.pop();
-  EXPECT_TRUE(q.empty());
-}
-
 TEST(EventQueue, PopEmptyThrows) {
   EventQueue q;
   EXPECT_THROW((void)q.pop(), CheckError);
 }
 
-TEST(EventQueue, NullCallbackRejected) {
-  EventQueue q;
-  EXPECT_THROW((void)q.push(1, nullptr), CheckError);
-}
-
 TEST(EventQueue, ManyEventsStressOrdering) {
   EventQueue q;
-  std::vector<Time> fired;
+  Inert h;
   for (int i = 0; i < 1000; ++i) {
     Time t = (i * 7919) % 257;  // scrambled times with many duplicates
-    q.push(t, [&fired, t] { fired.push_back(t); });
+    q.push(t, EventBand::kNormal, h, 0, t);
   }
-  while (!q.empty()) q.pop().callback();
+  std::vector<std::int64_t> fired = drain_args(q);
   EXPECT_TRUE(std::is_sorted(fired.begin(), fired.end()));
   EXPECT_EQ(fired.size(), 1000u);
 }
@@ -107,20 +100,20 @@ TEST(EventQueue, ManyEventsStressOrdering) {
 // documented total order (time, band, insertion seq). Batch sizes run from
 // 1 to 20,000 — single events between pops, long drains, bursts far larger
 // than what is queued — with single-band and mixed-band batches, narrow
-// (tie-heavy) and wide time ranges, and push/pop/cancel/next_time
-// interleaved. Cancels hit live ids, fired and cancelled ids (whose slots
-// have mostly been reused), never-issued ids and kInvalidEventId; the
-// expected result of every cancel is whether the reference holds the id.
+// (tie-heavy) and wide time ranges, and push/pop/next_time interleaved.
+// Every pop must return the reference's first event whole: time, band,
+// seq, and the handler, kind and arg it was pushed with.
 TEST(EventQueue, MatchesOrderedSetReference) {
   using RefKey = std::tuple<Time, int, std::uint64_t>;  // (time, band, seq)
+  struct Payload {
+    EventHandler* handler;
+    std::uint8_t kind;
+    std::int64_t arg;
+  };
   EventQueue q;
+  Inert handlers[3];
   std::set<RefKey> pending;
-  std::unordered_map<EventId, RefKey> live;
-  std::unordered_map<std::uint64_t, EventId> id_of_seq;
-  std::vector<EventId> issued;
-  std::uint64_t next_seq = 0;
-  std::uint64_t fired_seq = ~std::uint64_t{0};
-  std::uint64_t stale_cancels = 0;  // ids that fired or were cancelled
+  std::unordered_map<std::uint64_t, Payload> payload_of_seq;
   std::mt19937_64 rng(20150525);
   auto below = [&rng](std::uint64_t n) { return rng() % n; };
 
@@ -136,38 +129,31 @@ TEST(EventQueue, MatchesOrderedSetReference) {
     }
   };
   auto push_one = [&](Time t, int band) {
-    const std::uint64_t seq = next_seq++;
-    EventId id = q.push(t, static_cast<EventBand>(band),
-                        [&fired_seq, seq] { fired_seq = seq; });
-    ASSERT_NE(id, kInvalidEventId);
-    ASSERT_TRUE(live.emplace(id, RefKey{t, band, seq}).second) << "id reissued";
+    const Payload payload{&handlers[below(3)], static_cast<std::uint8_t>(below(256)),
+                          static_cast<std::int64_t>(rng())};
+    const EventId seq =
+        q.push(t, static_cast<EventBand>(band), *payload.handler, payload.kind, payload.arg);
+    ASSERT_NE(seq, kInvalidEventId);
+    ASSERT_TRUE(payload_of_seq.emplace(seq, payload).second) << "seq reissued";
     pending.emplace(t, band, seq);
-    id_of_seq.emplace(seq, id);
-    issued.push_back(id);
   };
   auto check_front = [&] {
-    ASSERT_EQ(q.size(), live.size());
-    ASSERT_EQ(q.empty(), live.empty());
+    ASSERT_EQ(q.empty(), pending.empty());
     ASSERT_EQ(q.next_time(), pending.empty() ? kTimeMax : std::get<0>(*pending.begin()));
   };
   auto pop_one = [&] {
     ASSERT_FALSE(pending.empty());
     const RefKey want = *pending.begin();
-    EventQueue::Fired fired = q.pop();
-    fired.callback();
+    const Event fired = q.pop();
     ASSERT_EQ(fired.time, std::get<0>(want));
-    ASSERT_EQ(fired_seq, std::get<2>(want)) << "band " << std::get<1>(want);
+    ASSERT_EQ(fired.seq, std::get<2>(want)) << "band " << std::get<1>(want);
+    ASSERT_EQ(static_cast<int>(fired.band), std::get<1>(want));
+    const Payload& payload = payload_of_seq.at(fired.seq);
+    ASSERT_EQ(fired.handler, payload.handler);
+    ASSERT_EQ(fired.kind, payload.kind);
+    ASSERT_EQ(fired.arg, payload.arg);
     pending.erase(pending.begin());
-    live.erase(id_of_seq.at(std::get<2>(want)));
-  };
-  auto cancel_one = [&](EventId id) {
-    auto it = live.find(id);
-    const bool expected = it != live.end();
-    ASSERT_EQ(q.cancel(id), expected) << "id " << id;
-    if (expected) {
-      pending.erase(it->second);
-      live.erase(it);
-    }
+    payload_of_seq.erase(fired.seq);
   };
 
   const std::size_t batches[] = {1,    2,  20000, 3,    1,   700, 5000, 128,  1,
@@ -183,8 +169,8 @@ TEST(EventQueue, MatchesOrderedSetReference) {
       push_one(draw_time(shape), mixed_bands ? static_cast<int>(below(3)) : batch_band);
       ASSERT_FALSE(HasFatalFailure());
     }
-    // Interleave single pushes, pops, cancels and peeks; every few rounds
-    // drain the queue completely.
+    // Interleave single pushes, pops and peeks; every few rounds drain the
+    // queue completely.
     const std::size_t ops = n / 2 + 8;
     for (std::size_t op = 0; op < ops; ++op) {
       check_front();
@@ -193,26 +179,15 @@ TEST(EventQueue, MatchesOrderedSetReference) {
         case 0:
         case 1:
         case 2:
+        case 3:
           if (!pending.empty()) {
             pop_one();
             ++popped;
           }
           break;
-        case 3:
+        case 4:
+        case 5:
           push_one(draw_time(shape), static_cast<int>(below(3)));
-          break;
-        case 4:  // a recent id: usually still live
-          cancel_one(issued[issued.size() - 1 - below(std::min<std::size_t>(issued.size(), 64))]);
-          break;
-        case 5: {  // any id ever issued: mostly fired or cancelled by now
-          const EventId id = issued[below(issued.size())];
-          stale_cancels += live.count(id) == 0 ? 1 : 0;
-          cancel_one(id);
-          break;
-        }
-        case 6:  // never issued
-          cancel_one(below(4) == 0 ? kInvalidEventId
-                                   : issued[below(issued.size())] ^ (std::uint64_t{1} << 50));
           break;
         default:
           break;  // peek only
@@ -234,7 +209,6 @@ TEST(EventQueue, MatchesOrderedSetReference) {
   }
   check_front();
   EXPECT_GT(popped, 50000u);
-  EXPECT_GT(stale_cancels, 1000u);
 }
 
 }  // namespace
