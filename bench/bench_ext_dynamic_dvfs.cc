@@ -6,23 +6,6 @@
 // over." Compares DVFS and MIX runs with and without the extension.
 #include "bench_common.h"
 
-#include "core/powercap_manager.h"
-#include "core/submission_pump.h"
-#include "metrics/report.h"
-
-namespace {
-
-/// Sets a cap "set for now" when its event fires.
-struct CapAnnouncement final : ps::sim::EventHandler {
-  CapAnnouncement(ps::core::PowercapManager& manager, double watts)
-      : manager(manager), watts(watts) {}
-  void on_event(const ps::sim::Event&) override { manager.add_powercap_now(watts); }
-  ps::core::PowercapManager& manager;
-  double watts;
-};
-
-}  // namespace
-
 int main() {
   using namespace ps;
   bench::print_header("Extension — dynamic DVFS of running jobs at window boundaries");
@@ -58,29 +41,19 @@ int main() {
 
   bench::print_section("cap \"set for now\" at t = 2 h (65% of max), DVFS policy");
   for (bool dynamic : {false, true}) {
-    cluster::Cluster cl = cluster::curie::make_cluster();
-    sim::Simulator sim;
-    rjms::Controller controller(sim, cl, {});
-    core::PowercapConfig powercap;
-    powercap.policy = core::Policy::Dvfs;
-    powercap.dynamic_dvfs = dynamic;
-    core::PowercapManager manager(controller, powercap);
-    metrics::Recorder recorder(controller);
-
-    workload::VectorJobSource source(
-        workload::generate(workload::Profile::MedianJob, bench::kSeed));
-    core::SubmissionPump pump(sim, controller, source, sim::hours(5), /*chunk=*/0,
-                              /*width_scale=*/1.0);
-    pump.prime();
-    // Runtime events sort after the pump at equal timestamps; the
-    // announcement, scheduled first, leads them.
-    sim.set_default_band(sim::EventBand::kNormal);
-    CapAnnouncement announcement(manager, manager.lambda_to_watts(0.65));
-    sim.schedule_at(sim::hours(2), announcement, /*kind=*/0);
-    sim.run_until(sim::hours(5));
-    recorder.sample(sim.now());
-    metrics::RunSummary summary =
-        metrics::summarize(recorder, controller, 0, sim::hours(5));
+    core::ScenarioConfig config =
+        bench::scenario(workload::Profile::MedianJob, core::Policy::Dvfs, 1.0);
+    config.powercap.dynamic_dvfs = dynamic;
+    // Announced at t = 2 h with no time limitation: no advance window, no
+    // offline planning ahead.
+    core::CapWindow window;
+    window.lambda = 0.65;
+    window.start = sim::hours(2);
+    window.duration = 0;  // open-ended
+    window.announce = sim::hours(2);
+    config.cap_windows = {window};
+    config.horizon = sim::hours(5);
+    const metrics::RunSummary summary = core::run_scenario(config).summary;
     std::printf("dynamic %-4s violation=%6.0fs  work=%.3g core-h  energy=%.4g MJ\n",
                 dynamic ? "on" : "off", summary.cap_violation_seconds,
                 summary.work_core_seconds / 3600.0, summary.energy_joules / 1e6);

@@ -360,6 +360,31 @@ struct AdmissionBenchRig {
   core::OnlineGovernor governor;
 };
 
+// One forced full pass per iteration over the queue `make_rig` builds. A
+// far-future maintenance reservation bumps the controller epoch and the
+// book version and triggers a coalesced pass without otherwise affecting
+// admission. The book only grows, so a fresh rig replaces the rig every
+// kPassesPerRig passes, outside timing: the book and the pending count
+// stay bounded whatever the iteration count.
+constexpr int kPassesPerRig = 16;
+
+template <typename MakeRig>
+void run_forced_passes(benchmark::State& state, MakeRig make_rig) {
+  std::unique_ptr<AdmissionBenchRig> rig = make_rig();
+  int passes = 0;
+  for (auto _ : state) {
+    if (passes++ == kPassesPerRig) {
+      state.PauseTiming();
+      rig = make_rig();
+      passes = 1;
+      state.ResumeTiming();
+    }
+    rig->controller.add_maintenance_reservation(sim::hours(24), sim::hours(25), {0});
+    rig->sim.run_until(rig->sim.now());
+    benchmark::DoNotOptimize(rig->controller.pending_count());
+  }
+}
+
 // Full-pass cost over a deep pending queue: N jobs of 8 distinct
 // (width, walltime) classes, all power-blocked by the future windows. Every
 // pass re-prices the whole queue but orders only the prefix it visits; the
@@ -367,23 +392,17 @@ struct AdmissionBenchRig {
 // iteration = one forced full pass over the queue.
 void BM_AdmissionDeepPendingPass(benchmark::State& state) {
   const auto pending = static_cast<std::size_t>(state.range(0));
-  AdmissionBenchRig rig(pending);
-  for (std::size_t i = 0; i < pending; ++i) {
-    auto klass = static_cast<std::int64_t>(i % 8);
-    rig.controller.submit(rig.request(static_cast<std::int64_t>(i + 1),
-                                      (klass + 1) * 16,
-                                      sim::hours(2) + sim::minutes(klass)));
-  }
-  rig.sim.run_until(rig.sim.now());  // initial pass prices the whole queue
-  for (auto _ : state) {
-    // A far-future maintenance reservation bumps the controller epoch and
-    // triggers a coalesced pass without otherwise affecting admission.
-    rjms::ReservationId id = rig.controller.add_maintenance_reservation(
-        sim::hours(24), sim::hours(25), {0});
-    rig.sim.run_until(rig.sim.now());
-    rig.controller.reservations().remove(id);
-    benchmark::DoNotOptimize(rig.controller.pending_count());
-  }
+  run_forced_passes(state, [pending] {
+    auto rig = std::make_unique<AdmissionBenchRig>(pending);
+    for (std::size_t i = 0; i < pending; ++i) {
+      auto klass = static_cast<std::int64_t>(i % 8);
+      rig->controller.submit(rig->request(static_cast<std::int64_t>(i + 1),
+                                          (klass + 1) * 16,
+                                          sim::hours(2) + sim::minutes(klass)));
+    }
+    rig->sim.run_until(rig->sim.now());  // initial pass prices the whole queue
+    return rig;
+  });
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(pending));
 }
@@ -396,24 +415,20 @@ BENCHMARK(BM_AdmissionDeepPendingPass)->Arg(256)->Arg(1024)->Arg(4096);
 // pass prices each user's band head and the ~50 jobs it visits. Ungated.
 void BM_AdmissionDeepPendingPassFig8Shape(benchmark::State& state) {
   const auto pending = static_cast<std::int64_t>(state.range(0));
-  AdmissionBenchRig rig{rjms::ControllerConfig{}};
-  const sim::Time opened = sim::minutes(10);
-  rig.sim.run_until(opened);
-  for (std::int64_t i = 0; i < pending; ++i) {
-    workload::JobRequest req = rig.request(i + 1, 1 + (i * 37) % 256,
-                                           sim::hours(2) + sim::minutes(i % 8));
-    req.submit_time = opened * i / pending;
-    req.user = static_cast<std::int32_t>(i % 200);
-    rig.controller.submit(req);
-  }
-  rig.sim.run_until(rig.sim.now());
-  for (auto _ : state) {
-    rjms::ReservationId id = rig.controller.add_maintenance_reservation(
-        sim::hours(24), sim::hours(25), {0});
-    rig.sim.run_until(rig.sim.now());
-    rig.controller.reservations().remove(id);
-    benchmark::DoNotOptimize(rig.controller.pending_count());
-  }
+  run_forced_passes(state, [pending] {
+    auto rig = std::make_unique<AdmissionBenchRig>(rjms::ControllerConfig{});
+    const sim::Time opened = sim::minutes(10);
+    rig->sim.run_until(opened);
+    for (std::int64_t i = 0; i < pending; ++i) {
+      workload::JobRequest req = rig->request(i + 1, 1 + (i * 37) % 256,
+                                              sim::hours(2) + sim::minutes(i % 8));
+      req.submit_time = opened * i / pending;
+      req.user = static_cast<std::int32_t>(i % 200);
+      rig->controller.submit(req);
+    }
+    rig->sim.run_until(rig->sim.now());
+    return rig;
+  });
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * pending);
 }
 BENCHMARK(BM_AdmissionDeepPendingPassFig8Shape)->Arg(1024)->Arg(4096);

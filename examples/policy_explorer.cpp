@@ -31,10 +31,10 @@
 #include <vector>
 
 #include "apps/cli_flags.h"
+#include "cluster/degradation.h"
 #include "cluster/from_config.h"
 #include "core/model.h"
 #include "core/sweep.h"
-#include "core/walltime.h"
 #include "dist/driver.h"
 #include "metrics/report.h"
 #include "util/config.h"
@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
 
   std::printf("%s\n\n", pm.describe().c_str());
 
-  core::DegradationModel degradation(pm.frequencies(), degmin);
+  cluster::DegradationModel degradation(pm.frequencies(), degmin);
   double n = pm.topology().total_nodes();
   double infra = pm.infra_watts_all_on();
 

@@ -1,24 +1,23 @@
-#include "core/walltime.h"
+#include "cluster/degradation.h"
 
 #include <algorithm>
 
 #include "util/check.h"
 
-namespace ps::core {
+namespace ps::cluster {
 
-DegradationModel::DegradationModel(const cluster::FrequencyTable& table,
-                                   double default_degmin)
+DegradationModel::DegradationModel(const FrequencyTable& table, double default_degmin)
     : default_degmin_(default_degmin),
       min_ghz_(table.min().ghz),
       max_ghz_(table.max().ghz) {
   PS_CHECK_MSG(default_degmin_ >= 1.0, "degmin must be >= 1");
   level_ghz_.reserve(table.size());
-  for (cluster::FreqIndex f = 0; f < table.size(); ++f) {
+  for (FreqIndex f = 0; f < table.size(); ++f) {
     level_ghz_.push_back(table.ghz(f));
   }
 }
 
-double DegradationModel::factor(cluster::FreqIndex f, double degmin) const {
+double DegradationModel::factor(FreqIndex f, double degmin) const {
   PS_CHECK_MSG(f < level_ghz_.size(), "frequency index out of range");
   return factor_at_ghz(level_ghz_[f], degmin);
 }
@@ -31,4 +30,4 @@ double DegradationModel::factor_at_ghz(double ghz, double degmin) const {
   return 1.0 + (degmin - 1.0) * span_fraction;
 }
 
-}  // namespace ps::core
+}  // namespace ps::cluster

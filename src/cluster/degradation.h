@@ -12,20 +12,20 @@
 
 #include "cluster/frequency.h"
 
-namespace ps::core {
+namespace ps::cluster {
 
 class DegradationModel {
  public:
   /// `default_degmin`: degradation at table.min() for jobs without an
   /// application model (paper: 1.63).
-  DegradationModel(const cluster::FrequencyTable& table, double default_degmin = 1.63);
+  DegradationModel(const FrequencyTable& table, double default_degmin = 1.63);
 
   /// Degradation factor at level `f` for the default degmin.
-  double factor(cluster::FreqIndex f) const { return factor(f, default_degmin_); }
+  double factor(FreqIndex f) const { return factor(f, default_degmin_); }
 
   /// Degradation factor at level `f` for a job whose full-span degradation
   /// is `degmin` (linear in GHz; 1 at fmax).
-  double factor(cluster::FreqIndex f, double degmin) const;
+  double factor(FreqIndex f, double degmin) const;
 
   /// Degradation factor at an arbitrary frequency in GHz (clamped to the
   /// table span). Used for MIX floor values that may sit between levels.
@@ -42,4 +42,4 @@ class DegradationModel {
   std::vector<double> level_ghz_;
 };
 
-}  // namespace ps::core
+}  // namespace ps::cluster

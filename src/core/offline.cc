@@ -4,7 +4,7 @@
 #include <bit>
 #include <cmath>
 
-#include "core/walltime.h"
+#include "cluster/degradation.h"
 #include "util/check.h"
 #include "util/log.h"
 
@@ -181,7 +181,7 @@ model::ClusterParams OfflinePlanner::params_with_floor(double floor_ghz) const {
   const cluster::FrequencyTable& table = pm.frequencies();
   auto floor_index = table.lowest_at_or_above(floor_ghz);
   PS_CHECK_MSG(floor_index.has_value(), "offline: DVFS floor above the frequency table");
-  DegradationModel degradation(table, config_.default_degmin);
+  cluster::DegradationModel degradation(table, config_.default_degmin);
   model::ClusterParams params;
   params.n = static_cast<double>(controller_.cluster().topology().total_nodes());
   params.p_max = pm.max_watts();

@@ -77,12 +77,12 @@ template <typename Fn>
 void OnlineGovernor::for_each_future_cap(Fn&& fn) {
   sim::Time now = controller_.simulator().now();
   for (auto it = future_caps_.begin(); it != future_caps_.end();) {
-    const rjms::Reservation* cap = controller_.reservations().find(it->first);
-    if (cap == nullptr || cap->start <= now) {
-      it = future_caps_.erase(it);  // started or removed: never projected again
+    const rjms::Reservation& cap = controller_.reservations().find(it->first);
+    if (cap.start <= now) {
+      it = future_caps_.erase(it);  // started: never projected again
       continue;
     }
-    fn(*cap, it->second);
+    fn(cap, it->second);
     ++it;
   }
 }

@@ -56,8 +56,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "cluster/degradation.h"
 #include "core/policy.h"
-#include "core/walltime.h"
 #include "rjms/controller.h"
 #include "rjms/power_governor.h"
 
@@ -99,7 +99,7 @@ class OnlineGovernor final : public rjms::PowerGovernor, public rjms::Controller
   cluster::FreqIndex min_allowed_freq() const noexcept { return min_freq_; }
   cluster::FreqIndex max_allowed_freq() const noexcept { return max_freq_; }
 
-  const DegradationModel& degradation() const noexcept { return degradation_; }
+  const cluster::DegradationModel& degradation() const noexcept { return degradation_; }
 
   /// degmin used for a given job (app-specific when configured and known).
   double degmin_for(const rjms::Job& job) const;
@@ -130,7 +130,7 @@ class OnlineGovernor final : public rjms::PowerGovernor, public rjms::Controller
     return static_cast<double>(job.nodes.size()) * busy_delta(f);
   }
   /// Calls `fn(cap, cache)` for every tracked window that has not started;
-  /// erases the entries of started or removed windows on the way.
+  /// erases the entries of started windows on the way.
   template <typename Fn>
   void for_each_future_cap(Fn&& fn);
   /// optimal_window_freq without the memo table.
@@ -138,7 +138,7 @@ class OnlineGovernor final : public rjms::PowerGovernor, public rjms::Controller
 
   rjms::Controller& controller_;
   PowercapConfig config_;
-  DegradationModel degradation_;
+  cluster::DegradationModel degradation_;
   cluster::FreqIndex min_freq_ = 0;
   cluster::FreqIndex max_freq_ = 0;
   double walltime_stretch_ = 1.0;

@@ -68,112 +68,98 @@ std::vector<rjms::ReservationId> PowercapManager::add_powercap_schedule(
 void PowercapManager::arm_window_hooks(rjms::ReservationId cap_id, sim::Time start,
                                        sim::Time end) {
   sim::Simulator& simulator = controller_.simulator();
-  if (config_.kill_on_overcap) simulator.schedule_at(start, *this, kEnforce, cap_id);
-  bool scalable = config_.policy == Policy::Dvfs || config_.policy == Policy::Mix ||
-                  config_.policy == Policy::Auto;
-  if (config_.dynamic_dvfs && scalable) {
-    simulator.schedule_at(start, *this, kRescaleDown, cap_id);
-    if (end != sim::kTimeMax) simulator.schedule_at(end, *this, kRescaleUp);
+  if (config_.kill_on_overcap || rescales()) {
+    simulator.schedule_at(start, *this, kWindowStart, cap_id);
   }
+  if (rescales() && end != sim::kTimeMax) simulator.schedule_at(end, *this, kWindowEnd);
+}
+
+bool PowercapManager::rescales() const noexcept {
+  return config_.dynamic_dvfs && (config_.policy == Policy::Dvfs ||
+                                  config_.policy == Policy::Mix ||
+                                  config_.policy == Policy::Auto);
 }
 
 void PowercapManager::on_event(const sim::Event& event) {
   switch (static_cast<EventKind>(event.kind)) {
-    case kEnforce:
-      enforce_cap(event.arg);
+    case kWindowStart:
+      on_window_start(controller_.reservations().find(event.arg));
       return;
-    case kRescaleDown:
-      rescale_down_for_window(event.arg);
-      return;
-    case kRescaleUp:
-      rescale_up_after_window();
+    case kWindowEnd:
+      on_window_end();
       return;
   }
 }
 
-void PowercapManager::rescale_down_for_window(rjms::ReservationId cap_id) {
-  const rjms::Reservation* cap = controller_.reservations().find(cap_id);
-  if (cap == nullptr) return;
-  std::optional<cluster::FreqIndex> target = governor_.optimal_window_freq(*cap);
-  cluster::FreqIndex floor = target.value_or(governor_.min_allowed_freq());
-  const DegradationModel& degradation = governor_.degradation();
-
-  std::size_t rescaled = 0;
-  for (const rjms::Job* running : running_jobs(controller_)) {
-    const rjms::Job& job = *running;
-    if (job.freq <= floor) continue;
-    double degmin = governor_.degmin_for(job);
-    double ratio =
-        degradation.factor(floor, degmin) / degradation.factor(job.freq, degmin);
-    controller_.rescale_running_job(job.id(), floor, ratio);
-    ++rescaled;
-  }
-  if (rescaled > 0) {
-    PS_LOG(Info) << "dynamic DVFS: slowed " << rescaled << " running jobs to level "
-                 << floor << " for the cap window";
-  }
-}
-
-void PowercapManager::rescale_up_after_window() {
-  double cap_now = controller_.reservations().cap_at(controller_.simulator().now());
-  const DegradationModel& degradation = governor_.degradation();
-  const cluster::PowerModel& pm = controller_.cluster().power_model();
-  cluster::FreqIndex fmax = governor_.max_allowed_freq();
-
-  for (const rjms::Job* running : running_jobs(controller_)) {
-    const rjms::Job& job = *running;
-    if (job.freq >= fmax) continue;
-    // Highest frequency that keeps the live measurement under the cap
-    // active now (none -> fmax directly).
-    auto nodes = static_cast<double>(job.nodes.size());
-    double current = nodes * pm.frequencies().watts(job.freq);
-    cluster::FreqIndex best = job.freq;
-    for (cluster::FreqIndex f = fmax + 1; f-- > job.freq;) {
-      double delta = nodes * pm.frequencies().watts(f) - current;
-      if (controller_.cluster().watts() + delta <= cap_now + 1e-6) {
-        best = f;
-        break;
-      }
-      if (f == job.freq) break;
+template <typename Pick>
+std::size_t PowercapManager::distribute(const std::vector<const rjms::Job*>& order,
+                                        Pick pick) {
+  const cluster::DegradationModel& degradation = governor_.degradation();
+  std::size_t changed = 0;
+  for (const rjms::Job* job : order) {
+    Share share = pick(*job);
+    if (!share) {
+      controller_.kill_job(job->id());
+    } else if (*share != job->freq) {
+      double degmin = governor_.degmin_for(*job);
+      double ratio = degradation.factor(*share, degmin) / degradation.factor(job->freq, degmin);
+      controller_.rescale_running_job(job->id(), *share, ratio);
+    } else {
+      continue;
     }
-    if (best == job.freq) continue;
-    double degmin = governor_.degmin_for(job);
-    double ratio =
-        degradation.factor(best, degmin) / degradation.factor(job.freq, degmin);
-    controller_.rescale_running_job(job.id(), best, ratio);
+    ++changed;
   }
+  return changed;
 }
 
-rjms::ReservationId PowercapManager::add_powercap_now(double watts) {
-  return add_powercap(controller_.simulator().now(), sim::kTimeMax, watts);
-}
-
-void PowercapManager::enforce_cap(rjms::ReservationId cap_id) {
-  const rjms::Reservation* cap = controller_.reservations().find(cap_id);
-  if (cap == nullptr) return;  // removed meanwhile
-  const double watts = cap->watts;
+void PowercapManager::on_window_start(const rjms::Reservation& cap) {
+  // Slow first: a job the slow-down brings under the cap is not killed.
+  if (rescales()) {
+    cluster::FreqIndex floor =
+        governor_.optimal_window_freq(cap).value_or(governor_.min_allowed_freq());
+    std::size_t slowed = distribute(running_jobs(controller_), [floor](const rjms::Job& job) {
+      return Share(std::min(job.freq, floor));
+    });
+    if (slowed > 0) {
+      PS_LOG(Info) << "dynamic DVFS: slowed " << slowed << " running jobs to level "
+                   << floor << " for the cap window";
+    }
+  }
+  if (!config_.kill_on_overcap) return;
   // Paper §IV-B: by default no extreme actions are taken; sites may opt in
   // to killing "the necessary number of jobs ... until the power
   // consumption of the cluster drops". Newest-first loses the least work.
-  std::size_t killed = 0;
-  while (controller_.cluster().watts() > watts && controller_.running_count() > 0) {
-    rjms::JobId newest = -1;
-    sim::Time newest_start = -1;
-    for (const rjms::Controller::RunningJob& running : controller_.running_by_end()) {
-      sim::Time start = running.job->start_time;
-      if (start > newest_start || (start == newest_start && running.id > newest)) {
-        newest = running.id;
-        newest_start = start;
-      }
-    }
-    if (newest < 0) break;
-    controller_.kill_job(newest);
-    ++killed;
-  }
+  std::vector<const rjms::Job*> newest_first = running_jobs(controller_);
+  std::sort(newest_first.begin(), newest_first.end(),
+            [](const rjms::Job* a, const rjms::Job* b) {
+              if (a->start_time != b->start_time) return a->start_time > b->start_time;
+              return a->id() > b->id();
+            });
+  const cluster::Cluster& cluster = controller_.cluster();
+  const double watts = cap.watts;
+  std::size_t killed = distribute(newest_first, [&](const rjms::Job& job) {
+    return cluster.watts() > watts ? std::nullopt : Share(job.freq);
+  });
   if (killed > 0) {
     PS_LOG(Warn) << "powercap extreme action: killed " << killed
                  << " jobs to drop below " << watts << " W";
   }
+}
+
+void PowercapManager::on_window_end() {
+  const double cap_now = controller_.reservations().cap_at(controller_.simulator().now());
+  const cluster::Cluster& cluster = controller_.cluster();
+  const cluster::FrequencyTable& table = cluster.power_model().frequencies();
+  const cluster::FreqIndex fmax = governor_.max_allowed_freq();
+  distribute(running_jobs(controller_), [&](const rjms::Job& job) {
+    auto nodes = static_cast<double>(job.nodes.size());
+    double current = nodes * table.watts(job.freq);
+    for (cluster::FreqIndex f = fmax; f > job.freq; --f) {
+      double delta = nodes * table.watts(f) - current;
+      if (cluster.watts() + delta <= cap_now + 1e-6) return Share(f);
+    }
+    return Share(job.freq);
+  });
 }
 
 }  // namespace ps::core

@@ -1,10 +1,12 @@
 // Facade tying the powercap pieces to a controller: creates powercap
 // reservations, runs the offline planner, attaches the online governor,
-// and applies the over-cap handling ("wait" by default, or the paper's
-// "extreme actions" kill mode).
+// and acts on running jobs at a window's edges: nothing by default (the
+// paper's "wait"), or the opt-in dynamic DVFS (§VIII) and kill mode
+// (§IV-B) through one loop (docs/ARCHITECTURE.md, "Over-cap actions").
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "core/offline.h"
@@ -31,13 +33,11 @@ class PowercapManager : private sim::EventHandler {
   /// Multi-window schedule (paper §VII: the 24 h day holds several cap
   /// windows): registers every powercap reservation first, then plans the
   /// whole schedule in one incremental OfflinePlanner pass, then arms the
-  /// per-window hooks (kill mode, dynamic DVFS). Returns the reservation
-  /// ids in window order. add_powercap is the one-window case.
+  /// per-window edge events (kill mode, dynamic DVFS). Returns the
+  /// reservation ids in window order. add_powercap is the one-window case;
+  /// a cap "set for now" (paper §IV-B) is add_powercap(now, kTimeMax, w).
   std::vector<rjms::ReservationId> add_powercap_schedule(
       const std::vector<PlanWindow>& windows);
-
-  /// Cap "set for now" with no time limitation (paper §IV-B).
-  rjms::ReservationId add_powercap_now(double watts);
 
   /// Convenience: watts for a fraction of the cluster's worst-case draw
   /// (the experiments' 80/60/40 % settings).
@@ -53,26 +53,34 @@ class PowercapManager : private sim::EventHandler {
   std::vector<OfflinePlan> release_plans() noexcept { return std::move(plans_); }
 
  private:
-  /// What a manager event means (sim::Event::kind); kEnforce and
-  /// kRescaleDown carry the cap reservation id as their arg.
+  /// What a manager event means (sim::Event::kind).
   enum EventKind : std::uint8_t {
-    kEnforce,      ///< kill mode at the window start
-    kRescaleDown,  ///< dynamic DVFS at the window start
-    kRescaleUp,    ///< dynamic DVFS at the window end
+    kWindowStart,  ///< arg = the cap reservation id
+    kWindowEnd,    ///< dynamic DVFS only
   };
   void on_event(const sim::Event& event) override;
 
-  /// Kill-mode / dynamic-DVFS events at one window's boundaries.
+  /// One job's share of a cap edge: the level it may run at, or
+  /// std::nullopt to kill it.
+  using Share = std::optional<cluster::FreqIndex>;
+
+  /// Schedules the edge events one window needs under the config.
   void arm_window_hooks(rjms::ReservationId cap_id, sim::Time start, sim::Time end);
-  /// Kill mode: kills running jobs, newest first, until the cluster draws
-  /// no more than the cap reservation's watts.
-  void enforce_cap(rjms::ReservationId cap_id);
-  /// dynamic_dvfs extension: slow every running scalable job to the
-  /// window's optimal frequency when it opens.
-  void rescale_down_for_window(rjms::ReservationId cap_id);
-  /// dynamic_dvfs extension: speed running jobs back up within the cap
-  /// active now (fmax when none) once a window closes.
-  void rescale_up_after_window();
+  /// dynamic_dvfs is on and the policy scales frequencies.
+  bool rescales() const noexcept;
+  /// Window start: dynamic DVFS slows every running job to the window's
+  /// f*, then kill mode kills running jobs, newest first, until the
+  /// cluster draws no more than the cap.
+  void on_window_start(const rjms::Reservation& cap);
+  /// Window end (dynamic DVFS): raises running jobs in end order, each to
+  /// the highest level the cap active now (fmax when none) still allows.
+  void on_window_end();
+  /// The one loop that acts on running jobs: visits `order` and applies
+  /// `pick(job)` to each, a kill or a rescale. Every pick reads the live
+  /// cluster, so it sees the shares applied before it. Returns how many
+  /// jobs changed.
+  template <typename Pick>
+  std::size_t distribute(const std::vector<const rjms::Job*>& order, Pick pick);
 
   rjms::Controller& controller_;
   PowercapConfig config_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "cluster/degradation.h"
 #include "util/check.h"
 
 namespace ps::metrics {
@@ -64,14 +65,9 @@ double Recorder::work_core_seconds(sim::Time from, sim::Time to) const {
 double Recorder::effective_work_core_seconds(sim::Time from, sim::Time to,
                                              double degmin) const {
   const cluster::FrequencyTable& table = controller_.cluster().frequencies();
-  double ghz_min = table.min().ghz;
-  double ghz_max = table.max().ghz;
-  std::vector<double> speed(table.size(), 1.0);
-  for (cluster::FreqIndex f = 0; f < table.size(); ++f) {
-    double span = ghz_max - ghz_min;
-    double fraction = span > 1e-12 ? (ghz_max - table.ghz(f)) / span : 0.0;
-    speed[f] = 1.0 / (1.0 + (degmin - 1.0) * fraction);
-  }
+  cluster::DegradationModel degradation(table, degmin);
+  std::vector<double> speed(table.size());
+  for (cluster::FreqIndex f = 0; f < table.size(); ++f) speed[f] = 1.0 / degradation.factor(f);
   return integrate(from, to, [this, &speed](const Sample& s) {
     double effective = 0.0;
     for (std::size_t f = 0; f < s.busy_by_freq.size(); ++f) {

@@ -47,10 +47,10 @@ class Recorder final : public rjms::ControllerObserver {
   /// accumulated cpu time).
   double work_core_seconds(sim::Time from, sim::Time to) const;
   /// Degradation-corrected work: a core computing at a reduced frequency
-  /// counts as 1/deg(f) of a full-speed core, with deg linearly
-  /// interpolated to `degmin` at the lowest level (the same model the
-  /// scheduler uses for walltimes). This is the *science throughput*
-  /// counterpart of the occupancy-based work above.
+  /// counts as 1/deg(f) of a full-speed core, deg being the scheduler's
+  /// walltime model (cluster::DegradationModel) with `degmin` at the lowest
+  /// level. This is the *science throughput* counterpart of the
+  /// occupancy-based work above.
   double effective_work_core_seconds(sim::Time from, sim::Time to,
                                      double degmin = 1.63) const;
   /// Maximum instantaneous watts observed in [from, to).

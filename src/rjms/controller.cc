@@ -502,10 +502,9 @@ ReservationId Controller::add_switch_off_reservation(sim::Time start, sim::Time 
 }
 
 void Controller::begin_switch_off(ReservationId id) {
-  const Reservation* res = reservations_.find(id);
-  if (res == nullptr) return;  // removed meanwhile
+  const Reservation& res = reservations_.find(id);
   std::size_t skipped = 0;
-  for (cluster::NodeId node : res->nodes) {
+  for (cluster::NodeId node : res.nodes) {
     cluster::NodeState state = cluster_.state(node);
     if (state == cluster::NodeState::Idle) {
       power_node_off(node);
@@ -516,7 +515,7 @@ void Controller::begin_switch_off(ReservationId id) {
       ++skipped;
     }
   }
-  if (skipped > 0 && !res->permissive) {
+  if (skipped > 0 && !res.permissive) {
     PS_LOG(Warn) << "switch-off reservation " << id << ": " << skipped
                  << " nodes busy at shutdown time, left powered";
   }
@@ -526,9 +525,7 @@ void Controller::begin_switch_off(ReservationId id) {
 }
 
 void Controller::end_switch_off(ReservationId id) {
-  const Reservation* res = reservations_.find(id);
-  if (res == nullptr) return;
-  for (cluster::NodeId node : res->nodes) {
+  for (cluster::NodeId node : reservations_.find(id).nodes) {
     if (cluster_.state(node) != cluster::NodeState::Off) continue;
     if (config_.boot_delay == 0) {
       cluster_.set_state(node, cluster::NodeState::Idle);

@@ -34,29 +34,16 @@ ReservationId ReservationBook::add(Reservation reservation) {
     auto dup = std::adjacent_find(reservation.nodes.begin(), reservation.nodes.end());
     PS_CHECK_MSG(dup == reservation.nodes.end(), "reservation has duplicate nodes");
   }
-  reservation.id = next_id_++;
+  reservation.id = static_cast<ReservationId>(reservations_.size()) + 1;
   reservations_.push_back(std::move(reservation));
   version_ = next_book_version();
   return reservations_.back().id;
 }
 
-bool ReservationBook::remove(ReservationId id) {
-  // Ids are assigned monotonically and erase keeps relative order, so the
-  // book is always sorted by id.
-  auto it = std::lower_bound(
-      reservations_.begin(), reservations_.end(), id,
-      [](const Reservation& r, ReservationId target) { return r.id < target; });
-  if (it == reservations_.end() || it->id != id) return false;
-  reservations_.erase(it);
-  version_ = next_book_version();
-  return true;
-}
-
-const Reservation* ReservationBook::find(ReservationId id) const {
-  auto it = std::lower_bound(
-      reservations_.begin(), reservations_.end(), id,
-      [](const Reservation& r, ReservationId target) { return r.id < target; });
-  return it == reservations_.end() || it->id != id ? nullptr : &*it;
+const Reservation& ReservationBook::find(ReservationId id) const {
+  PS_CHECK_MSG(id >= 1 && id <= static_cast<ReservationId>(reservations_.size()),
+               "unknown reservation id");
+  return reservations_[static_cast<std::size_t>(id - 1)];
 }
 
 void ReservationBook::rebuild_index() const {

@@ -116,14 +116,14 @@ class ReservationBook {
     const std::uint32_t* last_;
   };
 
-  /// Adds a reservation and returns its id. Throws ps::CheckError on
-  /// inverted windows or (for node kinds) empty node lists.
+  /// Adds a reservation and returns its id: its position + 1, since the
+  /// book only grows. Throws ps::CheckError on inverted windows or (for
+  /// node kinds) empty node lists.
   ReservationId add(Reservation reservation);
 
-  /// Removes by id; false when unknown.
-  bool remove(ReservationId id);
-
-  const Reservation* find(ReservationId id) const;
+  /// The reservation `id` names, by index. Throws ps::CheckError on an id
+  /// this book never gave out.
+  const Reservation& find(ReservationId id) const;
   const std::vector<Reservation>& all() const noexcept { return reservations_; }
 
   /// Interval query: calls `fn(const Reservation&)` for each reservation of
@@ -166,8 +166,8 @@ class ReservationBook {
   /// Empty when to <= from + 1.
   StartRun starting_in(ReservationKind kind, sim::Time from, sim::Time to) const;
 
-  /// Mutation stamp: add/remove draw it from one process-wide counter, so
-  /// no two mutated books ever share a version. Lets derived caches (e.g.
+  /// Mutation stamp: each add draws it from one process-wide counter, so
+  /// no two grown books ever share a version. Lets derived caches (e.g.
   /// BlockedSet) detect staleness, or a different book, without observing
   /// every call site.
   std::uint64_t version() const noexcept { return version_; }
@@ -222,9 +222,8 @@ class ReservationBook {
   /// Makes the memo of `kind` the set active at `t`.
   void refill_active(ReservationKind kind, sim::Time t) const;
 
-  std::vector<Reservation> reservations_;
-  ReservationId next_id_ = 1;
-  std::uint64_t version_ = 0;  // 0 until the first mutation: a fresh, empty book
+  std::vector<Reservation> reservations_;  // append-only: id = position + 1
+  std::uint64_t version_ = 0;  // 0 until the first add: a fresh, empty book
 
   mutable KindIndex index_[3];
   mutable std::uint64_t indexed_version_ = ~0ull;

@@ -69,13 +69,11 @@ TEST_F(MultiWindowTest, PlanCacheMatchesFreshPlanningOnTwelveWindowDay) {
 
   // Each window got its own switch-off reservation over its own span.
   for (std::size_t w = 0; w < windows.size(); ++w) {
-    const rjms::Reservation* res =
-        controller_.reservations().find(plans[w].reservation_id);
-    ASSERT_NE(res, nullptr);
-    EXPECT_EQ(res->kind, rjms::ReservationKind::SwitchOff);
-    EXPECT_EQ(res->start, windows[w].start);
-    EXPECT_EQ(res->end, windows[w].end);
-    EXPECT_EQ(res->nodes, plans[w].selection.nodes);
+    const rjms::Reservation& res = controller_.reservations().find(plans[w].reservation_id);
+    EXPECT_EQ(res.kind, rjms::ReservationKind::SwitchOff);
+    EXPECT_EQ(res.start, windows[w].start);
+    EXPECT_EQ(res.end, windows[w].end);
+    EXPECT_EQ(res.nodes, plans[w].selection.nodes);
   }
 }
 

@@ -131,10 +131,9 @@ TEST_F(OfflineTest, ShutPolicyPlansSwitchOffReservation) {
   EXPECT_FALSE(plan.selection.nodes.empty());
   EXPECT_NE(plan.reservation_id, 0);
   // Reservation registered and blocking.
-  const rjms::Reservation* res = controller_.reservations().find(plan.reservation_id);
-  ASSERT_NE(res, nullptr);
-  EXPECT_EQ(res->kind, rjms::ReservationKind::SwitchOff);
-  EXPECT_DOUBLE_EQ(res->planned_saving_watts, plan.selection.saving_vs_idle_watts);
+  const rjms::Reservation& res = controller_.reservations().find(plan.reservation_id);
+  EXPECT_EQ(res.kind, rjms::ReservationKind::SwitchOff);
+  EXPECT_DOUBLE_EQ(res.planned_saving_watts, plan.selection.saving_vs_idle_watts);
   // Worst-case power after shutdown fits the cap.
   EXPECT_LE(cl_.power_model().max_cluster_watts() - plan.selection.saving_vs_busy_watts,
             cap + 1e-6);

@@ -73,7 +73,7 @@ TEST_F(OnlineTest, NoCapAdmitsAtMaxFrequency) {
 TEST_F(OnlineTest, ActiveCapForcesLowerFrequency) {
   PowercapManager manager(controller_, dvfs_config());
   // Cap 25 kW: 90 nodes need watts <= 117 + 12330/90 = 254 -> 1.8 GHz (248).
-  manager.add_powercap_now(25000.0);
+  manager.add_powercap(sim_.now(), sim::kTimeMax, 25000.0);
   controller_.submit(make_request(1, 1440, sim::seconds(1000), sim::seconds(2000)));
   sim_.run_until(sim::seconds(10));
   const rjms::Job& job = controller_.job(1);
@@ -81,7 +81,7 @@ TEST_F(OnlineTest, ActiveCapForcesLowerFrequency) {
   EXPECT_DOUBLE_EQ(cl_.frequencies().ghz(job.freq), 1.8);
   EXPECT_LE(cl_.watts(), 25000.0 + 1e-6);
   // Runtime stretched by the interpolated degradation at 1.8 GHz.
-  DegradationModel deg(cl_.frequencies(), 1.63);
+  cluster::DegradationModel deg(cl_.frequencies(), 1.63);
   EXPECT_EQ(job.scaled_runtime, stretched(sim::seconds(1000), deg.factor(job.freq)));
 }
 
@@ -90,7 +90,7 @@ TEST_F(OnlineTest, ImpossibleCapKeepsJobPending) {
   PowercapManager manager(controller_, config);
   // Even 1.2 GHz on 90 nodes needs 12670 + 90*76 = 19510 W; cap below that
   // blocks the full-width job entirely.
-  manager.add_powercap_now(19000.0);
+  manager.add_powercap(sim_.now(), sim::kTimeMax, 19000.0);
   controller_.submit(make_request(1, 1440, sim::seconds(100), sim::seconds(200)));
   sim_.run_until(sim::seconds(10));
   EXPECT_EQ(controller_.job(1).state, rjms::JobState::Pending);
@@ -104,7 +104,7 @@ TEST_F(OnlineTest, ShutPolicyNeverLowersFrequency) {
   PowercapConfig config;
   config.policy = Policy::Shut;
   PowercapManager manager(controller_, config);
-  manager.add_powercap_now(25000.0);
+  manager.add_powercap(sim_.now(), sim::kTimeMax, 25000.0);
   controller_.submit(make_request(1, 1440, sim::seconds(100), sim::seconds(200)));
   sim_.run_until(sim::seconds(10));
   // fmax would need 34 360 W > cap; SHUT cannot slow it down -> pending.
@@ -120,7 +120,7 @@ TEST_F(OnlineTest, MixPolicyRespectsFrequencyFloor) {
   PowercapConfig config;
   config.policy = Policy::Mix;
   PowercapManager manager(controller_, config);
-  manager.add_powercap_now(25000.0);
+  manager.add_powercap(sim_.now(), sim::kTimeMax, 25000.0);
   // 90 nodes at the MIX floor (2.0 GHz, 269 W) need 12670 + 90*152 = 26350
   // > 25000: pending despite lower frequencies existing below the floor.
   controller_.submit(make_request(1, 1440, sim::seconds(100), sim::seconds(200)));
@@ -146,10 +146,9 @@ TEST_F(OnlineTest, OptimalWindowFreqComputation) {
   PowercapManager manager(controller_, dvfs_config());
   rjms::ReservationId id =
       controller_.add_powercap_reservation(sim::seconds(1000), sim::seconds(2000), 26000.0);
-  const rjms::Reservation* cap = controller_.reservations().find(id);
-  ASSERT_NE(cap, nullptr);
+  const rjms::Reservation& cap = controller_.reservations().find(id);
   // 90 * P(f) + 2 140 <= 26 000 -> P(f) <= 265.1 -> 1.8 GHz (248 W).
-  auto f_star = manager.governor().optimal_window_freq(*cap);
+  auto f_star = manager.governor().optimal_window_freq(cap);
   ASSERT_TRUE(f_star.has_value());
   EXPECT_DOUBLE_EQ(cl_.frequencies().ghz(*f_star), 1.8);
 }
@@ -271,13 +270,14 @@ TEST_F(OnlineTest, AppSpecificDegradationUsed) {
   PowercapConfig config = dvfs_config();
   config.use_app_degmin = true;
   PowercapManager manager(controller_, config);
-  manager.add_powercap_now(25000.0);  // forces 1.8 GHz for 90-node jobs
+  // Forces 1.8 GHz for 90-node jobs.
+  manager.add_powercap(sim_.now(), sim::kTimeMax, 25000.0);
   controller_.submit(
       make_request(1, 1440, sim::seconds(1000), sim::seconds(2000), "linpack"));
   sim_.run_until(sim::seconds(5));
   const rjms::Job& job = controller_.job(1);
   ASSERT_EQ(job.state, rjms::JobState::Running);
-  DegradationModel deg(cl_.frequencies(), 1.63);
+  cluster::DegradationModel deg(cl_.frequencies(), 1.63);
   // linpack degmin 2.14 > default 1.63: runtime stretched more.
   EXPECT_GT(job.scaled_runtime, stretched(sim::seconds(1000), deg.factor(job.freq)));
   EXPECT_EQ(job.scaled_runtime, stretched(sim::seconds(1000), deg.factor(job.freq, 2.14)));
@@ -551,7 +551,7 @@ TEST_F(OnlineTest, StretchedSpansGrowAsFrequencyFalls) {
 
 // --- f* table staleness -------------------------------------------------------
 
-TEST_F(OnlineTest, WindowFreqFollowsSwitchOffPlansAddedAndRemoved) {
+TEST_F(OnlineTest, WindowFreqFollowsEachSwitchOffPlanAdded) {
   PowercapConfig config = dvfs_config();
   OnlineGovernor governor(controller_, config);
   // f* = 1.2 GHz with every node computing (FutureWindowLowersFrequencyAhead).
@@ -565,10 +565,11 @@ TEST_F(OnlineTest, WindowFreqFollowsSwitchOffPlansAddedAndRemoved) {
   // Planning 30 nodes off for the window leaves the 20 kW budget to 60.
   std::vector<cluster::NodeId> off(30);
   std::iota(off.begin(), off.end(), 60);
-  rjms::ReservationId so_id = controller_.add_switch_off_reservation(
+  controller_.add_switch_off_reservation(
       sim::seconds(900), sim::seconds(2100), off,
       30.0 * (cluster::curie::kIdleWatts - cluster::curie::kDownWatts));
-  const rjms::Reservation& cap = *controller_.reservations().find(cap_id);
+  // A copy: the adds below may move the book's storage.
+  const rjms::Reservation cap = controller_.reservations().find(cap_id);
   std::optional<cluster::FreqIndex> raised = OnlineGovernor(controller_, config)
                                                  .optimal_window_freq(cap);
   ASSERT_TRUE(raised.has_value());
@@ -576,9 +577,18 @@ TEST_F(OnlineTest, WindowFreqFollowsSwitchOffPlansAddedAndRemoved) {
   EXPECT_EQ(governor.optimal_window_freq(cap), raised);
   EXPECT_EQ(admitted_freq(governor, job, 60), raised);
 
-  ASSERT_TRUE(controller_.reservations().remove(so_id));
-  EXPECT_EQ(governor.optimal_window_freq(cap), before);
-  EXPECT_EQ(admitted_freq(governor, job, 60), before);
+  // Ten more nodes off re-price the window again.
+  std::vector<cluster::NodeId> more(10);
+  std::iota(more.begin(), more.end(), 50);
+  controller_.add_switch_off_reservation(
+      sim::seconds(900), sim::seconds(2100), more,
+      10.0 * (cluster::curie::kIdleWatts - cluster::curie::kDownWatts));
+  std::optional<cluster::FreqIndex> raised_again = OnlineGovernor(controller_, config)
+                                                       .optimal_window_freq(cap);
+  ASSERT_TRUE(raised_again.has_value());
+  ASSERT_GT(*raised_again, *raised);
+  EXPECT_EQ(governor.optimal_window_freq(cap), raised_again);
+  EXPECT_EQ(admitted_freq(governor, job, 50), raised_again);
 }
 
 TEST_F(OnlineTest, AdmissionFollowsCapWindowAnnouncedBetweenAdmissions) {

@@ -1,5 +1,6 @@
 // PowercapManager: lambda conversion, over-cap handling (wait vs the
-// paper's "extreme actions" kill mode), None-policy passthrough.
+// paper's "extreme actions" kill mode, and kill mode after the dynamic-DVFS
+// slow-down), None-policy passthrough.
 #include "core/powercap_manager.h"
 
 #include <gtest/gtest.h>
@@ -65,12 +66,36 @@ TEST_F(ManagerTest, KillModeTerminatesNewestJobsUntilUnderCap) {
 
   // Cap 20 kW "for now": kill newest (highest id on same start) until
   // 12 670 + k*7 230 <= 20 000 -> one job may survive.
-  manager.add_powercap_now(20000.0);
+  manager.add_powercap(sim_.now(), sim::kTimeMax, 20000.0);
   sim_.run_until(sim::seconds(20));
   EXPECT_EQ(controller_.job(1).state, rjms::JobState::Running);
   EXPECT_EQ(controller_.job(2).state, rjms::JobState::Killed);
   EXPECT_EQ(controller_.job(3).state, rjms::JobState::Killed);
   EXPECT_LE(cl_.watts(), 20000.0 + 1e-6);
+}
+
+TEST_F(ManagerTest, KillModeSparesJobsThatDynamicDvfsSlowsUnderTheCap) {
+  PowercapConfig config;
+  config.policy = Policy::Dvfs;
+  config.kill_on_overcap = true;
+  config.dynamic_dvfs = true;
+  PowercapManager manager(controller_, config);
+  for (std::int64_t id = 1; id <= 3; ++id) {
+    controller_.submit(make_request(id, 480, sim::seconds(5000), sim::seconds(9000)));
+  }
+  sim_.run_until(sim::seconds(10));
+  ASSERT_EQ(controller_.running_count(), 3u);
+
+  // Cap 25 kW: f* = 1.8 GHz (90 * 248 + 2 140 = 24 460 W). The window
+  // start slows all three jobs under the cap before the kill pass looks;
+  // killing first, at fmax, would take two of them.
+  manager.add_powercap(sim_.now(), sim::kTimeMax, 25000.0);
+  sim_.run_until(sim::seconds(20));
+  for (std::int64_t id = 1; id <= 3; ++id) {
+    EXPECT_EQ(controller_.job(id).state, rjms::JobState::Running) << "job " << id;
+    EXPECT_DOUBLE_EQ(cl_.frequencies().ghz(controller_.job(id).freq), 1.8) << "job " << id;
+  }
+  EXPECT_LE(cl_.watts(), 25000.0 + 1e-6);
 }
 
 TEST_F(ManagerTest, DefaultWaitModeKillsNothing) {
@@ -81,7 +106,7 @@ TEST_F(ManagerTest, DefaultWaitModeKillsNothing) {
     controller_.submit(make_request(id, 480, sim::seconds(5000), sim::seconds(9000)));
   }
   sim_.run_until(sim::seconds(10));
-  manager.add_powercap_now(20000.0);
+  manager.add_powercap(sim_.now(), sim::kTimeMax, 20000.0);
   sim_.run_until(sim::seconds(100));
   // Paper default: no extreme actions; the cluster stays above the cap
   // until jobs finish, but no new jobs may start.
@@ -97,7 +122,7 @@ TEST_F(ManagerTest, NonePolicyIgnoresCapEntirely) {
   config.policy = Policy::None;
   PowercapManager manager(controller_, config);
   metrics::Recorder recorder(controller_);
-  manager.add_powercap_now(15000.0);
+  manager.add_powercap(sim_.now(), sim::kTimeMax, 15000.0);
   controller_.submit(make_request(1, 1440, sim::seconds(100), sim::seconds(200)));
   while (sim_.step()) {}
   EXPECT_EQ(controller_.job(1).state, rjms::JobState::Completed);

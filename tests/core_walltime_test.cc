@@ -1,11 +1,11 @@
-#include "core/walltime.h"
+#include "cluster/degradation.h"
 
 #include <gtest/gtest.h>
 
 #include "cluster/curie.h"
 #include "util/check.h"
 
-namespace ps::core {
+namespace ps::cluster {
 namespace {
 
 class WalltimeTest : public ::testing::Test {
@@ -62,4 +62,4 @@ TEST_F(WalltimeTest, SingleFrequencyTableIsAlwaysOne) {
 }
 
 }  // namespace
-}  // namespace ps::core
+}  // namespace ps::cluster
