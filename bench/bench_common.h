@@ -6,9 +6,11 @@
 #include <string>
 #include <vector>
 
+#include "cluster/curie.h"
 #include "core/experiment.h"
 #include "metrics/report.h"
 #include "util/ascii_chart.h"
+#include "util/check.h"
 #include "util/strings.h"
 
 namespace ps::bench {
@@ -28,6 +30,15 @@ inline core::ScenarioConfig scenario(workload::Profile profile, core::Policy pol
   return config;
 }
 
+/// Level count of a Curie series; the charts label and price levels with
+/// the Curie table, so any other table is refused.
+inline std::size_t curie_freq_count(const core::ScenarioResult& result) {
+  std::size_t freq_count = result.samples.front().busy_by_freq.size();
+  PS_CHECK_MSG(freq_count == cluster::curie::kFreqCount,
+               "bench charts need the Curie frequency table");
+  return freq_count;
+}
+
 inline void print_header(const std::string& title) {
   std::string bar(title.size() + 4, '=');
   std::printf("%s\n= %s =\n%s\n", bar.c_str(), title.c_str(), bar.c_str());
@@ -44,15 +55,14 @@ inline std::string cores_chart(const core::ScenarioResult& result,
                                std::size_t width = 110, std::size_t height = 16) {
   const auto& samples = result.samples;
   if (samples.empty()) return "(no samples)\n";
-  std::size_t freq_count = samples.front().busy_by_freq.size();
-  const double cores_per_node = 16.0;
+  std::size_t freq_count = curie_freq_count(result);
+  const double cores_per_node = cluster::curie::kCoresPerNode;
 
   std::vector<std::int64_t> times;
   times.reserve(samples.size());
   for (const auto& s : samples) times.push_back(s.t);
 
   static const char kFills[] = {'#', '@', '%', '*', '+', '=', '-', ':'};
-  static const double kGhz[] = {1.2, 1.4, 1.6, 1.8, 2.0, 2.2, 2.4, 2.7};
   std::vector<util::ascii::Layer> layers;
   // Highest frequency at the bottom of the stack (the paper's black area).
   for (std::size_t f = freq_count; f-- > 0;) {
@@ -66,7 +76,7 @@ inline std::string cores_chart(const core::ScenarioResult& result,
     }
     if (!used) continue;
     util::ascii::Layer layer;
-    layer.name = strings::format("%.1f GHz cores", kGhz[f]);
+    layer.name = strings::format("%.1f GHz cores", cluster::curie::kFreqGhz[f]);
     layer.fill = kFills[(freq_count - 1 - f) % sizeof(kFills)];
     layer.values = std::move(values);
     layers.push_back(std::move(layer));
@@ -102,11 +112,9 @@ inline std::string watts_chart(const core::ScenarioResult& result,
                                std::size_t width = 110, std::size_t height = 14) {
   const auto& samples = result.samples;
   if (samples.empty()) return "(no samples)\n";
-  std::size_t freq_count = samples.front().busy_by_freq.size();
-  static const double kWatts[] = {193, 213, 234, 248, 269, 289, 317, 358};
-  static const double kGhz[] = {1.2, 1.4, 1.6, 1.8, 2.0, 2.2, 2.4, 2.7};
+  std::size_t freq_count = curie_freq_count(result);
+  const double idle_watts = cluster::curie::kIdleWatts;
   static const char kFills[] = {'#', '@', '%', '*', '+', '=', '-', ':'};
-  const double idle_watts = 117.0;
 
   std::vector<std::int64_t> times;
   times.reserve(samples.size());
@@ -121,7 +129,7 @@ inline std::string watts_chart(const core::ScenarioResult& result,
     for (const auto& s : samples) {
       double busy_surplus = 0.0;
       for (std::size_t f = 0; f < freq_count; ++f) {
-        busy_surplus += s.busy_by_freq[f] * (kWatts[f] - idle_watts);
+        busy_surplus += s.busy_by_freq[f] * (cluster::curie::kFreqWatts[f] - idle_watts);
       }
       floor.values.push_back(s.watts - busy_surplus);
     }
@@ -132,13 +140,13 @@ inline std::string watts_chart(const core::ScenarioResult& result,
     std::vector<double> values;
     values.reserve(samples.size());
     for (const auto& s : samples) {
-      double v = s.busy_by_freq[f] * (kWatts[f] - idle_watts);
+      double v = s.busy_by_freq[f] * (cluster::curie::kFreqWatts[f] - idle_watts);
       used |= v > 0;
       values.push_back(v);
     }
     if (!used) continue;
     util::ascii::Layer layer;
-    layer.name = strings::format("%.1f GHz surplus", kGhz[f]);
+    layer.name = strings::format("%.1f GHz surplus", cluster::curie::kFreqGhz[f]);
     layer.fill = kFills[(freq_count - 1 - f) % sizeof(kFills)];
     layer.values = std::move(values);
     layers.push_back(std::move(layer));

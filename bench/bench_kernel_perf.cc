@@ -32,6 +32,7 @@
 #include "core/submission_pump.h"
 #include "core/sweep.h"
 #include "dist/protocol.h"
+#include "metrics/timeseries.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
 #include "rjms/controller.h"
@@ -496,6 +497,32 @@ void BM_ControllerJobLifecycle(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * jobs);
 }
 BENCHMARK(BM_ControllerJobLifecycle)->Arg(1024)->Arg(16384);
+
+// One recorded event: a node changes state, then Recorder::sample runs at
+// a new instant, so every iteration appends a sample to the series. The
+// iteration count is fixed near the 276k samples of a quarter_daily
+// replay, which bounds the series' memory. allocs_per_sample counts heap
+// blocks per appended sample. Ungated.
+void BM_RecorderSample(benchmark::State& state) {
+  sim::Simulator sim;
+  cluster::Cluster cl = cluster::curie::make_scaled_cluster(1);
+  rjms::Controller controller(sim, cl, rjms::ControllerConfig{});
+  metrics::Recorder recorder(controller);
+  const cluster::FreqIndex top = cl.frequencies().max_index();
+  sim::Time now = 0;
+  const std::uint64_t before = allocations();
+  for (auto _ : state) {
+    ++now;
+    cl.set_state(0, now % 2 == 1 ? cluster::NodeState::Busy : cluster::NodeState::Idle,
+                 top);
+    recorder.sample(now);
+  }
+  benchmark::DoNotOptimize(recorder.samples().back().watts);
+  state.counters["allocs_per_sample"] =
+      static_cast<double>(allocations() - before) / static_cast<double>(state.iterations());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_RecorderSample)->Iterations(1 << 18);
 
 // Random-interval query throughput: one scan of the book, from a handful
 // of reservations (/8) to thousands of single-node ones (/4096). No replay

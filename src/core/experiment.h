@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -94,7 +95,7 @@ struct ScenarioConfig {
 struct ScenarioResult {
   metrics::RunSummary summary;
   rjms::Controller::Stats stats;
-  std::vector<metrics::Sample> samples;  ///< full recorded series
+  std::deque<metrics::Sample> samples;   ///< full recorded series
   double cap_watts = 0.0;                ///< first window; 0 when no cap
   sim::Time cap_start = 0;
   sim::Time cap_end = 0;

@@ -1,11 +1,65 @@
 #include "metrics/timeseries.h"
 
 #include <algorithm>
+#include <cstring>
+#include <limits>
+#include <stdexcept>
+#include <vector>
 
 #include "cluster/degradation.h"
 #include "util/check.h"
 
 namespace ps::metrics {
+
+FreqCounts::Heap FreqCounts::heap() const noexcept {
+  Heap heap;
+  std::memcpy(&heap, inline_, sizeof heap);
+  return heap;
+}
+
+void FreqCounts::set_heap(Heap heap) noexcept { std::memcpy(inline_, &heap, sizeof heap); }
+
+FreqCounts::Heap FreqCounts::allocate(std::size_t capacity) {
+  if (capacity > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("FreqCounts: too many levels");
+  }
+  return {new value_type[capacity], static_cast<std::uint32_t>(capacity)};
+}
+
+FreqCounts::value_type* FreqCounts::resize_for_overwrite(std::size_t n) {
+  if (n <= kInlineLevels) {
+    release();
+  } else if (!spilled() || heap().capacity < n) {
+    Heap grown = allocate(n);
+    release();
+    set_heap(grown);
+  }
+  size_ = static_cast<std::uint32_t>(n);
+  return data();
+}
+
+FreqCounts::value_type& FreqCounts::emplace_back(value_type value) {
+  if (size_ == kInlineLevels || (spilled() && size_ == heap().capacity)) {
+    Heap grown = allocate(2 * std::size_t{size_});
+    std::copy(begin(), end(), grown.data);
+    release();
+    set_heap(grown);
+  }
+  // At size_ == kInlineLevels the block was just made; this push spills.
+  value_type* slot = (size_ >= kInlineLevels ? heap().data : inline_) + size_;
+  ++size_;
+  return *slot = value;
+}
+
+void FreqCounts::take(FreqCounts& other) noexcept {
+  size_ = other.size_;
+  std::memcpy(inline_, other.inline_, sizeof inline_);
+  other.size_ = 0;
+}
+
+void FreqCounts::release() noexcept {
+  if (spilled()) delete[] heap().data;
+}
 
 Recorder::Recorder(rjms::Controller& controller)
     : controller_(controller),
@@ -16,8 +70,9 @@ Recorder::Recorder(rjms::Controller& controller)
 
 void Recorder::sample(sim::Time now) {
   const cluster::Cluster& cl = controller_.cluster();
-  // A same-instant update overwrites the last sample in place (its
-  // busy_by_freq keeps its buffer); a new instant appends one.
+  // A same-instant update overwrites the last sample in place; a new
+  // instant appends one, which costs no allocation while the frequency
+  // table fits FreqCounts' inline levels.
   if (samples_.empty() || samples_.back().t != now) {
     PS_CHECK_MSG(samples_.empty() || samples_.back().t < now,
                  "recorder: time went backwards");
@@ -39,12 +94,13 @@ double Recorder::integrate(sim::Time from, sim::Time to, Value&& value_at) const
   PS_CHECK_MSG(from <= to, "integrate: inverted interval");
   if (samples_.empty() || from == to) return 0.0;
   double total = 0.0;
-  for (std::size_t i = 0; i < samples_.size(); ++i) {
-    sim::Time seg_start = samples_[i].t;
-    sim::Time seg_end = i + 1 < samples_.size() ? samples_[i + 1].t : to;
+  for (auto it = samples_.begin(); it != samples_.end(); ++it) {
+    auto next = std::next(it);
+    sim::Time seg_start = it->t;
+    sim::Time seg_end = next != samples_.end() ? next->t : to;
     sim::Time lo = std::max(seg_start, from);
     sim::Time hi = std::min(seg_end, to);
-    if (hi > lo) total += value_at(samples_[i]) * sim::to_seconds(hi - lo);
+    if (hi > lo) total += value_at(*it) * sim::to_seconds(hi - lo);
     if (seg_start >= to) break;
   }
   return total;
@@ -79,10 +135,11 @@ double Recorder::effective_work_core_seconds(sim::Time from, sim::Time to,
 
 double Recorder::max_watts(sim::Time from, sim::Time to) const {
   double peak = 0.0;
-  for (std::size_t i = 0; i < samples_.size(); ++i) {
-    sim::Time seg_start = samples_[i].t;
-    sim::Time seg_end = i + 1 < samples_.size() ? samples_[i + 1].t : to;
-    if (seg_end > from && seg_start < to) peak = std::max(peak, samples_[i].watts);
+  for (auto it = samples_.begin(); it != samples_.end(); ++it) {
+    auto next = std::next(it);
+    sim::Time seg_start = it->t;
+    sim::Time seg_end = next != samples_.end() ? next->t : to;
+    if (seg_end > from && seg_start < to) peak = std::max(peak, it->watts);
     if (seg_start >= to) break;
   }
   return peak;

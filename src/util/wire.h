@@ -238,9 +238,12 @@ class Reader {
     std::uint64_t count = take_count(key);
     items.clear();
     // Reserve at most the bytes the document has left plus one page; a
-    // longer list grows only as its items actually parse.
-    items.reserve(std::min<std::uint64_t>(
-        count, (remaining() + 4096) / sizeof(typename Vec::value_type)));
+    // longer list grows only as its items actually parse. A container
+    // without reserve (a deque, a small inline buffer) just grows.
+    if constexpr (requires { items.reserve(count); }) {
+      items.reserve(std::min<std::uint64_t>(
+          count, (remaining() + 4096) / sizeof(typename Vec::value_type)));
+    }
     for (std::uint64_t i = 0; i < count; ++i) item(items.emplace_back());
   }
 

@@ -5,7 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "cluster/curie.h"
+#include "cluster/from_config.h"
+#include "core/fingerprint.h"
+#include "core/online.h"
+#include "dist/serde.h"
 #include "metrics/report.h"
 #include "util/check.h"
 
@@ -101,7 +107,7 @@ TEST_F(MetricsTest, SamplesAreOrderedAndPartitionTheNodes) {
   controller_.submit(make_request(1, 160, sim::seconds(50), sim::seconds(100)));
   sim_.run_until(sim::seconds(100));
   recorder_.sample(sim_.now());
-  const std::vector<Sample>& samples = recorder_.samples();
+  const auto& samples = recorder_.samples();
   ASSERT_GE(samples.size(), 2u);
   for (std::size_t i = 0; i < samples.size(); ++i) {
     const Sample& s = samples[i];
@@ -192,6 +198,90 @@ TEST(NormalizedBar, ClampsAndScales) {
   EXPECT_EQ(std::count(half.begin(), half.end(), '#'), 5);
   EXPECT_EQ(std::count(over.begin(), over.end(), '#'), 10);
   EXPECT_NE(over.find("1.700"), std::string::npos);
+}
+
+/// A 12-level table spills every sample's counts to the heap: replays a
+/// capped 1-rack run on it and checks the series end to end (shape,
+/// determinism, the serde round trip).
+core::ScenarioResult replay_twelve_levels() {
+  util::Config config = util::Config::parse(
+      "[cluster]\nracks = 1\n"
+      "[power]\n"
+      "freq_ghz = 1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9, 2.0, 2.1\n"
+      "freq_watts = 150, 160, 170, 180, 190, 200, 210, 220, 230, 240, 250, 260\n");
+  cluster::Cluster cl(cluster::power_model_from_config(config));
+  sim::Simulator sim;
+  rjms::Controller controller(sim, cl, fcfs_config());
+  core::PowercapConfig powercap;
+  powercap.policy = core::Policy::Dvfs;
+  core::OnlineGovernor governor(controller, powercap);
+  controller.set_governor(&governor);
+  controller.add_observer(&governor);
+  Recorder recorder(controller);
+  controller.add_powercap_reservation(0, sim::kTimeMax,
+                                      0.6 * cl.power_model().max_cluster_watts());
+  for (std::int64_t id = 1; id <= 40; ++id) {
+    controller.submit(make_request(id, 64 * (1 + id % 10), sim::minutes(10 + id % 7),
+                                   sim::minutes(40), sim::minutes(3 * id)));
+  }
+  const sim::Time end = sim::hours(6);
+  sim.run_until(end);
+  recorder.sample(end);
+  core::ScenarioResult result;
+  result.summary = summarize(recorder, controller, 0, end);
+  result.stats = controller.stats();
+  result.samples = std::move(recorder).samples();
+  return result;
+}
+
+TEST(RecorderSpill, TwelveLevelReplayKeepsEveryCountThroughSerde) {
+  core::ScenarioResult result = replay_twelve_levels();
+  ASSERT_GT(result.samples.size(), 2u);
+  bool top_busy = false;
+  bool reduced_busy = false;
+  for (const Sample& s : result.samples) {
+    ASSERT_EQ(s.busy_by_freq.size(), 12u);
+    EXPECT_GT(s.busy_by_freq.capacity(), 0u);  // held in a heap block
+    top_busy |= s.busy_by_freq[11] > 0;
+    reduced_busy |= std::any_of(s.busy_by_freq.begin(), s.busy_by_freq.end() - 1,
+                                [](std::int32_t n) { return n > 0; });
+  }
+  EXPECT_TRUE(top_busy);
+  EXPECT_TRUE(reduced_busy);
+
+  const std::uint64_t fp = core::fingerprint(result);
+  EXPECT_EQ(core::fingerprint(replay_twelve_levels()), fp);
+  core::ScenarioResult parsed = dist::parse_scenario_result(dist::serialize(result));
+  EXPECT_EQ(core::fingerprint(parsed), fp);
+  ASSERT_EQ(parsed.samples.size(), result.samples.size());
+  for (std::size_t i = 0; i < parsed.samples.size(); ++i) {
+    ASSERT_TRUE(std::equal(parsed.samples[i].busy_by_freq.begin(),
+                           parsed.samples[i].busy_by_freq.end(),
+                           result.samples[i].busy_by_freq.begin(),
+                           result.samples[i].busy_by_freq.end()))
+        << "sample " << i;
+  }
+}
+
+TEST(FreqCounts, SpillsPastTheInlineLevelsAndComesBack) {
+  FreqCounts counts{1, 2, 3};
+  EXPECT_EQ(counts.capacity(), 0u);
+  for (std::int32_t v = 4; v <= 20; ++v) counts.emplace_back(v);
+  ASSERT_EQ(counts.size(), 20u);
+  EXPECT_GE(counts.capacity(), 20u);
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    EXPECT_EQ(counts[i], static_cast<std::int32_t>(i + 1));
+  }
+  FreqCounts copy = counts;
+  FreqCounts moved = std::move(counts);
+  EXPECT_TRUE(std::equal(copy.begin(), copy.end(), moved.begin(), moved.end()));
+  const std::int32_t few[] = {7, 8};
+  moved.assign(std::begin(few), std::end(few));
+  EXPECT_EQ(moved.capacity(), 0u);
+  ASSERT_EQ(moved.size(), 2u);
+  EXPECT_EQ(moved[1], 8);
+  copy.clear();
+  EXPECT_TRUE(copy.empty());
 }
 
 }  // namespace
