@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -95,7 +94,7 @@ struct ScenarioConfig {
 struct ScenarioResult {
   metrics::RunSummary summary;
   rjms::Controller::Stats stats;
-  std::deque<metrics::Sample> samples;   ///< full recorded series
+  metrics::Series samples;   ///< full recorded series
   double cap_watts = 0.0;                ///< first window; 0 when no cap
   sim::Time cap_start = 0;
   sim::Time cap_end = 0;

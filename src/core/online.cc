@@ -1,7 +1,6 @@
 #include "core/online.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 
 #include "apps/calibrated_apps.h"
@@ -179,19 +178,12 @@ double OnlineGovernor::projected_watts_at(const rjms::Reservation& cap) const {
   return watts;
 }
 
-std::size_t OnlineGovernor::VerdictKeyHash::operator()(
-    const VerdictKey& key) const noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 0x100000001b3ull;
-  };
-  mix(static_cast<std::uint64_t>(key.walltime));
-  mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(key.width)));
-  // + 0.0 canonicalizes -0.0, keeping the hash consistent with the
-  // defaulted double equality (-0.0 == 0.0).
-  mix(std::bit_cast<std::uint64_t>(key.degmin + 0.0));
-  return static_cast<std::size_t>(h);
+bool OnlineGovernor::is_rejected(sim::Duration walltime, std::int32_t width,
+                                 double degmin) const {
+  return std::any_of(rejected_.begin(), rejected_.end(), [&](const RejectedClass& rejected) {
+    return rejected.walltime == walltime && rejected.width == width &&
+           rejected.degmin == degmin;
+  });
 }
 
 std::optional<cluster::FreqIndex> OnlineGovernor::compute_admission_freq(
@@ -284,7 +276,7 @@ void OnlineGovernor::refresh_cache_generation(sim::Time now) const {
     return;  // generation unchanged
   }
   if (cache_epoch_ == epoch && cache_book_version_ == version && cache_now_ >= 0 &&
-      now > cache_now_ && !verdicts_.empty()) {
+      now > cache_now_ && !rejected_.empty()) {
     // Pure time advance. Epoch equality already proves no powercap or
     // switch-off boundary *event* fired in (cache_now_, now] (boundary
     // events bump the epoch), but a boundary landing at or before `now`
@@ -306,22 +298,20 @@ void OnlineGovernor::refresh_cache_generation(sim::Time now) const {
     }
     if (!landscape_moved && next_start <= now + cache_max_eff_walltime_) {
       // A strictly-future window start has entered *some* cached span's
-      // horizon. Only keys whose own degradation-stretched span reaches it
-      // now price a different overlapped-window set — evict exactly those
-      // and keep carrying the shorter ones (ROADMAP: short jobs keep
-      // carrying across time advances while long ones re-price).
-      sim::Duration surviving_max = 0;
-      for (auto it = verdicts_.begin(); it != verdicts_.end();) {
-        if (next_start <= now + it->second.max_eff_walltime) {
-          it = verdicts_.erase(it);
-          ++cache_stats_.key_evictions;
-        } else {
-          surviving_max = std::max(surviving_max, it->second.max_eff_walltime);
-          ++it;
-        }
+      // horizon. Only classes whose own degradation-stretched span reaches
+      // it now price a different overlapped-window set — evict exactly
+      // those and keep carrying the shorter ones (short jobs keep carrying
+      // across time advances while long ones re-price).
+      std::size_t before = rejected_.size();
+      std::erase_if(rejected_, [&](const RejectedClass& rejected) {
+        return next_start <= now + rejected.max_eff_walltime;
+      });
+      cache_stats_.key_evictions += before - rejected_.size();
+      cache_max_eff_walltime_ = 0;
+      for (const RejectedClass& rejected : rejected_) {
+        cache_max_eff_walltime_ = std::max(cache_max_eff_walltime_, rejected.max_eff_walltime);
       }
-      cache_max_eff_walltime_ = surviving_max;
-      if (verdicts_.empty()) landscape_moved = true;  // nothing left to carry
+      if (rejected_.empty()) landscape_moved = true;  // nothing left to carry
     }
     if (!landscape_moved) {
       cache_now_ = now;
@@ -329,8 +319,8 @@ void OnlineGovernor::refresh_cache_generation(sim::Time now) const {
       return;
     }
   }
-  if (!verdicts_.empty()) ++cache_stats_.invalidations;
-  verdicts_.clear();
+  if (!rejected_.empty()) ++cache_stats_.invalidations;
+  rejected_.clear();
   cache_epoch_ = epoch;
   cache_book_version_ = version;
   cache_now_ = now;
@@ -344,14 +334,14 @@ bool OnlineGovernor::admission_known_rejected(const rjms::Job& job,
   // generation forward (carry or clear) so quiescent-timestep rejections
   // stay probeable.
   refresh_cache_generation(controller_.simulator().now());
-  VerdictKey key{job.request.requested_walltime, width, degmin_for(job)};
-  auto it = verdicts_.find(key);
-  if (it == verdicts_.end() || it->second.freq.has_value()) return false;
+  double degmin = degmin_for(job);
+  sim::Duration walltime = job.request.requested_walltime;
+  if (!is_rejected(walltime, width, degmin)) return false;
   ++cache_stats_.fast_rejects;
   if (config_.audit_admission_cache) {
     ++cache_stats_.audits;
     std::optional<cluster::FreqIndex> fresh = compute_admission_freq(
-        static_cast<double>(width), key.walltime, key.degmin, cache_now_);
+        static_cast<double>(width), walltime, degmin, cache_now_);
     PS_CHECK_MSG(!fresh.has_value(),
                  "cached rejection diverged from brute-force re-verdict");
   }
@@ -371,37 +361,37 @@ std::optional<rjms::PowerGovernor::Admission> OnlineGovernor::admit(
   sim::Time now = controller_.simulator().now();
   double degmin = degmin_for(job);
   auto node_count = static_cast<double>(nodes.size());
+  auto width = static_cast<std::int32_t>(nodes.size());
+  sim::Duration walltime = job.request.requested_walltime;
 
   // Generation check: resource-state or reservation changes invalidate the
   // whole cache; a pure time advance carries it when no cap boundary is
   // involved (see refresh_cache_generation).
   refresh_cache_generation(now);
 
-  VerdictKey key{job.request.requested_walltime,
-                 static_cast<std::int32_t>(nodes.size()), degmin};
-  std::optional<cluster::FreqIndex> verdict;
-  auto it = verdicts_.find(key);
-  if (it != verdicts_.end()) {
+  if (is_rejected(walltime, width, degmin)) {
     ++cache_stats_.hits;
-    verdict = it->second.freq;
     if (config_.audit_admission_cache) {
       ++cache_stats_.audits;
       std::optional<cluster::FreqIndex> fresh =
-          compute_admission_freq(node_count, key.walltime, degmin, now);
-      PS_CHECK_MSG(fresh == verdict,
+          compute_admission_freq(node_count, walltime, degmin, now);
+      PS_CHECK_MSG(!fresh.has_value(),
                    "admission cache diverged from brute-force re-verdict");
     }
-  } else {
-    ++cache_stats_.misses;
-    verdict = compute_admission_freq(node_count, key.walltime, degmin, now);
-    // The longest span this key's frequency walk considered: the per-key
-    // carry check must keep future window starts out of it.
-    auto max_eff = static_cast<sim::Duration>(std::llround(
-        static_cast<double>(key.walltime) * degradation_.factor(min_freq_, degmin)));
-    verdicts_.emplace(key, CachedVerdict{verdict, max_eff});
-    cache_max_eff_walltime_ = std::max(cache_max_eff_walltime_, max_eff);
+    return std::nullopt;
   }
-  if (!verdict.has_value()) return std::nullopt;
+  ++cache_stats_.misses;
+  std::optional<cluster::FreqIndex> verdict =
+      compute_admission_freq(node_count, walltime, degmin, now);
+  if (!verdict.has_value()) {
+    // The longest span this class's frequency walk considered: the
+    // per-class carry check must keep future window starts out of it.
+    auto max_eff = static_cast<sim::Duration>(std::llround(
+        static_cast<double>(walltime) * degradation_.factor(min_freq_, degmin)));
+    rejected_.push_back(RejectedClass{walltime, width, degmin, max_eff});
+    cache_max_eff_walltime_ = std::max(cache_max_eff_walltime_, max_eff);
+    return std::nullopt;
+  }
 
   double factor = degradation_.factor(*verdict, degmin);
   Admission admission;

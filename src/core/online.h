@@ -28,32 +28,36 @@
 // O(#running jobs); when a window's sum is created fixes its bits, so the
 // lazy id-ordered pricing stays.
 //
-// Admission verdicts are additionally cached per job class: a verdict
-// depends only on (requested walltime, allocation width, degmin) plus the
-// shadow state captured by (controller epoch, now, reservation-book
-// version). A scheduling pass over a deep pending queue therefore prices
-// each distinct class once; repeats are hash lookups. The cache can be
-// audited against brute-force re-verdicts (PowercapConfig::
-// audit_admission_cache), mirroring Cluster::audit_watts.
+// Rejections are additionally cached per job class: a verdict depends only
+// on (requested walltime, allocation width, degmin) plus the shadow state
+// captured by (controller epoch, now, reservation-book version). Only
+// rejected classes are kept, in a flat list: an accepted verdict is never
+// read again, because the controller starts that job at once and the start
+// bumps the epoch. A scheduling pass over a deep pending queue therefore
+// prices each distinct rejected class once, and the controller skips node
+// selection for the rest (admission_known_rejected). The list is cleared,
+// keeping its capacity, when the generation moves, so the cache allocates
+// nothing in steady state. It can be audited against brute-force
+// re-verdicts (PowercapConfig::audit_admission_cache), mirroring
+// Cluster::audit_watts.
 //
 // Generation granularity: when only `now` moved (epoch and book version
 // unchanged — a quiescent timestep where events fired but no resource,
-// reservation or boundary changed), verdicts are *carried* instead of
+// reservation or boundary changed), rejections are *carried* instead of
 // cleared. This is sound because every powercap/switch-off boundary event
 // bumps the controller epoch, so epoch equality pins the active-cap
 // landscape up to `now`; the only remaining time dependence is a future
 // window start entering some cached span's horizon, which the carry check
-// rules out per key: each cached verdict remembers its own degradation-
+// rules out per class: each rejection remembers its own degradation-
 // stretched span, so a future window start entering only the *long* spans
-// evicts exactly those keys while short-job verdicts keep carrying (see
-// refresh_cache_generation). Carried verdicts sit under the same
+// evicts exactly those classes while short-job rejections keep carrying
+// (see refresh_cache_generation). Carried rejections sit under the same
 // audit_admission_cache brute-force fence as ordinary hits.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "cluster/degradation.h"
@@ -106,11 +110,11 @@ class OnlineGovernor final : public rjms::PowerGovernor, public rjms::Controller
 
   /// Admission-cache observability (tests, benches, ops counters).
   struct AdmissionCacheStats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t invalidations = 0;  ///< generation moved, map cleared
-    std::uint64_t carries = 0;        ///< pure time advances that kept the map
-    std::uint64_t key_evictions = 0;  ///< single keys dropped by a carry whose
+    std::uint64_t hits = 0;           ///< admissions answered by a cached rejection
+    std::uint64_t misses = 0;         ///< admissions priced by Algorithm 2
+    std::uint64_t invalidations = 0;  ///< generation moved, non-empty list cleared
+    std::uint64_t carries = 0;        ///< pure time advances that kept the list
+    std::uint64_t key_evictions = 0;  ///< single classes dropped by a carry whose
                                       ///< span met an incoming window start
     std::uint64_t audits = 0;         ///< brute-force re-verdicts performed
     std::uint64_t fast_rejects = 0;   ///< selector walks skipped via cached rejection
@@ -127,7 +131,7 @@ class OnlineGovernor final : public rjms::PowerGovernor, public rjms::Controller
   double busy_delta(cluster::FreqIndex f) const;
   /// A running job's term of running_busy_delta_ at level `f`.
   double job_delta(const rjms::Job& job, cluster::FreqIndex f) const {
-    return static_cast<double>(job.nodes.size()) * busy_delta(f);
+    return static_cast<double>(job.width) * busy_delta(f);
   }
   /// Calls `fn(cap, cache)` for every tracked window that has not started;
   /// erases the entries of started windows on the way.
@@ -172,20 +176,23 @@ class OnlineGovernor final : public rjms::PowerGovernor, public rjms::Controller
   mutable std::vector<sim::Duration> spans_;
   mutable std::vector<FutureWindow> windows_;
 
-  // --- epoch-keyed admission cache -----------------------------------------
+  // --- epoch-keyed rejection cache -----------------------------------------
 
-  /// Everything an admission verdict depends on besides the generation
-  /// triple below: jobs of one class always get the same frequency (or the
-  /// same rejection).
-  struct VerdictKey {
+  /// A class that Algorithm 2 rejected in the current generation: jobs of
+  /// one class always get the same verdict. It also remembers the longest
+  /// effective (degradation-stretched) walltime its frequency walk
+  /// considered — the class's own span horizon, which the carry check
+  /// clears against future window starts. Tracking it per class lets a time
+  /// advance evict only the classes whose span an incoming window start has
+  /// entered; shorter ones keep carrying.
+  struct RejectedClass {
     sim::Duration walltime = 0;  ///< requested (pre-degradation) walltime
     std::int32_t width = 0;      ///< allocation width in nodes
     double degmin = 0.0;         ///< the job's degradation parameter
-    bool operator==(const VerdictKey&) const = default;
+    sim::Duration max_eff_walltime = 0;
   };
-  struct VerdictKeyHash {
-    std::size_t operator()(const VerdictKey& key) const noexcept;
-  };
+  /// True when (walltime, width, degmin) is a cached rejection.
+  bool is_rejected(sim::Duration walltime, std::int32_t width, double degmin) const;
 
   /// Algorithm 2's frequency walk, extracted so cache misses and audits
   /// share one implementation. nullopt = job stays pending.
@@ -204,25 +211,17 @@ class OnlineGovernor final : public rjms::PowerGovernor, public rjms::Controller
   /// is mutable state.
   void refresh_cache_generation(sim::Time now) const;
 
-  /// A cached verdict plus the longest effective (degradation-stretched)
-  /// walltime its frequency walk considered — the key's own span horizon,
-  /// which the carry check clears against future window starts. Tracking
-  /// it per key lets a time advance evict only the keys whose span an
-  /// incoming window start has entered; shorter keys keep carrying.
-  struct CachedVerdict {
-    std::optional<cluster::FreqIndex> freq;
-    sim::Duration max_eff_walltime = 0;
-  };
-
-  /// Verdicts valid for the current (epoch, now, book version) generation,
-  /// where `now` may have been carried forward across quiescent timesteps.
-  mutable std::unordered_map<VerdictKey, CachedVerdict, VerdictKeyHash> verdicts_;
+  /// Rejections valid for the current (epoch, now, book version)
+  /// generation, where `now` may have been carried forward across
+  /// quiescent timesteps. Few distinct classes are rejected per generation,
+  /// so a scan beats a hash; cleared with its capacity kept.
+  mutable std::vector<RejectedClass> rejected_;
   mutable std::uint64_t cache_epoch_ = ~0ull;
   mutable std::uint64_t cache_book_version_ = ~0ull;
   mutable sim::Time cache_now_ = -1;
-  /// Max of CachedVerdict::max_eff_walltime over live entries — the cheap
-  /// whole-map screen before the per-key eviction walk. Grows on insert,
-  /// recomputed when a carry evicts keys.
+  /// Max of RejectedClass::max_eff_walltime over the list — the cheap
+  /// whole-list screen before the per-class eviction walk. Grows on insert,
+  /// recomputed when a carry evicts classes.
   mutable sim::Duration cache_max_eff_walltime_ = 0;
   mutable AdmissionCacheStats cache_stats_;  ///< counters move on const probes too
 };

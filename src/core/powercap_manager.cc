@@ -152,7 +152,7 @@ void PowercapManager::on_window_end() {
   const cluster::FrequencyTable& table = cluster.power_model().frequencies();
   const cluster::FreqIndex fmax = governor_.max_allowed_freq();
   distribute(running_jobs(controller_), [&](const rjms::Job& job) {
-    auto nodes = static_cast<double>(job.nodes.size());
+    auto nodes = static_cast<double>(job.width);
     double current = nodes * table.watts(job.freq);
     for (cluster::FreqIndex f = fmax; f > job.freq; --f) {
       double delta = nodes * table.watts(f) - current;

@@ -9,21 +9,22 @@
 // A sample is fixed-width (64 bytes): the busy-node counts of up to
 // FreqCounts::kInlineLevels frequency levels (the Curie table and the
 // `[power]` default) sit inside it, and only a longer table spills them to
-// one heap block. The series is a std::deque, so it grows by appending
-// chunks, never by copying what it already holds, and a reference to a
-// recorded sample stays valid while the series grows.
+// one heap block. The series is a util::ChunkedStore of 64 KB chunks (1,024
+// samples each), so it grows by appending chunks, never by copying what it
+// already holds, and a reference to a recorded sample stays valid while the
+// series grows.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <initializer_list>
 #include <iterator>
 #include <utility>
 
 #include "rjms/controller.h"
 #include "sim/time.h"
+#include "util/chunked_store.h"
 
 namespace ps::metrics {
 
@@ -118,6 +119,9 @@ struct Sample {
 };
 static_assert(sizeof(Sample) == 64, "a sample is fixed-width");
 
+/// A recorded series: samples in time order, at stable addresses.
+using Series = util::ChunkedStore<Sample>;
+
 class Recorder final : public rjms::ControllerObserver {
  public:
   /// Registers with the controller and takes the t=0 sample.
@@ -128,10 +132,10 @@ class Recorder final : public rjms::ControllerObserver {
   /// Takes a sample now; same-timestamp samples collapse to the latest.
   void sample(sim::Time now);
 
-  const std::deque<Sample>& samples() const& noexcept { return samples_; }
+  const Series& samples() const& noexcept { return samples_; }
   /// Moves the series out of a recorder that is done recording (the end of
   /// a replay), instead of copying it sample by sample.
-  std::deque<Sample> samples() && { return std::move(samples_); }
+  Series samples() && { return std::move(samples_); }
 
   // --- exact step integrals over [from, to) --------------------------------
   /// Energy in joules: integral of watts dt.
@@ -159,7 +163,7 @@ class Recorder final : public rjms::ControllerObserver {
 
   rjms::Controller& controller_;
   std::int32_t cores_per_node_;
-  std::deque<Sample> samples_;
+  Series samples_;
 };
 
 }  // namespace ps::metrics

@@ -1,6 +1,7 @@
 #include "rjms/controller.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "util/check.h"
@@ -30,9 +31,14 @@ void Controller::notify_state_change() {
 JobId Controller::submit(const workload::JobRequest& request) {
   Job& job = jobs_.append(request);
   ++stats_.submitted;
+  std::int64_t cores = std::max<std::int64_t>(request.requested_cores, 1);
+  std::int64_t cores_per_node = cluster_.topology().cores_per_node();
+  // A width past the machine (and past int32) is rejected below either way.
+  job.width = static_cast<std::int32_t>(
+      std::min<std::int64_t>((cores + cores_per_node - 1) / cores_per_node,
+                             std::int64_t{cluster_.topology().total_nodes()} + 1));
 
-  if (job.required_nodes(cluster_.topology().cores_per_node()) >
-      cluster_.topology().total_nodes()) {
+  if (job.width > cluster_.topology().total_nodes()) {
     job.state = JobState::Killed;
     job.end_time = simulator_.now();
     ++stats_.rejected;
@@ -54,15 +60,14 @@ void Controller::quick_attempt(Job& job) {
   auto est_walltime = static_cast<sim::Duration>(
       static_cast<double>(job.request.requested_walltime) * stretch);
   sim::Time est_end = simulator_.now() + est_walltime;
-  std::int32_t required = job.required_nodes(cluster_.topology().cores_per_node());
   // EASY guard: must not delay the reserved head job.
-  bool fits = est_end <= shadow_time_ || required <= shadow_extra_nodes_;
+  bool fits = est_end <= shadow_time_ || job.width <= shadow_extra_nodes_;
   if (!fits) return;
-  auto plan = plan_start(job);
-  if (!plan) return;
-  if (est_end > shadow_time_) shadow_extra_nodes_ -= required;
+  auto admission = plan_start(job);
+  if (!admission) return;
+  if (est_end > shadow_time_) shadow_extra_nodes_ -= job.width;
   pending_.erase(job);
-  start_job(job, std::move(*plan));
+  start_job(job, *admission);
 }
 
 void Controller::request_schedule() {
@@ -125,7 +130,7 @@ void Controller::on_event(const sim::Event& event) {
 
 void Controller::compute_shadow(const Job& head) {
   sim::Time now = simulator_.now();
-  std::int32_t required = head.required_nodes(cluster_.topology().cores_per_node());
+  std::int32_t required = head.width;
   std::int32_t free = cluster_.count(cluster::NodeState::Idle);
 
   if (free >= required) {
@@ -146,7 +151,7 @@ void Controller::compute_shadow(const Job& head) {
 
   shadow_time_ = sim::kTimeMax;
   for (const RunningJob& running : running_by_end_) {
-    free += static_cast<std::int32_t>(running.job->nodes.size());
+    free += running.job->width;
     if (free >= required) {
       shadow_time_ = running.est_end;
       break;
@@ -156,8 +161,8 @@ void Controller::compute_shadow(const Job& head) {
   shadow_valid_ = true;
 }
 
-std::optional<Controller::StartPlan> Controller::plan_start(const Job& job) {
-  std::int32_t count = job.required_nodes(cluster_.topology().cores_per_node());
+std::optional<PowerGovernor::Admission> Controller::plan_start(const Job& job) {
+  std::int32_t count = job.width;
   if (count > cluster_.count(cluster::NodeState::Idle)) return std::nullopt;
 
   // Admission verdicts depend on the allocation only through its width
@@ -200,27 +205,23 @@ std::optional<Controller::StartPlan> Controller::plan_start(const Job& job) {
     return std::nullopt;
   }
 
+  if (governor_ != nullptr) return governor_->admit(job, picked_);
   PowerGovernor::Admission admission;
-  if (governor_ != nullptr) {
-    auto result = governor_->admit(job, picked_);
-    if (!result) return std::nullopt;
-    admission = *result;
-  } else {
-    admission.freq = cluster_.frequencies().max_index();
-    admission.scaled_runtime = job.request.base_runtime;
-    admission.scaled_walltime = job.request.requested_walltime;
-  }
-  return StartPlan{picked_, admission};
+  admission.freq = cluster_.frequencies().max_index();
+  admission.scaled_runtime = job.request.base_runtime;
+  admission.scaled_walltime = job.request.requested_walltime;
+  return admission;
 }
 
-void Controller::start_job(Job& job, StartPlan plan) {
+void Controller::start_job(Job& job, const PowerGovernor::Admission& admission) {
   sim::Time now = simulator_.now();
   job.state = JobState::Running;
   job.start_time = now;
-  job.nodes = std::move(plan.nodes);
-  job.freq = plan.admission.freq;
-  job.scaled_runtime = plan.admission.scaled_runtime;
-  job.scaled_walltime = plan.admission.scaled_walltime;
+  job.nodes = take_node_list(job.width);
+  job.nodes.assign(picked_.begin(), picked_.end());
+  job.freq = admission.freq;
+  job.scaled_runtime = admission.scaled_runtime;
+  job.scaled_walltime = admission.scaled_walltime;
 
   for (cluster::NodeId node : job.nodes) {
     PS_CHECK_MSG(cluster_.state(node) == cluster::NodeState::Idle,
@@ -234,6 +235,26 @@ void Controller::start_job(Job& job, StartPlan plan) {
   ++epoch_;
   for (ControllerObserver* obs : observers_) obs->on_job_start(job);
   notify_state_change();
+}
+
+std::vector<cluster::NodeId> Controller::take_node_list(std::int32_t width) {
+  auto width_class =
+      static_cast<std::size_t>(std::bit_width(static_cast<std::uint32_t>(width - 1)));
+  std::vector<std::vector<cluster::NodeId>>& spares = spare_nodes_[width_class];
+  std::vector<cluster::NodeId> nodes;
+  if (spares.empty()) {
+    nodes.reserve(std::size_t{1} << width_class);
+  } else {
+    nodes = std::move(spares.back());
+    spares.pop_back();
+  }
+  return nodes;
+}
+
+void Controller::recycle_node_list(Job& job) {
+  auto capacity_class = static_cast<std::size_t>(std::bit_width(job.nodes.capacity()) - 1);
+  job.nodes.clear();
+  spare_nodes_[capacity_class].push_back(std::move(job.nodes));
 }
 
 void Controller::schedule_end(Job& job) {
@@ -293,7 +314,7 @@ void Controller::teardown_running_job(Job& job, JobState final_state) {
   job.end_time = now;
 
   double used_core_seconds =
-      static_cast<double>(job.allocated_cores(cluster_.topology().cores_per_node())) *
+      static_cast<double>(std::int64_t{job.width} * cluster_.topology().cores_per_node()) *
       sim::to_seconds(now - job.start_time);
   fairshare_.charge(job.request.user, used_core_seconds, now);
 
@@ -304,6 +325,7 @@ void Controller::teardown_running_job(Job& job, JobState final_state) {
   }
   ++epoch_;
   for (ControllerObserver* obs : observers_) obs->on_job_end(job);
+  recycle_node_list(job);
   notify_state_change();
 }
 
@@ -371,8 +393,6 @@ void Controller::full_pass() {
 
   sim::Time now = simulator_.now();
   double stretch = governor_ != nullptr ? governor_->max_walltime_stretch() : 1.0;
-  std::int32_t cores_per_node = cluster_.topology().cores_per_node();
-
   shadow_valid_ = false;
   bool head_blocked = false;
   bool started = false;
@@ -389,10 +409,10 @@ void Controller::full_pass() {
     if (next == nullptr) break;
     Job& job = *next;
     if (!head_blocked) {
-      auto plan = plan_start(job);
-      if (plan) {
+      auto admission = plan_start(job);
+      if (admission) {
         pending_.take();
-        start_job(job, std::move(*plan));
+        start_job(job, *admission);
         started = true;
         continue;
       }
@@ -401,17 +421,16 @@ void Controller::full_pass() {
       continue;  // head stays pending; everything below is backfill
     }
 
-    std::int32_t required = job.required_nodes(cores_per_node);
     auto est_walltime = static_cast<sim::Duration>(
         static_cast<double>(job.request.requested_walltime) * stretch);
     sim::Time est_end = now + est_walltime;
-    bool fits = est_end <= shadow_time_ || required <= shadow_extra_nodes_;
+    bool fits = est_end <= shadow_time_ || job.width <= shadow_extra_nodes_;
     if (!fits) continue;
-    auto plan = plan_start(job);
-    if (!plan) continue;
-    if (est_end > shadow_time_) shadow_extra_nodes_ -= required;
+    auto admission = plan_start(job);
+    if (!admission) continue;
+    if (est_end > shadow_time_) shadow_extra_nodes_ -= job.width;
     pending_.take();
-    start_job(job, std::move(*plan));
+    start_job(job, *admission);
     started = true;
     ++stats_.backfill_starts;
   }

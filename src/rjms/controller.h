@@ -11,6 +11,7 @@
 // head job. Everything is deterministic.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -194,19 +195,22 @@ class Controller : private sim::EventHandler {
   const Stats& stats() const noexcept { return stats_; }
 
  private:
-  struct StartPlan {
-    std::vector<cluster::NodeId> nodes;
-    PowerGovernor::Admission admission;
-  };
-
   void notify_state_change();
   void full_pass();
   /// The job with `id` for a mutating entry point; CheckError if unknown.
   Job& job_for_update(JobId id) { return const_cast<Job&>(job(id)); }
   /// Single-job attempt (submit path) honouring the cached EASY shadow.
   void quick_attempt(Job& job);
-  std::optional<StartPlan> plan_start(const Job& job);
-  void start_job(Job& job, StartPlan plan);
+  /// Selects nodes for `job` into picked_ and asks the governor; the
+  /// admission when the job may start now on picked_.
+  std::optional<PowerGovernor::Admission> plan_start(const Job& job);
+  /// Starts `job` on picked_ (the nodes plan_start chose) as `admission` says.
+  void start_job(Job& job, const PowerGovernor::Admission& admission);
+  /// An empty node list that holds `width` nodes without growing: a spare
+  /// one when the stash has it, else a new one of the width's class.
+  std::vector<cluster::NodeId> take_node_list(std::int32_t width);
+  /// Moves an ended job's node list to the stash.
+  void recycle_node_list(Job& job);
   /// Schedules the end event of a running job from its current durations,
   /// records it as the job's live end and files the job in
   /// running_by_end_, reusing a spare set node if any.
@@ -270,13 +274,19 @@ class Controller : private sim::EventHandler {
   /// An ending job's nodes that go Idle, set in one call; reused across
   /// jobs so a teardown allocates nothing once it holds the widest job.
   std::vector<cluster::NodeId> released_idle_;
+  /// Node lists of ended jobs by capacity class: class k holds empty lists
+  /// of capacity 2^k, and a start of width w takes one of class
+  /// ceil(log2 w). Once a class holds a list, a start of its widths
+  /// allocates no node list.
+  std::array<std::vector<std::vector<cluster::NodeId>>, 64> spare_nodes_;
 
   // Blocked-node words handed to the selectors; plan_start re-ensures
   // them per span, and they are rewritten only when the blocking
   // reservations change.
   BlockedSet blocked_;
   // The selector's output buffer: a failed selection or a rejected
-  // admission allocates nothing, and an admitted plan copies it once.
+  // admission allocates nothing, and a start copies it into a recycled
+  // node list.
   std::vector<cluster::NodeId> picked_;
 
   // EASY shadow cached from the last full pass (for submit-path attempts).

@@ -3,13 +3,13 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "cluster/frequency.h"
 #include "cluster/topology.h"
 #include "sim/event_queue.h"
 #include "sim/time.h"
+#include "util/chunked_store.h"
 #include "workload/job_request.h"
 
 namespace ps::rjms {
@@ -29,7 +29,13 @@ struct Job {
   workload::JobRequest request;
   JobState state = JobState::Pending;
 
-  /// Allocation (valid once Running).
+  /// Whole-node width, ceil(max(requested_cores, 1) / cores_per_node): set
+  /// once at submit, for every job.
+  std::int32_t width = 0;
+
+  /// The allocation, `width` nodes; defined only while the job is Running.
+  /// When the job ends the controller takes the list back to reuse it for
+  /// a later start, so a terminal job's list is empty.
   std::vector<cluster::NodeId> nodes;
   cluster::FreqIndex freq = 0;  ///< DVFS level the job was started at
 
@@ -48,21 +54,15 @@ struct Job {
 
   JobId id() const noexcept { return request.id; }
 
-  /// Whole-node allocation: nodes = ceil(requested_cores / cores_per_node).
-  std::int32_t required_nodes(std::int32_t cores_per_node) const;
-
-  /// Cores the allocation occupies (nodes * cores_per_node) — what the
-  /// utilization plots count.
-  std::int64_t allocated_cores(std::int32_t cores_per_node) const;
-
   bool terminal() const noexcept {
     return state == JobState::Completed || state == JobState::Killed;
   }
 };
+static_assert(sizeof(Job) <= 160, "a job table slot stays within 160 bytes");
 
-/// Every job a controller was given, in submission order. Jobs live in
-/// fixed chunks of kChunkSize that are never moved or freed, so a Job&
-/// stays valid for the table's lifetime: the pending queue and the running
+/// Every job a controller was given, in submission order. Jobs live in a
+/// util::ChunkedStore, whose elements never move, so a Job& stays valid
+/// for the table's lifetime: the pending queue and the running
 /// set hold Job* across any number of later appends. An open-addressing
 /// index (power-of-two size, load <= 1/2, linear probing) maps an id to its
 /// position; its keys are the jobs' own request.id.
@@ -80,17 +80,13 @@ class JobTable {
   /// Calls fn(const Job&) for every job, in submission order.
   template <class Fn>
   void for_each(Fn&& fn) const {
-    for (std::uint32_t pos = 0; pos < size_; ++pos) fn(static_cast<const Job&>(at(pos)));
+    for (const Job& job : jobs_) fn(job);
   }
 
  private:
-  static constexpr std::uint32_t kChunkBits = 8;
-  static constexpr std::uint32_t kChunkSize = 1u << kChunkBits;
   static constexpr std::uint32_t kNone = ~0u;
 
-  Job& at(std::uint32_t pos) const noexcept {
-    return chunks_[pos >> kChunkBits][pos & (kChunkSize - 1)];
-  }
+  const Job& at(std::uint32_t pos) const noexcept { return jobs_[pos]; }
   /// Fibonacci hashing: the top bits of id * 2^64/phi, which spread
   /// sequential, strided and sign-extended ids alike.
   std::size_t home(JobId id) const noexcept {
@@ -104,8 +100,7 @@ class JobTable {
   /// Doubles the index and re-files every job.
   void grow_index();
 
-  std::vector<std::unique_ptr<Job[]>> chunks_;
-  std::uint32_t size_ = 0;
+  util::ChunkedStore<Job> jobs_;
   std::vector<std::uint32_t> index_;  ///< positions; kNone = empty slot
   unsigned index_shift_ = 0;          ///< 64 - log2(index_.size())
 };

@@ -35,9 +35,9 @@ ReservationId ReservationBook::add(Reservation reservation) {
     PS_CHECK_MSG(dup == reservation.nodes.end(), "reservation has duplicate nodes");
   }
   reservation.id = static_cast<ReservationId>(reservations_.size()) + 1;
-  reservations_.push_back(std::move(reservation));
+  ReservationId id = reservations_.emplace_back(std::move(reservation)).id;
   version_ = next_book_version();
-  return reservations_.back().id;
+  return id;
 }
 
 const Reservation& ReservationBook::find(ReservationId id) const {
@@ -76,7 +76,7 @@ void ReservationBook::refill_active(ReservationKind kind, sim::Time t) const {
   // The set can only change at the next start or when a member ends.
   sim::Time until = first_start_after(ki.starts, t);
   for_each_overlapping(kind, t, t + 1, [&](const Reservation& r) {
-    memo.positions.push_back(static_cast<std::uint32_t>(&r - reservations_.data()));
+    memo.positions.push_back(static_cast<std::uint32_t>(r.id - 1));
     until = std::min(until, r.end);
   });
   memo.at = t;
@@ -91,7 +91,7 @@ ReservationBook::StartRun ReservationBook::starting_in(ReservationKind kind, sim
   // Every start from `first` on exceeds `from`, so to <= from yields first.
   auto last = std::lower_bound(first, ki.starts.end(), to);
   const std::uint32_t* base = ki.by_start.data();
-  return StartRun(reservations_.data(), base + (first - ki.starts.begin()),
+  return StartRun(&reservations_, base + (first - ki.starts.begin()),
                   base + (last - ki.starts.begin()));
 }
 

@@ -19,6 +19,7 @@
 #include "cluster/node_bits.h"
 #include "cluster/topology.h"
 #include "sim/time.h"
+#include "util/chunked_store.h"
 
 namespace ps::rjms {
 
@@ -69,8 +70,10 @@ struct Reservation {
   }
 };
 
-/// Registry of reservations with the queries the scheduler needs, sized to
-/// its traffic: a replay holds a few hundred reservations and asks about a
+/// Registry of reservations with the queries the scheduler needs. The book
+/// only grows and keeps its reservations in a util::ChunkedStore, so a
+/// reference from find() or all() stays valid across later adds. The
+/// queries are sized to its traffic: a replay holds a few hundred reservations and asks about a
 /// random interval about once per cap window, but about the simulated `now`
 /// a million times (docs/ARCHITECTURE.md, "Reservation book").
 ///   * `for_each_overlapping` is one scan of `reservations_`;
@@ -84,14 +87,16 @@ struct Reservation {
 /// reservations stay bit-stable.
 class ReservationBook {
  public:
+  using Store = util::ChunkedStore<Reservation>;
+
   /// Reservations of one kind in (start, id) order: a contiguous run of
   /// the kind's start column. Valid until the book next changes.
   class StartRun {
    public:
     class iterator {
      public:
-      iterator(const Reservation* base, const std::uint32_t* pos) : base_(base), pos_(pos) {}
-      const Reservation& operator*() const { return base_[*pos_]; }
+      iterator(const Store* base, const std::uint32_t* pos) : base_(base), pos_(pos) {}
+      const Reservation& operator*() const { return (*base_)[*pos_]; }
       iterator& operator++() {
         ++pos_;
         return *this;
@@ -99,19 +104,19 @@ class ReservationBook {
       bool operator!=(const iterator& other) const { return pos_ != other.pos_; }
 
      private:
-      const Reservation* base_;
+      const Store* base_;
       const std::uint32_t* pos_;
     };
 
-    StartRun(const Reservation* base, const std::uint32_t* first, const std::uint32_t* last)
+    StartRun(const Store* base, const std::uint32_t* first, const std::uint32_t* last)
         : base_(base), first_(first), last_(last) {}
     iterator begin() const { return {base_, first_}; }
     iterator end() const { return {base_, last_}; }
     std::size_t size() const noexcept { return static_cast<std::size_t>(last_ - first_); }
-    const Reservation& operator[](std::size_t i) const { return base_[first_[i]]; }
+    const Reservation& operator[](std::size_t i) const { return (*base_)[first_[i]]; }
 
    private:
-    const Reservation* base_;
+    const Store* base_;
     const std::uint32_t* first_;
     const std::uint32_t* last_;
   };
@@ -122,9 +127,10 @@ class ReservationBook {
   ReservationId add(Reservation reservation);
 
   /// The reservation `id` names, by index. Throws ps::CheckError on an id
-  /// this book never gave out.
+  /// this book never gave out. The reference outlives later adds.
   const Reservation& find(ReservationId id) const;
-  const std::vector<Reservation>& all() const noexcept { return reservations_; }
+  /// Every reservation in id order, at addresses later adds keep.
+  const Store& all() const noexcept { return reservations_; }
 
   /// Interval query: calls `fn(const Reservation&)` for each reservation of
   /// `kind` overlapping [from, to), in id order, by one scan of the book.
@@ -222,7 +228,7 @@ class ReservationBook {
   /// Makes the memo of `kind` the set active at `t`.
   void refill_active(ReservationKind kind, sim::Time t) const;
 
-  std::vector<Reservation> reservations_;  // append-only: id = position + 1
+  Store reservations_;  // append-only: id = position + 1
   std::uint64_t version_ = 0;  // 0 until the first add: a fresh, empty book
 
   mutable KindIndex index_[3];

@@ -239,7 +239,7 @@ class Reader {
     items.clear();
     // Reserve at most the bytes the document has left plus one page; a
     // longer list grows only as its items actually parse. A container
-    // without reserve (a deque, a small inline buffer) just grows.
+    // without reserve (a chunked store, a small inline buffer) just grows.
     if constexpr (requires { items.reserve(count); }) {
       items.reserve(std::min<std::uint64_t>(
           count, (remaining() + 4096) / sizeof(typename Vec::value_type)));

@@ -1,8 +1,10 @@
-// The governor's epoch-keyed admission cache: verdicts are priced once per
-// distinct (walltime, width, degmin) class per (epoch, now, book-version)
-// generation, invalidated on resource changes, and — under audit mode —
-// continuously cross-checked against brute-force re-verdicts the way
-// Cluster::audit_watts fences the incremental power accounting.
+// The governor's epoch-keyed admission cache: rejections are priced once
+// per distinct (walltime, width, degmin) class per (epoch, now,
+// book-version) generation, invalidated on resource changes, and — under
+// audit mode — continuously cross-checked against brute-force re-verdicts
+// the way Cluster::audit_watts fences the incremental power accounting.
+// Accepted verdicts are not cached: the controller starts the job at once,
+// and the start moves the generation.
 #include <gtest/gtest.h>
 
 #include "cluster/curie.h"
@@ -117,10 +119,15 @@ TEST_F(AdmissionCacheTest, ShortKeyCarriesSurviveLongKeyEviction) {
   OnlineGovernor governor(controller_, strict_config(/*audit=*/true));
   controller_.set_governor(&governor);
   controller_.add_observer(&governor);
+  // An open-ended cap just above the idle floor rejects both classes now,
+  // so both are cached; only the rejected classes are.
+  controller_.add_powercap_reservation(0, sim::kTimeMax, cl_.watts() + 1.0);
   add_blocking_window(controller_);  // unsatisfiable window at [1h, 2h)
+  sim_.run_until(0);  // the cap's start boundary fires (an epoch bump)
 
   // Short class: even fully degradation-stretched it ends well before the
-  // 1 h window start. Long class: overlaps it from t=0.
+  // 1 h window start. Long class: overlaps it from t=0. Both are rejected
+  // by the cap active now.
   rjms::Job short_job;
   short_job.request = make_request(1, 32, sim::minutes(2), sim::minutes(5));
   rjms::Job long_job;
@@ -136,6 +143,8 @@ TEST_F(AdmissionCacheTest, ShortKeyCarriesSurviveLongKeyEviction) {
   probe_both();
   const auto& stats = governor.admission_cache_stats();
   EXPECT_EQ(stats.misses, 2u);  // both classes priced once
+  EXPECT_FALSE(governor.admit(short_job, nodes).has_value());  // a hit
+  EXPECT_EQ(stats.hits, 1u);
 
   for (int step = 1; step <= 6; ++step) {
     sim_.run_until(sim_.now() + sim::seconds(1));
@@ -148,7 +157,8 @@ TEST_F(AdmissionCacheTest, ShortKeyCarriesSurviveLongKeyEviction) {
   EXPECT_EQ(stats.key_evictions, 6u);
   EXPECT_EQ(stats.carries, 6u);
   EXPECT_EQ(stats.invalidations, 0u);
-  EXPECT_GE(stats.hits, 6u);  // the short key's carried re-probes
+  EXPECT_EQ(stats.hits, 1u + 6u);  // the short key's carried re-probes
+  EXPECT_EQ(stats.audits, stats.hits);
 }
 
 TEST_F(AdmissionCacheTest, FutureWindowInsideHorizonBlocksCarry) {
@@ -215,11 +225,10 @@ TEST_F(AdmissionCacheTest, AuditModeAgreesOnFullScenario) {
 }
 
 TEST_F(AdmissionCacheTest, CachedAdmissionReproducesScaledDurations) {
-  // Two identical-class admissions within one generation: the second is a
-  // cache hit and must carry bit-identical frequency and scaled durations.
-  // (In live scheduling a positive verdict immediately starts the job and
-  // bumps the epoch, so positive hits only occur for probes like this one;
-  // the hot path the cache serves is repeated *negative* verdicts.)
+  // Two identical-class admissions within one generation: accepted
+  // verdicts are not cached (in live scheduling a positive verdict starts
+  // the job at once and bumps the epoch), so the second re-prices, and it
+  // must yield bit-identical frequency and scaled durations.
   PowercapConfig pc;
   pc.policy = Policy::Dvfs;
   OnlineGovernor governor(controller_, pc);
@@ -237,7 +246,8 @@ TEST_F(AdmissionCacheTest, CachedAdmissionReproducesScaledDurations) {
   auto second = governor.admit(job, nodes);
   ASSERT_TRUE(first.has_value());
   ASSERT_TRUE(second.has_value());
-  EXPECT_GE(governor.admission_cache_stats().hits, 1u);
+  EXPECT_EQ(governor.admission_cache_stats().hits, 0u);
+  EXPECT_EQ(governor.admission_cache_stats().misses, 2u);
   EXPECT_LT(first->freq, cl_.frequencies().max_index());  // DVFS actually engaged
   EXPECT_EQ(first->freq, second->freq);
   EXPECT_EQ(first->scaled_runtime, second->scaled_runtime);

@@ -50,12 +50,19 @@ class ControllerTest : public ::testing::Test {
 
 TEST_F(ControllerTest, SingleJobLifecycle) {
   controller_.submit(make_request(1, 32, sim::seconds(100), sim::seconds(200)));
-  while (sim_.step()) {}
+  sim_.run_until(sim::seconds(50));
   const Job& job = controller_.job(1);
+  // The allocation is defined while the job runs: 32 cores / 16 per node.
+  EXPECT_EQ(job.state, JobState::Running);
+  EXPECT_EQ(job.nodes.size(), 2u);
+  for (cluster::NodeId node : job.nodes) {
+    EXPECT_EQ(cl_.state(node), cluster::NodeState::Busy);
+  }
+  while (sim_.step()) {}
   EXPECT_EQ(job.state, JobState::Completed);
   EXPECT_EQ(job.start_time, 0);
   EXPECT_EQ(job.end_time, sim::seconds(100));
-  EXPECT_EQ(job.nodes.size(), 2u);  // 32 cores / 16 per node
+  EXPECT_EQ(job.width, 2);  // the node list went back to the controller
   EXPECT_EQ(job.freq, cl_.frequencies().max_index());
   EXPECT_EQ(controller_.stats().completed, 1u);
   EXPECT_EQ(cl_.count(cluster::NodeState::Busy), 0);

@@ -100,6 +100,32 @@ TEST(ReservationBook, AssignsIncreasingIds) {
   EXPECT_EQ(book.all().size(), 2u);
 }
 
+TEST(ReservationBook, ReferencesOutliveLaterAdds) {
+  // A caller may hold a reservation across adds (the controller's
+  // switch-off handlers, the governor's window walk): find() and all() hand
+  // out addresses that no later add moves.
+  ReservationBook book;
+  ReservationId id = book.add(switch_off(100, 200, {7, 3, 5}));
+  const Reservation* held = &book.find(id);
+  const Reservation* first = &*book.all().begin();
+  for (std::int64_t i = 0; i < 1000; ++i) {
+    if (i % 2 == 0) {
+      book.add(powercap(i, i + 50, 1000.0 + static_cast<double>(i)));
+    } else {
+      book.add(maintenance(i, i + 10, {static_cast<cluster::NodeId>(i % 64)}));
+    }
+  }
+  ASSERT_EQ(book.all().size(), 1001u);
+  EXPECT_EQ(&book.find(id), held);
+  EXPECT_EQ(&*book.all().begin(), first);
+  EXPECT_EQ(held->id, id);
+  EXPECT_EQ(held->kind, ReservationKind::SwitchOff);
+  EXPECT_EQ(held->start, 100);
+  EXPECT_EQ(held->end, 200);
+  EXPECT_EQ(held->nodes, (std::vector<cluster::NodeId>{3, 5, 7}));
+  EXPECT_EQ(book.find(1001).kind, ReservationKind::Maintenance);
+}
+
 TEST(ReservationBook, FindByIdRejectsUnknownIds) {
   ReservationBook book;
   ReservationId cap = book.add(powercap(0, 10, 1.0));
